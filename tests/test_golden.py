@@ -1,0 +1,98 @@
+"""Byte-for-byte CLI output on the bundled fixtures.
+
+Each case runs ``isocone.cli.run`` on inputs built from the fixtures and
+compares stdout with ``tests/golden/<case>.txt``.  The cone cases pin the
+edge-class ids, the ``choice``/``witness`` lines of ``cone member`` and the
+component spans; the surface cases pin validation, the Delaunay
+retriangulation and the exact pairings (the floating-point quadrature block
+of ``symplectic-check`` is cut off before comparing).
+
+Regenerate the expected files, after checking that a change of output is
+intended, with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import contextlib
+import io as _io
+import pathlib
+from fractions import Fraction
+
+import pytest
+
+from isocone import flatsurf, io
+from isocone.cli import run
+
+GOLDEN = pathlib.Path(__file__).with_name("golden")
+
+FIXTURES = ("square_torus", "hex_torus", "lshape_h2", "pillowcase",
+            "g2_track", "two_tets", "chain4", "g2xI")
+SURFACES = ("square_torus", "hex_torus", "lshape_h2", "pillowcase")
+QUADRATURE = "quadrature (floating point):"
+
+
+def _run(argv):
+    out = _io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = run(argv)
+    assert rc == 0, f"{argv} exited {rc}"
+    return out.getvalue()
+
+
+def _fixture(tmp, name):
+    path = tmp / f"{name}.txt"
+    _run(["fixtures", name, "--output", str(path)])
+    return str(path)
+
+
+def _sheared_lshape(tmp):
+    path = tmp / "lshape_sheared.txt"
+    surf = flatsurf.lshape_h2().shear(Fraction(1, 3))
+    path.write_text(io.serialize_flatsurface(surf))
+    return str(path)
+
+
+def _exact_part(text):
+    return text.split(QUADRATURE, 1)[0]
+
+
+# case name -> function of a scratch directory returning the compared text
+CASES = {}
+for _name in FIXTURES:
+    CASES[f"fixtures-{_name}"] = (
+        lambda tmp, n=_name: _run(["fixtures", n]))
+for _name in SURFACES:
+    CASES[f"surface-validate-{_name}"] = (
+        lambda tmp, n=_name: _run(["surface", "validate",
+                                   "--input", _fixture(tmp, n)]))
+for _name in ("hex_torus", "pillowcase"):
+    CASES[f"surface-symplectic-check-{_name}"] = (
+        lambda tmp, n=_name: _exact_part(_run(
+            ["surface", "symplectic-check", "--input", _fixture(tmp, n),
+             "--seed", "1", "--depth", "2"])))
+CASES["surface-delaunay-lshape_h2-shear-1_3"] = (
+    lambda tmp: _run(["surface", "delaunay", "--input", _sheared_lshape(tmp)]))
+CASES["cone-member-g2xI"] = (
+    lambda tmp: _run(["cone", "member", "--input", _fixture(tmp, "g2xI")]))
+CASES["cone-compute-chain4"] = (
+    lambda tmp: _run(["cone", "compute", "--input", _fixture(tmp, "chain4")]))
+CASES["cone-isotropy-g2xI-sample3-seed7"] = (
+    lambda tmp: _run(["cone", "isotropy", "--input", _fixture(tmp, "g2xI"),
+                      "--choices", "sample:3", "--seed", "7"]))
+CASES["cone-compute-g2xI-sample2-seed3"] = (
+    lambda tmp: _run(["cone", "compute", "--input", _fixture(tmp, "g2xI"),
+                      "--choices", "sample:2", "--seed", "3"]))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden(case, tmp_path):
+    expected = (GOLDEN / f"{case}.txt").read_text()
+    assert CASES[case](tmp_path) == expected
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as d:
+        for case in sorted(CASES):
+            (GOLDEN / f"{case}.txt").write_text(CASES[case](pathlib.Path(d)))
+            print(f"wrote {case}")
