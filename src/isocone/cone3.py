@@ -23,14 +23,15 @@ yields a finite union of polyhedral cones; membership of a boundary weight
 is an exact rational feasibility question over the choices.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
 from isocone import linalg
 from isocone.ordgroup import rat
 from isocone.track import (
-    SurfaceTriangulation, TrainTrack, track_dual_to_triangulation,
-    triangle_form_sum,
+    SurfaceTriangulation, track_dual_to_triangulation, triangle_form_sum,
+    union_find,
 )
 
 # induced oriented corner triples of the four faces of a positively
@@ -71,6 +72,9 @@ def opposite_pairs():
 
 OPPOSITE_PAIRS = opposite_pairs()
 
+# choice k of a tetrahedron sets the pair sums CHOICE_PAIRS[k] equal
+CHOICE_PAIRS = ((0, 1), (0, 2), (1, 2))
+
 
 def tet_form_values(u_edges, v_edges):
     """Alternating form of one oriented tetrahedron on two edge weights.
@@ -104,8 +108,7 @@ class Triangulation3:
         for (t, f), (t2, f2, perm) in gluings.items():
             self.gluings[(t, f)] = (t2, f2, dict(perm))
         self._validate_gluings()
-        self._build_vertex_classes()
-        self._build_edge_classes()
+        self._build_classes()
         self._build_boundary()
 
     # -- validation ------------------------------------------------------------
@@ -139,45 +142,19 @@ class Triangulation3:
                 raise OrientationError(
                     f"gluing at {(t, f)} is not orientation-reversing")
 
-    def _build_vertex_classes(self):
-        parent = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for t in self.tets:
-            for v in range(4):
-                parent[(t, v)] = (t, v)
-        for (t, f), (t2, f2, perm) in self.gluings.items():
-            for v, v2 in perm.items():
-                a, b = find((t, v)), find((t2, v2))
-                if a != b:
-                    parent[a] = b
-        self.vertex_class = {c: find(c) for c in parent}
-
-    def _build_edge_classes(self):
-        parent = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for t in self.tets:
-            for e in _edge_pairs():
-                parent[(t, e)] = (t, e)
-        for (t, f), (t2, f2, perm) in self.gluings.items():
-            for pair in itertools.combinations([v for v in range(4) if v != f], 2):
-                e = frozenset(pair)
-                e2 = frozenset(perm[v] for v in pair)
-                a, b = find((t, e)), find((t2, e2))
-                if a != b:
-                    parent[a] = b
-        self.edge_class = {c: find(c) for c in parent}
+    def _build_classes(self):
+        """Vertex and edge classes: corners and edges identified across
+        every glued face (the permutation's domain is the face's corners)."""
+        self.vertex_class = union_find(
+            [(t, v) for t in self.tets for v in range(4)],
+            (((t, v), (t2, v2))
+             for (t, _), (t2, _, perm) in self.gluings.items()
+             for v, v2 in perm.items()))
+        self.edge_class = union_find(
+            [(t, e) for t in self.tets for e in _edge_pairs()],
+            (((t, frozenset(pair)), (t2, frozenset(perm[v] for v in pair)))
+             for (t, _), (t2, _, perm) in self.gluings.items()
+             for pair in itertools.combinations(sorted(perm), 2)))
         self.edge_classes = sorted(set(self.edge_class.values()), key=repr)
 
     # -- boundary ---------------------------------------------------------------
@@ -263,26 +240,7 @@ class Triangulation3:
         surf = self.boundary
         if surf is None:
             return
-        tris = list(surf.triangles)
-        comp_of = {}
-        comps = []
-        for t0 in tris:
-            if t0 in comp_of:
-                continue
-            comp = set()
-            stack = [t0]
-            while stack:
-                t = stack.pop()
-                if t in comp:
-                    continue
-                comp.add(t)
-                comp_of[t] = len(comps)
-                for d in surf.triangles[t]:
-                    t2 = surf.triangle_of(surf.glue[d])
-                    if t2 not in comp:
-                        stack.append(t2)
-            comps.append(sorted(comp, key=repr))
-        for comp in comps:
+        for comp in surf.components():
             edges = {surf.edge_class[d] for t in comp
                      for d in surf.triangles[t]}
             corners = {surf.corner_class[(t, i)] for t in comp
@@ -324,6 +282,44 @@ class Triangulation3:
             "all_torus_boundary": bool(comps) and all(c["torus"] for c in comps),
             "closed": self.boundary is None,
         }
+
+    # -- constraint rows: built on first use, shared by every caller ------------
+
+    @functools.cached_property
+    def _column(self):
+        return {E: i for i, E in enumerate(self.edge_classes)}
+
+    def _row(self, terms):
+        """Dense row over the edge classes, summing ``(class, coefficient)``
+        terms; a tuple, since the cached rows are shared."""
+        row = [Fraction(0)] * len(self.edge_classes)
+        for cls, coef in terms:
+            row[self._column[cls]] += coef
+        return tuple(row)
+
+    @functools.cached_property
+    def unit_rows(self):
+        """Per edge class, the row pinning that class."""
+        return {E: self._row([(E, 1)]) for E in self.edge_classes}
+
+    @functools.cached_property
+    def torus_rows(self):
+        """Rows pinning every torus class, in ``repr`` order."""
+        return [self.unit_rows[E]
+                for E in sorted(self.torus_classes, key=repr)]
+
+    @functools.cached_property
+    def choice_rows(self):
+        """``choice_rows[t][k]`` sets the pair sums ``CHOICE_PAIRS[k]`` of
+        tetrahedron ``t`` equal."""
+        rows = {}
+        for t in self.tets:
+            sums = [(self.edge_class[(t, e)], self.edge_class[(t, e2)])
+                    for e, e2 in OPPOSITE_PAIRS]
+            rows[t] = [self._row([(a, 1) for a in sums[i]]
+                                 + [(b, -1) for b in sums[j]])
+                       for i, j in CHOICE_PAIRS]
+        return rows
 
     # -- forms -------------------------------------------------------------------
 
@@ -397,17 +393,6 @@ class Triangulation3:
 
     # -- choice subspaces ---------------------------------------------------------
 
-    def pair_sum_rows(self, t):
-        """Coefficient rows of the three opposite-pair sums of tet ``t``."""
-        idx = {E: i for i, E in enumerate(self.edge_classes)}
-        rows = []
-        for e, e2 in OPPOSITE_PAIRS:
-            row = [Fraction(0)] * len(self.edge_classes)
-            row[idx[self.edge_class[(t, e)]]] += 1
-            row[idx[self.edge_class[(t, e2)]]] += 1
-            rows.append(row)
-        return rows
-
     def choice_row(self, t, choice):
         """Constraint row: equality of two of the three pair sums.
 
@@ -415,18 +400,7 @@ class Triangulation3:
         pairs set equal: 0 = first and second, 1 = first and third,
         2 = second and third.
         """
-        rows = self.pair_sum_rows(t)
-        i, j = [(0, 1), (0, 2), (1, 2)][choice]
-        return [a - b for a, b in zip(rows[i], rows[j])]
-
-    def torus_zero_rows(self):
-        idx = {E: i for i, E in enumerate(self.edge_classes)}
-        rows = []
-        for cls in sorted(self.torus_classes, key=repr):
-            row = [Fraction(0)] * len(self.edge_classes)
-            row[idx[cls]] = 1
-            rows.append(row)
-        return rows
+        return self.choice_rows[t][choice]
 
     def w4_subspace(self, choices):
         """Reduced-echelon basis of one choice subspace.
@@ -435,9 +409,8 @@ class Triangulation3:
         cut out by one pair-sum equality per tetrahedron plus zero weight
         on every edge class of each torus boundary component.
         """
-        rows = self.torus_zero_rows()
-        for t in self.tets:
-            rows.append(self.choice_row(t, choices[t]))
+        rows = self.torus_rows + [self.choice_rows[t][choices[t]]
+                                  for t in self.tets]
         basis = linalg.kernel_basis(rows, len(self.edge_classes))
         return [dict(zip(self.edge_classes, vec)) for vec in basis]
 
@@ -452,7 +425,7 @@ class Triangulation3:
         for t in self.tets:
             vals = self.tet_edge_values(t, w)
             sums = [vals[e] + vals[e2] for e, e2 in OPPOSITE_PAIRS]
-            sat = [k for k, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)])
+            sat = [k for k, (i, j) in enumerate(CHOICE_PAIRS)
                    if sums[i] == sums[j]]
             out[t] = sat
         return out
@@ -555,14 +528,7 @@ def compute_cone(manifold, btrack, choice_iter=None):
     n = len(edge_order)
 
     # switch relations of the boundary track in boundary-edge coordinates
-    switch_rows = []
-    for s in sorted(btrack.track.switches, key=repr):
-        a, b, c = btrack.track.switches[s]
-        row = [Fraction(0)] * n
-        row[eidx[a]] += 1
-        row[eidx[b]] += 1
-        row[eidx[c]] -= 1
-        switch_rows.append(row)
+    switch_rows = btrack.track.switch_rows(eidx)
     # torus edges are zero in every subspace; also force them here so the
     # component spans live inside the track's weight space
     for comp in manifold.boundary_components:
@@ -631,29 +597,20 @@ def member(manifold, btrack, w_boundary):
         return MemberResult(False, reason="switch")
 
     classes = manifold.edge_classes
-    cidx = {c: i for i, c in enumerate(classes)}
     sysm = linalg.IncrementalSystem(len(classes))
-
-    def unit_row(cls):
-        row = [Fraction(0)] * len(classes)
-        row[cidx[cls]] = 1
-        return row
 
     # pin boundary values (several boundary edges may share a class; any
     # conflict makes the system inconsistent here)
     for E in sorted(manifold.boundary_edge_to_class, key=repr):
         cls = manifold.boundary_edge_to_class[E]
         val = w_boundary.get(E, Fraction(0))
-        if not sysm.push(unit_row(cls), rat(val)):
+        if not sysm.push(manifold.unit_rows[cls], rat(val)):
             return MemberResult(False, reason="class-conflict")
-    for cls in sorted(manifold.torus_classes, key=repr):
-        if not sysm.push(unit_row(cls), 0):
+    for row in manifold.torus_rows:
+        if not sysm.push(row, 0):
             return MemberResult(False, reason="torus-nonzero")
 
     tets = manifold.tets
-    choice_rows = {(t, k): manifold.choice_row(t, k)
-                   for t in tets for k in range(3)}
-
     chosen = {}
 
     def dfs(i):
@@ -662,7 +619,7 @@ def member(manifold, btrack, w_boundary):
         t = tets[i]
         for k in range(3):
             mark = sysm.checkpoint()
-            if sysm.push(choice_rows[(t, k)], 0) and dfs(i + 1):
+            if sysm.push(manifold.choice_rows[t][k], 0) and dfs(i + 1):
                 chosen[t] = k
                 return True
             sysm.rollback(mark)

@@ -10,8 +10,12 @@ region cusps, and the three unsplit triangles leave three cusps at the
 original vertex.
 """
 
+from fractions import Fraction
+
 from isocone.track import SurfaceTriangulation, track_dual_to_triangulation
-from isocone.cone3 import FACE_CYCLES, Triangulation3
+from isocone.cone3 import (
+    FACE_CYCLES, BoundaryTrack, Triangulation3, product_triangulation,
+)
 
 
 def genus2_one_vertex_surface():
@@ -74,14 +78,10 @@ def genus2_maximal_track():
     weight space has dimension 6.
     """
     surf = genus2_four_vertex_surface()
-    outgoing = {}
-    for t in surf.triangles:
-        if "." in t:
-            # sub-triangle of a split: the original (outer) edge sits in
-            # slot 0, both spokes incoming, cusp at the new vertex
-            outgoing[t] = 0
-        else:
-            outgoing[t] = 0
+    # every triangle sends its slot-0 edge out; in a sub-triangle of a
+    # split that is the original (outer) edge, with both spokes incoming
+    # and the cusp at the new vertex
+    outgoing = {t: 0 for t in surf.triangles}
     track, edge_to_branch = track_dual_to_triangulation(surf, outgoing)
     return track, surf, edge_to_branch, outgoing
 
@@ -136,8 +136,6 @@ def g2_product_bundle():
     matching dual tracks on both boundary copies as an ``outgoing`` map,
     and the per-copy boundary-edge correspondences.
     """
-    from isocone.cone3 import product_triangulation, Triangulation3 as T3, \
-        BoundaryTrack
     track, g2, e2b, outgoing = genus2_maximal_track()
     prod = product_triangulation(g2)
 
@@ -145,7 +143,7 @@ def g2_product_bundle():
     gluings = {}
     for (tet, f), (tet2, f2, perm) in prod.manifold.gluings.items():
         gluings[(name[tet], f)] = (name[tet2], f2, dict(perm))
-    manifold = T3(name.values(), gluings)
+    manifold = Triangulation3(name.values(), gluings)
 
     out = {}
     for t, slot in outgoing.items():
@@ -175,7 +173,6 @@ def g2_product_bundle():
 
 def mf_weight(track, rng, hi=6):
     """A random nonnegative admissible weight, by rejection on the basis."""
-    from fractions import Fraction
     basis = track.weight_space_basis()
     while True:
         w = {e: Fraction(0) for e in track.branches}
@@ -189,7 +186,6 @@ def mf_weight(track, rng, hi=6):
 
 def diagonal_boundary_weight(bundle, w):
     """Push one admissible surface weight to both boundary copies."""
-    from fractions import Fraction
     wb = {E: Fraction(0)
           for E in bundle["manifold"].boundary.edge_classes}
     for E, val in w.items():

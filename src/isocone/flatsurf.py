@@ -562,8 +562,14 @@ def omega_hessian(surface, t1, t2):
     return total
 
 
-def _double_cover_data(surface):
-    """Orientation double cover with lifts; translation input doubles."""
+def orientation_double_cover(surface):
+    """The translation double cover and its sheet-swapping involution.
+
+    On a translation surface the cover is two disjoint copies; on a
+    half-translation surface the sign-reversing gluings connect the sheets
+    and every gluing of the cover is a translation.  The involution negates
+    the lifted edge vectors; the covering area is twice the base area.
+    """
     triangles = {}
     vectors = {}
     glu = {}
@@ -588,17 +594,6 @@ def _double_cover_data(surface):
     return cover, involution
 
 
-def orientation_double_cover(surface):
-    """The translation double cover and its sheet-swapping involution.
-
-    On a translation surface the cover is two disjoint copies; on a
-    half-translation surface the sign-reversing gluings connect the sheets
-    and every gluing of the cover is a translation.  The involution negates
-    the lifted edge vectors; the covering area is twice the base area.
-    """
-    return _double_cover_data(surface)
-
-
 def lift_tangent(cover, tangent):
     delta = {}
     for (d, sheet) in cover.vectors:
@@ -616,7 +611,7 @@ def omega_homological(surface, t1, t2):
     the pinned factor 1/2.
     """
     if surface.kind != "translation":
-        cover, _ = _double_cover_data(surface)
+        cover, _ = orientation_double_cover(surface)
         l1 = lift_tangent(cover, t1)
         l2 = lift_tangent(cover, t2)
         return omega_homological(cover, l1, l2) / 2
@@ -642,7 +637,7 @@ def kahler_pairing_numeric(surface, t1, t2, depth=4):
     orientation double cover with the factor 1/2.
     """
     if surface.kind != "translation":
-        cover, _ = _double_cover_data(surface)
+        cover, _ = orientation_double_cover(surface)
         return kahler_pairing_numeric(
             cover, lift_tangent(cover, t1), lift_tangent(cover, t2),
             depth) / 2.0

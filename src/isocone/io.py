@@ -35,7 +35,6 @@ def clean_id(x):
 
 def rename_track(track):
     """Copy of a track with all ids flattened to clean strings."""
-    from isocone.track import TrainTrack
     switches = {clean_id(s): tuple(clean_id(b) for b in abc)
                 for s, abc in track.switches.items()}
     return TrainTrack(switches)

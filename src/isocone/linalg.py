@@ -86,25 +86,10 @@ def solve(rows, rhs):
     return sol
 
 
-def in_span(basis_rows, vec):
-    """Whether ``vec`` lies in the row span of ``basis_rows``."""
-    red, pivots = rref(basis_rows)
-    v = list(map(Fraction, vec))
-    for prow, pcol in zip(red, pivots):
-        if v[pcol] != 0:
-            f = v[pcol]
-            v = [a - f * b for a, b in zip(v, prow)]
-    return all(x == 0 for x in v)
-
-
 def canonical_span_key(rows):
     """Hashable canonical form of a row span (tuple of reduced rows)."""
     red, _ = rref(rows)
     return tuple(tuple(r) for r in red)
-
-
-def mat_vec(rows, vec):
-    return [sum((a * b for a, b in zip(r, vec)), ZERO) for r in rows]
 
 
 class IncrementalSystem:

@@ -34,6 +34,28 @@ class InvalidWeightError(ValueError):
     """A weight violating the switch relations was supplied."""
 
 
+def union_find(items, pairs):
+    """Class representative of every item once the given pairs are merged.
+
+    Pairs are merged in order and a merge points the first item's root at
+    the second's, so the representatives depend only on ``items`` and the
+    order of ``pairs``.  Returns a dict in the order of ``items``.
+    """
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        a, b = find(a), find(b)
+        if a != b:
+            parent[a] = b
+    return {x: find(x) for x in parent}
+
+
 class SurfaceTriangulation:
     """Closed oriented surface built from oriented triangles.
 
@@ -77,30 +99,18 @@ class SurfaceTriangulation:
         self.edge_class = canon
         self.edge_classes = sorted(set(canon.values()), key=repr)
 
-        # vertex classes via union-find over corners; corner (t, i) sits at
-        # the tail of triangle t's i-th directed edge
-        parent = {}
+        # vertex classes over corners; corner (t, i) sits at the tail of
+        # triangle t's i-th directed edge
+        def glued_corners():
+            for t, ds in self.triangles.items():
+                for i in range(3):
+                    # edge whose head is this corner
+                    p = self.glue.get(ds[(i + 2) % 3])
+                    if p is not None:
+                        yield (t, i), self._owner[p]
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for t, ds in self.triangles.items():
-            for i in range(3):
-                parent[(t, i)] = (t, i)
-        for t, ds in self.triangles.items():
-            for i in range(3):
-                prev = ds[(i + 2) % 3]        # edge whose head is this corner
-                p = self.glue.get(prev)
-                if p is None:
-                    continue
-                t2, j = self._owner[p]
-                a, b = find((t, i)), find((t2, j))
-                if a != b:
-                    parent[a] = b
-        self.corner_class = {c: find(c) for c in parent}
+        corners = [(t, i) for t in self.triangles for i in range(3)]
+        self.corner_class = union_find(corners, glued_corners())
         self.vertex_classes = sorted(set(self.corner_class.values()), key=repr)
 
     def triangle_of(self, d):
@@ -130,23 +140,23 @@ class SurfaceTriangulation:
             raise ValueError("odd Euler characteristic")
         return (2 - chi) // 2
 
+    def components(self):
+        """Triangles of each connected component, each sorted by ``repr``.
+
+        Components are listed in the order their first triangle appears in
+        ``triangles``.
+        """
+        root = union_find(self.triangles, (
+            (t, self._owner[self.glue[d]][0])
+            for t, ds in self.triangles.items() for d in ds
+            if d in self.glue))
+        comps = {}
+        for t, r in root.items():
+            comps.setdefault(r, []).append(t)
+        return [sorted(c, key=repr) for c in comps.values()]
+
     def is_connected(self):
-        tris = list(self.triangles)
-        if not tris:
-            return True
-        seen = {tris[0]}
-        stack = [tris[0]]
-        while stack:
-            t = stack.pop()
-            for d in self.triangles[t]:
-                p = self.glue.get(d)
-                if p is None:
-                    continue
-                t2, _ = self._owner[p]
-                if t2 not in seen:
-                    seen.add(t2)
-                    stack.append(t2)
-        return len(seen) == len(tris)
+        return len(self.components()) <= 1
 
     def reversed_orientation(self):
         """The same surface with every triangle's cyclic order reversed."""
@@ -253,18 +263,26 @@ class TrainTrack:
                 return False
         return True
 
-    def weight_space_basis(self):
-        """Exact basis of the solution space of all switch relations."""
-        idx = {e: i for i, e in enumerate(self.branches)}
+    def switch_rows(self, column_of):
+        """Dense rows of ``w(a) + w(b) - w(c)``, one per switch by ``repr``.
+
+        ``column_of`` maps every branch to its column; the rows have one
+        entry per key of ``column_of``.
+        """
         rows = []
         for s in sorted(self.switches, key=repr):
             a, b, c = self.switches[s]
-            row = [Fraction(0)] * len(self.branches)
-            row[idx[a]] += 1
-            row[idx[b]] += 1
-            row[idx[c]] -= 1
+            row = [Fraction(0)] * len(column_of)
+            row[column_of[a]] += 1
+            row[column_of[b]] += 1
+            row[column_of[c]] -= 1
             rows.append(row)
-        basis = linalg.kernel_basis(rows, len(self.branches))
+        return rows
+
+    def weight_space_basis(self):
+        """Exact basis of the solution space of all switch relations."""
+        idx = {e: i for i, e in enumerate(self.branches)}
+        basis = linalg.kernel_basis(self.switch_rows(idx), len(self.branches))
         return [{e: vec[idx[e]] for e in self.branches} for vec in basis]
 
     def thurston_form(self, w1, w2):

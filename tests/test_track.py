@@ -7,7 +7,7 @@ from isocone import linalg
 from isocone.track import (
     SurfaceTriangulation, TrainTrack,
     triangle_form, triangle_form_sum, embed_weights,
-    track_dual_to_triangulation,
+    track_dual_to_triangulation, union_find,
     NotMaximalError, NotOrientableError, InvalidWeightError,
 )
 from isocone.fixtures import (
@@ -47,6 +47,33 @@ class TestSurface:
     def test_gluing_validation(self):
         with pytest.raises(ValueError):
             SurfaceTriangulation({"t": ("a", "b", "c")}, {"a": "b"})
+
+    def test_components_of_two_spheres(self):
+        # two triangle pairs glued edge to edge: two disjoint spheres,
+        # listed in the order of their first triangle
+        tris = {"y": ("a", "b", "c"), "x": ("p", "q", "r"),
+                "z": ("A", "C", "B"), "w": ("P", "R", "Q")}
+        glu = {}
+        for d in "abcpqr":
+            glu[d] = d.upper()
+            glu[d.upper()] = d
+        s = SurfaceTriangulation(tris, glu)
+        assert s.components() == [["y", "z"], ["w", "x"]]
+        assert not s.is_connected()
+        assert genus2_four_vertex_surface().components() == [
+            sorted(genus2_four_vertex_surface().triangles, key=repr)]
+
+
+class TestUnionFind:
+    def test_first_root_points_at_second(self):
+        assert union_find("abcd", [("a", "b"), ("c", "d"), ("b", "c")]) \
+            == {"a": "d", "b": "d", "c": "d", "d": "d"}
+        assert union_find("abcd", [("b", "a"), ("d", "c"), ("c", "b")]) \
+            == {"a": "a", "b": "a", "c": "a", "d": "a"}
+
+    def test_singletons_and_repeats(self):
+        assert union_find([1, 2, 3], [(1, 2), (2, 1), (1, 1)]) \
+            == {1: 2, 2: 2, 3: 3}
 
 
 class TestSwitchRelations:
