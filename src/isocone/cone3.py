@@ -290,12 +290,14 @@ class Triangulation3:
         return {E: i for i, E in enumerate(self.edge_classes)}
 
     def _row(self, terms):
-        """Dense row over the edge classes, summing ``(class, coefficient)``
-        terms; a tuple, since the cached rows are shared."""
-        row = [Fraction(0)] * len(self.edge_classes)
+        """Sparse row over the edge classes, summing ``(class, coefficient)``
+        terms: sorted ``(column, coefficient)`` pairs with the zero sums
+        left out; a tuple, since the cached rows are shared."""
+        row = {}
         for cls, coef in terms:
-            row[self._column[cls]] += coef
-        return tuple(row)
+            col = self._column[cls]
+            row[col] = row.get(col, 0) + coef
+        return tuple((col, Fraction(x)) for col, x in sorted(row.items()) if x)
 
     @functools.cached_property
     def unit_rows(self):
@@ -393,15 +395,6 @@ class Triangulation3:
 
     # -- choice subspaces ---------------------------------------------------------
 
-    def choice_row(self, t, choice):
-        """Constraint row: equality of two of the three pair sums.
-
-        ``choice`` is 0, 1 or 2, naming the unordered pair of opposite-edge
-        pairs set equal: 0 = first and second, 1 = first and third,
-        2 = second and third.
-        """
-        return self.choice_rows[t][choice]
-
     def w4_subspace(self, choices):
         """Reduced-echelon basis of one choice subspace.
 
@@ -409,9 +402,10 @@ class Triangulation3:
         cut out by one pair-sum equality per tetrahedron plus zero weight
         on every edge class of each torus boundary component.
         """
+        n = len(self.edge_classes)
         rows = self.torus_rows + [self.choice_rows[t][choices[t]]
                                   for t in self.tets]
-        basis = linalg.kernel_basis(rows, len(self.edge_classes))
+        basis = linalg.kernel_basis([linalg.dense(r, n) for r in rows], n)
         return [dict(zip(self.edge_classes, vec)) for vec in basis]
 
     def satisfied_choices(self, w):
@@ -690,7 +684,9 @@ class ProductTriangulation:
     staircase determined by a corner order; the corner orders come from
     edge directions chosen so that no triangle is cyclic, which makes the
     wall diagonals agree across neighboring prisms.  The boundary is two
-    copies of the surface with opposite induced orientations.
+    copies of the surface with opposite induced orientations.  Piece ``k``
+    of the prism over triangle ``t`` is the tetrahedron named
+    ``f"{t}.{k}"``.
 
     Attributes: ``manifold``; per-copy data ``bottom`` and ``top`` mapping
     each surface triangle to ``(boundary_triangle, slot_map)`` where
@@ -705,7 +701,8 @@ class ProductTriangulation:
         self.surface = surface
         senses = _acyclic_edge_senses(surface)
 
-        node_tuple = {}   # tet id -> 4-tuple of ('b'|'t', corner)
+        node_tuple = {}   # tet name -> 4-tuple of ('b'|'t', corner)
+        prism_of = {}     # tet name -> (triangle, piece)
         sigma_of = {}
         for t, ds in surface.triangles.items():
             s = []
@@ -730,9 +727,15 @@ class ProductTriangulation:
             for k, (nodes, base) in enumerate(raw):
                 if base * parity == -1:
                     nodes = [nodes[1], nodes[0]] + nodes[2:]
-                node_tuple[(t, k)] = tuple(nodes)
+                name = f"{t}.{k}"
+                node_tuple[name] = tuple(nodes)
+                prism_of[name] = (t, k)
+        if len(node_tuple) != 3 * len(surface.triangles):
+            raise ValueError("triangle ids with equal str() give equal "
+                             "tetrahedron names")
 
         self._node_tuple = node_tuple
+        self._prism_of = prism_of
         node_pos = {tet: {n: i for i, n in enumerate(nodes)}
                     for tet, nodes in node_tuple.items()}
 
@@ -749,8 +752,8 @@ class ProductTriangulation:
             gluings[(tetB, fB)] = (tetA, fA, {v: k for k, v in perm.items()})
 
         def find_tet(t, nodes):
-            hits = [(t, k) for k in range(3)
-                    if set(nodes) <= set(node_tuple[(t, k)])]
+            hits = [f"{t}.{k}" for k in range(3)
+                    if set(nodes) <= set(node_tuple[f"{t}.{k}"])]
             if len(hits) != 1:
                 raise AssertionError(f"wall triple in {len(hits)} tets")
             return hits[0]
@@ -759,9 +762,9 @@ class ProductTriangulation:
         for t in surface.triangles:
             sigma = sigma_of[t]
             tri01 = [("b", sigma[0]), ("b", sigma[1]), ("t", sigma[2])]
-            add_gluing((t, 0), tri01, (t, 1), tri01)
+            add_gluing(f"{t}.0", tri01, f"{t}.1", tri01)
             tri12 = [("b", sigma[0]), ("t", sigma[1]), ("t", sigma[2])]
-            add_gluing((t, 1), tri12, (t, 2), tri12)
+            add_gluing(f"{t}.1", tri12, f"{t}.2", tri12)
 
         # wall gluings across each surface edge
         done = set()
@@ -799,23 +802,19 @@ class ProductTriangulation:
         self.top = {}
         self.bottom_edge_of = {}
         self.top_edge_of = {}
-        self.bottom_dedge_of = {}
-        self.top_dedge_of = {}
         corner_pair_to_slot = {}
         for t, ds in surf.triangles.items():
             for i in range(3):
                 corner_pair_to_slot[(t, frozenset((i, (i + 1) % 3)))] = i
         for (tet, f) in man.boundary_faces:
-            t, k = tet
+            t, _ = self._prism_of[tet]
             cyc = FACE_CYCLES[f]
             nodes = [self._node_tuple[tet][c] for c in cyc]
             level = nodes[0][0]
             if level == "b":
-                store, edge_store, dedge_store = (
-                    self.bottom, self.bottom_edge_of, self.bottom_dedge_of)
+                store, edge_store = self.bottom, self.bottom_edge_of
             else:
-                store, edge_store, dedge_store = (
-                    self.top, self.top_edge_of, self.top_dedge_of)
+                store, edge_store = self.top, self.top_edge_of
             slot_map = {}
             for kk in range(3):
                 c1 = nodes[kk][1]
@@ -824,7 +823,6 @@ class ProductTriangulation:
                 slot_map[i] = kk
                 E = surf.edge_class[surf.triangles[t][i]]
                 edge_store[E] = man.boundary.edge_class[(tet, f, kk)]
-                dedge_store[E] = (tet, f, kk)
             store[t] = ((tet, f), slot_map)
 
 

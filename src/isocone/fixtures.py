@@ -131,43 +131,29 @@ def chain_tets(n):
 def g2_product_bundle():
     """Product of the genus-2 fixture surface with an interval, plus track.
 
-    Returns a dict with the product data, a manifold whose tetrahedra have
-    plain string names (prism of triangle t, piece k, named "t.k"), the
-    matching dual tracks on both boundary copies as an ``outgoing`` map,
-    and the per-copy boundary-edge correspondences.
+    Returns a dict with the product data (whose tetrahedra are named
+    "t.k", piece k of the prism over triangle t), the matching dual tracks
+    on both boundary copies as an ``outgoing`` map, and the per-copy
+    boundary-edge correspondences.
     """
     track, g2, e2b, outgoing = genus2_maximal_track()
     prod = product_triangulation(g2)
-
-    name = {tet: f"{tet[0]}.{tet[1]}" for tet in prod.manifold.tets}
-    gluings = {}
-    for (tet, f), (tet2, f2, perm) in prod.manifold.gluings.items():
-        gluings[(name[tet], f)] = (name[tet2], f2, dict(perm))
-    manifold = Triangulation3(name.values(), gluings)
+    manifold = prod.manifold
 
     out = {}
     for t, slot in outgoing.items():
-        (tet, f), smap = prod.bottom[t]
-        out[(name[tet], f)] = smap[slot]
-        (tet2, f2), smap2 = prod.top[t]
-        out[(name[tet2], f2)] = smap2[slot]
-
-    def renamed_edge(dedge):
-        tet, f, kk = dedge
-        return manifold.boundary.edge_class[(name[tet], f, kk)]
-
-    bottom_edge_of = {E: renamed_edge(prod.bottom_dedge_of[E])
-                      for E in g2.edge_classes}
-    top_edge_of = {E: renamed_edge(prod.top_dedge_of[E])
-                   for E in g2.edge_classes}
+        tri, smap = prod.bottom[t]
+        out[tri] = smap[slot]
+        tri2, smap2 = prod.top[t]
+        out[tri2] = smap2[slot]
     return {
         "surface": g2,
         "track": track,
         "manifold": manifold,
         "outgoing": out,
         "boundary_track": BoundaryTrack(manifold, out),
-        "bottom_edge_of": bottom_edge_of,
-        "top_edge_of": top_edge_of,
+        "bottom_edge_of": prod.bottom_edge_of,
+        "top_edge_of": prod.top_edge_of,
     }
 
 

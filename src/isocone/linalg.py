@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Everything here works on lists of lists of ``fractions.Fraction`` and is
-deterministic: pivots are chosen left to right, rows are normalized so the
-reduced echelon form of a subspace is a canonical object usable as a
-dictionary key.
+``rref``, ``kernel_basis``, ``solve`` and ``canonical_span_key`` work on
+dense rows, lists of ``fractions.Fraction``.  ``IncrementalSystem``, which
+the choice search pushes one short constraint row at a time, works on
+sparse rows: ``(column, coefficient)`` pairs with no zero coefficients;
+``dense`` expands one.  Everything is deterministic: pivots are chosen left
+to right, and rows are normalized so the reduced echelon form of a
+subspace is a canonical object usable as a dictionary key.
 """
 
 from fractions import Fraction
@@ -92,79 +95,82 @@ def canonical_span_key(rows):
     return tuple(tuple(r) for r in red)
 
 
+def dense(row, ncols):
+    """Expand a sparse row, ``(column, coefficient)`` pairs, to a dense
+    list of length ``ncols``."""
+    out = [ZERO] * ncols
+    for c, x in row:
+        out[c] = x
+    return out
+
+
 class IncrementalSystem:
     """Row-reduced linear system supporting push/undo of constraint rows.
 
     Used for depth-first enumeration with pruning: rows are added one at a
     time, inconsistency ``0 = c`` with ``c != 0`` is reported immediately,
     and a checkpoint/rollback pair restores any earlier state.  Columns are
-    0..ncols-1; each stored row is reduced against the current pivots and
-    kept with an attached right-hand side.
+    0..ncols-1.  Rows are sparse: each stored row is reduced against the
+    pivots present when it was pushed, scaled to 1 at its own pivot, and
+    kept as its pivot, the ``(column, coefficient)`` pairs right of the
+    pivot with nonzero coefficients, and a right-hand side.
     """
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self.rows = []          # reduced rows, each of length ncols
-        self.rhs = []
-        self.pivot_of_row = []  # pivot column per stored row
-        self.pivot_rows = {}    # column -> row index
+        self.pivots = []        # pivot column per stored row, in push order
+        self.pivot_rows = {}    # pivot column -> (entries right of it, rhs)
 
     def checkpoint(self):
-        return len(self.rows)
+        return len(self.pivots)
 
     def rollback(self, mark):
-        while len(self.rows) > mark:
-            self.rows.pop()
-            self.rhs.pop()
-            col = self.pivot_of_row.pop()
-            del self.pivot_rows[col]
+        while len(self.pivots) > mark:
+            del self.pivot_rows[self.pivots.pop()]
 
     def push(self, row, b):
         """Add ``row . x = b``.  Returns False iff it contradicts the system.
 
-        A redundant row is accepted (and not stored); the caller can always
-        rollback to a checkpoint regardless of the outcome.
+        ``row`` is sparse: ``(column, coefficient)`` pairs with no zero
+        coefficients.  Neither a redundant row (accepted) nor a
+        contradicting one is stored; the caller can always rollback to a
+        checkpoint regardless of the outcome.
         """
-        v = list(map(Fraction, row))
+        v = dict(row)
         b = Fraction(b)
-        # stored rows have zeros before their own pivot, so one left-to-right
-        # pass eliminates every pivot column of v
-        piv = None
-        for c in range(self.ncols):
-            if v[c] == 0:
-                continue
-            ri = self.pivot_rows.get(c)
-            if ri is None:
-                piv = c
+        # eliminate the lowest column of v while it is a pivot; a stored row
+        # only has entries right of its pivot, so fill-in lands to the right
+        # and every column is visited at most once, lowest first
+        while v:
+            c = min(v)
+            entry = self.pivot_rows.get(c)
+            if entry is None:
                 break
-            f = v[c]
-            prow = self.rows[ri]
-            for j in range(c, self.ncols):
-                if prow[j] != 0:
-                    v[j] -= f * prow[j]
-            b -= f * self.rhs[ri]
-        if piv is None:
+            f = v.pop(c)
+            tail, rb = entry
+            for j, x in tail:
+                y = v.get(j, 0) - f * x
+                if y:
+                    v[j] = y
+                else:
+                    del v[j]
+            b -= f * rb
+        else:
             return b == 0
-        inv = ONE / v[piv]
-        v = [x * inv for x in v]
-        b *= inv
-        self.rows.append(v)
-        self.rhs.append(b)
-        self.pivot_of_row.append(piv)
-        self.pivot_rows[piv] = len(self.rows) - 1
+        inv = ONE / v.pop(c)
+        self.pivot_rows[c] = (tuple((j, x * inv) for j, x in v.items()),
+                              b * inv)
+        self.pivots.append(c)
         return True
 
     def solution(self):
         """A particular solution with all free variables set to 0."""
         sol = [ZERO] * self.ncols
-        # rows are in echelon form (zeros before the pivot) but not mutually
-        # reduced, so back-substitute in decreasing pivot order
+        # stored rows are in echelon form (nothing left of the pivot) but not
+        # mutually reduced, so back-substitute in decreasing pivot order
         for piv in sorted(self.pivot_rows, reverse=True):
-            ri = self.pivot_rows[piv]
-            row = self.rows[ri]
-            acc = self.rhs[ri]
-            for c in range(piv + 1, self.ncols):
-                if row[c] != 0:
-                    acc -= row[c] * sol[c]
+            tail, acc = self.pivot_rows[piv]
+            for j, x in tail:
+                acc -= x * sol[j]
             sol[piv] = acc
         return sol

@@ -14,7 +14,8 @@ from isocone.cone3 import (
 )
 from isocone.fixtures import (
     single_tet, two_tets, chain_tets, glue_tets,
-    genus2_four_vertex_surface, genus2_maximal_track,
+    genus2_four_vertex_surface, genus2_maximal_track, g2_product_bundle,
+    mf_weight, diagonal_boundary_weight,
 )
 from isocone.track import SurfaceTriangulation, triangle_form_sum
 from util import random_tree
@@ -265,7 +266,7 @@ class TestIsotropy:
         # dropping the per-tet equality on one tet of two leaves a space on
         # which the total form does not vanish
         m = two_tets()
-        rows = [m.choice_row(m.tets[0], 0)]
+        rows = [linalg.dense(m.choice_rows[m.tets[0]][0], len(m.edge_classes))]
         basis = linalg.kernel_basis(rows, len(m.edge_classes))
         ws = [dict(zip(m.edge_classes, vec)) for vec in basis]
         vals = [m.omega(ws[i], ws[j])
@@ -350,6 +351,13 @@ class TestProduct:
         assert rep["tetrahedra"] == 36
         assert [c["genus"] for c in rep["boundary_components"]] == [2, 2]
 
+    def test_triangle_ids_with_equal_names_rejected(self):
+        torus = SurfaceTriangulation(
+            {0: ("a", "b", "c"), "0": ("A", "B", "C")},
+            {"a": "A", "A": "a", "b": "B", "B": "b", "c": "C", "C": "c"})
+        with pytest.raises(ValueError):
+            product_triangulation(torus)
+
 
 class TestMembership:
     def test_zero_weight(self):
@@ -383,6 +391,44 @@ class TestMembership:
         wb = {E: Fraction(-1) for E in m.boundary.edge_classes}
         res = member(m, btr, wb)
         assert not res.member and res.reason == "negative"
+
+    def test_no_choice_vector_push_count(self, monkeypatch):
+        # off-diagonal pair 21 of the random.Random(1) stream (the q25 pair
+        # of the cone-member benchmark); the push count pins the search
+        bundle = g2_product_bundle()
+        stream = random.Random(1)
+        for _ in range(22):
+            bottom = mf_weight(bundle["track"], stream)
+            top = mf_weight(bundle["track"], stream)
+        wb = {E: Fraction(0) for E in bundle["manifold"].boundary.edge_classes}
+        for E in bottom:
+            wb[bundle["bottom_edge_of"][E]] = bottom[E]
+            wb[bundle["top_edge_of"][E]] = top[E]
+        pushes = []
+        push = linalg.IncrementalSystem.push
+
+        def counted_push(self, row, b):
+            pushes.append(row)
+            return push(self, row, b)
+
+        monkeypatch.setattr(linalg.IncrementalSystem, "push", counted_push)
+        res = member(bundle["manifold"], bundle["boundary_track"], wb)
+        assert not res.member and res.reason == "no-choice-vector"
+        assert len(pushes) == 18144
+
+    def test_class_conflict_reported(self):
+        # the link of a boundary edge class is one arc with two free ends,
+        # so no triangulation puts two boundary edges in one class; map
+        # two edges with different values to one class by hand
+        bundle = g2_product_bundle()
+        m = bundle["manifold"]
+        wb = diagonal_boundary_weight(
+            bundle, mf_weight(bundle["track"], random.Random(2)))
+        edges = sorted(wb, key=repr)
+        E1, E2 = next((a, b) for a in edges for b in edges if wb[a] != wb[b])
+        m.boundary_edge_to_class[E2] = m.boundary_edge_to_class[E1]
+        res = member(m, bundle["boundary_track"], wb)
+        assert not res.member and res.reason == "class-conflict"
 
 
 class TestCone:
