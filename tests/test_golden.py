@@ -12,8 +12,10 @@ intended, with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib
+import importlib
 import io as _io
 import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,7 @@ from isocone import flatsurf, io
 from isocone.cli import run
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 FIXTURES = ("square_torus", "hex_torus", "lshape_h2", "pillowcase",
             "g2_track", "two_tets", "chain4", "g2xI")
@@ -54,6 +57,19 @@ def _exact_part(text):
     return text.split(QUADRATURE, 1)[0]
 
 
+def _sheared_grid3_delaunay_symplectic(tmp):
+    # the benchmark's grid torus builder; ``perfbench`` is on sys.path
+    grid = importlib.import_module("surfaces").grid_torus(3)
+    src = tmp / "grid3_sheared.txt"
+    src.write_text(io.serialize_flatsurface(grid.shear(Fraction(5, 3))))
+    out = tmp / "grid3_delaunay.txt"
+    text = _run(["surface", "delaunay", "--input", str(src),
+                 "--output", str(out)])
+    return text + _exact_part(_run(
+        ["surface", "symplectic-check", "--input", str(out),
+         "--seed", "1", "--depth", "2"]))
+
+
 # case name -> function of a scratch directory returning the compared text
 CASES = {}
 for _name in FIXTURES:
@@ -70,6 +86,8 @@ for _name in ("hex_torus", "pillowcase"):
              "--seed", "1", "--depth", "2"])))
 CASES["surface-delaunay-lshape_h2-shear-1_3"] = (
     lambda tmp: _run(["surface", "delaunay", "--input", _sheared_lshape(tmp)]))
+CASES["surface-delaunay-symplectic-grid3-shear-5_3"] = (
+    _sheared_grid3_delaunay_symplectic)
 CASES["cone-member-g2xI"] = (
     lambda tmp: _run(["cone", "member", "--input", _fixture(tmp, "g2xI")]))
 CASES["cone-compute-chain4"] = (
@@ -83,7 +101,8 @@ CASES["cone-compute-g2xI-sample2-seed3"] = (
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_golden(case, tmp_path):
+def test_golden(case, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
     expected = (GOLDEN / f"{case}.txt").read_text()
     assert CASES[case](tmp_path) == expected
 
@@ -91,6 +110,7 @@ def test_golden(case, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    sys.path.insert(0, str(PERFBENCH))
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as d:
         for case in sorted(CASES):
