@@ -16,6 +16,8 @@ tangents, cross-checked by a floating-point quadrature of the defining
 integral (the only inexact computation in the package).
 """
 
+import functools
+import heapq
 import math
 from fractions import Fraction
 
@@ -83,6 +85,28 @@ def dot(u, v):
     return u.re * v.re + u.im * v.im
 
 
+def _check_triangle(t, ds, vectors):
+    vs = [vectors[d] for d in ds]
+    total = vs[0] + vs[1] + vs[2]
+    if not total.is_zero():
+        raise FlatSurfaceError(f"triangle {t!r} does not close up")
+    if cross(vs[0], vs[1]) <= 0:
+        raise FlatSurfaceError(f"triangle {t!r} has nonpositive area")
+
+
+def _check_gluing(kind, d, d2, vectors, signs):
+    s = signs.get(d)
+    if s not in ("neg", "pos"):
+        raise FlatSurfaceError(f"missing gluing sign at {d!r}")
+    if s != signs.get(d2):
+        raise FlatSurfaceError(f"gluing signs disagree at {d!r}")
+    want = -vectors[d] if s == "neg" else vectors[d]
+    if vectors[d2] != want:
+        raise FlatSurfaceError(f"gluing at {d!r} is not vector-compatible")
+    if kind == "translation" and s == "pos":
+        raise FlatSurfaceError("translation surfaces allow only neg gluings")
+
+
 class FlatSurface:
     """Glued rational triangles; see the module docstring.
 
@@ -107,25 +131,17 @@ class FlatSurface:
 
     def _check_structure(self):
         for t, ds in self.triangles.items():
-            vs = [self.vectors[d] for d in ds]
-            total = vs[0] + vs[1] + vs[2]
-            if not total.is_zero():
-                raise FlatSurfaceError(f"triangle {t!r} does not close up")
-            if cross(vs[0], vs[1]) <= 0:
-                raise FlatSurfaceError(f"triangle {t!r} has nonpositive area")
+            _check_triangle(t, ds, self.vectors)
         for d, d2 in self.glue.items():
-            s = self.signs.get(d)
-            if s not in ("neg", "pos"):
-                raise FlatSurfaceError(f"missing gluing sign at {d!r}")
-            if s != self.signs.get(d2):
-                raise FlatSurfaceError(f"gluing signs disagree at {d!r}")
-            want = -self.vectors[d] if s == "neg" else self.vectors[d]
-            if self.vectors[d2] != want:
-                raise FlatSurfaceError(
-                    f"gluing at {d!r} is not vector-compatible")
-            if self.kind == "translation" and s == "pos":
-                raise FlatSurfaceError(
-                    "translation surfaces allow only neg gluings")
+            _check_gluing(self.kind, d, d2, self.vectors, self.signs)
+
+    @functools.cached_property
+    def tangent_kernel(self):
+        """Kernel of ``tangent_coefficient_rows``: one class-value vector
+        per free column, in free-column order (see ``linalg.kernel_basis``).
+        """
+        rows, classes = tangent_coefficient_rows(self)
+        return tuple(map(tuple, linalg.kernel_basis(rows, len(classes))))
 
     # -- basic quantities -----------------------------------------------------
 
@@ -293,13 +309,12 @@ class FlatSurface:
 # -- Delaunay retriangulation ----------------------------------------------------
 
 
-def _positions(surface, t):
-    """Developed corner positions of a triangle in its own chart."""
-    d0, d1, d2 = surface.triangles[t]
-    p0 = QC(0)
-    p1 = surface.vectors[d0]
-    p2 = p1 + surface.vectors[d1]
-    return [p0, p1, p2]
+def _positions(vectors, ds):
+    """Developed corner positions of a triangle, with ccw directed edges
+    ``ds``, in its own chart."""
+    d0, d1, _ = ds
+    p1 = vectors[d0]
+    return [QC(0), p1, p1 + vectors[d1]]
 
 
 def _incircle_strict(A, B, C, D):
@@ -315,22 +330,23 @@ def _incircle_strict(A, B, C, D):
     return det > 0
 
 
-def _edge_quad(surface, d):
+def _edge_quad(triangles, vectors, glue, signs, locate, d):
     """Developed quad around edge d: (A, B, C, D, data for the flip).
 
     A->B is the edge in its own triangle's chart, C the opposite corner on
     the d side, D the opposite corner of the partner triangle developed
-    across the gluing.
+    across the gluing.  ``locate`` maps a directed edge to its (triangle,
+    slot).
     """
-    p = surface.glue[d]
-    t1, i = surface.comb.locate(d)
-    t2, j = surface.comb.locate(p)
-    pos1 = _positions(surface, t1)
+    p = glue[d]
+    t1, i = locate(d)
+    t2, j = locate(p)
+    pos1 = _positions(vectors, triangles[t1])
     A = pos1[i]
     B = pos1[(i + 1) % 3]
     C = pos1[(i + 2) % 3]
-    mu = surface.chart_factor(d)
-    pos2 = _positions(surface, t2)
+    mu = 1 if signs[d] == "neg" else -1
+    pos2 = _positions(vectors, triangles[t2])
     # psi(z) = mu * z + tau maps the partner chart here, tail(p) to B
     tau = B - mu * pos2[j]
     D = mu * pos2[(j + 2) % 3] + tau
@@ -340,73 +356,92 @@ def _edge_quad(surface, d):
 def is_delaunay(surface):
     """Non-strict global Delaunay check over all undirected edges."""
     for E in surface.comb.edge_classes:
-        A, B, C, D, _ = _edge_quad(surface, E)
+        A, B, C, D, _ = _edge_quad(surface.triangles, surface.vectors,
+                                   surface.glue, surface.signs,
+                                   surface.comb.locate, E)
         if _incircle_strict(A, B, C, D):
             return False
     return True
 
 
-def _flip(surface, d):
-    """Flip the undirected edge of d; returns the new surface."""
-    A, B, C, D, (t1, i, t2, j, mu) = _edge_quad(surface, d)
-    p = surface.glue[d]
-    ds1 = surface.triangles[t1]
-    ds2 = surface.triangles[t2]
-    e1, e2 = ds1[(i + 1) % 3], ds1[(i + 2) % 3]
-    f1, f2 = ds2[(j + 1) % 3], ds2[(j + 2) % 3]
-
-    triangles = {t: v for t, v in surface.triangles.items()
-                 if t not in (t1, t2)}
-    vectors = dict(surface.vectors)
-    glu = dict(surface.glue)
-    signs = dict(surface.signs)
-
-    # new triangles in the common chart: (A, D, C) and (D, B, C), with the
-    # old diagonal ids reused for the new one (C -> D and back)
-    vectors[f1] = mu * surface.vectors[f1]
-    vectors[f2] = mu * surface.vectors[f2]
-    vectors[d] = D - C
-    vectors[p] = C - D
-    triangles[t1] = (f1, p, e2)        # A->D, D->C, C->A
-    triangles[t2] = (f2, e1, d)        # D->B, B->C, C->D
-    signs[d] = signs[p] = "neg"
-
-    # recompute the gluing signs of the outer edges from current vectors
-    for x in (e1, e2, f1, f2):
-        y = glu[x]
-        if vectors[y] == -vectors[x]:
-            signs[x] = signs[y] = "neg"
-        elif vectors[y] == vectors[x]:
-            signs[x] = signs[y] = "pos"
-        else:
-            raise AssertionError("flip broke a gluing")
-
-    return FlatSurface(surface.kind, triangles, vectors, glu, signs)
-
-
 def delaunay(surface):
     """Flip strictly illegal edges until every edge passes the circle test.
 
-    Cocircular configurations are legal and never flipped, which makes the
-    procedure deterministic and terminating; area, symbol, genus, and the
-    gluing kind are preserved exactly.
+    Each step flips the strictly illegal edge whose class comes first in
+    ``comb.edge_classes`` (``repr`` order).  Cocircular configurations are
+    legal and never flipped, which makes the procedure deterministic and
+    terminating; area, symbol, genus, and the gluing kind are preserved
+    exactly.
+
+    The flips are applied in place on copies of the triangles, vectors,
+    signs and slot owners, and one ``FlatSurface`` is built at the end.  An
+    edge's legality depends only on its two triangles, and the edge classes
+    only on the gluing pairs, which flips never change; so a min-heap of
+    class ranks, holding every edge not known to be legal and refilled with
+    the five edges of the two triangles each flip touches, finds the same
+    edge at every step as rescanning all of them would.
     """
-    s = surface
-    cap = 1000 + 100 * len(s.comb.edge_classes) ** 2
+    glue = surface.glue
+    classes = surface.comb.edge_classes
+    edge_class = surface.comb.edge_class
+    rank = {E: k for k, E in enumerate(classes)}
+    triangles = dict(surface.triangles)
+    vectors = dict(surface.vectors)
+    signs = dict(surface.signs)
+    owner = {d: (t, i) for t, ds in triangles.items()
+             for i, d in enumerate(ds)}
+    cap = 1000 + 100 * len(classes) ** 2
     steps = 0
-    while True:
-        flipped = False
-        for E in sorted(s.comb.edge_classes, key=repr):
-            A, B, C, D, _ = _edge_quad(s, E)
-            if _incircle_strict(A, B, C, D):
-                s = _flip(s, E)
-                steps += 1
-                if steps > cap:
-                    raise RuntimeError("flip loop exceeded its bound")
-                flipped = True
-                break
-        if not flipped:
-            return s
+    heap = list(range(len(classes)))      # sorted, so already a heap
+    queued = [True] * len(classes)
+    while heap:
+        k = heapq.heappop(heap)
+        queued[k] = False
+        d = classes[k]
+        A, B, C, D, (t1, i, t2, j, mu) = _edge_quad(
+            triangles, vectors, glue, signs, owner.__getitem__, d)
+        if not _incircle_strict(A, B, C, D):
+            continue
+        steps += 1
+        if steps > cap:
+            raise RuntimeError("flip loop exceeded its bound")
+        p = glue[d]
+        ds1 = triangles.pop(t1)
+        ds2 = triangles.pop(t2)
+        e1, e2 = ds1[(i + 1) % 3], ds1[(i + 2) % 3]
+        f1, f2 = ds2[(j + 1) % 3], ds2[(j + 2) % 3]
+
+        # new triangles in the common chart: (A, D, C) and (D, B, C), with
+        # the old diagonal ids reused for the new one (C -> D and back)
+        vectors[f1] = mu * vectors[f1]
+        vectors[f2] = mu * vectors[f2]
+        vectors[d] = D - C
+        vectors[p] = C - D
+        triangles[t1] = (f1, p, e2)        # A->D, D->C, C->A
+        triangles[t2] = (f2, e1, d)        # D->B, B->C, C->D
+        signs[d] = signs[p] = "neg"
+
+        # recompute the gluing signs of the outer edges from current vectors
+        for x in (e1, e2, f1, f2):
+            y = glue[x]
+            if vectors[y] == -vectors[x]:
+                signs[x] = signs[y] = "neg"
+            elif vectors[y] == vectors[x]:
+                signs[x] = signs[y] = "pos"
+            else:
+                raise AssertionError("flip broke a gluing")
+
+        for t in (t1, t2):
+            ds = triangles[t]
+            _check_triangle(t, ds, vectors)
+            for slot, x in enumerate(ds):
+                owner[x] = (t, slot)
+                _check_gluing(surface.kind, x, glue[x], vectors, signs)
+                r = rank[edge_class[x]]
+                if not queued[r]:
+                    queued[r] = True
+                    heapq.heappush(heap, r)
+    return FlatSurface(surface.kind, triangles, vectors, glue, signs)
 
 
 # -- period tangents ---------------------------------------------------------------
@@ -487,24 +522,32 @@ def tangent_basis(surface):
     Returns a list of PeriodTangents; together with their i-multiples they
     span all valid tangents over the rationals.
     """
-    rows, classes = tangent_coefficient_rows(surface)
-    kernel = linalg.kernel_basis(rows, len(classes))
-    out = []
-    for vec in kernel:
-        values = {E: QC(x) for E, x in zip(classes, vec)}
-        out.append(PeriodTangent.from_class_values(surface, values))
-    return out
+    classes = surface.comb.edge_classes
+    return [PeriodTangent.from_class_values(
+                surface, {E: QC(x) for E, x in zip(classes, vec)})
+            for vec in surface.tangent_kernel]
 
 
 def random_tangent(surface, rng, lo=-2, hi=2, maxden=2):
-    basis = tangent_basis(surface)
-    values = {d: QC(0) for d in surface.vectors}
-    t = PeriodTangent(surface, values)
-    for b in basis:
+    """A random period tangent with small rational coordinates.
+
+    For each vector of ``surface.tangent_kernel``, in free-column order,
+    draws a real coefficient and then an imaginary one, each
+    ``Fraction(rng.randint(lo, hi), rng.randint(1, maxden))``; the tangent
+    is the sum of (real + i * imaginary) times the vectors.
+    """
+    classes = surface.comb.edge_classes
+    re = [Fraction(0)] * len(classes)
+    im = [Fraction(0)] * len(classes)
+    for vec in surface.tangent_kernel:
         cr = Fraction(rng.randint(lo, hi), rng.randint(1, maxden))
         ci = Fraction(rng.randint(lo, hi), rng.randint(1, maxden))
-        t = t + b.scale(cr) + b.times_i().scale(ci)
-    return t
+        for k, x in enumerate(vec):
+            if x:
+                re[k] += cr * x
+                im[k] += ci * x
+    return PeriodTangent.from_class_values(
+        surface, {E: QC(r, i) for E, r, i in zip(classes, re, im)})
 
 
 # -- the three exact pairings --------------------------------------------------------
@@ -645,7 +688,7 @@ def kahler_pairing_numeric(surface, t1, t2, depth=4):
     total = complex(0)
     for t in sorted(surface.triangles, key=repr):
         ds = surface.triangles[t]
-        pos = _positions(surface, t)
+        pos = _positions(surface.vectors, ds)
         P = [complex(p.re, p.im) for p in pos]
         per1 = [complex(t1.delta[d].re, t1.delta[d].im) for d in ds]
         per2 = [complex(t2.delta[d].re, t2.delta[d].im) for d in ds]

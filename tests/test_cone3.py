@@ -295,31 +295,6 @@ class TestRestriction:
         assert m.restrict(w)[E] == 1
 
 
-def _g2_product_with_track():
-    track, g2, e2b, outgoing = genus2_maximal_track()
-    prod = product_triangulation(g2)
-    m = prod.manifold
-    out = {}
-    for t, slot in outgoing.items():
-        bt_tri, smap = prod.bottom[t]
-        out[bt_tri] = smap[slot]
-        tp_tri, smap2 = prod.top[t]
-        out[tp_tri] = smap2[slot]
-    return track, g2, prod, m, BoundaryTrack(m, out)
-
-
-def _random_mf_weight(track, rng):
-    basis = track.weight_space_basis()
-    while True:
-        w = {e: Fraction(0) for e in track.branches}
-        for vec in basis:
-            c = Fraction(rng.randint(0, 6), rng.randint(1, 3))
-            for e, val in vec.items():
-                w[e] += c * val
-        if all(v >= 0 for v in w.values()):
-            return w
-
-
 class TestProduct:
     def test_tet_count(self):
         g2 = genus2_four_vertex_surface()
@@ -327,7 +302,8 @@ class TestProduct:
         assert len(m.tets) == 3 * len(g2.triangles)
 
     def test_boundary_copies_oppositely_oriented(self):
-        track, g2, prod, m, btr = _g2_product_with_track()
+        bundle = g2_product_bundle()
+        g2, m = bundle["surface"], bundle["manifold"]
         rng = random.Random(59)
         wa = {e: Fraction(rng.randint(-4, 4)) for e in g2.edge_classes}
         wb = {e: Fraction(rng.randint(-4, 4)) for e in g2.edge_classes}
@@ -338,10 +314,11 @@ class TestProduct:
                 out[edge_of[e]] = val
             return out
 
-        bot = triangle_form_sum(m.boundary, lift(wa, prod.bottom_edge_of),
-                                lift(wb, prod.bottom_edge_of))
-        top = triangle_form_sum(m.boundary, lift(wa, prod.top_edge_of),
-                                lift(wb, prod.top_edge_of))
+        bottom_of, top_of = bundle["bottom_edge_of"], bundle["top_edge_of"]
+        bot = triangle_form_sum(m.boundary, lift(wa, bottom_of),
+                                lift(wb, bottom_of))
+        top = triangle_form_sum(m.boundary, lift(wa, top_of),
+                                lift(wb, top_of))
         assert bot == -top
 
     def test_validator_passes(self):
@@ -361,7 +338,8 @@ class TestProduct:
 
 class TestMembership:
     def test_zero_weight(self):
-        track, g2, prod, m, btr = _g2_product_with_track()
+        bundle = g2_product_bundle()
+        m, btr = bundle["manifold"], bundle["boundary_track"]
         wb = {E: Fraction(0) for E in m.boundary.edge_classes}
         res = member(m, btr, wb)
         assert res.member
@@ -369,25 +347,25 @@ class TestMembership:
         assert verify_witness(m, btr, wb, res)
 
     def test_diagonal_weights(self):
-        track, g2, prod, m, btr = _g2_product_with_track()
+        bundle = g2_product_bundle()
+        m, btr = bundle["manifold"], bundle["boundary_track"]
         rng = random.Random(60)
         for _ in range(3):
-            w = _random_mf_weight(track, rng)
-            wb = {}
-            for E in g2.edge_classes:
-                wb[prod.bottom_edge_of[E]] = w[E]
-                wb[prod.top_edge_of[E]] = w[E]
+            wb = diagonal_boundary_weight(
+                bundle, mf_weight(bundle["track"], rng))
             res = member(m, btr, wb)
             assert res.member and verify_witness(m, btr, wb, res)
 
     def test_switch_violation_reported(self):
-        track, g2, prod, m, btr = _g2_product_with_track()
+        bundle = g2_product_bundle()
+        m, btr = bundle["manifold"], bundle["boundary_track"]
         wb = {E: Fraction(1) for E in m.boundary.edge_classes}
         res = member(m, btr, wb)
         assert not res.member and res.reason == "switch"
 
     def test_negative_weight_reported(self):
-        track, g2, prod, m, btr = _g2_product_with_track()
+        bundle = g2_product_bundle()
+        m, btr = bundle["manifold"], bundle["boundary_track"]
         wb = {E: Fraction(-1) for E in m.boundary.edge_classes}
         res = member(m, btr, wb)
         assert not res.member and res.reason == "negative"
@@ -433,7 +411,8 @@ class TestMembership:
 
 class TestCone:
     def test_sampled_components_isotropic_and_bounded(self):
-        track, g2, prod, m, btr = _g2_product_with_track()
+        bundle = g2_product_bundle()
+        m, btr = bundle["manifold"], bundle["boundary_track"]
         rng = random.Random(61)
 
         def sampled(n):

@@ -1,8 +1,15 @@
+import contextlib
+import importlib
+import io as _io
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from isocone import flatsurf, io, linalg
+from isocone.cli import run
 from isocone.flatsurf import (
     FlatSurface, QC, FlatSurfaceError, NeedsRotationError,
     square_torus, hex_torus, lshape_h2, pillowcase,
@@ -10,6 +17,82 @@ from isocone.flatsurf import (
     height_derivative, omega_thurston, omega_hessian, omega_homological,
     kahler_pairing_numeric, orientation_double_cover, lift_tangent,
 )
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+BUNDLED = (square_torus, hex_torus, lshape_h2, pillowcase)
+
+
+def _grid_torus(monkeypatch, n):
+    """The benchmark's n x n grid torus (``perfbench/surfaces.py``)."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("surfaces").grid_torus(n)
+
+
+def _quad(s, d):
+    return flatsurf._edge_quad(s.triangles, s.vectors, s.glue, s.signs,
+                               s.comb.locate, d)
+
+
+def _reference_flip(surface, d):
+    """Flip the undirected edge of d by rebuilding the whole surface."""
+    A, B, C, D, (t1, i, t2, j, mu) = _quad(surface, d)
+    p = surface.glue[d]
+    ds1 = surface.triangles[t1]
+    ds2 = surface.triangles[t2]
+    e1, e2 = ds1[(i + 1) % 3], ds1[(i + 2) % 3]
+    f1, f2 = ds2[(j + 1) % 3], ds2[(j + 2) % 3]
+    triangles = {t: v for t, v in surface.triangles.items()
+                 if t not in (t1, t2)}
+    vectors = dict(surface.vectors)
+    signs = dict(surface.signs)
+    vectors[f1] = mu * surface.vectors[f1]
+    vectors[f2] = mu * surface.vectors[f2]
+    vectors[d] = D - C
+    vectors[p] = C - D
+    triangles[t1] = (f1, p, e2)
+    triangles[t2] = (f2, e1, d)
+    signs[d] = signs[p] = "neg"
+    for x in (e1, e2, f1, f2):
+        y = surface.glue[x]
+        if vectors[y] == -vectors[x]:
+            signs[x] = signs[y] = "neg"
+        elif vectors[y] == vectors[x]:
+            signs[x] = signs[y] = "pos"
+        else:
+            raise AssertionError("flip broke a gluing")
+    return FlatSurface(surface.kind, triangles, vectors, surface.glue, signs)
+
+
+def _reference_delaunay(surface):
+    """Rescan every edge in repr order, flip the first strictly illegal one
+    and start over, until none is left."""
+    s = surface
+    while True:
+        for E in sorted(s.comb.edge_classes, key=repr):
+            A, B, C, D, _ = _quad(s, E)
+            if flatsurf._incircle_strict(A, B, C, D):
+                s = _reference_flip(s, E)
+                break
+        else:
+            return s
+
+
+def _assert_same_surface(got, want):
+    assert io.serialize_flatsurface(got) == io.serialize_flatsurface(want)
+    assert list(got.triangles.items()) == list(want.triangles.items())
+    assert list(got.vectors.items()) == list(want.vectors.items())
+    assert list(got.signs.items()) == list(want.signs.items())
+
+
+def _reference_random_tangent(surface, rng, lo=-2, hi=2, maxden=2):
+    """Sum of cr * b + ci * (i * b) over the tangent basis, draws in order."""
+    t = PeriodTangent(surface, {d: QC(0) for d in surface.vectors})
+    for b in tangent_basis(surface):
+        cr = Fraction(rng.randint(lo, hi), rng.randint(1, maxden))
+        ci = Fraction(rng.randint(lo, hi), rng.randint(1, maxden))
+        t = t + b.scale(cr) + b.times_i().scale(ci)
+    return t
 
 
 class TestValidate:
@@ -98,6 +181,49 @@ class TestDelaunay:
             assert v["symbol"] == v0["symbol"]
             assert v["genus"] == v0["genus"]
             assert d.kind == base.kind
+
+    @pytest.mark.parametrize("maker", BUNDLED)
+    def test_matches_reference_on_shears(self, maker):
+        for sh in (0, Fraction(5, 2), Fraction(-7, 3), Fraction(13, 4), -9):
+            s = maker().shear(sh)
+            _assert_same_surface(delaunay(s), _reference_delaunay(s))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_reference_on_grid_tori(self, n, monkeypatch):
+        grid = _grid_torus(monkeypatch, n)
+        for sh in (Fraction(3, 2), Fraction(9, 7), Fraction(-5, 3)):
+            s = grid.shear(sh)
+            _assert_same_surface(delaunay(s), _reference_delaunay(s))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(maker=st.sampled_from(BUNDLED),
+           entries=st.lists(st.fractions(-3, 3, max_denominator=4),
+                            min_size=4, max_size=4))
+    def test_matches_reference_under_matrices(self, maker, entries):
+        a, b, c, d = entries
+        assume(a * d - b * c > 0)
+        s = maker().apply_matrix(a, b, c, d)
+        _assert_same_surface(delaunay(s), _reference_delaunay(s))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_circle_tests_per_flip(self, n, monkeypatch):
+        # a shear in (1, 2) needs two flips per grid square; a rescan after
+        # every flip would test about E edges per flip instead of five
+        grid = _grid_torus(monkeypatch, n)
+        results = []
+        incircle = flatsurf._incircle_strict
+
+        def counted(*args):
+            results.append(incircle(*args))
+            return results[-1]
+
+        monkeypatch.setattr(flatsurf, "_incircle_strict", counted)
+        for sh in (Fraction(3, 2), Fraction(9, 7)):
+            results.clear()
+            delaunay(grid.shear(sh))
+            flips = sum(results)
+            assert flips == 2 * n * n
+            assert len(results) <= 3 * n * n + 5 * flips
 
     def test_half_translation_delaunay(self):
         s = pillowcase().shear(Fraction(5, 2))
@@ -203,6 +329,34 @@ class TestTangents:
         delta["a"] = QC(1)
         with pytest.raises(FlatSurfaceError):
             PeriodTangent(s, delta)
+
+    @pytest.mark.parametrize("maker", BUNDLED)
+    def test_random_tangent_matches_basis_formula(self, maker):
+        s = maker()
+        for seed in range(5):
+            got, want = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                t = random_tangent(s, got)
+                assert t.delta == _reference_random_tangent(s, want).delta
+                assert list(t.delta) == list(s.vectors)
+
+    @pytest.mark.parametrize("maker", BUNDLED)
+    def test_symplectic_check_builds_one_kernel(self, maker, tmp_path,
+                                                monkeypatch):
+        path = tmp_path / "surface.txt"
+        path.write_text(io.serialize_flatsurface(maker()))
+        calls = []
+        kernel_basis = linalg.kernel_basis
+
+        def counted(*args):
+            calls.append(args)
+            return kernel_basis(*args)
+
+        monkeypatch.setattr(linalg, "kernel_basis", counted)
+        with contextlib.redirect_stdout(_io.StringIO()):
+            assert run(["surface", "symplectic-check", "--input", str(path),
+                        "--seed", "1", "--depth", "1"]) == 0
+        assert len(calls) == 1
 
     def test_dimensions(self):
         # relative period dimension: E - F + 1 for translation surfaces
