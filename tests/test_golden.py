@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import pytest
 
-from isocone import flatsurf, io
+from isocone import fixtures, flatsurf, io
 from isocone.cli import run
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
@@ -50,6 +50,16 @@ def _sheared_lshape(tmp):
     path = tmp / "lshape_sheared.txt"
     surf = flatsurf.lshape_h2().shear(Fraction(1, 3))
     path.write_text(io.serialize_flatsurface(surf))
+    return str(path)
+
+
+def _chain(tmp, n):
+    # every boundary triangle's outgoing branch in slot 0, as the benchmark
+    # writes its chain inputs
+    m = fixtures.chain_tets(n)
+    path = tmp / f"chain{n}.txt"
+    path.write_text(io.serialize_manifold(
+        m, outgoing={tf: 0 for tf in m.boundary_faces}))
     return str(path)
 
 
@@ -92,12 +102,17 @@ CASES["cone-member-g2xI"] = (
     lambda tmp: _run(["cone", "member", "--input", _fixture(tmp, "g2xI")]))
 CASES["cone-compute-chain4"] = (
     lambda tmp: _run(["cone", "compute", "--input", _fixture(tmp, "chain4")]))
+CASES["cone-compute-chain5"] = (
+    lambda tmp: _run(["cone", "compute", "--input", _chain(tmp, 5)]))
 CASES["cone-isotropy-g2xI-sample3-seed7"] = (
     lambda tmp: _run(["cone", "isotropy", "--input", _fixture(tmp, "g2xI"),
                       "--choices", "sample:3", "--seed", "7"]))
 CASES["cone-compute-g2xI-sample2-seed3"] = (
     lambda tmp: _run(["cone", "compute", "--input", _fixture(tmp, "g2xI"),
                       "--choices", "sample:2", "--seed", "3"]))
+CASES["cone-compute-g2xI-sample8-seed11"] = (
+    lambda tmp: _run(["cone", "compute", "--input", _fixture(tmp, "g2xI"),
+                      "--choices", "sample:8", "--seed", "11"]))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
