@@ -403,9 +403,11 @@ class Triangulation3:
         on every edge class of each torus boundary component.
         """
         n = len(self.edge_classes)
-        rows = self.torus_rows + [self.choice_rows[t][choices[t]]
-                                  for t in self.tets]
-        basis = linalg.kernel_basis([linalg.dense(r, n) for r in rows], n)
+        sysm = linalg.IncrementalSystem(n)
+        for row in self.torus_rows + [self.choice_rows[t][choices[t]]
+                                      for t in self.tets]:
+            sysm.push(row, 0)
+        basis = linalg.reduced_kernel(sysm.reduced(), n)
         return [dict(zip(self.edge_classes, vec)) for vec in basis]
 
     def satisfied_choices(self, w):
@@ -512,51 +514,59 @@ def compute_cone(manifold, btrack, choice_iter=None):
     boundary track; identical spans are merged.  ``choice_iter`` defaults
     to the full product over tetrahedra (exact cone); a sampled iterator
     gives a partial union.
+
+    Consecutive choice vectors share the rows of their common prefix in
+    one incremental system, whose rows pivoting on boundary columns (after
+    the interior ones) cut out the component.
     """
     tets = manifold.tets
     if choice_iter is None:
         choice_iter = itertools.product(range(3), repeat=len(tets))
-    surf = manifold.boundary
-    edge_order = sorted(surf.edge_classes, key=repr)
-    eidx = {E: i for i, E in enumerate(edge_order)}
-    n = len(edge_order)
-
-    # switch relations of the boundary track in boundary-edge coordinates
-    switch_rows = btrack.track.switch_rows(eidx)
-    # torus edges are zero in every subspace; also force them here so the
-    # component spans live inside the track's weight space
-    for comp in manifold.boundary_components:
-        if comp["torus"]:
-            for E in comp["edge_classes"]:
-                row = [Fraction(0)] * n
-                row[eidx[E]] = 1
-                switch_rows.append(row)
+    edge_order = sorted(manifold.boundary.edge_classes, key=repr)
+    edge_of = {}
+    for E in edge_order:
+        cls = manifold.boundary_edge_to_class[E]
+        if cls in edge_of:
+            raise ValueError(f"boundary edges {edge_of[cls]!r} and {E!r} "
+                             f"share the edge class {cls!r}")
+        edge_of[cls] = E
+    # columns: the interior classes, then the boundary classes in edge order
+    order = [c for c in manifold.edge_classes if c not in edge_of]
+    first = len(order)
+    index = {c: i for i, c in enumerate(order + list(edge_of))}
+    column = [index[c] for c in manifold.edge_classes]
+    sysm = linalg.IncrementalSystem(len(index))
+    # the torus pins also zero the torus edges of every component span
+    for row in manifold.torus_rows:
+        sysm.push([(column[c], x) for c, x in row], 0)
+    for row in btrack.track.switch_rows(
+            {E: i for i, E in enumerate(edge_order)}):
+        sysm.push([(first + i, x) for i, x in enumerate(row) if x], 0)
+    rows = [[[(column[c], x) for c, x in row]
+             for row in manifold.choice_rows[t]] for t in tets]
 
     seen = {}
+    marks = [sysm.checkpoint()]     # marks[i]: holds the rows of tets < i
+    prev = ()
     for combo in choice_iter:
-        choices = dict(zip(tets, combo))
-        basis = manifold.w4_subspace(choices)
-        proj = []
-        for vec in basis:
-            w = manifold.restrict(vec)
-            proj.append([w.get(E, Fraction(0)) for E in edge_order])
-        # intersect span(proj) with the kernel of switch_rows
-        red, _ = linalg.rref(proj)
-        if not red:
-            span = []
-        else:
-            # x = sum l_i red_i with switch_rows . x = 0
-            coeff = [[sum(row[k] * red[i][k] for k in range(n))
-                      for i in range(len(red))] for row in switch_rows]
-            lam = linalg.kernel_basis(coeff, len(red))
-            span = [[sum(l[i] * red[i][k] for i in range(len(red)))
-                     for k in range(n)] for l in lam]
-        key = linalg.canonical_span_key(span)
+        keep = 0
+        while keep < len(prev) and prev[keep] == combo[keep]:
+            keep += 1
+        sysm.rollback(marks[keep])
+        del marks[keep + 1:]
+        for i in range(keep, len(tets)):
+            sysm.push(rows[i][combo[i]], 0)
+            marks.append(sysm.checkpoint())
+        prev = combo
+        red = sysm.reduced(first)
+        key = frozenset((p, frozenset(r.items())) for p, r in red.items())
         if key not in seen:
+            span, _ = linalg.rref(
+                linalg.reduced_kernel(red, len(index), first))
             seen[key] = {
-                "span": [list(r) for r in key],
-                "dimension": len(key),
-                "choice": dict(choices),
+                "span": span,
+                "dimension": len(span),
+                "choice": dict(zip(tets, combo)),
             }
     comps = sorted(seen.values(), key=lambda c: (c["dimension"], repr(c["span"])))
     return PLCone(edge_order, comps)

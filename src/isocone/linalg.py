@@ -1,12 +1,12 @@
 """Exact linear algebra over the rationals.
 
-``rref``, ``kernel_basis``, ``solve`` and ``canonical_span_key`` work on
-dense rows, lists of ``fractions.Fraction``.  ``IncrementalSystem``, which
-the choice search pushes one short constraint row at a time, works on
-sparse rows: ``(column, coefficient)`` pairs with no zero coefficients;
-``dense`` expands one.  Everything is deterministic: pivots are chosen left
-to right, and rows are normalized so the reduced echelon form of a
-subspace is a canonical object usable as a dictionary key.
+``rref``, ``kernel_basis`` and ``solve`` work on dense rows, lists of
+``fractions.Fraction``.  ``IncrementalSystem``, which the choice searches
+push one short constraint row at a time, works on sparse rows: ``(column,
+coefficient)`` pairs with no zero coefficients, reduced to ``{pivot:
+{column: coefficient}}`` dicts whose kernel ``reduced_kernel`` builds.
+Everything is deterministic: pivots are chosen left to right, and rows are
+normalized so the reduced echelon form of a subspace is a canonical object.
 """
 
 from fractions import Fraction
@@ -61,17 +61,9 @@ def kernel_basis(rows, ncols):
     and the pivot columns filled by back substitution.
     """
     red, pivots = rref(rows)
-    pivset = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivset:
-            continue
-        vec = [ZERO] * ncols
-        vec[free] = ONE
-        for prow, pcol in zip(red, pivots):
-            vec[pcol] = -prow[free]
-        basis.append(vec)
-    return basis
+    return reduced_kernel(
+        {pcol: dict(enumerate(prow)) for prow, pcol in zip(red, pivots)},
+        ncols)
 
 
 def solve(rows, rhs):
@@ -89,19 +81,20 @@ def solve(rows, rhs):
     return sol
 
 
-def canonical_span_key(rows):
-    """Hashable canonical form of a row span (tuple of reduced rows)."""
-    red, _ = rref(rows)
-    return tuple(tuple(r) for r in red)
-
-
-def dense(row, ncols):
-    """Expand a sparse row, ``(column, coefficient)`` pairs, to a dense
-    list of length ``ncols``."""
-    out = [ZERO] * ncols
-    for c, x in row:
-        out[c] = x
-    return out
+def reduced_kernel(reduced, ncols, first=0):
+    """Kernel of reduced echelon rows ``{pivot: {column: coefficient}}`` on
+    columns ``first..ncols-1``, dense and indexed from ``first``, as in
+    ``kernel_basis``."""
+    basis = []
+    for free in range(first, ncols):
+        if free in reduced:
+            continue
+        vec = [ZERO] * (ncols - first)
+        vec[free - first] = ONE
+        for piv, row in reduced.items():
+            vec[piv - first] = -row.get(free, ZERO)
+        basis.append(vec)
+    return basis
 
 
 class IncrementalSystem:
@@ -174,3 +167,21 @@ class IncrementalSystem:
                 acc -= x * sol[j]
             sol[piv] = acc
         return sol
+
+    def reduced(self, first=0):
+        """The stored rows with pivot >= ``first``, fully reduced among
+        themselves and without right-hand sides, as ``{pivot: {column:
+        coefficient}}`` with the nonzero entries right of each pivot.  They
+        span the row combinations that vanish before ``first``; this is the
+        reduced echelon form of that span, a canonical object."""
+        out = {}
+        # decreasing pivots: every pivot in a row's tail is reduced already
+        for piv in sorted((p for p in self.pivot_rows if p >= first),
+                          reverse=True):
+            row = {}
+            for j, x in self.pivot_rows[piv][0]:
+                # x * e_j, with e_j = -(the rest of pivot row j) if j is one
+                for k, y in out[j].items() if j in out else ((j, -ONE),):
+                    row[k] = row.get(k, ZERO) - x * y
+            out[piv] = {k: x for k, x in row.items() if x}
+        return out

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isocone import linalg
 from isocone.ordgroup import LexVec
@@ -18,6 +19,7 @@ from isocone.fixtures import (
     mf_weight, diagonal_boundary_weight,
 )
 from isocone.track import SurfaceTriangulation, triangle_form_sum
+from test_acceptance import _random_complex
 from util import random_tree
 
 EDGE_PAIRS = [frozenset(p) for p in itertools.combinations(range(4), 2)]
@@ -25,6 +27,87 @@ EDGE_PAIRS = [frozenset(p) for p in itertools.combinations(range(4), 2)]
 
 def random_class_weight(m, rng, lo=-6, hi=6):
     return {c: Fraction(rng.randint(lo, hi)) for c in m.edge_classes}
+
+
+def _dense(row, ncols):
+    """Expand a sparse row, ``(column, coefficient)`` pairs, to a dense
+    list of length ``ncols``."""
+    out = [Fraction(0)] * ncols
+    for c, x in row:
+        out[c] = x
+    return out
+
+
+def _reference_w4_subspace(m, choices):
+    """``kernel_basis`` of the dense torus and choice rows."""
+    n = len(m.edge_classes)
+    rows = m.torus_rows + [m.choice_rows[t][choices[t]] for t in m.tets]
+    basis = linalg.kernel_basis([_dense(r, n) for r in rows], n)
+    return [dict(zip(m.edge_classes, vec)) for vec in basis]
+
+
+def _reference_cone(manifold, btrack, choice_iter):
+    """``compute_cone`` one choice vector at a time: the subspace, its
+    restriction to the boundary, and the dense intersection with the
+    switch relations.  Returns ``(edge_order, components)``."""
+    surf = manifold.boundary
+    edge_order = sorted(surf.edge_classes, key=repr)
+    eidx = {E: i for i, E in enumerate(edge_order)}
+    n = len(edge_order)
+    switch_rows = btrack.track.switch_rows(eidx)
+    for comp in manifold.boundary_components:
+        if comp["torus"]:
+            for E in comp["edge_classes"]:
+                switch_rows.append(_dense([(eidx[E], Fraction(1))], n))
+    seen = {}
+    for combo in choice_iter:
+        choices = dict(zip(manifold.tets, combo))
+        proj = []
+        for vec in _reference_w4_subspace(manifold, choices):
+            w = manifold.restrict(vec)
+            proj.append([w.get(E, Fraction(0)) for E in edge_order])
+        red, _ = linalg.rref(proj)
+        span = []
+        if red:
+            coeff = [[sum(row[k] * red[i][k] for k in range(n))
+                      for i in range(len(red))] for row in switch_rows]
+            lam = linalg.kernel_basis(coeff, len(red))
+            span = [[sum(l[i] * red[i][k] for i in range(len(red)))
+                     for k in range(n)] for l in lam]
+        key = tuple(map(tuple, linalg.rref(span)[0]))
+        if key not in seen:
+            seen[key] = {"span": [list(r) for r in key],
+                         "dimension": len(key), "choice": choices}
+    comps = sorted(seen.values(),
+                   key=lambda c: (c["dimension"], repr(c["span"])))
+    return edge_order, comps
+
+
+def _assert_cone_matches_reference(m, btr, combos):
+    cone = compute_cone(m, btr, choice_iter=iter(combos))
+    assert (cone.edge_order, cone.components) == \
+        _reference_cone(m, btr, combos)
+    for combo in combos:
+        choices = dict(zip(m.tets, combo))
+        assert m.w4_subspace(choices) == _reference_w4_subspace(m, choices)
+
+
+def _chain_track(n):
+    m = chain_tets(n)
+    return m, BoundaryTrack(m, {t: 0 for t in m.boundary.triangles})
+
+
+def _g2_samples(m, rng):
+    """Random choice vectors, then variants of them: a repeat right after
+    and far after, and copies with a changed last entry or last few."""
+    combos = [tuple(rng.randrange(3) for _ in m.tets) for _ in range(4)]
+    combos.append(combos[-1])
+    for base in (combos[0], combos[2]):
+        for keep in (len(m.tets) - 1, len(m.tets) - 3):
+            combos.append(base[:keep] + tuple(
+                rng.randrange(3) for _ in m.tets[keep:]))
+    combos.append(combos[1])
+    return combos
 
 
 class TestValidation:
@@ -266,7 +349,7 @@ class TestIsotropy:
         # dropping the per-tet equality on one tet of two leaves a space on
         # which the total form does not vanish
         m = two_tets()
-        rows = [linalg.dense(m.choice_rows[m.tets[0]][0], len(m.edge_classes))]
+        rows = [_dense(m.choice_rows[m.tets[0]][0], len(m.edge_classes))]
         basis = linalg.kernel_basis(rows, len(m.edge_classes))
         ws = [dict(zip(m.edge_classes, vec)) for vec in basis]
         vals = [m.omega(ws[i], ws[j])
@@ -437,6 +520,84 @@ class TestCone:
         assert len(cone) <= 9
         assert all("span" in c for c in cone.components)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_chain_all_choices_match_reference(self, n):
+        m, btr = _chain_track(n)
+        _assert_cone_matches_reference(
+            m, btr, list(itertools.product(range(3), repeat=n)))
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_g2_samples_match_reference(self, seed):
+        bundle = g2_product_bundle()
+        m, btr = bundle["manifold"], bundle["boundary_track"]
+        _assert_cone_matches_reference(
+            m, btr, _g2_samples(m, random.Random(seed)))
+
+    def test_random_complexes_match_reference(self):
+        # random outgoing slots on every non-torus boundary triangle; the
+        # draws include torus and all-torus boundaries.  Up to 12 choice
+        # vectors per draw, in product order so that prefixes are shared
+        rng = random.Random(71)
+        done = 0
+        while done < 30:
+            m = _random_complex(rng)
+            if len(m.tets) > 4:
+                continue
+            torus = {t for c in m.boundary_components if c["torus"]
+                     for t in c["triangles"]}
+            out = {t: rng.randrange(3)
+                   for t in sorted(m.boundary.triangles, key=repr)
+                   if t not in torus}
+            combos = list(itertools.product(range(3), repeat=len(m.tets)))
+            if len(combos) > 12:
+                combos = sorted(rng.sample(combos, 12))
+            _assert_cone_matches_reference(m, BoundaryTrack(m, out), combos)
+            done += 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_chain_work_counts(self, n, monkeypatch):
+        # consecutive choice vectors share the rows of their common prefix:
+        # one push per node of the choice tree below the fixed rows, and
+        # the dense elimination only for each new component
+        m, btr = _chain_track(n)
+        pushes, rrefs = [], []
+        push, rref = linalg.IncrementalSystem.push, linalg.rref
+
+        def counted_push(self, row, b):
+            pushes.append(row)
+            return push(self, row, b)
+
+        def counted_rref(rows):
+            rrefs.append(rows)
+            return rref(rows)
+
+        monkeypatch.setattr(linalg.IncrementalSystem, "push", counted_push)
+        monkeypatch.setattr(linalg, "rref", counted_rref)
+        cone = compute_cone(m, btr)
+        fixed = len(m.torus_rows) + len(btr.track.switches)
+        assert len(pushes) == fixed + (3 ** (n + 1) - 3) // 2
+        assert len(rrefs) <= 2 * len(cone)
+
+    def test_shared_boundary_class_rejected(self):
+        # no triangulation puts two boundary edges in one class (see
+        # test_boundary_edge_to_class_injective); map one there by hand
+        m, btr = _chain_track(2)
+        E1, E2 = sorted(m.boundary_edge_to_class, key=repr)[:2]
+        m.boundary_edge_to_class[E2] = m.boundary_edge_to_class[E1]
+        with pytest.raises(ValueError) as err:
+            compute_cone(m, btr)
+        assert repr(E1) in str(err.value) and repr(E2) in str(err.value)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_boundary_edge_to_class_injective(seed):
+    # a boundary edge class is one link arc with two free ends, so it
+    # meets the boundary in exactly one edge
+    m = _random_complex(random.Random(seed))
+    classes = list(m.boundary_edge_to_class.values())
+    assert len(set(classes)) == len(classes)
+
 
 def _parity(p):
     inv = sum(1 for i in range(4) for j in range(i + 1, 4) if p[i] > p[j])
@@ -490,6 +651,11 @@ class TestMixedBoundary:
         res = member(m, btr, wb)
         assert res.member and verify_witness(m, btr, wb, res)
         assert all(res.witness[c] == 0 for c in m.torus_classes)
+
+    def test_cone_matches_reference(self):
+        g2, mixed, prod, btr, track = self._mixed_product()
+        m = prod.manifold
+        _assert_cone_matches_reference(m, btr, _g2_samples(m, random.Random(5)))
 
     def test_nonzero_torus_weight_refused(self):
         g2, mixed, prod, btr, track = self._mixed_product()

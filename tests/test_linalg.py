@@ -53,3 +53,32 @@ def test_incremental_system_matches_solve(program):
         # the same pivots as the reduced echelon form, free columns at 0
         assert sysm.solution() == expected_solution(rows, rhs, ncols)
 
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(programs(), st.integers(0, 5))
+def test_reduced_matches_rref(program, first):
+    # after every step, the reduced form from column ``first`` on is the
+    # part of the reduced echelon form of the held rows pivoting there
+    ncols, ops = program
+    sysm = linalg.IncrementalSystem(ncols)
+    rows = []
+    marks = []
+    for op in ops:
+        if op[0] == "push":
+            if sysm.push(sparse(op[1]), op[2]):
+                rows.append(op[1])
+        elif op[0] == "checkpoint":
+            marks.append((sysm.checkpoint(), len(rows)))
+        elif marks:
+            mark, held = marks.pop()
+            sysm.rollback(mark)
+            del rows[held:]
+        red, pivots = linalg.rref(rows)
+        assert sysm.reduced(first) == {
+            p: {c: x for c, x in enumerate(row) if c > p and x}
+            for row, p in zip(red, pivots) if p >= first}
+        kernel = linalg.reduced_kernel(sysm.reduced(first), ncols, first)
+        assert kernel == [vec[first:] for vec in linalg.kernel_basis(
+            [row for row, p in zip(red, pivots) if p >= first], ncols)
+            if not any(vec[:first])]
