@@ -25,6 +25,7 @@ is an exact rational feasibility question over the choices.
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 from isocone import linalg
@@ -230,8 +231,21 @@ class Triangulation3:
                 t, e, f = slot
                 E = self.boundary.edge_class[d]
                 self.boundary_edge_to_class[E] = self.edge_class[(t, e)]
+        self._check_boundary_classes()
 
         self._classify_boundary_components()
+
+    def _check_boundary_classes(self):
+        """Each boundary edge class is one link arc with two free ends, so
+        it meets the boundary in exactly one edge; raise ``ValueError``
+        naming both edges if two share a class."""
+        edge_of = {}
+        for E in sorted(self.boundary_edge_to_class, key=repr):
+            cls = self.boundary_edge_to_class[E]
+            if cls in edge_of:
+                raise ValueError(f"boundary edges {edge_of[cls]!r} and {E!r} "
+                                 f"share the edge class {cls!r}")
+            edge_of[cls] = E
 
     def _classify_boundary_components(self):
         """Split the boundary surface into components; flag tori."""
@@ -290,14 +304,15 @@ class Triangulation3:
         return {E: i for i, E in enumerate(self.edge_classes)}
 
     def _row(self, terms):
-        """Sparse row over the edge classes, summing ``(class, coefficient)``
-        terms: sorted ``(column, coefficient)`` pairs with the zero sums
-        left out; a tuple, since the cached rows are shared."""
+        """Sparse integer row over the edge classes, summing ``(class,
+        coefficient)`` terms: sorted ``(column, coefficient)`` pairs with
+        the zero sums left out; a tuple, since the cached rows are
+        shared."""
         row = {}
         for cls, coef in terms:
             col = self._column[cls]
             row[col] = row.get(col, 0) + coef
-        return tuple((col, Fraction(x)) for col, x in sorted(row.items()) if x)
+        return tuple((col, x) for col, x in sorted(row.items()) if x)
 
     @functools.cached_property
     def unit_rows(self):
@@ -523,13 +538,8 @@ def compute_cone(manifold, btrack, choice_iter=None):
     if choice_iter is None:
         choice_iter = itertools.product(range(3), repeat=len(tets))
     edge_order = sorted(manifold.boundary.edge_classes, key=repr)
-    edge_of = {}
-    for E in edge_order:
-        cls = manifold.boundary_edge_to_class[E]
-        if cls in edge_of:
-            raise ValueError(f"boundary edges {edge_of[cls]!r} and {E!r} "
-                             f"share the edge class {cls!r}")
-        edge_of[cls] = E
+    # one edge per boundary class (checked when the manifold is built)
+    edge_of = {manifold.boundary_edge_to_class[E]: E for E in edge_order}
     # columns: the interior classes, then the boundary classes in edge order
     order = [c for c in manifold.edge_classes if c not in edge_of]
     first = len(order)
@@ -603,13 +613,15 @@ def member(manifold, btrack, w_boundary):
     classes = manifold.edge_classes
     sysm = linalg.IncrementalSystem(len(classes))
 
-    # pin boundary values (several boundary edges may share a class; any
-    # conflict makes the system inconsistent here)
-    for E in sorted(manifold.boundary_edge_to_class, key=repr):
-        cls = manifold.boundary_edge_to_class[E]
-        val = w_boundary.get(E, Fraction(0))
-        if not sysm.push(manifold.unit_rows[cls], rat(val)):
-            return MemberResult(False, reason="class-conflict")
+    # pin boundary values, one class per edge, all scaled by the common
+    # denominator D so that the whole system is integral with pin
+    # pivots 1; the solution is divided by D at the end
+    pins = sorted(manifold.boundary_edge_to_class, key=repr)
+    values = [rat(w_boundary.get(E, 0)) for E in pins]
+    D = math.lcm(*[val.denominator for val in values])
+    for E, val in zip(pins, values):
+        sysm.push(manifold.unit_rows[manifold.boundary_edge_to_class[E]],
+                  val * D)
     for row in manifold.torus_rows:
         if not sysm.push(row, 0):
             return MemberResult(False, reason="torus-nonzero")
@@ -631,8 +643,7 @@ def member(manifold, btrack, w_boundary):
 
     if not dfs(0):
         return MemberResult(False, reason="no-choice-vector")
-    sol = sysm.solution()
-    witness = dict(zip(classes, sol))
+    witness = {cls: x / D for cls, x in zip(classes, sysm.solution())}
     return MemberResult(True, witness=witness, choices=dict(chosen))
 
 

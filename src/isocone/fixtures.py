@@ -128,33 +128,34 @@ def chain_tets(n):
 # -- the genus-2 product bundle ---------------------------------------------------
 
 
-def g2_product_bundle():
-    """Product of the genus-2 fixture surface with an interval, plus track.
+def product_bundle(surface, outgoing):
+    """Product of a surface with an interval, plus a track on both ends.
 
-    Returns a dict with the product data (whose tetrahedra are named
-    "t.k", piece k of the prism over triangle t), the matching dual tracks
-    on both boundary copies as an ``outgoing`` map, and the per-copy
-    boundary-edge correspondences.
+    ``outgoing`` is the slot of the outgoing dual branch of each surface
+    triangle that carries the track.  Returns a dict with the product
+    manifold (whose tetrahedra are named "t.k", piece k of the prism over
+    triangle t), the matching ``outgoing`` map on both boundary copies and
+    its ``BoundaryTrack``, and the per-copy boundary-edge correspondences.
     """
-    track, g2, e2b, outgoing = genus2_maximal_track()
-    prod = product_triangulation(g2)
-    manifold = prod.manifold
-
+    prod = product_triangulation(surface)
     out = {}
     for t, slot in outgoing.items():
-        tri, smap = prod.bottom[t]
-        out[tri] = smap[slot]
-        tri2, smap2 = prod.top[t]
-        out[tri2] = smap2[slot]
+        for tri, smap in (prod.bottom[t], prod.top[t]):
+            out[tri] = smap[slot]
     return {
-        "surface": g2,
-        "track": track,
-        "manifold": manifold,
+        "manifold": prod.manifold,
         "outgoing": out,
-        "boundary_track": BoundaryTrack(manifold, out),
+        "boundary_track": BoundaryTrack(prod.manifold, out),
         "bottom_edge_of": prod.bottom_edge_of,
         "top_edge_of": prod.top_edge_of,
     }
+
+
+def g2_product_bundle():
+    """``product_bundle`` of the genus-2 fixture surface and its maximal
+    track, with the ``surface`` and ``track`` added."""
+    track, g2, _, outgoing = genus2_maximal_track()
+    return {"surface": g2, "track": track, **product_bundle(g2, outgoing)}
 
 
 def mf_weight(track, rng, hi=6):

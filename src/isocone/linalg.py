@@ -1,53 +1,50 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on one sparse integer core.
 
-``rref``, ``kernel_basis`` and ``solve`` work on dense rows, lists of
-``fractions.Fraction``.  ``IncrementalSystem``, which the choice searches
-push one short constraint row at a time, works on sparse rows: ``(column,
-coefficient)`` pairs with no zero coefficients, reduced to ``{pivot:
-{column: coefficient}}`` dicts whose kernel ``reduced_kernel`` builds.
-Everything is deterministic: pivots are chosen left to right, and rows are
-normalized so the reduced echelon form of a subspace is a canonical object.
-"""
+``IncrementalSystem`` eliminates sparse ``(column, coefficient)`` rows one
+at a time, fraction-free (integer-preserving, after Bareiss 1968);
+``rref``, ``kernel_basis`` and ``solve`` push dense rows into one.
+``Fraction`` appears only in ``solution()`` and ``reduced()``.  Pivots are
+the leftmost surviving columns, so ``reduced()`` is the reduced echelon
+form of the span, a canonical object."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def rref(rows):
-    """Reduced row echelon form.
+def _integer(row, b):
+    """Rational ``row . x = b`` scaled by the lcm of its denominators, as
+    ``({column: int}, int)``."""
+    v = dict(row)
+    if type(b) is int and all(type(x) is int for x in v.values()):
+        return v, b
+    den = lcm(b.denominator, *[x.denominator for x in v.values()])
+    return ({c: x.numerator * (den // x.denominator) for c, x in v.items()},
+            b.numerator * (den // b.denominator))
 
-    Returns ``(reduced, pivots)`` where ``reduced`` contains only the nonzero
-    rows, each scaled to a leading 1, and ``pivots`` is the list of pivot
-    column indices.  The input is not modified.
-    """
-    mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = ONE / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+
+def _system(rows, ncols, rhs=None):
+    """An ``IncrementalSystem`` holding the dense ``rows`` with right-hand
+    sides ``rhs`` (default 0), or None if they contradict each other."""
+    sysm = IncrementalSystem(ncols)
+    for i, row in enumerate(rows):
+        b = 0 if rhs is None else rhs[i]
+        if not sysm._push(*_integer(
+                [(c, x) for c, x in enumerate(row) if x], b)):
+            return None
+    return sysm
+
+
+def rref(rows):
+    """Reduced row echelon form ``(reduced, pivots)``: the nonzero rows,
+    dense and each scaled to a leading 1, and their pivot columns."""
+    ncols = len(rows[0]) if rows else 0
+    red = _system(rows, ncols).reduced()
+    pivots = sorted(red)
+    return [[ONE if c == piv else red[piv].get(c, ZERO) for c in range(ncols)]
+            for piv in pivots], pivots
 
 
 def rank(rows):
@@ -55,30 +52,17 @@ def rank(rows):
 
 
 def kernel_basis(rows, ncols):
-    """Basis of the right kernel of the matrix, as reduced echelon rows.
-
-    One basis vector per free column; the vector has a 1 in its free column
-    and the pivot columns filled by back substitution.
-    """
-    red, pivots = rref(rows)
-    return reduced_kernel(
-        {pcol: dict(enumerate(prow)) for prow, pcol in zip(red, pivots)},
-        ncols)
+    """Basis of the right kernel: one vector per free column, with a 1 in
+    it and the pivot columns filled by back substitution."""
+    return reduced_kernel(_system(rows, ncols).reduced(), ncols)
 
 
 def solve(rows, rhs):
     """One exact solution of ``rows * x = rhs``, or None if inconsistent."""
     if not rows:
         return []
-    ncols = len(rows[0])
-    aug = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    sol = [ZERO] * ncols
-    for prow, pcol in zip(red, pivots):
-        if pcol == ncols:
-            return None
-        sol[pcol] = prow[ncols]
-    return sol
+    sysm = _system(rows, len(rows[0]), rhs)
+    return None if sysm is None else sysm.solution()
 
 
 def reduced_kernel(reduced, ncols, first=0):
@@ -98,21 +82,18 @@ def reduced_kernel(reduced, ncols, first=0):
 
 
 class IncrementalSystem:
-    """Row-reduced linear system supporting push/undo of constraint rows.
+    """Row-reduced linear system over columns 0..ncols-1 with push and
+    checkpoint/rollback, for depth-first searches that prune on ``0 = c``.
 
-    Used for depth-first enumeration with pruning: rows are added one at a
-    time, inconsistency ``0 = c`` with ``c != 0`` is reported immediately,
-    and a checkpoint/rollback pair restores any earlier state.  Columns are
-    0..ncols-1.  Rows are sparse: each stored row is reduced against the
-    pivots present when it was pushed, scaled to 1 at its own pivot, and
-    kept as its pivot, the ``(column, coefficient)`` pairs right of the
-    pivot with nonzero coefficients, and a right-hand side.
-    """
+    A stored row is reduced against the pivots present when it was pushed,
+    and kept as integers with no common factor: a positive pivot
+    coefficient, the nonzero ``(column, coefficient)`` pairs right of the
+    pivot, and the right-hand side."""
 
     def __init__(self, ncols):
         self.ncols = ncols
         self.pivots = []        # pivot column per stored row, in push order
-        self.pivot_rows = {}    # pivot column -> (entries right of it, rhs)
+        self.pivot_rows = {}    # pivot column -> (coefficient, tail, rhs)
 
     def checkpoint(self):
         return len(self.pivots)
@@ -122,25 +103,32 @@ class IncrementalSystem:
             del self.pivot_rows[self.pivots.pop()]
 
     def push(self, row, b):
-        """Add ``row . x = b``.  Returns False iff it contradicts the system.
+        """Add ``row . x = b``, rational ``(column, coefficient)`` pairs
+        with no zero coefficients; False iff it contradicts the system.
+        Neither a redundant nor a contradicting row is stored."""
+        return self._push(*_integer(row, b))
 
-        ``row`` is sparse: ``(column, coefficient)`` pairs with no zero
-        coefficients.  Neither a redundant row (accepted) nor a
-        contradicting one is stored; the caller can always rollback to a
-        checkpoint regardless of the outcome.
-        """
-        v = dict(row)
-        b = Fraction(b)
+    def _push(self, v, b):
+        """``push`` of an integer row ``{column: coefficient}``, which it
+        consumes.  The dense wrappers call it directly, so that wrapping
+        ``push`` counts only the rows callers push."""
+        pivot_rows = self.pivot_rows
         # eliminate the lowest column of v while it is a pivot; a stored row
         # only has entries right of its pivot, so fill-in lands to the right
         # and every column is visited at most once, lowest first
         while v:
             c = min(v)
-            entry = self.pivot_rows.get(c)
+            entry = pivot_rows.get(c)
             if entry is None:
                 break
             f = v.pop(c)
-            tail, rb = entry
+            p, tail, rb = entry
+            if p != 1:      # v := (p v - f row) / gcd(f, p), still integral
+                g = gcd(f, p)
+                f, s = f // g, p // g
+                for j in v:
+                    v[j] *= s
+                b *= s
             for j, x in tail:
                 y = v.get(j, 0) - f * x
                 if y:
@@ -150,9 +138,13 @@ class IncrementalSystem:
             b -= f * rb
         else:
             return b == 0
-        inv = ONE / v.pop(c)
-        self.pivot_rows[c] = (tuple((j, x * inv) for j, x in v.items()),
-                              b * inv)
+        p = v.pop(c)
+        if p != 1:
+            g = gcd(p, b, *v.values()) * (1 if p > 0 else -1)
+            p, b = p // g, b // g
+            for j in v:
+                v[j] //= g
+        pivot_rows[c] = (p, tuple(v.items()), b)
         self.pivots.append(c)
         return True
 
@@ -162,10 +154,11 @@ class IncrementalSystem:
         # stored rows are in echelon form (nothing left of the pivot) but not
         # mutually reduced, so back-substitute in decreasing pivot order
         for piv in sorted(self.pivot_rows, reverse=True):
-            tail, acc = self.pivot_rows[piv]
+            p, tail, acc = self.pivot_rows[piv]
+            acc = Fraction(acc)
             for j, x in tail:
                 acc -= x * sol[j]
-            sol[piv] = acc
+            sol[piv] = acc / p
         return sol
 
     def reduced(self, first=0):
@@ -174,14 +167,23 @@ class IncrementalSystem:
         coefficient}}`` with the nonzero entries right of each pivot.  They
         span the row combinations that vanish before ``first``; this is the
         reduced echelon form of that span, a canonical object."""
-        out = {}
-        # decreasing pivots: every pivot in a row's tail is reduced already
+        out = {}        # pivot -> (d, {column: n}): d x_pivot + sum n x_column
+        # decreasing pivots: every pivot in a row's tail is reduced already;
+        # scaling by the lcm m of their d keeps the substitution integral
         for piv in sorted((p for p in self.pivot_rows if p >= first),
                           reverse=True):
+            p, tail, _ = self.pivot_rows[piv]
+            m = lcm(*[out[j][0] for j, _ in tail if j in out])
             row = {}
-            for j, x in self.pivot_rows[piv][0]:
-                # x * e_j, with e_j = -(the rest of pivot row j) if j is one
-                for k, y in out[j].items() if j in out else ((j, -ONE),):
-                    row[k] = row.get(k, ZERO) - x * y
-            out[piv] = {k: x for k, x in row.items() if x}
-        return out
+            for j, x in tail:
+                if j in out:
+                    d, rest = out[j]
+                    for k, y in rest.items():
+                        row[k] = row.get(k, 0) - x * (m // d) * y
+                else:
+                    row[j] = row.get(j, 0) + x * m
+            row = {k: y for k, y in row.items() if y}
+            g = gcd(p * m, *row.values())
+            out[piv] = (p * m // g, {k: y // g for k, y in row.items()})
+        return {piv: {k: Fraction(y, d) for k, y in row.items()}
+                for piv, (d, row) in out.items()}

@@ -16,7 +16,7 @@ from isocone.cone3 import (
 from isocone.fixtures import (
     single_tet, two_tets, chain_tets, glue_tets,
     genus2_four_vertex_surface, genus2_maximal_track, g2_product_bundle,
-    mf_weight, diagonal_boundary_weight,
+    product_bundle, mf_weight, diagonal_boundary_weight,
 )
 from isocone.track import SurfaceTriangulation, triangle_form_sum
 from test_acceptance import _random_complex
@@ -479,17 +479,16 @@ class TestMembership:
 
     def test_class_conflict_reported(self):
         # the link of a boundary edge class is one arc with two free ends,
-        # so no triangulation puts two boundary edges in one class; map
-        # two edges with different values to one class by hand
-        bundle = g2_product_bundle()
-        m = bundle["manifold"]
-        wb = diagonal_boundary_weight(
-            bundle, mf_weight(bundle["track"], random.Random(2)))
-        edges = sorted(wb, key=repr)
-        E1, E2 = next((a, b) for a in edges for b in edges if wb[a] != wb[b])
+        # so no triangulation puts two boundary edges in one class; the
+        # check that construction runs names both edges of a map edited
+        # by hand
+        m = g2_product_bundle()["manifold"]
+        m._check_boundary_classes()
+        E1, E2 = sorted(m.boundary_edge_to_class, key=repr)[:2]
         m.boundary_edge_to_class[E2] = m.boundary_edge_to_class[E1]
-        res = member(m, bundle["boundary_track"], wb)
-        assert not res.member and res.reason == "class-conflict"
+        with pytest.raises(ValueError) as err:
+            m._check_boundary_classes()
+        assert repr(E1) in str(err.value) and repr(E2) in str(err.value)
 
 
 class TestCone:
@@ -578,14 +577,24 @@ class TestCone:
         assert len(pushes) == fixed + (3 ** (n + 1) - 3) // 2
         assert len(rrefs) <= 2 * len(cone)
 
-    def test_shared_boundary_class_rejected(self):
+    def test_shared_boundary_class_rejected(self, monkeypatch):
         # no triangulation puts two boundary edges in one class (see
         # test_boundary_edge_to_class_injective); map one there by hand
-        m, btr = _chain_track(2)
-        E1, E2 = sorted(m.boundary_edge_to_class, key=repr)[:2]
-        m.boundary_edge_to_class[E2] = m.boundary_edge_to_class[E1]
+        # just before the check, and construction refuses the manifold
+        check = Triangulation3._check_boundary_classes
+        shared = []
+
+        def merged_check(self):
+            E1, E2 = sorted(self.boundary_edge_to_class, key=repr)[:2]
+            self.boundary_edge_to_class[E2] = self.boundary_edge_to_class[E1]
+            shared.extend([E1, E2])
+            check(self)
+
+        monkeypatch.setattr(Triangulation3, "_check_boundary_classes",
+                            merged_check)
         with pytest.raises(ValueError) as err:
-            compute_cone(m, btr)
+            chain_tets(2)
+        E1, E2 = shared
         assert repr(E1) in str(err.value) and repr(E2) in str(err.value)
 
 
@@ -608,7 +617,6 @@ class TestMixedBoundary:
     """Torus components carry no track and are pinned to zero."""
 
     def _mixed_product(self):
-        from isocone.cone3 import product_triangulation
         g2 = genus2_four_vertex_surface()
         tris = {f"g2_{t}": tuple(("g2", d) for d in ds)
                 for t, ds in g2.triangles.items()}
@@ -619,19 +627,14 @@ class TestMixedBoundary:
             glu[("t", x)] = ("t", y)
             glu[("t", y)] = ("t", x)
         mixed = SurfaceTriangulation(tris, glu)
-        prod = product_triangulation(mixed)
         track, _, _, outgoing = genus2_maximal_track()
-        out = {}
-        for t, slot in outgoing.items():
-            bt, smap = prod.bottom[f"g2_{t}"]
-            out[bt] = smap[slot]
-            tp, smap2 = prod.top[f"g2_{t}"]
-            out[tp] = smap2[slot]
-        return g2, mixed, prod, BoundaryTrack(prod.manifold, out), track
+        bundle = product_bundle(
+            mixed, {f"g2_{t}": slot for t, slot in outgoing.items()})
+        return g2, mixed, bundle, track
 
     def test_components_and_torus_classes(self):
-        g2, mixed, prod, btr, track = self._mixed_product()
-        m = prod.manifold
+        g2, mixed, bundle, track = self._mixed_product()
+        m = bundle["manifold"]
         comps = sorted((c["genus"], c["torus"]) for c in m.boundary_components)
         assert comps == [(1, True), (1, True), (2, False), (2, False)]
         assert len(m.torus_classes) == 6
@@ -639,27 +642,27 @@ class TestMixedBoundary:
     def test_diagonal_member_with_torus_zeros(self):
         import random
         from isocone.fixtures import mf_weight
-        g2, mixed, prod, btr, track = self._mixed_product()
-        m = prod.manifold
+        g2, mixed, bundle, track = self._mixed_product()
+        m, btr = bundle["manifold"], bundle["boundary_track"]
         w = mf_weight(track, random.Random(11))
         wb = {E: Fraction(0) for E in m.boundary.edge_classes}
         for E in mixed.edge_classes:
             if E[0] == "g2":
                 orig = g2.edge_class[E[1]]
-                wb[prod.bottom_edge_of[E]] = w[orig]
-                wb[prod.top_edge_of[E]] = w[orig]
+                wb[bundle["bottom_edge_of"][E]] = w[orig]
+                wb[bundle["top_edge_of"][E]] = w[orig]
         res = member(m, btr, wb)
         assert res.member and verify_witness(m, btr, wb, res)
         assert all(res.witness[c] == 0 for c in m.torus_classes)
 
     def test_cone_matches_reference(self):
-        g2, mixed, prod, btr, track = self._mixed_product()
-        m = prod.manifold
+        g2, mixed, bundle, track = self._mixed_product()
+        m, btr = bundle["manifold"], bundle["boundary_track"]
         _assert_cone_matches_reference(m, btr, _g2_samples(m, random.Random(5)))
 
     def test_nonzero_torus_weight_refused(self):
-        g2, mixed, prod, btr, track = self._mixed_product()
-        m = prod.manifold
+        g2, mixed, bundle, track = self._mixed_product()
+        m, btr = bundle["manifold"], bundle["boundary_track"]
         wb = {E: Fraction(0) for E in m.boundary.edge_classes}
         tor_edge = next(E for E in m.boundary.edge_classes
                         if m.boundary_edge_to_class[E] in m.torus_classes)

@@ -1,3 +1,5 @@
+import math
+import pathlib
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -5,27 +7,115 @@ from hypothesis import given, settings, strategies as st
 from isocone import linalg
 
 # small entries with many zeros, so that dependent, redundant and
-# contradicting rows are all common
+# contradicting rows are all common; some are not integers
 ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+RHS = st.sampled_from([0, 1, -2, Fraction(1, 2), Fraction(-5, 3)])
+
+
+def reference_rref(rows):
+    """Dense Gauss-Jordan elimination over ``Fraction``: the leftmost
+    nonzero column of the remaining rows is the next pivot, and its row
+    is scaled to 1 there and subtracted from every other row."""
+    mat = [list(map(Fraction, r)) for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if sel is None:
+            continue
+        mat[r], mat[sel] = mat[sel], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def reference_kernel(rows, ncols):
+    red, pivots = reference_rref(rows)
+    basis = []
+    for free in range(ncols):
+        if free not in pivots:
+            vec = [Fraction(0)] * ncols
+            vec[free] = Fraction(1)
+            for prow, piv in zip(red, pivots):
+                vec[piv] = -prow[free]
+            basis.append(vec)
+    return basis
+
+
+def reference_solve(rows, rhs, ncols):
+    """The solution with every free column 0, or None if inconsistent."""
+    red, pivots = reference_rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    sol = [Fraction(0)] * ncols
+    for prow, piv in zip(red, pivots):
+        if piv == ncols:
+            return None
+        sol[piv] = prow[ncols]
+    return sol
+
+
+def exact(value):
+    """``value`` with every number replaced by ``(type, value)``, so that
+    equality also checks that no ``int`` stands in for a ``Fraction``."""
+    if isinstance(value, (list, tuple)):
+        return [exact(x) for x in value]
+    if isinstance(value, dict):
+        return {k: exact(x) for k, x in value.items()}
+    return (type(value), value)
 
 
 @st.composite
 def programs(draw):
     ncols = draw(st.integers(1, 5))
     push = st.tuples(st.just("push"),
-                     st.lists(ENTRIES, min_size=ncols, max_size=ncols),
-                     st.integers(-2, 2))
+                     st.lists(ENTRIES, min_size=ncols, max_size=ncols), RHS)
     ops = draw(st.lists(st.one_of(push, st.just(("checkpoint",)),
                                   st.just(("rollback",))), max_size=25))
     return ncols, ops
+
+
+@st.composite
+def matrices(draw):
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=7))
+    rhs = draw(st.lists(RHS, min_size=len(rows), max_size=len(rows)))
+    return ncols, rows, rhs
 
 
 def sparse(row):
     return [(c, x) for c, x in enumerate(row) if x]
 
 
-def expected_solution(rows, rhs, ncols):
-    return linalg.solve(rows, rhs) if rows else [linalg.ZERO] * ncols
+def assert_stored_rows_primitive(sysm):
+    assert sorted(sysm.pivots) == sorted(sysm.pivot_rows)
+    for piv, (p, tail, rhs) in sysm.pivot_rows.items():
+        assert type(p) is int and p > 0 and type(rhs) is int
+        assert all(type(c) is int and c > piv and type(x) is int and x
+                   for c, x in tail)
+        assert math.gcd(p, rhs, *(x for _, x in tail)) == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(matrices())
+def test_dense_wrappers_match_reference(matrix):
+    ncols, rows, rhs = matrix
+    assert exact(linalg.rref(rows)) == exact(reference_rref(rows))
+    assert linalg.rank(rows) == len(reference_rref(rows)[0])
+    assert exact(linalg.kernel_basis(rows, ncols)) == \
+        exact(reference_kernel(rows, ncols))
+    assert exact(linalg.solve(rows, rhs)) == \
+        exact(reference_solve(rows, rhs, ncols))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -38,7 +128,8 @@ def test_incremental_system_matches_solve(program):
     for op in ops:
         if op[0] == "push":
             _, row, b = op
-            consistent = linalg.solve(rows + [row], rhs + [b]) is not None
+            consistent = reference_solve(rows + [row], rhs + [b],
+                                         ncols) is not None
             assert sysm.push(sparse(row), b) == consistent
             if consistent:
                 rows.append(row)
@@ -49,10 +140,11 @@ def test_incremental_system_matches_solve(program):
             mark, held, before = marks.pop()
             sysm.rollback(mark)
             del rows[held:], rhs[held:]
-            assert sysm.solution() == before
+            assert exact(sysm.solution()) == exact(before)
         # the same pivots as the reduced echelon form, free columns at 0
-        assert sysm.solution() == expected_solution(rows, rhs, ncols)
-
+        assert exact(sysm.solution()) == \
+            exact(reference_solve(rows, rhs, ncols))
+        assert_stored_rows_primitive(sysm)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -74,11 +166,38 @@ def test_reduced_matches_rref(program, first):
             mark, held = marks.pop()
             sysm.rollback(mark)
             del rows[held:]
-        red, pivots = linalg.rref(rows)
-        assert sysm.reduced(first) == {
+        red, pivots = reference_rref(rows)
+        assert exact(sysm.reduced(first)) == exact({
             p: {c: x for c, x in enumerate(row) if c > p and x}
-            for row, p in zip(red, pivots) if p >= first}
+            for row, p in zip(red, pivots) if p >= first})
         kernel = linalg.reduced_kernel(sysm.reduced(first), ncols, first)
-        assert kernel == [vec[first:] for vec in linalg.kernel_basis(
-            [row for row, p in zip(red, pivots) if p >= first], ncols)
-            if not any(vec[:first])]
+        assert exact(kernel) == exact([
+            vec[first:] for vec in reference_kernel(
+                [row for row, p in zip(red, pivots) if p >= first], ncols)
+            if not any(vec[:first])])
+
+
+def test_wrappers_do_not_count_as_pushes(monkeypatch):
+    # the dense wrappers share the core below ``push``, so that a wrapped
+    # ``push`` counts only the rows the searches push
+    calls = []
+    push = linalg.IncrementalSystem.push
+
+    def counted_push(self, row, b):
+        calls.append(row)
+        return push(self, row, b)
+
+    monkeypatch.setattr(linalg.IncrementalSystem, "push", counted_push)
+    rows = [[1, 2, 0], [0, 1, 1], [1, 3, 1]]
+    linalg.rref(rows)
+    linalg.kernel_basis(rows, 3)
+    linalg.solve(rows, [1, 2, 3])
+    assert calls == []
+
+
+def test_code_line_count():
+    # one elimination core: a second, dense one would not fit
+    path = pathlib.Path(linalg.__file__)
+    lines = [line.strip() for line in path.read_text().splitlines()]
+    code = [line for line in lines if line and not line.startswith("#")]
+    assert len(code) <= 155
