@@ -265,13 +265,17 @@ class SurfaceHomology:
         if not self.ribbon.check_flow(flow):
             raise ValueError("not a cycle")
         vec = [Fraction(flow.get(e, 0)) for e in self.nontree]
-        # the face rows are in reduced echelon form, so subtracting vec at
-        # each pivot times its row clears every pivot column at once
-        # (which is why no flow can leave anything outside the basis)
-        return [vec[j] - sum((vec[p] * row[j] for row, p
-                              in zip(self._face_red, self._face_pivots)),
-                             Fraction(0))
-                for j in self.basis_columns]
+        for prow, pcol in zip(self._face_red, self._face_pivots):
+            f = vec[pcol]
+            if f != 0:
+                vec = [a - f * b for a, b in zip(vec, prow)]
+        coords = [vec[j] for j in self.basis_columns]
+        # sanity: nothing may remain outside the chosen columns
+        leftovers = [vec[j] for j in range(len(vec))
+                     if j not in self.basis_columns and vec[j] != 0]
+        if leftovers:
+            raise ValueError("flow does not reduce into the basis")
+        return coords
 
     def pair_cycles(self, x, y):
         """Intersection number through basis coordinates and the matrix."""

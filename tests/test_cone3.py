@@ -20,6 +20,7 @@ from isocone.fixtures import (
 )
 from isocone.track import SurfaceTriangulation, triangle_form_sum
 from test_acceptance import _random_complex
+from test_linalg import reference_kernel, reference_rref
 from util import random_tree
 
 EDGE_PAIRS = [frozenset(p) for p in itertools.combinations(range(4), 2)]
@@ -39,10 +40,11 @@ def _dense(row, ncols):
 
 
 def _reference_w4_subspace(m, choices):
-    """``kernel_basis`` of the dense torus and choice rows."""
+    """Kernel of the dense torus and choice rows, by the dense reference
+    elimination of ``test_linalg`` rather than the sparse core."""
     n = len(m.edge_classes)
     rows = m.torus_rows + [m.choice_rows[t][choices[t]] for t in m.tets]
-    basis = linalg.kernel_basis([_dense(r, n) for r in rows], n)
+    basis = reference_kernel([_dense(r, n) for r in rows], n)
     return [dict(zip(m.edge_classes, vec)) for vec in basis]
 
 
@@ -66,15 +68,15 @@ def _reference_cone(manifold, btrack, choice_iter):
         for vec in _reference_w4_subspace(manifold, choices):
             w = manifold.restrict(vec)
             proj.append([w.get(E, Fraction(0)) for E in edge_order])
-        red, _ = linalg.rref(proj)
+        red, _ = reference_rref(proj)
         span = []
         if red:
             coeff = [[sum(row[k] * red[i][k] for k in range(n))
                       for i in range(len(red))] for row in switch_rows]
-            lam = linalg.kernel_basis(coeff, len(red))
+            lam = reference_kernel(coeff, len(red))
             span = [[sum(l[i] * red[i][k] for i in range(len(red)))
                      for k in range(n)] for l in lam]
-        key = tuple(map(tuple, linalg.rref(span)[0]))
+        key = tuple(map(tuple, reference_rref(span)[0]))
         if key not in seen:
             seen[key] = {"span": [list(r) for r in key],
                          "dimension": len(key), "choice": choices}
