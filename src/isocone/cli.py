@@ -35,7 +35,7 @@ def _read(path):
 def _emit(lines, args):
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
 
@@ -156,7 +156,7 @@ def cmd_cone_isotropy(args):
 
 def _load_surface(args):
     surf, tangents, notes = io.parse_flatsurface(_read(args.input))
-    if getattr(args, "rotate", None):
+    if args.rotate:
         c = _parse_rotate(args.rotate)
         surf = surf.rotate(c)
         tangents = [PeriodTangent(surf, {d: c * v
@@ -213,7 +213,7 @@ def cmd_surface_track(args):
 
 def cmd_surface_symplectic_check(args):
     surf, tangents, notes = _load_surface(args)
-    if not getattr(args, "rotate", None):
+    if not args.rotate:
         try:
             surf.dual_track()
         except NeedsRotationError:
@@ -307,14 +307,20 @@ def cmd_fixtures(args):
 # -- driver -----------------------------------------------------------------------
 
 
-def _add_common(p, need_input=True):
+# the flags beyond --input and --output, each on the commands that read it
+_FLAGS = {"--choices": {"default": "all"}, "--seed": {"type": int},
+          "--depth": {"type": int}, "--rotate": {}}
+
+
+def _add_command(sub, name, fn, *flags, need_input=True):
+    p = sub.add_parser(name)
     if need_input:
         p.add_argument("--input", required=True)
     p.add_argument("--output")
-    p.add_argument("--choices", default="all")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--rotate")
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
+    p.set_defaults(fn=fn)
+    return p
 
 
 def build_parser():
@@ -325,32 +331,24 @@ def build_parser():
     sub = parser.add_subparsers(dest="group", required=True)
 
     cone = sub.add_parser("cone").add_subparsers(dest="cmd", required=True)
-    for name, fn in [("compute", cmd_cone_compute),
-                     ("member", cmd_cone_member),
-                     ("isotropy", cmd_cone_isotropy)]:
-        p = cone.add_parser(name)
-        _add_common(p)
-        p.set_defaults(fn=fn)
+    _add_command(cone, "compute", cmd_cone_compute, "--choices", "--seed")
+    _add_command(cone, "member", cmd_cone_member)
+    _add_command(cone, "isotropy", cmd_cone_isotropy, "--choices", "--seed")
 
     surf = sub.add_parser("surface").add_subparsers(dest="cmd", required=True)
     for name, fn in [("validate", cmd_surface_validate),
                      ("delaunay", cmd_surface_delaunay),
                      ("heights", cmd_surface_heights),
-                     ("track", cmd_surface_track),
-                     ("symplectic-check", cmd_surface_symplectic_check)]:
-        p = surf.add_parser(name)
-        _add_common(p)
-        p.set_defaults(fn=fn)
+                     ("track", cmd_surface_track)]:
+        _add_command(surf, name, fn, "--rotate")
+    _add_command(surf, "symplectic-check", cmd_surface_symplectic_check,
+                 "--rotate", "--seed", "--depth")
 
     tree = sub.add_parser("tree").add_subparsers(dest="cmd", required=True)
-    p = tree.add_parser("fourpoint")
-    _add_common(p)
-    p.set_defaults(fn=cmd_tree_fourpoint)
+    _add_command(tree, "fourpoint", cmd_tree_fourpoint)
 
-    p = sub.add_parser("fixtures")
+    p = _add_command(sub, "fixtures", cmd_fixtures, need_input=False)
     p.add_argument("name")
-    _add_common(p, need_input=False)
-    p.set_defaults(fn=cmd_fixtures)
     return parser
 
 

@@ -110,7 +110,6 @@ def parse_track(text):
             branches.append(toks[1])
         elif toks[0] == "switch":
             body = toks[1:]
-            ccw = True
             if body and body[-1] == "ccw":
                 body = body[:-1]
             if len(body) != 6 or body[1] != "in" or body[4] != "out":

@@ -1,6 +1,8 @@
 import pytest
 
+from isocone import io
 from isocone.cli import run
+from isocone.fixtures import chain_tets
 
 
 def fixture_file(tmp_path, name):
@@ -8,6 +10,24 @@ def fixture_file(tmp_path, name):
     rc = run(["fixtures", name, "--output", str(path)])
     assert rc == 0
     return str(path)
+
+
+@pytest.mark.parametrize("fixture, argv, flag", [
+    ("chain4", ["cone", "member"], ["--choices", "sample:3"]),
+    ("chain4", ["cone", "compute"], ["--depth", "3"]),
+    ("chain4", ["cone", "isotropy"], ["--rotate", "2"]),
+    ("lshape_h2", ["surface", "validate"], ["--seed", "3"]),
+    ("lshape_h2", ["surface", "heights", "--rotate", "3+1i"],
+     ["--depth", "3"]),
+    (None, ["fixtures", "two_tets"], ["--choices", "all"]),
+])
+def test_flag_the_command_ignores_exit_2(tmp_path, capsys, fixture, argv,
+                                          flag):
+    # each command takes only the flags it reads
+    if fixture:
+        argv = argv + ["--input", fixture_file(tmp_path, fixture)]
+    assert run(argv) == 0
+    assert run(argv + flag) == 2
 
 
 class TestFixtures:
@@ -101,6 +121,15 @@ class TestConeCommands:
         out = capsys.readouterr().out
         assert "components:" in out and "span:" in out
 
+    def test_repeated_tet_id_exit_2(self, tmp_path, capsys):
+        m = chain_tets(2)
+        text = io.serialize_manifold(
+            m, outgoing={tf: 0 for tf in m.boundary_faces})
+        path = tmp_path / "dup.txt"
+        path.write_text("tet T0\n" + text)
+        assert run(["cone", "compute", "--input", str(path)]) == 2
+        assert "'T0' listed twice" in capsys.readouterr().err
+
     def test_member_switch_violation(self, tmp_path, capsys):
         path = fixture_file(tmp_path, "g2xI")
         text = open(path).read()
@@ -120,6 +149,7 @@ class TestConeCommands:
 
 
 class TestTreeCommand:
+
     def test_fourpoint(self, tmp_path, capsys):
         path = tmp_path / "tree.txt"
         path.write_text("vertex a\nvertex b\nvertex c\nvertex d\n"

@@ -1,15 +1,18 @@
+import functools
 import itertools
+import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isocone import linalg
+from isocone import cone3, linalg
 from isocone.ordgroup import LexVec
 from isocone.lamtree import TreeMap, weight_from_vertex_map
 from isocone.cone3 import (
-    Triangulation3, OPPOSITE_PAIRS, FACE_CYCLES, tet_form_values,
+    Triangulation3, EDGE_PAIRS, OPPOSITE_PAIRS, CHOICE_PAIRS, FACE_CYCLES,
     product_triangulation, BoundaryTrack, compute_cone, member,
     verify_witness, GluingError, OrientationError,
 )
@@ -23,7 +26,98 @@ from test_acceptance import _random_complex
 from test_linalg import reference_kernel, reference_rref
 from util import random_tree
 
-EDGE_PAIRS = [frozenset(p) for p in itertools.combinations(range(4), 2)]
+
+
+def tet_form_values(u_edges, v_edges):
+    """Per-tetrahedron oracle of the form: -1/2 of the cyclic sum of wedges
+    of the three opposite-pair sums, on weights keyed by corner pair."""
+    A = [(u_edges[e] + u_edges[e2], v_edges[e] + v_edges[e2])
+         for e, e2 in OPPOSITE_PAIRS]
+    total = Fraction(0)
+    for i in range(3):
+        (ui, vi), (uj, vj) = A[i], A[(i + 1) % 3]
+        total += ui * vj - uj * vi
+    return -total / 2
+
+
+def oracle_omega(m, u, v):
+    """The total form as the sum of the per-tetrahedron oracle."""
+    return sum((tet_form_values(m.tet_edge_values(t, u),
+                                m.tet_edge_values(t, v)) for t in m.tets),
+               Fraction(0))
+
+
+def tet_omega(u_edges, v_edges):
+    """``single_tet().omega`` on weights keyed by corner pair."""
+    m = single_tet()
+    return m.omega({m.edge_class[("T0", e)]: x for e, x in u_edges.items()},
+                   {m.edge_class[("T0", e)]: x for e, x in v_edges.items()})
+
+
+def fan_walk_boundary(m):
+    """Reference boundary gluing by walking the fan around each edge.
+
+    Slots ``(t, e, f)`` are an edge ``e`` of tet ``t`` in one of its two
+    faces ``f``; the walk from a free slot alternates between the other
+    face of the same edge and the glued neighbour until it reaches the
+    other free end.  Returns the gluing of the directed boundary sides
+    ``(t, f, k)`` and the map from boundary edges to edge classes, keyed in
+    the order the sides are listed.
+    """
+    def glued_neighbor(slot):
+        t, e, f = slot
+        got = m.gluings.get((t, f))
+        if got is None:
+            return None
+        t2, f2, perm = got
+        return (t2, frozenset(perm[v] for v in e), f2)
+
+    def other_face(slot):
+        t, e, f = slot
+        (g,) = [x for x in range(4) if x != f and x not in e]
+        return (t, e, g)
+
+    slots = {(t, e, f) for t in m.tets for e in EDGE_PAIRS
+             for f in range(4) if f not in e}
+    ends = {}
+    seen = set()
+    for start in sorted(slots, key=repr):
+        if start in seen or glued_neighbor(start) is not None:
+            continue
+        cur = start
+        seen.add(cur)
+        while True:
+            nxt = other_face(cur)
+            seen.add(nxt)
+            step = glued_neighbor(nxt)
+            if step is None:
+                break
+            seen.add(step)
+            cur = step
+        ends[start], ends[nxt] = nxt, start
+
+    directed_of_slot = {}
+    for t, f in m.boundary_faces:
+        cyc = FACE_CYCLES[f]
+        for k in range(3):
+            e = frozenset((cyc[k], cyc[(k + 1) % 3]))
+            directed_of_slot[(t, e, f)] = (t, f, k)
+    glue = {directed_of_slot[a]: directed_of_slot[b] for a, b in ends.items()}
+    edge_to_class = {}
+    if m.boundary is not None:
+        for (t, e, f), d in directed_of_slot.items():
+            edge_to_class.setdefault(m.boundary.edge_class[d],
+                                     m.edge_class[(t, e)])
+    return glue, edge_to_class
+
+
+def assert_boundary_matches_fan_walk(m):
+    glue, edge_to_class = fan_walk_boundary(m)
+    assert (m.boundary.glue if m.boundary else {}) == glue
+    assert list(m.boundary_edge_to_class.items()) == \
+        list(edge_to_class.items())
+    classes = list(m.boundary_edge_to_class.values())
+    assert len(set(classes)) == len(classes)
 
 
 def random_class_weight(m, rng, lo=-6, hi=6):
@@ -142,6 +236,10 @@ class TestValidation:
                 ("T0", 0): ("T1", 0, {1: 1, 2: 2, 3: 3}),
             })
 
+    def test_repeated_tet_id_rejected(self):
+        with pytest.raises(GluingError, match="'T0' listed twice"):
+            Triangulation3(["T0", "T1", "T0"], {})
+
     def test_orientation_violating_gluing_rejected(self):
         # identity-style permutation preserves the face cycle: invalid
         perm = {1: 1, 2: 2, 3: 3}
@@ -173,34 +271,34 @@ class TestOppositePairs:
         for _ in range(10):
             u = {e: Fraction(rng.randint(-5, 5)) for e in EDGE_PAIRS}
             v = {e: Fraction(rng.randint(-5, 5)) for e in EDGE_PAIRS}
-            base = tet_form_values(u, v)
+            base = tet_omega(u, v)
             for p in perms:
                 up = {e: u[frozenset(p[i] for i in e)] for e in EDGE_PAIRS}
                 vp = {e: v[frozenset(p[i] for i in e)] for e in EDGE_PAIRS}
-                assert tet_form_values(up, vp) == base
+                assert tet_omega(up, vp) == base
 
     def test_odd_relabeling_negates(self):
         u = {e: Fraction(i) for i, e in enumerate(EDGE_PAIRS)}
         v = {e: Fraction(i * i - 3) for i, e in enumerate(EDGE_PAIRS)}
-        base = tet_form_values(u, v)
+        base = tet_omega(u, v)
         swap = (1, 0, 2, 3)
         up = {e: u[frozenset(swap[i] for i in e)] for e in EDGE_PAIRS}
         vp = {e: v[frozenset(swap[i] for i in e)] for e in EDGE_PAIRS}
-        assert tet_form_values(up, vp) == -base
+        assert tet_omega(up, vp) == -base
 
 
 class TestTetForm:
     def test_antisymmetry(self):
         rng = random.Random(51)
         u = {e: Fraction(rng.randint(-9, 9)) for e in EDGE_PAIRS}
-        assert tet_form_values(u, u) == 0
+        assert tet_omega(u, u) == 0
 
     def test_indicator_value(self):
         u = {e: Fraction(0) for e in EDGE_PAIRS}
         v = {e: Fraction(0) for e in EDGE_PAIRS}
         u[OPPOSITE_PAIRS[0][0]] = Fraction(1)
         v[OPPOSITE_PAIRS[1][0]] = Fraction(1)
-        assert tet_form_values(u, v) == Fraction(-1, 2)
+        assert tet_omega(u, v) == Fraction(-1, 2)
 
     def test_equals_sum_of_boundary_triangles(self):
         m = single_tet()
@@ -222,7 +320,7 @@ class TestCancellation:
             v = random_class_weight(m, rng)
             assert m.omega(u, v) == m.boundary_form(m.restrict(u),
                                                     m.restrict(v))
-            assert m.omega(u, v) == m.omega_fast(u, v)
+            assert m.omega(u, v) == oracle_omega(m, u, v)
 
     def test_interior_supported_weight_pairs_to_zero(self):
         m = two_tets()
@@ -347,16 +445,27 @@ class TestIsotropy:
         for combo in itertools.product(range(3), repeat=4):
             assert m.isotropy_check(dict(zip(m.tets, combo)))
 
-    def test_corrupted_subspace_not_isotropic(self):
+    @staticmethod
+    def _corrupted_basis():
         # dropping the per-tet equality on one tet of two leaves a space on
         # which the total form does not vanish
         m = two_tets()
         rows = [_dense(m.choice_rows[m.tets[0]][0], len(m.edge_classes))]
         basis = linalg.kernel_basis(rows, len(m.edge_classes))
-        ws = [dict(zip(m.edge_classes, vec)) for vec in basis]
+        return m, [dict(zip(m.edge_classes, vec)) for vec in basis]
+
+    def test_corrupted_subspace_not_isotropic(self):
+        m, ws = self._corrupted_basis()
         vals = [m.omega(ws[i], ws[j])
                 for i in range(len(ws)) for j in range(i + 1, len(ws))]
         assert any(v != 0 for v in vals)
+
+    def test_isotropy_check_refuses_corrupted_subspace(self, monkeypatch):
+        m, ws = self._corrupted_basis()
+        choices = {t: 0 for t in m.tets}
+        assert m.isotropy_check(choices)
+        monkeypatch.setattr(m, "w4_subspace", lambda choices: ws)
+        assert m.isotropy_check(choices) is False
 
 
 class TestRestriction:
@@ -479,18 +588,17 @@ class TestMembership:
         assert not res.member and res.reason == "no-choice-vector"
         assert len(pushes) == 18144
 
-    def test_class_conflict_reported(self):
-        # the link of a boundary edge class is one arc with two free ends,
-        # so no triangulation puts two boundary edges in one class; the
-        # check that construction runs names both edges of a map edited
-        # by hand
+    def test_class_conflict_reported(self, monkeypatch):
+        # the link of an edge class is one arc or one circle, so no
+        # triangulation gives a class other than 0 or 2 free face sides;
+        # merging two boundary classes by hand gives one class 4, and the
+        # pairing names it
         m = g2_product_bundle()["manifold"]
-        m._check_boundary_classes()
-        E1, E2 = sorted(m.boundary_edge_to_class, key=repr)[:2]
-        m.boundary_edge_to_class[E2] = m.boundary_edge_to_class[E1]
-        with pytest.raises(ValueError) as err:
-            m._check_boundary_classes()
-        assert repr(E1) in str(err.value) and repr(E2) in str(err.value)
+        kept = _merge_boundary_classes(monkeypatch, m)
+        with pytest.raises(ValueError,
+                           match=f"edge class {re.escape(repr(kept))} has 4 "
+                                 f"free face sides"):
+            Triangulation3(m.tets, m.gluings)
 
 
 class TestCone:
@@ -580,34 +688,89 @@ class TestCone:
         assert len(rrefs) <= 2 * len(cone)
 
     def test_shared_boundary_class_rejected(self, monkeypatch):
-        # no triangulation puts two boundary edges in one class (see
-        # test_boundary_edge_to_class_injective); map one there by hand
-        # just before the check, and construction refuses the manifold
-        check = Triangulation3._check_boundary_classes
-        shared = []
-
-        def merged_check(self):
-            E1, E2 = sorted(self.boundary_edge_to_class, key=repr)[:2]
-            self.boundary_edge_to_class[E2] = self.boundary_edge_to_class[E1]
-            shared.extend([E1, E2])
-            check(self)
-
-        monkeypatch.setattr(Triangulation3, "_check_boundary_classes",
-                            merged_check)
+        # the same hand merge inside a fixture: construction refuses it
+        kept = _merge_boundary_classes(monkeypatch, chain_tets(2))
         with pytest.raises(ValueError) as err:
             chain_tets(2)
-        E1, E2 = shared
-        assert repr(E1) in str(err.value) and repr(E2) in str(err.value)
+        assert repr(kept) in str(err.value)
+
+
+def _merge_boundary_classes(monkeypatch, m):
+    """Wrap ``cone3.union_find`` so that the edge classes of the first two
+    boundary edges of ``m`` (in ``repr`` order) come out as one class, the
+    second; returns that class."""
+    E1, E2 = sorted(m.boundary_edge_to_class, key=repr)[:2]
+    gone, kept = (m.boundary_edge_to_class[E] for E in (E1, E2))
+    union_find = cone3.union_find
+
+    def merging(items, pairs):
+        root = union_find(items, pairs)
+        return {x: kept if r == gone else r for x, r in root.items()}
+
+    monkeypatch.setattr(cone3, "union_find", merging)
+    return kept
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_boundary_edge_to_class_injective(seed):
     # a boundary edge class is one link arc with two free ends, so it
-    # meets the boundary in exactly one edge
+    # meets the boundary in exactly one edge, and the pairing by class
+    # glues what the fan walk glues
+    assert_boundary_matches_fan_walk(_random_complex(random.Random(seed)))
+
+
+@pytest.mark.parametrize("make", [
+    single_tet, two_tets, *[functools.partial(chain_tets, n)
+                            for n in range(1, 7)],
+    lambda: g2_product_bundle()["manifold"]])
+def test_boundary_matches_fan_walk(make):
+    assert_boundary_matches_fan_walk(make())
+
+
+def test_boundary_matches_fan_walk_on_random_complexes():
+    for seed in range(300):
+        assert_boundary_matches_fan_walk(_random_complex(random.Random(seed)))
+
+
+_fractions = st.fractions(-9, 9, max_denominator=6)
+_weights = st.lists(_fractions, min_size=6, max_size=6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.data())
+def test_omega_is_sum_of_tet_oracle(seed, data):
     m = _random_complex(random.Random(seed))
-    classes = list(m.boundary_edge_to_class.values())
-    assert len(set(classes)) == len(classes)
+    n = len(m.edge_classes)
+    u, v = (dict(zip(m.edge_classes, data.draw(
+        st.lists(_fractions, min_size=n, max_size=n)))) for _ in range(2))
+    assert m.omega(u, v) == oracle_omega(m, u, v)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_weights, _weights, st.integers(0, 2))
+def test_tet_form_vanishes_on_a_choice(us, vs, k):
+    # setting the pair sums CHOICE_PAIRS[k] equal in both weights: the
+    # per-tet form is -1/2 det [[1,1,1],[a0,a1,a2],[b0,b1,b2]] of the pair
+    # sums, and two equal columns make it vanish
+    i, j = CHOICE_PAIRS[k]
+    weights = []
+    for vals in (us, vs):
+        w = dict(zip(EDGE_PAIRS, vals))
+        (ei, ei2), (ej, ej2) = OPPOSITE_PAIRS[i], OPPOSITE_PAIRS[j]
+        w[ej2] = w[ei] + w[ei2] - w[ej]
+        weights.append(w)
+    assert tet_form_values(*weights) == 0
+    assert tet_omega(*weights) == 0
+
+
+def test_code_line_count():
+    # the boundary is paired by edge class and the form has one table of
+    # coefficients: a fan walk or a second table would not fit
+    path = pathlib.Path(cone3.__file__)
+    lines = [line.strip() for line in path.read_text().splitlines()]
+    code = [line for line in lines if line and not line.startswith("#")]
+    assert len(code) <= 665
 
 
 def _parity(p):
