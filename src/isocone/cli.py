@@ -8,6 +8,7 @@ floating-point block, and is labeled as such).  Exit codes: 0 success,
 """
 
 import argparse
+import functools
 import itertools
 import random
 import sys
@@ -323,7 +324,10 @@ def _add_command(sub, name, fn, *flags, need_input=True):
     return p
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built once per process: parsing leaves it
+    unchanged, so every ``run`` can share it."""
     parser = argparse.ArgumentParser(
         prog="isocone",
         description="Exact boundary cones, train-track pairings, and flat "

@@ -122,12 +122,12 @@ class Triangulation3:
                 raise GluingError(f"gluing at {(t, f)} is not involutive")
             if (t2, f2) == (t, f):
                 raise GluingError("face glued to itself")
-            # orientation: the induced cycle of f must map to the reversed
-            # induced cycle of f2
+            # orientation: the induced cycle of f must map to a rotation of
+            # the reversed induced cycle of f2
             cyc = FACE_CYCLES[f]
             img = tuple(perm[v] for v in cyc)
             rev = tuple(reversed(FACE_CYCLES[f2]))
-            if not _same_cycle(img, rev):
+            if rev not in (img, img[1:] + img[:1], img[2:] + img[:2]):
                 raise OrientationError(
                     f"gluing at {(t, f)} is not orientation-reversing")
 
@@ -382,10 +382,6 @@ class Triangulation3:
         return True
 
 
-def _same_cycle(a, b):
-    return b in (a, (a[1], a[2], a[0]), (a[2], a[0], a[1]))
-
-
 def _pair(u, image):
     """``u`` dotted with a ``_form_image``."""
     return sum(x * y for c, y in image.items() if (x := u.get(c)))
@@ -530,7 +526,12 @@ def member(manifold, btrack, w_boundary):
     relations; membership then asks for an exact extension to all edge
     classes satisfying one pair-sum equality in every tetrahedron and zero
     on torus classes.  Found by depth-first search over the per-tet
-    choices with incremental exact elimination.
+    choices with incremental exact elimination and conflict-directed
+    backjumping (Prosser 1993): tet ``i``'s choice rows carry the tag
+    ``1 << i``, so a contradiction names the tets it depends on, and a
+    subtree refuted without tet ``i`` is not retried under tet ``i``'s
+    other choices.  Only subtrees without a solution are skipped, so the
+    first consistent choice vector is the chronological search's.
     """
     track = btrack.track
     for e in track.branches:
@@ -561,18 +562,25 @@ def member(manifold, btrack, w_boundary):
     chosen = {}
 
     def dfs(i):
+        # None once tets i.. are chosen, else the conflict set: a mask of
+        # tets before i whose current choices leave tets i.. no choice
         if i == len(tets):
-            return True
-        t = tets[i]
+            return None
+        t, bit, conflict = tets[i], 1 << i, 0
         for k in range(3):
             mark = sysm.checkpoint()
-            if sysm.push(manifold.choice_rows[t][k], 0) and dfs(i + 1):
+            sub = (dfs(i + 1) if sysm.push(manifold.choice_rows[t][k], 0, bit)
+                   else sysm.conflict)
+            if sub is None:
                 chosen[t] = k
-                return True
+                return None
             sysm.rollback(mark)
-        return False
+            if not sub & bit:
+                return sub      # tet i played no part: jump back past it
+            conflict |= sub
+        return conflict & ~bit
 
-    if not dfs(0):
+    if dfs(0) is not None:
         return MemberResult(False, reason="no-choice-vector")
     witness = {cls: x / D for cls, x in zip(classes, sysm.solution())}
     return MemberResult(True, witness=witness, choices=dict(chosen))
@@ -589,13 +597,11 @@ def _acyclic_edge_senses(surface):
     Found by deterministic backtracking over edges in id order with unit
     propagation; a solution always exists at the sizes used here.
     """
-    edge_lits = {}  # triangle -> [(edge, flag)]: sense_i = x_edge == flag
-    for t, ds in sorted(surface.triangles.items(), key=lambda kv: repr(kv[0])):
-        lits = []
-        for d in ds:
-            E = surface.edge_class[d]
-            lits.append((E, d == E))
-        edge_lits[t] = lits
+    # triangle -> [(edge, flag)]: sense_i = x_edge == flag
+    edge_lits = {t: [(surface.edge_class[d], d == surface.edge_class[d])
+                     for d in ds]
+                 for t, ds in sorted(surface.triangles.items(),
+                                     key=lambda kv: repr(kv[0]))}
 
     edges = sorted(surface.edge_classes, key=repr)
     assign = {}
@@ -789,16 +795,7 @@ def verify_witness(manifold, btrack, w_boundary, result):
         return False
     w = result.witness
     ok, per_tet = manifold.w4_member(w)
-    if not ok:
-        return False
-    for t, k in result.choices.items():
-        if k not in per_tet[t]:
-            return False
-    back = manifold.restrict(w)
-    for E, val in back.items():
-        if rat(w_boundary.get(E, 0)) != val:
-            return False
-    for cls in manifold.torus_classes:
-        if w[cls] != 0:
-            return False
-    return True
+    return (ok and all(k in per_tet[t] for t, k in result.choices.items())
+            and all(rat(w_boundary.get(E, 0)) == val
+                    for E, val in manifold.restrict(w).items())
+            and all(w[cls] == 0 for cls in manifold.torus_classes))

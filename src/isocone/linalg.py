@@ -31,8 +31,7 @@ def _system(rows, ncols, rhs=None):
     """An ``IncrementalSystem`` holding the dense ``rows`` with right-hand
     sides ``rhs`` (default 0), or None if they contradict each other."""
     sysm = IncrementalSystem(ncols)
-    for i, row in enumerate(rows):
-        b = 0 if rhs is None else rhs[i]
+    for row, b in zip(rows, rhs or [0] * len(rows)):
         if not sysm._push(*_integer(
                 [(c, x) for c, x in enumerate(row) if x], b)):
             return None
@@ -61,9 +60,7 @@ def kernel_basis(rows, ncols):
 
 def solve(rows, rhs):
     """One exact solution of ``rows * x = rhs``, or None if inconsistent."""
-    if not rows:
-        return []
-    sysm = _system(rows, len(rows[0]), rhs)
+    sysm = _system(rows, len(rows[0]) if rows else 0, rhs)
     return None if sysm is None else sysm.solution()
 
 
@@ -90,12 +87,15 @@ class IncrementalSystem:
     A stored row is reduced against the pivots present when it was pushed,
     and kept as integers with no common factor: a positive pivot
     coefficient, the nonzero ``(column, coefficient)`` pairs right of the
-    pivot, and the right-hand side."""
+    pivot, and the right-hand side, and with a provenance mask: its push
+    ``tag`` OR-ed with the masks of the rows it was eliminated against, so
+    that it names the tags of the pushed rows it is a combination of."""
 
     def __init__(self, ncols):
         self.ncols = ncols
         self.pivots = []        # pivot column per stored row, in push order
-        self.pivot_rows = {}    # pivot column -> (coefficient, tail, rhs)
+        self.pivot_rows = {}    # pivot -> (coefficient, tail, rhs, mask)
+        self.conflict = 0       # mask of the last push that was not stored
 
     def checkpoint(self):
         return len(self.pivots)
@@ -104,13 +104,14 @@ class IncrementalSystem:
         while len(self.pivots) > mark:
             del self.pivot_rows[self.pivots.pop()]
 
-    def push(self, row, b):
+    def push(self, row, b, tag=0):
         """Add ``row . x = b``, rational ``(column, coefficient)`` pairs
         with no zero coefficients; False iff it contradicts the system.
-        Neither a redundant nor a contradicting row is stored."""
-        return self._push(*_integer(row, b))
+        Neither a redundant nor a contradicting row is stored; after a
+        False, ``conflict`` is the mask of the contradiction ``0 = c``."""
+        return self._push(*_integer(row, b), tag)
 
-    def _push(self, v, b):
+    def _push(self, v, b, tag=0):
         """``push`` of an integer row ``{column: coefficient}``, which it
         consumes.  The dense wrappers call it directly, so that wrapping
         ``push`` counts only the rows callers push."""
@@ -120,11 +121,11 @@ class IncrementalSystem:
         # and every column is visited at most once, lowest first
         while v:
             c = min(v)
-            entry = pivot_rows.get(c)
-            if entry is None:
+            if (entry := pivot_rows.get(c)) is None:
                 break
             f = v.pop(c)
-            p, tail, rb = entry
+            p, tail, rb, mask = entry
+            tag |= mask
             if p != 1:      # v := (p v - f row) / gcd(f, p), still integral
                 g = gcd(f, p)
                 f, s = f // g, p // g
@@ -139,6 +140,7 @@ class IncrementalSystem:
                     del v[j]
             b -= f * rb
         else:
+            self.conflict = tag
             return b == 0
         p = v.pop(c)
         if p != 1:
@@ -146,7 +148,7 @@ class IncrementalSystem:
             p, b = p // g, b // g
             for j in v:
                 v[j] //= g
-        pivot_rows[c] = (p, tuple(v.items()), b)
+        pivot_rows[c] = (p, tuple(v.items()), b, tag)
         self.pivots.append(c)
         return True
 
@@ -156,11 +158,10 @@ class IncrementalSystem:
         # stored rows are in echelon form (nothing left of the pivot) but not
         # mutually reduced, so back-substitute in decreasing pivot order
         for piv in sorted(self.pivot_rows, reverse=True):
-            p, tail, acc = self.pivot_rows[piv]
-            acc = Fraction(acc)
+            p, tail, acc, _ = self.pivot_rows[piv]
             for j, x in tail:
                 acc -= x * sol[j]
-            sol[piv] = acc / p
+            sol[piv] = Fraction(acc, p)
         return sol
 
     def reduced(self, first=0):
@@ -174,7 +175,7 @@ class IncrementalSystem:
         # scaling by the lcm m of their d keeps the substitution integral
         for piv in sorted((p for p in self.pivot_rows if p >= first),
                           reverse=True):
-            p, tail, _ = self.pivot_rows[piv]
+            p, tail, _, _ = self.pivot_rows[piv]
             m = lcm(*[out[j][0] for j, _ in tail if j in out])
             row = {}
             for j, x in tail:
@@ -184,8 +185,7 @@ class IncrementalSystem:
                         row[k] = row.get(k, 0) - x * (m // d) * y
                 else:
                     row[j] = row.get(j, 0) + x * m
-            row = {k: y for k, y in row.items() if y}
             g = gcd(p * m, *row.values())
-            out[piv] = (p * m // g, {k: y // g for k, y in row.items()})
+            out[piv] = (p * m // g, {k: y // g for k, y in row.items() if y})
         return {piv: {k: Fraction(y, d) for k, y in row.items()}
                 for piv, (d, row) in out.items()}

@@ -1,7 +1,7 @@
 import pytest
 
 from isocone import io
-from isocone.cli import run
+from isocone.cli import build_parser, run
 from isocone.fixtures import chain_tets
 
 
@@ -28,6 +28,22 @@ def test_flag_the_command_ignores_exit_2(tmp_path, capsys, fixture, argv,
         argv = argv + ["--input", fixture_file(tmp_path, fixture)]
     assert run(argv) == 0
     assert run(argv + flag) == 2
+
+
+def test_cached_parser_carries_no_flags_over(tmp_path, capsys):
+    # one parser serves every run in a process: flags given to one run
+    # must not reach the next
+    path = fixture_file(tmp_path, "lshape_h2")
+    argv = ["surface", "symplectic-check", "--input", path, "--depth", "3"]
+    capsys.readouterr()
+    assert run(argv + ["--seed", "3", "--rotate", "2+1i"]) == 0
+    flagged = capsys.readouterr().out
+    assert run(argv) == 0
+    second = capsys.readouterr().out
+    assert build_parser() is build_parser()
+    build_parser.cache_clear()
+    assert run(argv) == 0
+    assert capsys.readouterr().out == second != flagged
 
 
 class TestFixtures:

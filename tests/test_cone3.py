@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import pathlib
 import random
 import re
@@ -14,13 +15,14 @@ from isocone.lamtree import TreeMap, weight_from_vertex_map
 from isocone.cone3 import (
     Triangulation3, EDGE_PAIRS, OPPOSITE_PAIRS, CHOICE_PAIRS, FACE_CYCLES,
     product_triangulation, BoundaryTrack, compute_cone, member,
-    verify_witness, GluingError, OrientationError,
+    verify_witness, GluingError, OrientationError, MemberResult,
 )
 from isocone.fixtures import (
     single_tet, two_tets, chain_tets, glue_tets,
     genus2_four_vertex_surface, genus2_maximal_track, g2_product_bundle,
     product_bundle, mf_weight, diagonal_boundary_weight,
 )
+from isocone.ordgroup import rat
 from isocone.track import SurfaceTriangulation, triangle_form_sum
 from test_acceptance import _random_complex
 from test_linalg import reference_kernel, reference_rref
@@ -204,6 +206,102 @@ def _g2_samples(m, rng):
                 rng.randrange(3) for _ in m.tets[keep:]))
     combos.append(combos[1])
     return combos
+
+
+def _reference_member(manifold, btrack, w_boundary):
+    """``member`` with chronological backtracking: every choice of every
+    tet is retried, whatever refuted the subtree below it.  The pins, the
+    torus rows and the choice rows go in in the same order as in
+    ``member``."""
+    track = btrack.track
+    for e in track.branches:
+        if e not in w_boundary:
+            return MemberResult(False, reason=f"missing weight for {e!r}")
+        if rat(w_boundary[e]) < 0:
+            return MemberResult(False, reason="negative")
+    if not track.check_weight({e: w_boundary[e] for e in track.branches}):
+        return MemberResult(False, reason="switch")
+    classes = manifold.edge_classes
+    sysm = linalg.IncrementalSystem(len(classes))
+    pins = sorted(manifold.boundary_edge_to_class, key=repr)
+    values = [rat(w_boundary.get(E, 0)) for E in pins]
+    D = math.lcm(*[val.denominator for val in values])
+    for E, val in zip(pins, values):
+        sysm.push(manifold.unit_rows[manifold.boundary_edge_to_class[E]],
+                  val * D)
+    for row in manifold.torus_rows:
+        if not sysm.push(row, 0):
+            return MemberResult(False, reason="torus-nonzero")
+    tets = manifold.tets
+    chosen = {}
+
+    def dfs(i):
+        if i == len(tets):
+            return True
+        for k in range(3):
+            mark = sysm.checkpoint()
+            if sysm.push(manifold.choice_rows[tets[i]][k], 0) and dfs(i + 1):
+                chosen[tets[i]] = k
+                return True
+            sysm.rollback(mark)
+        return False
+
+    if not dfs(0):
+        return MemberResult(False, reason="no-choice-vector")
+    witness = {cls: x / D for cls, x in zip(classes, sysm.solution())}
+    return MemberResult(True, witness=witness, choices=dict(chosen))
+
+
+def _off_diagonal_weight(bundle, q):
+    """Off-diagonal pair ``q`` of the ``random.Random(1)`` stream of the
+    cone-member benchmark: the bottom and top draws of pair ``q`` on the
+    two boundary copies of g2xI, a non-member."""
+    stream = random.Random(1)
+    for _ in range(q + 1):
+        bottom = mf_weight(bundle["track"], stream)
+        top = mf_weight(bundle["track"], stream)
+    wb = {E: Fraction(0) for E in bundle["manifold"].boundary.edge_classes}
+    for E in bottom:
+        wb[bundle["bottom_edge_of"][E]] = bottom[E]
+        wb[bundle["top_edge_of"][E]] = top[E]
+    return wb
+
+
+def _random_member_query(rng):
+    """A ``_random_complex`` draw with random outgoing slots and a random
+    nonnegative admissible boundary weight (zero when 200 tries on the
+    weight-space basis find none), as ``(manifold, track, weight)``."""
+    m = _random_complex(rng)
+    torus = {t for c in m.boundary_components if c["torus"]
+             for t in c["triangles"]}
+    btr = BoundaryTrack(m, {t: rng.randrange(3)
+                            for t in sorted(m.boundary.triangles, key=repr)
+                            if t not in torus})
+    basis = btr.track.weight_space_basis()
+    wb = {e: Fraction(0) for e in btr.track.branches}
+    for _ in range(200):
+        w = {e: Fraction(0) for e in btr.track.branches}
+        for vec in basis:
+            c = Fraction(rng.randint(0, 6), rng.randint(1, 3))
+            for e, val in vec.items():
+                w[e] += c * val
+        if all(v >= 0 for v in w.values()):
+            wb = w
+            break
+    return m, btr, wb
+
+
+def _count_pushes(monkeypatch):
+    """Wrap ``IncrementalSystem.push``; returns the list of pushed rows."""
+    pushes = []
+    push = linalg.IncrementalSystem.push
+
+    def counted_push(self, row, b, tag=0):
+        pushes.append(row)
+        return push(self, row, b, tag)
+
+    monkeypatch.setattr(linalg.IncrementalSystem, "push", counted_push)
+    return pushes
 
 
 class TestValidation:
@@ -564,29 +662,24 @@ class TestMembership:
         res = member(m, btr, wb)
         assert not res.member and res.reason == "negative"
 
-    def test_no_choice_vector_push_count(self, monkeypatch):
-        # off-diagonal pair 21 of the random.Random(1) stream (the q25 pair
-        # of the cone-member benchmark); the push count pins the search
+    def assert_push_count(self, q, count, monkeypatch):
+        # the push count of an off-diagonal pair pins the search
         bundle = g2_product_bundle()
-        stream = random.Random(1)
-        for _ in range(22):
-            bottom = mf_weight(bundle["track"], stream)
-            top = mf_weight(bundle["track"], stream)
-        wb = {E: Fraction(0) for E in bundle["manifold"].boundary.edge_classes}
-        for E in bottom:
-            wb[bundle["bottom_edge_of"][E]] = bottom[E]
-            wb[bundle["top_edge_of"][E]] = top[E]
-        pushes = []
-        push = linalg.IncrementalSystem.push
-
-        def counted_push(self, row, b):
-            pushes.append(row)
-            return push(self, row, b)
-
-        monkeypatch.setattr(linalg.IncrementalSystem, "push", counted_push)
+        wb = _off_diagonal_weight(bundle, q)
+        pushes = _count_pushes(monkeypatch)
         res = member(bundle["manifold"], bundle["boundary_track"], wb)
         assert not res.member and res.reason == "no-choice-vector"
-        assert len(pushes) == 18144
+        assert len(pushes) == count
+
+    def test_no_choice_vector_push_count(self, monkeypatch):
+        # pair 21, the q25 pair of the cone-member benchmark; the
+        # chronological search pushes 18,144 rows
+        self.assert_push_count(21, 11723, monkeypatch)
+
+    def test_long_pair_push_count(self, monkeypatch):
+        # pair 12, one of the two pairs the benchmark leaves out for their
+        # length; the chronological search pushes 183,777 rows
+        self.assert_push_count(12, 67121, monkeypatch)
 
     def test_class_conflict_reported(self, monkeypatch):
         # the link of an edge class is one arc or one circle, so no
@@ -599,6 +692,82 @@ class TestMembership:
                            match=f"edge class {re.escape(repr(kept))} has 4 "
                                  f"free face sides"):
             Triangulation3(m.tets, m.gluings)
+
+
+class TestBackjumping:
+    """``member`` against the chronological search of ``_reference_member``:
+    backjumping skips only subtrees without a solution, so the verdict,
+    the choices and the witness agree, and it never pushes more rows."""
+
+    def assert_matches_reference(self, m, btr, wb, pushes):
+        del pushes[:]
+        ref = _reference_member(m, btr, wb)
+        reference_pushes = len(pushes)
+        del pushes[:]
+        res = member(m, btr, wb)
+        assert (res.member, res.reason, res.choices, res.witness) == \
+            (ref.member, ref.reason, ref.choices, ref.witness)
+        assert len(pushes) <= reference_pushes
+        return res
+
+    def test_random_complexes(self, monkeypatch):
+        pushes = _count_pushes(monkeypatch)
+        rng = random.Random(81)
+        verdicts = set()
+        for _ in range(40):
+            m, btr, wb = _random_member_query(rng)
+            verdicts.add(self.assert_matches_reference(m, btr, wb,
+                                                       pushes).member)
+        assert verdicts == {True, False}
+
+    def test_g2_diagonal_members(self, monkeypatch):
+        pushes = _count_pushes(monkeypatch)
+        bundle = g2_product_bundle()
+        m, btr = bundle["manifold"], bundle["boundary_track"]
+        rng = random.Random(62)
+        for _ in range(4):
+            wb = diagonal_boundary_weight(
+                bundle, mf_weight(bundle["track"], rng))
+            assert self.assert_matches_reference(m, btr, wb, pushes).member
+
+    @pytest.mark.parametrize("q", [21, 8])
+    def test_g2_off_diagonal_pairs(self, q, monkeypatch):
+        pushes = _count_pushes(monkeypatch)
+        bundle = g2_product_bundle()
+        wb = _off_diagonal_weight(bundle, q)
+        res = self.assert_matches_reference(
+            bundle["manifold"], bundle["boundary_track"], wb, pushes)
+        assert res.reason == "no-choice-vector"
+
+
+def _relabeled(m, btr, wb, names):
+    """The query ``(m, btr, wb)`` with tet ``m.tets[i]`` renamed
+    ``names[i]``: boundary triangles ``(t, f)`` and their sides
+    ``(t, f, k)`` follow their tet."""
+    new = dict(zip(m.tets, names))
+    old = dict(zip(names, m.tets))
+    m2 = Triangulation3(names, {
+        (new[t], f): (new[t2], f2, perm)
+        for (t, f), (t2, f2, perm) in m.gluings.items()})
+    btr2 = BoundaryTrack(m2, {(new[t], f): slot
+                              for (t, f), slot in btr.outgoing.items()})
+    wb2 = {(t, f, k): wb.get(m.boundary.edge_class[(old[t], f, k)], 0)
+           for t, f, k in m2.boundary.edge_classes}
+    return m2, btr2, wb2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.data())
+def test_member_verdict_independent_of_tet_names(seed, data):
+    # renaming reorders the tets, and with them the search; the verdict
+    # may not change, and any witness must check
+    m, btr, wb = _random_member_query(random.Random(seed))
+    names = data.draw(st.permutations(m.tets))
+    m2, btr2, wb2 = _relabeled(m, btr, wb, names)
+    res, res2 = member(m, btr, wb), member(m2, btr2, wb2)
+    assert (res2.member, res2.reason) == (res.member, res.reason)
+    if res2.member:
+        assert verify_witness(m2, btr2, wb2, res2)
 
 
 class TestCone:
@@ -669,18 +838,13 @@ class TestCone:
         # one push per node of the choice tree below the fixed rows, and
         # the dense elimination only for each new component
         m, btr = _chain_track(n)
-        pushes, rrefs = [], []
-        push, rref = linalg.IncrementalSystem.push, linalg.rref
-
-        def counted_push(self, row, b):
-            pushes.append(row)
-            return push(self, row, b)
+        pushes, rrefs = _count_pushes(monkeypatch), []
+        rref = linalg.rref
 
         def counted_rref(rows):
             rrefs.append(rows)
             return rref(rows)
 
-        monkeypatch.setattr(linalg.IncrementalSystem, "push", counted_push)
         monkeypatch.setattr(linalg, "rref", counted_rref)
         cone = compute_cone(m, btr)
         fixed = len(m.torus_rows) + len(btr.track.switches)

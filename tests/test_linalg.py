@@ -99,7 +99,7 @@ def sparse(row):
 
 def assert_stored_rows_primitive(sysm):
     assert sorted(sysm.pivots) == sorted(sysm.pivot_rows)
-    for piv, (p, tail, rhs) in sysm.pivot_rows.items():
+    for piv, (p, tail, rhs, _) in sysm.pivot_rows.items():
         assert type(p) is int and p > 0 and type(rhs) is int
         assert all(type(c) is int and c > piv and type(x) is int and x
                    for c, x in tail)
@@ -183,9 +183,9 @@ def test_wrappers_do_not_count_as_pushes(monkeypatch):
     calls = []
     push = linalg.IncrementalSystem.push
 
-    def counted_push(self, row, b):
+    def counted_push(self, row, b, tag=0):
         calls.append(row)
-        return push(self, row, b)
+        return push(self, row, b, tag)
 
     monkeypatch.setattr(linalg.IncrementalSystem, "push", counted_push)
     rows = [[1, 2, 0], [0, 1, 1], [1, 3, 1]]
