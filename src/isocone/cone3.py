@@ -133,16 +133,21 @@ class Triangulation3:
 
     def _build_classes(self):
         """Vertex and edge classes: corners and edges identified across
-        every glued face (the permutation's domain is the face's corners)."""
+        every glued face (the permutation's domain is the face's corners).
+        Each face pair is merged once: an entry whose inverse came earlier
+        in ``gluings`` would only repeat that entry's merges, which change
+        nothing, representatives included."""
+        rank = {face: i for i, face in enumerate(self.gluings)}
+        glued = [(t, t2, perm) for (t, f), (t2, f2, perm)
+                 in self.gluings.items() if rank[(t2, f2)] > rank[(t, f)]]
         self.vertex_class = union_find(
             [(t, v) for t in self.tets for v in range(4)],
-            (((t, v), (t2, v2))
-             for (t, _), (t2, _, perm) in self.gluings.items()
+            (((t, v), (t2, v2)) for t, t2, perm in glued
              for v, v2 in perm.items()))
         self.edge_class = union_find(
             [(t, e) for t in self.tets for e in EDGE_PAIRS],
             (((t, frozenset(pair)), (t2, frozenset(perm[v] for v in pair)))
-             for (t, _), (t2, _, perm) in self.gluings.items()
+             for t, t2, perm in glued
              for pair in itertools.combinations(sorted(perm), 2)))
         self.edge_classes = sorted(set(self.edge_class.values()), key=repr)
 
@@ -193,15 +198,14 @@ class Triangulation3:
             corners = {surf.corner_class[(t, i)] for t in comp
                        for i in range(3)}
             chi = len(corners) - len(edges) + len(comp)
-            is_torus = (chi == 0)
             self.boundary_components.append({
                 "triangles": comp,
                 "edge_classes": sorted(edges, key=repr),
                 "euler_characteristic": chi,
                 "genus": (2 - chi) // 2,
-                "torus": is_torus,
+                "torus": chi == 0,
             })
-            if is_torus:
+            if chi == 0:
                 for E in edges:
                     self.torus_classes.add(self.boundary_edge_to_class[E])
 
@@ -216,8 +220,7 @@ class Triangulation3:
                 "id": cls,
                 "members": sorted(members[cls], key=repr),
                 "torus": cls in self.torus_classes,
-                "boundary": any(c == cls
-                                for c in self.boundary_edge_to_class.values()),
+                "boundary": cls in self.boundary_edge_to_class.values(),
             })
         comps = [dict(c) for c in self.boundary_components]
         return {
@@ -362,9 +365,8 @@ class Triangulation3:
         for t in self.tets:
             vals = self.tet_edge_values(t, w)
             sums = [vals[e] + vals[e2] for e, e2 in OPPOSITE_PAIRS]
-            sat = [k for k, (i, j) in enumerate(CHOICE_PAIRS)
-                   if sums[i] == sums[j]]
-            out[t] = sat
+            out[t] = [k for k, (i, j) in enumerate(CHOICE_PAIRS)
+                      if sums[i] == sums[j]]
         return out
 
     def w4_member(self, w):
@@ -404,10 +406,8 @@ class BoundaryTrack:
         surf = manifold.boundary
         if surf is None:
             raise ValueError("manifold has no boundary")
-        torus_tris = set()
-        for comp in manifold.boundary_components:
-            if comp["torus"]:
-                torus_tris.update(comp["triangles"])
+        torus_tris = {t for comp in manifold.boundary_components
+                      if comp["torus"] for t in comp["triangles"]}
         expected = set(surf.triangles) - torus_tris
         if set(outgoing) != expected:
             raise ValueError("outgoing slots must cover exactly the "
@@ -544,6 +544,7 @@ def member(manifold, btrack, w_boundary):
 
     classes = manifold.edge_classes
     sysm = linalg.IncrementalSystem(len(classes))
+    push, pivots = sysm.push, sysm.pivots
 
     # pin boundary values, one class per edge, all scaled by the common
     # denominator D so that the whole system is integral with pin
@@ -551,14 +552,22 @@ def member(manifold, btrack, w_boundary):
     pins = sorted(manifold.boundary_edge_to_class, key=repr)
     values = [rat(w_boundary.get(E, 0)) for E in pins]
     D = math.lcm(*[val.denominator for val in values])
+    pinned = {}     # column of each boundary class -> D times its value
     for E, val in zip(pins, values):
-        sysm.push(manifold.unit_rows[manifold.boundary_edge_to_class[E]],
-                  val * D)
+        cls = manifold.boundary_edge_to_class[E]
+        pinned[manifold._column[cls]] = b = int(val * D)
+        push(manifold.unit_rows[cls], b)
     for row in manifold.torus_rows:
-        if not sysm.push(row, 0):
+        if not push(row, 0):
             return MemberResult(False, reason="torus-nonzero")
 
+    # the pins are in every branch, so fold them into the choice rows once:
+    # a row keeps its interior columns and moves minus its pinned part to
+    # the right-hand side, and no push eliminates a pin again
     tets = manifold.tets
+    rows = [[([(c, x) for c, x in row if c not in pinned],
+              -sum(x * pinned[c] for c, x in row if c in pinned))
+             for row in manifold.choice_rows[t]] for t in tets]
     chosen = {}
 
     def dfs(i):
@@ -566,13 +575,12 @@ def member(manifold, btrack, w_boundary):
         # tets before i whose current choices leave tets i.. no choice
         if i == len(tets):
             return None
-        t, bit, conflict = tets[i], 1 << i, 0
-        for k in range(3):
-            mark = sysm.checkpoint()
-            sub = (dfs(i + 1) if sysm.push(manifold.choice_rows[t][k], 0, bit)
-                   else sysm.conflict)
+        bit, conflict = 1 << i, 0
+        for k, (row, b) in enumerate(rows[i]):
+            mark = len(pivots)
+            sub = dfs(i + 1) if push(row, b, bit) else sysm.conflict
             if sub is None:
-                chosen[t] = k
+                chosen[tets[i]] = k
                 return None
             sysm.rollback(mark)
             if not sub & bit:
@@ -614,15 +622,12 @@ def _acyclic_edge_senses(surface):
             senses.append(assign[E] == flag)
         return not (all(senses) or not any(senses))
 
-    def consistent():
-        return all(triangle_ok(t) for t in edge_lits)
-
     def bt(i):
         if i == len(edges):
             return True
         for val in (True, False):
             assign[edges[i]] = val
-            if consistent() and bt(i + 1):
+            if all(triangle_ok(t) for t in edge_lits) and bt(i + 1):
                 return True
         del assign[edges[i]]
         return False
@@ -768,11 +773,9 @@ class ProductTriangulation:
             t, _ = self._prism_of[tet]
             cyc = FACE_CYCLES[f]
             nodes = [self._node_tuple[tet][c] for c in cyc]
-            level = nodes[0][0]
-            if level == "b":
-                store, edge_store = self.bottom, self.bottom_edge_of
-            else:
-                store, edge_store = self.top, self.top_edge_of
+            store, edge_store = ((self.bottom, self.bottom_edge_of)
+                                 if nodes[0][0] == "b"
+                                 else (self.top, self.top_edge_of))
             slot_map = {}
             for kk in range(3):
                 c1 = nodes[kk][1]

@@ -20,7 +20,7 @@ def _integer(row, b):
     v = dict(row)
     # most rows are integer already; skipping the lcm for them is worth
     # about 13% of cone-member items_per_s
-    if type(b) is int and all(type(x) is int for x in v.values()):
+    if type(b) is int and {int}.issuperset(map(type, v.values())):
         return v, b
     den = lcm(b.denominator, *[x.denominator for x in v.values()])
     return ({c: x.numerator * (den // x.denominator) for c, x in v.items()},

@@ -7,7 +7,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from isocone import cone3, linalg
 from isocone.ordgroup import LexVec
@@ -20,10 +20,10 @@ from isocone.cone3 import (
 from isocone.fixtures import (
     single_tet, two_tets, chain_tets, glue_tets,
     genus2_four_vertex_surface, genus2_maximal_track, g2_product_bundle,
-    product_bundle, mf_weight, diagonal_boundary_weight,
+    product_bundle, mf_weight, diagonal_boundary_weight, MF_WEIGHT_TRIES,
 )
 from isocone.ordgroup import rat
-from isocone.track import SurfaceTriangulation, triangle_form_sum
+from isocone.track import SurfaceTriangulation, triangle_form_sum, union_find
 from test_acceptance import _random_complex
 from test_linalg import reference_kernel, reference_rref
 from util import random_tree
@@ -693,6 +693,47 @@ class TestMembership:
                                  f"free face sides"):
             Triangulation3(m.tets, m.gluings)
 
+    def assert_choice_rows_folded(self, m, btr, wb, pushes):
+        # the pins and torus rows go in first; every row after them has
+        # the pins folded into its right-hand side, so no boundary column
+        del pushes[:]
+        member(m, btr, wb)
+        boundary = {m._column[c] for c in m.boundary_edge_to_class.values()}
+        fixed = len(m.boundary_edge_to_class) + len(m.torus_rows)
+        assert {c for row in pushes[:len(m.boundary_edge_to_class)]
+                for c, _ in row} == boundary
+        assert len(pushes) > fixed
+        assert not [row for row in pushes[fixed:]
+                    if any(c in boundary for c, _ in row)]
+
+    def test_choice_rows_have_no_boundary_column(self, monkeypatch):
+        pushes = _count_pushes(monkeypatch)
+        bundle = g2_product_bundle()
+        m, btr = bundle["manifold"], bundle["boundary_track"]
+        wb = diagonal_boundary_weight(
+            bundle, mf_weight(bundle["track"], random.Random(63)))
+        self.assert_choice_rows_folded(m, btr, wb, pushes)
+        self.assert_choice_rows_folded(
+            m, btr, _off_diagonal_weight(bundle, 21), pushes)
+        m, btr, wb = TestMixedBoundary()._mixed_query()
+        self.assert_choice_rows_folded(m, btr, wb, pushes)
+
+
+class _ScarceTrack:
+    """A stand-in track whose basis vectors are each -1 on their own
+    branch: a draw is nonnegative only if every coefficient is 0."""
+
+    branches = [f"b{i}" for i in range(12)]
+
+    def weight_space_basis(self):
+        return [{e: Fraction(-1)} for e in self.branches]
+
+
+def test_mf_weight_stops_at_the_cap():
+    with pytest.raises(ValueError, match=f"12 branches in {MF_WEIGHT_TRIES} "
+                                         f"tries"):
+        mf_weight(_ScarceTrack(), random.Random(0))
+
 
 class TestBackjumping:
     """``member`` against the chronological search of ``_reference_member``:
@@ -738,6 +779,20 @@ class TestBackjumping:
         res = self.assert_matches_reference(
             bundle["manifold"], bundle["boundary_track"], wb, pushes)
         assert res.reason == "no-choice-vector"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 7))
+def test_fractional_pins_match_reference(seed, k):
+    # pins with a common denominator D > 1 fold into integer right-hand
+    # sides D times the pin values; the chronological reference eliminates
+    # the pins in every push instead
+    m, btr, wb = _random_member_query(random.Random(seed))
+    wb = {e: x / k for e, x in wb.items()}
+    assume(math.lcm(*[x.denominator for x in wb.values()]) > 1)
+    res, ref = member(m, btr, wb), _reference_member(m, btr, wb)
+    assert (res.member, res.reason, res.choices, res.witness) == \
+        (ref.member, ref.reason, ref.choices, ref.witness)
 
 
 def _relabeled(m, btr, wb, names):
@@ -897,6 +952,44 @@ def test_boundary_matches_fan_walk_on_random_complexes():
         assert_boundary_matches_fan_walk(_random_complex(random.Random(seed)))
 
 
+def _inverse_first(gluings):
+    """``gluings`` with the two entries of every glued face pair swapped,
+    so that each inverse entry comes before the entry it inverts."""
+    out = {}
+    for (t, f), (t2, f2, perm) in gluings.items():
+        if (t, f) not in out:
+            out[(t2, f2)] = gluings[(t2, f2)]
+            out[(t, f)] = (t2, f2, perm)
+    return out
+
+
+def _fold_both_directions(m):
+    """Vertex and edge classes by merging across every entry of
+    ``m.gluings``, each face pair in both directions."""
+    vertex = union_find(
+        [(t, v) for t in m.tets for v in range(4)],
+        (((t, v), (t2, v2)) for (t, _), (t2, _, perm) in m.gluings.items()
+         for v, v2 in perm.items()))
+    edge = union_find(
+        [(t, e) for t in m.tets for e in EDGE_PAIRS],
+        (((t, frozenset(pair)), (t2, frozenset(perm[v] for v in pair)))
+         for (t, _), (t2, _, perm) in m.gluings.items()
+         for pair in itertools.combinations(sorted(perm), 2)))
+    return vertex, edge
+
+
+@pytest.mark.parametrize("make", [
+    lambda: g2_product_bundle()["manifold"], lambda: chain_tets(4)])
+def test_classes_merge_each_face_pair_once(make):
+    # merging a face pair again in the other direction changes no class
+    # and no representative, whichever entry of the pair comes first
+    m = make()
+    swapped = _inverse_first(m.gluings)
+    assert list(swapped) != list(m.gluings)
+    for m2 in (m, Triangulation3(m.tets, swapped)):
+        assert (m2.vertex_class, m2.edge_class) == _fold_both_directions(m2)
+
+
 _fractions = st.fractions(-9, 9, max_denominator=6)
 _weights = st.lists(_fractions, min_size=6, max_size=6)
 
@@ -968,9 +1061,8 @@ class TestMixedBoundary:
         assert comps == [(1, True), (1, True), (2, False), (2, False)]
         assert len(m.torus_classes) == 6
 
-    def test_diagonal_member_with_torus_zeros(self):
-        import random
-        from isocone.fixtures import mf_weight
+    def _mixed_query(self):
+        """A diagonal weight on the genus-2 copies, zero on the tori."""
         g2, mixed, bundle, track = self._mixed_product()
         m, btr = bundle["manifold"], bundle["boundary_track"]
         w = mf_weight(track, random.Random(11))
@@ -980,6 +1072,10 @@ class TestMixedBoundary:
                 orig = g2.edge_class[E[1]]
                 wb[bundle["bottom_edge_of"][E]] = w[orig]
                 wb[bundle["top_edge_of"][E]] = w[orig]
+        return m, btr, wb
+
+    def test_diagonal_member_with_torus_zeros(self):
+        m, btr, wb = self._mixed_query()
         res = member(m, btr, wb)
         assert res.member and verify_witness(m, btr, wb, res)
         assert all(res.witness[c] == 0 for c in m.torus_classes)
