@@ -96,32 +96,39 @@ class Triangulation3:
         self.gluings = {}
         for (t, f), (t2, f2, perm) in gluings.items():
             self.gluings[(t, f)] = (t2, f2, dict(perm))
-        self._validate_gluings()
-        self._build_classes()
+        self._build_classes(self._validate_gluings())
         self._build_boundary()
 
     # -- validation ------------------------------------------------------------
 
     def _validate_gluings(self):
+        """Check each glued face pair once, from its first entry in
+        ``gluings``, and return those entries as ``(t, t2, perm)``.  The
+        inverse entry must be exactly ``(t, f, inverse of perm)``, which
+        passes every check below whenever the first entry does."""
         tset = set(self.tets)
+        glued, inverses = [], set()
         for (t, f), (t2, f2, perm) in self.gluings.items():
-            if t not in tset or t2 not in tset:
-                raise GluingError(f"gluing touches unknown tetrahedron {t!r}")
+            if (t, f) in inverses:
+                continue
+            for x in (t, t2):
+                if x not in tset:
+                    raise GluingError(
+                        f"gluing touches unknown tetrahedron {x!r}")
             if not 0 <= f <= 3 or not 0 <= f2 <= 3:
-                raise GluingError("face index out of range")
+                raise GluingError(f"face index out of range at {(t, f)}")
             face_verts = [v for v in range(4) if v != f]
             if sorted(perm.keys()) != face_verts:
                 raise GluingError(f"bad permutation domain at {(t, f)}")
             if sorted(perm.values()) != [v for v in range(4) if v != f2]:
                 raise GluingError(f"bad permutation range at {(t, f)}")
+            if (t2, f2) == (t, f):
+                raise GluingError("face glued to itself")
             back = self.gluings.get((t2, f2))
             if back is None:
                 raise GluingError(f"gluing at {(t, f)} has no inverse entry")
-            t3, f3, perm2 = back
-            if (t3, f3) != (t, f) or any(perm2[perm[v]] != v for v in perm):
+            if back != (t, f, {v2: v for v, v2 in perm.items()}):
                 raise GluingError(f"gluing at {(t, f)} is not involutive")
-            if (t2, f2) == (t, f):
-                raise GluingError("face glued to itself")
             # orientation: the induced cycle of f must map to a rotation of
             # the reversed induced cycle of f2
             cyc = FACE_CYCLES[f]
@@ -130,16 +137,15 @@ class Triangulation3:
             if rev not in (img, img[1:] + img[:1], img[2:] + img[:2]):
                 raise OrientationError(
                     f"gluing at {(t, f)} is not orientation-reversing")
+            inverses.add((t2, f2))
+            glued.append((t, t2, perm))
+        return glued
 
-    def _build_classes(self):
+    def _build_classes(self, glued):
         """Vertex and edge classes: corners and edges identified across
-        every glued face (the permutation's domain is the face's corners).
-        Each face pair is merged once: an entry whose inverse came earlier
-        in ``gluings`` would only repeat that entry's merges, which change
-        nothing, representatives included."""
-        rank = {face: i for i, face in enumerate(self.gluings)}
-        glued = [(t, t2, perm) for (t, f), (t2, f2, perm)
-                 in self.gluings.items() if rank[(t2, f2)] > rank[(t, f)]]
+        the first entries ``glued`` of the face pairs (the permutation's
+        domain is the face's corners).  Merging the inverse entries too
+        would change nothing, representatives included."""
         self.vertex_class = union_find(
             [(t, v) for t in self.tets for v in range(4)],
             (((t, v), (t2, v2)) for t, t2, perm in glued
@@ -262,23 +268,22 @@ class Triangulation3:
                 for E in sorted(self.torus_classes, key=repr)]
 
     @functools.cached_property
+    def pair_classes(self):
+        """``pair_classes[t]``: the edge classes of the three opposite
+        pairs of tetrahedron ``t``, in ``OPPOSITE_PAIRS`` order."""
+        return {t: [(self.edge_class[(t, e)], self.edge_class[(t, e2)])
+                    for e, e2 in OPPOSITE_PAIRS] for t in self.tets}
+
+    @functools.cached_property
     def choice_rows(self):
         """``choice_rows[t][k]`` sets the pair sums ``CHOICE_PAIRS[k]`` of
         tetrahedron ``t`` equal."""
-        rows = {}
-        for t in self.tets:
-            sums = [(self.edge_class[(t, e)], self.edge_class[(t, e2)])
-                    for e, e2 in OPPOSITE_PAIRS]
-            rows[t] = [self._row([(a, 1) for a in sums[i]]
-                                 + [(b, -1) for b in sums[j]])
-                       for i, j in CHOICE_PAIRS]
-        return rows
+        return {t: [self._row([(a, 1) for a in sums[i]]
+                              + [(b, -1) for b in sums[j]])
+                    for i, j in CHOICE_PAIRS]
+                for t, sums in self.pair_classes.items()}
 
     # -- forms -------------------------------------------------------------------
-
-    def tet_edge_values(self, t, w):
-        """Pull a weight on edge classes back to the six edges of a tet."""
-        return {e: w[self.edge_class[(t, e)]] for e in EDGE_PAIRS}
 
     @functools.cached_property
     def form_rows(self):
@@ -291,9 +296,7 @@ class Triangulation3:
         ``OPPOSITE_PAIRS`` order.
         """
         terms = {c: [] for c in self.edge_classes}
-        for t in self.tets:
-            sums = [(self.edge_class[(t, e)], self.edge_class[(t, e2)])
-                    for e, e2 in OPPOSITE_PAIRS]
+        for sums in self.pair_classes.values():
             for i in range(3):
                 for a in sums[i]:
                     for b in sums[(i + 1) % 3]:
@@ -362,9 +365,8 @@ class Triangulation3:
         every tetrahedron has at least one satisfied equality.
         """
         out = {}
-        for t in self.tets:
-            vals = self.tet_edge_values(t, w)
-            sums = [vals[e] + vals[e2] for e, e2 in OPPOSITE_PAIRS]
+        for t, pairs in self.pair_classes.items():
+            sums = [w[a] + w[b] for a, b in pairs]
             out[t] = [k for k, (i, j) in enumerate(CHOICE_PAIRS)
                       if sums[i] == sums[j]]
         return out
@@ -396,36 +398,26 @@ class BoundaryTrack:
     """Dual train track on the non-torus boundary of a triangulation.
 
     ``outgoing`` assigns to each boundary triangle (on non-torus
-    components) the slot 0..2 of its outgoing dual branch.  Branch ids are
-    the undirected edge classes of the boundary surface; torus components
-    carry no track and their edges are constrained to zero elsewhere.
+    components) the slot 0..2 of its outgoing dual branch, and the
+    switches follow its order.  Branch ids are the undirected edge classes
+    of the boundary surface; torus components carry no track and their
+    edges are constrained to zero elsewhere.
     """
 
     def __init__(self, manifold, outgoing):
-        self.manifold = manifold
         surf = manifold.boundary
         if surf is None:
             raise ValueError("manifold has no boundary")
         torus_tris = {t for comp in manifold.boundary_components
                       if comp["torus"] for t in comp["triangles"]}
-        expected = set(surf.triangles) - torus_tris
-        if set(outgoing) != expected:
+        if set(outgoing) != set(surf.triangles) - torus_tris:
             raise ValueError("outgoing slots must cover exactly the "
                              "non-torus boundary triangles")
-        sub_tris = {t: surf.triangles[t] for t in expected}
-        sub_glue = {d: surf.glue[d] for t in expected
-                    for d in surf.triangles[t]}
-        for d, d2 in sub_glue.items():
-            if surf.triangle_of(d2) not in expected:
-                raise ValueError("track boundary mixes torus and non-torus "
-                                 "components")
-        self.surface = surf
-        self.track, _ = track_dual_to_triangulation(
-            SurfaceTriangulation(sub_tris, sub_glue), outgoing)
+        # the non-torus triangles are whole components of the boundary,
+        # so the track on them alone has the same switches and branch ids
+        # as on a surface of their own
+        self.track, _ = track_dual_to_triangulation(surf, outgoing)
         self.outgoing = dict(outgoing)
-
-    def check_weight(self, w):
-        return self.track.check_weight(w)
 
     def weight_space_dim(self):
         return len(self.track.weight_space_basis())
@@ -464,7 +456,7 @@ def compute_cone(manifold, btrack, choice_iter=None):
     tets = manifold.tets
     if choice_iter is None:
         choice_iter = itertools.product(range(3), repeat=len(tets))
-    edge_order = sorted(manifold.boundary.edge_classes, key=repr)
+    edge_order = manifold.boundary.edge_classes
     # one edge per boundary class (checked when the manifold is built)
     edge_of = {manifold.boundary_edge_to_class[E]: E for E in edge_order}
     # columns: the interior classes, then the boundary classes in edge order
@@ -549,7 +541,7 @@ def member(manifold, btrack, w_boundary):
     # pin boundary values, one class per edge, all scaled by the common
     # denominator D so that the whole system is integral with pin
     # pivots 1; the solution is divided by D at the end
-    pins = sorted(manifold.boundary_edge_to_class, key=repr)
+    pins = manifold.boundary.edge_classes
     values = [rat(w_boundary.get(E, 0)) for E in pins]
     D = math.lcm(*[val.denominator for val in values])
     pinned = {}     # column of each boundary class -> D times its value

@@ -433,19 +433,21 @@ def embed_weights(track, branch_to_edge, w):
 def track_dual_to_triangulation(surface, outgoing):
     """Train track dual to a triangulation, given each triangle's outgoing edge.
 
-    ``outgoing`` maps each triangle id to the slot (0, 1, or 2) whose edge
-    is dual to the outgoing branch; the two other edges are dual to the
-    incoming branches.  Branch ids are the undirected edge classes of the
-    surface.  Returns ``(track, edge_to_branch)`` where the correspondence
-    is the identity on edge classes.
+    ``outgoing`` maps each triangle id of a union of components of the
+    surface to the slot (0, 1, or 2) whose edge is dual to the outgoing
+    branch; the two other edges are dual to the incoming branches.  The
+    switches follow the order of ``outgoing``.  Branch ids are the
+    undirected edge classes of the surface.  Returns ``(track,
+    edge_to_branch)`` where the correspondence is the identity on the
+    branches' edge classes.
     """
     switches = {}
-    for t, ds in surface.triangles.items():
-        p = outgoing[t]
+    for t, p in outgoing.items():
+        ds = surface.triangles[t]
         trip = (surface.edge_class[ds[(p + 1) % 3]],
                 surface.edge_class[ds[(p + 2) % 3]],
                 surface.edge_class[ds[p]])
         switches[t] = trip
     track = TrainTrack(switches)
-    edge_to_branch = {E: E for E in surface.edge_classes}
+    edge_to_branch = {E: E for E in track.branches}
     return track, edge_to_branch

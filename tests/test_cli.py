@@ -146,6 +146,14 @@ class TestConeCommands:
         assert run(["cone", "compute", "--input", str(path)]) == 2
         assert "'T0' listed twice" in capsys.readouterr().err
 
+    def test_unknown_tet_named_exit_2(self, tmp_path, capsys):
+        # the error names the undeclared tet, not the declared one
+        path = tmp_path / "unknown.txt"
+        path.write_text("tet T0\nglue T0.0 T9.1 1,2,3\n")
+        assert run(["cone", "member", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown tetrahedron 'T9'" in err and "'T0'" not in err
+
     def test_member_switch_violation(self, tmp_path, capsys):
         path = fixture_file(tmp_path, "g2xI")
         text = open(path).read()

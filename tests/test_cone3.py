@@ -19,11 +19,15 @@ from isocone.cone3 import (
 )
 from isocone.fixtures import (
     single_tet, two_tets, chain_tets, glue_tets,
-    genus2_four_vertex_surface, genus2_maximal_track, g2_product_bundle,
+    genus2_one_vertex_surface, genus2_four_vertex_surface,
+    genus2_maximal_track, g2_product_bundle,
     product_bundle, mf_weight, diagonal_boundary_weight, MF_WEIGHT_TRIES,
 )
 from isocone.ordgroup import rat
-from isocone.track import SurfaceTriangulation, triangle_form_sum, union_find
+from isocone.track import (
+    SurfaceTriangulation, track_dual_to_triangulation, triangle_form_sum,
+    union_find,
+)
 from test_acceptance import _random_complex
 from test_linalg import reference_kernel, reference_rref
 from util import random_tree
@@ -42,10 +46,15 @@ def tet_form_values(u_edges, v_edges):
     return -total / 2
 
 
+def tet_edge_values(m, t, w):
+    """Pull a weight on edge classes back to the six edges of tet ``t``."""
+    return {e: w[m.edge_class[(t, e)]] for e in EDGE_PAIRS}
+
+
 def oracle_omega(m, u, v):
     """The total form as the sum of the per-tetrahedron oracle."""
-    return sum((tet_form_values(m.tet_edge_values(t, u),
-                                m.tet_edge_values(t, v)) for t in m.tets),
+    return sum((tet_form_values(tet_edge_values(m, t, u),
+                                tet_edge_values(m, t, v)) for t in m.tets),
                Fraction(0))
 
 
@@ -267,16 +276,21 @@ def _off_diagonal_weight(bundle, q):
     return wb
 
 
+def _random_outgoing(m, rng):
+    """Random outgoing slots on the non-torus boundary triangles of
+    ``m``, in ``repr`` order."""
+    torus = {t for c in m.boundary_components if c["torus"]
+             for t in c["triangles"]}
+    return {t: rng.randrange(3) for t in sorted(m.boundary.triangles, key=repr)
+            if t not in torus}
+
+
 def _random_member_query(rng):
     """A ``_random_complex`` draw with random outgoing slots and a random
     nonnegative admissible boundary weight (zero when 200 tries on the
     weight-space basis find none), as ``(manifold, track, weight)``."""
     m = _random_complex(rng)
-    torus = {t for c in m.boundary_components if c["torus"]
-             for t in c["triangles"]}
-    btr = BoundaryTrack(m, {t: rng.randrange(3)
-                            for t in sorted(m.boundary.triangles, key=repr)
-                            if t not in torus})
+    btr = BoundaryTrack(m, _random_outgoing(m, rng))
     basis = btr.track.weight_space_basis()
     wb = {e: Fraction(0) for e in btr.track.branches}
     for _ in range(200):
@@ -291,6 +305,27 @@ def _random_member_query(rng):
     return m, btr, wb
 
 
+def _reference_track(m, outgoing):
+    """The dual track on a ``SurfaceTriangulation`` of the non-torus
+    boundary triangles alone: the reference for ``BoundaryTrack``, which
+    reads the switches off the whole boundary surface."""
+    surf = m.boundary
+    tris = {t: surf.triangles[t] for t in outgoing}
+    glue = {d: surf.glue[d] for ds in tris.values() for d in ds}
+    track, _ = track_dual_to_triangulation(
+        SurfaceTriangulation(tris, glue), outgoing)
+    return track
+
+
+def _assert_track_matches_reference(m, btr):
+    ref = _reference_track(m, btr.outgoing)
+    track = btr.track
+    assert list(track.switches) == list(btr.outgoing)
+    assert dict(track.switches) == dict(ref.switches)
+    assert track.branches == ref.branches
+    assert track.weight_space_basis() == ref.weight_space_basis()
+
+
 def _count_pushes(monkeypatch):
     """Wrap ``IncrementalSystem.push``; returns the list of pushed rows."""
     pushes = []
@@ -302,6 +337,71 @@ def _count_pushes(monkeypatch):
 
     monkeypatch.setattr(linalg.IncrementalSystem, "push", counted_push)
     return pushes
+
+
+# two glued face pairs, (T0, 0) with (T1, 1) and (T2, 0) with (T3, 1); the
+# faults below go into the entries of the first pair
+_TWO_PAIRS = {("T0", 0): ("T1", 1, {1: 2, 2: 3, 3: 0}),
+              ("T1", 1): ("T0", 0, {2: 1, 3: 2, 0: 3}),
+              ("T2", 0): ("T3", 1, {1: 2, 2: 3, 3: 0}),
+              ("T3", 1): ("T2", 0, {2: 1, 3: 2, 0: 3})}
+
+
+def _reversal(f):
+    """The orientation-reversing involution of face ``f`` onto itself."""
+    a, b, c = FACE_CYCLES[f]
+    return {a: c, b: b, c: a}
+
+
+def _rotated(f, perm):
+    """``perm`` shifted one step along the cycle of face ``f``: still
+    orientation-reversing, but no longer the inverse of its mate."""
+    cyc = FACE_CYCLES[f]
+    return {cyc[k]: perm[cyc[(k + 1) % 3]] for k in range(3)}
+
+
+def _mirrored(f, perm):
+    """``perm`` with the cycle of face ``f`` run backwards first: an
+    orientation-preserving face bijection."""
+    cyc = FACE_CYCLES[f]
+    return {cyc[k]: perm[cyc[-k % 3]] for k in range(3)}
+
+
+# fault name -> the new value of one entry ``(t, f) -> (t2, f2, perm)``,
+# None to drop it
+_GLUING_FAULTS = {
+    "unknown tet": lambda t, f, t2, f2, p: ("T9", f2, p),
+    "face index": lambda t, f, t2, f2, p: (t2, 4, p),
+    "permutation domain": lambda t, f, t2, f2, p: (t2, f2, {**p, f: f2}),
+    "permutation range": lambda t, f, t2, f2, p: (
+        t2, f2, {**p, next(iter(p)): f2}),
+    "missing inverse": lambda t, f, t2, f2, p: None,
+    "inverse at another face": lambda t, f, t2, f2, p: (
+        {"T0": "T2", "T1": "T3"}[t2], f2, p),
+    "not the inverse bijection": lambda t, f, t2, f2, p: (
+        t2, f2, _rotated(f, p)),
+    "glued to itself": lambda t, f, t2, f2, p: (t, f, _reversal(f)),
+    "orientation-preserving": lambda t, f, t2, f2, p: (
+        t2, f2, _mirrored(f, p)),
+}
+
+
+def _faulty_gluings(fault, where):
+    """``_TWO_PAIRS`` with ``fault`` in entry ``where`` of the first pair
+    (0: the first entry, 1: its inverse).  An orientation-preserving first
+    entry gets its exact inverse as mate, so that only the orientation is
+    wrong."""
+    gluings = dict(_TWO_PAIRS)
+    key = list(gluings)[where]
+    entry = _GLUING_FAULTS[fault](*key, *gluings[key])
+    if entry is None:
+        del gluings[key]
+    else:
+        gluings[key] = entry
+    if (fault, where) == ("orientation-preserving", 0):
+        t2, f2, perm = entry
+        gluings[(t2, f2)] = (*key, {v2: v for v, v2 in perm.items()})
+    return gluings
 
 
 class TestValidation:
@@ -337,6 +437,38 @@ class TestValidation:
     def test_repeated_tet_id_rejected(self):
         with pytest.raises(GluingError, match="'T0' listed twice"):
             Triangulation3(["T0", "T1", "T0"], {})
+
+    def test_two_pairs_accepted(self):
+        m = Triangulation3(["T0", "T1", "T2", "T3"], _TWO_PAIRS)
+        assert len(m.boundary_faces) == 12
+
+    # only an orientation-preserving first entry with its exact inverse
+    # gets as far as the orientation check; every other fault is a
+    # GluingError
+    @pytest.mark.parametrize("where", [0, 1])
+    @pytest.mark.parametrize("fault", list(_GLUING_FAULTS))
+    def test_faulty_face_pair_rejected(self, fault, where):
+        error = OrientationError if (fault, where) == (
+            "orientation-preserving", 0) else GluingError
+        with pytest.raises(error):
+            Triangulation3(["T0", "T1", "T2", "T3"],
+                           _faulty_gluings(fault, where))
+
+    @pytest.mark.parametrize("gluings, message", [
+        ({("T0", 0): ("T9", 1, {1: 2, 2: 3, 3: 0})},
+         "unknown tetrahedron 'T9'"),
+        ({("T9", 1): ("T0", 0, {2: 1, 3: 2, 0: 3})},
+         "unknown tetrahedron 'T9'"),
+        ({("T0", 0): ("T1", 4, {1: 2, 2: 3, 3: 0})},
+         "face index out of range at ('T0', 0)"),
+        # an inverse entry keyed by the wrong corners is not the inverse
+        ({("T0", 0): ("T1", 1, {1: 2, 2: 3, 3: 0}),
+          ("T1", 1): ("T0", 0, {1: 1, 3: 2, 0: 3})},
+         "gluing at ('T0', 0) is not involutive"),
+    ])
+    def test_rejection_names_the_entry(self, gluings, message):
+        with pytest.raises(GluingError, match=re.escape(message)):
+            Triangulation3(["T0", "T1"], gluings)
 
     def test_orientation_violating_gluing_rejected(self):
         # identity-style permutation preserves the face cycle: invalid
@@ -741,6 +873,7 @@ class TestBackjumping:
     the choices and the witness agree, and it never pushes more rows."""
 
     def assert_matches_reference(self, m, btr, wb, pushes):
+        """The result, and how many fewer rows it pushed."""
         del pushes[:]
         ref = _reference_member(m, btr, wb)
         reference_pushes = len(pushes)
@@ -749,7 +882,7 @@ class TestBackjumping:
         assert (res.member, res.reason, res.choices, res.witness) == \
             (ref.member, ref.reason, ref.choices, ref.witness)
         assert len(pushes) <= reference_pushes
-        return res
+        return res, reference_pushes - len(pushes)
 
     def test_random_complexes(self, monkeypatch):
         pushes = _count_pushes(monkeypatch)
@@ -757,9 +890,26 @@ class TestBackjumping:
         verdicts = set()
         for _ in range(40):
             m, btr, wb = _random_member_query(rng)
-            verdicts.add(self.assert_matches_reference(m, btr, wb,
-                                                       pushes).member)
+            res, _ = self.assert_matches_reference(m, btr, wb, pushes)
+            verdicts.add(res.member)
         assert verdicts == {True, False}
+
+    def test_g2_one_vertex_products(self, monkeypatch):
+        # products over the one-vertex genus-2 surface (18 tets) with random
+        # outgoing slots on both boundary copies: unlike the small random
+        # complexes, nearly every search here skips a subtree, and a
+        # conflict set missing a row's mask reports members as non-members
+        pushes = _count_pushes(monkeypatch)
+        m = product_triangulation(genus2_one_vertex_surface()).manifold
+        rng = random.Random(5)
+        verdicts, skipped = [], 0
+        for _ in range(20):
+            btr = BoundaryTrack(m, _random_outgoing(m, rng))
+            res, saved = self.assert_matches_reference(
+                m, btr, mf_weight(btr.track, rng), pushes)
+            verdicts.append(res.member)
+            skipped += saved > 0
+        assert verdicts.count(False) == 12 and skipped == 18
 
     def test_g2_diagonal_members(self, monkeypatch):
         pushes = _count_pushes(monkeypatch)
@@ -769,14 +919,14 @@ class TestBackjumping:
         for _ in range(4):
             wb = diagonal_boundary_weight(
                 bundle, mf_weight(bundle["track"], rng))
-            assert self.assert_matches_reference(m, btr, wb, pushes).member
+            assert self.assert_matches_reference(m, btr, wb, pushes)[0].member
 
     @pytest.mark.parametrize("q", [21, 8])
     def test_g2_off_diagonal_pairs(self, q, monkeypatch):
         pushes = _count_pushes(monkeypatch)
         bundle = g2_product_bundle()
         wb = _off_diagonal_weight(bundle, q)
-        res = self.assert_matches_reference(
+        res, _ = self.assert_matches_reference(
             bundle["manifold"], bundle["boundary_track"], wb, pushes)
         assert res.reason == "no-choice-vector"
 
@@ -876,11 +1026,7 @@ class TestCone:
             m = _random_complex(rng)
             if len(m.tets) > 4:
                 continue
-            torus = {t for c in m.boundary_components if c["torus"]
-                     for t in c["triangles"]}
-            out = {t: rng.randrange(3)
-                   for t in sorted(m.boundary.triangles, key=repr)
-                   if t not in torus}
+            out = _random_outgoing(m, rng)
             combos = list(itertools.product(range(3), repeat=len(m.tets)))
             if len(combos) > 12:
                 combos = sorted(rng.sample(combos, 12))
@@ -1022,17 +1168,42 @@ def test_tet_form_vanishes_on_a_choice(us, vs, k):
 
 
 def test_code_line_count():
-    # the boundary is paired by edge class and the form has one table of
-    # coefficients: a fan walk or a second table would not fit
+    # the boundary is paired by edge class, the form has one table of
+    # coefficients, and the boundary track is read off the one boundary
+    # surface: a fan walk, a second table or a second surface would not fit
     path = pathlib.Path(cone3.__file__)
     lines = [line.strip() for line in path.read_text().splitlines()]
     code = [line for line in lines if line and not line.startswith("#")]
-    assert len(code) <= 665
+    assert len(code) <= 651
 
 
 def _parity(p):
     inv = sum(1 for i in range(4) for j in range(i + 1, 4) if p[i] > p[j])
     return 1 if inv % 2 == 0 else -1
+
+
+class TestBoundaryTrack:
+    """``BoundaryTrack`` reads its switches off the whole boundary surface;
+    the track on a surface of the non-torus triangles alone agrees."""
+
+    def test_g2_product(self):
+        bundle = g2_product_bundle()
+        _assert_track_matches_reference(bundle["manifold"],
+                                        bundle["boundary_track"])
+
+    def test_torus_product(self):
+        bundle = TestMixedBoundary()._mixed_product()[2]
+        _assert_track_matches_reference(bundle["manifold"],
+                                        bundle["boundary_track"])
+
+    def test_random_complexes(self):
+        # the slots are shuffled, so the switch order is not repr order
+        rng = random.Random(91)
+        for _ in range(60):
+            m = _random_complex(rng)
+            out = list(_random_outgoing(m, rng).items())
+            rng.shuffle(out)
+            _assert_track_matches_reference(m, BoundaryTrack(m, dict(out)))
 
 
 class TestMixedBoundary:
