@@ -142,20 +142,24 @@ class Triangulation3:
         return glued
 
     def _build_classes(self, glued):
-        """Vertex and edge classes: corners and edges identified across
-        the first entries ``glued`` of the face pairs (the permutation's
-        domain is the face's corners).  Merging the inverse entries too
-        would change nothing, representatives included."""
-        self.vertex_class = union_find(
-            [(t, v) for t in self.tets for v in range(4)],
-            (((t, v), (t2, v2)) for t, t2, perm in glued
-             for v, v2 in perm.items()))
+        """Edge classes: edges identified across the first entries
+        ``glued`` of the face pairs (the permutation's domain is the face's
+        corners).  Merging the inverse entries too would change nothing,
+        representatives included."""
         self.edge_class = union_find(
             [(t, e) for t in self.tets for e in EDGE_PAIRS],
             (((t, frozenset(pair)), (t2, frozenset(perm[v] for v in pair)))
              for t, t2, perm in glued
              for pair in itertools.combinations(sorted(perm), 2)))
         self.edge_classes = sorted(set(self.edge_class.values()), key=repr)
+
+    @functools.cached_property
+    def vertex_class(self):
+        """Corner classes, merged across every entry of ``gluings``; as in
+        ``_build_classes``, an inverse entry merges nothing new."""
+        return union_find([(t, v) for t in self.tets for v in range(4)], (
+            ((t, v), (t2, v2)) for (t, _), (t2, _, perm)
+            in self.gluings.items() for v, v2 in perm.items()))
 
     # -- boundary ---------------------------------------------------------------
 
@@ -777,11 +781,6 @@ class ProductTriangulation:
                 E = surf.edge_class[surf.triangles[t][i]]
                 edge_store[E] = man.boundary.edge_class[(tet, f, kk)]
             store[t] = ((tet, f), slot_map)
-
-
-def product_triangulation(surface):
-    """Triangulate surface x interval; see ProductTriangulation."""
-    return ProductTriangulation(surface)
 
 
 def verify_witness(manifold, btrack, w_boundary, result):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from isocone.track import SurfaceTriangulation, track_dual_to_triangulation
 from isocone.cone3 import (
-    FACE_CYCLES, BoundaryTrack, Triangulation3, product_triangulation,
+    FACE_CYCLES, BoundaryTrack, Triangulation3, ProductTriangulation,
 )
 
 
@@ -137,7 +137,7 @@ def product_bundle(surface, outgoing):
     triangle t), the matching ``outgoing`` map on both boundary copies and
     its ``BoundaryTrack``, and the per-copy boundary-edge correspondences.
     """
-    prod = product_triangulation(surface)
+    prod = ProductTriangulation(surface)
     out = {}
     for t, slot in outgoing.items():
         for tri, smap in (prod.bottom[t], prod.top[t]):

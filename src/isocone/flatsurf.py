@@ -163,42 +163,25 @@ class FlatSurface:
         a fixed reference line; each corner wedge is strictly inside a half
         plane, so the count equals the total angle divided by pi.
         """
-        surf = self.comb
-        visited = set()
         angles = {}
-        for t0, ds0 in sorted(self.triangles.items(), key=lambda kv: repr(kv[0])):
-            for i0 in range(3):
-                if (t0, i0) in visited:
-                    continue
-                # collect the ccw corner cycle
-                cycle = []
-                c = (t0, i0)
-                while c not in visited:
-                    visited.add(c)
-                    cycle.append(c)
-                    ct, ci = c
-                    prev = self.triangles[ct][(ci + 2) % 3]
-                    c = surf.locate(self.glue[prev])
-                # sweep in the chart of the first corner
-                k = 0
-                sigma = 1
-                t, i = cycle[0]
-                ref = self.vectors[self.triangles[t][i]]
-                for (ct, ci) in cycle:
-                    ds = self.triangles[ct]
-                    P = sigma * self.vectors[ds[ci]]
-                    Q = sigma * (-self.vectors[ds[(ci + 2) % 3]])
-                    if cross(P, Q) <= 0:
-                        raise FlatSurfaceError("degenerate corner wedge")
-                    for L in (ref, -ref):
-                        if cross(Q, L) == 0 and dot(Q, L) > 0:
-                            k += 1          # arrival exactly on the line
-                        elif cross(P, L) > 0 and cross(L, Q) > 0:
-                            k += 1
-                    prev = ds[(ci + 2) % 3]
-                    sigma *= self.chart_factor(prev)
-                v = surf.corner_class[cycle[0]]
-                angles[v] = k
+        for v, cycle in self.comb.corner_cycles.items():
+            # sweep in the chart of the first corner
+            k, sigma = 0, 1
+            t, i = cycle[0]
+            ref = self.vectors[self.triangles[t][i]]
+            for (ct, ci) in cycle:
+                ds = self.triangles[ct]
+                P = sigma * self.vectors[ds[ci]]
+                Q = sigma * (-self.vectors[ds[(ci + 2) % 3]])
+                if cross(P, Q) <= 0:
+                    raise FlatSurfaceError("degenerate corner wedge")
+                for L in (ref, -ref):
+                    if cross(Q, L) == 0 and dot(Q, L) > 0:
+                        k += 1          # arrival exactly on the line
+                    elif cross(P, L) > 0 and cross(L, Q) > 0:
+                        k += 1
+                sigma *= self.chart_factor(ds[(ci + 2) % 3])
+            angles[v] = k
         return angles
 
     def validate(self):

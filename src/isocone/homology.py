@@ -9,9 +9,11 @@ the right, and counting signed chord crossings inside every vertex disk.
 The count does not depend on how strands are routed inside a disk, so a
 simple stack matching is used.
 
-On top of that the module provides a deterministic homology basis
-(spanning-tree fundamental cycles reduced modulo face boundaries) and the
-induced pairing of 1-cohomology classes given by their edge periods.
+Two cycles are paired by ``RibbonGraph.intersection`` directly.  The
+homology basis of ``SurfaceHomology`` (spanning-tree fundamental cycles
+reduced modulo face boundaries) and its intersection matrix serve only the
+induced pairing of 1-cohomology classes given by their edge periods, which
+solves one linear system in that matrix.
 """
 
 from fractions import Fraction
@@ -176,7 +178,7 @@ def _ccw_between(a, x, b):
 
 
 class SurfaceHomology:
-    """Deterministic homology basis and pairings for a closed ribbon surface.
+    """Deterministic homology basis and cocycle pairing of a ribbon surface.
 
     The basis consists of fundamental cycles of edges outside a BFS spanning
     forest, reduced modulo face boundaries; its intersection matrix is
@@ -224,12 +226,10 @@ class SurfaceHomology:
             for e, i in face:
                 flow[e] = flow.get(e, Fraction(0)) + (1 if i == 0 else -1)
             face_rows.append([Fraction(flow.get(e, 0)) for e in self.nontree])
-        self._face_red, self._face_pivots = linalg.rref(face_rows)
-        pivset = set(self._face_pivots)
-        self.basis_columns = [j for j in range(len(self.nontree))
-                              if j not in pivset]
-        self.basis_flows = [self.flow_from_nontree({self.nontree[j]: Fraction(1)})
-                            for j in self.basis_columns]
+        pivots = set(linalg.rref(face_rows)[1])
+        self.basis_flows = [self.flow_from_nontree({e: Fraction(1)})
+                            for j, e in enumerate(self.nontree)
+                            if j not in pivots]
         n = len(self.basis_flows)
         self.pairing_matrix = [
             [rg.intersection(self.basis_flows[i], self.basis_flows[j])
@@ -259,37 +259,6 @@ class SurfaceHomology:
 
     def rank(self):
         return len(self.basis_flows)
-
-    def class_coordinates(self, flow):
-        """Coordinates of a flow's homology class in the chosen basis."""
-        if not self.ribbon.check_flow(flow):
-            raise ValueError("not a cycle")
-        vec = [Fraction(flow.get(e, 0)) for e in self.nontree]
-        for prow, pcol in zip(self._face_red, self._face_pivots):
-            f = vec[pcol]
-            if f != 0:
-                vec = [a - f * b for a, b in zip(vec, prow)]
-        coords = [vec[j] for j in self.basis_columns]
-        # sanity: nothing may remain outside the chosen columns
-        leftovers = [vec[j] for j in range(len(vec))
-                     if j not in self.basis_columns and vec[j] != 0]
-        if leftovers:
-            raise ValueError("flow does not reduce into the basis")
-        return coords
-
-    def pair_cycles(self, x, y):
-        """Intersection number through basis coordinates and the matrix."""
-        cx = self.class_coordinates(x)
-        cy = self.class_coordinates(y)
-        total = Fraction(0)
-        for i, a in enumerate(cx):
-            if a == 0:
-                continue
-            row = self.pairing_matrix[i]
-            for j, b in enumerate(cy):
-                if b != 0:
-                    total += a * row[j] * b
-        return total
 
     def pair_cocycles(self, alpha, beta):
         """Cup-product pairing of edge-period classes.

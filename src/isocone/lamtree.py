@@ -62,8 +62,11 @@ class MetricTree:
     """Finite tree with positive LexVec edge lengths and an optional end.
 
     ``edges`` maps an edge id to ``(u, v, length)``.  The graph must be
-    connected and acyclic.  Trees are immutable once built; distances are
-    cached internally.
+    connected and acyclic.  Trees are immutable once built.  One walk from
+    the end anchor (or from the first vertex when there is no end) checks
+    connectivity and yields the parent pointers toward the end, used by
+    ``push``, and the distances from that root; ``vertex_distance`` keeps
+    one distance dict per source it walks from.
     """
 
     def __init__(self, vertices, edges, end=None):
@@ -92,22 +95,27 @@ class MetricTree:
 
         if len(self.edges) != len(self.vertices) - 1:
             raise ValueError("edge count does not match a tree")
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            w = stack.pop()
-            for _, nb in self.adj[w]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if seen != vset:
+        root = end if end in vset else self.vertices[0]
+        self._parent, dist = self._walk(root)
+        if len(dist) != len(vset):
             raise ValueError("tree is not connected")
-
         if end is not None and end not in vset:
             raise ValueError(f"end anchor {end!r} is not a vertex")
+        self._dist = {root: dist}
 
-        self._vdist = {}
-        self._parent = None
+    def _walk(self, src):
+        """Parent ``(vertex, edge)`` pointers toward src, and distances."""
+        parent = {src: (None, None)}
+        dist = {src: LexVec.zero(self.rank)}
+        stack = [src]
+        while stack:
+            w = stack.pop()
+            for eid, nb in self.adj[w]:
+                if nb not in dist:
+                    parent[nb] = (w, eid)
+                    dist[nb] = dist[w] + self.edges[eid][2]
+                    stack.append(nb)
+        return parent, dist
 
     # -- point constructors ------------------------------------------------
 
@@ -152,24 +160,11 @@ class MetricTree:
     def vertex_distance(self, a, b):
         if a == b:
             return LexVec.zero(self.rank)
-        key = (a, b) if repr(a) <= repr(b) else (b, a)
-        got = self._vdist.get(key)
-        if got is not None:
-            return got
-        # BFS from key[0], caching every distance found along the way
-        src = key[0]
-        dist = {src: LexVec.zero(self.rank)}
-        queue = [src]
-        while queue:
-            w = queue.pop()
-            for eid, nb in self.adj[w]:
-                if nb not in dist:
-                    dist[nb] = dist[w] + self.edges[eid][2]
-                    queue.append(nb)
-        for w, d in dist.items():
-            k = (src, w) if repr(src) <= repr(w) else (w, src)
-            self._vdist[k] = d
-        return self._vdist[key]
+        if b in self._dist:
+            return self._dist[b][a]
+        if a not in self._dist:
+            self._dist[a] = self._walk(a)[1]
+        return self._dist[a][b]
 
     def _point_anchors(self, p):
         """(vertex, cost) pairs through which paths from p leave its cell."""
@@ -200,22 +195,6 @@ class MetricTree:
         return best
 
     # -- paths toward the end ----------------------------------------------
-
-    def _parents(self):
-        """Parent vertex/edge pointers toward the end anchor."""
-        if self._parent is None:
-            if self.end is None:
-                raise ValueError("tree has no end")
-            parent = {self.end: (None, None)}
-            stack = [self.end]
-            while stack:
-                w = stack.pop()
-                for eid, nb in self.adj[w]:
-                    if nb not in parent:
-                        parent[nb] = (w, eid)
-                        stack.append(nb)
-            self._parent = parent
-        return self._parent
 
     def busemann(self, p):
         """Horofunction of the end, normalized to 0 at the anchor.
@@ -252,17 +231,14 @@ class MetricTree:
         sv = LexVec([s])
         if p.kind == "ray":
             return self.point_on_ray(p.excess + sv)
-        parent = self._parents()
-        # from an edge point, first move to the endpoint on the anchor side
+        # from an edge point, first move to the endpoint on the end side:
+        # v is that endpoint when the edge is u's pointer toward the end
         if p.kind == "edge":
             u, v, length = self.edges[p.edge]
-            anchor = self.end
-            cost_u = p.offset + self.vertex_distance(u, anchor)
-            cost_v = (length - p.offset) + self.vertex_distance(v, anchor)
-            if cost_u <= cost_v:
-                first_vertex, first_cost = u, p.offset
-            else:
+            if self._parent[u] == (v, p.edge):
                 first_vertex, first_cost = v, length - p.offset
+            else:
+                first_vertex, first_cost = u, p.offset
             if sv <= first_cost:
                 # stay on the same edge, moving toward first_vertex
                 if first_vertex == u:
@@ -275,7 +251,7 @@ class MetricTree:
             w = p.vertex
         zero = LexVec.zero(1)
         while w != self.end:
-            pw, eid = parent[w]
+            pw, eid = self._parent[w]
             u, v, length = self.edges[eid]
             if remaining <= length:
                 if remaining == zero:

@@ -12,13 +12,16 @@ Weights live on branches; the admissible ones satisfy the switch relation
 weights is half the sum over switches of the 2x2 determinant of incoming
 values.  The same pairing is computed independently as a sum of per-triangle
 alternating forms on the dual triangulation, and, for consistently
-orientable tracks, as a homological intersection number of weighted cycles.
+orientable tracks, as the ribbon intersection number of the weighted cycles
+of the two weights, which reads neither the switch formula nor a homology
+basis.
 """
 
+import functools
 from fractions import Fraction
 
 from isocone.ordgroup import rat
-from isocone.homology import RibbonGraph, SurfaceHomology
+from isocone.homology import RibbonGraph
 from isocone import linalg
 
 
@@ -113,9 +116,6 @@ class SurfaceTriangulation:
         self.corner_class = union_find(corners, glued_corners())
         self.vertex_classes = sorted(set(self.corner_class.values()), key=repr)
 
-    def triangle_of(self, d):
-        return self._owner[d][0]
-
     def locate(self, d):
         """(triangle, slot) of a directed edge."""
         return self._owner[d]
@@ -164,45 +164,49 @@ class SurfaceTriangulation:
         return SurfaceTriangulation(tris, self.glue,
                                     allow_boundary=bool(self.boundary_edges))
 
+    @functools.cached_property
+    def corner_cycles(self):
+        """Corners around each vertex class in ccw order (closed surfaces).
+
+        Maps each vertex class to its cycle of corners, starting from its
+        first corner in triangle ``repr`` order.  The ccw successor of
+        corner ``(t, i)`` is the corner of the neighbor across the edge
+        preceding it in triangle ``t``.
+        """
+        if self.boundary_edges:
+            raise ValueError("corner cycles of a closed surface only")
+        cycles = {}
+        for t in sorted(self.triangles, key=repr):
+            for i in range(3):
+                v = self.corner_class[(t, i)]
+                if v in cycles:
+                    continue
+                c, cycle = (t, i), []
+                while not cycle or c != cycle[0]:
+                    cycle.append(c)
+                    ct, ci = c
+                    prev = self.triangles[ct][(ci + 2) % 3]
+                    c = self._owner[self.glue[prev]]
+                cycles[v] = cycle
+        return cycles
+
     def skeleton_ribbon(self):
         """Ribbon graph of the 1-skeleton (closed surfaces only).
 
         Graph edges are the undirected edge classes; the reference direction
         of class ``E`` is the direction of its canonical directed edge.  The
         rotation at a vertex lists, in ccw order, the outgoing directions of
-        the corners around it.
+        its ``corner_cycles``.
         """
-        if self.boundary_edges:
-            raise ValueError("ribbon skeleton of a closed surface only")
-        edges = {}
-        for E in self.edge_classes:
-            edges[E] = (self.corner_at_tail(E), self.corner_at_head(E))
-        # walk corners ccw around each vertex: from corner (t, i) cross the
-        # edge preceding it to reach the matching corner of the neighbor
+        edges = {E: (self.corner_at_tail(E), self.corner_at_head(E))
+                 for E in self.edge_classes}
         rot = {}
-        visited = set()
-        for t, ds in self.triangles.items():
-            for i in range(3):
-                corner = (t, i)
-                if corner in visited:
-                    continue
-                cycle = []
-                c = corner
-                while c not in visited:
-                    visited.add(c)
-                    cycle.append(c)
-                    ct, ci = c
-                    prev = self.triangles[ct][(ci + 2) % 3]
-                    p = self.glue[prev]
-                    nt, nj = self._owner[p]
-                    c = (nt, nj)
-                v = self.corner_class[corner]
-                darts = []
-                for (ct, ci) in cycle:
-                    d = self.triangles[ct][ci]
-                    E = self.edge_class[d]
-                    darts.append((E, 0 if d == E else 1))
-                rot[v] = darts
+        for v, cycle in self.corner_cycles.items():
+            darts = rot[v] = []
+            for t, i in cycle:
+                d = self.triangles[t][i]
+                E = self.edge_class[d]
+                darts.append((E, 0 if d == E else 1))
         return RibbonGraph(edges, rot)
 
 
@@ -413,14 +417,15 @@ class TrainTrack:
     def cycle_pairing(self, w1, w2):
         """Intersection number of the weighted cycles of two weights.
 
-        Requires a consistently orientable track; computed through a
-        homology basis of the filled surface and its intersection matrix.
+        Requires a consistently orientable track; computed directly as
+        ``RibbonGraph.intersection`` of the two oriented flows on the
+        track's ribbon graph, independently of the switch formula.
         """
         for w in (w1, w2):
             if not self.check_weight(w):
                 raise InvalidWeightError("weight violates a switch relation")
-        hom = SurfaceHomology(self.ribbon())
-        return hom.pair_cycles(self.oriented_flow(w1), self.oriented_flow(w2))
+        return self.ribbon().intersection(self.oriented_flow(w1),
+                                          self.oriented_flow(w2))
 
 
 def embed_weights(track, branch_to_edge, w):

@@ -14,7 +14,7 @@ from isocone.ordgroup import LexVec
 from isocone.lamtree import TreeMap, weight_from_vertex_map
 from isocone.cone3 import (
     Triangulation3, EDGE_PAIRS, OPPOSITE_PAIRS, CHOICE_PAIRS, FACE_CYCLES,
-    product_triangulation, BoundaryTrack, compute_cone, member,
+    ProductTriangulation, BoundaryTrack, compute_cone, member,
     verify_witness, GluingError, OrientationError, MemberResult,
 )
 from isocone.fixtures import (
@@ -414,7 +414,7 @@ class TestValidation:
 
     def test_product_two_genus2_components(self):
         g2 = genus2_four_vertex_surface()
-        m = product_triangulation(g2).manifold
+        m = ProductTriangulation(g2).manifold
         comps = m.boundary_components
         assert [c["genus"] for c in comps] == [2, 2]
         assert not any(c["torus"] for c in comps)
@@ -423,7 +423,7 @@ class TestValidation:
         torus = SurfaceTriangulation(
             {"t0": ("a", "b", "c"), "t1": ("A", "B", "C")},
             {"a": "A", "A": "a", "b": "B", "B": "b", "c": "C", "C": "c"})
-        m = product_triangulation(torus).manifold
+        m = ProductTriangulation(torus).manifold
         assert all(c["torus"] for c in m.boundary_components)
         assert m.report()["all_torus_boundary"]
         assert m.torus_classes
@@ -722,7 +722,7 @@ class TestRestriction:
 class TestProduct:
     def test_tet_count(self):
         g2 = genus2_four_vertex_surface()
-        m = product_triangulation(g2).manifold
+        m = ProductTriangulation(g2).manifold
         assert len(m.tets) == 3 * len(g2.triangles)
 
     def test_boundary_copies_oppositely_oriented(self):
@@ -747,7 +747,7 @@ class TestProduct:
 
     def test_validator_passes(self):
         g2 = genus2_four_vertex_surface()
-        m = product_triangulation(g2).manifold
+        m = ProductTriangulation(g2).manifold
         rep = m.report()
         assert rep["tetrahedra"] == 36
         assert [c["genus"] for c in rep["boundary_components"]] == [2, 2]
@@ -757,7 +757,7 @@ class TestProduct:
             {0: ("a", "b", "c"), "0": ("A", "B", "C")},
             {"a": "A", "A": "a", "b": "B", "B": "b", "c": "C", "C": "c"})
         with pytest.raises(ValueError):
-            product_triangulation(torus)
+            ProductTriangulation(torus)
 
 
 class TestMembership:
@@ -900,7 +900,7 @@ class TestBackjumping:
         # complexes, nearly every search here skips a subtree, and a
         # conflict set missing a row's mask reports members as non-members
         pushes = _count_pushes(monkeypatch)
-        m = product_triangulation(genus2_one_vertex_surface()).manifold
+        m = ProductTriangulation(genus2_one_vertex_surface()).manifold
         rng = random.Random(5)
         verdicts, skipped = [], 0
         for _ in range(20):

@@ -1,9 +1,12 @@
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from isocone import lamtree
 from isocone.ordgroup import LexVec, DimensionError
 from isocone.lamtree import (
     MetricTree, TreeMap, LinearMap,
@@ -71,6 +74,57 @@ class TestDistance:
                         assert dm[i][j] > zero
                     for k in range(n):
                         assert dm[i][j] <= dm[i][k] + dm[k][j]
+
+
+class TestConstruction:
+    def test_disconnected_with_tree_edge_count(self):
+        # a triangle and an isolated vertex: n - 1 edges, two components
+        edges = {"a": (0, 1, V(1)), "b": (1, 2, V(1)), "c": (2, 0, V(1))}
+        with pytest.raises(ValueError, match="not connected"):
+            MetricTree([0, 1, 2, 3], edges)
+
+    def test_wrong_edge_count(self):
+        with pytest.raises(ValueError, match="edge count"):
+            MetricTree([0, 1, 2], {"a": (0, 1, V(1))})
+
+    def test_end_anchor_not_a_vertex(self):
+        with pytest.raises(ValueError, match="end anchor 9 is not a vertex"):
+            MetricTree([0, 1], {"a": (0, 1, V(1))}, end=9)
+
+
+def _path_length(tree, a, b):
+    """Sum of the edge lengths on the a-b path, found by a breadth-first
+    walk from a over the edge list (no use of the tree's own walk)."""
+    via = {a: None}
+    frontier = [a]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for eid, (u, v, _) in tree.edges.items():
+                for x, y in ((u, v), (v, u)):
+                    if x == w and y not in via:
+                        via[y] = (w, eid)
+                        nxt.append(y)
+        frontier = nxt
+    total = LexVec.zero(tree.rank)
+    while b != a:
+        b, eid = via[b]
+        total = total + tree.edges[eid][2]
+    return total
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(),
+       st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                min_size=1, max_size=12))
+def test_vertex_distance_is_path_sum(seed, with_end, queries):
+    # each answer is the path sum, whichever sources were walked before
+    rng = random.Random(seed)
+    n = rng.randint(1, 8)
+    t = random_tree(rng, n, rng.randint(1, 3), with_end=with_end)
+    for i, j in queries:
+        a, b = t.vertices[i % n], t.vertices[j % n]
+        assert t.vertex_distance(a, b) == _path_length(t, a, b)
 
 
 class TestFourPoint:
@@ -218,6 +272,35 @@ class TestEndAndPushing:
             d = t.distance(t.push(p, s), t.push(q, s))
             assert d == V(gap)
 
+    def test_push_from_edge_points(self):
+        # end 0; edge "a" is stored from its end side, edge "b" toward it
+        t = MetricTree([0, 1, 2], {"a": (0, 1, V(4)), "b": (2, 1, V(3))},
+                       end=0)
+        p = t.point_on_edge("a", V(1))
+        half = Fraction(1, 2)
+        assert t.push(p, half) == t.point_on_edge("a", V(half))
+        assert t.push(p, 1) == t.point(0)
+        assert t.push(p, 3) == t.point_on_ray(2)
+        q = t.point_on_edge("b", V(1))
+        assert t.push(q, 1) == t.point_on_edge("b", V(2))
+        assert t.push(q, 2) == t.point(1)
+        assert t.push(q, 3) == t.point_on_edge("a", V(3))
+        assert t.push(q, 8) == t.point_on_ray(2)
+
+    def test_push_edge_points_random(self):
+        # pushing by s lowers the horofunction by s and moves the point by
+        # exactly s, from either orientation of the stored edge
+        rng = random.Random(28)
+        for _ in range(40):
+            t = random_tree(rng, rng.randint(2, 8), 1, with_end=True)
+            for eid, (u, v, length) in t.edges.items():
+                offset = length.scale(Fraction(rng.randint(1, 4), 5))
+                p = t.point_on_edge(eid, offset)
+                for s in (Fraction(rng.randint(1, 30), 6), length.coords[0]):
+                    img = t.push(p, s)
+                    assert t.busemann(img) == t.busemann(p) - s
+                    assert t.distance(p, img) == V(s)
+
     def test_push_nonincreasing_random(self):
         rng = random.Random(25)
         for _ in range(40):
@@ -288,3 +371,12 @@ class TestWeightsFromMaps:
             f2 = TreeMap(t2, assignment)
             map_then_w = weight_from_vertex_map(range(5), f2, edges)
             assert w_then_map == map_then_w
+
+
+def test_code_line_count():
+    # one walk per source gives the parent pointers, the distances and the
+    # connectivity check: a second walk or a pair-keyed cache would not fit
+    path = pathlib.Path(lamtree.__file__)
+    lines = [line.strip() for line in path.read_text().splitlines()]
+    code = [line for line in lines if line and not line.startswith("#")]
+    assert len(code) <= 391

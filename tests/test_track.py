@@ -14,6 +14,7 @@ from isocone.fixtures import (
     genus2_one_vertex_surface, genus2_four_vertex_surface,
     genus2_maximal_track,
 )
+from isocone.flatsurf import square_torus, hex_torus, lshape_h2, pillowcase
 
 
 def torus_track():
@@ -62,6 +63,32 @@ class TestSurface:
         assert not s.is_connected()
         assert genus2_four_vertex_surface().components() == [
             sorted(genus2_four_vertex_surface().triangles, key=repr)]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: square_torus().comb, lambda: hex_torus().comb,
+    lambda: lshape_h2().comb, lambda: pillowcase().comb,
+    genus2_one_vertex_surface, genus2_four_vertex_surface])
+def test_corner_cycles(make):
+    s = make()
+    cycles = s.corner_cycles
+    corners = [c for cycle in cycles.values() for c in cycle]
+    assert sorted(corners) == sorted((t, i) for t in s.triangles
+                                     for i in range(3))
+    assert sorted(cycles, key=repr) == s.vertex_classes
+    for v, cycle in cycles.items():
+        assert {s.corner_class[c] for c in cycle} == {v}
+        # the ccw successor crosses the edge preceding the corner
+        for (t, i), nxt in zip(cycle, cycle[1:] + cycle[:1]):
+            assert s.locate(s.glue[s.triangles[t][(i + 2) % 3]]) == nxt
+
+
+def test_corner_cycles_need_a_closed_surface():
+    s = SurfaceTriangulation({"t": ("e", "f", "g")}, {}, allow_boundary=True)
+    with pytest.raises(ValueError):
+        s.corner_cycles
+    with pytest.raises(ValueError):
+        s.skeleton_ribbon()
 
 
 class TestUnionFind:
