@@ -158,7 +158,10 @@ def cmd_cone_isotropy(args):
 def _load_surface(args):
     surf, tangents, notes = io.parse_flatsurface(_read(args.input))
     if args.rotate:
-        c = _parse_rotate(args.rotate)
+        try:
+            c = _parse_rotate(args.rotate)
+        except ZeroDivisionError:
+            raise DomainError(f"zero denominator in --rotate {args.rotate!r}")
         surf = surf.rotate(c)
         tangents = [PeriodTangent(surf, {d: c * v
                                          for d, v in t.delta.items()})
@@ -213,6 +216,8 @@ def cmd_surface_track(args):
 
 
 def cmd_surface_symplectic_check(args):
+    if args.depth is not None and args.depth < 0:
+        raise DomainError(f"--depth must be at least 0, not {args.depth}")
     surf, tangents, notes = _load_surface(args)
     if not args.rotate:
         try:

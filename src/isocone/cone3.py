@@ -598,8 +598,10 @@ def _acyclic_edge_senses(surface):
 
     Returns a dict mapping each undirected edge class to True when its
     canonical directed edge points from the lower to the higher corner.
-    Found by deterministic backtracking over edges in id order with unit
-    propagation; a solution always exists at the sizes used here.
+    Found by deterministic backtracking over edges in id order, trying
+    True before False and undoing a value as soon as some triangle with
+    all three edges assigned is cyclic; there is no propagation.  A
+    solution always exists at the sizes used here.
     """
     # triangle -> [(edge, flag)]: sense_i = x_edge == flag
     edge_lits = {t: [(surface.edge_class[d], d == surface.edge_class[d])
@@ -633,19 +635,31 @@ def _acyclic_edge_senses(surface):
     return assign
 
 
-_EVEN3 = {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
-
-
 class ProductTriangulation:
     """The product of a closed oriented surface with an interval.
 
-    Every triangle becomes a prism cut into three tetrahedra along a
-    staircase determined by a corner order; the corner orders come from
-    edge directions chosen so that no triangle is cyclic, which makes the
-    wall diagonals agree across neighboring prisms.  The boundary is two
-    copies of the surface with opposite induced orientations.  Piece ``k``
-    of the prism over triangle ``t`` is the tetrahedron named
-    ``f"{t}.{k}"``.
+    Every triangle ``t`` becomes a prism cut into three tetrahedra along a
+    staircase fixed by its corner ranks.  The edge senses of
+    ``_acyclic_edge_senses`` leave no triangle cyclic, so corner ``i`` has
+    ``rank(i) = [edge i falls] + [edge i-1 rises]`` neighbors below it and
+    the staircases agree across every edge.  With ``σ`` the corners in rank
+    order:
+
+    - piece ``k`` is the tetrahedron ``f"{t}.{k}"``; its slots hold the
+      bottom corners ``σ[:3-k]``, then the top corners ``σ[2-k:]``, with
+      the first two slots swapped where that orients it positively;
+    - over the edge from corner ``lo`` up to corner ``hi``, the lower wall
+      triangle (bottom ``lo`` and ``hi``, top ``hi``) is in piece
+      ``2 - rank(hi)`` and the upper one (bottom ``lo``, top ``hi`` and
+      ``lo``) is in piece ``2 - rank(lo)``;
+    - the bottom copy of ``t`` is the face of piece 0 opposite its single
+      top corner, and the top copy is the face of piece 2 opposite its
+      single bottom corner.
+
+    The boundary is these two copies of the surface, with opposite induced
+    orientations.  Slot ``kk`` of a copy runs between corners ``a`` and
+    ``b`` of ``t``; it is surface slot ``a`` if ``b == a+1 (mod 3)`` and
+    ``b`` otherwise.
 
     Attributes: ``manifold``; per-copy data ``bottom`` and ``top`` mapping
     each surface triangle to ``(boundary_triangle, slot_map)`` where
@@ -659,128 +673,70 @@ class ProductTriangulation:
             raise ValueError("product of a closed surface only")
         self.surface = surface
         senses = _acyclic_edge_senses(surface)
+        # sigma[t]: the corners of t in rank order, so rank(c) is
+        # sigma[t].index(c); nodes[t, k]: the (level, corner) in each slot
+        # of piece k, level 1 on top
+        sigma, nodes, gluings = {}, {}, {}
 
-        node_tuple = {}   # tet name -> 4-tuple of ('b'|'t', corner)
-        prism_of = {}     # tet name -> (triangle, piece)
-        sigma_of = {}
-        for t, ds in surface.triangles.items():
-            s = []
-            for d in ds:
-                E = surface.edge_class[d]
-                s.append(senses[E] == (d == E))
-            # rank order: min has (not s[j-1]) and s[j]
-            mn = next(j for j in range(3) if not s[(j + 2) % 3] and s[j])
-            mx = next(j for j in range(3) if s[(j + 2) % 3] and not s[j])
-            md = 3 - mn - mx
-            sigma = (mn, md, mx)
-            sigma_of[t] = sigma
-            parity = 1 if sigma in _EVEN3 else -1
-            raw = [
-                ([("b", sigma[0]), ("b", sigma[1]), ("b", sigma[2]),
-                  ("t", sigma[2])], 1),
-                ([("b", sigma[0]), ("b", sigma[1]), ("t", sigma[1]),
-                  ("t", sigma[2])], -1),
-                ([("b", sigma[0]), ("t", sigma[0]), ("t", sigma[1]),
-                  ("t", sigma[2])], 1),
-            ]
-            for k, (nodes, base) in enumerate(raw):
-                if base * parity == -1:
-                    nodes = [nodes[1], nodes[0]] + nodes[2:]
-                name = f"{t}.{k}"
-                node_tuple[name] = tuple(nodes)
-                prism_of[name] = (t, k)
-        if len(node_tuple) != 3 * len(surface.triangles):
-            raise ValueError("triangle ids with equal str() give equal "
-                             "tetrahedron names")
-
-        self._node_tuple = node_tuple
-        self._prism_of = prism_of
-        node_pos = {tet: {n: i for i, n in enumerate(nodes)}
-                    for tet, nodes in node_tuple.items()}
-
-        gluings = {}
-
-        def add_gluing(tetA, triA, tetB, triB):
+        def glue(t, k, tri, t2, k2, tri2):
             """Glue the faces spanned by matching ordered node triples."""
-            posA = [node_pos[tetA][n] for n in triA]
-            posB = [node_pos[tetB][n] for n in triB]
-            fA = ({0, 1, 2, 3} - set(posA)).pop()
-            fB = ({0, 1, 2, 3} - set(posB)).pop()
-            perm = dict(zip(posA, posB))
-            gluings[(tetA, fA)] = (tetB, fB, perm)
-            gluings[(tetB, fB)] = (tetA, fA, {v: k for k, v in perm.items()})
+            a = [nodes[t, k].index(n) for n in tri]
+            b = [nodes[t2, k2].index(n) for n in tri2]
+            perm = dict(zip(a, b))
+            f, f2 = 6 - sum(a), 6 - sum(b)
+            gluings[(f"{t}.{k}", f)] = (f"{t2}.{k2}", f2, perm)
+            gluings[(f"{t2}.{k2}", f2)] = (f"{t}.{k}", f,
+                                           {v: u for u, v in perm.items()})
 
-        def find_tet(t, nodes):
-            hits = [f"{t}.{k}" for k in range(3)
-                    if set(nodes) <= set(node_tuple[f"{t}.{k}"])]
-            if len(hits) != 1:
-                raise AssertionError(f"wall triple in {len(hits)} tets")
-            return hits[0]
+        for t, ds in surface.triangles.items():
+            rises = [senses[surface.edge_class[d]]
+                     == (d == surface.edge_class[d]) for d in ds]
+            rank = [(not rises[i]) + rises[i - 1] for i in range(3)]
+            s = sigma[t] = sorted(range(3), key=rank.__getitem__)
+            odd = s[1] != (s[0] + 1) % 3
+            for k in range(3):
+                ns = [(0, c) for c in s[:3 - k]] + [(1, c) for c in s[2 - k:]]
+                if odd != (k == 1):
+                    ns[:2] = ns[1::-1]
+                nodes[t, k] = ns
+            tri01 = [(0, s[0]), (0, s[1]), (1, s[2])]
+            glue(t, 0, tri01, t, 1, tri01)
+            tri12 = [(0, s[0]), (1, s[1]), (1, s[2])]
+            glue(t, 1, tri12, t, 2, tri12)
 
-        # internal prism gluings
-        for t in surface.triangles:
-            sigma = sigma_of[t]
-            tri01 = [("b", sigma[0]), ("b", sigma[1]), ("t", sigma[2])]
-            add_gluing(f"{t}.0", tri01, f"{t}.1", tri01)
-            tri12 = [("b", sigma[0]), ("t", sigma[1]), ("t", sigma[2])]
-            add_gluing(f"{t}.1", tri12, f"{t}.2", tri12)
+        for E in surface.edge_classes:
+            t, i = surface.locate(E)
+            t2, j = surface.locate(surface.glue[E])
+            # tail of E ~ head of its partner, head of E ~ tail of the partner
+            phi = {i: (j + 1) % 3, (i + 1) % 3: j}
+            lo, hi = sorted(phi, key=sigma[t].index)
+            # the lower wall holds hi on both levels, the upper one lo
+            for both, tri in ((hi, [(0, lo), (0, hi), (1, hi)]),
+                              (lo, [(0, lo), (1, hi), (1, lo)])):
+                glue(t, 2 - sigma[t].index(both), tri,
+                     t2, 2 - sigma[t2].index(phi[both]),
+                     [(h, phi[c]) for h, c in tri])
 
-        # wall gluings across each surface edge
-        done = set()
-        for d in sorted(surface.glue, key=repr):
-            E = surface.edge_class[d]
-            if E in done:
-                continue
-            done.add(E)
-            d2 = surface.glue[d]
-            tA, iA = surface.locate(d)
-            tB, jB = surface.locate(d2)
-            # corner identification: tail(d) ~ head(d2), head(d) ~ tail(d2)
-            phi = {iA: (jB + 1) % 3, (iA + 1) % 3: jB}
-            rankA = {c: p for p, c in enumerate(sigma_of[tA])}
-            xA, yA = iA, (iA + 1) % 3
-            lowA, highA = (xA, yA) if rankA[xA] < rankA[yA] else (yA, xA)
-            lowB, highB = phi[lowA], phi[highA]
-            lowerA = [("b", lowA), ("b", highA), ("t", highA)]
-            lowerB = [("b", lowB), ("b", highB), ("t", highB)]
-            add_gluing(find_tet(tA, lowerA), lowerA,
-                       find_tet(tB, lowerB), lowerB)
-            upperA = [("b", lowA), ("t", highA), ("t", lowA)]
-            upperB = [("b", lowB), ("t", highB), ("t", lowB)]
-            add_gluing(find_tet(tA, upperA), upperA,
-                       find_tet(tB, upperB), upperB)
-
-        self.manifold = Triangulation3(node_tuple.keys(), gluings)
-        self._index_boundary()
-
-    def _index_boundary(self):
-        """Locate the two surface copies inside the boundary triangulation."""
-        surf = self.surface
-        man = self.manifold
-        self.bottom = {}
-        self.top = {}
-        self.bottom_edge_of = {}
-        self.top_edge_of = {}
-        corner_pair_to_slot = {}
-        for t, ds in surf.triangles.items():
-            for i in range(3):
-                corner_pair_to_slot[(t, frozenset((i, (i + 1) % 3)))] = i
-        for (tet, f) in man.boundary_faces:
-            t, _ = self._prism_of[tet]
-            cyc = FACE_CYCLES[f]
-            nodes = [self._node_tuple[tet][c] for c in cyc]
-            store, edge_store = ((self.bottom, self.bottom_edge_of)
-                                 if nodes[0][0] == "b"
-                                 else (self.top, self.top_edge_of))
-            slot_map = {}
-            for kk in range(3):
-                c1 = nodes[kk][1]
-                c2 = nodes[(kk + 1) % 3][1]
-                i = corner_pair_to_slot[(t, frozenset((c1, c2)))]
-                slot_map[i] = kk
-                E = surf.edge_class[surf.triangles[t][i]]
-                edge_store[E] = man.boundary.edge_class[(tet, f, kk)]
-            store[t] = ((tet, f), slot_map)
+        self.manifold = Triangulation3([f"{t}.{k}" for t, k in nodes], gluings)
+        boundary_edge = self.manifold.boundary.edge_class
+        self.bottom, self.top = {}, {}
+        self.bottom_edge_of, self.top_edge_of = {}, {}
+        for t, ds in surface.triangles.items():
+            s = sigma[t]
+            for copy, edge_of, k, apex in (
+                    (self.bottom, self.bottom_edge_of, 0, (1, s[2])),
+                    (self.top, self.top_edge_of, 2, (0, s[0]))):
+                tet, ns = f"{t}.{k}", nodes[t, k]
+                f = ns.index(apex)
+                cyc = FACE_CYCLES[f]
+                slot_map = {}
+                for kk in range(3):
+                    a, b = ns[cyc[kk]][1], ns[cyc[(kk + 1) % 3]][1]
+                    i = a if b == (a + 1) % 3 else b
+                    slot_map[i] = kk
+                    edge_of[surface.edge_class[ds[i]]] = \
+                        boundary_edge[(tet, f, kk)]
+                copy[t] = ((tet, f), slot_map)
 
 
 def verify_witness(manifold, btrack, w_boundary, result):

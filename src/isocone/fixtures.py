@@ -164,14 +164,14 @@ def g2_product_bundle():
 MF_WEIGHT_TRIES = 1000
 
 
-def mf_weight(track, rng, hi=6):
+def mf_weight(track, rng):
     """A random nonnegative admissible weight, by rejection on the basis;
     ``ValueError`` if ``MF_WEIGHT_TRIES`` draws are all rejected."""
     basis = track.weight_space_basis()
     for _ in range(MF_WEIGHT_TRIES):
         w = {e: Fraction(0) for e in track.branches}
         for vec in basis:
-            c = Fraction(rng.randint(0, hi), rng.randint(1, 3))
+            c = Fraction(rng.randint(0, 6), rng.randint(1, 3))
             for e, val in vec.items():
                 w[e] += c * val
         if all(v >= 0 for v in w.values()):

@@ -61,9 +61,6 @@ class QC:
 
     __rmul__ = __mul__
 
-    def conj(self):
-        return QC(self.re, -self.im)
-
     def is_zero(self):
         return self.re == 0 and self.im == 0
 
@@ -86,6 +83,10 @@ def dot(u, v):
 
 
 def _check_triangle(t, ds, vectors):
+    for d in ds:
+        if d not in vectors:
+            raise FlatSurfaceError(f"triangle {t!r} uses edge {d!r}, "
+                                   f"which has no vector")
     vs = [vectors[d] for d in ds]
     total = vs[0] + vs[1] + vs[2]
     if not total.is_zero():
@@ -441,6 +442,10 @@ class PeriodTangent:
         self.surface = surface
         self.delta = dict(delta)
         for t, ds in surface.triangles.items():
+            for d in ds:
+                if d not in self.delta:
+                    raise FlatSurfaceError(f"tangent has no value on edge "
+                                           f"{d!r}")
             total = self.delta[ds[0]] + self.delta[ds[1]] + self.delta[ds[2]]
             if not total.is_zero():
                 raise FlatSurfaceError(f"tangent does not close on {t!r}")
@@ -511,20 +516,20 @@ def tangent_basis(surface):
             for vec in surface.tangent_kernel]
 
 
-def random_tangent(surface, rng, lo=-2, hi=2, maxden=2):
+def random_tangent(surface, rng):
     """A random period tangent with small rational coordinates.
 
     For each vector of ``surface.tangent_kernel``, in free-column order,
     draws a real coefficient and then an imaginary one, each
-    ``Fraction(rng.randint(lo, hi), rng.randint(1, maxden))``; the tangent
-    is the sum of (real + i * imaginary) times the vectors.
+    ``Fraction(rng.randint(-2, 2), rng.randint(1, 2))``; the tangent is
+    the sum of (real + i * imaginary) times the vectors.
     """
     classes = surface.comb.edge_classes
     re = [Fraction(0)] * len(classes)
     im = [Fraction(0)] * len(classes)
     for vec in surface.tangent_kernel:
-        cr = Fraction(rng.randint(lo, hi), rng.randint(1, maxden))
-        ci = Fraction(rng.randint(lo, hi), rng.randint(1, maxden))
+        cr = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+        ci = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
         for k, x in enumerate(vec):
             if x:
                 re[k] += cr * x

@@ -10,7 +10,7 @@ the serializers on normalized files.
 
 from fractions import Fraction
 
-from isocone.ordgroup import format_rat, parse_lexvec
+from isocone.ordgroup import LexVec, format_rat
 from isocone.lamtree import MetricTree
 from isocone.track import SurfaceTriangulation, TrainTrack
 from isocone.cone3 import Triangulation3
@@ -70,11 +70,10 @@ def parse_tree(text):
             vertices.append(toks[1])
         elif toks[0] == "edge" and len(toks) == 5:
             eid, u, v, vec = toks[1], toks[2], toks[3], toks[4]
-            try:
-                length = parse_lexvec(vec)
-            except ValueError as e:
-                raise ParseError(lineno, str(e))
-            edges[eid] = (u, v, length)
+            if not (vec.startswith("(") and vec.endswith(")")):
+                raise ParseError(lineno, f"malformed tuple: {vec!r}")
+            edges[eid] = (u, v, LexVec(_rat(p, lineno, notes)
+                                       for p in vec[1:-1].split(",")))
         elif toks[0] == "end" and len(toks) == 2:
             end = toks[1]
         else:
@@ -293,9 +292,12 @@ def parse_manifold(text):
         if name not in tri_by_name:
             raise ParseError(lineno, f"unknown boundary triangle {name!r}")
         try:
-            outgoing[tri_by_name[name]] = int(slot)
+            k = int(slot)
         except ValueError:
+            k = None
+        if k not in (0, 1, 2):
             raise ParseError(lineno, f"bad slot {slot!r}")
+        outgoing[tri_by_name[name]] = k
 
     weights = {}
     if manifold.boundary is not None:

@@ -189,3 +189,61 @@ class TestTreeCommand:
 
     def test_missing_file_exit_2(self, capsys):
         assert run(["tree", "fourpoint", "--input", "/nonexistent"]) == 2
+
+
+class TestMalformedInput:
+    """Malformed files are parse errors (exit 2) and bad flag values domain
+    errors (exit 1), never tracebacks."""
+
+    @pytest.mark.parametrize("slot", ["3", "7", "-1"])
+    def test_switch_slot_out_of_range_exit_2(self, tmp_path, capsys, slot):
+        text = open(fixture_file(tmp_path, "two_tets")).read()
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text.replace("out 0", f"out {slot}", 1))
+        lineno = text.splitlines().index("switch T0.1 out 0") + 1
+        capsys.readouterr()
+        assert run(["cone", "compute", "--input", str(bad)]) == 2
+        assert f"line {lineno}: bad slot '{slot}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dropped, message", [
+        ("vector a ", "triangle 't0' uses edge 'a', which has no vector"),
+        ("tangent 1 a ", "invalid tangent 1: tangent has no value on edge "
+                         "'a'"),
+    ])
+    def test_flat_surface_missing_edge_exit_2(self, tmp_path, capsys,
+                                               dropped, message):
+        text = open(fixture_file(tmp_path, "square_torus")).read()
+        bad = tmp_path / "bad.txt"
+        bad.write_text("".join(line for line in text.splitlines(True)
+                               if not line.startswith(dropped)))
+        capsys.readouterr()
+        assert run(["surface", "validate", "--input", str(bad)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_tree_zero_denominator_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "tree.txt"
+        path.write_text("vertex a\nvertex b\nedge e1 a b (0,1/0)\n")
+        assert run(["tree", "fourpoint", "--input", str(path)]) == 2
+        assert "line 3: bad rational '1/0'" in capsys.readouterr().err
+
+    def test_tree_unnormalized_tuple_noted(self, tmp_path, capsys):
+        path = tmp_path / "tree.txt"
+        path.write_text("vertex a\nvertex b\nedge e1 a b (2/4)\n")
+        assert run(["tree", "fourpoint", "--input", str(path)]) == 0
+        assert "note: normalized 2/4 to 1/2" in capsys.readouterr().out
+
+    def test_rotate_zero_denominator_exit_1(self, tmp_path, capsys):
+        path = fixture_file(tmp_path, "square_torus")
+        assert run(["surface", "validate", "--input", path,
+                    "--rotate", "1/0"]) == 1
+        assert "zero denominator in --rotate '1/0'" in \
+            capsys.readouterr().err
+
+    def test_negative_depth_exit_1(self, tmp_path, capsys):
+        path = fixture_file(tmp_path, "lshape_h2")
+        capsys.readouterr()
+        assert run(["surface", "symplectic-check", "--input", path,
+                    "--depth", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert "--depth must be at least 0" in captured.err
+        assert not captured.out

@@ -404,6 +404,12 @@ def _faulty_gluings(fault, where):
     return gluings
 
 
+def _two_triangle_torus():
+    return SurfaceTriangulation(
+        {"t0": ("a", "b", "c"), "t1": ("A", "B", "C")},
+        {"a": "A", "A": "a", "b": "B", "B": "b", "c": "C", "C": "c"})
+
+
 class TestValidation:
     def test_single_tet_sphere(self):
         m = single_tet()
@@ -420,10 +426,7 @@ class TestValidation:
         assert not any(c["torus"] for c in comps)
 
     def test_torus_product_flagged(self):
-        torus = SurfaceTriangulation(
-            {"t0": ("a", "b", "c"), "t1": ("A", "B", "C")},
-            {"a": "A", "A": "a", "b": "B", "B": "b", "c": "C", "C": "c"})
-        m = ProductTriangulation(torus).manifold
+        m = ProductTriangulation(_two_triangle_torus()).manifold
         assert all(c["torus"] for c in m.boundary_components)
         assert m.report()["all_torus_boundary"]
         assert m.torus_classes
@@ -1169,12 +1172,43 @@ def test_tet_form_vanishes_on_a_choice(us, vs, k):
 
 def test_code_line_count():
     # the boundary is paired by edge class, the form has one table of
-    # coefficients, and the boundary track is read off the one boundary
-    # surface: a fan walk, a second table or a second surface would not fit
+    # coefficients, the boundary track is read off the one boundary surface
+    # and a product's pieces, walls and copies follow from corner ranks: a
+    # fan walk, a second table, a second surface, a search for the piece
+    # that holds a wall triangle or a second scan of the boundary faces
+    # would not fit
     path = pathlib.Path(cone3.__file__)
     lines = [line.strip() for line in path.read_text().splitlines()]
     code = [line for line in lines if line and not line.startswith("#")]
-    assert len(code) <= 651
+    assert len(code) <= 611
+
+
+@pytest.mark.parametrize("make_surface", [
+    genus2_four_vertex_surface, genus2_one_vertex_surface,
+    _two_triangle_torus])
+def test_product_indexes_both_copies(make_surface):
+    """``bottom`` and ``top`` are the two boundary components, built from
+    pieces ``t.0`` and ``t.2``; their slot maps carry every surface gluing
+    to a boundary gluing, and the edge maps agree with them."""
+    surface = make_surface()
+    product = ProductTriangulation(surface)
+    boundary = product.manifold.boundary
+    comps = [set(c["triangles"])
+             for c in product.manifold.boundary_components]
+    assert len(comps) == 2
+    copies = ((product.bottom, product.bottom_edge_of, 0),
+              (product.top, product.top_edge_of, 2))
+    for copy, edge_of, k in copies:
+        assert set(copy) == set(surface.triangles)
+        assert {tf for tf, _ in copy.values()} in comps
+        assert all(tf[0] == f"{t}.{k}" for t, (tf, _) in copy.items())
+        assert set(edge_of) == set(surface.edge_classes)
+        for d, d2 in surface.glue.items():
+            (t, i), (t2, j) = surface.locate(d), surface.locate(d2)
+            (tf, slots), (tf2, slots2) = copy[t], copy[t2]
+            assert boundary.glue[(*tf, slots[i])] == (*tf2, slots2[j])
+            assert edge_of[surface.edge_class[d]] == \
+                boundary.edge_class[(*tf, slots[i])]
 
 
 def _parity(p):
