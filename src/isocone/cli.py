@@ -24,6 +24,10 @@ from isocone.flatsurf import (
     kahler_pairing_numeric, NeedsRotationError,
 )
 
+# the quadrature samples 4**depth sub-triangles of every triangle
+MAX_QUADRATURE_DEPTH = 10
+
+
 class DomainError(ValueError):
     pass
 
@@ -216,8 +220,12 @@ def cmd_surface_track(args):
 
 
 def cmd_surface_symplectic_check(args):
-    if args.depth is not None and args.depth < 0:
-        raise DomainError(f"--depth must be at least 0, not {args.depth}")
+    depth = args.depth if args.depth is not None else 4
+    if depth < 0:
+        raise DomainError(f"--depth must be at least 0, not {depth}")
+    if depth > MAX_QUADRATURE_DEPTH:
+        raise DomainError(f"--depth must be at most {MAX_QUADRATURE_DEPTH}, "
+                          f"not {depth}")
     surf, tangents, notes = _load_surface(args)
     if not args.rotate:
         try:
@@ -245,7 +253,6 @@ def cmd_surface_symplectic_check(args):
     lines.append(f"omega_homological: {format_rat(c3)}")
     lines.append(f"omega_hessian: {format_rat(b)}")
     lines.append(f"agree: {'true' if a == b == c3 else 'false'}")
-    depth = args.depth if args.depth is not None else 4
     num = kahler_pairing_numeric(surf, t1, t2, depth=depth)
     lines.append("quadrature (floating point):")
     lines.append(f"  depth: {depth}")

@@ -302,15 +302,22 @@ def _positions(vectors, ds):
 
 
 def _incircle_strict(A, B, C, D):
-    """D strictly inside the circumcircle of ccw triangle ABC."""
-    rows = []
-    for P in (A, B, C):
-        x = P.re - D.re
-        y = P.im - D.im
-        rows.append([x, y, x * x + y * y])
-    det = (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-           - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-           + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
+    """D strictly inside the circumcircle of ccw triangle ABC.
+
+    The sign of the determinant is taken in integers: the coordinates are
+    scaled by the lcm L of their denominators, and the determinant is
+    homogeneous of degree 4 in them, so it only gains the factor
+    L**4 > 0.  Cocircular points give exactly 0, which is not inside.
+    """
+    coords = (A.re, A.im, B.re, B.im, C.re, C.im, D.re, D.im)
+    L = math.lcm(*[q.denominator for q in coords])
+    ax, ay, bx, by, cx, cy, dx, dy = [
+        q.numerator * (L // q.denominator) for q in coords]
+    ax, bx, cx = ax - dx, bx - dx, cx - dx
+    ay, by, cy = ay - dy, by - dy, cy - dy
+    a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+    det = (ax * (by * c2 - b2 * cy) - ay * (bx * c2 - b2 * cx)
+           + a2 * (bx * cy - by * cx))
     return det > 0
 
 
@@ -685,42 +692,24 @@ def kahler_pairing_numeric(surface, t1, t2, depth=4):
 
 
 def _triangle_pairing_quadrature(P, per1, per2, depth):
+    """Centroid rule for (i/2) theta_1 wedge conj(theta_2) on one triangle.
+
+    theta_j is the Whitney interpolant of the edge periods ``per_j``: edge
+    k runs from corner k to corner k+1 and carries the form
+    W_k = lam_k d(lam_{k+1}) - lam_{k+1} d(lam_k).  Each sample point
+    takes its barycentric values and Whitney weights once and uses them
+    for both tangents.  The float operations, their operands and their
+    order are fixed (``docs/conventions.md``), so the printed result is
+    the same bit for bit on every run.
+    """
     # barycentric gradients: lambda_k is affine with gradient g_k
     (x0, y0), (x1, y1), (x2, y2) = ((p.real, p.imag) for p in P)
     twoA = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
-    grads = [
-        ((y1 - y2) / twoA, (x2 - x1) / twoA),
-        ((y2 - y0) / twoA, (x0 - x2) / twoA),
-        ((y0 - y1) / twoA, (x1 - x0) / twoA),
-    ]
-
-    def lam(k, x, y):
-        refs = [(x1, y1), (x2, y2), (x0, y0)]
-        gx, gy = grads[k]
-        rx, ry = refs[k]          # lambda_k vanishes on the opposite edge
-        return gx * (x - rx) + gy * (y - ry)
-
-    # edge k runs from corner k to corner k+1: Whitney form
-    #   W_k = lam_k d(lam_{k+1}) - lam_{k+1} d(lam_k)
-    def theta(per, x, y):
-        cx = complex(0)
-        cy = complex(0)
-        for k in range(3):
-            a, b = k, (k + 1) % 3
-            la = lam(a, x, y)
-            lb = lam(b, x, y)
-            ga, gb = grads[a], grads[b]
-            wx = la * gb[0] - lb * ga[0]
-            wy = la * gb[1] - lb * ga[1]
-            cx += per[k] * wx
-            cy += per[k] * wy
-        return cx, cy
-
-    def integrand(x, y):
-        ax, ay = theta(per1, x, y)
-        bx, by = theta(per2, x, y)
-        # (i/2) theta1 ^ conj(theta2) = (i/2)(ax*conj(by) - ay*conj(bx)) dx^dy
-        return 0.5j * (ax * by.conjugate() - ay * bx.conjugate())
+    g0x, g0y = (y1 - y2) / twoA, (x2 - x1) / twoA
+    g1x, g1y = (y2 - y0) / twoA, (x0 - x2) / twoA
+    g2x, g2y = (y0 - y1) / twoA, (x1 - x0) / twoA
+    a0, a1, a2 = per1
+    b0, b1, b2 = per2
 
     pieces = [P]
     for _ in range(depth):
@@ -735,7 +724,25 @@ def _triangle_pairing_quadrature(P, per1, per2, depth):
     total = complex(0)
     for (a, b, c) in pieces:
         z = (a + b + c) / 3
-        total += integrand(z.real, z.imag)
+        x = z.real
+        y = z.imag
+        # lambda_k vanishes on the opposite edge, through corner k+1
+        l0 = g0x * (x - x1) + g0y * (y - y1)
+        l1 = g1x * (x - x2) + g1y * (y - y2)
+        l2 = g2x * (x - x0) + g2y * (y - y0)
+        w0x = l0 * g1x - l1 * g0x
+        w0y = l0 * g1y - l1 * g0y
+        w1x = l1 * g2x - l2 * g1x
+        w1y = l1 * g2y - l2 * g1y
+        w2x = l2 * g0x - l0 * g2x
+        w2y = l2 * g0y - l0 * g2y
+        # each component starts from 0j, as a running sum from zero would
+        ax = 0j + a0 * w0x + a1 * w1x + a2 * w2x
+        ay = 0j + a0 * w0y + a1 * w1y + a2 * w2y
+        bx = 0j + b0 * w0x + b1 * w1x + b2 * w2x
+        by = 0j + b0 * w0y + b1 * w1y + b2 * w2y
+        # (i/2) theta1 ^ conj(theta2) = (i/2)(ax*conj(by) - ay*conj(bx)) dx^dy
+        total += 0.5j * (ax * by.conjugate() - ay * bx.conjugate())
     return total * area_factor
 
 

@@ -113,7 +113,8 @@ class MetricTree:
             for eid, nb in self.adj[w]:
                 if nb not in dist:
                     parent[nb] = (w, eid)
-                    dist[nb] = dist[w] + self.edges[eid][2]
+                    length = self.edges[eid][2]
+                    dist[nb] = length if w == src else dist[w] + length
                     stack.append(nb)
         return parent, dist
 
@@ -169,7 +170,8 @@ class MetricTree:
     def _point_anchors(self, p):
         """(vertex, cost) pairs through which paths from p leave its cell."""
         if p.kind == "vertex":
-            return [(p.vertex, LexVec.zero(self.rank))]
+            # its own anchor, with no cost to add
+            return [(p.vertex, None)]
         if p.kind == "edge":
             u, v, length = self.edges[p.edge]
             return [(u, p.offset), (v, length - p.offset)]
@@ -189,7 +191,9 @@ class MetricTree:
         best = None
         for va, ca in self._point_anchors(p):
             for vb, cb in self._point_anchors(q):
-                d = ca + self.vertex_distance(va, vb) + cb
+                d = self.vertex_distance(va, vb)
+                d = d if ca is None else ca + d
+                d = d if cb is None else d + cb
                 if best is None or d < best:
                     best = d
         return best
@@ -275,11 +279,9 @@ def four_point_check(dmat):
     """
     if len(dmat) != 4 or any(len(r) != 4 for r in dmat):
         raise ValueError("need a 4x4 matrix")
-    s1 = dmat[0][1] + dmat[2][3]
-    s2 = dmat[0][2] + dmat[1][3]
-    s3 = dmat[0][3] + dmat[1][2]
-    a, b, c = sorted([s1, s2, s3])
-    return b == c
+    s = sorted([dmat[0][1] + dmat[2][3], dmat[0][2] + dmat[1][3],
+                dmat[0][3] + dmat[1][2]])
+    return s[1] == s[2]
 
 
 def _check_metric(dmat):
@@ -342,9 +344,8 @@ def min_displacement(tree, g):
     vset = set(tree.vertices)
     if set(g.keys()) != vset or set(g.values()) != vset:
         raise NotAnIsometryError("not a vertex bijection")
-    edge_by_pair = {}
-    for eid, (u, v, length) in tree.edges.items():
-        edge_by_pair[frozenset((u, v))] = (eid, length)
+    edge_by_pair = {frozenset((u, v)): (eid, length)
+                    for eid, (u, v, length) in tree.edges.items()}
     for eid, (u, v, length) in tree.edges.items():
         img = frozenset((g[u], g[v]))
         if img not in edge_by_pair or edge_by_pair[img][1] != length:

@@ -204,11 +204,3 @@ def left_inverse(a):
     """Functional phi with phi(a) = 1; requires a > 0 lexicographically."""
     return LeftInverse(a)
 
-
-def parse_lexvec(text):
-    """Parse '(0,3/2,-1)' into a LexVec."""
-    s = text.strip()
-    if not (s.startswith("(") and s.endswith(")")):
-        raise ValueError(f"malformed tuple: {text!r}")
-    parts = s[1:-1].split(",")
-    return LexVec(Fraction(p.strip()) for p in parts)

@@ -1,8 +1,15 @@
+import importlib
+import pathlib
+from fractions import Fraction
+
 import pytest
 
 from isocone import io
 from isocone.cli import build_parser, run
 from isocone.fixtures import chain_tets
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def fixture_file(tmp_path, name):
@@ -102,6 +109,51 @@ class TestSurfaceCommands:
                  if not l.startswith("weight")]
         track, _ = parse_track("\n".join(lines) + "\n")
         assert len(track.switches) == 6
+
+
+class TestQuadratureBytes:
+    """The printed quadrature line, byte for byte.
+
+    The pairing is a float, so its digits depend on the order of every
+    float operation in the quadrature; these lines were recorded from the
+    closure-based quadrature that the inlined one replaced.
+    """
+
+    def _pairing(self, capsys, path, depth, seed=None):
+        argv = ["surface", "symplectic-check", "--input", path,
+                "--depth", str(depth)]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        capsys.readouterr()
+        assert run(argv) == 0
+        return [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("  pairing:")]
+
+    @pytest.mark.parametrize("name, line", [
+        ("lshape_h2", "  pairing: 0-6i"),
+        ("hex_torus", "  pairing: 0-14i"),
+        ("pillowcase", "  pairing: 0-4i"),
+    ])
+    def test_bundled_tangents(self, tmp_path, capsys, name, line):
+        path = fixture_file(tmp_path, name)
+        assert self._pairing(capsys, path, 3) == [line]
+
+    @pytest.mark.parametrize("depth, line", [
+        (0, "  pairing: -3.33066907388e-16-1i"),
+        (3, "  pairing: 0-1i"),
+        (5, "  pairing: 0-1i"),
+    ])
+    def test_sheared_grid3_seeded(self, tmp_path, capsys, monkeypatch,
+                                  depth, line):
+        # the benchmark's grid torus, sheared by 7/4 and made Delaunay
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        grid = importlib.import_module("surfaces").grid_torus(3)
+        src = tmp_path / "grid3.txt"
+        src.write_text(io.serialize_flatsurface(grid.shear(Fraction(7, 4))))
+        out = tmp_path / "grid3_delaunay.txt"
+        assert run(["surface", "delaunay", "--input", str(src),
+                    "--output", str(out)]) == 0
+        assert self._pairing(capsys, str(out), depth, seed=2) == [line]
 
 
 class TestConeCommands:
@@ -246,4 +298,14 @@ class TestMalformedInput:
                     "--depth", "-1"]) == 1
         captured = capsys.readouterr()
         assert "--depth must be at least 0" in captured.err
+        assert not captured.out
+
+    def test_depth_above_bound_exit_1(self, tmp_path, capsys):
+        # 4**depth sub-triangles per triangle: refused before any work
+        path = fixture_file(tmp_path, "lshape_h2")
+        capsys.readouterr()
+        assert run(["surface", "symplectic-check", "--input", path,
+                    "--depth", "11"]) == 1
+        captured = capsys.readouterr()
+        assert "--depth must be at most 10" in captured.err
         assert not captured.out

@@ -95,6 +95,88 @@ def _reference_random_tangent(surface, rng, lo=-2, hi=2, maxden=2):
     return t
 
 
+def _reference_incircle_strict(A, B, C, D):
+    """The circle test in ``Fraction`` arithmetic, row by row."""
+    rows = []
+    for P in (A, B, C):
+        x = P.re - D.re
+        y = P.im - D.im
+        rows.append([x, y, x * x + y * y])
+    det = (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
+           - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
+           + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
+    return det > 0
+
+
+def _reference_quadrature(P, per1, per2, depth):
+    """The quadrature of one triangle through per-point closures: 12
+    barycentric and 2 Whitney evaluations per sample point."""
+    (x0, y0), (x1, y1), (x2, y2) = ((p.real, p.imag) for p in P)
+    twoA = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+    grads = [
+        ((y1 - y2) / twoA, (x2 - x1) / twoA),
+        ((y2 - y0) / twoA, (x0 - x2) / twoA),
+        ((y0 - y1) / twoA, (x1 - x0) / twoA),
+    ]
+
+    def lam(k, x, y):
+        refs = [(x1, y1), (x2, y2), (x0, y0)]
+        gx, gy = grads[k]
+        rx, ry = refs[k]
+        return gx * (x - rx) + gy * (y - ry)
+
+    def theta(per, x, y):
+        cx = complex(0)
+        cy = complex(0)
+        for k in range(3):
+            a, b = k, (k + 1) % 3
+            la = lam(a, x, y)
+            lb = lam(b, x, y)
+            ga, gb = grads[a], grads[b]
+            wx = la * gb[0] - lb * ga[0]
+            wy = la * gb[1] - lb * ga[1]
+            cx += per[k] * wx
+            cy += per[k] * wy
+        return cx, cy
+
+    def integrand(x, y):
+        ax, ay = theta(per1, x, y)
+        bx, by = theta(per2, x, y)
+        return 0.5j * (ax * by.conjugate() - ay * bx.conjugate())
+
+    pieces = [P]
+    for _ in range(depth):
+        nxt = []
+        for (a, b, c) in pieces:
+            ab = (a + b) / 2
+            bc = (b + c) / 2
+            ca = (c + a) / 2
+            nxt.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
+        pieces = nxt
+    area_factor = abs(twoA) / 2 / len(pieces)
+    total = complex(0)
+    for (a, b, c) in pieces:
+        z = (a + b + c) / 3
+        total += integrand(z.real, z.imag)
+    return total * area_factor
+
+
+_coord = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
+_period = st.builds(complex, _coord, _coord)
+# rationals with unrelated denominators, so the lcm in the circle test
+# is not a power of one prime
+_mixed = st.builds(Fraction, st.integers(-400, 400),
+                   st.sampled_from([1, 2, 3, 5, 7, 12, 25, 49, 60, 97, 1001]))
+_rational_point = st.builds(QC, _mixed, _mixed)
+
+
+def _unit_circle_point(m, n):
+    """The rational point ((m^2 - n^2) + 2mn i) / (m^2 + n^2) of the unit
+    circle, from a Pythagorean triple."""
+    c = m * m + n * n
+    return QC(Fraction(m * m - n * n, c), Fraction(2 * m * n, c))
+
+
 class TestValidate:
     def test_square_torus(self):
         v = square_torus().validate()
@@ -231,6 +313,27 @@ class TestDelaunay:
         assert is_delaunay(d)
         assert d.validate()["symbol"] == (-1, -1, -1, -1)
         assert d.kind == "half-translation"
+
+
+class TestCircleTestReference:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(points=st.lists(_rational_point, min_size=4, max_size=4))
+    def test_matches_fraction_reference(self, points):
+        assert flatsurf._incircle_strict(*points) == \
+            _reference_incircle_strict(*points)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(mn=st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+                       .filter(lambda t: t != (0, 0)),
+                       min_size=4, max_size=4),
+           centre=_rational_point, radius=_mixed)
+    def test_cocircular_points_are_legal(self, mn, centre, radius):
+        assume(radius != 0)
+        points = [centre + _unit_circle_point(m, n) * radius
+                  for m, n in mn]
+        assume(len(set(points)) == 4)
+        assert not flatsurf._incircle_strict(*points)
+        assert not _reference_incircle_strict(*points)
 
 
 class TestHeightsAndTrack:
@@ -446,6 +549,40 @@ class TestQuadratureOracle:
         errs = [abs(kahler_pairing_numeric(s, t1, t2, depth=d) - ref)
                 for d in (2, 3, 4)]
         assert errs[0] >= errs[1] >= errs[2]
+
+
+class TestQuadratureReference:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(corners=st.lists(_period, min_size=3, max_size=3),
+           per1=st.lists(_period, min_size=3, max_size=3),
+           per2=st.lists(_period, min_size=3, max_size=3),
+           depth=st.integers(0, 5))
+    def test_bit_identical_to_closures(self, corners, per1, per2, depth):
+        (x0, y0), (x1, y1), (x2, y2) = ((p.real, p.imag) for p in corners)
+        assume((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0) != 0)
+        got = flatsurf._triangle_pairing_quadrature(corners, per1, per2,
+                                                    depth)
+        want = _reference_quadrature(corners, per1, per2, depth)
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("maker", BUNDLED)
+    def test_bit_identical_on_surfaces(self, maker):
+        # the per-triangle inputs as ``kahler_pairing_numeric`` builds them
+        s = delaunay(maker())
+        if s.kind != "translation":
+            s, _ = orientation_double_cover(s)
+        rng = random.Random(78)
+        t1, t2 = random_tangent(s, rng), random_tangent(s, rng)
+        for t in sorted(s.triangles, key=repr):
+            ds = s.triangles[t]
+            P = [complex(p.re, p.im)
+                 for p in flatsurf._positions(s.vectors, ds)]
+            per1 = [complex(t1.delta[d].re, t1.delta[d].im) for d in ds]
+            per2 = [complex(t2.delta[d].re, t2.delta[d].im) for d in ds]
+            for depth in (0, 3):
+                assert repr(flatsurf._triangle_pairing_quadrature(
+                    P, per1, per2, depth)) == repr(
+                    _reference_quadrature(P, per1, per2, depth))
 
 
 class TestDoubleCover:
