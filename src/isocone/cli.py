@@ -159,6 +159,12 @@ def cmd_cone_isotropy(args):
 # -- surface subcommands ----------------------------------------------------------
 
 
+def _rotate_tangents(rotated, tangents, c):
+    """The tangents multiplied by c, on the surface already rotated by c."""
+    return [PeriodTangent(rotated, {d: c * v for d, v in t.delta.items()})
+            for t in tangents]
+
+
 def _load_surface(args):
     surf, tangents, notes = io.parse_flatsurface(_read(args.input))
     if args.rotate:
@@ -167,9 +173,7 @@ def _load_surface(args):
         except ZeroDivisionError:
             raise DomainError(f"zero denominator in --rotate {args.rotate!r}")
         surf = surf.rotate(c)
-        tangents = [PeriodTangent(surf, {d: c * v
-                                         for d, v in t.delta.items()})
-                    for t in tangents]
+        tangents = _rotate_tangents(surf, tangents, c)
         notes = notes + [f"rotated by {format_rat(c.re)}+{format_rat(c.im)}i"]
     return surf, tangents, notes
 
@@ -231,11 +235,8 @@ def cmd_surface_symplectic_check(args):
         try:
             surf.dual_track()
         except NeedsRotationError:
-            rotated, c = surf.adapted()
-            tangents = [PeriodTangent(rotated, {d: c * v
-                                                for d, v in t.delta.items()})
-                        for t in tangents]
-            surf = rotated
+            surf, c = surf.adapted()
+            tangents = _rotate_tangents(surf, tangents, c)
             notes = notes + [
                 f"auto-rotated by {format_rat(c.re)}+{format_rat(c.im)}i"]
     if len(tangents) < 2:

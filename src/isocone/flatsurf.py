@@ -82,30 +82,10 @@ def dot(u, v):
     return u.re * v.re + u.im * v.im
 
 
-def _check_triangle(t, ds, vectors):
-    for d in ds:
-        if d not in vectors:
-            raise FlatSurfaceError(f"triangle {t!r} uses edge {d!r}, "
-                                   f"which has no vector")
-    vs = [vectors[d] for d in ds]
-    total = vs[0] + vs[1] + vs[2]
-    if not total.is_zero():
-        raise FlatSurfaceError(f"triangle {t!r} does not close up")
-    if cross(vs[0], vs[1]) <= 0:
-        raise FlatSurfaceError(f"triangle {t!r} has nonpositive area")
-
-
-def _check_gluing(kind, d, d2, vectors, signs):
-    s = signs.get(d)
-    if s not in ("neg", "pos"):
-        raise FlatSurfaceError(f"missing gluing sign at {d!r}")
-    if s != signs.get(d2):
-        raise FlatSurfaceError(f"gluing signs disagree at {d!r}")
-    want = -vectors[d] if s == "neg" else vectors[d]
-    if vectors[d2] != want:
-        raise FlatSurfaceError(f"gluing at {d!r} is not vector-compatible")
-    if kind == "translation" and s == "pos":
-        raise FlatSurfaceError("translation surfaces allow only neg gluings")
+# The rotations ``FlatSurface.adapted`` tries, in order: 1, i, then p+qi
+# by n = p+q with gcd(p, q) = 1 and p ascending.
+_ROTATIONS = (QC(1),) + tuple(QC(p, n - p) for n in range(1, 12)
+                              for p in range(n) if math.gcd(p, n - p) == 1)
 
 
 class FlatSurface:
@@ -131,10 +111,30 @@ class FlatSurface:
         self._check_structure()
 
     def _check_structure(self):
+        vectors, signs = self.vectors, self.signs
         for t, ds in self.triangles.items():
-            _check_triangle(t, ds, self.vectors)
+            for d in ds:
+                if d not in vectors:
+                    raise FlatSurfaceError(f"triangle {t!r} uses edge {d!r}, "
+                                           f"which has no vector")
+            vs = [vectors[d] for d in ds]
+            if not (vs[0] + vs[1] + vs[2]).is_zero():
+                raise FlatSurfaceError(f"triangle {t!r} does not close up")
+            if cross(vs[0], vs[1]) <= 0:
+                raise FlatSurfaceError(f"triangle {t!r} has nonpositive area")
         for d, d2 in self.glue.items():
-            _check_gluing(self.kind, d, d2, self.vectors, self.signs)
+            s = signs.get(d)
+            if s not in ("neg", "pos"):
+                raise FlatSurfaceError(f"missing gluing sign at {d!r}")
+            if s != signs.get(d2):
+                raise FlatSurfaceError(f"gluing signs disagree at {d!r}")
+            want = -vectors[d] if s == "neg" else vectors[d]
+            if vectors[d2] != want:
+                raise FlatSurfaceError(
+                    f"gluing at {d!r} is not vector-compatible")
+            if self.kind == "translation" and s == "pos":
+                raise FlatSurfaceError(
+                    "translation surfaces allow only neg gluings")
 
     @functools.cached_property
     def tangent_kernel(self):
@@ -221,9 +221,7 @@ class FlatSurface:
             c = QC(c)
         if c.is_zero():
             raise FlatSurfaceError("rotation by zero is degenerate")
-        vectors = {d: c * v for d, v in self.vectors.items()}
-        return FlatSurface(self.kind, self.triangles, vectors, self.glue,
-                           self.signs)
+        return self.apply_matrix(c.re, -c.im, c.im, c.re)
 
     def apply_matrix(self, a, b, c, d):
         """Apply an orientation-preserving rational linear map to all vectors."""
@@ -242,13 +240,33 @@ class FlatSurface:
 
     def heights(self):
         """|imaginary part| per undirected edge; fails on horizontal edges."""
+        return self._heights(QC(1))
+
+    def _heights(self, c):
+        """The heights of ``self.rotate(c)``: |c.re * v.im + c.im * v.re|."""
         out = {}
         for E in self.comb.edge_classes:
             v = self.vectors[E]
-            if v.im == 0:
+            y = c.re * v.im + c.im * v.re
+            if y == 0:
                 raise NeedsRotationError(f"horizontal edge {E!r}")
-            out[E] = abs(v.im)
+            out[E] = abs(y)
         return out
+
+    def _tallest(self, c):
+        """Slot of the tallest edge of every triangle of ``self.rotate(c)``.
+
+        Raises NeedsRotationError on horizontal edges or height ties.
+        """
+        h = self._heights(c)
+        outgoing = {}
+        for t, ds in self.triangles.items():
+            hs = [h[self.comb.edge_class[d]] for d in ds]
+            top = max(hs)
+            if hs.count(top) != 1:
+                raise NeedsRotationError(f"height tie in triangle {t!r}")
+            outgoing[t] = hs.index(top)
+        return outgoing
 
     def dual_track(self):
         """Dual train track: tallest edge outgoing in every triangle.
@@ -257,40 +275,28 @@ class FlatSurface:
         edge classes, and the heights satisfy every switch relation.
         Raises NeedsRotationError on horizontal edges or height ties.
         """
-        h = self.heights()
-        outgoing = {}
-        for t, ds in self.triangles.items():
-            hs = [h[self.comb.edge_class[d]] for d in ds]
-            top = max(hs)
-            if hs.count(top) != 1:
-                raise NeedsRotationError(f"height tie in triangle {t!r}")
-            outgoing[t] = hs.index(top)
-        return track_dual_to_triangulation(self.comb, outgoing)
+        return track_dual_to_triangulation(self.comb, self._tallest(QC(1)))
 
-    def adapted(self, candidates=None):
-        """Rotate by the first multiplier leaving no horizontal edge or tie.
+    def adapted(self):
+        """Rotate by the first of ``_ROTATIONS`` leaving no horizontal edge
+        or tie; returns ``(surface, multiplier)``.
 
-        The search runs over a deterministic sequence of small rational
-        complex numbers; returns ``(surface, multiplier)``.
+        Each candidate is tested on the rotated heights alone, and only the
+        winner's surface is built.
         """
-        if candidates is None:
-            candidates = [QC(1, 0)]
-            for n in range(1, 12):
-                for p in range(n + 1):
-                    q = n - p
-                    if math.gcd(p, q) == 1:
-                        candidates.append(QC(p, q))
-        for c in candidates:
-            s = self.rotate(c)
+        for c in _ROTATIONS:
             try:
-                s.dual_track()
+                self._tallest(c)
             except NeedsRotationError:
                 continue
-            return s, c
+            return self.rotate(c), c
         raise NeedsRotationError("no adapted rotation among the candidates")
 
 
 # -- Delaunay retriangulation ----------------------------------------------------
+
+
+_ORIGIN = QC(0)
 
 
 def _positions(vectors, ds):
@@ -322,26 +328,22 @@ def _incircle_strict(A, B, C, D):
 
 
 def _edge_quad(triangles, vectors, glue, signs, locate, d):
-    """Developed quad around edge d: (A, B, C, D, data for the flip).
+    """The quad around edge d: (A, B, C, D, data for the flip).
 
-    A->B is the edge in its own triangle's chart, C the opposite corner on
-    the d side, D the opposite corner of the partner triangle developed
-    across the gluing.  ``locate`` maps a directed edge to its (triangle,
-    slot).
+    Read off three edge vectors in the chart of d's triangle translated so
+    that B is 0: A->B is d, C the opposite corner on the d side (B->C is
+    the next edge e1), and D the opposite corner of the partner triangle,
+    reached from B backwards along the partner's edge f2 carried across
+    the gluing by mu = +1 (neg) or -1 (pos).  ``locate`` maps a directed
+    edge to its (triangle, slot).
     """
-    p = glue[d]
     t1, i = locate(d)
-    t2, j = locate(p)
-    pos1 = _positions(vectors, triangles[t1])
-    A = pos1[i]
-    B = pos1[(i + 1) % 3]
-    C = pos1[(i + 2) % 3]
+    t2, j = locate(glue[d])
     mu = 1 if signs[d] == "neg" else -1
-    pos2 = _positions(vectors, triangles[t2])
-    # psi(z) = mu * z + tau maps the partner chart here, tail(p) to B
-    tau = B - mu * pos2[j]
-    D = mu * pos2[(j + 2) % 3] + tau
-    return A, B, C, D, (t1, i, t2, j, mu)
+    A = -vectors[d]
+    C = vectors[triangles[t1][(i + 1) % 3]]
+    D = -mu * vectors[triangles[t2][(j + 2) % 3]]
+    return A, _ORIGIN, C, D, (t1, i, t2, j, mu)
 
 
 def is_delaunay(surface):
@@ -365,12 +367,13 @@ def delaunay(surface):
     exactly.
 
     The flips are applied in place on copies of the triangles, vectors,
-    signs and slot owners, and one ``FlatSurface`` is built at the end.  An
-    edge's legality depends only on its two triangles, and the edge classes
-    only on the gluing pairs, which flips never change; so a min-heap of
-    class ranks, holding every edge not known to be legal and refilled with
-    the five edges of the two triangles each flip touches, finds the same
-    edge at every step as rescanning all of them would.
+    signs and slot owners, and one ``FlatSurface`` is built at the end; its
+    structure check is the only check of the flips.  An edge's legality
+    depends only on its two triangles, and the edge classes only on the
+    gluing pairs, which flips never change; so a min-heap of class ranks,
+    holding every edge not known to be legal and refilled with the five
+    edges of the two triangles each flip touches, finds the same edge at
+    every step as rescanning all of them would.
     """
     glue = surface.glue
     classes = surface.comb.edge_classes
@@ -423,11 +426,8 @@ def delaunay(surface):
                 raise AssertionError("flip broke a gluing")
 
         for t in (t1, t2):
-            ds = triangles[t]
-            _check_triangle(t, ds, vectors)
-            for slot, x in enumerate(ds):
+            for slot, x in enumerate(triangles[t]):
                 owner[x] = (t, slot)
-                _check_gluing(surface.kind, x, glue[x], vectors, signs)
                 r = rank[edge_class[x]]
                 if not queued[r]:
                     queued[r] = True

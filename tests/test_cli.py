@@ -76,6 +76,14 @@ class TestSurfaceCommands:
         path = fixture_file(tmp_path, "square_torus")
         assert run(["surface", "heights", "--input", path]) == 1
 
+    def test_track_horizontal_edge_is_named(self, tmp_path, capsys):
+        path = fixture_file(tmp_path, "square_torus")
+        capsys.readouterr()
+        assert run(["surface", "track", "--input", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: horizontal edge 'A'\n"
+        assert not captured.out
+
     def test_heights_with_rotation(self, tmp_path, capsys):
         path = fixture_file(tmp_path, "square_torus")
         capsys.readouterr()

@@ -1,6 +1,7 @@
 import contextlib
 import importlib
 import io as _io
+import math
 import pathlib
 import random
 from fractions import Fraction
@@ -34,9 +35,29 @@ def _quad(s, d):
                                s.comb.locate, d)
 
 
+def _reference_edge_quad(s, d):
+    """The quad around d by development: the corners of both triangles in
+    their own charts, and the partner's far corner carried into d's chart
+    by psi(z) = mu * z + tau, which maps the tail of the partner edge to
+    B."""
+    def corners(ds):
+        p1 = s.vectors[ds[0]]
+        return [QC(0), p1, p1 + s.vectors[ds[1]]]
+
+    t1, i = s.comb.locate(d)
+    t2, j = s.comb.locate(s.glue[d])
+    pos1 = corners(s.triangles[t1])
+    A, B, C = pos1[i], pos1[(i + 1) % 3], pos1[(i + 2) % 3]
+    mu = 1 if s.signs[d] == "neg" else -1
+    pos2 = corners(s.triangles[t2])
+    tau = B - mu * pos2[j]
+    D = mu * pos2[(j + 2) % 3] + tau
+    return A, B, C, D, (t1, i, t2, j, mu)
+
+
 def _reference_flip(surface, d):
     """Flip the undirected edge of d by rebuilding the whole surface."""
-    A, B, C, D, (t1, i, t2, j, mu) = _quad(surface, d)
+    A, B, C, D, (t1, i, t2, j, mu) = _reference_edge_quad(surface, d)
     p = surface.glue[d]
     ds1 = surface.triangles[t1]
     ds2 = surface.triangles[t2]
@@ -70,12 +91,44 @@ def _reference_delaunay(surface):
     s = surface
     while True:
         for E in sorted(s.comb.edge_classes, key=repr):
-            A, B, C, D, _ = _quad(s, E)
+            A, B, C, D, _ = _reference_edge_quad(s, E)
             if flatsurf._incircle_strict(A, B, C, D):
                 s = _reference_flip(s, E)
                 break
         else:
             return s
+
+
+def _reference_adapted(surface):
+    """Build the rotated surface of every candidate until one has a dual
+    track: 1, i, 1 again, then p+qi by n = p+q with gcd(p, q) = 1 and p
+    ascending."""
+    candidates = [QC(1, 0)]
+    for n in range(1, 12):
+        for p in range(n + 1):
+            if math.gcd(p, n - p) == 1:
+                candidates.append(QC(p, n - p))
+    for c in candidates:
+        s = FlatSurface(surface.kind, surface.triangles,
+                        {d: c * v for d, v in surface.vectors.items()},
+                        surface.glue, surface.signs)
+        try:
+            s.dual_track()
+        except NeedsRotationError:
+            continue
+        return s, c
+    raise NeedsRotationError("no adapted rotation among the candidates")
+
+
+def _sheared_surfaces(monkeypatch):
+    """The bundled surfaces and their shears, and sheared grid tori 2-6."""
+    for maker in BUNDLED:
+        for sh in (0, Fraction(5, 2), Fraction(-7, 3), Fraction(13, 4), -9):
+            yield maker().shear(sh)
+    for n in range(2, 7):
+        grid = _grid_torus(monkeypatch, n)
+        for sh in (Fraction(3, 2), Fraction(9, 7), Fraction(-5, 3)):
+            yield grid.shear(sh)
 
 
 def _assert_same_surface(got, want):
@@ -307,6 +360,16 @@ class TestDelaunay:
             assert flips == 2 * n * n
             assert len(results) <= 3 * n * n + 5 * flips
 
+    def test_edge_quad_matches_development(self, monkeypatch):
+        for s in _sheared_surfaces(monkeypatch):
+            for E in s.comb.edge_classes:
+                A, B, C, D, flip = _quad(s, E)
+                rA, rB, rC, rD, rflip = _reference_edge_quad(s, E)
+                assert flatsurf._incircle_strict(A, B, C, D) == \
+                    flatsurf._incircle_strict(rA, rB, rC, rD)
+                assert D - C == rD - rC
+                assert flip == rflip
+
     def test_half_translation_delaunay(self):
         s = pillowcase().shear(Fraction(5, 2))
         d = delaunay(s)
@@ -352,7 +415,7 @@ class TestHeightsAndTrack:
             square_torus().heights()
 
     def test_rotation_by_i_swaps_re_im(self):
-        s, _ = lshape_h2().adapted(candidates=[QC(2, 1)])
+        s = lshape_h2().rotate(QC(2, 1))
         r = s.rotate(QC(0, 1))
         hr = r.heights()
         for E in s.comb.edge_classes:
@@ -626,3 +689,40 @@ class TestAdapted:
     def test_rotate_by_zero_rejected(self):
         with pytest.raises(FlatSurfaceError):
             square_torus().rotate(QC(0, 0))
+
+    def test_square_torus_needs_the_third_candidate(self):
+        # 1 and i leave horizontal edges; the candidate list holds 1 once
+        s, c = delaunay(square_torus()).adapted()
+        assert c == QC(1, 1)
+        assert flatsurf._ROTATIONS[:3] == (QC(1), QC(0, 1), QC(1, 1))
+
+    def test_matches_reference(self, monkeypatch):
+        surfaces = [delaunay(square_torus())]
+        for s in _sheared_surfaces(monkeypatch):
+            surfaces += [s, delaunay(s)]
+        for s in surfaces:
+            got, c = s.adapted()
+            want, rc = _reference_adapted(s)
+            assert c == rc
+            assert io.serialize_flatsurface(got) == \
+                io.serialize_flatsurface(want)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(maker=st.sampled_from(BUNDLED), re=_mixed, im=_mixed)
+    def test_rotate_multiplies_every_vector(self, maker, re, im):
+        c = QC(re, im)
+        assume(not c.is_zero())
+        s = maker()
+        assert list(s.rotate(c).vectors.items()) == \
+            [(d, c * v) for d, v in s.vectors.items()]
+
+
+def test_code_line_count():
+    # every transform builds and checks one surface per result, and the
+    # Delaunay quad is read off three edge vectors: a surface built per
+    # rotation candidate, a quad developed through chart maps or re-checks
+    # of the triangles and gluings after every flip would not fit
+    path = pathlib.Path(flatsurf.__file__)
+    lines = [line.strip() for line in path.read_text().splitlines()]
+    code = [line for line in lines if line and not line.startswith("#")]
+    assert len(code) <= 695
