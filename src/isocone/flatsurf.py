@@ -32,7 +32,7 @@ class FlatSurfaceError(ValueError):
 
 
 class NeedsRotationError(FlatSurfaceError):
-    """A horizontal edge (or a height tie) blocks the operation."""
+    """A horizontal edge blocks the operation."""
 
 
 class QC:
@@ -117,10 +117,10 @@ class FlatSurface:
                 if d not in vectors:
                     raise FlatSurfaceError(f"triangle {t!r} uses edge {d!r}, "
                                            f"which has no vector")
-            vs = [vectors[d] for d in ds]
-            if not (vs[0] + vs[1] + vs[2]).is_zero():
+            a, b, c = [vectors[d] for d in ds]
+            if a.re + b.re + c.re != 0 or a.im + b.im + c.im != 0:
                 raise FlatSurfaceError(f"triangle {t!r} does not close up")
-            if cross(vs[0], vs[1]) <= 0:
+            if cross(a, b) <= 0:
                 raise FlatSurfaceError(f"triangle {t!r} has nonpositive area")
         for d, d2 in self.glue.items():
             s = signs.get(d)
@@ -128,8 +128,9 @@ class FlatSurface:
                 raise FlatSurfaceError(f"missing gluing sign at {d!r}")
             if s != signs.get(d2):
                 raise FlatSurfaceError(f"gluing signs disagree at {d!r}")
-            want = -vectors[d] if s == "neg" else vectors[d]
-            if vectors[d2] != want:
+            v, w = vectors[d], vectors[d2]
+            want = (-v.re, -v.im) if s == "neg" else (v.re, v.im)
+            if (w.re, w.im) != want:
                 raise FlatSurfaceError(
                     f"gluing at {d!r} is not vector-compatible")
             if self.kind == "translation" and s == "pos":
@@ -256,16 +257,15 @@ class FlatSurface:
     def _tallest(self, c):
         """Slot of the tallest edge of every triangle of ``self.rotate(c)``.
 
-        Raises NeedsRotationError on horizontal edges or height ties.
+        Raises NeedsRotationError on horizontal edges.  The tallest edge is
+        unique: the imaginary parts of a closed triangle sum to 0 and none
+        is 0, so the largest absolute value is the sum of the other two.
         """
         h = self._heights(c)
         outgoing = {}
         for t, ds in self.triangles.items():
             hs = [h[self.comb.edge_class[d]] for d in ds]
-            top = max(hs)
-            if hs.count(top) != 1:
-                raise NeedsRotationError(f"height tie in triangle {t!r}")
-            outgoing[t] = hs.index(top)
+            outgoing[t] = hs.index(max(hs))
         return outgoing
 
     def dual_track(self):
@@ -273,13 +273,13 @@ class FlatSurface:
 
         Returns ``(track, edge_to_branch)``; branch ids are the undirected
         edge classes, and the heights satisfy every switch relation.
-        Raises NeedsRotationError on horizontal edges or height ties.
+        Raises NeedsRotationError on horizontal edges.
         """
         return track_dual_to_triangulation(self.comb, self._tallest(QC(1)))
 
     def adapted(self):
-        """Rotate by the first of ``_ROTATIONS`` leaving no horizontal edge
-        or tie; returns ``(surface, multiplier)``.
+        """Rotate by the first of ``_ROTATIONS`` leaving no horizontal edge;
+        returns ``(surface, multiplier)``.
 
         Each candidate is tested on the rotated heights alone, and only the
         winner's surface is built.
@@ -453,12 +453,13 @@ class PeriodTangent:
                 if d not in self.delta:
                     raise FlatSurfaceError(f"tangent has no value on edge "
                                            f"{d!r}")
-            total = self.delta[ds[0]] + self.delta[ds[1]] + self.delta[ds[2]]
-            if not total.is_zero():
+            a, b, c = [self.delta[d] for d in ds]
+            if a.re + b.re + c.re != 0 or a.im + b.im + c.im != 0:
                 raise FlatSurfaceError(f"tangent does not close on {t!r}")
         for d, d2 in surface.glue.items():
-            want = -self.delta[d] if surface.signs[d] == "neg" else self.delta[d]
-            if self.delta[d2] != want:
+            v, w = self.delta[d], self.delta[d2]
+            neg = surface.signs[d] == "neg"
+            if (w.re, w.im) != ((-v.re, -v.im) if neg else (v.re, v.im)):
                 raise FlatSurfaceError(f"tangent breaks the gluing at {d!r}")
 
     def times_i(self):
@@ -486,27 +487,21 @@ class PeriodTangent:
         delta = {}
         for d in surface.vectors:
             E = surface.comb.edge_class[d]
-            if d == E:
-                delta[d] = values[E]
-            else:
-                mu = 1 if surface.signs[d] == "pos" else -1
-                delta[d] = mu * values[E]
+            flip = d != E and surface.signs[d] == "neg"
+            delta[d] = -values[E] if flip else values[E]
         return cls(surface, delta)
 
 
 def tangent_coefficient_rows(surface):
-    """Closure constraints on class values, one +-1 row per triangle."""
+    """Closure constraints on class values, one integer row per triangle."""
     classes = surface.comb.edge_classes
     idx = {E: k for k, E in enumerate(classes)}
     rows = []
     for t in sorted(surface.triangles, key=repr):
-        row = [Fraction(0)] * len(classes)
+        row = [0] * len(classes)
         for d in surface.triangles[t]:
             E = surface.comb.edge_class[d]
-            if d == E:
-                row[idx[E]] += 1
-            else:
-                row[idx[E]] += 1 if surface.signs[d] == "pos" else -1
+            row[idx[E]] += -1 if d != E and surface.signs[d] == "neg" else 1
         rows.append(row)
     return rows, classes
 
@@ -517,9 +512,8 @@ def tangent_basis(surface):
     Returns a list of PeriodTangents; together with their i-multiples they
     span all valid tangents over the rationals.
     """
-    classes = surface.comb.edge_classes
     return [PeriodTangent.from_class_values(
-                surface, {E: QC(x) for E, x in zip(classes, vec)})
+                surface, dict(zip(surface.comb.edge_classes, map(QC, vec))))
             for vec in surface.tangent_kernel]
 
 
@@ -529,20 +523,26 @@ def random_tangent(surface, rng):
     For each vector of ``surface.tangent_kernel``, in free-column order,
     draws a real coefficient and then an imaginary one, each
     ``Fraction(rng.randint(-2, 2), rng.randint(1, 2))``; the tangent is
-    the sum of (real + i * imaginary) times the vectors.
+    the sum of (real + i * imaginary) times the vectors.  The sums are
+    taken in integer numerators over one common denominator ``2 * L``,
+    with ``L`` the lcm of the kernel's denominators: a draw ``a / b`` with
+    ``b`` in (1, 2) is ``a * (2 // b) / 2``.
     """
     classes = surface.comb.edge_classes
-    re = [Fraction(0)] * len(classes)
-    im = [Fraction(0)] * len(classes)
-    for vec in surface.tangent_kernel:
-        cr = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-        ci = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+    kernel = surface.tangent_kernel
+    L = math.lcm(*[x.denominator for vec in kernel for x in vec])
+    re, im = [0] * len(classes), [0] * len(classes)
+    for vec in kernel:
+        cr = rng.randint(-2, 2) * (2 // rng.randint(1, 2))
+        ci = rng.randint(-2, 2) * (2 // rng.randint(1, 2))
         for k, x in enumerate(vec):
             if x:
-                re[k] += cr * x
-                im[k] += ci * x
-    return PeriodTangent.from_class_values(
-        surface, {E: QC(r, i) for E, r, i in zip(classes, re, im)})
+                n = x.numerator * (L // x.denominator)
+                re[k] += cr * n
+                im[k] += ci * n
+    return PeriodTangent.from_class_values(surface, {
+        E: QC(Fraction(r, 2 * L), Fraction(i, 2 * L))
+        for E, r, i in zip(classes, re, im)})
 
 
 # -- the three exact pairings --------------------------------------------------------

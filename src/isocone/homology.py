@@ -16,6 +16,7 @@ induced pairing of 1-cohomology classes given by their edge periods, which
 solves one linear system in that matrix.
 """
 
+import itertools
 from fractions import Fraction
 
 from isocone import linalg
@@ -65,16 +66,17 @@ class RibbonGraph:
             v, j = pos[opp]
             ds = self.rot[v]
             nxt[d] = ds[(j + 1) % len(ds)]
+        # each orbit starts at its first dart in repr order
         faces = []
         todo = set(nxt)
-        while todo:
-            d = min(todo, key=repr)
+        for d in sorted(nxt, key=repr):
             orbit = []
             while d in todo:
                 todo.remove(d)
                 orbit.append(d)
                 d = nxt[d]
-            faces.append(orbit)
+            if orbit:
+                faces.append(orbit)
         return faces
 
     def euler_characteristic(self):
@@ -102,24 +104,18 @@ class RibbonGraph:
         if not self.check_flow(x) or not self.check_flow(y):
             raise ValueError("intersection requires conservative flows")
         total = Fraction(0)
-        for v, ds in self.rot.items():
-            pts = []  # (position, system, signed mass); + flows into v
-            p = 0
-            for d in ds:
-                e, i = d
-                sgn = 1 if i == 1 else -1
-                xm = Fraction(x.get(e, 0)) * sgn
-                ym = Fraction(y.get(e, 0)) * sgn
-                # along each edge the x strands ride on the left of the
-                # reference direction: ccw order within a tail arc is then
-                # (y, x) and within a head arc (x, y)
-                order = [("y", ym), ("x", xm)] if i == 0 else [("x", xm), ("y", ym)]
-                for system, mass in order:
-                    if mass != 0:
-                        pts.append((p, system, mass))
-                    p += 1
-            xchords = _chords([(pos, m) for pos, s, m in pts if s == "x"])
-            ychords = _chords([(pos, m) for pos, s, m in pts if s == "y"])
+        for ds in self.rot.values():
+            # (position, signed mass) per system, + flowing in.  Dart k
+            # owns positions 2k and 2k + 1: along each edge the x strands
+            # ride on the left of the reference direction, so ccw order
+            # within a tail arc is (y, x) and within a head arc (x, y)
+            xs, ys = [], []
+            for k, (e, i) in enumerate(ds):
+                for pts, flow, p in ((xs, x, 2 * k + 1 - i),
+                                     (ys, y, 2 * k + i)):
+                    if m := flow.get(e):
+                        pts.append((p, Fraction(m) if i else -Fraction(m)))
+            xchords, ychords = _chords(xs), _chords(ys)
             for (p1, q1, m1) in xchords:
                 for (p2, q2, m2) in ychords:
                     total += _crossing_sign(p1, q1, p2, q2) * m1 * m2
@@ -219,21 +215,25 @@ class SurfaceHomology:
         self._parent = parent
         self._order = order
 
-        # face boundary flows, restricted to non-tree coordinates
-        face_rows = []
+        # face boundary flows, restricted to non-tree coordinates, as sparse
+        # integer rows; their pivots are the leading columns of the span
+        col = {e: j for j, e in enumerate(self.nontree)}
+        face_rows = linalg.IncrementalSystem(len(col))
         for face in rg.faces():
-            flow = {}
+            row = {}
             for e, i in face:
-                flow[e] = flow.get(e, Fraction(0)) + (1 if i == 0 else -1)
-            face_rows.append([Fraction(flow.get(e, 0)) for e in self.nontree])
-        pivots = set(linalg.rref(face_rows)[1])
-        self.basis_flows = [self.flow_from_nontree({e: Fraction(1)})
-                            for j, e in enumerate(self.nontree)
-                            if j not in pivots]
-        n = len(self.basis_flows)
-        self.pairing_matrix = [
-            [rg.intersection(self.basis_flows[i], self.basis_flows[j])
-             for j in range(n)] for i in range(n)]
+                if e in col:
+                    row[col[e]] = row.get(col[e], 0) + (1 if i == 0 else -1)
+            face_rows.push([(c, x) for c, x in row.items() if x], 0)
+        pivots = face_rows.pivot_rows
+        flows = self.basis_flows = [
+            self.flow_from_nontree({e: Fraction(1)})
+            for j, e in enumerate(self.nontree) if j not in pivots]
+        # the form is antisymmetric: pair each i < j once
+        J = self.pairing_matrix = [[Fraction(0)] * len(flows) for _ in flows]
+        for i, j in itertools.combinations(range(len(flows)), 2):
+            J[i][j] = rg.intersection(flows[i], flows[j])
+            J[j][i] = -J[i][j]
 
     def flow_from_nontree(self, nontree_values):
         """The unique conservative flow with the given non-tree values."""
@@ -269,9 +269,6 @@ class SurfaceHomology:
         """
         pa = [self._period(alpha, f) for f in self.basis_flows]
         pb = [self._period(beta, f) for f in self.basis_flows]
-        n = self.rank()
-        if n == 0:
-            return Fraction(0)
         # solve J z = pb, answer is -pa . z
         sol = linalg.solve([list(r) for r in self.pairing_matrix], pb)
         if sol is None:

@@ -148,6 +148,31 @@ def _reference_random_tangent(surface, rng, lo=-2, hi=2, maxden=2):
     return t
 
 
+def _reference_tangent_rows(surface):
+    """The closure rows of ``tangent_coefficient_rows`` as dense
+    ``Fraction`` rows."""
+    classes = surface.comb.edge_classes
+    rows = []
+    for t in sorted(surface.triangles, key=repr):
+        row = [Fraction(0)] * len(classes)
+        for d in surface.triangles[t]:
+            E = surface.comb.edge_class[d]
+            if d == E:
+                row[classes.index(E)] += 1
+            else:
+                row[classes.index(E)] += 1 if surface.signs[d] == "pos" else -1
+        rows.append(row)
+    return rows
+
+
+def _tangent_surfaces(monkeypatch):
+    """The sheared surfaces, their Delaunay triangulations and the
+    pillowcase double cover."""
+    surfaces = list(_sheared_surfaces(monkeypatch))
+    surfaces += [delaunay(s) for s in surfaces]
+    return surfaces + [orientation_double_cover(pillowcase())[0]]
+
+
 def _reference_incircle_strict(A, B, C, D):
     """The circle test in ``Fraction`` arithmetic, row by row."""
     rows = []
@@ -414,6 +439,27 @@ class TestHeightsAndTrack:
         with pytest.raises(NeedsRotationError):
             square_torus().heights()
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(maker=st.sampled_from(BUNDLED), shear=_mixed, re=_mixed, im=_mixed,
+           flip=st.booleans())
+    def test_tallest_edge_is_unique(self, maker, shear, re, im, flip):
+        # a closed triangle's imaginary parts sum to 0, so with none of
+        # them 0 the largest height is the sum of the other two
+        c = QC(re, im)
+        assume(not c.is_zero())
+        s = maker().shear(shear)
+        if flip:
+            s = delaunay(s)
+        try:
+            h = s._heights(c)
+        except NeedsRotationError:
+            assume(False)
+        tallest = s._tallest(c)
+        for t, ds in s.triangles.items():
+            hs = sorted(h[s.comb.edge_class[d]] for d in ds)
+            assert 0 < hs[0] <= hs[1] < hs[2] == hs[0] + hs[1]
+            assert h[s.comb.edge_class[ds[tallest[t]]]] == hs[2]
+
     def test_rotation_by_i_swaps_re_im(self):
         s = lshape_h2().rotate(QC(2, 1))
         r = s.rotate(QC(0, 1))
@@ -523,6 +569,35 @@ class TestTangents:
             assert run(["surface", "symplectic-check", "--input", str(path),
                         "--seed", "1", "--depth", "1"]) == 0
         assert len(calls) == 1
+
+    def test_kernel_matches_fraction_rows(self, monkeypatch):
+        for s in _tangent_surfaces(monkeypatch):
+            rows, classes = flatsurf.tangent_coefficient_rows(s)
+            want = _reference_tangent_rows(s)
+            assert rows == want
+            assert {type(x) for row in rows for x in row} == {int}
+            assert s.tangent_kernel == tuple(map(tuple, linalg.kernel_basis(
+                want, len(classes))))
+
+    def test_random_tangent_matches_reference(self, monkeypatch):
+        # these kernels are all integral: dividing the vectors by 2, 3, 4,
+        # ... keeps a kernel basis and gives the common denominator work.
+        # The reference re-checks a tangent per term, so grids 4 to 6 are
+        # left out for time
+        for k, s in enumerate(_tangent_surfaces(monkeypatch)):
+            if len(s.triangles) > 18:
+                continue
+            scaled = FlatSurface(s.kind, s.triangles, s.vectors, s.glue,
+                                 s.signs)
+            scaled.__dict__["tangent_kernel"] = tuple(
+                tuple(x / m for x in vec)
+                for m, vec in enumerate(s.tangent_kernel, 2))
+            for surface in (s, scaled):
+                got, want = random.Random(k), random.Random(k)
+                t = random_tangent(surface, got)
+                assert t.delta == _reference_random_tangent(
+                    surface, want).delta
+                assert got.getstate() == want.getstate()
 
     def test_dimensions(self):
         # relative period dimension: E - F + 1 for translation surfaces
