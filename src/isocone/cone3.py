@@ -57,21 +57,12 @@ class OrientationError(ValueError):
 EDGE_PAIRS = tuple(frozenset(p) for p in itertools.combinations(range(4), 2))
 
 
-def opposite_pairs():
-    """The three opposite-edge pairs of a tetrahedron, in form order.
-
-    The first members run around an induced boundary face, so the cyclic
-    order of the three pairs is the one entering the tetrahedron form.
-    Face 3 of the standard tetrahedron is the cycle (0, 2, 1); its edges
-    {0,2}, {2,1}, {1,0} are completed by the opposite edges {1,3}, {0,3},
-    {2,3}.
-    """
-    x, y, z = FACE_CYCLES[3]
-    first = [frozenset((x, y)), frozenset((y, z)), frozenset((z, x))]
-    return [(e, frozenset(range(4)) - e) for e in first]
-
-
-OPPOSITE_PAIRS = opposite_pairs()
+# the three opposite-edge pairs of a tetrahedron, in form order: the first
+# members {0,2}, {2,1}, {1,0} run around face 3, the cycle (0, 2, 1), so the
+# cyclic order of the pairs is the one entering the tetrahedron form
+OPPOSITE_PAIRS = [(frozenset((0, 2)), frozenset((1, 3))),
+                  (frozenset((1, 2)), frozenset((0, 3))),
+                  (frozenset((0, 1)), frozenset((2, 3)))]
 
 # choice k of a tetrahedron sets the pair sums CHOICE_PAIRS[k] equal
 CHOICE_PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -381,8 +372,17 @@ class Triangulation3:
         return all(per_tet[t] for t in self.tets), per_tet
 
     def isotropy_check(self, choices):
-        """Whether the total form vanishes on one choice subspace."""
-        basis = self.w4_subspace(choices)
+        """Whether the total form vanishes on one choice subspace.
+
+        The form vanishes on the subspace iff it vanishes on every pair of
+        basis vectors, and a positive multiple of a vector keeps each value
+        zero or nonzero; so each basis vector is scaled once by the lcm of
+        its denominators, and the pairs are taken in integers."""
+        basis = []
+        for v in self.w4_subspace(choices):
+            d = math.lcm(*[x.denominator for x in v.values()])
+            basis.append({c: x.numerator * (d // x.denominator)
+                          for c, x in v.items() if x})
         for j, v in enumerate(basis):
             image = self._form_image(v)
             if any(_pair(u, image) for u in basis[:j]):

@@ -155,15 +155,6 @@ class SurfaceTriangulation:
             comps.setdefault(r, []).append(t)
         return [sorted(c, key=repr) for c in comps.values()]
 
-    def is_connected(self):
-        return len(self.components()) <= 1
-
-    def reversed_orientation(self):
-        """The same surface with every triangle's cyclic order reversed."""
-        tris = {t: (ds[0], ds[2], ds[1]) for t, ds in self.triangles.items()}
-        return SurfaceTriangulation(tris, self.glue,
-                                    allow_boundary=bool(self.boundary_edges))
-
     @functools.cached_property
     def corner_cycles(self):
         """Corners around each vertex class in ccw order (closed surfaces).

@@ -7,6 +7,7 @@ import pytest
 from isocone import io
 from isocone.cli import build_parser, run
 from isocone.fixtures import chain_tets
+from util import code_lines
 
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -317,3 +318,9 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert "--depth must be at most 10" in captured.err
         assert not captured.out
+
+
+def test_code_line_count():
+    # commands parse, call the library and print; the computations live in
+    # the library
+    assert code_lines("cli") <= 321

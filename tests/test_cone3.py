@@ -1,7 +1,6 @@
 import functools
 import itertools
 import math
-import pathlib
 import random
 import re
 from fractions import Fraction
@@ -30,7 +29,7 @@ from isocone.track import (
 )
 from test_acceptance import _random_complex
 from test_linalg import reference_kernel, reference_rref
-from util import random_tree
+from util import code_lines, random_tree
 
 
 
@@ -491,10 +490,11 @@ class TestOppositePairs:
         assert sorted(seen, key=sorted) == sorted(EDGE_PAIRS, key=sorted)
 
     def test_first_members_bound_a_face(self):
-        firsts = [e for e, _ in OPPOSITE_PAIRS]
+        # the derivation the literal replaces: the first members run around
+        # face 3, and each is completed by the disjoint edge
         x, y, z = FACE_CYCLES[3]
-        assert firsts == [frozenset((x, y)), frozenset((y, z)),
-                          frozenset((z, x))]
+        first = [frozenset((x, y)), frozenset((y, z)), frozenset((z, x))]
+        assert OPPOSITE_PAIRS == [(e, frozenset(range(4)) - e) for e in first]
 
     def test_even_relabeling_invariance(self):
         rng = random.Random(50)
@@ -699,6 +699,63 @@ class TestIsotropy:
         assert m.isotropy_check(choices)
         monkeypatch.setattr(m, "w4_subspace", lambda choices: ws)
         assert m.isotropy_check(choices) is False
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_scaled_corrupted_subspace_matches_fraction_gram(self, data):
+        # each vector times a random nonzero rational, so that both
+        # verdicts run on vectors with denominators: the whole basis is
+        # not isotropic, a subset of it may be
+        m, ws = self._corrupted_basis()
+        factors = data.draw(st.lists(
+            st.fractions(-9, 9, max_denominator=9).filter(bool),
+            min_size=len(ws), max_size=len(ws)))
+        scaled = [{c: q * x for c, x in v.items()}
+                  for q, v in zip(factors, ws)]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(ws),
+                                  max_size=len(ws)))
+        choices = {t: 0 for t in m.tets}
+        for basis in (scaled, [v for v, k in zip(scaled, keep) if k]):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(m, "w4_subspace", lambda choices: basis)
+                assert m.isotropy_check(choices) is \
+                    _fraction_isotropy(m, basis)
+        assert _fraction_isotropy(m, scaled) is False
+
+    def test_g2_samples_match_fraction_gram(self):
+        # g2xI choice subspaces, some of whose basis vectors carry
+        # denominators
+        m = g2_product_bundle()["manifold"]
+        rng = random.Random(83)
+        fractional = 0
+        for _ in range(24):
+            choices = {t: rng.randrange(3) for t in m.tets}
+            basis = m.w4_subspace(choices)
+            fractional += sum(any(x.denominator > 1 for x in v.values())
+                              for v in basis)
+            assert m.isotropy_check(choices) is \
+                _fraction_isotropy(m, basis) is True
+        assert fractional
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_random_complexes_match_fraction_gram(self, seed):
+        rng = random.Random(seed)
+        m = _random_complex(rng)
+        choices = {t: rng.randrange(3) for t in m.tets}
+        assert m.isotropy_check(choices) is \
+            _fraction_isotropy(m, m.w4_subspace(choices))
+
+
+def _fraction_isotropy(m, basis):
+    """The ``Fraction`` Gram that ``isotropy_check`` ran before it scaled
+    the basis to integers: the form on every pair of basis vectors, taken
+    on the vectors as given."""
+    for j, v in enumerate(basis):
+        image = m._form_image(v)
+        if any(cone3._pair(u, image) for u in basis[:j]):
+            return False
+    return True
 
 
 class TestRestriction:
@@ -978,6 +1035,36 @@ def test_member_verdict_independent_of_tet_names(seed, data):
         assert verify_witness(m2, btr2, wb2, res2)
 
 
+def _canonical_components(cone, edge_name):
+    """The components of ``cone`` as a set of ``(dimension, span)``, each
+    span in reduced echelon form over the boundary edges ``edge_name(E)``
+    of its edges ``E``, ordered by ``repr``."""
+    names = [edge_name(E) for E in cone.edge_order]
+    order = sorted(names, key=repr)
+    out = set()
+    for comp in cone.components:
+        rows = [dict(zip(names, row)) for row in comp["span"]]
+        span = reference_rref([[row[E] for E in order] for row in rows])[0]
+        out.add((comp["dimension"], tuple(map(tuple, span))))
+    return out
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(3, 5), st.integers(0, 2 ** 32 - 1), st.data())
+def test_cone_independent_of_tet_names(n, seed, data):
+    # renaming reorders the tets, and with them the choice vectors that
+    # compute_cone walks; the union of their components may not change
+    m = chain_tets(n)
+    btr = BoundaryTrack(m, _random_outgoing(m, random.Random(seed)))
+    names = data.draw(st.permutations([f"U{k}" for k in range(n)]))
+    m2, btr2, _ = _relabeled(m, btr, {}, names)
+    old = dict(zip(names, m.tets))
+    cone, cone2 = compute_cone(m, btr), compute_cone(m2, btr2)
+    assert len(cone2) == len(cone)
+    assert _canonical_components(cone2, lambda E: m.boundary.edge_class[
+        (old[E[0]], *E[1:])]) == _canonical_components(cone, lambda E: E)
+
+
 class TestCone:
     def test_sampled_components_isotropic_and_bounded(self):
         bundle = g2_product_bundle()
@@ -1177,10 +1264,12 @@ def test_code_line_count():
     # fan walk, a second table, a second surface, a search for the piece
     # that holds a wall triangle or a second scan of the boundary faces
     # would not fit
-    path = pathlib.Path(cone3.__file__)
-    lines = [line.strip() for line in path.read_text().splitlines()]
-    code = [line for line in lines if line and not line.startswith("#")]
-    assert len(code) <= 611
+    assert code_lines("cone3") <= 610
+
+
+def test_fixtures_code_line_count():
+    # fixtures are built with the library's own constructors
+    assert code_lines("fixtures") <= 143
 
 
 @pytest.mark.parametrize("make_surface", [

@@ -12,6 +12,7 @@ from isocone.flatsurf import (
     orientation_double_cover,
 )
 from isocone.homology import RibbonGraph, SurfaceHomology
+from util import code_lines
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -274,7 +275,4 @@ class TestDisconnected:
 def test_code_line_count():
     # cycles pair by direct ribbon intersection: basis coordinates of a
     # cycle and a stored face reduction would not fit
-    path = pathlib.Path(homology.__file__)
-    lines = [line.strip() for line in path.read_text().splitlines()]
-    code = [line for line in lines if line and not line.startswith("#")]
-    assert len(code) <= 239
+    assert code_lines("homology") <= 239

@@ -8,6 +8,7 @@ from isocone.fixtures import (genus2_maximal_track, two_tets, chain_tets,
 from isocone.flatsurf import lshape_h2, pillowcase, PeriodTangent
 from isocone.lamtree import MetricTree
 from isocone.ordgroup import LexVec
+from util import code_lines
 
 
 class TestTreeFormat:
@@ -88,3 +89,8 @@ class TestManifoldFormat:
     def test_bad_permutation(self):
         with pytest.raises(io.ParseError):
             io.parse_manifold("tet A\ntet B\nglue A.0 B.0 1,2\n")
+
+
+def test_code_line_count():
+    # the formats are read and written here only
+    assert code_lines("io") <= 294

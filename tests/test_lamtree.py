@@ -1,12 +1,10 @@
 import itertools
-import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isocone import lamtree
 from isocone.ordgroup import LexVec, DimensionError
 from isocone.lamtree import (
     MetricTree, TreeMap, LinearMap,
@@ -14,7 +12,7 @@ from isocone.lamtree import (
     min_displacement, base_change, subtree_at, weight_from_vertex_map,
     NotAMetricError, NotAnIsometryError, OrderViolationError,
 )
-from util import random_tree, random_positive_lexvec
+from util import code_lines, random_tree, random_positive_lexvec
 
 
 def V(*coords):
@@ -376,7 +374,4 @@ class TestWeightsFromMaps:
 def test_code_line_count():
     # one walk per source gives the parent pointers, the distances and the
     # connectivity check: a second walk or a pair-keyed cache would not fit
-    path = pathlib.Path(lamtree.__file__)
-    lines = [line.strip() for line in path.read_text().splitlines()]
-    code = [line for line in lines if line and not line.startswith("#")]
-    assert len(code) <= 391
+    assert code_lines("lamtree") <= 391

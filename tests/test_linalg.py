@@ -1,10 +1,10 @@
 import math
-import pathlib
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from isocone import linalg
+from util import code_lines
 
 # small entries with many zeros, so that dependent, redundant and
 # contradicting rows are all common; some are not integers
@@ -197,7 +197,4 @@ def test_wrappers_do_not_count_as_pushes(monkeypatch):
 
 def test_code_line_count():
     # one elimination core: a second, dense one would not fit
-    path = pathlib.Path(linalg.__file__)
-    lines = [line.strip() for line in path.read_text().splitlines()]
-    code = [line for line in lines if line and not line.startswith("#")]
-    assert len(code) <= 155
+    assert code_lines("linalg") <= 155

@@ -8,7 +8,7 @@ from isocone.ordgroup import (
     left_inverse, format_rat,
     DimensionError, NotPositiveError,
 )
-from util import random_positive_lexvec, random_lexvec
+from util import code_lines, random_lexvec, random_positive_lexvec
 
 
 def V(*coords):
@@ -142,3 +142,7 @@ class TestSerialization:
 
     def test_lexvec_repr(self):
         assert repr(V(0, Fraction(3, 2), -1)) == "(0,3/2,-1)"
+
+
+def test_code_line_count():
+    assert code_lines("ordgroup") <= 154
