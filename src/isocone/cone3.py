@@ -202,37 +202,12 @@ class Triangulation3:
             self.boundary_components.append({
                 "triangles": comp,
                 "edge_classes": sorted(edges, key=repr),
-                "euler_characteristic": chi,
                 "genus": (2 - chi) // 2,
                 "torus": chi == 0,
             })
             if chi == 0:
                 for E in edges:
                     self.torus_classes.add(self.boundary_edge_to_class[E])
-
-    def report(self):
-        """Validation summary: boundary shape, edge classes, torus flags."""
-        classes = []
-        members = {}
-        for (t, e), cls in self.edge_class.items():
-            members.setdefault(cls, []).append((t, sorted(e)))
-        for cls in self.edge_classes:
-            classes.append({
-                "id": cls,
-                "members": sorted(members[cls], key=repr),
-                "torus": cls in self.torus_classes,
-                "boundary": cls in self.boundary_edge_to_class.values(),
-            })
-        comps = [dict(c) for c in self.boundary_components]
-        return {
-            "tetrahedra": len(self.tets),
-            "edge_classes": classes,
-            "boundary_components": comps,
-            "boundary_triangles": 0 if self.boundary is None
-            else len(self.boundary.triangles),
-            "all_torus_boundary": bool(comps) and all(c["torus"] for c in comps),
-            "closed": self.boundary is None,
-        }
 
     # -- constraint rows: built on first use, shared by every caller ------------
 
@@ -669,8 +644,6 @@ class ProductTriangulation:
     """
 
     def __init__(self, surface):
-        if surface.boundary_edges:
-            raise ValueError("product of a closed surface only")
         self.surface = surface
         senses = _acyclic_edge_senses(surface)
         # sigma[t]: the corners of t in rank order, so rank(c) is

@@ -90,19 +90,9 @@ class RibbonGraph:
 
     # -- flows ----------------------------------------------------------------
 
-    def check_flow(self, flow):
-        """A flow is conservative: net inflow vanishes at every vertex."""
-        net = {v: Fraction(0) for v in self.rot}
-        for e, val in flow.items():
-            u, v = self.edges[e]
-            net[u] -= Fraction(val)
-            net[v] += Fraction(val)
-        return all(x == 0 for x in net.values())
-
     def intersection(self, x, y):
-        """Exact homological intersection number of two flows."""
-        if not self.check_flow(x) or not self.check_flow(y):
-            raise ValueError("intersection requires conservative flows")
+        """Exact homological intersection number of two conservative flows;
+        ``_chords`` refuses the unbalanced masses of any other."""
         total = Fraction(0)
         for ds in self.rot.values():
             # (position, signed mass) per system, + flowing in.  Dart k
@@ -256,9 +246,6 @@ class SurfaceHomology:
             net[p] += net[v]
             net[v] = Fraction(0)
         return {e: val for e, val in flow.items() if val != 0}
-
-    def rank(self):
-        return len(self.basis_flows)
 
     def pair_cocycles(self, alpha, beta):
         """Cup-product pairing of edge-period classes.

@@ -1,18 +1,19 @@
-"""Line-based text formats for trees, tracks, surfaces, and 3-manifolds.
+"""Line-based text formats for trees, tracks, flat surfaces, and 3-manifolds.
 
 Every format is a sequence of directives, one per line; ``#`` starts a
 comment.  Rationals are serialized as ``p/q`` (or ``p`` for integers) and
 tuples as ``(p,q/r,...)``.  Parsers normalize rationals to lowest terms,
-record a note when the input was not normalized, reject unknown
-directives with the offending line number, and round-trip exactly with
-the serializers on normalized files.
+record a note when the input was not normalized, and reject unknown
+directives with the offending line number.  Metric trees are input only
+and train tracks output only; flat surfaces and 3-manifolds round-trip
+exactly with their serializers on normalized files.
 """
 
 from fractions import Fraction
 
 from isocone.ordgroup import LexVec, format_rat
 from isocone.lamtree import MetricTree
-from isocone.track import SurfaceTriangulation, TrainTrack
+from isocone.track import TrainTrack
 from isocone.cone3 import Triangulation3
 from isocone.flatsurf import FlatSurface, QC, PeriodTangent
 
@@ -85,45 +86,7 @@ def parse_tree(text):
     return tree, notes
 
 
-def serialize_tree(tree):
-    out = []
-    for v in sorted(tree.vertices, key=str):
-        out.append(f"vertex {v}")
-    for eid in sorted(tree.edges, key=str):
-        u, v, length = tree.edges[eid]
-        out.append(f"edge {eid} {u} {v} {length!r}")
-    if tree.end is not None:
-        out.append(f"end {tree.end}")
-    return "\n".join(out) + "\n"
-
-
 # -- train tracks --------------------------------------------------------------
-
-
-def parse_track(text):
-    switches = {}
-    branches = []
-    notes = []
-    for lineno, toks in _lines(text):
-        if toks[0] == "branch" and len(toks) == 2:
-            branches.append(toks[1])
-        elif toks[0] == "switch":
-            body = toks[1:]
-            if body and body[-1] == "ccw":
-                body = body[:-1]
-            if len(body) != 6 or body[1] != "in" or body[4] != "out":
-                raise ParseError(lineno, "switch wants: <id> in <a> <b> out <c> [ccw]")
-            sid, _, a, b, _, c = body
-            switches[sid] = (a, b, c)
-        else:
-            raise ParseError(lineno, f"unknown directive {' '.join(toks)!r}")
-    try:
-        track = TrainTrack(switches)
-    except ValueError as e:
-        raise ParseError(0, f"invalid track: {e}")
-    if branches and sorted(branches) != sorted(track.branches):
-        raise ParseError(0, "branch list disagrees with switch records")
-    return track, notes
 
 
 def serialize_track(track):
@@ -131,43 +94,6 @@ def serialize_track(track):
     for s in sorted(track.switches, key=str):
         a, b, c = track.switches[s]
         out.append(f"switch {s} in {a} {b} out {c} ccw")
-    return "\n".join(out) + "\n"
-
-
-# -- surface triangulations ------------------------------------------------------
-
-
-def parse_surface(text):
-    triangles = {}
-    gluings = {}
-    notes = []
-    for lineno, toks in _lines(text):
-        if toks[0] == "triangle" and len(toks) == 5:
-            triangles[toks[1]] = (toks[2], toks[3], toks[4])
-        elif toks[0] == "glue" and len(toks) == 3:
-            gluings[toks[1]] = toks[2]
-            gluings[toks[2]] = toks[1]
-        else:
-            raise ParseError(lineno, f"unknown directive {' '.join(toks)!r}")
-    try:
-        surf = SurfaceTriangulation(triangles, gluings)
-    except ValueError as e:
-        raise ParseError(0, f"invalid surface: {e}")
-    return surf, notes
-
-
-def serialize_surface(surface):
-    out = []
-    for t in sorted(surface.triangles, key=str):
-        d0, d1, d2 = surface.triangles[t]
-        out.append(f"triangle {t} {d0} {d1} {d2}")
-    done = set()
-    for d in sorted(surface.glue, key=str):
-        d2 = surface.glue[d]
-        key = tuple(sorted((str(d), str(d2))))
-        if key not in done:
-            done.add(key)
-            out.append(f"glue {d} {d2}")
     return "\n".join(out) + "\n"
 
 

@@ -64,11 +64,11 @@ class SurfaceTriangulation:
 
     ``triangles`` maps a triangle id to a ccw triple of directed edge ids;
     ``gluings`` is an involution pairing each directed edge with the
-    oppositely traversed copy in the neighboring triangle.  Unpaired edges
-    are only accepted with ``allow_boundary``.
+    oppositely traversed copy in the neighboring triangle.  Every directed
+    edge must be paired; an unglued edge is refused.
     """
 
-    def __init__(self, triangles, gluings, allow_boundary=False):
+    def __init__(self, triangles, gluings):
         self.triangles = {t: tuple(ds) for t, ds in triangles.items()}
         self.glue = dict(gluings)
         owner = {}
@@ -87,19 +87,15 @@ class SurfaceTriangulation:
                 raise ValueError(f"gluing not involutive at {d!r}")
             if d not in owner or d2 not in owner:
                 raise ValueError(f"gluing touches unknown edge {d!r}")
-        self.boundary_edges = sorted(
-            (d for d in owner if d not in self.glue), key=repr)
-        if self.boundary_edges and not allow_boundary:
-            raise ValueError(f"unglued edges: {self.boundary_edges!r}")
+        unglued = sorted((d for d in owner if d not in self.glue), key=repr)
+        if unglued:
+            raise ValueError(f"unglued edges: {unglued!r}")
         self._build_classes()
 
     def _build_classes(self):
         # undirected edge classes
-        canon = {}
-        for d in self._owner:
-            p = self.glue.get(d)
-            canon[d] = d if p is None else min(d, p, key=repr)
-        self.edge_class = canon
+        canon = self.edge_class = {d: min(d, self.glue[d], key=repr)
+                                   for d in self._owner}
         self.edge_classes = sorted(set(canon.values()), key=repr)
 
         # vertex classes over corners; corner (t, i) sits at the tail of
@@ -107,10 +103,8 @@ class SurfaceTriangulation:
         def glued_corners():
             for t, ds in self.triangles.items():
                 for i in range(3):
-                    # edge whose head is this corner
-                    p = self.glue.get(ds[(i + 2) % 3])
-                    if p is not None:
-                        yield (t, i), self._owner[p]
+                    # partner of the edge whose head is this corner
+                    yield (t, i), self._owner[self.glue[ds[(i + 2) % 3]]]
 
         corners = [(t, i) for t in self.triangles for i in range(3)]
         self.corner_class = union_find(corners, glued_corners())
@@ -133,8 +127,6 @@ class SurfaceTriangulation:
                 + len(self.triangles))
 
     def genus(self):
-        if self.boundary_edges:
-            raise ValueError("genus of a closed surface only")
         chi = self.euler_characteristic()
         if chi % 2 != 0:
             raise ValueError("odd Euler characteristic")
@@ -148,8 +140,7 @@ class SurfaceTriangulation:
         """
         root = union_find(self.triangles, (
             (t, self._owner[self.glue[d]][0])
-            for t, ds in self.triangles.items() for d in ds
-            if d in self.glue))
+            for t, ds in self.triangles.items() for d in ds))
         comps = {}
         for t, r in root.items():
             comps.setdefault(r, []).append(t)
@@ -157,15 +148,13 @@ class SurfaceTriangulation:
 
     @functools.cached_property
     def corner_cycles(self):
-        """Corners around each vertex class in ccw order (closed surfaces).
+        """Corners around each vertex class in ccw order.
 
         Maps each vertex class to its cycle of corners, starting from its
         first corner in triangle ``repr`` order.  The ccw successor of
         corner ``(t, i)`` is the corner of the neighbor across the edge
         preceding it in triangle ``t``.
         """
-        if self.boundary_edges:
-            raise ValueError("corner cycles of a closed surface only")
         cycles = {}
         for t in sorted(self.triangles, key=repr):
             for i in range(3):
@@ -182,7 +171,7 @@ class SurfaceTriangulation:
         return cycles
 
     def skeleton_ribbon(self):
-        """Ribbon graph of the 1-skeleton (closed surfaces only).
+        """Ribbon graph of the 1-skeleton.
 
         Graph edges are the undirected edge classes; the reference direction
         of class ``E`` is the direction of its canonical directed edge.  The

@@ -7,6 +7,7 @@ import pytest
 from isocone import io
 from isocone.cli import build_parser, run
 from isocone.fixtures import chain_tets
+from isocone.flatsurf import QC, lshape_h2
 from util import code_lines
 
 
@@ -113,10 +114,10 @@ class TestSurfaceCommands:
         capsys.readouterr()
         assert run(["surface", "track", "--input", path,
                     "--rotate", "2+1i"]) == 0
-        from isocone.io import parse_track
         lines = [l for l in capsys.readouterr().out.splitlines()
                  if not l.startswith("weight")]
-        track, _ = parse_track("\n".join(lines) + "\n")
+        track, _ = lshape_h2().rotate(QC(2, 1)).dual_track()
+        assert lines == io.serialize_track(track).splitlines()
         assert len(track.switches) == 6
 
 
@@ -270,6 +271,7 @@ class TestMalformedInput:
         ("vector a ", "triangle 't0' uses edge 'a', which has no vector"),
         ("tangent 1 a ", "invalid tangent 1: tangent has no value on edge "
                          "'a'"),
+        ("glue A ", "invalid flat surface: unglued edges: ['A', 'a']"),
     ])
     def test_flat_surface_missing_edge_exit_2(self, tmp_path, capsys,
                                                dropped, message):

@@ -132,6 +132,38 @@ def _sheared_surfaces(monkeypatch):
             yield grid.shear(sh)
 
 
+def _renamed(surface, rng):
+    """The same flat surface under fresh edge and triangle names: triangles
+    in a random order, each triple rotated to start at a random slot."""
+    edges = list(surface.vectors)
+    new = {d: f"e{k}" for d, k in
+           zip(edges, rng.sample(range(len(edges)), len(edges)))}
+    tris = list(surface.triangles)
+    rng.shuffle(tris)
+    triangles = {}
+    for t, k in zip(tris, rng.sample(range(len(tris)), len(tris))):
+        ds = [new[d] for d in surface.triangles[t]]
+        r = rng.randrange(3)
+        triangles[f"t{k}"] = tuple(ds[r:] + ds[:r])
+    return FlatSurface(surface.kind, triangles,
+                       {new[d]: v for d, v in surface.vectors.items()},
+                       {new[d]: new[p] for d, p in surface.glue.items()},
+                       {new[d]: g for d, g in surface.signs.items()})
+
+
+def _triangle_shapes(surface):
+    """Sorted triangles as edge-vector triples up to cyclic rotation, and up
+    to sign on half-translation surfaces, where each triangle's chart is
+    fixed only up to sign."""
+    signs = (1, -1) if surface.kind == "half-translation" else (1,)
+    shapes = []
+    for ds in surface.triangles.values():
+        vs = [surface.vectors[d] for d in ds]
+        shapes.append(min(tuple((m * v.re, m * v.im) for v in vs[r:] + vs[:r])
+                          for r in range(3) for m in signs))
+    return sorted(shapes)
+
+
 def _assert_same_surface(got, want):
     assert io.serialize_flatsurface(got) == io.serialize_flatsurface(want)
     assert list(got.triangles.items()) == list(want.triangles.items())
@@ -176,15 +208,20 @@ def _tangent_surfaces(monkeypatch):
 
 def _reference_incircle_strict(A, B, C, D):
     """The circle test in ``Fraction`` arithmetic, row by row."""
+    return _incircle_det(A, B, C, D) > 0
+
+
+def _incircle_det(A, B, C, D):
+    """The circle determinant of ccw ABC and D: positive inside, zero on
+    the circle."""
     rows = []
     for P in (A, B, C):
         x = P.re - D.re
         y = P.im - D.im
         rows.append([x, y, x * x + y * y])
-    det = (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
+    return (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
            - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
            + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
-    return det > 0
 
 
 def _reference_quadrature(P, per1, per2, depth):
@@ -395,6 +432,26 @@ class TestDelaunay:
                     flatsurf._incircle_strict(rA, rB, rC, rD)
                 assert D - C == rD - rC
                 assert flip == rflip
+
+    def test_independent_of_names(self, monkeypatch):
+        # where no edge of the result is cocircular the Delaunay
+        # triangulation is unique, so the names cannot change it
+        bases = [maker() for maker in BUNDLED]
+        bases += [_grid_torus(monkeypatch, n) for n in (2, 3, 4)]
+
+        @settings(max_examples=60, deadline=None, derandomize=True)
+        @given(base=st.sampled_from(bases),
+               shear=st.fractions(-3, 3, max_denominator=4),
+               rng=st.randoms(use_true_random=False))
+        def check(base, shear, rng):
+            s = base.shear(shear)
+            d = delaunay(s)
+            assume(all(_incircle_det(*_quad(d, E)[:4]) != 0
+                       for E in d.comb.edge_classes))
+            assert _triangle_shapes(delaunay(_renamed(s, rng))) == \
+                _triangle_shapes(d)
+
+        check()
 
     def test_half_translation_delaunay(self):
         s = pillowcase().shear(Fraction(5, 2))

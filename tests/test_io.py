@@ -6,21 +6,20 @@ from isocone.fixtures import (genus2_maximal_track, two_tets, chain_tets,
                               g2_product_bundle, mf_weight,
                               diagonal_boundary_weight)
 from isocone.flatsurf import lshape_h2, pillowcase, PeriodTangent
-from isocone.lamtree import MetricTree
 from isocone.ordgroup import LexVec
 from util import code_lines
 
 
 class TestTreeFormat:
     def test_roundtrip(self):
-        tree = MetricTree(
-            ["a", "b", "c"],
-            {"e1": ("a", "b", LexVec((1, 0))),
-             "e2": ("b", "c", LexVec((0, Fraction(3, 2))))},
-            end="a")
-        text = io.serialize_tree(tree)
-        tree2, notes = io.parse_tree(text)
-        assert io.serialize_tree(tree2) == text
+        """A literal tree file reads back as the tree it spells out."""
+        tree, notes = io.parse_tree(
+            "# two edges\nvertex a\nvertex b\nvertex c\n"
+            "edge e1 a b (1,0)\nedge e2 b c (0,3/2)\nend a\n")
+        assert sorted(tree.vertices) == ["a", "b", "c"]
+        assert tree.edges == {"e1": ("a", "b", LexVec((1, 0))),
+                              "e2": ("b", "c", LexVec((0, Fraction(3, 2))))}
+        assert tree.end == "a"
         assert not notes
 
     def test_unknown_directive(self):
@@ -31,12 +30,13 @@ class TestTreeFormat:
 
 class TestTrackFormat:
     def test_roundtrip(self):
+        """The g2 track writes one line per branch and per switch; the
+        golden ``fixtures-g2_track.txt`` pins the bytes."""
         track, *_ = genus2_maximal_track()
-        track = io.rename_track(track)
-        text = io.serialize_track(track)
-        track2, _ = io.parse_track(text)
-        assert io.serialize_track(track2) == text
-        assert len(track2.branches) == len(track.branches)
+        lines = io.serialize_track(io.rename_track(track)).splitlines()
+        assert sum(l.startswith("branch ") for l in lines) == 18
+        assert sum(l.startswith("switch ") for l in lines) == 12
+        assert len(lines) == 30
 
 
 class TestFlatFormat:
@@ -93,4 +93,4 @@ class TestManifoldFormat:
 
 def test_code_line_count():
     # the formats are read and written here only
-    assert code_lines("io") <= 294
+    assert code_lines("io") <= 231

@@ -12,7 +12,6 @@ from isocone.flatsurf import (
     square_torus, hex_torus, pillowcase, lshape_h2,
     delaunay, is_delaunay, random_tangent, height_derivative, omega_hessian,
 )
-from isocone import io
 
 
 def test_sheared_torus_flips():
@@ -71,12 +70,3 @@ def test_fresh_combinatorics_after_flips_stay_consistent():
             val = track.thurston_form(w1, w2)
             assert track.cycle_pairing(w1, w2) == val
             assert omega_hessian(s, t1, t2) == val
-
-
-def test_plain_surface_format_roundtrip():
-    from isocone.fixtures import genus2_one_vertex_surface
-    surf = genus2_one_vertex_surface()
-    text = io.serialize_surface(surf)
-    surf2, notes = io.parse_surface(text)
-    assert io.serialize_surface(surf2) == text
-    assert surf2.genus() == 2 and not notes

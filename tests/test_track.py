@@ -50,6 +50,12 @@ class TestSurface:
         with pytest.raises(ValueError):
             SurfaceTriangulation({"t": ("a", "b", "c")}, {"a": "b"})
 
+    def test_unglued_edge_refused(self):
+        tris = {"t0": ("a", "b", "c"), "t1": ("A", "B", "C")}
+        with pytest.raises(ValueError, match=r"unglued edges: \['C', 'c'\]"):
+            SurfaceTriangulation(tris, {"a": "A", "A": "a",
+                                        "b": "B", "B": "b"})
+
     def test_components_of_two_spheres(self):
         # two triangle pairs glued edge to edge: two disjoint spheres,
         # listed in the order of their first triangle
@@ -82,14 +88,6 @@ def test_corner_cycles(make):
         # the ccw successor crosses the edge preceding the corner
         for (t, i), nxt in zip(cycle, cycle[1:] + cycle[:1]):
             assert s.locate(s.glue[s.triangles[t][(i + 2) % 3]]) == nxt
-
-
-def test_corner_cycles_need_a_closed_surface():
-    s = SurfaceTriangulation({"t": ("e", "f", "g")}, {}, allow_boundary=True)
-    with pytest.raises(ValueError):
-        s.corner_cycles
-    with pytest.raises(ValueError):
-        s.skeleton_ribbon()
 
 
 class TestUnionFind:
@@ -188,11 +186,12 @@ class TestDualTriangulation:
 
 class TestTriangleForms:
     def test_single_triangle_indicators(self):
-        s = SurfaceTriangulation({"t": ("e", "f", "g")},
-                                 {}, allow_boundary=True)
-        u = {"e": Fraction(1)}
-        v = {"f": Fraction(1)}
-        assert triangle_form(s, "t", u, v) == Fraction(-1, 2)
+        s = SurfaceTriangulation(
+            {"t0": ("e", "f", "g"), "t1": ("E", "F", "G")},
+            {"e": "E", "E": "e", "f": "F", "F": "f", "g": "G", "G": "g"})
+        u = {s.edge_class["e"]: Fraction(1)}
+        v = {s.edge_class["f"]: Fraction(1)}
+        assert triangle_form(s, "t0", u, v) == Fraction(-1, 2)
 
     def test_antisymmetry(self):
         track, *_ = genus2_maximal_track()
@@ -278,4 +277,4 @@ class TestCyclePairing:
 
 def test_code_line_count():
     # methods that only tests call do not belong in the library
-    assert code_lines("track") <= 375
+    assert code_lines("track") <= 364
