@@ -67,6 +67,24 @@ OPPOSITE_PAIRS = [(frozenset((0, 2)), frozenset((1, 3))),
 # choice k of a tetrahedron sets the pair sums CHOICE_PAIRS[k] equal
 CHOICE_PAIRS = ((0, 1), (0, 2), (1, 2))
 
+# edge k of a tetrahedron is EDGE_PAIRS[k]; both orders of its corners map
+# to k
+_EDGE_INDEX = {p: k for k, e in enumerate(EDGE_PAIRS)
+               for p in itertools.permutations(e)}
+_FACE_CORNERS = {f: frozenset(c) for f, c in FACE_CYCLES.items()}
+# a gluing onto face f reverses orientation iff it maps the cycle of its
+# own face to a rotation of f's reversed cycle
+_REVERSED_CYCLES = {f: {c[::-1][k:] + c[::-1][:k] for k in range(3)}
+                    for f, c in FACE_CYCLES.items()}
+# OPPOSITE_PAIRS as edge indices; choice k sets the sum of edges a and b
+# equal to that of x and y in _CHOICE_EDGES[k] = (a, b, x, y); the wedges
+# (a, b) of consecutive pair sums in the tetrahedron form
+_OPPOSITE_EDGES = ((1, 4), (3, 2), (0, 5))
+_CHOICE_EDGES = [_OPPOSITE_EDGES[i] + _OPPOSITE_EDGES[j]
+                 for i, j in CHOICE_PAIRS]
+_FORM_WEDGES = [(a, b) for i in range(3) for a in _OPPOSITE_EDGES[i]
+                for b in _OPPOSITE_EDGES[(i + 1) % 3]]
+
 
 class Triangulation3:
     """Oriented tetrahedra with involutive, orientation-reversing gluings.
@@ -80,13 +98,13 @@ class Triangulation3:
         self.tets = sorted(tets, key=repr)
         if not self.tets:
             raise ValueError("need at least one tetrahedron")
-        if len(set(self.tets)) < len(self.tets):
+        self._index = {t: i for i, t in enumerate(self.tets)}
+        if len(self._index) < len(self.tets):
             dup = next(t for i, t in enumerate(self.tets)
                        if t in self.tets[:i])
             raise GluingError(f"tetrahedron {dup!r} listed twice")
-        self.gluings = {}
-        for (t, f), (t2, f2, perm) in gluings.items():
-            self.gluings[(t, f)] = (t2, f2, dict(perm))
+        self.gluings = {tf: (t2, f2, dict(perm))
+                        for tf, (t2, f2, perm) in gluings.items()}
         self._build_classes(self._validate_gluings())
         self._build_boundary()
 
@@ -94,63 +112,72 @@ class Triangulation3:
 
     def _validate_gluings(self):
         """Check each glued face pair once, from its first entry in
-        ``gluings``, and return those entries as ``(t, t2, perm)``.  The
-        inverse entry must be exactly ``(t, f, inverse of perm)``, which
-        passes every check below whenever the first entry does."""
-        tset = set(self.tets)
-        glued, inverses = [], set()
+        ``gluings``; return their edge merges as slot pairs, three per face
+        in combination order.  The inverse entry must be exactly ``(t, f,
+        inverse of perm)``, which passes every check the first entry does."""
+        index = self._index
+        merges, inverses = [], set()
         for (t, f), (t2, f2, perm) in self.gluings.items():
             if (t, f) in inverses:
                 continue
             for x in (t, t2):
-                if x not in tset:
+                if x not in index:
                     raise GluingError(
                         f"gluing touches unknown tetrahedron {x!r}")
             if not 0 <= f <= 3 or not 0 <= f2 <= 3:
                 raise GluingError(f"face index out of range at {(t, f)}")
-            face_verts = [v for v in range(4) if v != f]
-            if sorted(perm.keys()) != face_verts:
+            # a face index in range that is not an int has no corners
+            if perm.keys() != _FACE_CORNERS.get(f):
                 raise GluingError(f"bad permutation domain at {(t, f)}")
-            if sorted(perm.values()) != [v for v in range(4) if v != f2]:
+            if set(perm.values()) != _FACE_CORNERS.get(f2):
                 raise GluingError(f"bad permutation range at {(t, f)}")
             if (t2, f2) == (t, f):
                 raise GluingError("face glued to itself")
             back = self.gluings.get((t2, f2))
             if back is None:
                 raise GluingError(f"gluing at {(t, f)} has no inverse entry")
-            if back != (t, f, {v2: v for v, v2 in perm.items()}):
+            if back[:2] != (t, f) or len(back[2]) != 3 or any(
+                    back[2].get(v2) != v for v, v2 in perm.items()):
                 raise GluingError(f"gluing at {(t, f)} is not involutive")
-            # orientation: the induced cycle of f must map to a rotation of
-            # the reversed induced cycle of f2
-            cyc = FACE_CYCLES[f]
-            img = tuple(perm[v] for v in cyc)
-            rev = tuple(reversed(FACE_CYCLES[f2]))
-            if rev not in (img, img[1:] + img[:1], img[2:] + img[:2]):
+            a, b, c = FACE_CYCLES[f]
+            if (perm[a], perm[b], perm[c]) not in _REVERSED_CYCLES[f2]:
                 raise OrientationError(
                     f"gluing at {(t, f)} is not orientation-reversing")
             inverses.add((t2, f2))
-            glued.append((t, t2, perm))
-        return glued
+            i, i2 = 6 * index[t], 6 * index[t2]
+            merges += [(i + _EDGE_INDEX[a, b],
+                        i2 + _EDGE_INDEX[perm[a], perm[b]])
+                       for a, b in itertools.combinations(sorted(perm), 2)]
+        return merges
 
-    def _build_classes(self, glued):
-        """Edge classes: edges identified across the first entries
-        ``glued`` of the face pairs (the permutation's domain is the face's
-        corners).  Merging the inverse entries too would change nothing,
-        representatives included."""
-        self.edge_class = union_find(
-            [(t, e) for t in self.tets for e in EDGE_PAIRS],
-            (((t, frozenset(pair)), (t2, frozenset(perm[v] for v in pair)))
-             for t, t2, perm in glued
-             for pair in itertools.combinations(sorted(perm), 2)))
-        self.edge_classes = sorted(set(self.edge_class.values()), key=repr)
+    def _build_classes(self, merges):
+        """Edge classes: edge ``EDGE_PAIRS[k]`` of tet ``i`` is slot ``6i +
+        k`` of one integer ``union_find`` over the ``merges`` of the face
+        pairs' first entries, and a class id is the ``(tet, edge)`` of its
+        root slot; merging the inverse entries too would change nothing,
+        representatives included.  ``_tet_columns[i]`` holds the columns
+        (positions in ``edge_classes``) of tet ``i``'s six edges."""
+        slots = [(t, e) for t in self.tets for e in EDGE_PAIRS]
+        roots = self._edge_roots = union_find(len(slots), merges)
+        self.edge_class = dict(zip(slots, [slots[r] for r in roots]))
+        classes = sorted(set(roots), key=lambda r: repr(slots[r]))
+        self.edge_classes = [slots[r] for r in classes]
+        column = {r: c for c, r in enumerate(classes)}
+        self._column = {slots[r]: c for r, c in column.items()}
+        # six consecutive slots per tet
+        self._tet_columns = list(zip(*[iter([column[r] for r in roots])] * 6))
 
     @functools.cached_property
     def vertex_class(self):
-        """Corner classes, merged across every entry of ``gluings``; as in
+        """Corner classes, merged across every entry of ``gluings`` with
+        corner ``v`` of tet ``i`` as slot ``4i + v``; as in
         ``_build_classes``, an inverse entry merges nothing new."""
-        return union_find([(t, v) for t in self.tets for v in range(4)], (
-            ((t, v), (t2, v2)) for (t, _), (t2, _, perm)
-            in self.gluings.items() for v, v2 in perm.items()))
+        slots = [(t, v) for t in self.tets for v in range(4)]
+        roots = union_find(len(slots), (
+            (4 * self._index[t] + v, 4 * self._index[t2] + v2)
+            for (t, _), (t2, _, perm) in self.gluings.items()
+            for v, v2 in perm.items()))
+        return dict(zip(slots, [slots[r] for r in roots]))
 
     # -- boundary ---------------------------------------------------------------
 
@@ -163,27 +190,28 @@ class Triangulation3:
         then injective.  Side ``k`` of face ``(t, f)`` is the edge from
         corner ``FACE_CYCLES[f][k]`` to the next corner of the cycle.
         """
-        self.boundary_faces = [(t, f) for t in self.tets for f in range(4)
-                               if (t, f) not in self.gluings]
-        sides = {}
-        for t, f in self.boundary_faces:
-            cyc = FACE_CYCLES[f]
-            for k in range(3):
-                e = frozenset((cyc[k], cyc[(k + 1) % 3]))
-                sides.setdefault(self.edge_class[(t, e)], []).append((t, f, k))
+        slots, roots = list(self.edge_class), self._edge_roots
+        self.boundary_faces, sides = [], {}
+        for i, t in enumerate(self.tets):
+            for f, c in FACE_CYCLES.items():
+                if (t, f) not in self.gluings:
+                    self.boundary_faces.append((t, f))
+                    for k in range(3):
+                        e = 6 * i + _EDGE_INDEX[c[k], c[(k + 1) % 3]]
+                        sides.setdefault(roots[e], []).append((t, f, k))
         glu = {}
-        for cls, pair in sides.items():
+        for r, pair in sides.items():
             if len(pair) != 2:
-                raise ValueError(f"edge class {cls!r} has {len(pair)} free "
-                                 f"face sides, not 2")
+                raise ValueError(f"edge class {slots[r]!r} has {len(pair)} "
+                                 f"free face sides, not 2")
             glu[pair[0]], glu[pair[1]] = pair[1], pair[0]
         triangles = {(t, f): ((t, f, 0), (t, f, 1), (t, f, 2))
                      for t, f in self.boundary_faces}
         self.boundary = SurfaceTriangulation(triangles, glu) if triangles \
             else None
         self.boundary_edge_to_class = {
-            self.boundary.edge_class[pair[0]]: cls
-            for cls, pair in sides.items()}
+            self.boundary.edge_class[pair[0]]: slots[r]
+            for r, pair in sides.items()}
         self._classify_boundary_components()
 
     def _classify_boundary_components(self):
@@ -212,24 +240,9 @@ class Triangulation3:
     # -- constraint rows: built on first use, shared by every caller ------------
 
     @functools.cached_property
-    def _column(self):
-        return {E: i for i, E in enumerate(self.edge_classes)}
-
-    def _row(self, terms):
-        """Sparse integer row over the edge classes, summing ``(class,
-        coefficient)`` terms: sorted ``(column, coefficient)`` pairs with
-        the zero sums left out; a tuple, since the cached rows are
-        shared."""
-        row = {}
-        for cls, coef in terms:
-            col = self._column[cls]
-            row[col] = row.get(col, 0) + coef
-        return tuple((col, x) for col, x in sorted(row.items()) if x)
-
-    @functools.cached_property
     def unit_rows(self):
         """Per edge class, the row pinning that class."""
-        return {E: self._row([(E, 1)]) for E in self.edge_classes}
+        return {E: ((i, 1),) for i, E in enumerate(self.edge_classes)}
 
     @functools.cached_property
     def torus_rows(self):
@@ -238,20 +251,12 @@ class Triangulation3:
                 for E in sorted(self.torus_classes, key=repr)]
 
     @functools.cached_property
-    def pair_classes(self):
-        """``pair_classes[t]``: the edge classes of the three opposite
-        pairs of tetrahedron ``t``, in ``OPPOSITE_PAIRS`` order."""
-        return {t: [(self.edge_class[(t, e)], self.edge_class[(t, e2)])
-                    for e, e2 in OPPOSITE_PAIRS] for t in self.tets}
-
-    @functools.cached_property
     def choice_rows(self):
         """``choice_rows[t][k]`` sets the pair sums ``CHOICE_PAIRS[k]`` of
         tetrahedron ``t`` equal."""
-        return {t: [self._row([(a, 1) for a in sums[i]]
-                              + [(b, -1) for b in sums[j]])
-                    for i, j in CHOICE_PAIRS]
-                for t, sums in self.pair_classes.items()}
+        return {t: [_row(((c[a], 1), (c[b], 1), (c[x], -1), (c[y], -1)))
+                    for a, b, x, y in _CHOICE_EDGES]
+                for t, c in zip(self.tets, self._tet_columns)}
 
     # -- forms -------------------------------------------------------------------
 
@@ -265,14 +270,12 @@ class Triangulation3:
         the cyclic sum of wedges of its three opposite-pair sums, in
         ``OPPOSITE_PAIRS`` order.
         """
-        terms = {c: [] for c in self.edge_classes}
-        for sums in self.pair_classes.values():
-            for i in range(3):
-                for a in sums[i]:
-                    for b in sums[(i + 1) % 3]:
-                        terms[a].append((b, -1))
-                        terms[b].append((a, 1))
-        return {c: self._row(ts) for c, ts in terms.items()}
+        terms = [[] for _ in self.edge_classes]
+        for c in self._tet_columns:
+            for a, b in _FORM_WEDGES:
+                terms[c[a]].append((c[b], -1))
+                terms[c[b]].append((c[a], 1))
+        return {E: _row(ts) for E, ts in zip(self.edge_classes, terms)}
 
     def _form_image(self, v):
         """``form_rows`` applied to a weight, over the classes it may not
@@ -295,13 +298,8 @@ class Triangulation3:
     omega_fast = omega
 
     def restrict(self, w):
-        """Boundary restriction: forget interior classes.
-
-        Returns a weight on the boundary surface's undirected edges; a
-        single interior class may restrict to several boundary edges.
-        """
-        if self.boundary is None:
-            return {}
+        """Boundary restriction: forget interior classes, keep the weight
+        on the boundary surface's undirected edges (none if closed)."""
         return {E: w[cls] for E, cls in self.boundary_edge_to_class.items()}
 
     def boundary_form(self, ub, vb):
@@ -327,24 +325,17 @@ class Triangulation3:
         basis = linalg.reduced_kernel(sysm.reduced(), n)
         return [dict(zip(self.edge_classes, vec)) for vec in basis]
 
-    def satisfied_choices(self, w):
-        """Per-tetrahedron sets of satisfied pair-sum equalities.
-
-        Works for rational or tuple-valued weights (only addition and
-        comparison are used).  The weight lies in the four-point locus iff
-        every tetrahedron has at least one satisfied equality.
-        """
-        out = {}
-        for t, pairs in self.pair_classes.items():
-            sums = [w[a] + w[b] for a, b in pairs]
-            out[t] = [k for k, (i, j) in enumerate(CHOICE_PAIRS)
-                      if sums[i] == sums[j]]
-        return out
-
     def w4_member(self, w):
-        """Membership in the four-point locus, with the per-tet evidence."""
-        per_tet = self.satisfied_choices(w)
-        return all(per_tet[t] for t in self.tets), per_tet
+        """Membership in the four-point locus, with the per-tet evidence:
+        the satisfied pair-sum equalities of each tetrahedron.  Works for
+        rational or tuple-valued weights (only addition and comparison are
+        used)."""
+        per_tet, x = {}, [w[E] for E in self.edge_classes]
+        for t, c in zip(self.tets, self._tet_columns):
+            sums = [x[c[a]] + x[c[b]] for a, b in _OPPOSITE_EDGES]
+            per_tet[t] = [k for k, (i, j) in enumerate(CHOICE_PAIRS)
+                          if sums[i] == sums[j]]
+        return all(per_tet.values()), per_tet
 
     def isotropy_check(self, choices):
         """Whether the total form vanishes on one choice subspace.
@@ -363,6 +354,15 @@ class Triangulation3:
             if any(_pair(u, image) for u in basis[:j]):
                 return False
         return True
+
+
+def _row(terms):
+    """Sparse integer row summing ``(column, coefficient)`` terms: sorted
+    pairs with the zero sums left out; a tuple, since rows are shared."""
+    row = {}
+    for col, coef in terms:
+        row[col] = row.get(col, 0) + coef
+    return tuple((col, x) for col, x in sorted(row.items()) if x)
 
 
 def _pair(u, image):
@@ -713,12 +713,16 @@ class ProductTriangulation:
 
 
 def verify_witness(manifold, btrack, w_boundary, result):
-    """Check a membership witness by direct substitution."""
+    """Check a membership witness by direct substitution, in integers: the
+    witness times the lcm ``d`` of its denominators keeps every equality."""
     if not result.member:
         return False
-    w = result.witness
+    d = math.lcm(*[x.denominator for x in result.witness.values()])
+    w = {c: x.numerator * (d // x.denominator)
+         for c, x in result.witness.items()}
     ok, per_tet = manifold.w4_member(w)
     return (ok and all(k in per_tet[t] for t, k in result.choices.items())
-            and all(rat(w_boundary.get(E, 0)) == val
-                    for E, val in manifold.restrict(w).items())
+            and all(val * b.denominator == b.numerator * d
+                    for E, val in manifold.restrict(w).items()
+                    for b in [rat(w_boundary.get(E, 0))])
             and all(w[cls] == 0 for cls in manifold.torus_classes))

@@ -83,10 +83,10 @@ class RibbonGraph:
         return len(self.rot) - len(self.edges) + self.num_faces()
 
     def genus(self):
-        chi = self.euler_characteristic()
-        if chi % 2 != 0:
-            raise ValueError("odd Euler characteristic")
-        return (2 - chi) // 2
+        # the faces close every vertex disk with a dart, so the surface is
+        # closed and oriented and chi is even; no caller builds a vertex
+        # without darts, whose missing face would make chi odd
+        return (2 - self.euler_characteristic()) // 2
 
     # -- flows ----------------------------------------------------------------
 

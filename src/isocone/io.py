@@ -49,8 +49,15 @@ def _lines(text):
 
 
 def _rat(tok, lineno, notes):
+    num, slash, den = tok.partition("/")
     try:
-        q = Fraction(tok)
+        # ASCII integers and quotients of them skip the parser of
+        # Fraction(str), which gives the same value
+        if tok.isascii() and num.removeprefix("-").isdigit() and (
+                den.isdigit() or not slash):
+            q = Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        else:
+            q = Fraction(tok)
     except (ValueError, ZeroDivisionError):
         raise ParseError(lineno, f"bad rational {tok!r}")
     if format_rat(q) != tok:
@@ -196,8 +203,7 @@ def parse_manifold(text):
                 raise ParseError(lineno, f"bad gluing {' '.join(toks)!r}")
             if len(images) != 3:
                 raise ParseError(lineno, "permutation wants 3 images")
-            src = [v for v in range(4) if v != f1]
-            perm = dict(zip(src, images))
+            perm = dict(zip([v for v in range(4) if v != f1], images))
             gluings[(t1, f1)] = (t2, f2, perm)
             gluings[(t2, f2)] = (t1, f1, {v: k for k, v in perm.items()})
         elif toks[0] == "switch" and len(toks) == 4 and toks[2] == "out":
@@ -256,15 +262,11 @@ def edge_class_name(cls):
 
 def serialize_manifold(manifold, outgoing=None, weights=None):
     out = [f"tet {t}" for t in manifold.tets]
-    done = set()
     for (t, f) in sorted(manifold.gluings, key=repr):
         t2, f2, perm = manifold.gluings[(t, f)]
-        key = frozenset(((t, f), (t2, f2)))
-        if key in done:
-            continue
-        done.add(key)
-        src = [v for v in range(4) if v != f]
-        images = ",".join(str(perm[v]) for v in src)
+        if repr((t2, f2)) < repr((t, f)):
+            continue        # written from the entry that sorts first
+        images = ",".join(str(perm[v]) for v in sorted(perm))
         out.append(f"glue {t}.{f} {t2}.{f2} {images}")
     if outgoing:
         for tf in sorted(outgoing, key=repr):

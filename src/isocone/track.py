@@ -37,26 +37,26 @@ class InvalidWeightError(ValueError):
     """A weight violating the switch relations was supplied."""
 
 
-def union_find(items, pairs):
-    """Class representative of every item once the given pairs are merged.
+def union_find(n, pairs):
+    """Root of each of the items ``0 .. n-1`` once the given pairs are merged.
 
     Pairs are merged in order and a merge points the first item's root at
-    the second's, so the representatives depend only on ``items`` and the
-    order of ``pairs``.  Returns a dict in the order of ``items``.
+    the second's, so the roots depend only on ``n`` and the order of
+    ``pairs``.  Returns a list: ``roots[i]`` is the root of item ``i``.
+    Callers number their items once and map the roots back.
     """
-    parent = {x: x for x in items}
+    parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+            parent[x] = x = parent[parent[x]]
         return x
 
     for a, b in pairs:
         a, b = find(a), find(b)
         if a != b:
             parent[a] = b
-    return {x: find(x) for x in parent}
+    return [find(x) for x in range(n)]
 
 
 class SurfaceTriangulation:
@@ -71,55 +71,58 @@ class SurfaceTriangulation:
     def __init__(self, triangles, gluings):
         self.triangles = {t: tuple(ds) for t, ds in triangles.items()}
         self.glue = dict(gluings)
-        owner = {}
-        for t, ds in self.triangles.items():
+        # side i of the p-th triangle, the directed edge starting at its
+        # corner i, is slot 3p + i, and _corners[3p + i] is that corner
+        slot = self._slot = {}
+        for p, (t, ds) in enumerate(self.triangles.items()):
             if len(ds) != 3 or len(set(ds)) != 3:
                 raise ValueError(f"triangle {t!r} needs 3 distinct edges")
             for i, d in enumerate(ds):
-                if d in owner:
+                if d in slot:
                     raise ValueError(f"directed edge {d!r} used twice")
-                owner[d] = (t, i)
-        self._owner = owner
+                slot[d] = 3 * p + i
+        self._corners = [(t, i) for t in self.triangles for i in range(3)]
         for d, d2 in self.glue.items():
             if d2 == d:
                 raise ValueError(f"directed edge {d!r} glued to itself")
             if self.glue.get(d2) != d:
                 raise ValueError(f"gluing not involutive at {d!r}")
-            if d not in owner or d2 not in owner:
+            if d not in slot or d2 not in slot:
                 raise ValueError(f"gluing touches unknown edge {d!r}")
-        unglued = sorted((d for d in owner if d not in self.glue), key=repr)
+        unglued = sorted((d for d in slot if d not in self.glue), key=repr)
         if unglued:
             raise ValueError(f"unglued edges: {unglued!r}")
         self._build_classes()
 
     def _build_classes(self):
-        # undirected edge classes
-        canon = self.edge_class = {d: min(d, self.glue[d], key=repr)
-                                   for d in self._owner}
-        self.edge_classes = sorted(set(canon.values()), key=repr)
+        # undirected edge classes: the repr-least of each glued pair, with
+        # one repr per directed edge
+        glue, rep = self.glue, {d: repr(d) for d in self._slot}
+        canon = self.edge_class = {}
+        for d, r in rep.items():
+            d2 = glue[d]
+            canon[d] = d if r <= rep[d2] else d2
+        self.edge_classes = sorted(set(canon.values()), key=rep.__getitem__)
 
-        # vertex classes over corners; corner (t, i) sits at the tail of
-        # triangle t's i-th directed edge
-        def glued_corners():
-            for t, ds in self.triangles.items():
-                for i in range(3):
-                    # partner of the edge whose head is this corner
-                    yield (t, i), self._owner[self.glue[ds[(i + 2) % 3]]]
-
-        corners = [(t, i) for t in self.triangles for i in range(3)]
-        self.corner_class = union_find(corners, glued_corners())
-        self.vertex_classes = sorted(set(self.corner_class.values()), key=repr)
+        # vertex classes over corners; the corner at the tail of a side is
+        # merged with the corner at the tail of the partner of the side
+        # before it (whose head it is)
+        slot, corners = self._slot, self._corners
+        roots = union_find(len(corners), (
+            (3 * p + i, slot[glue[ds[i - 1]]])
+            for p, ds in enumerate(self.triangles.values()) for i in range(3)))
+        self.corner_class = dict(zip(corners, [corners[r] for r in roots]))
+        self.vertex_classes = sorted({corners[r] for r in roots}, key=repr)
 
     def locate(self, d):
         """(triangle, slot) of a directed edge."""
-        return self._owner[d]
+        return self._corners[self._slot[d]]
 
     def corner_at_tail(self, d):
-        t, i = self._owner[d]
-        return self.corner_class[(t, i)]
+        return self.corner_class[self.locate(d)]
 
     def corner_at_head(self, d):
-        t, i = self._owner[d]
+        t, i = self.locate(d)
         return self.corner_class[(t, (i + 1) % 3)]
 
     def euler_characteristic(self):
@@ -127,10 +130,9 @@ class SurfaceTriangulation:
                 + len(self.triangles))
 
     def genus(self):
-        chi = self.euler_characteristic()
-        if chi % 2 != 0:
-            raise ValueError("odd Euler characteristic")
-        return (2 - chi) // 2
+        # closed and oriented: each directed edge is paired with one other
+        # and the vertices are corner cycles, so chi is even
+        return (2 - self.euler_characteristic()) // 2
 
     def components(self):
         """Triangles of each connected component, each sorted by ``repr``.
@@ -138,11 +140,12 @@ class SurfaceTriangulation:
         Components are listed in the order their first triangle appears in
         ``triangles``.
         """
-        root = union_find(self.triangles, (
-            (t, self._owner[self.glue[d]][0])
-            for t, ds in self.triangles.items() for d in ds))
+        tris, glue, slot = list(self.triangles), self.glue, self._slot
+        roots = union_find(len(tris), (
+            (p, slot[glue[d]] // 3)
+            for p, ds in enumerate(self.triangles.values()) for d in ds))
         comps = {}
-        for t, r in root.items():
+        for t, r in zip(tris, roots):
             comps.setdefault(r, []).append(t)
         return [sorted(c, key=repr) for c in comps.values()]
 
@@ -166,7 +169,7 @@ class SurfaceTriangulation:
                     cycle.append(c)
                     ct, ci = c
                     prev = self.triangles[ct][(ci + 2) % 3]
-                    c = self._owner[self.glue[prev]]
+                    c = self.locate(self.glue[prev])
                 cycles[v] = cycle
         return cycles
 

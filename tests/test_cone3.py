@@ -25,11 +25,10 @@ from isocone.fixtures import (
 from isocone.ordgroup import rat
 from isocone.track import (
     SurfaceTriangulation, track_dual_to_triangulation, triangle_form_sum,
-    union_find,
 )
 from test_acceptance import _random_complex
 from test_linalg import reference_kernel, reference_rref
-from util import code_lines, random_tree
+from util import code_lines, random_tree, reference_union_find
 
 
 
@@ -385,6 +384,23 @@ _GLUING_FAULTS = {
 }
 
 
+# the message of each fault in the first entry of the pair; a fault in
+# the inverse entry is found from the first entry as "not involutive",
+# unless the inverse is missing
+_FAULT_MESSAGES = {
+    "unknown tet": "gluing touches unknown tetrahedron 'T9'",
+    "face index": "face index out of range at ('T0', 0)",
+    "permutation domain": "bad permutation domain at ('T0', 0)",
+    "permutation range": "bad permutation range at ('T0', 0)",
+    "missing inverse": "gluing at ('T1', 1) has no inverse entry",
+    "inverse at another face": "gluing at ('T0', 0) is not involutive",
+    "not the inverse bijection": "gluing at ('T0', 0) is not involutive",
+    "glued to itself": "face glued to itself",
+    "orientation-preserving":
+        "gluing at ('T0', 0) is not orientation-reversing",
+}
+
+
 def _faulty_gluings(fault, where):
     """``_TWO_PAIRS`` with ``fault`` in entry ``where`` of the first pair
     (0: the first entry, 1: its inverse).  An orientation-preserving first
@@ -452,9 +468,16 @@ class TestValidation:
     def test_faulty_face_pair_rejected(self, fault, where):
         error = OrientationError if (fault, where) == (
             "orientation-preserving", 0) else GluingError
-        with pytest.raises(error):
+        if where == 0:
+            message = _FAULT_MESSAGES[fault]
+        elif fault == "missing inverse":
+            message = "gluing at ('T0', 0) has no inverse entry"
+        else:
+            message = "gluing at ('T0', 0) is not involutive"
+        with pytest.raises(error) as err:
             Triangulation3(["T0", "T1", "T2", "T3"],
                            _faulty_gluings(fault, where))
+        assert type(err.value) is error and str(err.value) == message
 
     @pytest.mark.parametrize("gluings, message", [
         ({("T0", 0): ("T9", 1, {1: 2, 2: 3, 3: 0})},
@@ -467,6 +490,11 @@ class TestValidation:
         ({("T0", 0): ("T1", 1, {1: 2, 2: 3, 3: 0}),
           ("T1", 1): ("T0", 0, {1: 1, 3: 2, 0: 3})},
          "gluing at ('T0', 0) is not involutive"),
+        # a face index in range that is not an int has no corners
+        ({("T0", 0.5): ("T1", 1, {1: 2, 2: 3, 3: 0})},
+         "bad permutation domain at ('T0', 0.5)"),
+        ({("T0", 0): ("T1", 0.5, {1: 2, 2: 3, 3: 0})},
+         "bad permutation range at ('T0', 0)"),
     ])
     def test_rejection_names_the_entry(self, gluings, message):
         with pytest.raises(GluingError, match=re.escape(message)):
@@ -495,6 +523,12 @@ class TestOppositePairs:
         x, y, z = FACE_CYCLES[3]
         first = [frozenset((x, y)), frozenset((y, z)), frozenset((z, x))]
         assert OPPOSITE_PAIRS == [(e, frozenset(range(4)) - e) for e in first]
+
+    def test_edge_index_literal(self):
+        # the slot tables name the edges of OPPOSITE_PAIRS by EDGE_PAIRS index
+        assert cone3._OPPOSITE_EDGES == tuple(
+            (EDGE_PAIRS.index(e), EDGE_PAIRS.index(e2))
+            for e, e2 in OPPOSITE_PAIRS)
 
     def test_even_relabeling_invariance(self):
         rng = random.Random(50)
@@ -1152,14 +1186,17 @@ class TestCone:
 def _merge_boundary_classes(monkeypatch, m):
     """Wrap ``cone3.union_find`` so that the edge classes of the first two
     boundary edges of ``m`` (in ``repr`` order) come out as one class, the
-    second; returns that class."""
+    second; returns that class.  Edge ``EDGE_PAIRS[k]`` of the ``i``-th tet
+    is slot ``6i + k``, and a class is the edge of its root slot."""
     E1, E2 = sorted(m.boundary_edge_to_class, key=repr)[:2]
+    slot = {(t, e): 6 * i + k for i, t in enumerate(m.tets)
+            for k, e in enumerate(EDGE_PAIRS)}
     gone, kept = (m.boundary_edge_to_class[E] for E in (E1, E2))
     union_find = cone3.union_find
 
-    def merging(items, pairs):
-        root = union_find(items, pairs)
-        return {x: kept if r == gone else r for x, r in root.items()}
+    def merging(n, pairs):
+        roots = union_find(n, pairs)
+        return [slot[kept] if r == slot[gone] else r for r in roots]
 
     monkeypatch.setattr(cone3, "union_find", merging)
     return kept
@@ -1201,11 +1238,11 @@ def _inverse_first(gluings):
 def _fold_both_directions(m):
     """Vertex and edge classes by merging across every entry of
     ``m.gluings``, each face pair in both directions."""
-    vertex = union_find(
+    vertex = reference_union_find(
         [(t, v) for t in m.tets for v in range(4)],
         (((t, v), (t2, v2)) for (t, _), (t2, _, perm) in m.gluings.items()
          for v, v2 in perm.items()))
-    edge = union_find(
+    edge = reference_union_find(
         [(t, e) for t in m.tets for e in EDGE_PAIRS],
         (((t, frozenset(pair)), (t2, frozenset(perm[v] for v in pair)))
          for (t, _), (t2, _, perm) in m.gluings.items()
@@ -1223,6 +1260,157 @@ def test_classes_merge_each_face_pair_once(make):
     assert list(swapped) != list(m.gluings)
     for m2 in (m, Triangulation3(m.tets, swapped)):
         assert (m2.vertex_class, m2.edge_class) == _fold_both_directions(m2)
+
+
+def _reference_surface(triangles, glue):
+    """The classes of a ``SurfaceTriangulation`` as the tuple-keyed build
+    made them: the ``repr``-least directed edge of each pair, and corner
+    classes and components by a union-find over hashable ids."""
+    owner = {d: (t, i) for t, ds in triangles.items()
+             for i, d in enumerate(ds)}
+    edge_class = {d: min(d, glue[d], key=repr) for d in owner}
+    corner_class = reference_union_find(
+        [(t, i) for t in triangles for i in range(3)],
+        (((t, i), owner[glue[ds[(i + 2) % 3]]])
+         for t, ds in triangles.items() for i in range(3)))
+    root = reference_union_find(triangles, (
+        (t, owner[glue[d]][0]) for t, ds in triangles.items() for d in ds))
+    comps = {}
+    for t, r in root.items():
+        comps.setdefault(r, []).append(t)
+    return (edge_class, sorted(set(edge_class.values()), key=repr),
+            corner_class, sorted(set(corner_class.values()), key=repr),
+            [sorted(c, key=repr) for c in comps.values()])
+
+
+def _reference_build(m):
+    """Every class, boundary datum and row cache of ``m``, derived from
+    ``m.tets`` and ``m.gluings`` as the tuple-keyed build derived them,
+    with every dict as its list of items so that order counts."""
+    tets, gluings = m.tets, m.gluings
+    glued, inverses = [], set()
+    for (t, f), (t2, f2, perm) in gluings.items():
+        if (t, f) not in inverses:
+            inverses.add((t2, f2))
+            glued.append((t, t2, perm))
+    edge_class = reference_union_find(
+        [(t, e) for t in tets for e in EDGE_PAIRS],
+        (((t, frozenset(pair)), (t2, frozenset(perm[v] for v in pair)))
+         for t, t2, perm in glued
+         for pair in itertools.combinations(sorted(perm), 2)))
+    edge_classes = sorted(set(edge_class.values()), key=repr)
+    vertex_class = reference_union_find(
+        [(t, v) for t in tets for v in range(4)],
+        (((t, v), (t2, v2)) for (t, _), (t2, _, perm) in gluings.items()
+         for v, v2 in perm.items()))
+    faces = [(t, f) for t in tets for f in range(4) if (t, f) not in gluings]
+    sides = {}
+    for t, f in faces:
+        cyc = FACE_CYCLES[f]
+        for k in range(3):
+            e = frozenset((cyc[k], cyc[(k + 1) % 3]))
+            sides.setdefault(edge_class[(t, e)], []).append((t, f, k))
+    glue = {}
+    for pair in sides.values():
+        glue[pair[0]], glue[pair[1]] = pair[1], pair[0]
+    triangles = {(t, f): ((t, f, 0), (t, f, 1), (t, f, 2)) for t, f in faces}
+    surf = _reference_surface(triangles, glue) if triangles else None
+    to_class = {surf[0][pair[0]]: cls for cls, pair in sides.items()}
+    comps, torus = [], set()
+    for comp in surf[4] if surf else ():
+        edges = {surf[0][d] for t in comp for d in triangles[t]}
+        corners = {surf[2][(t, i)] for t in comp for i in range(3)}
+        chi = len(corners) - len(edges) + len(comp)
+        comps.append({"triangles": comp, "edge_classes": sorted(edges, key=repr),
+                      "genus": (2 - chi) // 2, "torus": chi == 0})
+        if chi == 0:
+            torus |= {to_class[E] for E in edges}
+    column = {E: i for i, E in enumerate(edge_classes)}
+
+    def row(terms):
+        out = {}
+        for cls, coef in terms:
+            out[column[cls]] = out.get(column[cls], 0) + coef
+        return tuple((c, x) for c, x in sorted(out.items()) if x)
+
+    pairs = {t: [(edge_class[(t, e)], edge_class[(t, e2)])
+                 for e, e2 in OPPOSITE_PAIRS] for t in tets}
+    form = {c: [] for c in edge_classes}
+    for sums in pairs.values():
+        for i in range(3):
+            for a in sums[i]:
+                for b in sums[(i + 1) % 3]:
+                    form[a].append((b, -1))
+                    form[b].append((a, 1))
+    unit_rows = {E: row([(E, 1)]) for E in edge_classes}
+    return {
+        "edge_class": list(edge_class.items()),
+        "edge_classes": edge_classes,
+        "vertex_class": list(vertex_class.items()),
+        "boundary_faces": faces,
+        "boundary": surf and (list(triangles.items()), list(glue.items()),
+                              list(surf[0].items()), surf[1],
+                              list(surf[2].items()), surf[3], surf[4]),
+        "boundary_edge_to_class": list(to_class.items()),
+        "boundary_components": comps,
+        "torus_classes": torus,
+        "unit_rows": list(unit_rows.items()),
+        "torus_rows": [unit_rows[E] for E in sorted(torus, key=repr)],
+        "choice_rows": [(t, [row([(a, 1) for a in sums[i]]
+                                 + [(b, -1) for b in sums[j]])
+                             for i, j in CHOICE_PAIRS])
+                        for t, sums in pairs.items()],
+        "form_rows": [(c, row(ts)) for c, ts in form.items()],
+    }
+
+
+def _built(m):
+    """What ``_reference_build`` derives, read off ``m`` itself."""
+    b = m.boundary
+    return {
+        "edge_class": list(m.edge_class.items()),
+        "edge_classes": m.edge_classes,
+        "vertex_class": list(m.vertex_class.items()),
+        "boundary_faces": m.boundary_faces,
+        "boundary": b and (list(b.triangles.items()), list(b.glue.items()),
+                           list(b.edge_class.items()), b.edge_classes,
+                           list(b.corner_class.items()), b.vertex_classes,
+                           b.components()),
+        "boundary_edge_to_class": list(m.boundary_edge_to_class.items()),
+        "boundary_components": m.boundary_components,
+        "torus_classes": m.torus_classes,
+        "unit_rows": list(m.unit_rows.items()),
+        "torus_rows": m.torus_rows,
+        "choice_rows": list(m.choice_rows.items()),
+        "form_rows": list(m.form_rows.items()),
+    }
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.data())
+def test_build_matches_tuple_keyed_reference(seed, data):
+    # slot numbers follow the repr order of the tets, so unpadded names
+    # (T2 after T10) and int ids reorder them; an inverse-first gluing
+    # table changes which entry of each face pair is merged
+    m = _random_complex(random.Random(seed))
+    ids = data.draw(st.lists(st.integers(0, 30), min_size=len(m.tets),
+                             max_size=len(m.tets), unique=True))
+    names = ids if data.draw(st.booleans()) else [f"T{i}" for i in ids]
+    new = dict(zip(m.tets, names))
+    gluings = {(new[t], f): (new[t2], f2, perm)
+               for (t, f), (t2, f2, perm) in m.gluings.items()}
+    if data.draw(st.booleans()):
+        gluings = _inverse_first(gluings)
+    m2 = Triangulation3(names, gluings)
+    assert _built(m2) == _reference_build(m2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: g2_product_bundle()["manifold"], lambda: chain_tets(5),
+    lambda: TestMixedBoundary()._mixed_product()[2]["manifold"]])
+def test_fixture_build_matches_tuple_keyed_reference(make):
+    m = make()
+    assert _built(m) == _reference_build(m)
 
 
 _fractions = st.fractions(-9, 9, max_denominator=6)
@@ -1387,3 +1575,91 @@ class TestMixedBoundary:
         wb[tor_edge] = Fraction(1)
         res = member(m, btr, wb)
         assert not res.member and res.reason == "torus-nonzero"
+
+
+def _fraction_verify_witness(m, w_boundary, result):
+    """``verify_witness`` substituting the ``Fraction`` witness itself, with
+    the pair sums read through ``edge_class``: the oracle of the integer
+    check."""
+    if not result.member:
+        return False
+    w, per_tet = result.witness, {}
+    for t in m.tets:
+        sums = [w[m.edge_class[(t, e)]] + w[m.edge_class[(t, e2)]]
+                for e, e2 in OPPOSITE_PAIRS]
+        per_tet[t] = [k for k, (i, j) in enumerate(CHOICE_PAIRS)
+                      if sums[i] == sums[j]]
+    return (all(per_tet.values())
+            and all(k in per_tet[t] for t, k in result.choices.items())
+            and all(rat(w_boundary.get(E, 0)) == w[cls]
+                    for E, cls in m.boundary_edge_to_class.items())
+            and all(w[cls] == 0 for cls in m.torus_classes))
+
+
+@functools.cache
+def _witnessed_queries():
+    """Member queries with their results: random complexes, g2xI diagonal
+    weights and the product with torus boundary components."""
+    out, rng = [], random.Random(91)
+    while len(out) < 12:
+        m, btr, wb = _random_member_query(rng)
+        res = member(m, btr, wb)
+        if res.member and any(res.witness.values()):
+            out.append((m, wb, res))
+    bundle = g2_product_bundle()
+    m, btr = bundle["manifold"], bundle["boundary_track"]
+    for seed in (3, 4):
+        wb = diagonal_boundary_weight(
+            bundle, mf_weight(bundle["track"], random.Random(seed)))
+        out.append((m, wb, member(m, btr, wb)))
+    m, btr, wb = TestMixedBoundary()._mixed_query()
+    out.append((m, wb, member(m, btr, wb)))
+    return out
+
+
+class TestVerifyWitness:
+    """The integer ``verify_witness`` against ``_fraction_verify_witness``,
+    on witnesses and on copies with one class perturbed, one choice
+    flipped or a torus class made nonzero."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_corrupted_witnesses_match_fraction_check(self, data):
+        queries = _witnessed_queries()
+        m, wb, res = queries[data.draw(st.integers(0, len(queries) - 1))]
+        witness, choices = dict(res.witness), dict(res.choices)
+        kind = data.draw(st.sampled_from(["none", "class", "choice", "torus"]))
+        if kind == "class":
+            cls = data.draw(st.sampled_from(m.edge_classes))
+            witness[cls] += data.draw(
+                st.fractions(-3, 3, max_denominator=7).filter(bool))
+        elif kind == "choice":
+            t = data.draw(st.sampled_from(m.tets))
+            choices[t] = data.draw(
+                st.sampled_from([k for k in range(3) if k != choices[t]]))
+        elif kind == "torus" and m.torus_classes:
+            cls = data.draw(st.sampled_from(sorted(m.torus_classes, key=repr)))
+            witness[cls] = data.draw(
+                st.fractions(-3, 3, max_denominator=7).filter(bool))
+        bad = MemberResult(True, witness=witness, choices=choices)
+        expected = _fraction_verify_witness(m, wb, bad)
+        assert verify_witness(m, None, wb, bad) == expected
+        if kind == "none":
+            assert expected
+
+    def test_each_corruption_refused(self):
+        # on the torus product: a boundary class off its pin, a choice
+        # whose equality the witness breaks, a nonzero torus class
+        m, wb, res = _witnessed_queries()[-1]
+        t = m.tets[0]
+        k = next(k for k in range(3) if k not in m.w4_member(res.witness)[1][t])
+        boundary = m.boundary_edge_to_class[m.boundary.edge_classes[0]]
+        torus = sorted(m.torus_classes, key=repr)[0]
+        for witness, choices in (
+                ({**res.witness, boundary: res.witness[boundary] + 1},
+                 res.choices),
+                (res.witness, {**res.choices, t: k}),
+                ({**res.witness, torus: Fraction(1, 3)}, res.choices)):
+            bad = MemberResult(True, witness=witness, choices=choices)
+            assert not _fraction_verify_witness(m, wb, bad)
+            assert not verify_witness(m, None, wb, bad)

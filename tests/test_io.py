@@ -1,12 +1,13 @@
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from isocone import io
 from isocone.fixtures import (genus2_maximal_track, two_tets, chain_tets,
                               g2_product_bundle, mf_weight,
                               diagonal_boundary_weight)
 from isocone.flatsurf import lshape_h2, pillowcase, PeriodTangent
-from isocone.ordgroup import LexVec
+from isocone.ordgroup import LexVec, format_rat
 from util import code_lines
 
 
@@ -89,6 +90,46 @@ class TestManifoldFormat:
     def test_bad_permutation(self):
         with pytest.raises(io.ParseError):
             io.parse_manifold("tet A\ntet B\nglue A.0 B.0 1,2\n")
+
+
+def _reference_rat(tok, lineno, notes):
+    """``io._rat`` reading every token with ``Fraction(str)``: the
+    oracle of its integer fast path."""
+    try:
+        q = Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        raise io.ParseError(lineno, f"bad rational {tok!r}")
+    if format_rat(q) != tok:
+        notes.append(f"normalized {tok} to {format_rat(q)}")
+    return q
+
+
+def _rat_outcome(rat, tok):
+    notes = []
+    try:
+        return rat(tok, 7, notes), notes
+    except io.ParseError as e:
+        return str(e), notes
+
+
+_canonical = st.fractions(max_denominator=10 ** 6).map(format_rat)
+_noncanonical = st.one_of(
+    st.sampled_from(["+3", "03", "-0", "6/4", "1/-2", "1.5", "1e2", "1_0",
+                     "\u0663", "1/\u0663", "1/0", "0/0", "3/1", "-3/6", "--1",
+                     "-", "/2", "2/", "1/02", "0/5", "00", "1/+2", "abc",
+                     "1/2/3", "\u00b2", "1" * 5000]),
+    st.tuples(_canonical, st.sampled_from(["0", "_0", "/1", "/2", "e1"]))
+    .map("".join),
+    st.text("0123456789-+/._e\u0663", max_size=8))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(_canonical, _noncanonical))
+def test_rat_matches_fraction_parser(tok):
+    # same value, same notes and same error as reading every token with
+    # Fraction(str), canonical or not
+    out, ref = _rat_outcome(io._rat, tok), _rat_outcome(_reference_rat, tok)
+    assert out == ref and type(out[0]) is type(ref[0])
 
 
 def test_code_line_count():

@@ -1,7 +1,11 @@
+import functools
+import importlib.util
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isocone import linalg
 from isocone.track import (
@@ -14,8 +18,11 @@ from isocone.fixtures import (
     genus2_one_vertex_surface, genus2_four_vertex_surface,
     genus2_maximal_track,
 )
-from isocone.flatsurf import square_torus, hex_torus, lshape_h2, pillowcase
-from util import code_lines
+from isocone.flatsurf import (
+    square_torus, hex_torus, lshape_h2, pillowcase, delaunay,
+)
+from test_acceptance import _random_complex
+from util import code_lines, reference_union_find
 
 
 def torus_track():
@@ -92,14 +99,20 @@ def test_corner_cycles(make):
 
 class TestUnionFind:
     def test_first_root_points_at_second(self):
-        assert union_find("abcd", [("a", "b"), ("c", "d"), ("b", "c")]) \
-            == {"a": "d", "b": "d", "c": "d", "d": "d"}
-        assert union_find("abcd", [("b", "a"), ("d", "c"), ("c", "b")]) \
-            == {"a": "a", "b": "a", "c": "a", "d": "a"}
+        assert union_find(4, [(0, 1), (2, 3), (1, 2)]) == [3, 3, 3, 3]
+        assert union_find(4, [(1, 0), (3, 2), (2, 1)]) == [0, 0, 0, 0]
 
     def test_singletons_and_repeats(self):
-        assert union_find([1, 2, 3], [(1, 2), (2, 1), (1, 1)]) \
-            == {1: 2, 2: 2, 3: 3}
+        assert union_find(3, [(0, 1), (1, 0), (0, 0)]) == [1, 1, 2]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
+                                       st.integers(0, n - 1))))))
+    def test_matches_reference(self, case):
+        n, pairs = case
+        assert union_find(n, pairs) == \
+            list(reference_union_find(range(n), pairs).values())
 
 
 class TestSwitchRelations:
@@ -275,6 +288,34 @@ class TestCyclePairing:
             track.cycle_pairing(z, z)
 
 
+@functools.cache
+def _grid_tori():
+    """The benchmark's n x n grid tori, n = 2..5 (``perfbench/surfaces.py``)."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location(
+        "surfaces", path / "surfaces.py")
+    surfaces = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(surfaces)
+    return [surfaces.grid_torus(n) for n in range(2, 6)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 3),
+       st.fractions(-3, 3, max_denominator=4))
+def test_euler_characteristic_even(seed, n, shear):
+    # every surface is closed and oriented, so genus() needs no parity
+    # check: the boundary of a random complex, and a sheared grid torus
+    # before and after Delaunay, with their skeleton ribbons
+    grid = _grid_tori()[n].shear(shear)
+    surfaces = [grid.comb, delaunay(grid).comb]
+    boundary = _random_complex(random.Random(seed)).boundary
+    if boundary is not None:
+        surfaces.append(boundary)
+    for s in surfaces:
+        for x in (s, s.skeleton_ribbon()):
+            assert x.euler_characteristic() % 2 == 0
+
+
 def test_code_line_count():
     # methods that only tests call do not belong in the library
-    assert code_lines("track") <= 364
+    assert code_lines("track") <= 363

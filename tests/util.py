@@ -44,3 +44,23 @@ def code_lines(name):
     path = pathlib.Path(importlib.import_module(f"isocone.{name}").__file__)
     lines = [line.strip() for line in path.read_text().splitlines()]
     return len([line for line in lines if line and not line.startswith("#")])
+
+
+def reference_union_find(items, pairs):
+    """Class representative of every item once the given pairs are merged,
+    over hashable items: pairs are merged in order and a merge points the
+    first item's root at the second's.  Returns a dict in the order of
+    ``items``.  The oracle of the integer ``isocone.track.union_find``."""
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        a, b = find(a), find(b)
+        if a != b:
+            parent[a] = b
+    return {x: find(x) for x in parent}
