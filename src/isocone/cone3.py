@@ -240,14 +240,9 @@ class Triangulation3:
     # -- constraint rows: built on first use, shared by every caller ------------
 
     @functools.cached_property
-    def unit_rows(self):
-        """Per edge class, the row pinning that class."""
-        return {E: ((i, 1),) for i, E in enumerate(self.edge_classes)}
-
-    @functools.cached_property
     def torus_rows(self):
-        """Rows pinning every torus class, in ``repr`` order."""
-        return [self.unit_rows[E]
+        """Unit rows pinning every torus class, in ``repr`` order."""
+        return [((self._column[E], 1),)
                 for E in sorted(self.torus_classes, key=repr)]
 
     @functools.cached_property
@@ -497,12 +492,13 @@ def member(manifold, btrack, w_boundary):
     relations; membership then asks for an exact extension to all edge
     classes satisfying one pair-sum equality in every tetrahedron and zero
     on torus classes.  Found by depth-first search over the per-tet
-    choices with incremental exact elimination and conflict-directed
-    backjumping (Prosser 1993): tet ``i``'s choice rows carry the tag
-    ``1 << i``, so a contradiction names the tets it depends on, and a
-    subtree refuted without tet ``i`` is not retried under tet ``i``'s
-    other choices.  Only subtrees without a solution are skipped, so the
-    first consistent choice vector is the chronological search's.
+    choices, whose rows have the boundary values folded in as constants,
+    with incremental exact elimination and conflict-directed backjumping
+    (Prosser 1993): tet ``i``'s choice rows carry the tag ``1 << i``, so a
+    contradiction names the tets it depends on, and a subtree refuted
+    without tet ``i`` is not retried under tet ``i``'s other choices.  Only
+    subtrees without a solution are skipped, so the first consistent
+    choice vector is the chronological search's.
     """
     track = btrack.track
     for e in track.branches:
@@ -513,28 +509,25 @@ def member(manifold, btrack, w_boundary):
     if not track.check_weight({e: w_boundary[e] for e in track.branches}):
         return MemberResult(False, reason="switch")
 
-    classes = manifold.edge_classes
-    sysm = linalg.IncrementalSystem(len(classes))
-    push, pivots = sysm.push, sysm.pivots
-
-    # pin boundary values, one class per edge, all scaled by the common
-    # denominator D so that the whole system is integral with pin
-    # pivots 1; the solution is divided by D at the end
+    # the boundary values are constants, one class per edge, all scaled by
+    # the common denominator D so that every row is integral; the interior
+    # solution is divided by D at the end
     pins = manifold.boundary.edge_classes
     values = [rat(w_boundary.get(E, 0)) for E in pins]
     D = math.lcm(*[val.denominator for val in values])
-    pinned = {}     # column of each boundary class -> D times its value
-    for E, val in zip(pins, values):
-        cls = manifold.boundary_edge_to_class[E]
-        pinned[manifold._column[cls]] = b = int(val * D)
-        push(manifold.unit_rows[cls], b)
-    for row in manifold.torus_rows:
-        if not push(row, 0):
-            return MemberResult(False, reason="torus-nonzero")
+    pinned = {      # column of each boundary class -> D times its value
+        manifold._column[manifold.boundary_edge_to_class[E]]: int(val * D)
+        for E, val in zip(pins, values)}
+    # every torus class is a boundary class, so it is pinned
+    if any(pinned[manifold._column[c]] for c in manifold.torus_classes):
+        return MemberResult(False, reason="torus-nonzero")
 
-    # the pins are in every branch, so fold them into the choice rows once:
-    # a row keeps its interior columns and moves minus its pinned part to
-    # the right-hand side, and no push eliminates a pin again
+    # fold the pins into the choice rows once: a row keeps its interior
+    # columns and moves minus its pinned part to the right-hand side, so
+    # the system holds no pinned column
+    classes = manifold.edge_classes
+    sysm = linalg.IncrementalSystem(len(classes))
+    push, pivots = sysm.push, sysm.pivots
     tets = manifold.tets
     rows = [[([(c, x) for c, x in row if c not in pinned],
               -sum(x * pinned[c] for c, x in row if c in pinned))
@@ -561,7 +554,11 @@ def member(manifold, btrack, w_boundary):
 
     if dfs(0) is not None:
         return MemberResult(False, reason="no-choice-vector")
-    witness = {cls: x / D for cls, x in zip(classes, sysm.solution())}
+    # no stored row reads a pinned column, so the interior solution is that
+    # of the system with the pins in it
+    sol = sysm.solution()
+    witness = {cls: Fraction(pinned[c], D) if c in pinned else sol[c] / D
+               for c, cls in enumerate(classes)}
     return MemberResult(True, witness=witness, choices=dict(chosen))
 
 

@@ -159,13 +159,9 @@ def serialize_flatsurface(surface, tangents=()):
     for d in sorted(surface.vectors, key=str):
         v = surface.vectors[d]
         out.append(f"vector {d} {format_rat(v.re)} {format_rat(v.im)}")
-    done = set()
     for d in sorted(surface.glue, key=str):
-        d2 = surface.glue[d]
-        key = tuple(sorted((str(d), str(d2))))
-        if key not in done:
-            done.add(key)
-            out.append(f"glue {d} {d2} {surface.signs[d]}")
+        if str(d) < str(surface.glue[d]):   # written from the first name
+            out.append(f"glue {d} {surface.glue[d]} {surface.signs[d]}")
     for i, tan in enumerate(tangents, start=1):
         for d in sorted(tan.delta, key=str):
             v = tan.delta[d]
@@ -223,6 +219,8 @@ def parse_manifold(text):
     for lineno, name, slot in switch_lines:
         if name not in tri_by_name:
             raise ParseError(lineno, f"unknown boundary triangle {name!r}")
+        if tri_by_name[name] in outgoing:
+            raise ParseError(lineno, f"repeated switch for {name!r}")
         try:
             k = int(slot)
         except ValueError:
@@ -238,6 +236,8 @@ def parse_manifold(text):
         for lineno, name, val in weight_lines:
             if name not in edge_by_name:
                 raise ParseError(lineno, f"unknown boundary edge {name!r}")
+            if edge_by_name[name] in weights:
+                raise ParseError(lineno, f"repeated weight for {name!r}")
             weights[edge_by_name[name]] = _rat(val, lineno, notes)
     elif weight_lines:
         raise ParseError(weight_lines[0][0], "weights on a closed manifold")

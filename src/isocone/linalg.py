@@ -1,11 +1,11 @@
 """Exact linear algebra over the rationals, on one sparse integer core.
 
-``IncrementalSystem`` eliminates sparse ``(column, coefficient)`` rows one
-at a time, fraction-free (integer-preserving, after Bareiss 1968);
-``rref``, ``kernel_basis`` and ``solve`` push dense rows into one.
-``Fraction`` appears only in ``solution()`` and ``reduced()``.  Pivots are
-the leftmost surviving columns, so ``reduced()`` is the reduced echelon
-form of the span, a canonical object."""
+``IncrementalSystem`` eliminates sparse integer ``(column, coefficient)``
+rows one at a time, fraction-free (integer-preserving, after Bareiss
+1968); ``rref``, ``kernel_basis`` and ``solve`` scale dense rational rows
+to integers and push them into one.  Pivots are the leftmost surviving
+columns, so ``reduced()`` is the reduced echelon form of the span, a
+canonical object."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -15,25 +15,20 @@ ONE = Fraction(1)
 
 
 def _integer(row, b):
-    """Rational ``row . x = b`` scaled by the lcm of its denominators, as
-    ``({column: int}, int)``."""
-    v = dict(row)
-    # most rows are integer already; skipping the lcm for them is worth
-    # about 13% of cone-member items_per_s
-    if type(b) is int and {int}.issuperset(map(type, v.values())):
-        return v, b
-    den = lcm(b.denominator, *[x.denominator for x in v.values()])
-    return ({c: x.numerator * (den // x.denominator) for c, x in v.items()},
+    """Rational ``row . x = b``, a ``{column: coefficient}`` dict, scaled by
+    the lcm of its denominators, as ``({column: int}, int)``."""
+    den = lcm(b.denominator, *[x.denominator for x in row.values()])
+    return ({c: x.numerator * (den // x.denominator) for c, x in row.items()},
             b.numerator * (den // b.denominator))
 
 
 def _system(rows, ncols, rhs=None):
-    """An ``IncrementalSystem`` holding the dense ``rows`` with right-hand
-    sides ``rhs`` (default 0), or None if they contradict each other."""
+    """An ``IncrementalSystem`` holding the dense rational ``rows`` with
+    right-hand sides ``rhs`` (default 0), or None if they contradict."""
     sysm = IncrementalSystem(ncols)
     for row, b in zip(rows, rhs or [0] * len(rows)):
         if not sysm._push(*_integer(
-                [(c, x) for c, x in enumerate(row) if x], b)):
+                {c: x for c, x in enumerate(row) if x}, b)):
             return None
     return sysm
 
@@ -105,11 +100,11 @@ class IncrementalSystem:
             del self.pivot_rows[self.pivots.pop()]
 
     def push(self, row, b, tag=0):
-        """Add ``row . x = b``, rational ``(column, coefficient)`` pairs
-        with no zero coefficients; False iff it contradicts the system.
-        Neither a redundant nor a contradicting row is stored; after a
-        False, ``conflict`` is the mask of the contradiction ``0 = c``."""
-        return self._push(*_integer(row, b), tag)
+        """Add ``row . x = b``: integer ``(column, coefficient)`` pairs, no
+        zero coefficients, and an integer ``b``; False iff it contradicts
+        the system.  Neither a redundant nor a contradicting row is stored;
+        after a False, ``conflict`` is the mask of the contradiction."""
+        return self._push(dict(row), b, tag)
 
     def _push(self, v, b, tag=0):
         """``push`` of an integer row ``{column: coefficient}``, which it

@@ -254,12 +254,12 @@ class TrainTrack:
         """Dense rows of ``w(a) + w(b) - w(c)``, one per switch by ``repr``.
 
         ``column_of`` maps every branch to its column; the rows have one
-        entry per key of ``column_of``.
+        ``int`` entry per key of ``column_of``.
         """
         rows = []
         for s in sorted(self.switches, key=repr):
             a, b, c = self.switches[s]
-            row = [Fraction(0)] * len(column_of)
+            row = [0] * len(column_of)
             row[column_of[a]] += 1
             row[column_of[b]] += 1
             row[column_of[c]] -= 1

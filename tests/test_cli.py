@@ -267,6 +267,25 @@ class TestMalformedInput:
         assert run(["cone", "compute", "--input", str(bad)]) == 2
         assert f"line {lineno}: bad slot '{slot}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fixture, extra, message", [
+        ("g2xI", "weight T0.0.3.0 12345", "repeated weight for 'T0.0.3.0'"),
+        ("g2xI", "weight T0.0.3.0 7/6", "repeated weight for 'T0.0.3.0'"),
+        ("two_tets", "switch T0.1 out 1", "repeated switch for 'T0.1'"),
+    ])
+    def test_repeated_line_exit_2(self, tmp_path, capsys, fixture, extra,
+                                  message):
+        # the last line used to win silently: appending a weight of 12345
+        # to g2xI turned member: true into member: false with exit 0
+        text = open(fixture_file(tmp_path, fixture)).read()
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text + extra + "\n")
+        lineno = len(text.splitlines()) + 1
+        capsys.readouterr()
+        assert run(["cone", "member", "--input", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert f"line {lineno}: {message}" in captured.err
+        assert not captured.out
+
     @pytest.mark.parametrize("dropped, message", [
         ("vector a ", "triangle 't0' uses edge 'a', which has no vector"),
         ("tangent 1 a ", "invalid tangent 1: tangent has no value on edge "

@@ -22,6 +22,8 @@ from isocone.fixtures import (
     genus2_maximal_track, g2_product_bundle,
     product_bundle, mf_weight, diagonal_boundary_weight, MF_WEIGHT_TRIES,
 )
+from isocone.flatsurf import hex_torus, lshape_h2, pillowcase, square_torus
+from isocone.homology import SurfaceHomology
 from isocone.ordgroup import rat
 from isocone.track import (
     SurfaceTriangulation, track_dual_to_triangulation, triangle_form_sum,
@@ -217,9 +219,9 @@ def _g2_samples(m, rng):
 
 def _reference_member(manifold, btrack, w_boundary):
     """``member`` with chronological backtracking: every choice of every
-    tet is retried, whatever refuted the subtree below it.  The pins, the
-    torus rows and the choice rows go in in the same order as in
-    ``member``."""
+    tet is retried, whatever refuted the subtree below it.  It pushes the
+    pins and the torus rows, which ``member`` holds as constants, as unit
+    rows, then the unfolded choice rows in ``member``'s order."""
     track = btrack.track
     for e in track.branches:
         if e not in w_boundary:
@@ -234,8 +236,8 @@ def _reference_member(manifold, btrack, w_boundary):
     values = [rat(w_boundary.get(E, 0)) for E in pins]
     D = math.lcm(*[val.denominator for val in values])
     for E, val in zip(pins, values):
-        sysm.push(manifold.unit_rows[manifold.boundary_edge_to_class[E]],
-                  val * D)
+        cls = manifold.boundary_edge_to_class[E]
+        sysm.push([(manifold._column[cls], 1)], int(val * D))
     for row in manifold.torus_rows:
         if not sysm.push(row, 0):
             return MemberResult(False, reason="torus-nonzero")
@@ -325,16 +327,26 @@ def _assert_track_matches_reference(m, btr):
 
 
 def _count_pushes(monkeypatch):
-    """Wrap ``IncrementalSystem.push``; returns the list of pushed rows."""
+    """Wrap ``IncrementalSystem.push``; returns the list of pushed
+    ``(row, b)``."""
     pushes = []
     push = linalg.IncrementalSystem.push
 
     def counted_push(self, row, b, tag=0):
-        pushes.append(row)
+        pushes.append((row, b))
         return push(self, row, b, tag)
 
     monkeypatch.setattr(linalg.IncrementalSystem, "push", counted_push)
     return pushes
+
+
+def _assert_integral(pushes):
+    """Some rows were pushed, each with ``int`` columns, coefficients and
+    right-hand side: ``push`` takes integer rows only."""
+    assert pushes
+    for row, b in pushes:
+        assert type(b) is int
+        assert all(type(c) is int and type(x) is int for c, x in row)
 
 
 # two glued face pairs, (T0, 0) with (T1, 1) and (T2, 0) with (T3, 1); the
@@ -899,12 +911,12 @@ class TestMembership:
     def test_no_choice_vector_push_count(self, monkeypatch):
         # pair 21, the q25 pair of the cone-member benchmark; the
         # chronological search pushes 18,144 rows
-        self.assert_push_count(21, 11723, monkeypatch)
+        self.assert_push_count(21, 11687, monkeypatch)
 
     def test_long_pair_push_count(self, monkeypatch):
         # pair 12, one of the two pairs the benchmark leaves out for their
         # length; the chronological search pushes 183,777 rows
-        self.assert_push_count(12, 67121, monkeypatch)
+        self.assert_push_count(12, 67085, monkeypatch)
 
     def test_class_conflict_reported(self, monkeypatch):
         # the link of an edge class is one arc or one circle, so no
@@ -919,16 +931,13 @@ class TestMembership:
             Triangulation3(m.tets, m.gluings)
 
     def assert_choice_rows_folded(self, m, btr, wb, pushes):
-        # the pins and torus rows go in first; every row after them has
-        # the pins folded into its right-hand side, so no boundary column
+        # the pins are constants: every pushed row has them folded into
+        # its integer right-hand side, so no boundary column
         del pushes[:]
         member(m, btr, wb)
         boundary = {m._column[c] for c in m.boundary_edge_to_class.values()}
-        fixed = len(m.boundary_edge_to_class) + len(m.torus_rows)
-        assert {c for row in pushes[:len(m.boundary_edge_to_class)]
-                for c, _ in row} == boundary
-        assert len(pushes) > fixed
-        assert not [row for row in pushes[fixed:]
+        _assert_integral(pushes)
+        assert not [row for row, _ in pushes
                     if any(c in boundary for c, _ in row)]
 
     def test_choice_rows_have_no_boundary_column(self, monkeypatch):
@@ -942,6 +951,37 @@ class TestMembership:
             m, btr, _off_diagonal_weight(bundle, 21), pushes)
         m, btr, wb = TestMixedBoundary()._mixed_query()
         self.assert_choice_rows_folded(m, btr, wb, pushes)
+
+
+class TestIntegerPushes:
+    """The searches and the homology basis push integer rows only;
+    ``member``'s pushes are checked in ``TestMembership``."""
+
+    def test_compute_cone(self, monkeypatch):
+        pushes = _count_pushes(monkeypatch)
+        compute_cone(*_chain_track(4))
+        _assert_integral(pushes)
+        del pushes[:]
+        bundle = g2_product_bundle()
+        m = bundle["manifold"]
+        rng = random.Random(65)
+        compute_cone(m, bundle["boundary_track"], iter(
+            [tuple(rng.randrange(3) for _ in m.tets) for _ in range(2)]))
+        _assert_integral(pushes)
+
+    def test_isotropy_check(self, monkeypatch):
+        pushes = _count_pushes(monkeypatch)
+        m = g2_product_bundle()["manifold"]
+        rng = random.Random(66)
+        m.isotropy_check({t: rng.randrange(3) for t in m.tets})
+        _assert_integral(pushes)
+
+    @pytest.mark.parametrize("make", [square_torus, hex_torus, lshape_h2,
+                                      pillowcase])
+    def test_surface_homology(self, make, monkeypatch):
+        pushes = _count_pushes(monkeypatch)
+        SurfaceHomology(make().comb.skeleton_ribbon())
+        _assert_integral(pushes)
 
 
 class _ScarceTrack:
@@ -963,13 +1003,17 @@ def test_mf_weight_stops_at_the_cap():
 class TestBackjumping:
     """``member`` against the chronological search of ``_reference_member``:
     backjumping skips only subtrees without a solution, so the verdict,
-    the choices and the witness agree, and it never pushes more rows."""
+    the choices and the witness agree, and it never pushes more choice
+    rows."""
 
     def assert_matches_reference(self, m, btr, wb, pushes):
-        """The result, and how many fewer rows it pushed."""
+        """The result, and how many fewer choice rows it pushed."""
         del pushes[:]
         ref = _reference_member(m, btr, wb)
-        reference_pushes = len(pushes)
+        # the reference also pushes the pins and the torus rows first,
+        # which member holds as constants
+        fixed = len(m.boundary_edge_to_class) + len(m.torus_rows)
+        reference_pushes = max(len(pushes) - fixed, 0)
         del pushes[:]
         res = member(m, btr, wb)
         assert (res.member, res.reason, res.choices, res.witness) == \
@@ -1342,7 +1386,6 @@ def _reference_build(m):
                 for b in sums[(i + 1) % 3]:
                     form[a].append((b, -1))
                     form[b].append((a, 1))
-    unit_rows = {E: row([(E, 1)]) for E in edge_classes}
     return {
         "edge_class": list(edge_class.items()),
         "edge_classes": edge_classes,
@@ -1354,8 +1397,7 @@ def _reference_build(m):
         "boundary_edge_to_class": list(to_class.items()),
         "boundary_components": comps,
         "torus_classes": torus,
-        "unit_rows": list(unit_rows.items()),
-        "torus_rows": [unit_rows[E] for E in sorted(torus, key=repr)],
+        "torus_rows": [row([(E, 1)]) for E in sorted(torus, key=repr)],
         "choice_rows": [(t, [row([(a, 1) for a in sums[i]]
                                  + [(b, -1) for b in sums[j]])
                              for i, j in CHOICE_PAIRS])
@@ -1379,7 +1421,6 @@ def _built(m):
         "boundary_edge_to_class": list(m.boundary_edge_to_class.items()),
         "boundary_components": m.boundary_components,
         "torus_classes": m.torus_classes,
-        "unit_rows": list(m.unit_rows.items()),
         "torus_rows": m.torus_rows,
         "choice_rows": list(m.choice_rows.items()),
         "form_rows": list(m.form_rows.items()),
@@ -1451,7 +1492,7 @@ def test_code_line_count():
     # fan walk, a second table, a second surface, a search for the piece
     # that holds a wall triangle or a second scan of the boundary faces
     # would not fit
-    assert code_lines("cone3") <= 584
+    assert code_lines("cone3") <= 580
 
 
 def test_fixtures_code_line_count():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
@@ -90,6 +92,20 @@ class TestManifoldFormat:
     def test_bad_permutation(self):
         with pytest.raises(io.ParseError):
             io.parse_manifold("tet A\ntet B\nglue A.0 B.0 1,2\n")
+
+    @pytest.mark.parametrize("lines, message", [
+        (["weight A.0.0 1", "weight A.0.0 1"],
+         "line 3: repeated weight for 'A.0.0'"),
+        (["weight A.0.0 1", "weight A.0.1 2", "weight A.0.0 3"],
+         "line 4: repeated weight for 'A.0.0'"),
+        (["switch A.0 out 0", "switch A.1 out 0", "switch A.0 out 2"],
+         "line 4: repeated switch for 'A.0'"),
+    ])
+    def test_repeated_line_rejected(self, lines, message):
+        # one tet glued to nothing: its four faces are the boundary
+        text = "tet A\n" + "\n".join(lines) + "\n"
+        with pytest.raises(io.ParseError, match=f"^{re.escape(message)}$"):
+            io.parse_manifold(text)
 
 
 def _reference_rat(tok, lineno, notes):
