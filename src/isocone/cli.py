@@ -63,9 +63,13 @@ def _parse_rotate(text):
 
 
 def _choice_iter(manifold, args):
+    """The choice vectors ``--choices`` asks for, with the ``choices:``,
+    ``coverage:`` and ``certified:`` lines that report them."""
     mode = args.choices or "all"
+    total = 3 ** len(manifold.tets)
     if mode == "all":
-        return itertools.product(range(3), repeat=len(manifold.tets)), "all"
+        return itertools.product(range(3), repeat=len(manifold.tets)), [
+            "choices: all", f"coverage: {total}/{total}", "certified: true"]
     if mode.startswith("sample:"):
         n = int(mode.split(":", 1)[1])
         if n < 1:
@@ -77,29 +81,20 @@ def _choice_iter(manifold, args):
         def it():
             for _ in range(n):
                 yield tuple(rng.randrange(3) for _ in manifold.tets)
-        return it(), f"sample:{n}"
+        return it(), [f"choices: sample:{n}",
+                      f"coverage: {min(n, total)}/{total}", "certified: false"]
     raise DomainError(f"bad --choices value {mode!r}")
 
 
 # -- cone subcommands ---------------------------------------------------------
 
 
-def _coverage_lines(manifold, mode):
-    total = 3 ** len(manifold.tets)
-    if mode == "all":
-        return [f"coverage: {total}/{total}", "certified: true"]
-    n = int(mode.split(":", 1)[1])
-    return [f"coverage: {min(n, total)}/{total}", "certified: false"]
-
-
 def cmd_cone_compute(args):
     manifold, outgoing, _, notes = io.parse_manifold(_read(args.input))
     btrack = BoundaryTrack(manifold, outgoing)
-    it, mode = _choice_iter(manifold, args)
+    it, header = _choice_iter(manifold, args)
     cone = compute_cone(manifold, btrack, choice_iter=it)
-    lines = [f"status: ok", f"choices: {mode}",
-             *_coverage_lines(manifold, mode),
-             f"components: {len(cone)}"]
+    lines = ["status: ok", *header, f"components: {len(cone)}"]
     lines += [f"note: {n}" for n in notes]
     names = [io.boundary_edge_name(E) for E in cone.edge_order]
     lines.append("edges: " + " ".join(names))
@@ -138,7 +133,7 @@ def cmd_cone_member(args):
 
 def cmd_cone_isotropy(args):
     manifold, outgoing, _, notes = io.parse_manifold(_read(args.input))
-    it, mode = _choice_iter(manifold, args)
+    it, header = _choice_iter(manifold, args)
     checked = 0
     failures = []
     for combo in it:
@@ -146,9 +141,7 @@ def cmd_cone_isotropy(args):
         checked += 1
         if not manifold.isotropy_check(choices):
             failures.append(combo)
-    lines = [f"status: ok", f"choices: {mode}",
-             *_coverage_lines(manifold, mode),
-             f"checked: {checked}",
+    lines = ["status: ok", *header, f"checked: {checked}",
              f"isotropic: {'true' if not failures else 'false'}"]
     lines += [f"note: {n}" for n in notes]
     for f in failures:

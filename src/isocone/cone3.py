@@ -1,11 +1,11 @@
 """Triangulated oriented 3-manifolds with boundary and their weight cones.
 
 A ``Triangulation3`` is a set of abstract tetrahedra with corner slots
-0..3, oriented by the slot order, glued along faces by corner bijections
-(face ``f`` is opposite corner ``f``).  Gluings must be involutive and
-orientation-reversing across each face, which makes the complex an
-oriented 3-manifold with boundary; the unglued faces assemble into a
-closed oriented ``SurfaceTriangulation``.
+0..3, oriented by the slot order, glued in pairs of faces by corner
+bijections (face ``f`` is opposite corner ``f``).  Each gluing must be
+orientation-reversing, which makes the complex an oriented 3-manifold
+with boundary; the unglued faces assemble into a closed oriented
+``SurfaceTriangulation``.
 
 Weights live on the edge classes (tetrahedron edges identified by the
 gluings).  Each oriented tetrahedron carries an alternating 2-form in the
@@ -87,11 +87,13 @@ _FORM_WEDGES = [(a, b) for i in range(3) for a in _OPPOSITE_EDGES[i]
 
 
 class Triangulation3:
-    """Oriented tetrahedra with involutive, orientation-reversing gluings.
+    """Oriented tetrahedra glued in pairs of faces, orientation-reversing.
 
     ``tets`` is an iterable of tetrahedron ids.  ``gluings`` maps
-    ``(tet, face)`` to ``(tet2, face2, perm)`` where ``perm`` maps the
-    three corner slots of the face to corner slots of the target face.
+    ``(tet, face)`` to ``(tet2, face2, perm)``, one entry per glued face
+    pair, where ``perm`` maps the three corner slots of the face to corner
+    slots of the other; a face is in at most one entry, as key or target.
+    ``self.gluings`` holds exactly these entries.
     """
 
     def __init__(self, tets, gluings):
@@ -105,21 +107,19 @@ class Triangulation3:
             raise GluingError(f"tetrahedron {dup!r} listed twice")
         self.gluings = {tf: (t2, f2, dict(perm))
                         for tf, (t2, f2, perm) in gluings.items()}
-        self._build_classes(self._validate_gluings())
-        self._build_boundary()
+        merges, glued = self._validate_gluings()
+        self._build_classes(merges)
+        self._build_boundary(glued)
 
     # -- validation ------------------------------------------------------------
 
     def _validate_gluings(self):
-        """Check each glued face pair once, from its first entry in
-        ``gluings``; return their edge merges as slot pairs, three per face
-        in combination order.  The inverse entry must be exactly ``(t, f,
-        inverse of perm)``, which passes every check the first entry does."""
+        """Check each entry of ``gluings``, one glued face pair; return the
+        pairs' edge merges as slot pairs, three per entry in combination
+        order, and the set of glued faces."""
         index = self._index
-        merges, inverses = [], set()
+        merges, glued = [], set()
         for (t, f), (t2, f2, perm) in self.gluings.items():
-            if (t, f) in inverses:
-                continue
             for x in (t, t2):
                 if x not in index:
                     raise GluingError(
@@ -133,30 +133,26 @@ class Triangulation3:
                 raise GluingError(f"bad permutation range at {(t, f)}")
             if (t2, f2) == (t, f):
                 raise GluingError("face glued to itself")
-            back = self.gluings.get((t2, f2))
-            if back is None:
-                raise GluingError(f"gluing at {(t, f)} has no inverse entry")
-            if back[:2] != (t, f) or len(back[2]) != 3 or any(
-                    back[2].get(v2) != v for v, v2 in perm.items()):
-                raise GluingError(f"gluing at {(t, f)} is not involutive")
+            for tf in ((t, f), (t2, f2)):
+                if tf in glued:
+                    raise GluingError(f"face {tf} glued twice")
+                glued.add(tf)
             a, b, c = FACE_CYCLES[f]
             if (perm[a], perm[b], perm[c]) not in _REVERSED_CYCLES[f2]:
                 raise OrientationError(
                     f"gluing at {(t, f)} is not orientation-reversing")
-            inverses.add((t2, f2))
             i, i2 = 6 * index[t], 6 * index[t2]
             merges += [(i + _EDGE_INDEX[a, b],
                         i2 + _EDGE_INDEX[perm[a], perm[b]])
                        for a, b in itertools.combinations(sorted(perm), 2)]
-        return merges
+        return merges, glued
 
     def _build_classes(self, merges):
         """Edge classes: edge ``EDGE_PAIRS[k]`` of tet ``i`` is slot ``6i +
         k`` of one integer ``union_find`` over the ``merges`` of the face
-        pairs' first entries, and a class id is the ``(tet, edge)`` of its
-        root slot; merging the inverse entries too would change nothing,
-        representatives included.  ``_tet_columns[i]`` holds the columns
-        (positions in ``edge_classes``) of tet ``i``'s six edges."""
+        pairs' entries, and a class id is the ``(tet, edge)`` of its root
+        slot.  ``_tet_columns[i]`` holds the columns (positions in
+        ``edge_classes``) of tet ``i``'s six edges."""
         slots = [(t, e) for t in self.tets for e in EDGE_PAIRS]
         roots = self._edge_roots = union_find(len(slots), merges)
         self.edge_class = dict(zip(slots, [slots[r] for r in roots]))
@@ -169,9 +165,8 @@ class Triangulation3:
 
     @functools.cached_property
     def vertex_class(self):
-        """Corner classes, merged across every entry of ``gluings`` with
-        corner ``v`` of tet ``i`` as slot ``4i + v``; as in
-        ``_build_classes``, an inverse entry merges nothing new."""
+        """Corner classes, merged across each entry of ``gluings`` with
+        corner ``v`` of tet ``i`` as slot ``4i + v``."""
         slots = [(t, v) for t in self.tets for v in range(4)]
         roots = union_find(len(slots), (
             (4 * self._index[t] + v, 4 * self._index[t2] + v2)
@@ -181,7 +176,7 @@ class Triangulation3:
 
     # -- boundary ---------------------------------------------------------------
 
-    def _build_boundary(self):
+    def _build_boundary(self, glued):
         """The boundary surface: one oriented triangle per unglued face.
 
         An edge class is one link arc or one link circle, so a class that
@@ -194,7 +189,7 @@ class Triangulation3:
         self.boundary_faces, sides = [], {}
         for i, t in enumerate(self.tets):
             for f, c in FACE_CYCLES.items():
-                if (t, f) not in self.gluings:
+                if (t, f) not in glued:
                     self.boundary_faces.append((t, f))
                     for k in range(3):
                         e = 6 * i + _EDGE_INDEX[c[k], c[(k + 1) % 3]]
@@ -655,8 +650,6 @@ class ProductTriangulation:
             perm = dict(zip(a, b))
             f, f2 = 6 - sum(a), 6 - sum(b)
             gluings[(f"{t}.{k}", f)] = (f"{t2}.{k2}", f2, perm)
-            gluings[(f"{t2}.{k2}", f2)] = (f"{t}.{k}", f,
-                                           {v: u for u, v in perm.items()})
 
         for t, ds in surface.triangles.items():
             rises = [senses[surface.edge_class[d]]

@@ -101,9 +101,7 @@ def reversing_gluing(f1, f2, rotation=0):
 
 
 def glue_tets(gluings, t1, f1, t2, f2, rotation=0):
-    perm = reversing_gluing(f1, f2, rotation)
-    gluings[(t1, f1)] = (t2, f2, perm)
-    gluings[(t2, f2)] = (t1, f1, {v: k for k, v in perm.items()})
+    gluings[(t1, f1)] = (t2, f2, reversing_gluing(f1, f2, rotation))
 
 
 def single_tet():

@@ -199,9 +199,10 @@ def parse_manifold(text):
                 raise ParseError(lineno, f"bad gluing {' '.join(toks)!r}")
             if len(images) != 3:
                 raise ParseError(lineno, "permutation wants 3 images")
-            perm = dict(zip([v for v in range(4) if v != f1], images))
-            gluings[(t1, f1)] = (t2, f2, perm)
-            gluings[(t2, f2)] = (t1, f1, {v: k for k, v in perm.items()})
+            if (t1, f1) in gluings:
+                raise ParseError(lineno, f"face {toks[1]!r} glued twice")
+            gluings[(t1, f1)] = (t2, f2, dict(zip(
+                [v for v in range(4) if v != f1], images)))
         elif toks[0] == "switch" and len(toks) == 4 and toks[2] == "out":
             switch_lines.append((lineno, toks[1], toks[3]))
         elif toks[0] == "weight" and len(toks) == 3:
@@ -221,13 +222,9 @@ def parse_manifold(text):
             raise ParseError(lineno, f"unknown boundary triangle {name!r}")
         if tri_by_name[name] in outgoing:
             raise ParseError(lineno, f"repeated switch for {name!r}")
-        try:
-            k = int(slot)
-        except ValueError:
-            k = None
-        if k not in (0, 1, 2):
+        if slot not in ("0", "1", "2"):
             raise ParseError(lineno, f"bad slot {slot!r}")
-        outgoing[tri_by_name[name]] = k
+        outgoing[tri_by_name[name]] = int(slot)
 
     weights = {}
     if manifold.boundary is not None:
@@ -262,12 +259,13 @@ def edge_class_name(cls):
 
 def serialize_manifold(manifold, outgoing=None, weights=None):
     out = [f"tet {t}" for t in manifold.tets]
-    for (t, f) in sorted(manifold.gluings, key=repr):
-        t2, f2, perm = manifold.gluings[(t, f)]
+    glue = {}       # each pair written from its face that sorts first
+    for (t, f), (t2, f2, perm) in manifold.gluings.items():
         if repr((t2, f2)) < repr((t, f)):
-            continue        # written from the entry that sorts first
+            t, f, t2, f2, perm = t2, f2, t, f, {v: k for k, v in perm.items()}
         images = ",".join(str(perm[v]) for v in sorted(perm))
-        out.append(f"glue {t}.{f} {t2}.{f2} {images}")
+        glue[repr((t, f))] = f"glue {t}.{f} {t2}.{f2} {images}"
+    out += [glue[k] for k in sorted(glue)]
     if outgoing:
         for tf in sorted(outgoing, key=repr):
             out.append(

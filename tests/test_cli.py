@@ -257,7 +257,10 @@ class TestMalformedInput:
     """Malformed files are parse errors (exit 2) and bad flag values domain
     errors (exit 1), never tracebacks."""
 
-    @pytest.mark.parametrize("slot", ["3", "7", "-1"])
+    # the slot is one of the tokens 0, 1 and 2, not any spelling int()
+    # reads as one of them
+    @pytest.mark.parametrize("slot", ["3", "7", "-1", "+1", "01", "0_0", "-0",
+                                      "\uff11"])
     def test_switch_slot_out_of_range_exit_2(self, tmp_path, capsys, slot):
         text = open(fixture_file(tmp_path, "two_tets")).read()
         bad = tmp_path / "bad.txt"
@@ -271,6 +274,10 @@ class TestMalformedInput:
         ("g2xI", "weight T0.0.3.0 12345", "repeated weight for 'T0.0.3.0'"),
         ("g2xI", "weight T0.0.3.0 7/6", "repeated weight for 'T0.0.3.0'"),
         ("two_tets", "switch T0.1 out 1", "repeated switch for 'T0.1'"),
+        # a second glue line from the same face, repeated verbatim or
+        # not, would replace the first in the gluing table
+        ("g2xI", "glue T0.0.0 T1.1.1.3 0,1,2", "face 'T0.0.0' glued twice"),
+        ("two_tets", "glue T0.0 T1.1 2,3,0", "face 'T0.0' glued twice"),
     ])
     def test_repeated_line_exit_2(self, tmp_path, capsys, fixture, extra,
                                   message):
@@ -344,4 +351,4 @@ class TestMalformedInput:
 def test_code_line_count():
     # commands parse, call the library and print; the computations live in
     # the library
-    assert code_lines("cli") <= 321
+    assert code_lines("cli") <= 316

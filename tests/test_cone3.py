@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from isocone import cone3, linalg
+from isocone import cone3, io, linalg
 from isocone.ordgroup import LexVec
 from isocone.lamtree import TreeMap, weight_from_vertex_map
 from isocone.cone3 import (
@@ -17,7 +17,7 @@ from isocone.cone3 import (
     verify_witness, GluingError, OrientationError, MemberResult,
 )
 from isocone.fixtures import (
-    single_tet, two_tets, chain_tets, glue_tets,
+    single_tet, two_tets, chain_tets, glue_tets, reversing_gluing,
     genus2_one_vertex_surface, genus2_four_vertex_surface,
     genus2_maximal_track, g2_product_bundle,
     product_bundle, mf_weight, diagonal_boundary_weight, MF_WEIGHT_TRIES,
@@ -75,9 +75,15 @@ def fan_walk_boundary(m):
     ``(t, f, k)`` and the map from boundary edges to edge classes, keyed in
     the order the sides are listed.
     """
+    # each glued face pair in both directions
+    across = {}
+    for (t, f), (t2, f2, perm) in m.gluings.items():
+        across[(t, f)] = (t2, f2, perm)
+        across[(t2, f2)] = (t, f, {v2: v for v, v2 in perm.items()})
+
     def glued_neighbor(slot):
         t, e, f = slot
-        got = m.gluings.get((t, f))
+        got = across.get((t, f))
         if got is None:
             return None
         t2, f2, perm = got
@@ -349,25 +355,16 @@ def _assert_integral(pushes):
         assert all(type(c) is int and type(x) is int for c, x in row)
 
 
-# two glued face pairs, (T0, 0) with (T1, 1) and (T2, 0) with (T3, 1); the
-# faults below go into the entries of the first pair
+# two glued face pairs, (T0, 0) with (T1, 1) and (T2, 0) with (T3, 1), one
+# entry each; the faults below are built from the entry of the first pair
 _TWO_PAIRS = {("T0", 0): ("T1", 1, {1: 2, 2: 3, 3: 0}),
-              ("T1", 1): ("T0", 0, {2: 1, 3: 2, 0: 3}),
-              ("T2", 0): ("T3", 1, {1: 2, 2: 3, 3: 0}),
-              ("T3", 1): ("T2", 0, {2: 1, 3: 2, 0: 3})}
+              ("T2", 0): ("T3", 1, {1: 2, 2: 3, 3: 0})}
 
 
 def _reversal(f):
     """The orientation-reversing involution of face ``f`` onto itself."""
     a, b, c = FACE_CYCLES[f]
     return {a: c, b: b, c: a}
-
-
-def _rotated(f, perm):
-    """``perm`` shifted one step along the cycle of face ``f``: still
-    orientation-reversing, but no longer the inverse of its mate."""
-    cyc = FACE_CYCLES[f]
-    return {cyc[k]: perm[cyc[(k + 1) % 3]] for k in range(3)}
 
 
 def _mirrored(f, perm):
@@ -377,58 +374,50 @@ def _mirrored(f, perm):
     return {cyc[k]: perm[cyc[-k % 3]] for k in range(3)}
 
 
-# fault name -> the new value of one entry ``(t, f) -> (t2, f2, perm)``,
-# None to drop it
+# fault name -> the entries set on top of the gluings, from the entry
+# ``(t, f) -> (t2, f2, perm)`` of the first pair: a new value for it, or an
+# added entry that glues its target ``(t2, f2)`` a second time
 _GLUING_FAULTS = {
-    "unknown tet": lambda t, f, t2, f2, p: ("T9", f2, p),
-    "face index": lambda t, f, t2, f2, p: (t2, 4, p),
-    "permutation domain": lambda t, f, t2, f2, p: (t2, f2, {**p, f: f2}),
-    "permutation range": lambda t, f, t2, f2, p: (
-        t2, f2, {**p, next(iter(p)): f2}),
-    "missing inverse": lambda t, f, t2, f2, p: None,
-    "inverse at another face": lambda t, f, t2, f2, p: (
-        {"T0": "T2", "T1": "T3"}[t2], f2, p),
-    "not the inverse bijection": lambda t, f, t2, f2, p: (
-        t2, f2, _rotated(f, p)),
-    "glued to itself": lambda t, f, t2, f2, p: (t, f, _reversal(f)),
-    "orientation-preserving": lambda t, f, t2, f2, p: (
-        t2, f2, _mirrored(f, p)),
+    "unknown tet": lambda t, f, t2, f2, p: {(t, f): ("T9", f2, p)},
+    "face index": lambda t, f, t2, f2, p: {(t, f): (t2, 4, p)},
+    "permutation domain": lambda t, f, t2, f2, p: {
+        (t, f): (t2, f2, {**p, f: f2})},
+    "permutation range": lambda t, f, t2, f2, p: {
+        (t, f): (t2, f2, {**p, next(iter(p)): f2})},
+    "glued to itself": lambda t, f, t2, f2, p: {(t, f): (t, f, _reversal(f))},
+    "orientation-preserving": lambda t, f, t2, f2, p: {
+        (t, f): (t2, f2, _mirrored(f, p))},
+    "glued as key and as target": lambda t, f, t2, f2, p: {
+        (t2, f2): ("T2", 2, reversing_gluing(f2, 2))},
+    "target of two entries": lambda t, f, t2, f2, p: {
+        ("T2", 2): (t2, f2, reversing_gluing(2, f2))},
 }
 
 
-# the message of each fault in the first entry of the pair; a fault in
-# the inverse entry is found from the first entry as "not involutive",
-# unless the inverse is missing
+# the message of each fault, naming the ``key`` or ``target`` face of the
+# faulty entry
 _FAULT_MESSAGES = {
     "unknown tet": "gluing touches unknown tetrahedron 'T9'",
-    "face index": "face index out of range at ('T0', 0)",
-    "permutation domain": "bad permutation domain at ('T0', 0)",
-    "permutation range": "bad permutation range at ('T0', 0)",
-    "missing inverse": "gluing at ('T1', 1) has no inverse entry",
-    "inverse at another face": "gluing at ('T0', 0) is not involutive",
-    "not the inverse bijection": "gluing at ('T0', 0) is not involutive",
+    "face index": "face index out of range at {key}",
+    "permutation domain": "bad permutation domain at {key}",
+    "permutation range": "bad permutation range at {key}",
     "glued to itself": "face glued to itself",
-    "orientation-preserving":
-        "gluing at ('T0', 0) is not orientation-reversing",
+    "orientation-preserving": "gluing at {key} is not orientation-reversing",
+    "glued as key and as target": "face {target} glued twice",
+    "target of two entries": "face {target} glued twice",
 }
 
 
 def _faulty_gluings(fault, where):
-    """``_TWO_PAIRS`` with ``fault`` in entry ``where`` of the first pair
-    (0: the first entry, 1: its inverse).  An orientation-preserving first
-    entry gets its exact inverse as mate, so that only the orientation is
-    wrong."""
-    gluings = dict(_TWO_PAIRS)
-    key = list(gluings)[where]
-    entry = _GLUING_FAULTS[fault](*key, *gluings[key])
-    if entry is None:
-        del gluings[key]
-    else:
-        gluings[key] = entry
-    if (fault, where) == ("orientation-preserving", 0):
-        t2, f2, perm = entry
-        gluings[(t2, f2)] = (*key, {v2: v for v, v2 in perm.items()})
-    return gluings
+    """``_TWO_PAIRS`` with the entry of its first pair written from face
+    ``where`` of that pair (0: ``(T0, 0)``, 1: ``(T1, 1)`` with ``perm``
+    inverted) and ``fault`` built from that entry.  Returns the gluings
+    and the message of the fault."""
+    gluings = _reversed(_TWO_PAIRS, [where == 1, False])
+    key = next(iter(gluings))
+    t2, f2, perm = gluings[key]
+    message = _FAULT_MESSAGES[fault].format(key=key, target=(t2, f2))
+    return {**gluings, **_GLUING_FAULTS[fault](*key, t2, f2, perm)}, message
 
 
 def _two_triangle_torus():
@@ -459,9 +448,10 @@ class TestValidation:
         assert m.torus_classes
 
     def test_bad_gluing_rejected(self):
+        # corner 3 of face (T0, 0) goes nowhere on face (T1, 0)
         with pytest.raises(GluingError):
             Triangulation3(["T0", "T1"], {
-                ("T0", 0): ("T1", 0, {1: 1, 2: 2, 3: 3}),
+                ("T0", 0): ("T1", 0, {1: 1, 2: 2, 3: 0}),
             })
 
     def test_repeated_tet_id_rejected(self):
@@ -472,23 +462,17 @@ class TestValidation:
         m = Triangulation3(["T0", "T1", "T2", "T3"], _TWO_PAIRS)
         assert len(m.boundary_faces) == 12
 
-    # only an orientation-preserving first entry with its exact inverse
-    # gets as far as the orientation check; every other fault is a
-    # GluingError
+    # an entry is checked alike from either face of its pair; only an
+    # orientation-preserving entry gets as far as the orientation check,
+    # and every other fault is a GluingError
     @pytest.mark.parametrize("where", [0, 1])
     @pytest.mark.parametrize("fault", list(_GLUING_FAULTS))
     def test_faulty_face_pair_rejected(self, fault, where):
-        error = OrientationError if (fault, where) == (
-            "orientation-preserving", 0) else GluingError
-        if where == 0:
-            message = _FAULT_MESSAGES[fault]
-        elif fault == "missing inverse":
-            message = "gluing at ('T0', 0) has no inverse entry"
-        else:
-            message = "gluing at ('T0', 0) is not involutive"
+        error = OrientationError if fault == "orientation-preserving" \
+            else GluingError
+        gluings, message = _faulty_gluings(fault, where)
         with pytest.raises(error) as err:
-            Triangulation3(["T0", "T1", "T2", "T3"],
-                           _faulty_gluings(fault, where))
+            Triangulation3(["T0", "T1", "T2", "T3"], gluings)
         assert type(err.value) is error and str(err.value) == message
 
     @pytest.mark.parametrize("gluings, message", [
@@ -498,10 +482,10 @@ class TestValidation:
          "unknown tetrahedron 'T9'"),
         ({("T0", 0): ("T1", 4, {1: 2, 2: 3, 3: 0})},
          "face index out of range at ('T0', 0)"),
-        # an inverse entry keyed by the wrong corners is not the inverse
+        # a pair written from both of its faces glues each face twice
         ({("T0", 0): ("T1", 1, {1: 2, 2: 3, 3: 0}),
-          ("T1", 1): ("T0", 0, {1: 1, 3: 2, 0: 3})},
-         "gluing at ('T0', 0) is not involutive"),
+          ("T1", 1): ("T0", 0, {2: 1, 3: 2, 0: 3})},
+         "face ('T1', 1) glued twice"),
         # a face index in range that is not an int has no corners
         ({("T0", 0.5): ("T1", 1, {1: 2, 2: 3, 3: 0})},
          "bad permutation domain at ('T0', 0.5)"),
@@ -514,9 +498,7 @@ class TestValidation:
 
     def test_orientation_violating_gluing_rejected(self):
         # identity-style permutation preserves the face cycle: invalid
-        perm = {1: 1, 2: 2, 3: 3}
-        glu = {("T0", 0): ("T1", 0, perm),
-               ("T1", 0): ("T0", 0, perm)}
+        glu = {("T0", 0): ("T1", 0, {1: 1, 2: 2, 3: 3})}
         with pytest.raises(OrientationError):
             Triangulation3(["T0", "T1"], glu)
 
@@ -1268,28 +1250,33 @@ def test_boundary_matches_fan_walk_on_random_complexes():
         assert_boundary_matches_fan_walk(_random_complex(random.Random(seed)))
 
 
-def _inverse_first(gluings):
-    """``gluings`` with the two entries of every glued face pair swapped,
-    so that each inverse entry comes before the entry it inverts."""
+def _reversed(gluings, flips=None):
+    """``gluings`` with entry ``i`` written from its other face, ``perm``
+    inverted, where ``flips[i]`` holds; every entry when ``flips`` is
+    None."""
     out = {}
-    for (t, f), (t2, f2, perm) in gluings.items():
-        if (t, f) not in out:
-            out[(t2, f2)] = gluings[(t2, f2)]
+    for i, ((t, f), (t2, f2, perm)) in enumerate(gluings.items()):
+        if flips is None or flips[i]:
+            out[(t2, f2)] = (t, f, {v2: v for v, v2 in perm.items()})
+        else:
             out[(t, f)] = (t2, f2, perm)
     return out
 
 
 def _fold_both_directions(m):
     """Vertex and edge classes by merging across every entry of
-    ``m.gluings``, each face pair in both directions."""
+    ``m.gluings`` and then across its reverse."""
+    both = [x for (t, _), (t2, _, perm) in m.gluings.items()
+            for x in ((t, t2, perm),
+                      (t2, t, {v2: v for v, v2 in perm.items()}))]
     vertex = reference_union_find(
         [(t, v) for t in m.tets for v in range(4)],
-        (((t, v), (t2, v2)) for (t, _), (t2, _, perm) in m.gluings.items()
+        (((t, v), (t2, v2)) for t, t2, perm in both
          for v, v2 in perm.items()))
     edge = reference_union_find(
         [(t, e) for t in m.tets for e in EDGE_PAIRS],
         (((t, frozenset(pair)), (t2, frozenset(perm[v] for v in pair)))
-         for (t, _), (t2, _, perm) in m.gluings.items()
+         for t, t2, perm in both
          for pair in itertools.combinations(sorted(perm), 2)))
     return vertex, edge
 
@@ -1298,12 +1285,36 @@ def _fold_both_directions(m):
     lambda: g2_product_bundle()["manifold"], lambda: chain_tets(4)])
 def test_classes_merge_each_face_pair_once(make):
     # merging a face pair again in the other direction changes no class
-    # and no representative, whichever entry of the pair comes first
+    # and no representative, whichever face of the pair its entry is from
     m = make()
-    swapped = _inverse_first(m.gluings)
+    swapped = _reversed(m.gluings)
     assert list(swapped) != list(m.gluings)
     for m2 in (m, Triangulation3(m.tets, swapped)):
         assert (m2.vertex_class, m2.edge_class) == _fold_both_directions(m2)
+
+
+def _edge_partition(m):
+    """The classes of ``m`` as sets of tet edges, without representatives."""
+    classes = {}
+    for slot, cls in m.edge_class.items():
+        classes.setdefault(cls, set()).add(slot)
+    return {frozenset(c) for c in classes.values()}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.data())
+def test_entry_direction_changes_representatives_only(seed, data):
+    # writing a pair's entry from its other face merges it the other way
+    # round: the classes may get other representatives, but they hold the
+    # same tet edges, and the file is written from the same face
+    m = _random_complex(random.Random(seed))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(m.gluings),
+                               max_size=len(m.gluings)))
+    m2 = Triangulation3(m.tets, _reversed(m.gluings, flips))
+    assert _edge_partition(m2) == _edge_partition(m)
+    text = io.serialize_manifold(m)
+    assert io.serialize_manifold(m2) == text
+    assert io.serialize_manifold(io.parse_manifold(text)[0]) == text
 
 
 def _reference_surface(triangles, glue):
@@ -1332,22 +1343,19 @@ def _reference_build(m):
     ``m.tets`` and ``m.gluings`` as the tuple-keyed build derived them,
     with every dict as its list of items so that order counts."""
     tets, gluings = m.tets, m.gluings
-    glued, inverses = [], set()
-    for (t, f), (t2, f2, perm) in gluings.items():
-        if (t, f) not in inverses:
-            inverses.add((t2, f2))
-            glued.append((t, t2, perm))
+    glued = {tf for key, (t2, f2, _) in gluings.items()
+             for tf in (key, (t2, f2))}
     edge_class = reference_union_find(
         [(t, e) for t in tets for e in EDGE_PAIRS],
         (((t, frozenset(pair)), (t2, frozenset(perm[v] for v in pair)))
-         for t, t2, perm in glued
+         for (t, _), (t2, _, perm) in gluings.items()
          for pair in itertools.combinations(sorted(perm), 2)))
     edge_classes = sorted(set(edge_class.values()), key=repr)
     vertex_class = reference_union_find(
         [(t, v) for t in tets for v in range(4)],
         (((t, v), (t2, v2)) for (t, _), (t2, _, perm) in gluings.items()
          for v, v2 in perm.items()))
-    faces = [(t, f) for t in tets for f in range(4) if (t, f) not in gluings]
+    faces = [(t, f) for t in tets for f in range(4) if (t, f) not in glued]
     sides = {}
     for t, f in faces:
         cyc = FACE_CYCLES[f]
@@ -1431,8 +1439,8 @@ def _built(m):
 @given(st.integers(0, 2 ** 32 - 1), st.data())
 def test_build_matches_tuple_keyed_reference(seed, data):
     # slot numbers follow the repr order of the tets, so unpadded names
-    # (T2 after T10) and int ids reorder them; an inverse-first gluing
-    # table changes which entry of each face pair is merged
+    # (T2 after T10) and int ids reorder them; an entry written from the
+    # other face of its pair merges the pair in the other direction
     m = _random_complex(random.Random(seed))
     ids = data.draw(st.lists(st.integers(0, 30), min_size=len(m.tets),
                              max_size=len(m.tets), unique=True))
@@ -1440,8 +1448,8 @@ def test_build_matches_tuple_keyed_reference(seed, data):
     new = dict(zip(m.tets, names))
     gluings = {(new[t], f): (new[t2], f2, perm)
                for (t, f), (t2, f2, perm) in m.gluings.items()}
-    if data.draw(st.booleans()):
-        gluings = _inverse_first(gluings)
+    gluings = _reversed(gluings, data.draw(st.lists(
+        st.booleans(), min_size=len(gluings), max_size=len(gluings))))
     m2 = Triangulation3(names, gluings)
     assert _built(m2) == _reference_build(m2)
 
@@ -1492,12 +1500,12 @@ def test_code_line_count():
     # fan walk, a second table, a second surface, a search for the piece
     # that holds a wall triangle or a second scan of the boundary faces
     # would not fit
-    assert code_lines("cone3") <= 580
+    assert code_lines("cone3") <= 573
 
 
 def test_fixtures_code_line_count():
     # fixtures are built with the library's own constructors
-    assert code_lines("fixtures") <= 143
+    assert code_lines("fixtures") <= 141
 
 
 @pytest.mark.parametrize("make_surface", [
