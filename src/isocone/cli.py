@@ -70,10 +70,10 @@ def _choice_iter(manifold, args):
     if mode == "all":
         return itertools.product(range(3), repeat=len(manifold.tets)), [
             "choices: all", f"coverage: {total}/{total}", "certified: true"]
-    if mode.startswith("sample:"):
-        n = int(mode.split(":", 1)[1])
-        if n < 1:
-            raise DomainError("sample size must be at least 1")
+    size = mode[len("sample:"):]
+    if mode.startswith("sample:") and size.isascii() and size.isdigit() \
+            and size[0] != "0":
+        n = int(size)
         if args.seed is None:
             raise DomainError("sampling requires --seed")
         rng = random.Random(args.seed)

@@ -12,20 +12,10 @@ Points of the tree (``TreePoint``) are vertices, interior points of edges
 exact LexVec values.
 """
 
-from fractions import Fraction
-
 from isocone.ordgroup import LexVec, rat, DimensionError
 
 
 class NotAMetricError(ValueError):
-    pass
-
-
-class NotAnIsometryError(ValueError):
-    pass
-
-
-class OrderViolationError(ValueError):
     pass
 
 
@@ -61,12 +51,14 @@ class TreePoint:
 class MetricTree:
     """Finite tree with positive LexVec edge lengths and an optional end.
 
-    ``edges`` maps an edge id to ``(u, v, length)``.  The graph must be
-    connected and acyclic.  Trees are immutable once built.  One walk from
-    the end anchor (or from the first vertex when there is no end) checks
-    connectivity and yields the parent pointers toward the end, used by
-    ``push``, and the distances from that root; ``vertex_distance`` keeps
-    one distance dict per source it walks from.
+    ``vertices`` lists each vertex once, and ``edges`` maps an edge id to
+    ``(u, v, length)``.  The graph must be connected and acyclic; with
+    distinct vertices, one edge fewer than vertices and connectivity prove
+    it.  Trees are immutable once built.  One walk from the end anchor (or
+    from the first vertex when there is no end) checks connectivity and
+    yields the parent pointers toward the end, used by ``push``, and the
+    distances from that root; ``vertex_distance`` keeps one distance dict
+    per source it walks from.
     """
 
     def __init__(self, vertices, edges, end=None):
@@ -76,6 +68,9 @@ class MetricTree:
         vset = set(self.vertices)
         if not vset:
             raise ValueError("tree needs at least one vertex")
+        if len(vset) < len(self.vertices):
+            dup = next(v for v in self.vertices if self.vertices.count(v) > 1)
+            raise ValueError(f"vertex {dup!r} listed twice")
 
         ranks = set()
         self.adj = {v: [] for v in self.vertices}
@@ -127,10 +122,6 @@ class MetricTree:
 
     def point_on_edge(self, eid, offset):
         u, v, length = self.edges[eid]
-        if not isinstance(offset, LexVec):
-            if self.rank != 1:
-                raise TypeError("offset must be a LexVec for rank > 1")
-            offset = LexVec([rat(offset)])
         if offset.rank != self.rank:
             raise DimensionError("offset rank mismatch")
         zero = LexVec.zero(self.rank)
@@ -331,92 +322,6 @@ def vertex_distance_matrix(tree):
     return [[tree.vertex_distance(u, v) for v in vs] for u in vs]
 
 
-# -- isometries and displacement ---------------------------------------------
-
-
-def min_displacement(tree, g):
-    """Minimum of d(x, g(x)) over vertices and edge midpoints.
-
-    ``g`` is a vertex permutation; it must send edges to edges of equal
-    length.  Evaluating at midpoints handles the edge-swapping case without
-    changing the underlying tree.
-    """
-    vset = set(tree.vertices)
-    if set(g.keys()) != vset or set(g.values()) != vset:
-        raise NotAnIsometryError("not a vertex bijection")
-    edge_by_pair = {frozenset((u, v)): (eid, length)
-                    for eid, (u, v, length) in tree.edges.items()}
-    for eid, (u, v, length) in tree.edges.items():
-        img = frozenset((g[u], g[v]))
-        if img not in edge_by_pair or edge_by_pair[img][1] != length:
-            raise NotAnIsometryError(
-                f"edge {eid!r} does not map to an edge of equal length")
-    best = None
-    for v in tree.vertices:
-        d = tree.distance(tree.point(v), tree.point(g[v]))
-        if best is None or d < best:
-            best = d
-    for eid, (u, v, length) in tree.edges.items():
-        mid = tree.point_on_edge(eid, length.half())
-        img_eid, _ = edge_by_pair[frozenset((g[u], g[v]))]
-        iu, iv, ilen = tree.edges[img_eid]
-        img_mid = tree.point_on_edge(img_eid, ilen.half())
-        d = tree.distance(mid, img_mid)
-        if best is None or d < best:
-            best = d
-    return best
-
-
-# -- base change ---------------------------------------------------------------
-
-
-class LinearMap:
-    """Rational linear map between tuple groups, given by matrix rows."""
-
-    def __init__(self, rows):
-        self.rows = tuple(tuple(rat(x) for x in r) for r in rows)
-        if not self.rows:
-            raise ValueError("empty matrix")
-        self.src_rank = len(self.rows[0])
-        self.dst_rank = len(self.rows)
-
-    @classmethod
-    def scaling(cls, n, factor):
-        f = rat(factor)
-        return cls([[f if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def embed_last(cls, src_rank, dst_rank):
-        rows = [[0] * src_rank for _ in range(dst_rank)]
-        for i in range(src_rank):
-            rows[dst_rank - src_rank + i][i] = 1
-        return cls(rows)
-
-    def apply(self, vec):
-        if vec.rank != self.src_rank:
-            raise DimensionError("rank mismatch in linear map")
-        return LexVec(
-            sum((r[j] * vec.coords[j] for j in range(self.src_rank)),
-                Fraction(0))
-            for r in self.rows)
-
-
-def base_change(tree, m):
-    """Replace every edge length by its image under ``m``.
-
-    The combinatorics are unchanged; every distance is mapped through ``m``.
-    Fails if some length is sent to a nonpositive tuple.
-    """
-    new_edges = {}
-    for eid, (u, v, length) in tree.edges.items():
-        img = m.apply(length)
-        if not img > LexVec.zero(m.dst_rank):
-            raise OrderViolationError(
-                f"length of edge {eid!r} maps to nonpositive {img}")
-        new_edges[eid] = (u, v, img)
-    return MetricTree(tree.vertices, new_edges, end=tree.end)
-
-
 # -- convex-subgroup subtree ----------------------------------------------------
 
 
@@ -445,19 +350,6 @@ def subtree_at(tree, x, k):
 # -- weights from maps into trees ------------------------------------------------
 
 
-def weight_from_vertex_map(domain, f, edges):
-    """Edge weights induced by mapping vertices into a tree.
-
-    ``f`` is a TreeMap (or a plain dict together with a tree held by a
-    TreeMap); the weight of an edge {u, v} is the distance between the
-    images of its endpoints.  Returns a dict keyed by the pairs given in
-    ``edges``; every weight is nonnegative.
-    """
-    for v in domain:
-        f(v)  # totality check
-    return f.edge_weights(edges)
-
-
 class TreeMap:
     """Total assignment of domain vertices to points of a target tree."""
 
@@ -473,11 +365,3 @@ class TreeMap:
         if v not in self.assignment:
             raise ValueError(f"vertex {v!r} not in the domain")
         return self.assignment[v]
-
-    def edge_weights(self, edges):
-        """Distance between endpoint images, for each vertex pair given."""
-        out = {}
-        for pair in edges:
-            u, v = tuple(pair)
-            out[pair] = self.tree.distance(self(u), self(v))
-        return out

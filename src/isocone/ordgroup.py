@@ -63,9 +63,6 @@ class LexVec:
     def zero(cls, n):
         return cls((0,) * n)
 
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
-
     def _check_rank(self, other):
         if not isinstance(other, LexVec):
             raise TypeError(f"expected LexVec, got {other!r}")
@@ -118,44 +115,6 @@ class LexVec:
 
     def __repr__(self):
         return "(" + ",".join(format_rat(c) for c in self.coords) + ")"
-
-    def half(self):
-        return self.scale(Fraction(1, 2))
-
-
-def lex_cmp(a, b):
-    """-1, 0, or +1 according to the lexicographic comparison of a and b."""
-    if not isinstance(a, LexVec) or not isinstance(b, LexVec):
-        raise TypeError("lex_cmp expects two LexVec values")
-    a._check_rank(b)
-    if a.coords < b.coords:
-        return -1
-    if a.coords > b.coords:
-        return 1
-    return 0
-
-
-def archimedean_class(a):
-    """1-based index of the first nonzero coordinate; None for zero.
-
-    Two nonzero elements are archimedean equivalent exactly when their
-    indices agree, and a given element dwarfs another (no integer multiple of
-    the second overtakes the first) exactly when its index is smaller.
-    """
-    for i, c in enumerate(a.coords):
-        if c != 0:
-            return i + 1
-    return None
-
-
-def infinitely_larger(a, b):
-    """True iff every integer multiple of |b| stays below |a|."""
-    ia, ib = archimedean_class(a), archimedean_class(b)
-    if ia is None:
-        return False
-    if ib is None:
-        return True
-    return ia < ib
 
 
 def embed_last(t, n):

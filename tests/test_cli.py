@@ -315,6 +315,18 @@ class TestMalformedInput:
         assert run(["tree", "fourpoint", "--input", str(path)]) == 2
         assert "line 3: bad rational '1/0'" in capsys.readouterr().err
 
+    def test_tree_repeated_vertex_exit_2(self, tmp_path, capsys):
+        # the second 'vertex a' used to collapse into the first, so this
+        # cycle passed the edge count check and printed four-point: pass
+        path = tmp_path / "tree.txt"
+        path.write_text("vertex a\nvertex b\nvertex a\n"
+                        "edge e1 a b (1)\nedge e2 a b (2)\n")
+        capsys.readouterr()
+        assert run(["tree", "fourpoint", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "invalid tree: vertex 'a' listed twice" in captured.err
+        assert not captured.out
+
     def test_tree_unnormalized_tuple_noted(self, tmp_path, capsys):
         path = tmp_path / "tree.txt"
         path.write_text("vertex a\nvertex b\nedge e1 a b (2/4)\n")
@@ -327,6 +339,19 @@ class TestMalformedInput:
                     "--rotate", "1/0"]) == 1
         assert "zero denominator in --rotate '1/0'" in \
             capsys.readouterr().err
+
+    # the sample size is a canonical positive decimal, not any spelling
+    # int() reads as a number
+    @pytest.mark.parametrize("mode", ["sample:007", "sample:+3", "sample:x",
+                                      "sample:\uff11", "sample:0", "sample:"])
+    def test_bad_sample_size_exit_1(self, tmp_path, capsys, mode):
+        path = fixture_file(tmp_path, "chain4")
+        capsys.readouterr()
+        assert run(["cone", "isotropy", "--input", path, "--choices", mode,
+                    "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert f"bad --choices value {mode!r}" in captured.err
+        assert not captured.out
 
     def test_negative_depth_exit_1(self, tmp_path, capsys):
         path = fixture_file(tmp_path, "lshape_h2")

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from isocone import cone3, io, linalg
 from isocone.ordgroup import LexVec
-from isocone.lamtree import TreeMap, weight_from_vertex_map
+from isocone.lamtree import TreeMap
 from isocone.cone3 import (
     Triangulation3, EDGE_PAIRS, OPPOSITE_PAIRS, CHOICE_PAIRS, FACE_CYCLES,
     ProductTriangulation, BoundaryTrack, compute_cone, member,

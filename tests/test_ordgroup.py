@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from isocone.ordgroup import (
-    LexVec, lex_cmp, archimedean_class, infinitely_larger, embed_last,
-    left_inverse, format_rat,
+    LexVec, embed_last, left_inverse, format_rat,
     DimensionError, NotPositiveError,
 )
 from util import code_lines, random_lexvec, random_positive_lexvec
@@ -17,42 +16,17 @@ def V(*coords):
 
 class TestLexCmp:
     def test_leading_coordinate(self):
-        assert lex_cmp(V(0, 1), V(1, 0)) == -1
+        assert V(0, 1) < V(1, 0)
 
     def test_equal(self):
-        assert lex_cmp(V(2, -3), V(2, -3)) == 0
+        assert V(2, -3) == V(2, -3) and not V(2, -3) < V(2, -3)
 
     def test_leading_beats_trailing(self):
-        assert lex_cmp(V(1, -100), V(0, 100)) == 1
+        assert V(1, -100) > V(0, 100)
 
     def test_rank_mismatch(self):
         with pytest.raises(DimensionError):
-            lex_cmp(V(1), V(1, 0))
-
-
-class TestArchimedean:
-    def test_first_nonzero(self):
-        assert archimedean_class(V(0, 0, 5)) == 3
-
-    def test_zero(self):
-        assert archimedean_class(V(0, 0, 0)) is None
-
-    def test_leading(self):
-        assert archimedean_class(V(-2, 7)) == 1
-
-    def test_infinitely_larger_transitive_antisymmetric(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            rank = rng.randint(2, 4)
-            xs = [random_lexvec(rng, rank) for _ in range(3)]
-            xs = [x for x in xs if not x.is_zero()]
-            for a in xs:
-                for b in xs:
-                    if infinitely_larger(a, b):
-                        assert not infinitely_larger(b, a)
-                    for c in xs:
-                        if infinitely_larger(a, b) and infinitely_larger(b, c):
-                            assert infinitely_larger(a, c)
+            V(1) < V(1, 0)
 
 
 class TestEmbedLast:
@@ -145,4 +119,4 @@ class TestSerialization:
 
 
 def test_code_line_count():
-    assert code_lines("ordgroup") <= 154
+    assert code_lines("ordgroup") <= 122
