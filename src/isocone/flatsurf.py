@@ -14,11 +14,16 @@ edges, first-order deformations of the edge vectors (period tangents), and
 three independent exact evaluations of the symplectic pairing of two
 tangents, cross-checked by a floating-point quadrature of the defining
 integral (the only inexact computation in the package).
+
+Inside the module a surface's edge vectors, and a tangent's values, are
+integer pairs over one positive denominator per object
+(``docs/conventions.md``); ``Fraction``s are made only where values leave.
 """
 
 import functools
 import heapq
 import math
+import types
 from fractions import Fraction
 
 from isocone.ordgroup import rat
@@ -75,17 +80,70 @@ class QC:
 
 
 def cross(u, v):
-    return u.re * v.im - u.im * v.re
+    return u[0] * v[1] - u[1] * v[0]
 
 
 def dot(u, v):
-    return u.re * v.re + u.im * v.im
+    return u[0] * v[0] + u[1] * v[1]
+
+
+def _to_ints(values):
+    """QC values as ``({key: (x, y)}, D)``: integer pairs over the lcm D of
+    their denominators."""
+    D = math.lcm(*[q.denominator for v in values.values()
+                   for q in (v.re, v.im)])
+    return {k: (v.re.numerator * (D // v.re.denominator),
+                v.im.numerator * (D // v.im.denominator))
+            for k, v in values.items()}, D
+
+
+def _view(vec, D):
+    """Read-only QC values of integer pairs over D."""
+    return types.MappingProxyType(
+        {k: QC(Fraction(x, D), Fraction(y, D)) for k, (x, y) in vec.items()})
+
+
+def _new(cls, *args):
+    """A ``FlatSurface`` or ``PeriodTangent`` of integer pairs, set up and
+    checked by ``_setup`` as by the public constructor."""
+    self = cls.__new__(cls)
+    self._setup(*args)
+    return self
+
+
+def _check_values(surface, vec, no_value, unclosed, broken, area=False):
+    """Every triangle of ``surface`` has values in ``vec`` that close up,
+    with positive area if ``area``, and every gluing has valid signs and
+    carries the values as its sign says; the three messages name a
+    failure of each kind."""
+    for t, ds in surface.triangles.items():
+        for d in ds:
+            if d not in vec:
+                raise FlatSurfaceError(no_value.format(t=t, d=d))
+        (ax, ay), (bx, by), (cx, cy) = [vec[d] for d in ds]
+        if ax + bx + cx != 0 or ay + by + cy != 0:
+            raise FlatSurfaceError(unclosed.format(t=t))
+        if area and ax * by - ay * bx <= 0:
+            raise FlatSurfaceError(f"triangle {t!r} has nonpositive area")
+    signs = surface.signs
+    for d, d2 in surface.glue.items():
+        s = signs.get(d)
+        if s not in ("neg", "pos"):
+            raise FlatSurfaceError(f"missing gluing sign at {d!r}")
+        if s != signs.get(d2):
+            raise FlatSurfaceError(f"gluing signs disagree at {d!r}")
+        (x, y), w = vec[d], vec[d2]
+        if w != ((-x, -y) if s == "neg" else (x, y)):
+            raise FlatSurfaceError(broken.format(d=d))
+        if surface.kind == "translation" and s == "pos":
+            raise FlatSurfaceError(
+                "translation surfaces allow only neg gluings")
 
 
 # The rotations ``FlatSurface.adapted`` tries, in order: 1, i, then p+qi
-# by n = p+q with gcd(p, q) = 1 and p ascending.
-_ROTATIONS = (QC(1),) + tuple(QC(p, n - p) for n in range(1, 12)
-                              for p in range(n) if math.gcd(p, n - p) == 1)
+# by n = p+q with gcd(p, q) = 1 and p ascending, as integer pairs (p, q).
+_ROTATIONS = ((1, 0),) + tuple((p, n - p) for n in range(1, 12)
+                               for p in range(n) if math.gcd(p, n - p) == 1)
 
 
 class FlatSurface:
@@ -94,48 +152,30 @@ class FlatSurface:
     ``triangles`` maps triangle ids to ccw triples of directed edge ids;
     ``vectors`` maps each directed edge to a QC; ``gluings`` maps each
     directed edge to its partner; ``signs`` maps each directed edge to
-    'neg' or 'pos' (symmetric on a gluing pair).
+    'neg' or 'pos' (symmetric on a gluing pair).  The vectors are held as
+    integer pairs ``_vec`` over the denominator ``_den``.
     """
 
     def __init__(self, kind, triangles, vectors, gluings, signs=None):
         if kind not in ("translation", "half-translation"):
             raise FlatSurfaceError(f"unknown kind {kind!r}")
-        self.kind = kind
-        self.vectors = dict(vectors)
         if signs is None:
             signs = {d: "neg" for d in gluings}
-        self.signs = dict(signs)
-        self.comb = SurfaceTriangulation(triangles, gluings)
-        self.triangles = self.comb.triangles
-        self.glue = self.comb.glue
-        self._check_structure()
+        self._setup(kind, SurfaceTriangulation(triangles, gluings),
+                    *_to_ints(vectors), signs)
 
-    def _check_structure(self):
-        vectors, signs = self.vectors, self.signs
-        for t, ds in self.triangles.items():
-            for d in ds:
-                if d not in vectors:
-                    raise FlatSurfaceError(f"triangle {t!r} uses edge {d!r}, "
-                                           f"which has no vector")
-            a, b, c = [vectors[d] for d in ds]
-            if a.re + b.re + c.re != 0 or a.im + b.im + c.im != 0:
-                raise FlatSurfaceError(f"triangle {t!r} does not close up")
-            if cross(a, b) <= 0:
-                raise FlatSurfaceError(f"triangle {t!r} has nonpositive area")
-        for d, d2 in self.glue.items():
-            s = signs.get(d)
-            if s not in ("neg", "pos"):
-                raise FlatSurfaceError(f"missing gluing sign at {d!r}")
-            if s != signs.get(d2):
-                raise FlatSurfaceError(f"gluing signs disagree at {d!r}")
-            v, w = vectors[d], vectors[d2]
-            want = (-v.re, -v.im) if s == "neg" else (v.re, v.im)
-            if (w.re, w.im) != want:
-                raise FlatSurfaceError(
-                    f"gluing at {d!r} is not vector-compatible")
-            if self.kind == "translation" and s == "pos":
-                raise FlatSurfaceError(
-                    "translation surfaces allow only neg gluings")
+    def _setup(self, kind, comb, vec, den, signs):
+        self.kind, self.comb, self._vec, self._den = kind, comb, vec, den
+        self.signs = dict(signs)
+        self.triangles, self.glue = comb.triangles, comb.glue
+        _check_values(self, vec,
+                      "triangle {t!r} uses edge {d!r}, which has no vector",
+                      "triangle {t!r} does not close up",
+                      "gluing at {d!r} is not vector-compatible", area=True)
+
+    @functools.cached_property
+    def vectors(self):
+        return _view(self._vec, self._den)
 
     @functools.cached_property
     def tangent_kernel(self):
@@ -148,15 +188,10 @@ class FlatSurface:
     # -- basic quantities -----------------------------------------------------
 
     def total_area(self):
-        area = Fraction(0)
-        for t in sorted(self.triangles, key=repr):
-            d0, d1, _ = self.triangles[t]
-            area += cross(self.vectors[d0], self.vectors[d1]) / 2
-        return area
-
-    def chart_factor(self, d):
-        """Chart transition multiplier when crossing the gluing at d."""
-        return 1 if self.signs[d] == "neg" else -1
+        area = 0
+        for d0, d1, _ in self.triangles.values():
+            area += cross(self._vec[d0], self._vec[d1])
+        return Fraction(area, 2 * self._den ** 2)
 
     def cone_angles(self):
         """Exact cone angle at each vertex class, as a multiple of pi.
@@ -170,19 +205,21 @@ class FlatSurface:
             # sweep in the chart of the first corner
             k, sigma = 0, 1
             t, i = cycle[0]
-            ref = self.vectors[self.triangles[t][i]]
+            x, y = self._vec[self.triangles[t][i]]
             for (ct, ci) in cycle:
                 ds = self.triangles[ct]
-                P = sigma * self.vectors[ds[ci]]
-                Q = sigma * (-self.vectors[ds[(ci + 2) % 3]])
+                px, py = self._vec[ds[ci]]
+                qx, qy = self._vec[ds[(ci + 2) % 3]]
+                P, Q = (sigma * px, sigma * py), (-sigma * qx, -sigma * qy)
                 if cross(P, Q) <= 0:
                     raise FlatSurfaceError("degenerate corner wedge")
-                for L in (ref, -ref):
+                for L in ((x, y), (-x, -y)):
                     if cross(Q, L) == 0 and dot(Q, L) > 0:
                         k += 1          # arrival exactly on the line
                     elif cross(P, L) > 0 and cross(L, Q) > 0:
                         k += 1
-                sigma *= self.chart_factor(ds[(ci + 2) % 3])
+                # the chart changes sign across a pos gluing
+                sigma *= 1 if self.signs[ds[(ci + 2) % 3]] == "neg" else -1
             angles[v] = k
         return angles
 
@@ -226,13 +263,15 @@ class FlatSurface:
 
     def apply_matrix(self, a, b, c, d):
         """Apply an orientation-preserving rational linear map to all vectors."""
-        a, b, c, d = map(rat, (a, b, c, d))
-        if a * d - b * c <= 0:
+        m = tuple(map(rat, (a, b, c, d)))
+        if m[0] * m[3] - m[1] * m[2] <= 0:
             raise FlatSurfaceError("matrix must preserve orientation")
-        vectors = {k: QC(a * v.re + b * v.im, c * v.re + d * v.im)
-                   for k, v in self.vectors.items()}
-        return FlatSurface(self.kind, self.triangles, vectors, self.glue,
-                           self.signs)
+        M = math.lcm(*[q.denominator for q in m])
+        a, b, c, d = [q.numerator * (M // q.denominator) for q in m]
+        vec = {k: (a * x + b * y, c * x + d * y)
+               for k, (x, y) in self._vec.items()}
+        return _new(FlatSurface, self.kind, self.comb, vec, self._den * M,
+                    self.signs)
 
     def shear(self, s):
         return self.apply_matrix(1, rat(s), 0, 1)
@@ -241,14 +280,17 @@ class FlatSurface:
 
     def heights(self):
         """|imaginary part| per undirected edge; fails on horizontal edges."""
-        return self._heights(QC(1))
+        return {E: Fraction(h, self._den)
+                for E, h in self._heights((1, 0)).items()}
 
     def _heights(self, c):
-        """The heights of ``self.rotate(c)``: |c.re * v.im + c.im * v.re|."""
+        """The heights of ``self.rotate(p+qi)``, for the integer pair
+        ``c = (p, q)``, times the denominator: |p * y + q * x|."""
+        p, q = c
         out = {}
         for E in self.comb.edge_classes:
-            v = self.vectors[E]
-            y = c.re * v.im + c.im * v.re
+            x, y = self._vec[E]
+            y = p * y + q * x
             if y == 0:
                 raise NeedsRotationError(f"horizontal edge {E!r}")
             out[E] = abs(y)
@@ -275,7 +317,7 @@ class FlatSurface:
         edge classes, and the heights satisfy every switch relation.
         Raises NeedsRotationError on horizontal edges.
         """
-        return track_dual_to_triangulation(self.comb, self._tallest(QC(1)))
+        return track_dual_to_triangulation(self.comb, self._tallest((1, 0)))
 
     def adapted(self):
         """Rotate by the first of ``_ROTATIONS`` leaving no horizontal edge;
@@ -289,36 +331,25 @@ class FlatSurface:
                 self._tallest(c)
             except NeedsRotationError:
                 continue
-            return self.rotate(c), c
+            return self.rotate(QC(*c)), QC(*c)
         raise NeedsRotationError("no adapted rotation among the candidates")
 
 
 # -- Delaunay retriangulation ----------------------------------------------------
 
 
-_ORIGIN = QC(0)
-
-
-def _positions(vectors, ds):
-    """Developed corner positions of a triangle, with ccw directed edges
-    ``ds``, in its own chart."""
-    d0, d1, _ = ds
-    p1 = vectors[d0]
-    return [QC(0), p1, p1 + vectors[d1]]
+_ORIGIN = (0, 0)
 
 
 def _incircle_strict(A, B, C, D):
     """D strictly inside the circumcircle of ccw triangle ABC.
 
-    The sign of the determinant is taken in integers: the coordinates are
-    scaled by the lcm L of their denominators, and the determinant is
-    homogeneous of degree 4 in them, so it only gains the factor
-    L**4 > 0.  Cocircular points give exactly 0, which is not inside.
+    The points are integer pairs over one positive denominator: the
+    determinant is homogeneous of degree 4 in the coordinates, so it only
+    gains the denominator's fourth power.  Cocircular points give exactly
+    0, which is not inside.
     """
-    coords = (A.re, A.im, B.re, B.im, C.re, C.im, D.re, D.im)
-    L = math.lcm(*[q.denominator for q in coords])
-    ax, ay, bx, by, cx, cy, dx, dy = [
-        q.numerator * (L // q.denominator) for q in coords]
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = A, B, C, D
     ax, bx, cx = ax - dx, bx - dx, cx - dx
     ay, by, cy = ay - dy, by - dy, cy - dy
     a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
@@ -327,8 +358,9 @@ def _incircle_strict(A, B, C, D):
     return det > 0
 
 
-def _edge_quad(triangles, vectors, glue, signs, locate, d):
-    """The quad around edge d: (A, B, C, D, data for the flip).
+def _edge_quad(triangles, vec, glue, signs, locate, d):
+    """The quad around edge d: (A, B, C, D, data for the flip), as integer
+    pairs over the denominator of ``vec``.
 
     Read off three edge vectors in the chart of d's triangle translated so
     that B is 0: A->B is d, C the opposite corner on the d side (B->C is
@@ -340,16 +372,16 @@ def _edge_quad(triangles, vectors, glue, signs, locate, d):
     t1, i = locate(d)
     t2, j = locate(glue[d])
     mu = 1 if signs[d] == "neg" else -1
-    A = -vectors[d]
-    C = vectors[triangles[t1][(i + 1) % 3]]
-    D = -mu * vectors[triangles[t2][(j + 2) % 3]]
-    return A, _ORIGIN, C, D, (t1, i, t2, j, mu)
+    ax, ay = vec[d]
+    fx, fy = vec[triangles[t2][(j + 2) % 3]]
+    return ((-ax, -ay), _ORIGIN, vec[triangles[t1][(i + 1) % 3]],
+            (-mu * fx, -mu * fy), (t1, i, t2, j, mu))
 
 
 def is_delaunay(surface):
     """Non-strict global Delaunay check over all undirected edges."""
     for E in surface.comb.edge_classes:
-        A, B, C, D, _ = _edge_quad(surface.triangles, surface.vectors,
+        A, B, C, D, _ = _edge_quad(surface.triangles, surface._vec,
                                    surface.glue, surface.signs,
                                    surface.comb.locate, E)
         if _incircle_strict(A, B, C, D):
@@ -366,21 +398,22 @@ def delaunay(surface):
     terminating; area, symbol, genus, and the gluing kind are preserved
     exactly.
 
-    The flips are applied in place on copies of the triangles, vectors,
-    signs and slot owners, and one ``FlatSurface`` is built at the end; its
-    structure check is the only check of the flips.  An edge's legality
-    depends only on its two triangles, and the edge classes only on the
-    gluing pairs, which flips never change; so a min-heap of class ranks,
-    holding every edge not known to be legal and refilled with the five
-    edges of the two triangles each flip touches, finds the same edge at
-    every step as rescanning all of them would.
+    The flips are applied in place on copies of the triangles, integer
+    vectors, signs and slot owners, and one ``FlatSurface`` is built at the
+    end, over the same denominator; its structure check is the only check
+    of the flips.  An edge's legality depends only on its two triangles,
+    and the edge classes only on the gluing pairs, which flips never
+    change; so a min-heap of class ranks, holding every edge not known to
+    be legal and refilled with the five edges of the two triangles each
+    flip touches, finds the same edge at every step as rescanning all of
+    them would.
     """
     glue = surface.glue
     classes = surface.comb.edge_classes
     edge_class = surface.comb.edge_class
     rank = {E: k for k, E in enumerate(classes)}
     triangles = dict(surface.triangles)
-    vectors = dict(surface.vectors)
+    vec = dict(surface._vec)
     signs = dict(surface.signs)
     owner = {d: (t, i) for t, ds in triangles.items()
              for i, d in enumerate(ds)}
@@ -393,7 +426,7 @@ def delaunay(surface):
         queued[k] = False
         d = classes[k]
         A, B, C, D, (t1, i, t2, j, mu) = _edge_quad(
-            triangles, vectors, glue, signs, owner.__getitem__, d)
+            triangles, vec, glue, signs, owner.__getitem__, d)
         if not _incircle_strict(A, B, C, D):
             continue
         steps += 1
@@ -407,10 +440,12 @@ def delaunay(surface):
 
         # new triangles in the common chart: (A, D, C) and (D, B, C), with
         # the old diagonal ids reused for the new one (C -> D and back)
-        vectors[f1] = mu * vectors[f1]
-        vectors[f2] = mu * vectors[f2]
-        vectors[d] = D - C
-        vectors[p] = C - D
+        for f in (f1, f2):
+            fx, fy = vec[f]
+            vec[f] = (mu * fx, mu * fy)
+        (cx, cy), (dx, dy) = C, D
+        vec[d] = (dx - cx, dy - cy)
+        vec[p] = (cx - dx, cy - dy)
         triangles[t1] = (f1, p, e2)        # A->D, D->C, C->A
         triangles[t2] = (f2, e1, d)        # D->B, B->C, C->D
         signs[d] = signs[p] = "neg"
@@ -418,9 +453,10 @@ def delaunay(surface):
         # recompute the gluing signs of the outer edges from current vectors
         for x in (e1, e2, f1, f2):
             y = glue[x]
-            if vectors[y] == -vectors[x]:
+            (vx, vy), w = vec[x], vec[y]
+            if w == (-vx, -vy):
                 signs[x] = signs[y] = "neg"
-            elif vectors[y] == vectors[x]:
+            elif w == (vx, vy):
                 signs[x] = signs[y] = "pos"
             else:
                 raise AssertionError("flip broke a gluing")
@@ -432,7 +468,8 @@ def delaunay(surface):
                 if not queued[r]:
                     queued[r] = True
                     heapq.heappush(heap, r)
-    return FlatSurface(surface.kind, triangles, vectors, glue, signs)
+    comb = SurfaceTriangulation(triangles, glue)
+    return _new(FlatSurface, surface.kind, comb, vec, surface._den, signs)
 
 
 # -- period tangents ---------------------------------------------------------------
@@ -443,53 +480,43 @@ class PeriodTangent:
 
     ``delta`` maps every directed edge to a QC; the values close up around
     every triangle and transform across gluings exactly like the vectors.
+    They are held as integer pairs ``_vec`` over the denominator ``_den``.
     """
 
     def __init__(self, surface, delta):
-        self.surface = surface
-        self.delta = dict(delta)
-        for t, ds in surface.triangles.items():
-            for d in ds:
-                if d not in self.delta:
-                    raise FlatSurfaceError(f"tangent has no value on edge "
-                                           f"{d!r}")
-            a, b, c = [self.delta[d] for d in ds]
-            if a.re + b.re + c.re != 0 or a.im + b.im + c.im != 0:
-                raise FlatSurfaceError(f"tangent does not close on {t!r}")
-        for d, d2 in surface.glue.items():
-            v, w = self.delta[d], self.delta[d2]
-            neg = surface.signs[d] == "neg"
-            if (w.re, w.im) != ((-v.re, -v.im) if neg else (v.re, v.im)):
-                raise FlatSurfaceError(f"tangent breaks the gluing at {d!r}")
+        self._setup(surface, *_to_ints(delta))
+
+    def _setup(self, surface, vec, den):
+        self.surface, self._vec, self._den = surface, vec, den
+        _check_values(surface, vec, "tangent has no value on edge {d!r}",
+                      "tangent does not close on {t!r}",
+                      "tangent breaks the gluing at {d!r}")
+
+    @functools.cached_property
+    def delta(self):
+        return _view(self._vec, self._den)
 
     def times_i(self):
-        return PeriodTangent(self.surface,
-                             {d: QC(0, 1) * v for d, v in self.delta.items()})
-
-    def scale(self, q):
-        q = rat(q)
-        return PeriodTangent(self.surface,
-                             {d: v * q for d, v in self.delta.items()})
-
-    def __add__(self, other):
-        return PeriodTangent(self.surface,
-                             {d: v + other.delta[d]
-                              for d, v in self.delta.items()})
+        return _new(PeriodTangent, self.surface,
+                    {d: (-y, x) for d, (x, y) in self._vec.items()}, self._den)
 
     @classmethod
     def scaling(cls, surface):
         """The tangent moving every period along itself."""
-        return cls(surface, dict(surface.vectors))
+        return _new(cls, surface, surface._vec, surface._den)
 
     @classmethod
-    def from_class_values(cls, surface, values):
-        """Expand values on undirected edge classes to all directed edges."""
-        delta = {}
-        for d in surface.vectors:
+    def _from_classes(cls, surface, values, den):
+        """Expand integer pairs over ``den`` on undirected edge classes to
+        all directed edges: a ``neg`` partner of a class takes the negated
+        value."""
+        vec = {}
+        for d in surface._vec:
             E = surface.comb.edge_class[d]
+            x, y = values[E]
             flip = d != E and surface.signs[d] == "neg"
-            delta[d] = -values[E] if flip else values[E]
-        return cls(surface, delta)
+            vec[d] = (-x, -y) if flip else (x, y)
+        return _new(cls, surface, vec, den)
 
 
 def tangent_coefficient_rows(surface):
@@ -512,8 +539,8 @@ def tangent_basis(surface):
     Returns a list of PeriodTangents; together with their i-multiples they
     span all valid tangents over the rationals.
     """
-    return [PeriodTangent.from_class_values(
-                surface, dict(zip(surface.comb.edge_classes, map(QC, vec))))
+    return [PeriodTangent._from_classes(surface, *_to_ints(
+                dict(zip(surface.comb.edge_classes, map(QC, vec)))))
             for vec in surface.tangent_kernel]
 
 
@@ -526,7 +553,8 @@ def random_tangent(surface, rng):
     the sum of (real + i * imaginary) times the vectors.  The sums are
     taken in integer numerators over one common denominator ``2 * L``,
     with ``L`` the lcm of the kernel's denominators: a draw ``a / b`` with
-    ``b`` in (1, 2) is ``a * (2 // b) / 2``.
+    ``b`` in (1, 2) is ``a * (2 // b) / 2``, and the tangent is built
+    from those integers.
     """
     classes = surface.comb.edge_classes
     kernel = surface.tangent_kernel
@@ -540,16 +568,16 @@ def random_tangent(surface, rng):
                 n = x.numerator * (L // x.denominator)
                 re[k] += cr * n
                 im[k] += ci * n
-    return PeriodTangent.from_class_values(surface, {
-        E: QC(Fraction(r, 2 * L), Fraction(i, 2 * L))
-        for E, r, i in zip(classes, re, im)})
+    return PeriodTangent._from_classes(
+        surface, dict(zip(classes, zip(re, im))), 2 * L)
 
 
 # -- the three exact pairings --------------------------------------------------------
 
 
-def height_derivative(surface, tangent):
-    """Derivative of the edge heights along a tangent, per branch.
+def _height_numerators(surface, tangent):
+    """Derivative of the edge heights along a tangent, per branch, as
+    integer numerators over the tangent's denominator.
 
     The height of an edge is |Im| of its vector; with no horizontal edges
     the derivative is sign(Im v) * Im(delta), independent of the directed
@@ -558,20 +586,19 @@ def height_derivative(surface, tangent):
     """
     out = {}
     for E in surface.comb.edge_classes:
-        v = surface.vectors[E]
-        if v.im == 0:
+        y = surface._vec[E][1]
+        if y == 0:
             raise NeedsRotationError(f"horizontal edge {E!r}")
-        s = 1 if v.im > 0 else -1
-        out[E] = s * tangent.delta[E].im
+        out[E] = tangent._vec[E][1] if y > 0 else -tangent._vec[E][1]
     return out
 
 
 def omega_thurston(surface, t1, t2):
     """Pairing via the dual track: Thurston form of the height derivatives."""
     track, e2b = surface.dual_track()
-    w1 = height_derivative(surface, t1)
-    w2 = height_derivative(surface, t2)
-    return track.thurston_form(w1, w2)
+    w1 = _height_numerators(surface, t1)
+    w2 = _height_numerators(surface, t2)
+    return track.thurston_form(w1, w2) / (t1._den * t2._den)
 
 
 def omega_hessian(surface, t1, t2):
@@ -591,13 +618,11 @@ def omega_hessian(surface, t1, t2):
     result is independent of which two consecutive edges are used, by the
     per-triangle closure of tangents.
     """
-    total = Fraction(0)
-    for t in sorted(surface.triangles, key=repr):
-        d0, d1, _ = surface.triangles[t]
-        u1, v1 = t1.delta[d0], t1.delta[d1]
-        u2, v2 = t2.delta[d0], t2.delta[d1]
-        total += Fraction(u1.im * v2.im - v1.im * u2.im, 2)
-    return total
+    total = 0
+    a, b = t1._vec, t2._vec
+    for d0, d1, _ in surface.triangles.values():
+        total += a[d0][1] * b[d1][1] - a[d1][1] * b[d0][1]
+    return Fraction(total, 2 * t1._den * t2._den)
 
 
 def orientation_double_cover(surface):
@@ -608,36 +633,32 @@ def orientation_double_cover(surface):
     and every gluing of the cover is a translation.  The involution negates
     the lifted edge vectors; the covering area is twice the base area.
     """
-    triangles = {}
-    vectors = {}
-    glu = {}
-    signs = {}
+    triangles, glu = {}, {}
     for t, ds in surface.triangles.items():
         for sheet in (0, 1):
             triangles[(t, sheet)] = tuple((d, sheet) for d in ds)
-    for d, v in surface.vectors.items():
-        vectors[(d, 0)] = v
-        vectors[(d, 1)] = -v
     for d, d2 in surface.glue.items():
         if surface.signs[d] == "neg":
             pairs = [((d, 0), (d2, 0)), ((d, 1), (d2, 1))]
         else:
             pairs = [((d, 0), (d2, 1)), ((d, 1), (d2, 0))]
         for a, b in pairs:
-            glu[a] = b
-            glu[b] = a
-            signs[a] = signs[b] = "neg"
-    cover = FlatSurface("translation", triangles, vectors, glu, signs)
-    involution = {(d, s): (d, 1 - s) for d in surface.vectors for s in (0, 1)}
+            glu[a], glu[b] = b, a
+    cover = _new(FlatSurface, "translation",
+                 SurfaceTriangulation(triangles, glu), _lift(surface._vec),
+                 surface._den, dict.fromkeys(glu, "neg"))
+    involution = {(d, s): (d, 1 - s) for d in surface._vec for s in (0, 1)}
     return cover, involution
 
 
+def _lift(vec):
+    """Integer pairs on both sheets: as given on sheet 0, negated on 1."""
+    return {(d, s): (-x, -y) if s else (x, y)
+            for d, (x, y) in vec.items() for s in (0, 1)}
+
+
 def lift_tangent(cover, tangent):
-    delta = {}
-    for (d, sheet) in cover.vectors:
-        v = tangent.delta[d]
-        delta[(d, sheet)] = v if sheet == 0 else -v
-    return PeriodTangent(cover, delta)
+    return _new(PeriodTangent, cover, _lift(tangent._vec), tangent._den)
 
 
 def omega_homological(surface, t1, t2):
@@ -655,9 +676,9 @@ def omega_homological(surface, t1, t2):
         return omega_homological(cover, l1, l2) / 2
     ribbon = surface.comb.skeleton_ribbon()
     hom = SurfaceHomology(ribbon)
-    alpha = {E: t1.delta[E].im for E in surface.comb.edge_classes}
-    beta = {E: t2.delta[E].im for E in surface.comb.edge_classes}
-    return hom.pair_cocycles(alpha, beta)
+    alpha = {E: t1._vec[E][1] for E in surface.comb.edge_classes}
+    beta = {E: t2._vec[E][1] for E in surface.comb.edge_classes}
+    return hom.pair_cocycles(alpha, beta) / (t1._den * t2._den)
 
 
 # -- quadrature oracle (floating point, clearly inexact) ------------------------------
@@ -683,12 +704,19 @@ def kahler_pairing_numeric(surface, t1, t2, depth=4):
     total = complex(0)
     for t in sorted(surface.triangles, key=repr):
         ds = surface.triangles[t]
-        pos = _positions(surface.vectors, ds)
-        P = [complex(p.re, p.im) for p in pos]
-        per1 = [complex(t1.delta[d].re, t1.delta[d].im) for d in ds]
-        per2 = [complex(t2.delta[d].re, t2.delta[d].im) for d in ds]
+        # the corners of the triangle in its own chart
+        (x0, y0), (x1, y1) = surface._vec[ds[0]], surface._vec[ds[1]]
+        P = _floats([_ORIGIN, (x0, y0), (x0 + x1, y0 + y1)], surface._den)
+        per1 = _floats([t1._vec[d] for d in ds], t1._den)
+        per2 = _floats([t2._vec[d] for d in ds], t2._den)
         total += _triangle_pairing_quadrature(P, per1, per2, depth)
     return total
+
+
+def _floats(points, D):
+    """Integer pairs over D as complex numbers: ``x / D`` is the correctly
+    rounded double, as ``float(Fraction(x, D))`` is."""
+    return [complex(x / D, y / D) for x, y in points]
 
 
 def _triangle_pairing_quadrature(P, per1, per2, depth):
@@ -760,16 +788,10 @@ def square_torus():
 
 def hex_torus():
     """Hexagonal torus: opposite sides of a rational hexagon identified."""
-    a = QC(2, 0)
-    b = QC(1, 2)
-    c = QC(-2, 2)
+    a, b, c = QC(2, 0), QC(1, 2), QC(-2, 2)
     # fan from the first corner; corners 0, a, a+b, a+b+c, b+c, c
-    tris = {
-        "t0": ("sa", "sb", "d1r"),
-        "t1": ("d1", "sc", "d2r"),
-        "t2": ("d2", "sar", "d3r"),
-        "t3": ("d3", "sbr", "scr"),
-    }
+    tris = {"t0": ("sa", "sb", "d1r"), "t1": ("d1", "sc", "d2r"),
+            "t2": ("d2", "sar", "d3r"), "t3": ("d3", "sbr", "scr")}
     p = [QC(0), a, a + b, a + b + c, b + c, c]
     vectors = {
         "sa": a, "sb": b, "sc": c,
@@ -779,11 +801,21 @@ def hex_torus():
         "d3": p[4] - p[0], "d3r": p[0] - p[4],
     }
     glu = {}
-    for x, y in [("sa", "sar"), ("sb", "sbr"), ("sc", "scr"),
-                 ("d1", "d1r"), ("d2", "d2r"), ("d3", "d3r")]:
-        glu[x] = y
-        glu[y] = x
+    for x in ("sa", "sb", "sc", "d1", "d2", "d3"):
+        glu[x], glu[x + "r"] = x + "r", x
     return FlatSurface("translation", tris, vectors, glu)
+
+
+def _add_unit_square(name, tris, vectors, glu):
+    """Add the unit square ``name`` cut along its (1, 1) diagonal: triangles
+    ``<name>0`` = (b, r, dr) and ``<name>1`` = (d, t, l), edge ids prefixed
+    by ``name``, with the diagonal d glued to its reverse dr."""
+    tris[f"{name}0"] = (f"{name}b", f"{name}r", f"{name}dr")
+    tris[f"{name}1"] = (f"{name}d", f"{name}t", f"{name}l")
+    for e, x, y in (("b", 1, 0), ("r", 0, 1), ("dr", -1, -1), ("d", 1, 1),
+                    ("t", -1, 0), ("l", 0, -1)):
+        vectors[name + e] = QC(x, y)
+    glu[f"{name}d"], glu[f"{name}dr"] = f"{name}dr", f"{name}d"
 
 
 def lshape_h2():
@@ -792,67 +824,32 @@ def lshape_h2():
     One cone point of angle 6*pi; as a squared differential the symbol is
     (4) with epsilon = +1 and the area is 3.
     """
-    tris = {}
-    vectors = {}
-    glu = {}
-
-    def add_square(name):
-        d = f"{name}d"
-        tris[f"{name}0"] = (f"{name}b", f"{name}r", d + "r")
-        tris[f"{name}1"] = (d, f"{name}t", f"{name}l")
-        vectors[f"{name}b"] = QC(1, 0)
-        vectors[f"{name}r"] = QC(0, 1)
-        vectors[d + "r"] = QC(-1, -1)
-        vectors[d] = QC(1, 1)
-        vectors[f"{name}t"] = QC(-1, 0)
-        vectors[f"{name}l"] = QC(0, -1)
-        glu[d] = d + "r"
-        glu[d + "r"] = d
-
+    tris, vectors, glu = {}, {}, {}
     for name in ("P", "Q", "R"):
-        add_square(name)
-
-    def pair(x, y):
-        glu[x] = y
-        glu[y] = x
-
+        _add_unit_square(name, tris, vectors, glu)
     # L shape: P = [0,1]^2, Q = [1,2]x[0,1], R = [0,1]x[1,2]
-    # interior shared edges
-    pair("Pr", "Ql")      # x = 1, 0 <= y <= 1
-    pair("Pt", "Rb")      # y = 1, 0 <= x <= 1
-    # identifications of the outer boundary by translations
-    pair("Pb", "Rt")      # (x,0) ~ (x,2)
-    pair("Qb", "Qt")      # (x,0) ~ (x,1) on 1 <= x <= 2
-    pair("Pl", "Qr")      # (0,y) ~ (2,y)
-    pair("Rl", "Rr")      # (0,y) ~ (1,y) on 1 <= y <= 2
+    for x, y in (("Pr", "Ql"),      # interior: x = 1, 0 <= y <= 1
+                 ("Pt", "Rb"),      # interior: y = 1, 0 <= x <= 1
+                 # identifications of the outer boundary by translations
+                 ("Pb", "Rt"),      # (x,0) ~ (x,2)
+                 ("Qb", "Qt"),      # (x,0) ~ (x,1) on 1 <= x <= 2
+                 ("Pl", "Qr"),      # (0,y) ~ (2,y)
+                 ("Rl", "Rr")):     # (0,y) ~ (1,y) on 1 <= y <= 2
+        glu[x], glu[y] = y, x
     return FlatSurface("translation", tris, vectors, glu)
 
 
 def pillowcase():
     """Half-translation sphere: the double of a unit square, four poles."""
-    tris = {}
-    vectors = {}
-    glu = {}
+    tris, vectors, glu, signs = {}, {}, {}, {}
     # upper copy [0,1]x[0,1] and lower copy [0,1]x[-1,0]
-    tris["u0"] = ("ub", "ur", "udr")
-    tris["u1"] = ("ud", "ut", "ul")
-    vectors.update({"ub": QC(1, 0), "ur": QC(0, 1), "udr": QC(-1, -1),
-                    "ud": QC(1, 1), "ut": QC(-1, 0), "ul": QC(0, -1)})
-    tris["l0"] = ("lb", "lr", "ldr")
-    tris["l1"] = ("ld", "lt", "ll")
-    vectors.update({"lb": QC(1, 0), "lr": QC(0, 1), "ldr": QC(-1, -1),
-                    "ld": QC(1, 1), "lt": QC(-1, 0), "ll": QC(0, -1)})
-
-    def pair(x, y, sign):
-        glu[x] = y
-        glu[y] = x
-        return {x: sign, y: sign}
-
-    signs = {}
-    signs.update(pair("ud", "udr", "neg"))
-    signs.update(pair("ld", "ldr", "neg"))
-    signs.update(pair("ub", "lt", "neg"))     # shared edge y = 0
-    signs.update(pair("ut", "lb", "neg"))     # top of strip to its bottom
-    signs.update(pair("ul", "ll", "pos"))     # left fold
-    signs.update(pair("ur", "lr", "pos"))     # right fold
+    for name in ("u", "l"):
+        _add_unit_square(name, tris, vectors, glu)
+    for x, y, sign in (("ud", "udr", "neg"), ("ld", "ldr", "neg"),
+                       ("ub", "lt", "neg"),     # shared edge y = 0
+                       ("ut", "lb", "neg"),     # top of strip to its bottom
+                       ("ul", "ll", "pos"),     # left fold
+                       ("ur", "lr", "pos")):    # right fold
+        glu[x], glu[y] = y, x
+        signs[x] = signs[y] = sign
     return FlatSurface("half-translation", tris, vectors, glu, signs)

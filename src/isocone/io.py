@@ -107,39 +107,42 @@ def serialize_track(track):
 # -- flat surfaces ----------------------------------------------------------------
 
 
+def _put(table, key, value, lineno, what):
+    """``table[key] = value``, refusing a key that an earlier line gave."""
+    if key in table:
+        raise ParseError(lineno, f"{what} {key!r} given twice")
+    table[key] = value
+
+
 def parse_flatsurface(text):
-    kind = None
-    triangles = {}
-    vectors = {}
-    gluings = {}
-    signs = {}
-    tangents = {}
+    head, triangles, vectors, gluings, signs, tangents = {}, {}, {}, {}, {}, {}
     notes = []
+
+    def qc(re, im):     # a value pair of the current line
+        return QC(_rat(re, lineno, notes), _rat(im, lineno, notes))
     for lineno, toks in _lines(text):
         if toks[0] == "kind" and len(toks) == 2:
-            kind = toks[1]
+            _put(head, "kind", toks[1], lineno, "directive")
         elif toks[0] == "triangle" and len(toks) == 5:
-            triangles[toks[1]] = (toks[2], toks[3], toks[4])
+            _put(triangles, toks[1], tuple(toks[2:]), lineno, "triangle")
         elif toks[0] == "vector" and len(toks) == 4:
-            vectors[toks[1]] = QC(_rat(toks[2], lineno, notes),
-                                  _rat(toks[3], lineno, notes))
+            _put(vectors, toks[1], qc(*toks[2:]), lineno, "vector")
         elif toks[0] == "glue" and len(toks) in (3, 4):
             sign = toks[3] if len(toks) == 4 else "neg"
             if sign not in ("neg", "pos"):
                 raise ParseError(lineno, f"bad gluing sign {sign!r}")
-            gluings[toks[1]] = toks[2]
-            gluings[toks[2]] = toks[1]
+            _put(gluings, toks[1], toks[2], lineno, "gluing of edge")
+            _put(gluings, toks[2], toks[1], lineno, "gluing of edge")
             signs[toks[1]] = signs[toks[2]] = sign
         elif toks[0] == "tangent" and len(toks) == 5:
-            idx = toks[1]
-            tangents.setdefault(idx, {})[toks[2]] = QC(
-                _rat(toks[3], lineno, notes), _rat(toks[4], lineno, notes))
+            _put(tangents.setdefault(toks[1], {}), toks[2], qc(*toks[3:]),
+                 lineno, f"tangent {toks[1]} value on edge")
         else:
             raise ParseError(lineno, f"unknown directive {' '.join(toks)!r}")
-    if kind is None:
+    if "kind" not in head:
         raise ParseError(0, "missing kind directive")
     try:
-        surf = FlatSurface(kind, triangles, vectors, gluings, signs)
+        surf = FlatSurface(head["kind"], triangles, vectors, gluings, signs)
     except ValueError as e:
         raise ParseError(0, f"invalid flat surface: {e}")
     tlist = []
@@ -153,9 +156,8 @@ def parse_flatsurface(text):
 
 def serialize_flatsurface(surface, tangents=()):
     out = [f"kind {surface.kind}"]
-    for t in sorted(surface.triangles, key=str):
-        d0, d1, d2 = surface.triangles[t]
-        out.append(f"triangle {t} {d0} {d1} {d2}")
+    out += ["triangle {} {} {} {}".format(t, *surface.triangles[t])
+            for t in sorted(surface.triangles, key=str)]
     for d in sorted(surface.vectors, key=str):
         v = surface.vectors[d]
         out.append(f"vector {d} {format_rat(v.re)} {format_rat(v.im)}")
@@ -163,10 +165,8 @@ def serialize_flatsurface(surface, tangents=()):
         if str(d) < str(surface.glue[d]):   # written from the first name
             out.append(f"glue {d} {surface.glue[d]} {surface.signs[d]}")
     for i, tan in enumerate(tangents, start=1):
-        for d in sorted(tan.delta, key=str):
-            v = tan.delta[d]
-            out.append(
-                f"tangent {i} {d} {format_rat(v.re)} {format_rat(v.im)}")
+        out += [f"tangent {i} {d} {format_rat(v.re)} {format_rat(v.im)}"
+                for d, v in sorted(tan.delta.items(), key=lambda p: str(p[0]))]
     return "\n".join(out) + "\n"
 
 

@@ -136,8 +136,6 @@ class MetricTree:
     def point_on_ray(self, excess):
         if self.end is None:
             raise ValueError("tree has no end")
-        if not isinstance(excess, LexVec):
-            excess = LexVec([rat(excess)] if self.rank == 1 else excess)
         if excess.rank != self.rank:
             raise DimensionError("excess rank mismatch")
         zero = LexVec.zero(self.rank)

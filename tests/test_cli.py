@@ -309,6 +309,30 @@ class TestMalformedInput:
         assert run(["surface", "validate", "--input", str(bad)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, message", [
+        # the last line used to win silently, with exit 0: a repeated kind
+        # printed kind: half-translation
+        ("kind half-translation", "directive 'kind' given twice"),
+        ("triangle t1 A B C", "triangle 't1' given twice"),
+        ("vector a 1 0", "vector 'a' given twice"),
+        ("tangent 2 c 1 -1", "tangent 2 value on edge 'c' given twice"),
+        ("glue a A neg", "gluing of edge 'a' given twice"),
+        # these used to fail only after the parse, as line 0
+        ("triangle t1 a b c", "triangle 't1' given twice"),
+        ("glue x b", "gluing of edge 'b' given twice"),
+    ])
+    def test_flat_surface_repeated_line_exit_2(self, tmp_path, capsys,
+                                               extra, message):
+        text = open(fixture_file(tmp_path, "square_torus")).read()
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text + extra + "\n")
+        lineno = len(text.splitlines()) + 1
+        capsys.readouterr()
+        assert run(["surface", "validate", "--input", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert f"line {lineno}: {message}" in captured.err
+        assert not captured.out
+
     def test_tree_zero_denominator_exit_2(self, tmp_path, capsys):
         path = tmp_path / "tree.txt"
         path.write_text("vertex a\nvertex b\nedge e1 a b (0,1/0)\n")

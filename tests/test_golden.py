@@ -63,6 +63,15 @@ def _chain(tmp, n):
     return str(path)
 
 
+def _basis_tangents(tmp, name):
+    # the surface with the first two vectors of its tangent basis bundled
+    surf = getattr(flatsurf, name)()
+    path = tmp / f"{name}_basis.txt"
+    path.write_text(io.serialize_flatsurface(
+        surf, flatsurf.tangent_basis(surf)[:2]))
+    return str(path)
+
+
 def _exact_part(text):
     return text.split(QUADRATURE, 1)[0]
 
@@ -98,6 +107,21 @@ CASES["surface-delaunay-lshape_h2-shear-1_3"] = (
     lambda tmp: _run(["surface", "delaunay", "--input", _sheared_lshape(tmp)]))
 CASES["surface-delaunay-symplectic-grid3-shear-5_3"] = (
     _sheared_grid3_delaunay_symplectic)
+CASES["surface-heights-lshape_h2-rotate-2+1i"] = (
+    lambda tmp: _run(["surface", "heights", "--input",
+                      _fixture(tmp, "lshape_h2"), "--rotate", "2+1i"]))
+CASES["surface-track-lshape_h2-rotate-1_2+1_3i"] = (
+    lambda tmp: _run(["surface", "track", "--input",
+                      _fixture(tmp, "lshape_h2"), "--rotate", "1/2+1/3i"]))
+CASES["surface-validate-lshape_h2-rotate-1_2+1_3i"] = (
+    lambda tmp: _run(["surface", "validate", "--input",
+                      _fixture(tmp, "lshape_h2"), "--rotate", "1/2+1/3i"]))
+# bundled tangents under a rotation, quadrature block included
+for _name in ("lshape_h2", "pillowcase"):
+    CASES[f"surface-symplectic-check-{_name}-basis-rotate-2+1i"] = (
+        lambda tmp, n=_name: _run(
+            ["surface", "symplectic-check", "--input",
+             _basis_tangents(tmp, n), "--rotate", "2+1i", "--depth", "2"]))
 CASES["cone-member-g2xI"] = (
     lambda tmp: _run(["cone", "member", "--input", _fixture(tmp, "g2xI")]))
 CASES["cone-compute-chain4"] = (

@@ -10,8 +10,9 @@ from fractions import Fraction
 
 from isocone.flatsurf import (
     square_torus, hex_torus, pillowcase, lshape_h2,
-    delaunay, is_delaunay, random_tangent, height_derivative, omega_hessian,
+    delaunay, is_delaunay, random_tangent, omega_hessian,
 )
+from util import height_derivative
 
 
 def test_sheared_torus_flips():

@@ -4,6 +4,7 @@ import importlib
 import pathlib
 from fractions import Fraction
 
+from isocone import flatsurf
 from isocone.ordgroup import LexVec
 from isocone.lamtree import MetricTree
 
@@ -24,6 +25,14 @@ def random_positive_lexvec(rng, rank):
 
 def random_lexvec(rng, rank):
     return LexVec([random_fraction(rng) for _ in range(rank)])
+
+
+def height_derivative(surface, tangent):
+    """The derivative of the edge heights along a tangent, per branch, as
+    Fractions: the integer numerators the pairings use over the tangent's
+    denominator."""
+    return {E: Fraction(n, tangent._den) for E, n in
+            flatsurf._height_numerators(surface, tangent).items()}
 
 
 def random_tree(rng, n_vertices, rank, with_end=False):
