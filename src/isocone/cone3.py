@@ -79,7 +79,7 @@ _REVERSED_CYCLES = {f: {c[::-1][k:] + c[::-1][:k] for k in range(3)}
 # OPPOSITE_PAIRS as edge indices; choice k sets the sum of edges a and b
 # equal to that of x and y in _CHOICE_EDGES[k] = (a, b, x, y); the wedges
 # (a, b) of consecutive pair sums in the tetrahedron form
-_OPPOSITE_EDGES = ((1, 4), (3, 2), (0, 5))
+_OPPOSITE_EDGES = [tuple(map(EDGE_PAIRS.index, p)) for p in OPPOSITE_PAIRS]
 _CHOICE_EDGES = [_OPPOSITE_EDGES[i] + _OPPOSITE_EDGES[j]
                  for i, j in CHOICE_PAIRS]
 _FORM_WEDGES = [(a, b) for i in range(3) for a in _OPPOSITE_EDGES[i]
@@ -237,14 +237,14 @@ class Triangulation3:
     @functools.cached_property
     def torus_rows(self):
         """Unit rows pinning every torus class, in ``repr`` order."""
-        return [((self._column[E], 1),)
+        return [linalg.row([(self._column[E], 1)])
                 for E in sorted(self.torus_classes, key=repr)]
 
     @functools.cached_property
     def choice_rows(self):
         """``choice_rows[t][k]`` sets the pair sums ``CHOICE_PAIRS[k]`` of
         tetrahedron ``t`` equal."""
-        return {t: [_row(((c[a], 1), (c[b], 1), (c[x], -1), (c[y], -1)))
+        return {t: [linalg.row(((c[a], 1), (c[b], 1), (c[x], -1), (c[y], -1)))
                     for a, b, x, y in _CHOICE_EDGES]
                 for t, c in zip(self.tets, self._tet_columns)}
 
@@ -265,7 +265,7 @@ class Triangulation3:
             for a, b in _FORM_WEDGES:
                 terms[c[a]].append((c[b], -1))
                 terms[c[b]].append((c[a], 1))
-        return {E: _row(ts) for E, ts in zip(self.edge_classes, terms)}
+        return {E: linalg.row(ts) for E, ts in zip(self.edge_classes, terms)}
 
     def _form_image(self, v):
         """``form_rows`` applied to a weight, over the classes it may not
@@ -305,15 +305,17 @@ class Triangulation3:
 
         ``choices`` maps every tetrahedron to 0, 1, or 2.  The subspace is
         cut out by one pair-sum equality per tetrahedron plus zero weight
-        on every edge class of each torus boundary component.
+        on every edge class of each torus boundary component.  A vector is
+        ``(L, {class: n})``, the weight ``n / L`` on the classes it does not
+        vanish on, as ``linalg.reduced_kernel`` gives it.
         """
-        n = len(self.edge_classes)
-        sysm = linalg.IncrementalSystem(n)
+        cls = self.edge_classes
+        sysm = linalg.IncrementalSystem(len(cls))
         for row in self.torus_rows + [self.choice_rows[t][choices[t]]
                                       for t in self.tets]:
             sysm.push(row, 0)
-        basis = linalg.reduced_kernel(sysm.reduced(), n)
-        return [dict(zip(self.edge_classes, vec)) for vec in basis]
+        return [(L, {cls[c]: x for c, x in vec.items()})
+                for L, vec in linalg.reduced_kernel(sysm.reduced(), len(cls))]
 
     def w4_member(self, w):
         """Membership in the four-point locus, with the per-tet evidence:
@@ -332,27 +334,14 @@ class Triangulation3:
 
         The form vanishes on the subspace iff it vanishes on every pair of
         basis vectors, and a positive multiple of a vector keeps each value
-        zero or nonzero; so each basis vector is scaled once by the lcm of
-        its denominators, and the pairs are taken in integers."""
-        basis = []
-        for v in self.w4_subspace(choices):
-            d = math.lcm(*[x.denominator for x in v.values()])
-            basis.append({c: x.numerator * (d // x.denominator)
-                          for c, x in v.items() if x})
+        zero or nonzero; so the pairs are taken on the integer numerators
+        ``n`` of the basis vectors ``(L, {class: n})``."""
+        basis = [v for _, v in self.w4_subspace(choices)]
         for j, v in enumerate(basis):
             image = self._form_image(v)
             if any(_pair(u, image) for u in basis[:j]):
                 return False
         return True
-
-
-def _row(terms):
-    """Sparse integer row summing ``(column, coefficient)`` terms: sorted
-    pairs with the zero sums left out; a tuple, since rows are shared."""
-    row = {}
-    for col, coef in terms:
-        row[col] = row.get(col, 0) + coef
-    return tuple((col, x) for col, x in sorted(row.items()) if x)
 
 
 def _pair(u, image):
@@ -438,8 +427,8 @@ def compute_cone(manifold, btrack, choice_iter=None):
     for row in manifold.torus_rows:
         sysm.push([(column[c], x) for c, x in row], 0)
     for row in btrack.track.switch_rows(
-            {E: i for i, E in enumerate(edge_order)}):
-        sysm.push([(first + i, x) for i, x in enumerate(row) if x], 0)
+            {E: first + i for i, E in enumerate(edge_order)}):
+        sysm.push(row, 0)
     rows = [[[(column[c], x) for c, x in row]
              for row in manifold.choice_rows[t]] for t in tets]
 
@@ -457,10 +446,12 @@ def compute_cone(manifold, btrack, choice_iter=None):
             marks.append(sysm.checkpoint())
         prev = combo
         red = sysm.reduced(first)
-        key = frozenset((p, frozenset(r.items())) for p, r in red.items())
+        key = frozenset((p, d, frozenset(n.items()))
+                        for p, (d, n) in red.items())
         if key not in seen:
-            span, _ = linalg.rref(
-                linalg.reduced_kernel(red, len(index), first))
+            span, _ = linalg.rref([
+                [vec.get(k, 0) for k in range(len(edge_order))]
+                for _, vec in linalg.reduced_kernel(red, len(index), first)])
             seen[key] = {
                 "span": span,
                 "dimension": len(span),

@@ -180,10 +180,11 @@ class FlatSurface:
     @functools.cached_property
     def tangent_kernel(self):
         """Kernel of ``tangent_coefficient_rows``: one class-value vector
-        per free column, in free-column order (see ``linalg.kernel_basis``).
+        ``(L, {class column: n})`` per free column, in free-column order
+        (see ``linalg.reduced_kernel``).
         """
         rows, classes = tangent_coefficient_rows(self)
-        return tuple(map(tuple, linalg.kernel_basis(rows, len(classes))))
+        return linalg.kernel_basis(rows, len(classes))
 
     # -- basic quantities -----------------------------------------------------
 
@@ -520,17 +521,15 @@ class PeriodTangent:
 
 
 def tangent_coefficient_rows(surface):
-    """Closure constraints on class values, one integer row per triangle."""
-    classes = surface.comb.edge_classes
+    """Closure constraints on class values, one sparse integer row
+    (``linalg.row``) per triangle."""
+    classes, cls = surface.comb.edge_classes, surface.comb.edge_class
     idx = {E: k for k, E in enumerate(classes)}
-    rows = []
-    for t in sorted(surface.triangles, key=repr):
-        row = [0] * len(classes)
-        for d in surface.triangles[t]:
-            E = surface.comb.edge_class[d]
-            row[idx[E]] += -1 if d != E and surface.signs[d] == "neg" else 1
-        rows.append(row)
-    return rows, classes
+    # a neg partner of a class carries minus the class value
+    neg = {d for d, s in surface.signs.items() if d != cls[d] and s == "neg"}
+    return [linalg.row((idx[cls[d]], -1 if d in neg else 1)
+                       for d in surface.triangles[t])
+            for t in sorted(surface.triangles, key=repr)], classes
 
 
 def tangent_basis(surface):
@@ -539,9 +538,10 @@ def tangent_basis(surface):
     Returns a list of PeriodTangents; together with their i-multiples they
     span all valid tangents over the rationals.
     """
-    return [PeriodTangent._from_classes(surface, *_to_ints(
-                dict(zip(surface.comb.edge_classes, map(QC, vec)))))
-            for vec in surface.tangent_kernel]
+    classes = surface.comb.edge_classes
+    return [PeriodTangent._from_classes(
+        surface, {E: (vec.get(k, 0), 0) for k, E in enumerate(classes)}, L)
+        for L, vec in surface.tangent_kernel]
 
 
 def random_tangent(surface, rng):
@@ -552,22 +552,20 @@ def random_tangent(surface, rng):
     ``Fraction(rng.randint(-2, 2), rng.randint(1, 2))``; the tangent is
     the sum of (real + i * imaginary) times the vectors.  The sums are
     taken in integer numerators over one common denominator ``2 * L``,
-    with ``L`` the lcm of the kernel's denominators: a draw ``a / b`` with
+    with ``L`` the lcm of the kernel vectors' ``L``: a draw ``a / b`` with
     ``b`` in (1, 2) is ``a * (2 // b) / 2``, and the tangent is built
     from those integers.
     """
     classes = surface.comb.edge_classes
     kernel = surface.tangent_kernel
-    L = math.lcm(*[x.denominator for vec in kernel for x in vec])
+    L = math.lcm(*[m for m, _ in kernel])
     re, im = [0] * len(classes), [0] * len(classes)
-    for vec in kernel:
-        cr = rng.randint(-2, 2) * (2 // rng.randint(1, 2))
-        ci = rng.randint(-2, 2) * (2 // rng.randint(1, 2))
-        for k, x in enumerate(vec):
-            if x:
-                n = x.numerator * (L // x.denominator)
-                re[k] += cr * n
-                im[k] += ci * n
+    for m, vec in kernel:
+        cr = rng.randint(-2, 2) * (2 // rng.randint(1, 2)) * (L // m)
+        ci = rng.randint(-2, 2) * (2 // rng.randint(1, 2)) * (L // m)
+        for k, n in vec.items():
+            re[k] += cr * n
+            im[k] += ci * n
     return PeriodTangent._from_classes(
         surface, dict(zip(classes, zip(re, im))), 2 * L)
 

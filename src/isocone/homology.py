@@ -210,11 +210,8 @@ class SurfaceHomology:
         col = {e: j for j, e in enumerate(self.nontree)}
         face_rows = linalg.IncrementalSystem(len(col))
         for face in rg.faces():
-            row = {}
-            for e, i in face:
-                if e in col:
-                    row[col[e]] = row.get(col[e], 0) + (1 if i == 0 else -1)
-            face_rows.push([(c, x) for c, x in row.items() if x], 0)
+            face_rows.push(linalg.row((col[e], 1 if i == 0 else -1)
+                                      for e, i in face if e in col), 0)
         pivots = face_rows.pivot_rows
         flows = self.basis_flows = [
             self.flow_from_nontree({e: Fraction(1)})

@@ -65,14 +65,18 @@ def _rat(tok, lineno, notes):
     return q
 
 
+def _put(table, key, value, lineno, what):
+    """``table[key] = value``, refusing a key that an earlier line gave."""
+    if key in table:
+        raise ParseError(lineno, f"{what} {key!r} given twice")
+    table[key] = value
+
+
 # -- metric trees -------------------------------------------------------------
 
 
 def parse_tree(text):
-    vertices = []
-    edges = {}
-    end = None
-    notes = []
+    vertices, edges, head, notes = [], {}, {}, []
     for lineno, toks in _lines(text):
         if toks[0] == "vertex" and len(toks) == 2:
             vertices.append(toks[1])
@@ -80,14 +84,15 @@ def parse_tree(text):
             eid, u, v, vec = toks[1], toks[2], toks[3], toks[4]
             if not (vec.startswith("(") and vec.endswith(")")):
                 raise ParseError(lineno, f"malformed tuple: {vec!r}")
-            edges[eid] = (u, v, LexVec(_rat(p, lineno, notes)
-                                       for p in vec[1:-1].split(",")))
+            _put(edges, eid, (u, v, LexVec(_rat(p, lineno, notes)
+                                           for p in vec[1:-1].split(","))),
+                 lineno, "edge")
         elif toks[0] == "end" and len(toks) == 2:
-            end = toks[1]
+            _put(head, "end", toks[1], lineno, "directive")
         else:
             raise ParseError(lineno, f"unknown directive {' '.join(toks)!r}")
     try:
-        tree = MetricTree(vertices, edges, end=end)
+        tree = MetricTree(vertices, edges, end=head.get("end"))
     except ValueError as e:
         raise ParseError(0, f"invalid tree: {e}")
     return tree, notes
@@ -105,13 +110,6 @@ def serialize_track(track):
 
 
 # -- flat surfaces ----------------------------------------------------------------
-
-
-def _put(table, key, value, lineno, what):
-    """``table[key] = value``, refusing a key that an earlier line gave."""
-    if key in table:
-        raise ParseError(lineno, f"{what} {key!r} given twice")
-    table[key] = value
 
 
 def parse_flatsurface(text):
@@ -182,7 +180,7 @@ def parse_manifold(text):
     rationals.
     """
     tets = []
-    gluings = {}
+    gluings, glued = {}, set()     # glued: every face of an earlier line
     switch_lines = []
     weight_lines = []
     notes = []
@@ -199,8 +197,10 @@ def parse_manifold(text):
                 raise ParseError(lineno, f"bad gluing {' '.join(toks)!r}")
             if len(images) != 3:
                 raise ParseError(lineno, "permutation wants 3 images")
-            if (t1, f1) in gluings:
-                raise ParseError(lineno, f"face {toks[1]!r} glued twice")
+            for face, name in (((t1, f1), toks[1]), ((t2, f2), toks[2])):
+                if face in glued:
+                    raise ParseError(lineno, f"face {name!r} glued twice")
+            glued |= {(t1, f1), (t2, f2)}
             gluings[(t1, f1)] = (t2, f2, dict(zip(
                 [v for v in range(4) if v != f1], images)))
         elif toks[0] == "switch" and len(toks) == 4 and toks[2] == "out":

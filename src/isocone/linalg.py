@@ -1,46 +1,53 @@
 """Exact linear algebra over the rationals, on one sparse integer core.
 
-``IncrementalSystem`` eliminates sparse integer ``(column, coefficient)``
-rows one at a time, fraction-free (integer-preserving, after Bareiss
-1968); ``rref``, ``kernel_basis`` and ``solve`` scale dense rational rows
-to integers and push them into one.  Pivots are the leftmost surviving
-columns, so ``reduced()`` is the reduced echelon form of the span, a
-canonical object."""
+``row`` builds every constraint row: sorted integer ``(column,
+coefficient)`` pairs without zeros.  ``IncrementalSystem`` eliminates them
+fraction-free (after Bareiss 1968); leftmost pivots make ``reduced()`` the
+canonical reduced echelon form, kept like the kernels in integers over one
+denominator per row or vector.  ``rref``, ``rank`` and ``solve`` take dense
+rational rows; ``Fraction``s are made only in their answers."""
 
 from fractions import Fraction
 from math import gcd, lcm
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+
+def row(terms):
+    """Sparse integer row summing ``(column, coefficient)`` terms: sorted
+    pairs with the zero sums left out; a tuple, since rows are shared."""
+    acc = {}
+    for col, coef in terms:
+        acc[col] = acc.get(col, 0) + coef
+    return tuple((col, x) for col, x in sorted(acc.items()) if x)
 
 
-def _integer(row, b):
-    """Rational ``row . x = b``, a ``{column: coefficient}`` dict, scaled by
-    the lcm of its denominators, as ``({column: int}, int)``."""
-    den = lcm(b.denominator, *[x.denominator for x in row.values()])
-    return ({c: x.numerator * (den // x.denominator) for c, x in row.items()},
+def _integer(dense, b=0):
+    """Dense rational ``dense . x = b`` scaled by the lcm of its
+    denominators, as ``({column: int}, int)`` without the zero entries."""
+    den = lcm(b.denominator, *[x.denominator for x in dense])
+    return ({c: x.numerator * (den // x.denominator)
+             for c, x in enumerate(dense) if x},
             b.numerator * (den // b.denominator))
 
 
-def _system(rows, ncols, rhs=None):
-    """An ``IncrementalSystem`` holding the dense rational ``rows`` with
-    right-hand sides ``rhs`` (default 0), or None if they contradict."""
+def _system(rows, ncols):
+    """An ``IncrementalSystem`` holding integer rows ``({column: n}, b)``,
+    or None if they contradict."""
     sysm = IncrementalSystem(ncols)
-    for row, b in zip(rows, rhs or [0] * len(rows)):
-        if not sysm._push(*_integer(
-                {c: x for c, x in enumerate(row) if x}, b)):
+    for v, b in rows:
+        if not sysm._push(v, b):
             return None
     return sysm
 
 
 def rref(rows):
-    """Reduced row echelon form ``(reduced, pivots)``: the nonzero rows,
-    dense and each scaled to a leading 1, and their pivot columns."""
+    """Reduced row echelon form ``(reduced, pivots)`` of dense rational
+    rows: the nonzero rows, dense and each scaled to a leading 1, and
+    their pivot columns."""
     ncols = len(rows[0]) if rows else 0
-    red = _system(rows, ncols).reduced()
+    red = _system(map(_integer, rows), ncols).reduced()
     pivots = sorted(red)
-    return [[ONE if c == piv else red[piv].get(c, ZERO) for c in range(ncols)]
-            for piv in pivots], pivots
+    return [[Fraction(d if c == piv else n.get(c, 0), d) for c in range(ncols)]
+            for piv in pivots for d, n in [red[piv]]], pivots
 
 
 def rank(rows):
@@ -48,30 +55,30 @@ def rank(rows):
 
 
 def kernel_basis(rows, ncols):
-    """Basis of the right kernel: one vector per free column, with a 1 in
-    it and the pivot columns filled by back substitution."""
-    return reduced_kernel(_system(rows, ncols).reduced(), ncols)
+    """``reduced_kernel`` of sparse integer rows as ``push`` takes them."""
+    return reduced_kernel(
+        _system(((dict(r), 0) for r in rows), ncols).reduced(), ncols)
 
 
 def solve(rows, rhs):
     """One exact solution of ``rows * x = rhs``, or None if inconsistent."""
-    sysm = _system(rows, len(rows[0]) if rows else 0, rhs)
+    sysm = _system(map(_integer, rows, rhs), len(rows[0]) if rows else 0)
     return None if sysm is None else sysm.solution()
 
 
 def reduced_kernel(reduced, ncols, first=0):
-    """Kernel of reduced echelon rows ``{pivot: {column: coefficient}}`` on
-    columns ``first..ncols-1``, dense and indexed from ``first``, as in
-    ``kernel_basis``."""
+    """Kernel of a ``reduced()`` form on columns ``first..ncols-1``: per
+    free column, ``(L, {column: n})`` indexed from ``first``; ``n / L`` is 1
+    there and minus each row's entry there at that row's pivot."""
     basis = []
     for free in range(first, ncols):
-        if free in reduced:
-            continue
-        vec = [ZERO] * (ncols - first)
-        vec[free - first] = ONE
-        for piv, row in reduced.items():
-            vec[piv - first] = -row.get(free, ZERO)
-        basis.append(vec)
+        if free not in reduced:
+            hits = [(piv - first, d, n[free])
+                    for piv, (d, n) in reduced.items() if free in n]
+            L = lcm(*[d for _, d, _ in hits])
+            vec = {c: -x * (L // d) for c, d, x in hits}
+            vec[free - first] = L
+            basis.append((L, vec))
     return basis
 
 
@@ -108,7 +115,7 @@ class IncrementalSystem:
 
     def _push(self, v, b, tag=0):
         """``push`` of an integer row ``{column: coefficient}``, which it
-        consumes.  The dense wrappers call it directly, so that wrapping
+        consumes.  The wrappers call it directly, so that wrapping
         ``push`` counts only the rows callers push."""
         pivot_rows = self.pivot_rows
         # eliminate the lowest column of v while it is a pivot; a stored row
@@ -149,7 +156,7 @@ class IncrementalSystem:
 
     def solution(self):
         """A particular solution with all free variables set to 0."""
-        sol = [ZERO] * self.ncols
+        sol = [Fraction(0)] * self.ncols
         # stored rows are in echelon form (nothing left of the pivot) but not
         # mutually reduced, so back-substitute in decreasing pivot order
         for piv in sorted(self.pivot_rows, reverse=True):
@@ -161,26 +168,26 @@ class IncrementalSystem:
 
     def reduced(self, first=0):
         """The stored rows with pivot >= ``first``, fully reduced among
-        themselves and without right-hand sides, as ``{pivot: {column:
-        coefficient}}`` with the nonzero entries right of each pivot.  They
-        span the row combinations that vanish before ``first``; this is the
-        reduced echelon form of that span, a canonical object."""
-        out = {}        # pivot -> (d, {column: n}): d x_pivot + sum n x_column
+        themselves and without right-hand sides, as ``{pivot: (d, {column:
+        n})}``, ``d x_pivot + sum n x_column`` with ``d > 0`` and no common
+        factor.  They span the row combinations that vanish before
+        ``first``, as the reduced echelon form of that span, a canonical
+        object."""
+        out = {}
         # decreasing pivots: every pivot in a row's tail is reduced already;
         # scaling by the lcm m of their d keeps the substitution integral
         for piv in sorted((p for p in self.pivot_rows if p >= first),
                           reverse=True):
             p, tail, _, _ = self.pivot_rows[piv]
             m = lcm(*[out[j][0] for j, _ in tail if j in out])
-            row = {}
+            acc = {}
             for j, x in tail:
                 if j in out:
                     d, rest = out[j]
                     for k, y in rest.items():
-                        row[k] = row.get(k, 0) - x * (m // d) * y
+                        acc[k] = acc.get(k, 0) - x * (m // d) * y
                 else:
-                    row[j] = row.get(j, 0) + x * m
-            g = gcd(p * m, *row.values())
-            out[piv] = (p * m // g, {k: y // g for k, y in row.items() if y})
-        return {piv: {k: Fraction(y, d) for k, y in row.items()}
-                for piv, (d, row) in out.items()}
+                    acc[j] = acc.get(j, 0) + x * m
+            g = gcd(p * m, *acc.values())
+            out[piv] = (p * m // g, {k: y // g for k, y in acc.items() if y})
+        return out

@@ -251,26 +251,21 @@ class TrainTrack:
         return True
 
     def switch_rows(self, column_of):
-        """Dense rows of ``w(a) + w(b) - w(c)``, one per switch by ``repr``.
-
-        ``column_of`` maps every branch to its column; the rows have one
-        ``int`` entry per key of ``column_of``.
-        """
-        rows = []
-        for s in sorted(self.switches, key=repr):
-            a, b, c = self.switches[s]
-            row = [0] * len(column_of)
-            row[column_of[a]] += 1
-            row[column_of[b]] += 1
-            row[column_of[c]] -= 1
-            rows.append(row)
-        return rows
+        """Sparse integer rows (``linalg.row``) of ``w(a) + w(b) - w(c)``,
+        one per switch by ``repr``; ``column_of`` maps every branch to its
+        column."""
+        return [linalg.row(((column_of[a], 1), (column_of[b], 1),
+                            (column_of[c], -1)))
+                for s in sorted(self.switches, key=repr)
+                for a, b, c in [self.switches[s]]]
 
     def weight_space_basis(self):
-        """Exact basis of the solution space of all switch relations."""
+        """Exact basis of the solution space of all switch relations, as
+        ``Fraction`` weights on every branch."""
         idx = {e: i for i, e in enumerate(self.branches)}
-        basis = linalg.kernel_basis(self.switch_rows(idx), len(self.branches))
-        return [{e: vec[idx[e]] for e in self.branches} for vec in basis]
+        basis = linalg.kernel_basis(self.switch_rows(idx), len(idx))
+        return [{e: Fraction(vec.get(idx[e], 0), L) for e in self.branches}
+                for L, vec in basis]
 
     def thurston_form(self, w1, w2):
         """Half the sum over switches of det of the incoming weight pairs."""

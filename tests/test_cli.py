@@ -278,6 +278,9 @@ class TestMalformedInput:
         # not, would replace the first in the gluing table
         ("g2xI", "glue T0.0.0 T1.1.1.3 0,1,2", "face 'T0.0.0' glued twice"),
         ("two_tets", "glue T0.0 T1.1 2,3,0", "face 'T0.0' glued twice"),
+        # the inverse of a glue line: its first face is the second face of
+        # an earlier line, which used to fail only as line 0
+        ("two_tets", "glue T1.0 T0.0 3,2,1", "face 'T1.0' glued twice"),
     ])
     def test_repeated_line_exit_2(self, tmp_path, capsys, fixture, extra,
                                   message):
@@ -291,6 +294,23 @@ class TestMalformedInput:
         assert run(["cone", "member", "--input", str(bad)]) == 2
         captured = capsys.readouterr()
         assert f"line {lineno}: {message}" in captured.err
+        assert not captured.out
+
+    @pytest.mark.parametrize("extra, message", [
+        # the last line used to win silently: a second e1 of length 5
+        # printed four-point: pass with exit 0
+        ("edge e1 a b (5)", "edge 'e1' given twice"),
+        ("end b", "directive 'end' given twice"),
+    ])
+    def test_tree_repeated_line_exit_2(self, tmp_path, capsys, extra,
+                                       message):
+        text = "vertex a\nvertex b\nedge e1 a b (1)\nend a\n"
+        path = tmp_path / "tree.txt"
+        path.write_text(text + extra + "\n")
+        capsys.readouterr()
+        assert run(["tree", "fourpoint", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"line 5: {message}" in captured.err
         assert not captured.out
 
     @pytest.mark.parametrize("dropped, message", [

@@ -30,7 +30,9 @@ from isocone.track import (
 )
 from test_acceptance import _random_complex
 from test_linalg import reference_kernel, reference_rref
-from util import code_lines, random_tree, reference_union_find
+from util import (
+    code_lines, fraction_constructions, random_tree, reference_union_find,
+)
 
 
 
@@ -150,6 +152,19 @@ def _dense(row, ncols):
     return out
 
 
+def _fraction_basis(m, basis):
+    """A ``w4_subspace`` basis of ``(L, {class: n})`` as the dense rational
+    weights ``n / L`` on every edge class."""
+    return [{E: Fraction(vec.get(E, 0), L) for E in m.edge_classes}
+            for L, vec in basis]
+
+
+def _assert_integer_basis(basis):
+    for L, vec in basis:
+        assert type(L) is int and L > 0
+        assert all(type(x) is int and x for x in vec.values())
+
+
 def _reference_w4_subspace(m, choices):
     """Kernel of the dense torus and choice rows, by the dense reference
     elimination of ``test_linalg`` rather than the sparse core."""
@@ -167,7 +182,7 @@ def _reference_cone(manifold, btrack, choice_iter):
     edge_order = sorted(surf.edge_classes, key=repr)
     eidx = {E: i for i, E in enumerate(edge_order)}
     n = len(edge_order)
-    switch_rows = btrack.track.switch_rows(eidx)
+    switch_rows = [_dense(r, n) for r in btrack.track.switch_rows(eidx)]
     for comp in manifold.boundary_components:
         if comp["torus"]:
             for E in comp["edge_classes"]:
@@ -202,7 +217,9 @@ def _assert_cone_matches_reference(m, btr, combos):
         _reference_cone(m, btr, combos)
     for combo in combos:
         choices = dict(zip(m.tets, combo))
-        assert m.w4_subspace(choices) == _reference_w4_subspace(m, choices)
+        basis = m.w4_subspace(choices)
+        _assert_integer_basis(basis)
+        assert _fraction_basis(m, basis) == _reference_w4_subspace(m, choices)
 
 
 def _chain_track(n):
@@ -519,10 +536,9 @@ class TestOppositePairs:
         assert OPPOSITE_PAIRS == [(e, frozenset(range(4)) - e) for e in first]
 
     def test_edge_index_literal(self):
-        # the slot tables name the edges of OPPOSITE_PAIRS by EDGE_PAIRS index
-        assert cone3._OPPOSITE_EDGES == tuple(
-            (EDGE_PAIRS.index(e), EDGE_PAIRS.index(e2))
-            for e, e2 in OPPOSITE_PAIRS)
+        # the slot tables name the edges of OPPOSITE_PAIRS by EDGE_PAIRS
+        # index; they are derived from it, and this is the table they give
+        assert cone3._OPPOSITE_EDGES == [(1, 4), (3, 2), (0, 5)]
 
     def test_even_relabeling_invariance(self):
         rng = random.Random(50)
@@ -709,14 +725,17 @@ class TestIsotropy:
     @staticmethod
     def _corrupted_basis():
         # dropping the per-tet equality on one tet of two leaves a space on
-        # which the total form does not vanish
+        # which the total form does not vanish; the basis is in the format
+        # of ``w4_subspace``
         m = two_tets()
-        rows = [_dense(m.choice_rows[m.tets[0]][0], len(m.edge_classes))]
-        basis = linalg.kernel_basis(rows, len(m.edge_classes))
-        return m, [dict(zip(m.edge_classes, vec)) for vec in basis]
+        basis = linalg.kernel_basis([m.choice_rows[m.tets[0]][0]],
+                                    len(m.edge_classes))
+        return m, [(L, {m.edge_classes[c]: x for c, x in vec.items()})
+                   for L, vec in basis]
 
     def test_corrupted_subspace_not_isotropic(self):
-        m, ws = self._corrupted_basis()
+        m, basis = self._corrupted_basis()
+        ws = _fraction_basis(m, basis)
         vals = [m.omega(ws[i], ws[j])
                 for i in range(len(ws)) for j in range(i + 1, len(ws))]
         assert any(v != 0 for v in vals)
@@ -731,15 +750,18 @@ class TestIsotropy:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(st.data())
     def test_scaled_corrupted_subspace_matches_fraction_gram(self, data):
-        # each vector times a random nonzero rational, so that both
-        # verdicts run on vectors with denominators: the whole basis is
+        # each vector's numerators times a random nonzero integer, over a
+        # random denominator, so that the integer verdict runs on
+        # numerators whose vectors have denominators: the whole basis is
         # not isotropic, a subset of it may be
         m, ws = self._corrupted_basis()
         factors = data.draw(st.lists(
-            st.fractions(-9, 9, max_denominator=9).filter(bool),
-            min_size=len(ws), max_size=len(ws)))
-        scaled = [{c: q * x for c, x in v.items()}
-                  for q, v in zip(factors, ws)]
+            st.integers(-9, 9).filter(bool), min_size=len(ws),
+            max_size=len(ws)))
+        dens = data.draw(st.lists(st.integers(1, 9), min_size=len(ws),
+                                  max_size=len(ws)))
+        scaled = [(L, {c: q * x for c, x in v.items()})
+                  for q, L, (_, v) in zip(factors, dens, ws)]
         keep = data.draw(st.lists(st.booleans(), min_size=len(ws),
                                   max_size=len(ws)))
         choices = {t: 0 for t in m.tets}
@@ -747,8 +769,8 @@ class TestIsotropy:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(m, "w4_subspace", lambda choices: basis)
                 assert m.isotropy_check(choices) is \
-                    _fraction_isotropy(m, basis)
-        assert _fraction_isotropy(m, scaled) is False
+                    _fraction_isotropy(m, _fraction_basis(m, basis))
+        assert _fraction_isotropy(m, _fraction_basis(m, scaled)) is False
 
     def test_g2_samples_match_fraction_gram(self):
         # g2xI choice subspaces, some of whose basis vectors carry
@@ -758,7 +780,7 @@ class TestIsotropy:
         fractional = 0
         for _ in range(24):
             choices = {t: rng.randrange(3) for t in m.tets}
-            basis = m.w4_subspace(choices)
+            basis = _fraction_basis(m, m.w4_subspace(choices))
             fractional += sum(any(x.denominator > 1 for x in v.values())
                               for v in basis)
             assert m.isotropy_check(choices) is \
@@ -772,13 +794,24 @@ class TestIsotropy:
         m = _random_complex(rng)
         choices = {t: rng.randrange(3) for t in m.tets}
         assert m.isotropy_check(choices) is \
-            _fraction_isotropy(m, m.w4_subspace(choices))
+            _fraction_isotropy(m, _fraction_basis(m, m.w4_subspace(choices)))
+
+    def test_g2_samples_make_no_fraction(self):
+        # the subspace, its basis and the Gram stay integers; with the
+        # Fraction basis the same 24 checks made 24,963 Fractions
+        m = g2_product_bundle()["manifold"]
+        rng = random.Random(83)
+        samples = [{t: rng.randrange(3) for t in m.tets} for _ in range(24)]
+        for choices in samples[:2]:
+            _assert_integer_basis(m.w4_subspace(choices))
+        assert fraction_constructions(
+            lambda: [m.isotropy_check(c) for c in samples]) == 0
 
 
 def _fraction_isotropy(m, basis):
-    """The ``Fraction`` Gram that ``isotropy_check`` ran before it scaled
-    the basis to integers: the form on every pair of basis vectors, taken
-    on the vectors as given."""
+    """The ``Fraction`` Gram that ``isotropy_check`` ran before its basis
+    came as integers: the form on every pair of basis vectors, taken on
+    the rational vectors as given."""
     for j, v in enumerate(basis):
         image = m._form_image(v)
         if any(cone3._pair(u, image) for u in basis[:j]):
@@ -1125,6 +1158,17 @@ def test_cone_independent_of_tet_names(n, seed, data):
 
 
 class TestCone:
+    def test_chain4_makes_fractions_only_for_the_spans(self):
+        # one Fraction per entry of a printed span, made by ``rref``; with
+        # the Fraction reduced forms and kernels the same call made 1,252
+        m, btr = _chain_track(4)
+        cones = []
+        made = fraction_constructions(
+            lambda: cones.append(compute_cone(m, btr)))
+        spans = [c["span"] for c in cones[0].components]
+        assert len(spans) == 20
+        assert made == sum(len(r) for span in spans for r in span) == 660
+
     def test_sampled_components_isotropic_and_bounded(self):
         bundle = g2_product_bundle()
         m, btr = bundle["manifold"], bundle["boundary_track"]
@@ -1500,7 +1544,7 @@ def test_code_line_count():
     # fan walk, a second table, a second surface, a search for the piece
     # that holds a wall triangle or a second scan of the boundary faces
     # would not fit
-    assert code_lines("cone3") <= 573
+    assert code_lines("cone3") <= 566
 
 
 def test_fixtures_code_line_count():

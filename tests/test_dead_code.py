@@ -1,14 +1,16 @@
 """Every name that ``src/isocone`` defines has a consumer beyond unit tests.
 
-A top-level function or class of the package, and every method of such a
+A top-level function, class or constant (a module-level assignment to a
+name that is not a dunder) of the package, and every method of such a
 class that is not a dunder, must be named somewhere in the package itself,
 the demos, the benchmark harness or the acceptance suite.  Code that only
 the unit tests reach serves no command, demo or criterion, so it goes.
 
 The scan is by name, not by binding: a method counts as used when any
 consumer names an attribute of that spelling.  It reads identifiers from
-names, attributes, import aliases and string constants, because the
-benchmark harness looks its trace sites up by string.
+names that are read (not the targets of assignments), attributes, import
+aliases and string constants, because the benchmark harness looks its
+trace sites up by string.
 """
 
 import ast
@@ -25,7 +27,7 @@ def used_names(tree):
     """Every identifier that ``tree`` names."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -37,17 +39,28 @@ def used_names(tree):
     return names
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def defined_names(tree):
-    """``(qualified name, name)`` of each top-level function and class of
-    ``tree``, and of each method of those classes that is not a dunder."""
+    """``(qualified name, name)`` of each top-level function, class and
+    constant of ``tree``, and of each method of those classes that is not a
+    dunder."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node.name
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not _dunder(name.id):
+                        yield name.id, name.id
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not (
-                        item.name.startswith("__")
-                        and item.name.endswith("__")):
+                if isinstance(item, ast.FunctionDef) and \
+                        not _dunder(item.name):
                     yield f"{node.name}.{item.name}", item.name
 
 
@@ -66,12 +79,16 @@ def test_every_package_name_has_a_consumer():
 
 
 def test_scan_flags_a_name_only_its_definition_mentions():
-    lib = ast.parse("class A:\n"
+    lib = ast.parse("__all__ = ['A']\n"
+                    "TABLE = (1, 2)\n"
+                    "ORPHAN, _PAIRS = TABLE, ()\n"
+                    "LIMIT: int = len(_PAIRS)\n"
+                    "class A:\n"
                     "    def used(self): pass\n"
                     "    def unused(self): pass\n"
                     "    def __repr__(self): return helper()\n"
                     "def helper(): pass\n"
                     "def orphan(): pass\n")
-    user = ast.parse("from lib import A\nA().used()\n")
+    user = ast.parse("from lib import A, LIMIT\nA().used()\n")
     used = used_names(lib) | used_names(user)
-    assert unconsumed(lib, used) == ["A.unused", "orphan"]
+    assert unconsumed(lib, used) == ["ORPHAN", "A.unused", "orphan"]

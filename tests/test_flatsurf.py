@@ -1,12 +1,9 @@
 import contextlib
-import cProfile
 import heapq
-import fractions
 import importlib
 import io as _io
 import math
 import pathlib
-import pstats
 import random
 from fractions import Fraction
 
@@ -23,7 +20,8 @@ from isocone.flatsurf import (
     omega_thurston, omega_hessian, omega_homological,
     kahler_pairing_numeric, orientation_double_cover, lift_tangent,
 )
-from util import code_lines, height_derivative
+from test_linalg import reference_kernel
+from util import code_lines, fraction_constructions, height_derivative
 
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -412,7 +410,8 @@ def _fraction_random_tangent(surface, rng):
     """``random_tangent`` with one Fraction per class value, expanded to
     the directed edges in QC arithmetic."""
     classes = surface.comb.edge_classes
-    kernel = surface.tangent_kernel
+    kernel = [[Fraction(vec.get(k, 0), L) for k in range(len(classes))]
+              for L, vec in surface.tangent_kernel]
     L = math.lcm(*[x.denominator for vec in kernel for x in vec])
     re, im = [0] * len(classes), [0] * len(classes)
     for vec in kernel:
@@ -512,16 +511,6 @@ def _fraction_kahler(surface, t1, t2, depth):
         per2 = [complex(t2.delta[d].re, t2.delta[d].im) for d in ds]
         total += flatsurf._triangle_pairing_quadrature(P, per1, per2, depth)
     return total
-
-
-def _fraction_constructions(fn):
-    """The number of ``Fraction`` objects made while ``fn()`` runs, counted
-    as calls of ``Fraction.__new__`` by cProfile."""
-    prof = cProfile.Profile()
-    prof.runcall(fn)
-    return sum(calls for (path, _, name), (_, calls, *_)
-               in pstats.Stats(prof).stats.items()
-               if path == fractions.__file__ and name == "__new__")
 
 
 _coord = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
@@ -880,10 +869,17 @@ class TestTangents:
         for s in _tangent_surfaces(monkeypatch):
             rows, classes = flatsurf.tangent_coefficient_rows(s)
             want = _reference_tangent_rows(s)
-            assert rows == want
-            assert {type(x) for row in rows for x in row} == {int}
-            assert s.tangent_kernel == tuple(map(tuple, linalg.kernel_basis(
-                want, len(classes))))
+            assert [[dict(row).get(k, 0) for k in range(len(classes))]
+                    for row in rows] == want
+            assert rows == [tuple(sorted(row)) for row in rows]
+            assert {type(x) for row in rows for _, x in row} == {int}
+            assert all(x for row in rows for _, x in row)
+            kernel = s.tangent_kernel
+            assert all(type(L) is int and L > 0 and {type(x) for x in
+                       vec.values()} <= {int} for L, vec in kernel)
+            assert [[Fraction(vec.get(k, 0), L) for k in range(len(classes))]
+                    for L, vec in kernel] == reference_kernel(want,
+                                                              len(classes))
 
     def test_random_tangent_matches_reference(self, monkeypatch):
         # these kernels are all integral: dividing the vectors by 2, 3, 4,
@@ -895,9 +891,8 @@ class TestTangents:
                 continue
             scaled = FlatSurface(s.kind, s.triangles, s.vectors, s.glue,
                                  s.signs)
-            scaled.__dict__["tangent_kernel"] = tuple(
-                tuple(x / m for x in vec)
-                for m, vec in enumerate(s.tangent_kernel, 2))
+            scaled.__dict__["tangent_kernel"] = [
+                (L * m, vec) for m, (L, vec) in enumerate(s.tangent_kernel, 2)]
             for surface in (s, scaled):
                 got, want = random.Random(k), random.Random(k)
                 t = random_tangent(surface, got)
@@ -1174,9 +1169,19 @@ class TestFractionCount:
         # 650 Fractions
         s = _grid_torus(monkeypatch, 5).shear(Fraction(9, 7))
         vectors = dict(s.vectors)
-        assert _fraction_constructions(lambda: delaunay(s)) == 0
-        assert _fraction_constructions(lambda: FlatSurface(
+        assert fraction_constructions(lambda: delaunay(s)) == 0
+        assert fraction_constructions(lambda: FlatSurface(
             s.kind, s.triangles, vectors, s.glue, s.signs)) == 0
+
+    def test_tangent_kernel_and_random_tangent_make_no_fraction(
+            self, monkeypatch):
+        # the kernel and the tangents stay integers over one denominator;
+        # before they did, the same calls made 650 Fractions
+        s = _grid_torus(monkeypatch, 4).shear(Fraction(9, 7))
+        rng = random.Random(5)
+        assert fraction_constructions(lambda: [
+            random_tangent(s, rng) for _ in range(3)]) == 0
+        assert "tangent_kernel" in s.__dict__
 
 
 def test_code_line_count():
@@ -1184,4 +1189,4 @@ def test_code_line_count():
     # Delaunay quad is read off three edge vectors: a surface built per
     # rotation candidate, a quad developed through chart maps or re-checks
     # of the triangles and gluings after every flip would not fit
-    assert code_lines("flatsurf") <= 684
+    assert code_lines("flatsurf") <= 681

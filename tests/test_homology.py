@@ -281,4 +281,4 @@ class TestDisconnected:
 def test_code_line_count():
     # cycles pair by direct ribbon intersection: basis coordinates of a
     # cycle and a stored face reduction would not fit
-    assert code_lines("homology") <= 218
+    assert code_lines("homology") <= 215

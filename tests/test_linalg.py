@@ -100,6 +100,51 @@ def scaled(row, b):
     return [(c, int(x * den)) for c, x in enumerate(row) if x], int(b * den)
 
 
+def sparse(rows):
+    """Dense rational rows as the sparse integer rows ``kernel_basis``
+    takes, each scaled by the lcm of its denominators."""
+    return [scaled(row, 0)[0] for row in rows]
+
+
+def fraction_rows(reduced):
+    """A ``reduced()`` form ``{pivot: (d, {column: n})}`` as the rational
+    rows ``{pivot: {column: n / d}}`` of the reference elimination."""
+    return {p: {c: Fraction(x, d) for c, x in n.items()}
+            for p, (d, n) in reduced.items()}
+
+
+def fraction_vectors(basis, ncols):
+    """Kernel vectors ``(L, {column: n})`` as dense rational ``n / L``."""
+    return [[Fraction(vec.get(c, 0), L) for c in range(ncols)]
+            for L, vec in basis]
+
+
+def assert_integer_kernel(basis, rows, pivots, ncols, first=0):
+    """``basis`` holds one vector of ints per free column (not among
+    ``pivots``) of ``first..ncols-1``, in order, with ``L`` there and no
+    other free column; every sparse integer row (absolute columns)
+    annihilates every vector (columns from ``first``) in integers."""
+    frees = [c for c in range(first, ncols) if c not in pivots]
+    assert len(basis) == len(frees)
+    for (L, vec), free in zip(basis, frees):
+        assert type(L) is int and L > 0
+        assert all(type(c) is int and type(x) is int and x
+                   for c, x in vec.items())
+        assert [c for c in vec if c + first not in pivots] == [free - first]
+        assert vec[free - first] == L
+        for row in rows:
+            assert sum(x * vec.get(c - first, 0) for c, x in row) == 0
+
+
+def assert_reduced_rows_primitive(reduced):
+    # ints only, d > 0, entries right of the pivot, no common factor
+    for piv, (d, n) in reduced.items():
+        assert type(piv) is int and type(d) is int and d > 0
+        assert all(type(c) is int and c > piv and type(x) is int and x
+                   for c, x in n.items())
+        assert math.gcd(d, *n.values()) == 1
+
+
 def assert_stored_rows_primitive(sysm):
     assert sorted(sysm.pivots) == sorted(sysm.pivot_rows)
     for piv, (p, tail, rhs, _) in sysm.pivot_rows.items():
@@ -115,8 +160,11 @@ def test_dense_wrappers_match_reference(matrix):
     ncols, rows, rhs = matrix
     assert exact(linalg.rref(rows)) == exact(reference_rref(rows))
     assert linalg.rank(rows) == len(reference_rref(rows)[0])
-    assert exact(linalg.kernel_basis(rows, ncols)) == \
+    basis = linalg.kernel_basis(sparse(rows), ncols)
+    assert exact(fraction_vectors(basis, ncols)) == \
         exact(reference_kernel(rows, ncols))
+    assert_integer_kernel(basis, sparse(rows), reference_rref(rows)[1],
+                          ncols)
     assert exact(linalg.solve(rows, rhs)) == \
         exact(reference_solve(rows, rhs, ncols))
 
@@ -170,14 +218,19 @@ def test_reduced_matches_rref(program, first):
             sysm.rollback(mark)
             del rows[held:]
         red, pivots = reference_rref(rows)
-        assert exact(sysm.reduced(first)) == exact({
+        reduced = sysm.reduced(first)
+        assert exact(fraction_rows(reduced)) == exact({
             p: {c: x for c, x in enumerate(row) if c > p and x}
             for row, p in zip(red, pivots) if p >= first})
-        kernel = linalg.reduced_kernel(sysm.reduced(first), ncols, first)
-        assert exact(kernel) == exact([
+        kernel = linalg.reduced_kernel(reduced, ncols, first)
+        assert exact(fraction_vectors(kernel, ncols - first)) == exact([
             vec[first:] for vec in reference_kernel(
                 [row for row, p in zip(red, pivots) if p >= first], ncols)
             if not any(vec[:first])])
+        assert_reduced_rows_primitive(reduced)
+        assert_integer_kernel(kernel, [
+            ((p, d), *n.items()) for p, (d, n) in reduced.items()],
+            reduced, ncols, first)
 
 
 def test_wrappers_do_not_count_as_pushes(monkeypatch):
@@ -193,11 +246,28 @@ def test_wrappers_do_not_count_as_pushes(monkeypatch):
     monkeypatch.setattr(linalg.IncrementalSystem, "push", counted_push)
     rows = [[1, 2, 0], [0, 1, 1], [1, 3, 1]]
     linalg.rref(rows)
-    linalg.kernel_basis(rows, 3)
+    linalg.kernel_basis(sparse(rows), 3)
     linalg.solve(rows, [1, 2, 3])
     assert calls == []
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(-3, 3)),
+                max_size=12), st.randoms(use_true_random=False))
+def test_row_matches_dense_sum(terms, rng):
+    # few columns, so they repeat; negated copies of some terms cancel
+    terms = terms + [(c, -x) for c, x in terms if rng.random() < 0.3]
+    rng.shuffle(terms)
+    dense = [0] * 7
+    for c, x in terms:
+        dense[c] += x
+    row = linalg.row(terms)
+    assert type(row) is tuple
+    assert row == tuple((c, x) for c, x in enumerate(dense) if x)
+    assert linalg.row(reversed(terms)) == row
+
+
 def test_code_line_count():
-    # one elimination core: a second, dense one would not fit
-    assert code_lines("linalg") <= 152
+    # one elimination core: a second, dense one would not fit; the row
+    # builder moved here from cone3
+    assert code_lines("linalg") <= 158

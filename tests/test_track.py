@@ -22,6 +22,7 @@ from isocone.flatsurf import (
     square_torus, hex_torus, lshape_h2, pillowcase, delaunay,
 )
 from test_acceptance import _random_complex
+from test_linalg import reference_kernel
 from util import code_lines, reference_union_find
 
 
@@ -143,6 +144,28 @@ class TestSwitchRelations:
     def test_empty_track(self):
         empty = TrainTrack({})
         assert empty.weight_space_basis() == []
+
+    @pytest.mark.parametrize("track", [genus2_maximal_track()[0],
+                                       torus_track()])
+    def test_sparse_rows_and_fraction_basis(self, track):
+        # one sparse integer row per switch, by ``repr``; the basis is
+        # the reference kernel of the dense rows, as Fraction weights
+        idx = {e: i for i, e in enumerate(track.branches)}
+        dense = []
+        for s in sorted(track.switches, key=repr):
+            a, b, c = track.switches[s]
+            row = [0] * len(idx)
+            row[idx[a]] += 1
+            row[idx[b]] += 1
+            row[idx[c]] -= 1
+            dense.append(row)
+        rows = track.switch_rows(idx)
+        assert rows == [tuple((k, x) for k, x in enumerate(row) if x)
+                        for row in dense]
+        basis = track.weight_space_basis()
+        assert {type(x) for w in basis for x in w.values()} == {Fraction}
+        assert [[w[e] for e in track.branches] for w in basis] == \
+            reference_kernel(dense, len(idx))
 
 
 class TestThurstonForm:
@@ -318,4 +341,4 @@ def test_euler_characteristic_even(seed, n, shear):
 
 def test_code_line_count():
     # methods that only tests call do not belong in the library
-    assert code_lines("track") <= 363
+    assert code_lines("track") <= 359

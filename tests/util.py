@@ -1,7 +1,10 @@
 """Shared random generators for the test suite (seeded, deterministic)."""
 
+import cProfile
+import fractions
 import importlib
 import pathlib
+import pstats
 from fractions import Fraction
 
 from isocone import flatsurf
@@ -44,6 +47,16 @@ def random_tree(rng, n_vertices, rank, with_end=False):
         edges[f"e{i}"] = (parent, i, random_positive_lexvec(rng, rank))
     end = rng.randrange(n_vertices) if with_end else None
     return MetricTree(vertices, edges, end=end)
+
+
+def fraction_constructions(fn):
+    """The number of ``Fraction`` objects made while ``fn()`` runs, counted
+    as calls of ``Fraction.__new__`` by cProfile."""
+    prof = cProfile.Profile()
+    prof.runcall(fn)
+    return sum(calls for (path, _, name), (_, calls, *_)
+               in pstats.Stats(prof).stats.items()
+               if path == fractions.__file__ and name == "__new__")
 
 
 def code_lines(name):
