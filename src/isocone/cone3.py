@@ -378,7 +378,7 @@ class BoundaryTrack:
         self.outgoing = dict(outgoing)
 
     def weight_space_dim(self):
-        return len(self.track.weight_space_basis())
+        return len(self.track.integer_basis)
 
 
 class PLCone:

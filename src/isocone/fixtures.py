@@ -11,6 +11,7 @@ original vertex.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from isocone.track import SurfaceTriangulation, track_dual_to_triangulation
 from isocone.cone3 import (
@@ -164,16 +165,22 @@ MF_WEIGHT_TRIES = 1000
 
 def mf_weight(track, rng):
     """A random nonnegative admissible weight, by rejection on the basis;
-    ``ValueError`` if ``MF_WEIGHT_TRIES`` draws are all rejected."""
-    basis = track.weight_space_basis()
+    ``ValueError`` if ``MF_WEIGHT_TRIES`` draws are all rejected.  A try
+    takes ``rng.randint(0, 6) / rng.randint(1, 3)`` per basis vector."""
+    # the coefficients n / d of the vectors (L, vec) of integer_basis, in
+    # order, are summed as integers over the common denominator 6 * M, M
+    # the lcm of the L: n / d is n * (6 // d) / 6; only the weight that is
+    # returned becomes Fractions, one per branch in track.branches order
+    basis = track.integer_basis
+    M = lcm(*[L for L, _ in basis])
     for _ in range(MF_WEIGHT_TRIES):
-        w = {e: Fraction(0) for e in track.branches}
-        for vec in basis:
-            c = Fraction(rng.randint(0, 6), rng.randint(1, 3))
-            for e, val in vec.items():
-                w[e] += c * val
-        if all(v >= 0 for v in w.values()):
-            return w
+        w = dict.fromkeys(track.branches, 0)
+        for L, vec in basis:
+            c = rng.randint(0, 6) * (6 // rng.randint(1, 3)) * (M // L)
+            for e, n in vec.items():
+                w[e] += c * n
+        if all(n >= 0 for n in w.values()):
+            return {e: Fraction(n, 6 * M) for e, n in w.items()}
     raise ValueError(f"no nonnegative weight on a track with "
                      f"{len(track.branches)} branches in {MF_WEIGHT_TRIES} "
                      f"tries")

@@ -311,14 +311,22 @@ class FlatSurface:
             outgoing[t] = hs.index(max(hs))
         return outgoing
 
+    @functools.cached_property
+    def _dual(self):
+        return track_dual_to_triangulation(self.comb, self._tallest((1, 0)))
+
     def dual_track(self):
         """Dual train track: tallest edge outgoing in every triangle.
 
-        Returns ``(track, edge_to_branch)``; branch ids are the undirected
-        edge classes, and the heights satisfy every switch relation.
-        Raises NeedsRotationError on horizontal edges.
+        Returns ``(track, edge_to_branch)``, built once per surface, with
+        the undirected edge classes as branch ids; the heights satisfy
+        every switch relation.  Raises NeedsRotationError on horizontal edges.
         """
-        return track_dual_to_triangulation(self.comb, self._tallest((1, 0)))
+        return self._dual
+
+    @functools.cached_property
+    def _cover(self):
+        return orientation_double_cover(self)[0]
 
     def adapted(self):
         """Rotate by the first of ``_ROTATIONS`` leaving no horizontal edge;
@@ -577,25 +585,20 @@ def _height_numerators(surface, tangent):
     """Derivative of the edge heights along a tangent, per branch, as
     integer numerators over the tangent's denominator.
 
-    The height of an edge is |Im| of its vector; with no horizontal edges
-    the derivative is sign(Im v) * Im(delta), independent of the directed
-    representative.  The result satisfies the linearized switch relations
-    of the dual track.
+    The height of an edge is |Im| of its vector; with no horizontal edges,
+    which the caller's ``dual_track()`` has checked, the derivative is
+    sign(Im v) * Im(delta), independent of the directed representative.
+    The result satisfies the linearized switch relations of the dual track.
     """
-    out = {}
-    for E in surface.comb.edge_classes:
-        y = surface._vec[E][1]
-        if y == 0:
-            raise NeedsRotationError(f"horizontal edge {E!r}")
-        out[E] = tangent._vec[E][1] if y > 0 else -tangent._vec[E][1]
-    return out
+    delta = tangent._vec
+    return {E: delta[E][1] if surface._vec[E][1] > 0 else -delta[E][1]
+            for E in surface.comb.edge_classes}
 
 
 def omega_thurston(surface, t1, t2):
     """Pairing via the dual track: Thurston form of the height derivatives."""
-    track, e2b = surface.dual_track()
-    w1 = _height_numerators(surface, t1)
-    w2 = _height_numerators(surface, t2)
+    track, _ = surface.dual_track()
+    w1, w2 = _height_numerators(surface, t1), _height_numerators(surface, t2)
     return track.thurston_form(w1, w2) / (t1._den * t2._den)
 
 
@@ -659,6 +662,13 @@ def lift_tangent(cover, tangent):
     return _new(PeriodTangent, cover, _lift(tangent._vec), tangent._den)
 
 
+def _lifted(surface, t1, t2):
+    """The orientation double cover of ``surface``, built once per
+    surface, and the lifts of two tangents to it."""
+    cover = surface._cover
+    return cover, lift_tangent(cover, t1), lift_tangent(cover, t2)
+
+
 def omega_homological(surface, t1, t2):
     """Pairing via cup products of the vertical-part cohomology classes.
 
@@ -668,10 +678,7 @@ def omega_homological(surface, t1, t2):
     the pinned factor 1/2.
     """
     if surface.kind != "translation":
-        cover, _ = orientation_double_cover(surface)
-        l1 = lift_tangent(cover, t1)
-        l2 = lift_tangent(cover, t2)
-        return omega_homological(cover, l1, l2) / 2
+        return omega_homological(*_lifted(surface, t1, t2)) / 2
     ribbon = surface.comb.skeleton_ribbon()
     hom = SurfaceHomology(ribbon)
     alpha = {E: t1._vec[E][1] for E in surface.comb.edge_classes}
@@ -694,10 +701,7 @@ def kahler_pairing_numeric(surface, t1, t2, depth=4):
     orientation double cover with the factor 1/2.
     """
     if surface.kind != "translation":
-        cover, _ = orientation_double_cover(surface)
-        return kahler_pairing_numeric(
-            cover, lift_tangent(cover, t1), lift_tangent(cover, t2),
-            depth) / 2.0
+        return kahler_pairing_numeric(*_lifted(surface, t1, t2), depth) / 2.0
 
     total = complex(0)
     for t in sorted(surface.triangles, key=repr):

@@ -37,6 +37,12 @@ class InvalidWeightError(ValueError):
     """A weight violating the switch relations was supplied."""
 
 
+def _exact(x):
+    """A weight as an exact number: an int or ``Fraction`` as it is,
+    anything else through ``rat``, so integer weights sum as integers."""
+    return x if isinstance(x, (int, Fraction)) else rat(x)
+
+
 def union_find(n, pairs):
     """Root of each of the items ``0 .. n-1`` once the given pairs are merged.
 
@@ -245,10 +251,8 @@ class TrainTrack:
         for e in self.branches:
             if e not in w:
                 raise ValueError(f"missing weight for branch {e!r}")
-        for s, (a, b, c) in self.switches.items():
-            if rat(w[a]) + rat(w[b]) != rat(w[c]):
-                return False
-        return True
+        return all(_exact(w[a]) + _exact(w[b]) == _exact(w[c])
+                   for a, b, c in self.switches.values())
 
     def switch_rows(self, column_of):
         """Sparse integer rows (``linalg.row``) of ``w(a) + w(b) - w(c)``,
@@ -259,24 +263,30 @@ class TrainTrack:
                 for s in sorted(self.switches, key=repr)
                 for a, b, c in [self.switches[s]]]
 
-    def weight_space_basis(self):
-        """Exact basis of the solution space of all switch relations, as
-        ``Fraction`` weights on every branch."""
+    @functools.cached_property
+    def integer_basis(self):
+        """Exact basis of the solution space of all switch relations, built
+        once: ``linalg.kernel_basis`` of ``switch_rows``, one ``(L, {branch:
+        n})`` per vector for the weight ``n / L``, 0 where a branch is left
+        out."""
         idx = {e: i for i, e in enumerate(self.branches)}
-        basis = linalg.kernel_basis(self.switch_rows(idx), len(idx))
-        return [{e: Fraction(vec.get(idx[e], 0), L) for e in self.branches}
-                for L, vec in basis]
+        return [(L, {self.branches[c]: n for c, n in vec.items()})
+                for L, vec in linalg.kernel_basis(self.switch_rows(idx),
+                                                  len(idx))]
+
+    def weight_space_basis(self):
+        """``integer_basis`` as new ``Fraction`` weights on every branch."""
+        return [{e: Fraction(vec.get(e, 0), L) for e in self.branches}
+                for L, vec in self.integer_basis]
 
     def thurston_form(self, w1, w2):
         """Half the sum over switches of det of the incoming weight pairs."""
         for w in (w1, w2):
             if not self.check_weight(w):
                 raise InvalidWeightError("weight violates a switch relation")
-        total = Fraction(0)
-        for s in sorted(self.switches, key=repr):
-            a, b, _ = self.switches[s]
-            total += rat(w1[a]) * rat(w2[b]) - rat(w1[b]) * rat(w2[a])
-        return total / 2
+        return Fraction(sum(_exact(w1[a]) * _exact(w2[b])
+                            - _exact(w1[b]) * _exact(w2[a])
+                            for a, b, _ in self.switches.values()), 2)
 
     # -- embedding structure -------------------------------------------------
 

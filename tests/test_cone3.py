@@ -26,7 +26,8 @@ from isocone.flatsurf import hex_torus, lshape_h2, pillowcase, square_torus
 from isocone.homology import SurfaceHomology
 from isocone.ordgroup import rat
 from isocone.track import (
-    SurfaceTriangulation, track_dual_to_triangulation, triangle_form_sum,
+    SurfaceTriangulation, TrainTrack, track_dual_to_triangulation,
+    triangle_form_sum,
 )
 from test_acceptance import _random_complex
 from test_linalg import reference_kernel, reference_rref
@@ -1004,15 +1005,125 @@ class _ScarceTrack:
     branch: a draw is nonnegative only if every coefficient is 0."""
 
     branches = [f"b{i}" for i in range(12)]
-
-    def weight_space_basis(self):
-        return [{e: Fraction(-1)} for e in self.branches]
+    integer_basis = [(1, {e: -1}) for e in branches]
 
 
 def test_mf_weight_stops_at_the_cap():
     with pytest.raises(ValueError, match=f"12 branches in {MF_WEIGHT_TRIES} "
                                          f"tries"):
         mf_weight(_ScarceTrack(), random.Random(0))
+
+
+def _reference_mf_weight(track, rng):
+    """``mf_weight`` summed in ``Fraction``s on ``weight_space_basis``, as
+    it was before the integer sampler: the oracle of its draws."""
+    basis = track.weight_space_basis()
+    for _ in range(MF_WEIGHT_TRIES):
+        w = {e: Fraction(0) for e in track.branches}
+        for vec in basis:
+            c = Fraction(rng.randint(0, 6), rng.randint(1, 3))
+            for e, val in vec.items():
+                w[e] += c * val
+        if all(v >= 0 for v in w.values()):
+            return w
+    raise ValueError("no nonnegative weight")
+
+
+def _g2_track_read_back():
+    """The ``g2_track`` fixture as ``io`` writes it, read back from its
+    ``switch <id> in <a> <b> out <c> ccw`` lines: string ids in a new
+    ``repr`` order."""
+    track, *_ = genus2_maximal_track()
+    text = io.serialize_track(io.rename_track(track))
+    return TrainTrack({toks[1]: (toks[3], toks[4], toks[6])
+                       for toks in map(str.split, text.splitlines())
+                       if toks[0] == "switch"})
+
+
+@functools.cache
+def _sampler_track(name):
+    return {
+        "g2": lambda: genus2_maximal_track()[0],
+        "g2_track": _g2_track_read_back,
+        "hex_torus": lambda: hex_torus().adapted()[0].dual_track()[0],
+        "lshape_h2": lambda: lshape_h2().adapted()[0].dual_track()[0],
+        "empty": lambda: TrainTrack({}),
+        # every track above has L = 1 on every basis vector; here two
+        # switches take one branch in both incoming slots, and L is 1 and 2
+        "mixed_L": lambda: TrainTrack({
+            "s0": ("b0", "b0", "b2"), "s1": ("b1", "b5", "b3"),
+            "s2": ("b2", "b3", "b1"), "s3": ("b4", "b4", "b5")}),
+    }[name]()
+
+
+@st.composite
+def _random_tracks(draw):
+    """A trivalent track on 2k switches: a random order of the 6k slots of
+    3k branches, three slots per switch."""
+    k = draw(st.integers(1, 4))
+    slots = draw(st.permutations([f"b{b}" for b in range(3 * k)] * 2))
+    return TrainTrack({f"s{j}": tuple(slots[3 * j:3 * j + 3])
+                       for j in range(2 * k)})
+
+
+def _draw_or_none(sampler, track, rng):
+    try:
+        return sampler(track, rng)
+    except ValueError:      # the cap: every try was rejected
+        return None
+
+
+class TestIntegerSampler:
+    """``mf_weight`` on the integer basis against ``_reference_mf_weight``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(st.sampled_from(["g2", "g2_track", "hex_torus",
+                                      "lshape_h2", "empty", "mixed_L"])
+                     .map(_sampler_track), _random_tracks()),
+           st.integers(0, 2 ** 32), st.integers(1, 4))
+    def test_same_draws_and_rng_state(self, track, seed, draws):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(draws):
+            w = _draw_or_none(mf_weight, track, rng)
+            ref = _draw_or_none(_reference_mf_weight, track, ref_rng)
+            assert w == ref
+            if w is not None:
+                assert list(w) == list(ref) == track.branches
+                assert all(type(x) is Fraction for x in w.values())
+        assert rng.getstate() == ref_rng.getstate()
+
+    def test_mixed_L_track(self):
+        assert sorted(L for L, _ in _sampler_track("mixed_L").integer_basis) \
+            == [1, 2]
+
+    def test_one_fraction_per_branch(self):
+        # cold: the integer basis is built inside the count, and makes none
+        track = genus2_maximal_track()[0]
+        assert fraction_constructions(
+            lambda: mf_weight(track, random.Random(5))) == len(track.branches)
+
+    def test_basis_is_computed_once(self, monkeypatch):
+        kernel_basis, calls = linalg.kernel_basis, []
+
+        def counted(*args):
+            calls.append(args)
+            return kernel_basis(*args)
+
+        monkeypatch.setattr(linalg, "kernel_basis", counted)
+        track, rng = genus2_maximal_track()[0], random.Random(9)
+        for _ in range(10):
+            mf_weight(track, rng)
+        assert len(calls) == 1
+        track.weight_space_basis()
+        assert len(calls) == 1
+
+    def test_fraction_basis_is_new_on_each_call(self):
+        track = genus2_maximal_track()[0]
+        first, second = track.weight_space_basis(), track.weight_space_basis()
+        assert first == second
+        assert all(a is not b for a, b in zip(first, second))
+        first[0][track.branches[0]] += 1
+        assert track.weight_space_basis() == second
 
 
 class TestBackjumping:
@@ -1549,7 +1660,7 @@ def test_code_line_count():
 
 def test_fixtures_code_line_count():
     # fixtures are built with the library's own constructors
-    assert code_lines("fixtures") <= 141
+    assert code_lines("fixtures") <= 144
 
 
 @pytest.mark.parametrize("make_surface", [

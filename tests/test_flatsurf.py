@@ -1183,6 +1183,55 @@ class TestFractionCount:
             random_tangent(s, rng) for _ in range(3)]) == 0
         assert "tangent_kernel" in s.__dict__
 
+    def test_omega_thurston_keeps_integer_heights(self, monkeypatch):
+        # the height numerators reach thurston_form as ints and stay ints;
+        # when it passed them through rat() the same call made 803
+        s, _ = _grid_torus(monkeypatch, 5).shear(Fraction(9, 7)).adapted()
+        rng = random.Random(7)
+        t1, t2 = random_tangent(s, rng), random_tangent(s, rng)
+        value = omega_thurston(s, t1, t2)
+        assert fraction_constructions(lambda: omega_thurston(s, t1, t2)) == 2
+        assert value == omega_hessian(s, t1, t2)
+
+
+class TestBuiltOnce:
+    """``surface symplectic-check`` builds the dual track and, on a half
+    translation surface, the orientation double cover once per run."""
+
+    @pytest.mark.parametrize("make, covers", [(lshape_h2, 0),
+                                              (pillowcase, 1)])
+    def test_symplectic_check(self, tmp_path, capsys, monkeypatch, make,
+                              covers):
+        builds = []
+
+        def counted(fn):
+            def wrapper(*args):
+                builds.append(fn.__name__)
+                return fn(*args)
+            return wrapper
+
+        for name in ("track_dual_to_triangulation",
+                     "orientation_double_cover"):
+            monkeypatch.setattr(flatsurf, name,
+                                counted(getattr(flatsurf, name)))
+        # no horizontal edge, so the probe before the pairings builds the
+        # track that omega_thurston then reads
+        path = tmp_path / "surface.txt"
+        path.write_text(io.serialize_flatsurface(make().rotate(QC(2, 1))))
+        assert run(["surface", "symplectic-check", "--input", str(path),
+                    "--seed", "3", "--depth", "1"]) == 0
+        assert "agree: true" in capsys.readouterr().out
+        assert builds == ["track_dual_to_triangulation"] + \
+            ["orientation_double_cover"] * covers
+
+    def test_needs_rotation_error_on_every_call(self):
+        s = lshape_h2()
+        for _ in range(2):
+            with pytest.raises(NeedsRotationError):
+                s.dual_track()
+        rotated = s.rotate(QC(2, 1))
+        assert rotated.dual_track() is rotated.dual_track()
+
 
 def test_code_line_count():
     # every transform builds and checks one surface per result, and the

@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import math
 import pathlib
 import random
 from fractions import Fraction
@@ -23,7 +24,7 @@ from isocone.flatsurf import (
 )
 from test_acceptance import _random_complex
 from test_linalg import reference_kernel
-from util import code_lines, reference_union_find
+from util import code_lines, fraction_constructions, reference_union_find
 
 
 def torus_track():
@@ -195,6 +196,52 @@ class TestThurstonForm:
         assert linalg.rank(M) == 6
 
 
+class TestExactWeights:
+    """``check_weight`` and ``thurston_form`` keep int weights as ints,
+    pass ``Fraction``s unchanged, parse strings through ``rat`` and refuse
+    anything inexact; the form is a ``Fraction`` either way."""
+
+    W1 = {"A": 1, "B": 2, "C": 3}
+    W2 = {"A": 4, "B": -1, "C": 3}
+
+    def test_int_weights_make_one_fraction(self):
+        track = torus_track()
+        assert fraction_constructions(
+            lambda: track.thurston_form(self.W1, self.W2)) == 1
+        value = track.thurston_form(self.W1, self.W2)
+        assert type(value) is Fraction and value == -9
+
+    @pytest.mark.parametrize("convert", [Fraction, str, lambda x: x])
+    def test_same_value_in_every_exact_type(self, convert):
+        track, rng = genus2_maximal_track()[0], random.Random(44)
+        for _ in range(5):
+            w1, w2 = [random_weight(track, rng) for _ in range(2)]
+            D = math.lcm(*[x.denominator for w in (w1, w2) for x in w.values()])
+            w1, w2 = [{e: D * x for e, x in w.items()} for w in (w1, w2)]
+            ints = [{e: x.numerator for e, x in w.items()} for w in (w1, w2)]
+            assert all(track.check_weight(w) for w in ints)
+            mixed = {e: convert(x) for e, x in ints[0].items()}
+            value = track.thurston_form(mixed, ints[1])
+            assert type(value) is Fraction
+            assert value == track.thurston_form(w1, w2)
+
+    @pytest.mark.parametrize("bad", [1.0, 0.5, complex(1), None])
+    def test_inexact_weight_raises(self, bad):
+        track = torus_track()
+        w = dict(self.W1, A=bad)
+        with pytest.raises(TypeError):
+            track.check_weight(w)
+        with pytest.raises(TypeError):
+            track.thurston_form(w, self.W2)
+
+    def test_string_weight_is_parsed(self):
+        track = torus_track()
+        w = {"A": "1/2", "B": Fraction(5, 2), "C": 3}
+        assert track.check_weight(w)
+        assert track.thurston_form(w, self.W2) == Fraction(1, 2) * -1 \
+            - Fraction(5, 2) * 4
+
+
 class TestDualTriangulation:
     def test_genus2_counts(self):
         track, *_ = genus2_maximal_track()
@@ -341,4 +388,4 @@ def test_euler_characteristic_even(seed, n, shear):
 
 def test_code_line_count():
     # methods that only tests call do not belong in the library
-    assert code_lines("track") <= 359
+    assert code_lines("track") <= 366
