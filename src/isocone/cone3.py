@@ -375,7 +375,6 @@ class BoundaryTrack:
         # so the track on them alone has the same switches and branch ids
         # as on a surface of their own
         self.track, _ = track_dual_to_triangulation(surf, outgoing)
-        self.outgoing = dict(outgoing)
 
     def weight_space_dim(self):
         return len(self.track.integer_basis)

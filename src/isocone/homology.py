@@ -1,19 +1,19 @@
 """Cycles on graphs embedded in oriented surfaces, and their intersections.
 
-A ``RibbonGraph`` is a graph together with a counterclockwise cyclic order
-of dart ends around every vertex; that data determines a closed oriented
-surface.  Flows (rational 1-cycles supported on the edges) can be paired
-exactly: the homological intersection number is computed by pushing the
-first cycle slightly to the left of each edge and the second slightly to
-the right, and counting signed chord crossings inside every vertex disk.
-The count does not depend on how strands are routed inside a disk, so a
-simple stack matching is used.
+A ``RibbonGraph`` is a graph with a counterclockwise cyclic order of dart
+ends around every vertex, which determines a closed oriented surface.  Two
+flows (rational 1-cycles on the edges) pair exactly: push the first one
+slightly to the left of each edge and the second to the right, and count
+signed crossings in every vertex disk.  Any matching of a system's strands
+into chords gives the same count, the sum of ``x_p * y_q`` over strand
+positions ``p < q`` with masses signed + flowing in, so one walk around the
+disk with a running sum of the x masses finds it.  Where the walk starts
+does not matter: moving the first position to the end changes the sum by
+``y_p * sum(x) - x_p * sum(y)``, which is 0 as both systems balance.
 
-Two cycles are paired by ``RibbonGraph.intersection`` directly.  The
-homology basis of ``SurfaceHomology`` (spanning-tree fundamental cycles
-reduced modulo face boundaries) and its intersection matrix serve only the
-induced pairing of 1-cohomology classes given by their edge periods, which
-solves one linear system in that matrix.
+The basis of ``SurfaceHomology`` (spanning-tree fundamental cycles reduced
+modulo face boundaries) and its intersection matrix serve only the induced
+pairing of edge-period 1-cohomology classes, one linear solve in that matrix.
 """
 
 import itertools
@@ -38,20 +38,15 @@ class RibbonGraph:
         seen = [d for ds in self.rot.values() for d in ds]
         if len(seen) != len(expected) or set(seen) != expected:
             raise ValueError("rotation system does not list each dart once")
-        self.dart_vertex = {}
         for v, ds in self.rot.items():
             for d in ds:
                 e, i = d
                 if self.edges[e][i] != v:
                     raise ValueError(f"dart {d} listed at wrong vertex")
-                self.dart_vertex[d] = v
 
     @property
     def vertices(self):
         return sorted(self.rot, key=repr)
-
-    def num_faces(self):
-        return len(self.faces())
 
     def faces(self):
         """Orbits of darts under the face-tracing permutation."""
@@ -79,88 +74,35 @@ class RibbonGraph:
                 faces.append(orbit)
         return faces
 
-    def euler_characteristic(self):
-        return len(self.rot) - len(self.edges) + self.num_faces()
-
-    def genus(self):
-        # the faces close every vertex disk with a dart, so the surface is
-        # closed and oriented and chi is even; no caller builds a vertex
-        # without darts, whose missing face would make chi odd
-        return (2 - self.euler_characteristic()) // 2
-
     # -- flows ----------------------------------------------------------------
 
     def intersection(self, x, y):
         """Exact homological intersection number of two conservative flows;
-        ``_chords`` refuses the unbalanced masses of any other."""
+        raises ``ValueError`` on the unbalanced masses of any other."""
         total = Fraction(0)
         for ds in self.rot.values():
-            # (position, signed mass) per system, + flowing in.  Dart k
-            # owns positions 2k and 2k + 1: along each edge the x strands
-            # ride on the left of the reference direction, so ccw order
-            # within a tail arc is (y, x) and within a head arc (x, y)
-            xs, ys = [], []
-            for k, (e, i) in enumerate(ds):
-                for pts, flow, p in ((xs, x, 2 * k + 1 - i),
-                                     (ys, y, 2 * k + i)):
-                    if m := flow.get(e):
-                        pts.append((p, Fraction(m) if i else -Fraction(m)))
-            xchords, ychords = _chords(xs), _chords(ys)
-            for (p1, q1, m1) in xchords:
-                for (p2, q2, m2) in ychords:
-                    total += _crossing_sign(p1, q1, p2, q2) * m1 * m2
-        return total
-
-
-def _chords(points):
-    """Stack matching of signed masses on a circle into directed chords.
-
-    Points are ``(position, mass)`` with positive mass entering the disk.
-    Returns chords ``(pos_in, pos_out, mass)`` with ``mass > 0``.  Any
-    matching gives the same total crossing count against the other system,
-    so the first-fit stack matching is as good as any.
-    """
-    stack = []  # (position, remaining signed mass)
-    chords = []
-    for pos, mass in points:
-        m = mass
-        while m != 0:
-            if not stack or (stack[-1][1] > 0) == (m > 0):
-                stack.append((pos, m))
-                m = Fraction(0)
-            else:
-                spos, sm = stack.pop()
-                take = min(abs(m), abs(sm))
-                if m > 0:
-                    chords.append((pos, spos, take))
+            # signed masses, + flowing in, at ccw positions around the disk:
+            # along each edge the x strand rides on the left of the reference
+            # direction, so a tail dart reads (y, x) and a head dart (x, y).
+            # The count is the sum of x_p * y_q over positions p < q: the
+            # running x mass ahead of each y strand
+            run = net = 0
+            for e, i in ds:
+                if i:
+                    if m := x.get(e):
+                        run += m
+                    if m := y.get(e):
+                        total += run * m
+                        net += m
                 else:
-                    chords.append((spos, pos, take))
-                if abs(sm) > take:
-                    stack.append((spos, sm + (take if m > 0 else -take)))
-                m += -take if m > 0 else take
-    if stack:
-        raise ValueError("unbalanced masses at a vertex")
-    return chords
-
-
-def _crossing_sign(p, q, r, s):
-    """Sign of the crossing of directed chords p->q and r->s, else 0.
-
-    Positions are distinct integers on a ccw circle.  The chords cross iff
-    exactly one of r, s lies inside the ccw arc (p, q); the sign is +1 when
-    the ccw order around the circle reads p, r, q, s.
-    """
-    r_in = _ccw_between(p, r, q)
-    s_in = _ccw_between(p, s, q)
-    if r_in == s_in:
-        return 0
-    return 1 if r_in else -1
-
-
-def _ccw_between(a, x, b):
-    if a < b:
-        return a < x < b
-    return x > a or x < b
+                    if m := y.get(e):
+                        total -= run * m
+                        net -= m
+                    if m := x.get(e):
+                        run -= m
+            if run or net:
+                raise ValueError("unbalanced masses at a vertex")
+        return total
 
 
 class SurfaceHomology:

@@ -21,7 +21,6 @@ from isocone.flatsurf import FlatSurface, QC, PeriodTangent
 class ParseError(ValueError):
     def __init__(self, lineno, message):
         super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
 
 
 def clean_id(x):

@@ -352,7 +352,6 @@ class TreeMap:
     """Total assignment of domain vertices to points of a target tree."""
 
     def __init__(self, tree, assignment):
-        self.tree = tree
         self.assignment = {}
         for v, p in assignment.items():
             if not isinstance(p, TreePoint):

@@ -207,12 +207,12 @@ def triangle_form(surface, t, u, v):
     """
     ds = surface.triangles[t]
     E = [surface.edge_class[d] for d in ds]
-    total = Fraction(0)
+    total = 0
     for i in range(3):
         a, b = E[i], E[(i + 1) % 3]
-        total += rat(u.get(a, 0)) * rat(v.get(b, 0)) \
-            - rat(u.get(b, 0)) * rat(v.get(a, 0))
-    return -total / 2
+        total += _exact(u.get(a, 0)) * _exact(v.get(b, 0)) \
+            - _exact(u.get(b, 0)) * _exact(v.get(a, 0))
+    return Fraction(-total, 2)
 
 
 def triangle_form_sum(surface, u, v):

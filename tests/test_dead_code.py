@@ -11,9 +11,15 @@ consumer names an attribute of that spelling.  It reads identifiers from
 names that are read (not the targets of assignments), attributes, import
 aliases and string constants, because the benchmark harness looks its
 trace sites up by string.
+
+A second scan does the same for stored state: every attribute that a
+method of a package class assigns on ``self`` must be read, as an
+attribute load of that spelling, by some consumer.  Storing into an item
+of the attribute (``self.seen[k] = v``) does not read it.
 """
 
 import ast
+import functools
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -69,9 +75,45 @@ def unconsumed(tree, used):
     return [qual for qual, name in defined_names(tree) if name not in used]
 
 
+def stored_attributes(tree):
+    """``(qualified name, attribute)`` of each attribute that a method of a
+    top-level class of ``tree`` assigns on ``self``, once per class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            attrs = {sub.attr for sub in ast.walk(node)
+                     if isinstance(sub, ast.Attribute)
+                     and isinstance(sub.ctx, ast.Store)
+                     and isinstance(sub.value, ast.Name)
+                     and sub.value.id == "self"}
+            for attr in sorted(attrs):
+                yield f"{node.name}.{attr}", attr
+
+
+def read_attributes(tree):
+    """Every attribute that ``tree`` loads, other than as the container of
+    an item it assigns or deletes."""
+    containers = {id(node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Subscript)
+                  and not isinstance(node.ctx, ast.Load)}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load) and id(node) not in containers}
+
+
+def unread(tree, read):
+    """The attributes ``tree`` stores that are not among ``read``."""
+    return [qual for qual, attr in stored_attributes(tree) if attr not in read]
+
+
+@functools.cache
+def _trees():
+    """The parsed consumers, by path."""
+    return {path: ast.parse(path.read_text(), filename=str(path))
+            for path in CONSUMERS}
+
+
 def test_every_package_name_has_a_consumer():
-    trees = {path: ast.parse(path.read_text(), filename=str(path))
-             for path in CONSUMERS}
+    trees = _trees()
     used = set().union(*map(used_names, trees.values()))
     dead = [f"{path.name}: {qual}" for path in PACKAGE
             for qual in unconsumed(trees[path], used)]
@@ -92,3 +134,30 @@ def test_scan_flags_a_name_only_its_definition_mentions():
     user = ast.parse("from lib import A, LIMIT\nA().used()\n")
     used = used_names(lib) | used_names(user)
     assert unconsumed(lib, used) == ["ORPHAN", "A.unused", "orphan"]
+
+
+def test_every_stored_attribute_is_read():
+    trees = _trees()
+    read = set().union(*map(read_attributes, trees.values()))
+    dead = [f"{path.name}: {qual}" for path in PACKAGE
+            for qual in unread(trees[path], read)]
+    assert dead == []
+
+
+def test_scan_flags_an_attribute_nothing_reads():
+    lib = ast.parse("class A:\n"
+                    "    def __init__(self, n):\n"
+                    "        self.n, self.items = n, []\n"
+                    "        self.cache = {}\n"
+                    "        self.count = 0\n"
+                    "        self.log = self.sink = None\n"
+                    "    def put(self, k):\n"
+                    "        self.items.append(k)\n"
+                    "        self.cache[k] = self.n\n"
+                    "        self.count += 1\n"
+                    "        del self.cache[k]\n"
+                    "def helper(a):\n"
+                    "    a.other = 1\n")
+    user = ast.parse("from lib import A\nprint(A(1).sink)\n")
+    read = read_attributes(lib) | read_attributes(user)
+    assert unread(lib, read) == ["A.cache", "A.count", "A.log"]

@@ -150,4 +150,4 @@ def test_rat_matches_fraction_parser(tok):
 
 def test_code_line_count():
     # the formats are read and written here only
-    assert code_lines("io") <= 226
+    assert code_lines("io") <= 225

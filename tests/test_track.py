@@ -294,6 +294,21 @@ class TestTriangleForms:
             dual.glue)
         assert triangle_form_sum(rev, u, v) == -triangle_form_sum(dual, u, v)
 
+    def test_int_weights_make_one_fraction_per_triangle(self):
+        # int weights sum as ints, so the halving makes the only Fraction
+        track, *_ = genus2_maximal_track()
+        dual, _ = track.dual_triangulation()
+        rng = random.Random(43)
+        u, v = ({E: rng.randint(-4, 4) for E in dual.edge_classes}
+                for _ in range(2))
+        uf, vf = ({E: Fraction(x) for E, x in w.items()} for w in (u, v))
+        for t in dual.triangles:
+            assert fraction_constructions(
+                lambda: triangle_form(dual, t, u, v)) == 1
+            value = triangle_form(dual, t, u, v)
+            assert type(value) is Fraction
+            assert value == triangle_form(dual, t, uf, vf)
+
 
 class TestEmbedWeights:
     def test_zero_maps_to_zero(self):
@@ -375,15 +390,14 @@ def _grid_tori():
 def test_euler_characteristic_even(seed, n, shear):
     # every surface is closed and oriented, so genus() needs no parity
     # check: the boundary of a random complex, and a sheared grid torus
-    # before and after Delaunay, with their skeleton ribbons
+    # before and after Delaunay
     grid = _grid_tori()[n].shear(shear)
     surfaces = [grid.comb, delaunay(grid).comb]
     boundary = _random_complex(random.Random(seed)).boundary
     if boundary is not None:
         surfaces.append(boundary)
     for s in surfaces:
-        for x in (s, s.skeleton_ribbon()):
-            assert x.euler_characteristic() % 2 == 0
+        assert s.euler_characteristic() % 2 == 0
 
 
 def test_code_line_count():
