@@ -63,13 +63,13 @@ def _parse_rotate(text):
 
 
 def _choice_iter(manifold, args):
-    """The choice vectors ``--choices`` asks for, with the ``choices:``,
-    ``coverage:`` and ``certified:`` lines that report them."""
+    """The choice vectors ``--choices`` asks for (None for all), with the
+    ``choices:``, ``coverage:`` and ``certified:`` lines that report them."""
     mode = args.choices or "all"
     total = 3 ** len(manifold.tets)
     if mode == "all":
-        return itertools.product(range(3), repeat=len(manifold.tets)), [
-            "choices: all", f"coverage: {total}/{total}", "certified: true"]
+        return None, ["choices: all", f"coverage: {total}/{total}",
+                      "certified: true"]
     size = mode[len("sample:"):]
     if mode.startswith("sample:") and size.isascii() and size.isdigit() \
             and size[0] != "0":
@@ -136,7 +136,7 @@ def cmd_cone_isotropy(args):
     it, header = _choice_iter(manifold, args)
     checked = 0
     failures = []
-    for combo in it:
+    for combo in it or itertools.product(range(3), repeat=len(manifold.tets)):
         choices = dict(zip(manifold.tets, combo))
         checked += 1
         if not manifold.isotropy_check(choices):

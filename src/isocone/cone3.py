@@ -318,10 +318,10 @@ class Triangulation3:
                 for L, vec in linalg.reduced_kernel(sysm.reduced(), len(cls))]
 
     def w4_member(self, w):
-        """Membership in the four-point locus, with the per-tet evidence:
-        the satisfied pair-sum equalities of each tetrahedron.  Works for
-        rational or tuple-valued weights (only addition and comparison are
-        used)."""
+        """Whether every tetrahedron satisfies some pair-sum equality, a set
+        containing the tree (four-point) locus, with the satisfied
+        equalities of each tet as evidence.  Works for rational or
+        tuple-valued weights (only addition and comparison are used)."""
         per_tet, x = {}, [w[E] for E in self.edge_classes]
         for t, c in zip(self.tets, self._tet_columns):
             sums = [x[c[a]] + x[c[b]] for a, b in _OPPOSITE_EDGES]
@@ -397,22 +397,56 @@ class PLCone:
         return len(self.components)
 
 
+def walk(sysm, options, leaf):
+    """Depth-first walk over choice vectors, with conflict-directed
+    backjumping (Prosser 1993): ``options[i]`` lists tet ``i``'s ``(k, row,
+    b)`` in the order tried, and the row is pushed under the tag ``1 <<
+    i``, so a contradiction names the tets it depends on and a subtree
+    refuted without tet ``i`` is not retried under its other options.  At
+    each consistent vector ``combo``, the ``k`` per tet, ``leaf(combo)``
+    returns True to stop there: ``walk`` returns ``combo`` and ``sysm``
+    keeps its rows.  Otherwise the walk goes on, and returns None with
+    ``sysm`` back at its start."""
+    push, pivots, rollback = sysm.push, sysm.pivots, sysm.rollback
+    combo = [None] * len(options)
+
+    def dfs(i):
+        # None once a leaf stopped the walk, else the conflict set: a mask
+        # of tets before i whose current choices leave tets i.. no leaf; a
+        # continuing leaf names every tet (-1), so that no subtree holding
+        # another leaf is skipped
+        if i == len(options):
+            return None if leaf(tuple(combo)) else -1
+        bit, conflict = 1 << i, 0
+        for k, row, b in options[i]:
+            mark = len(pivots)
+            combo[i] = k
+            sub = dfs(i + 1) if push(row, b, bit) else sysm.conflict
+            if sub is None:
+                return None
+            rollback(mark)
+            if not sub & bit:
+                return sub      # tet i played no part: jump back past it
+            conflict |= sub
+        return conflict & ~bit
+
+    stopped = dfs(0) is None
+    del dfs     # its closure refers to it: leave no cycle holding sysm
+    return tuple(combo) if stopped else None
+
+
 def compute_cone(manifold, btrack, choice_iter=None):
     """Union over choice vectors of restricted subspaces meeting the track.
 
     For each choice vector the subspace is restricted to boundary-edge
     coordinates and intersected with the switch-relation space of the
-    boundary track; identical spans are merged.  ``choice_iter`` defaults
-    to the full product over tetrahedra (exact cone); a sampled iterator
-    gives a partial union.
-
-    Consecutive choice vectors share the rows of their common prefix in
-    one incremental system, whose rows pivoting on boundary columns (after
-    the interior ones) cut out the component.
+    boundary track; identical spans are merged.  ``choice_iter=None``
+    walks the full product over tetrahedra (exact cone); a sampled
+    iterator gives a partial union, one single-option walk per vector.
+    The walk's system holds a vector's rows; those pivoting on boundary
+    columns (after the interior ones) cut out its component.
     """
     tets = manifold.tets
-    if choice_iter is None:
-        choice_iter = itertools.product(range(3), repeat=len(tets))
     edge_order = manifold.boundary.edge_classes
     # one edge per boundary class (checked when the manifold is built)
     edge_of = {manifold.boundary_edge_to_class[E]: E for E in edge_order}
@@ -428,22 +462,11 @@ def compute_cone(manifold, btrack, choice_iter=None):
     for row in btrack.track.switch_rows(
             {E: first + i for i, E in enumerate(edge_order)}):
         sysm.push(row, 0)
-    rows = [[[(column[c], x) for c, x in row]
-             for row in manifold.choice_rows[t]] for t in tets]
-
+    options = [[(k, [(column[c], x) for c, x in row], 0) for k, row in
+                enumerate(manifold.choice_rows[t])] for t in tets]
     seen = {}
-    marks = [sysm.checkpoint()]     # marks[i]: holds the rows of tets < i
-    prev = ()
-    for combo in choice_iter:
-        keep = 0
-        while keep < len(prev) and prev[keep] == combo[keep]:
-            keep += 1
-        sysm.rollback(marks[keep])
-        del marks[keep + 1:]
-        for i in range(keep, len(tets)):
-            sysm.push(rows[i][combo[i]], 0)
-            marks.append(sysm.checkpoint())
-        prev = combo
+
+    def record(combo):
         red = sysm.reduced(first)
         key = frozenset((p, d, frozenset(n.items()))
                         for p, (d, n) in red.items())
@@ -451,13 +474,17 @@ def compute_cone(manifold, btrack, choice_iter=None):
             span, _ = linalg.rref([
                 [vec.get(k, 0) for k in range(len(edge_order))]
                 for _, vec in linalg.reduced_kernel(red, len(index), first)])
-            seen[key] = {
-                "span": span,
-                "dimension": len(span),
-                "choice": dict(zip(tets, combo)),
-            }
-    comps = sorted(seen.values(), key=lambda c: (c["dimension"], repr(c["span"])))
-    return PLCone(edge_order, comps)
+            seen[key] = {"span": span, "dimension": len(span),
+                         "choice": dict(zip(tets, combo))}
+        return False
+
+    if choice_iter is None:
+        walk(sysm, options, record)
+    else:
+        for combo in choice_iter:
+            walk(sysm, [[opts[k]] for opts, k in zip(options, combo)], record)
+    return PLCone(edge_order, sorted(
+        seen.values(), key=lambda c: (c["dimension"], repr(c["span"]))))
 
 
 class MemberResult:
@@ -476,14 +503,8 @@ def member(manifold, btrack, w_boundary):
     rationals.  The weight must satisfy nonnegativity and the switch
     relations; membership then asks for an exact extension to all edge
     classes satisfying one pair-sum equality in every tetrahedron and zero
-    on torus classes.  Found by depth-first search over the per-tet
-    choices, whose rows have the boundary values folded in as constants,
-    with incremental exact elimination and conflict-directed backjumping
-    (Prosser 1993): tet ``i``'s choice rows carry the tag ``1 << i``, so a
-    contradiction names the tets it depends on, and a subtree refuted
-    without tet ``i`` is not retried under tet ``i``'s other choices.  Only
-    subtrees without a solution are skipped, so the first consistent
-    choice vector is the chronological search's.
+    on torus classes: the first consistent choice vector of ``walk`` over
+    the choice rows, with the boundary values folded in as constants.
     """
     track = btrack.track
     for e in track.branches:
@@ -512,39 +533,20 @@ def member(manifold, btrack, w_boundary):
     # the system holds no pinned column
     classes = manifold.edge_classes
     sysm = linalg.IncrementalSystem(len(classes))
-    push, pivots = sysm.push, sysm.pivots
-    tets = manifold.tets
-    rows = [[([(c, x) for c, x in row if c not in pinned],
-              -sum(x * pinned[c] for c, x in row if c in pinned))
-             for row in manifold.choice_rows[t]] for t in tets]
-    chosen = {}
-
-    def dfs(i):
-        # None once tets i.. are chosen, else the conflict set: a mask of
-        # tets before i whose current choices leave tets i.. no choice
-        if i == len(tets):
-            return None
-        bit, conflict = 1 << i, 0
-        for k, (row, b) in enumerate(rows[i]):
-            mark = len(pivots)
-            sub = dfs(i + 1) if push(row, b, bit) else sysm.conflict
-            if sub is None:
-                chosen[tets[i]] = k
-                return None
-            sysm.rollback(mark)
-            if not sub & bit:
-                return sub      # tet i played no part: jump back past it
-            conflict |= sub
-        return conflict & ~bit
-
-    if dfs(0) is not None:
+    options = [[(k, [(c, x) for c, x in row if c not in pinned],
+                 -sum(x * pinned[c] for c, x in row if c in pinned))
+                for k, row in enumerate(manifold.choice_rows[t])]
+               for t in manifold.tets]
+    combo = walk(sysm, options, lambda combo: True)
+    if combo is None:
         return MemberResult(False, reason="no-choice-vector")
     # no stored row reads a pinned column, so the interior solution is that
     # of the system with the pins in it
     sol = sysm.solution()
     witness = {cls: Fraction(pinned[c], D) if c in pinned else sol[c] / D
                for c, cls in enumerate(classes)}
-    return MemberResult(True, witness=witness, choices=dict(chosen))
+    return MemberResult(True, witness=witness,
+                        choices=dict(zip(manifold.tets, combo)))
 
 
 # -- product triangulations -------------------------------------------------

@@ -695,10 +695,10 @@ def kahler_pairing_numeric(surface, t1, t2, depth=4):
     Each tangent is realized on every triangle as the affine interpolant
     of its three edge periods; the hermitian pairing integrand
     (i/2) theta_1 wedge conj(theta_2) is integrated by the centroid rule
-    over ``depth`` barycentric subdivisions.  Returns a complex number
-    whose imaginary part approximates the exact pairings; the real part is
-    the metric pairing.  Half-translation surfaces integrate on the
-    orientation double cover with the factor 1/2.
+    over ``depth`` barycentric subdivisions.  Returns a complex number; on
+    pairs ``(psi, i psi)`` alone its imaginary part approximates the exact
+    pairings, and the real part is the metric pairing.  Half-translation
+    surfaces integrate on the orientation double cover with the factor 1/2.
     """
     if surface.kind != "translation":
         return kahler_pairing_numeric(*_lifted(surface, t1, t2), depth) / 2.0

@@ -84,7 +84,8 @@ def reduced_kernel(reduced, ncols, first=0):
 
 class IncrementalSystem:
     """Row-reduced linear system over columns 0..ncols-1 with push and
-    checkpoint/rollback, for depth-first searches that prune on ``0 = c``.
+    rollback to a mark ``len(pivots)``, for depth-first searches that
+    prune on ``0 = c``.
 
     A stored row is reduced against the pivots present when it was pushed,
     and kept as integers with no common factor: a positive pivot
@@ -98,9 +99,6 @@ class IncrementalSystem:
         self.pivots = []        # pivot column per stored row, in push order
         self.pivot_rows = {}    # pivot -> (coefficient, tail, rhs, mask)
         self.conflict = 0       # mask of the last push that was not stored
-
-    def checkpoint(self):
-        return len(self.pivots)
 
     def rollback(self, mark):
         while len(self.pivots) > mark:

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from isocone import io
+from isocone import io, linalg
 from isocone.cli import build_parser, run
+from isocone.cone3 import BoundaryTrack
 from isocone.fixtures import chain_tets
 from isocone.flatsurf import QC, lshape_h2
 from util import code_lines
@@ -53,6 +54,28 @@ def test_cached_parser_carries_no_flags_over(tmp_path, capsys):
     build_parser.cache_clear()
     assert run(argv) == 0
     assert capsys.readouterr().out == second != flagged
+
+
+@pytest.mark.parametrize("flag", [[], ["--choices", "all"]])
+def test_cone_compute_all_is_one_walk(tmp_path, capsys, monkeypatch, flag):
+    # ``--choices all`` reaches compute_cone's one full walk: one push per
+    # node of the choice tree below the torus and switch rows, the count
+    # test_chain_work_counts pins for the library default
+    path = fixture_file(tmp_path, "chain4")
+    manifold, outgoing, _, _ = io.parse_manifold(
+        pathlib.Path(path).read_text())
+    fixed = len(manifold.torus_rows) + len(
+        BoundaryTrack(manifold, outgoing).track.switches)
+    pushes = []
+    push = linalg.IncrementalSystem.push
+
+    def counted_push(self, row, b, tag=0):
+        pushes.append(row)
+        return push(self, row, b, tag)
+
+    monkeypatch.setattr(linalg.IncrementalSystem, "push", counted_push)
+    assert run(["cone", "compute", "--input", path, *flag]) == 0
+    assert len(pushes) == fixed + (3 ** 5 - 3) // 2
 
 
 class TestFixtures:

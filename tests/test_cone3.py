@@ -1,8 +1,10 @@
 import functools
+import gc
 import itertools
 import math
 import random
 import re
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,7 @@ from isocone.ordgroup import LexVec
 from isocone.lamtree import TreeMap
 from isocone.cone3 import (
     Triangulation3, EDGE_PAIRS, OPPOSITE_PAIRS, CHOICE_PAIRS, FACE_CYCLES,
-    ProductTriangulation, BoundaryTrack, compute_cone, member,
+    ProductTriangulation, BoundaryTrack, compute_cone, member, walk,
     verify_witness, GluingError, OrientationError, MemberResult,
 )
 from isocone.fixtures import (
@@ -272,7 +274,7 @@ def _reference_member(manifold, btrack, w_boundary):
         if i == len(tets):
             return True
         for k in range(3):
-            mark = sysm.checkpoint()
+            mark = len(sysm.pivots)
             if sysm.push(manifold.choice_rows[tets[i]][k], 0) and dfs(i + 1):
                 chosen[tets[i]] = k
                 return True
@@ -1210,6 +1212,86 @@ def test_fractional_pins_match_reference(seed, k):
         (ref.member, ref.reason, ref.choices, ref.witness)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_walk_visits_the_consistent_vectors_in_order(seed):
+    # a _random_complex draw with random values pinned on its boundary
+    # classes as untagged unit rows, and a random nonempty subset of each
+    # tet's choices, in order; the oracle pushes the pins and each vector
+    # of the product into a fresh system.  A continuing leaf must see
+    # exactly the consistent vectors, in lexicographic order, once each,
+    # and a stopping leaf the first of them
+    rng = random.Random(seed)
+    m = _random_complex(rng)
+    values = rng.choice([[1, 1, 1, 2], [1, 1, 2], [1, 2]])
+    pins = [([(m._column[c], 1)], rng.choice(values))
+            for c in m.boundary_edge_to_class.values()]
+    subsets = [sorted(rng.sample(range(3), rng.randint(1, 3)))
+               for _ in m.tets]
+    options = [[(k, m.choice_rows[t][k], 0) for k in ks]
+               for t, ks in zip(m.tets, subsets)]
+
+    def system():
+        sysm = linalg.IncrementalSystem(len(m.edge_classes))
+        for row, b in pins:
+            assert sysm.push(row, b)
+        return sysm
+
+    def consistent(combo):
+        sysm = system()
+        return all(sysm.push(m.choice_rows[t][k], 0)
+                   for t, k in zip(m.tets, combo))
+
+    expected = [c for c in itertools.product(*subsets) if consistent(c)]
+    sysm, visited = system(), []
+    held = dict(sysm.pivot_rows)
+    assert walk(sysm, options, lambda combo: visited.append(combo)) is None
+    assert visited == expected
+    assert sysm.pivot_rows == held
+    sysm, stops = system(), []
+    first = walk(sysm, options, lambda combo: stops.append(combo) or True)
+    assert stops == expected[:1]
+    assert first == (expected[0] if expected else None)
+    if first is not None:
+        # the stopped walk keeps the pins and the rows of its vector
+        sol = sysm.solution()
+        for row, b in pins + [(m.choice_rows[t][k], 0)
+                              for t, k in zip(m.tets, first)]:
+            assert sum(x * sol[c] for c, x in row) == b
+
+
+def test_no_system_outlives_a_query(monkeypatch):
+    # with the cyclic collector off, every system a query made is freed
+    # when it returns: no closure that refers to itself keeps one alive
+    made = []
+    init = linalg.IncrementalSystem.__init__
+
+    def tracked(self, ncols):
+        made.append(weakref.ref(self))
+        init(self, ncols)
+
+    monkeypatch.setattr(linalg.IncrementalSystem, "__init__", tracked)
+    bundle = g2_product_bundle()
+    m, btr = bundle["manifold"], bundle["boundary_track"]
+    diagonal = diagonal_boundary_weight(
+        bundle, mf_weight(bundle["track"], random.Random(64)))
+    off_diagonal = _off_diagonal_weight(bundle, 8)
+    rng = random.Random(67)
+    samples = [tuple(rng.randrange(3) for _ in m.tets) for _ in range(3)]
+    queries = [lambda: member(m, btr, diagonal),
+               lambda: member(m, btr, off_diagonal),
+               lambda: compute_cone(*_chain_track(3)),
+               lambda: compute_cone(m, btr, iter(samples))]
+    gc.disable()
+    try:
+        for query in queries:
+            del made[:]
+            result = query()
+            assert made and all(ref() is None for ref in made), result
+    finally:
+        gc.enable()
+
+
 def _relabeled(m, outgoing, wb, names):
     """The query on ``m`` with slots ``outgoing`` and weight ``wb``, with
     tet ``m.tets[i]`` renamed ``names[i]``: boundary triangles ``(t, f)``
@@ -1326,7 +1408,7 @@ class TestCone:
     def test_random_complexes_match_reference(self):
         # random outgoing slots on every non-torus boundary triangle; the
         # draws include torus and all-torus boundaries.  Up to 12 choice
-        # vectors per draw, in product order so that prefixes are shared
+        # vectors per draw, in product order
         rng = random.Random(71)
         done = 0
         while done < 30:
@@ -1653,12 +1735,13 @@ def test_tet_form_vanishes_on_a_choice(us, vs, k):
 
 def test_code_line_count():
     # the boundary is paired by edge class, the form has one table of
-    # coefficients, the boundary track is read off the one boundary surface
-    # and a product's pieces, walls and copies follow from corner ranks: a
-    # fan walk, a second table, a second surface, a search for the piece
-    # that holds a wall triangle or a second scan of the boundary faces
-    # would not fit
-    assert code_lines("cone3") <= 565
+    # coefficients, the boundary track is read off the one boundary surface,
+    # a product's pieces, walls and copies follow from corner ranks and one
+    # walk searches the choice vectors: a fan walk, a second table, a second
+    # surface, a search for the piece that holds a wall triangle, a second
+    # scan of the boundary faces or a second search over choices would not
+    # fit
+    assert code_lines("cone3") <= 563
 
 
 def test_fixtures_code_line_count():
