@@ -62,7 +62,7 @@ def main():
     pv = p.validate()
     print("pillowcase: genus", pv["genus"], " orders", pv["symbol"],
           " (four simple poles)")
-    cover, _ = orientation_double_cover(p)
+    cover = orientation_double_cover(p)
     cv = cover.validate()
     print("orientation double cover: connected translation surface of genus",
           cv["genus"], " area", cover.total_area())

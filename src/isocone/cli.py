@@ -11,6 +11,7 @@ import argparse
 import functools
 import itertools
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -45,21 +46,22 @@ def _emit(lines, args):
             fh.write(text)
 
 
+# a rational [-]p[/q] of ASCII digits; --rotate takes a, bi, a+bi or a-bi,
+# where a sign and no digits before i mean 1: '2', '-i', '1/2-3i'
+_RAT = r"[0-9]+(?:/[0-9]+)?"
+_ROTATE = re.compile(rf"(-?{_RAT})|(?:(-?{_RAT})(?=[+-]))?([+-]?)({_RAT})?i")
+
+
 def _parse_rotate(text):
-    """Parse a rational complex multiplier like '3+1i' or '2' or '1/2-3i'."""
-    s = text.replace(" ", "")
-    if s.endswith("i"):
-        body = s[:-1]
-        for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "+-/":
-                re = body[:k]
-                im = body[k:] or "1"
-                if im in ("+", "-"):
-                    im += "1"
-                return QC(Fraction(re), Fraction(im))
-        im = body if body not in ("", "+", "-") else body + "1"
-        return QC(0, Fraction(im))
-    return QC(Fraction(s), 0)
+    """The rational complex multiplier a ``--rotate`` value names, with
+    spaces dropped; a value of any other form is a domain error."""
+    m = _ROTATE.fullmatch(text.replace(" ", ""))
+    if m is None:
+        raise DomainError(f"bad --rotate value {text!r}")
+    real, re_part, sign, im = m.groups()
+    if real is not None:
+        return QC(Fraction(real), 0)
+    return QC(Fraction(re_part or 0), Fraction(sign + (im or "1")))
 
 
 def _choice_iter(manifold, args):

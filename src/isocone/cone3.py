@@ -504,8 +504,7 @@ def member(manifold, btrack, w_boundary):
     relations; membership then asks for an exact extension to all edge
     classes satisfying one pair-sum equality in every tetrahedron and zero
     on torus classes: the first consistent choice vector of ``walk`` over
-    the choice rows, with the boundary values folded in as constants.
-    """
+    the choice rows, with the boundary values folded in as constants."""
     track = btrack.track
     for e in track.branches:
         if e not in w_boundary:
@@ -516,8 +515,8 @@ def member(manifold, btrack, w_boundary):
         return MemberResult(False, reason="switch")
 
     # the boundary values are constants, one class per edge, all scaled by
-    # the common denominator D so that every row is integral; the interior
-    # solution is divided by D at the end
+    # the common denominator D so that every row is integral; each witness
+    # value is one Fraction over D times its row's d
     pins = manifold.boundary.edge_classes
     values = [rat(w_boundary.get(E, 0)) for E in pins]
     D = math.lcm(*[val.denominator for val in values])
@@ -541,10 +540,13 @@ def member(manifold, btrack, w_boundary):
     if combo is None:
         return MemberResult(False, reason="no-choice-vector")
     # no stored row reads a pinned column, so the interior solution is that
-    # of the system with the pins in it
-    sol = sysm.solution()
-    witness = {cls: Fraction(pinned[c], D) if c in pinned else sol[c] / D
-               for c, cls in enumerate(classes)}
+    # of the system with the pins in it.  With the free classes at 0, a
+    # pivot's affine reduced row d x + n[rhs] = 0 gives D times its value as
+    # x = -n[rhs] / d; a pinned class reads as the row x - pinned = 0
+    red, rhs = sysm.reduced(), len(classes)
+    witness = {cls: Fraction(-n.get(rhs, 0), d * D)
+               for c, cls in enumerate(classes)
+               for d, n in [red.get(c, (1, {rhs: -pinned.get(c, 0)}))]}
     return MemberResult(True, witness=witness,
                         choices=dict(zip(manifold.tets, combo)))
 

@@ -113,9 +113,9 @@ def _new(cls, *args):
 
 def _check_values(surface, vec, no_value, unclosed, broken, area=False):
     """Every triangle of ``surface`` has values in ``vec`` that close up,
-    with positive area if ``area``, and every gluing has valid signs and
-    carries the values as its sign says; the three messages name a
-    failure of each kind."""
+    with positive area if ``area``, ``vec`` has no other values, and every
+    gluing has valid signs and carries the values as its sign says; the
+    three messages name a failure of each kind."""
     for t, ds in surface.triangles.items():
         for d in ds:
             if d not in vec:
@@ -125,6 +125,9 @@ def _check_values(surface, vec, no_value, unclosed, broken, area=False):
             raise FlatSurfaceError(unclosed.format(t=t))
         if area and ax * by - ay * bx <= 0:
             raise FlatSurfaceError(f"triangle {t!r} has nonpositive area")
+    if len(vec) != len(surface.glue):   # every triangle's edges are in vec
+        d = next(d for d in vec if d not in surface.glue)
+        raise FlatSurfaceError(f"no triangle uses edge {d!r}")
     signs = surface.signs
     for d, d2 in surface.glue.items():
         s = signs.get(d)
@@ -326,7 +329,7 @@ class FlatSurface:
 
     @functools.cached_property
     def _cover(self):
-        return orientation_double_cover(self)[0]
+        return orientation_double_cover(self)
 
     def adapted(self):
         """Rotate by the first of ``_ROTATIONS`` leaving no horizontal edge;
@@ -627,13 +630,10 @@ def omega_hessian(surface, t1, t2):
 
 
 def orientation_double_cover(surface):
-    """The translation double cover and its sheet-swapping involution.
-
-    On a translation surface the cover is two disjoint copies; on a
-    half-translation surface the sign-reversing gluings connect the sheets
-    and every gluing of the cover is a translation.  The involution negates
-    the lifted edge vectors; the covering area is twice the base area.
-    """
+    """The translation double cover: two disjoint copies of a translation
+    surface; on a half-translation surface the sign-reversing gluings
+    connect the sheets and every gluing of the cover is a translation.
+    Sheet 1 carries the negated vectors; the area is twice the base's."""
     triangles, glu = {}, {}
     for t, ds in surface.triangles.items():
         for sheet in (0, 1):
@@ -645,11 +645,9 @@ def orientation_double_cover(surface):
             pairs = [((d, 0), (d2, 1)), ((d, 1), (d2, 0))]
         for a, b in pairs:
             glu[a], glu[b] = b, a
-    cover = _new(FlatSurface, "translation",
-                 SurfaceTriangulation(triangles, glu), _lift(surface._vec),
-                 surface._den, dict.fromkeys(glu, "neg"))
-    involution = {(d, s): (d, 1 - s) for d in surface._vec for s in (0, 1)}
-    return cover, involution
+    return _new(FlatSurface, "translation",
+                SurfaceTriangulation(triangles, glu), _lift(surface._vec),
+                surface._den, dict.fromkeys(glu, "neg"))
 
 
 def _lift(vec):

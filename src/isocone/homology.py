@@ -154,7 +154,7 @@ class SurfaceHomology:
         for face in rg.faces():
             face_rows.push(linalg.row((col[e], 1 if i == 0 else -1)
                                       for e, i in face if e in col), 0)
-        pivots = face_rows.pivot_rows
+        pivots = face_rows.pivots
         flows = self.basis_flows = [
             self.flow_from_nontree({e: Fraction(1)})
             for j, e in enumerate(self.nontree) if j not in pivots]

@@ -178,14 +178,14 @@ def parse_manifold(text):
     lines are present) and ``weights`` maps boundary-edge names to
     rationals.
     """
-    tets = []
+    tets = {}                      # tet id -> None, in line order
     gluings, glued = {}, set()     # glued: every face of an earlier line
     switch_lines = []
     weight_lines = []
     notes = []
     for lineno, toks in _lines(text):
         if toks[0] == "tet" and len(toks) == 2:
-            tets.append(toks[1])
+            _put(tets, toks[1], None, lineno, "tetrahedron")
         elif toks[0] == "glue" and len(toks) == 4:
             try:
                 t1, f1 = toks[1].rsplit(".", 1)

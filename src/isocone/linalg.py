@@ -2,10 +2,10 @@
 
 ``row`` builds every constraint row: sorted integer ``(column,
 coefficient)`` pairs without zeros.  ``IncrementalSystem`` eliminates them
-fraction-free (after Bareiss 1968); leftmost pivots make ``reduced()`` the
-canonical reduced echelon form, kept like the kernels in integers over one
-denominator per row or vector.  ``rref``, ``rank`` and ``solve`` take dense
-rational rows; ``Fraction``s are made only in their answers."""
+fraction-free (after Bareiss 1968); its one read-out, ``reduced()``, is the
+canonical affine reduced echelon form (leftmost pivots), in integers over
+one denominator per row like the kernels.  ``rref``, ``rank`` and
+``solve`` take dense rational rows; ``Fraction``s are made only there."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -153,32 +153,27 @@ class IncrementalSystem:
         return True
 
     def solution(self):
-        """A particular solution with all free variables set to 0."""
+        """The solution with every free variable 0, read off ``reduced()``."""
         sol = [Fraction(0)] * self.ncols
-        # stored rows are in echelon form (nothing left of the pivot) but not
-        # mutually reduced, so back-substitute in decreasing pivot order
-        for piv in sorted(self.pivot_rows, reverse=True):
-            p, tail, acc, _ = self.pivot_rows[piv]
-            for j, x in tail:
-                acc -= x * sol[j]
-            sol[piv] = Fraction(acc, p)
+        for piv, (d, n) in self.reduced().items():
+            sol[piv] = Fraction(-n.get(self.ncols, 0), d)
         return sol
 
     def reduced(self, first=0):
         """The stored rows with pivot >= ``first``, fully reduced among
-        themselves and without right-hand sides, as ``{pivot: (d, {column:
-        n})}``, ``d x_pivot + sum n x_column`` with ``d > 0`` and no common
-        factor.  They span the row combinations that vanish before
-        ``first``, as the reduced echelon form of that span, a canonical
-        object."""
+        themselves, as ``{pivot: (d, {column: n})}``: ``d x_pivot + sum n
+        x_column = 0`` with ``d > 0``, no common factor, and minus the
+        right-hand side at column ``ncols`` unless it is 0.  They span the
+        row combinations that vanish before ``first``, as the reduced
+        echelon form of that span, a canonical object."""
         out = {}
         # decreasing pivots: every pivot in a row's tail is reduced already;
         # scaling by the lcm m of their d keeps the substitution integral
         for piv in sorted((p for p in self.pivot_rows if p >= first),
                           reverse=True):
-            p, tail, _, _ = self.pivot_rows[piv]
+            p, tail, rb, _ = self.pivot_rows[piv]
             m = lcm(*[out[j][0] for j, _ in tail if j in out])
-            acc = {}
+            acc = {self.ncols: -rb * m} if rb else {}
             for j, x in tail:
                 if j in out:
                     d, rest = out[j]

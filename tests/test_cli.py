@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from isocone import io, linalg
-from isocone.cli import build_parser, run
+from isocone.cli import _parse_rotate, build_parser, run
 from isocone.cone3 import BoundaryTrack
 from isocone.fixtures import chain_tets
 from isocone.flatsurf import QC, lshape_h2
@@ -229,7 +229,8 @@ class TestConeCommands:
         path = tmp_path / "dup.txt"
         path.write_text("tet T0\n" + text)
         assert run(["cone", "compute", "--input", str(path)]) == 2
-        assert "'T0' listed twice" in capsys.readouterr().err
+        assert "line 2: tetrahedron 'T0' given twice" in \
+            capsys.readouterr().err
 
     def test_unknown_tet_named_exit_2(self, tmp_path, capsys):
         # the error names the undeclared tet, not the declared one
@@ -352,6 +353,33 @@ class TestMalformedInput:
         assert run(["surface", "validate", "--input", str(bad)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dropped, extra, message", [
+        # validate and delaunay used to pass with exit 0, delaunay writing
+        # the value back out, and symplectic-check ended in a KeyError
+        ("tangent ", "vector zz 1 0",
+         "invalid flat surface: no triangle uses edge 'zz'"),
+        # the value used to be accepted silently
+        (None, "tangent 1 zz 5 5",
+         "invalid tangent 1: no triangle uses edge 'zz'"),
+    ], ids=["vector", "tangent"])
+    @pytest.mark.parametrize("command", [["validate"], ["delaunay"],
+                                         ["symplectic-check", "--seed", "1"]],
+                             ids=lambda command: command[0])
+    def test_flat_surface_unused_edge_exit_2(self, tmp_path, capsys, dropped,
+                                             extra, message, command):
+        text = open(fixture_file(tmp_path, "square_torus")).read()
+        bad = tmp_path / "bad.txt"
+        bad.write_text("".join(line for line in text.splitlines(True)
+                               if dropped is None
+                               or not line.startswith(dropped))
+                       + extra + "\n")
+        capsys.readouterr()
+        assert run(["surface", command[0], "--input", str(bad),
+                    *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert not captured.out
+
     @pytest.mark.parametrize("extra, message", [
         # the last line used to win silently, with exit 0: a repeated kind
         # printed kind: half-translation
@@ -400,6 +428,29 @@ class TestMalformedInput:
         assert run(["tree", "fourpoint", "--input", str(path)]) == 0
         assert "note: normalized 2/4 to 1/2" in capsys.readouterr().out
 
+    # a, bi, a+bi or a-bi with a and b [-]p[/q] in ASCII digits: the first
+    # four used to fail with Python's Fraction message, the last three were
+    # accepted
+    @pytest.mark.parametrize("value", ["abc", "1+", "2i3", "1--1i", "1e2",
+                                       "+3", "\u0663"])
+    def test_bad_rotate_value_exit_1(self, tmp_path, capsys, value):
+        path = fixture_file(tmp_path, "square_torus")
+        capsys.readouterr()
+        assert run(["surface", "validate", "--input", path,
+                    "--rotate", value]) == 1
+        captured = capsys.readouterr()
+        assert f"bad --rotate value {value!r}" in captured.err
+        assert not captured.out
+
+    @pytest.mark.parametrize("value, expected", [
+        ("2", QC(2)), ("3+1i", QC(3, 1)), ("1/2+1/3i", QC(Fraction(1, 2),
+                                                          Fraction(1, 3))),
+        ("i", QC(0, 1)), ("-i", QC(0, -1)), ("+i", QC(0, 1)),
+        ("1/2-3i", QC(Fraction(1, 2), -3)), ("1 + 2i", QC(1, 2)),
+        ("-3/4i", QC(0, Fraction(-3, 4))), ("12i", QC(0, 12))])
+    def test_rotate_values(self, value, expected):
+        assert _parse_rotate(value) == expected
+
     def test_rotate_zero_denominator_exit_1(self, tmp_path, capsys):
         path = fixture_file(tmp_path, "square_torus")
         assert run(["surface", "validate", "--input", path,
@@ -443,4 +494,4 @@ class TestMalformedInput:
 def test_code_line_count():
     # commands parse, call the library and print; the computations live in
     # the library
-    assert code_lines("cli") <= 316
+    assert code_lines("cli") <= 314

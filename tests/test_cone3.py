@@ -905,6 +905,21 @@ class TestMembership:
             res = member(m, btr, wb)
             assert res.member and verify_witness(m, btr, wb, res)
 
+    def test_witness_is_one_fraction_per_class(self):
+        # read off the affine reduced rows, each witness value is a single
+        # Fraction; the back-substituted solution divided by D made 1,767
+        bundle = g2_product_bundle()
+        m, btr = bundle["manifold"], bundle["boundary_track"]
+        rng = random.Random(1)
+        weights = [diagonal_boundary_weight(bundle,
+                                            mf_weight(bundle["track"], rng))
+                   for _ in range(10)]
+        results = []
+        assert fraction_constructions(lambda: results.extend(
+            member(m, btr, wb) for wb in weights)) == 1180
+        assert all(res.member and verify_witness(m, btr, wb, res)
+                   for res, wb in zip(results, weights))
+
     def test_switch_violation_reported(self):
         bundle = g2_product_bundle()
         m, btr = bundle["manifold"], bundle["boundary_track"]

@@ -219,7 +219,7 @@ def _tangent_surfaces(monkeypatch):
     pillowcase double cover."""
     surfaces = list(_sheared_surfaces(monkeypatch))
     surfaces += [delaunay(s) for s in surfaces]
-    return surfaces + [orientation_double_cover(pillowcase())[0]]
+    return surfaces + [orientation_double_cover(pillowcase())]
 
 
 def _reference_incircle_strict(A, B, C, D):
@@ -1010,7 +1010,7 @@ class TestQuadratureReference:
         # the per-triangle inputs as ``kahler_pairing_numeric`` builds them
         s = delaunay(maker())
         if s.kind != "translation":
-            s, _ = orientation_double_cover(s)
+            s = orientation_double_cover(s)
         rng = random.Random(78)
         t1, t2 = random_tangent(s, rng), random_tangent(s, rng)
         for t in sorted(s.triangles, key=repr):
@@ -1026,16 +1026,22 @@ class TestQuadratureReference:
                     _reference_quadrature(P, per1, per2, depth))
 
 
+def _sheet_swap(surface):
+    """The sheet-swapping involution of the orientation double cover of
+    ``surface``, on the directed edges ``(d, sheet)`` of the cover."""
+    return {(d, s): (d, 1 - s) for d in surface.vectors for s in (0, 1)}
+
+
 class TestDoubleCover:
     def test_translation_cover_disjoint(self):
         s = square_torus()
-        cover, inv = orientation_double_cover(s)
+        cover = orientation_double_cover(s)
         assert len(cover.comb.components()) == 2
         assert cover.total_area() == 2 * s.total_area()
 
     def test_pillowcase_cover_is_torus(self):
         s = pillowcase()
-        cover, inv = orientation_double_cover(s)
+        cover = orientation_double_cover(s)
         assert len(cover.comb.components()) == 1
         assert cover.kind == "translation"
         v = cover.validate()
@@ -1044,17 +1050,17 @@ class TestDoubleCover:
 
     def test_involution_negates_vectors(self):
         s = pillowcase()
-        cover, inv = orientation_double_cover(s)
-        for d, d2 in inv.items():
+        cover = orientation_double_cover(s)
+        for d, d2 in _sheet_swap(s).items():
             assert cover.vectors[d2] == -cover.vectors[d]
 
     def test_lifted_tangent_odd(self):
         s = pillowcase()
-        cover, inv = orientation_double_cover(s)
+        cover = orientation_double_cover(s)
         rng = random.Random(78)
         t = random_tangent(s, rng)
         lt = lift_tangent(cover, t)
-        for d, d2 in inv.items():
+        for d, d2 in _sheet_swap(s).items():
             assert lt.delta[d2] == -lt.delta[d]
 
 
@@ -1154,7 +1160,7 @@ class TestAgainstFractionOracles:
                 assert value == oracle(a, t1, t2)
             assert repr(kahler_pairing_numeric(a, t1, t2, depth=1)) == \
                 repr(_fraction_kahler(a, t1, t2, 1))
-            cover, _ = orientation_double_cover(a)
+            cover = orientation_double_cover(a)
             _assert_public(cover)
             for t in (t1, t2):
                 _assert_public_tangent(lift_tangent(cover, t))
@@ -1238,4 +1244,4 @@ def test_code_line_count():
     # Delaunay quad is read off three edge vectors: a surface built per
     # rotation candidate, a quad developed through chart maps or re-checks
     # of the triangles and gluings after every flip would not fit
-    assert code_lines("flatsurf") <= 681
+    assert code_lines("flatsurf") <= 680

@@ -57,7 +57,7 @@ def _surface_ribbons():
     for n in range(2, 7):
         s = grid.grid_torus(n).shear(Fraction(3, 2))
         surfaces += [s, delaunay(s)]
-    surfaces.append(orientation_double_cover(pillowcase())[0])
+    surfaces.append(orientation_double_cover(pillowcase()))
     return [s.comb.skeleton_ribbon() for s in surfaces]
 
 

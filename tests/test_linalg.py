@@ -64,6 +64,19 @@ def reference_solve(rows, rhs, ncols):
     return sol
 
 
+def back_substitution(sysm):
+    """The solution of ``sysm`` with every free column 0, substituted back
+    through its stored rows in decreasing pivot order: they are in echelon
+    form but not reduced among themselves."""
+    sol = [Fraction(0)] * sysm.ncols
+    for piv in sorted(sysm.pivot_rows, reverse=True):
+        p, tail, acc, _ = sysm.pivot_rows[piv]
+        for j, x in tail:
+            acc -= x * sol[j]
+        sol[piv] = Fraction(acc, p)
+    return sol
+
+
 def exact(value):
     """``value`` with every number replaced by ``(type, value)``, so that
     equality also checks that no ``int`` stands in for a ``Fraction``."""
@@ -199,18 +212,37 @@ def test_incremental_system_matches_solve(program):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
+@given(programs())
+def test_solution_matches_back_substitution(program):
+    # after every push and rollback, reading the solution off the affine
+    # reduced form agrees with substituting back through the stored rows
+    ncols, ops = program
+    sysm = linalg.IncrementalSystem(ncols)
+    marks = []
+    for op in ops:
+        if op[0] == "push":
+            sysm.push(*scaled(op[1], op[2]))
+        elif op[0] == "checkpoint":
+            marks.append(len(sysm.pivots))
+        elif marks:
+            sysm.rollback(marks.pop())
+        assert exact(sysm.solution()) == exact(back_substitution(sysm))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(programs(), st.integers(0, 5))
 def test_reduced_matches_rref(program, first):
     # after every step, the reduced form from column ``first`` on is the
-    # part of the reduced echelon form of the held rows pivoting there
+    # part of the reduced echelon form of the held rows, augmented by the
+    # column -b at ``ncols``, pivoting there
     ncols, ops = program
     sysm = linalg.IncrementalSystem(ncols)
-    rows = []
+    rows = []              # the rows the system holds, dense and augmented
     marks = []
     for op in ops:
         if op[0] == "push":
             if sysm.push(*scaled(op[1], op[2])):
-                rows.append(op[1])
+                rows.append(op[1] + [-op[2]])
         elif op[0] == "checkpoint":
             marks.append((len(sysm.pivots), len(rows)))
         elif marks:
@@ -225,12 +257,13 @@ def test_reduced_matches_rref(program, first):
         kernel = linalg.reduced_kernel(reduced, ncols, first)
         assert exact(fraction_vectors(kernel, ncols - first)) == exact([
             vec[first:] for vec in reference_kernel(
-                [row for row, p in zip(red, pivots) if p >= first], ncols)
+                [row[:ncols] for row, p in zip(red, pivots) if p >= first],
+                ncols)
             if not any(vec[:first])])
         assert_reduced_rows_primitive(reduced)
         assert_integer_kernel(kernel, [
-            ((p, d), *n.items()) for p, (d, n) in reduced.items()],
-            reduced, ncols, first)
+            ((p, d), *((c, x) for c, x in n.items() if c < ncols))
+            for p, (d, n) in reduced.items()], reduced, ncols, first)
 
 
 def test_wrappers_do_not_count_as_pushes(monkeypatch):
@@ -269,5 +302,6 @@ def test_row_matches_dense_sum(terms, rng):
 
 def test_code_line_count():
     # one elimination core: a second, dense one would not fit; the row
-    # builder moved here from cone3, and a mark is ``len(pivots)``
-    assert code_lines("linalg") <= 157
+    # builder moved here from cone3, a mark is ``len(pivots)``, and
+    # ``reduced()`` is the one read-out, with no back-substitution
+    assert code_lines("linalg") <= 154
