@@ -114,8 +114,8 @@ def _new(cls, *args):
 def _check_values(surface, vec, no_value, unclosed, broken, area=False):
     """Every triangle of ``surface`` has values in ``vec`` that close up,
     with positive area if ``area``, ``vec`` has no other values, and every
-    gluing has valid signs and carries the values as its sign says; the
-    three messages name a failure of each kind."""
+    gluing carries them as ``surface.signs`` says, ``neg`` only on a
+    translation surface; the three messages name a failure of each kind."""
     for t, ds in surface.triangles.items():
         for d in ds:
             if d not in vec:
@@ -128,13 +128,8 @@ def _check_values(surface, vec, no_value, unclosed, broken, area=False):
     if len(vec) != len(surface.glue):   # every triangle's edges are in vec
         d = next(d for d in vec if d not in surface.glue)
         raise FlatSurfaceError(f"no triangle uses edge {d!r}")
-    signs = surface.signs
     for d, d2 in surface.glue.items():
-        s = signs.get(d)
-        if s not in ("neg", "pos"):
-            raise FlatSurfaceError(f"missing gluing sign at {d!r}")
-        if s != signs.get(d2):
-            raise FlatSurfaceError(f"gluing signs disagree at {d!r}")
+        s = surface.signs[d]
         (x, y), w = vec[d], vec[d2]
         if w != ((-x, -y) if s == "neg" else (x, y)):
             raise FlatSurfaceError(broken.format(d=d))
@@ -154,23 +149,22 @@ class FlatSurface:
 
     ``triangles`` maps triangle ids to ccw triples of directed edge ids;
     ``vectors`` maps each directed edge to a QC; ``gluings`` maps each
-    directed edge to its partner; ``signs`` maps each directed edge to
-    'neg' or 'pos' (symmetric on a gluing pair).  The vectors are held as
-    integer pairs ``_vec`` over the denominator ``_den``.
+    directed edge to its partner, which carries the same vector ('pos' in
+    ``signs``, read off the vectors) or the opposite one ('neg').  The
+    vectors are held as integer pairs ``_vec`` over the denominator ``_den``.
     """
 
-    def __init__(self, kind, triangles, vectors, gluings, signs=None):
+    def __init__(self, kind, triangles, vectors, gluings):
         if kind not in ("translation", "half-translation"):
             raise FlatSurfaceError(f"unknown kind {kind!r}")
-        if signs is None:
-            signs = {d: "neg" for d in gluings}
         self._setup(kind, SurfaceTriangulation(triangles, gluings),
-                    *_to_ints(vectors), signs)
+                    *_to_ints(vectors))
 
-    def _setup(self, kind, comb, vec, den, signs):
+    def _setup(self, kind, comb, vec, den):
         self.kind, self.comb, self._vec, self._den = kind, comb, vec, den
-        self.signs = dict(signs)
         self.triangles, self.glue = comb.triangles, comb.glue
+        self.signs = {d: "pos" if vec.get(d) == vec.get(d2) else "neg"
+                      for d, d2 in comb.glue.items()}
         _check_values(self, vec,
                       "triangle {t!r} uses edge {d!r}, which has no vector",
                       "triangle {t!r} does not close up",
@@ -274,8 +268,7 @@ class FlatSurface:
         a, b, c, d = [q.numerator * (M // q.denominator) for q in m]
         vec = {k: (a * x + b * y, c * x + d * y)
                for k, (x, y) in self._vec.items()}
-        return _new(FlatSurface, self.kind, self.comb, vec, self._den * M,
-                    self.signs)
+        return _new(FlatSurface, self.kind, self.comb, vec, self._den * M)
 
     def shear(self, s):
         return self.apply_matrix(1, rat(s), 0, 1)
@@ -370,7 +363,7 @@ def _incircle_strict(A, B, C, D):
     return det > 0
 
 
-def _edge_quad(triangles, vec, glue, signs, locate, d):
+def _edge_quad(triangles, vec, glue, locate, d):
     """The quad around edge d: (A, B, C, D, data for the flip), as integer
     pairs over the denominator of ``vec``.
 
@@ -378,12 +371,12 @@ def _edge_quad(triangles, vec, glue, signs, locate, d):
     that B is 0: A->B is d, C the opposite corner on the d side (B->C is
     the next edge e1), and D the opposite corner of the partner triangle,
     reached from B backwards along the partner's edge f2 carried across
-    the gluing by mu = +1 (neg) or -1 (pos).  ``locate`` maps a directed
-    edge to its (triangle, slot).
+    the gluing by mu = -1 if d's partner carries d's vector (pos), else +1.
+    ``locate`` maps a directed edge to its (triangle, slot).
     """
     t1, i = locate(d)
     t2, j = locate(glue[d])
-    mu = 1 if signs[d] == "neg" else -1
+    mu = -1 if vec[glue[d]] == vec[d] else 1
     ax, ay = vec[d]
     fx, fy = vec[triangles[t2][(j + 2) % 3]]
     return ((-ax, -ay), _ORIGIN, vec[triangles[t1][(i + 1) % 3]],
@@ -394,8 +387,7 @@ def is_delaunay(surface):
     """Non-strict global Delaunay check over all undirected edges."""
     for E in surface.comb.edge_classes:
         A, B, C, D, _ = _edge_quad(surface.triangles, surface._vec,
-                                   surface.glue, surface.signs,
-                                   surface.comb.locate, E)
+                                   surface.glue, surface.comb.locate, E)
         if _incircle_strict(A, B, C, D):
             return False
     return True
@@ -411,14 +403,14 @@ def delaunay(surface):
     exactly.
 
     The flips are applied in place on copies of the triangles, integer
-    vectors, signs and slot owners, and one ``FlatSurface`` is built at the
-    end, over the same denominator; its structure check is the only check
-    of the flips.  An edge's legality depends only on its two triangles,
-    and the edge classes only on the gluing pairs, which flips never
-    change; so a min-heap of class ranks, holding every edge not known to
-    be legal and refilled with the five edges of the two triangles each
-    flip touches, finds the same edge at every step as rescanning all of
-    them would.
+    vectors and slot owners, and one ``FlatSurface`` is built at the end,
+    over the same denominator, reading its gluing signs off the vectors;
+    its structure check is the only check of the flips.  An edge's
+    legality depends only on its two triangles, and the edge classes only
+    on the gluing pairs, which flips never change; so a min-heap of class
+    ranks, holding every edge not known to be legal and refilled with the
+    five edges of the two triangles each flip touches, finds the same edge
+    at every step as rescanning all of them would.
     """
     glue = surface.glue
     classes = surface.comb.edge_classes
@@ -426,7 +418,6 @@ def delaunay(surface):
     rank = {E: k for k, E in enumerate(classes)}
     triangles = dict(surface.triangles)
     vec = dict(surface._vec)
-    signs = dict(surface.signs)
     owner = {d: (t, i) for t, ds in triangles.items()
              for i, d in enumerate(ds)}
     cap = 1000 + 100 * len(classes) ** 2
@@ -438,7 +429,7 @@ def delaunay(surface):
         queued[k] = False
         d = classes[k]
         A, B, C, D, (t1, i, t2, j, mu) = _edge_quad(
-            triangles, vec, glue, signs, owner.__getitem__, d)
+            triangles, vec, glue, owner.__getitem__, d)
         if not _incircle_strict(A, B, C, D):
             continue
         steps += 1
@@ -460,18 +451,6 @@ def delaunay(surface):
         vec[p] = (cx - dx, cy - dy)
         triangles[t1] = (f1, p, e2)        # A->D, D->C, C->A
         triangles[t2] = (f2, e1, d)        # D->B, B->C, C->D
-        signs[d] = signs[p] = "neg"
-
-        # recompute the gluing signs of the outer edges from current vectors
-        for x in (e1, e2, f1, f2):
-            y = glue[x]
-            (vx, vy), w = vec[x], vec[y]
-            if w == (-vx, -vy):
-                signs[x] = signs[y] = "neg"
-            elif w == (vx, vy):
-                signs[x] = signs[y] = "pos"
-            else:
-                raise AssertionError("flip broke a gluing")
 
         for t in (t1, t2):
             for slot, x in enumerate(triangles[t]):
@@ -481,7 +460,7 @@ def delaunay(surface):
                     queued[r] = True
                     heapq.heappush(heap, r)
     comb = SurfaceTriangulation(triangles, glue)
-    return _new(FlatSurface, surface.kind, comb, vec, surface._den, signs)
+    return _new(FlatSurface, surface.kind, comb, vec, surface._den)
 
 
 # -- period tangents ---------------------------------------------------------------
@@ -647,7 +626,7 @@ def orientation_double_cover(surface):
             glu[a], glu[b] = b, a
     return _new(FlatSurface, "translation",
                 SurfaceTriangulation(triangles, glu), _lift(surface._vec),
-                surface._den, dict.fromkeys(glu, "neg"))
+                surface._den)
 
 
 def _lift(vec):
@@ -841,15 +820,13 @@ def lshape_h2():
 
 def pillowcase():
     """Half-translation sphere: the double of a unit square, four poles."""
-    tris, vectors, glu, signs = {}, {}, {}, {}
+    tris, vectors, glu = {}, {}, {}
     # upper copy [0,1]x[0,1] and lower copy [0,1]x[-1,0]
     for name in ("u", "l"):
         _add_unit_square(name, tris, vectors, glu)
-    for x, y, sign in (("ud", "udr", "neg"), ("ld", "ldr", "neg"),
-                       ("ub", "lt", "neg"),     # shared edge y = 0
-                       ("ut", "lb", "neg"),     # top of strip to its bottom
-                       ("ul", "ll", "pos"),     # left fold
-                       ("ur", "lr", "pos")):    # right fold
+    for x, y in (("ub", "lt"),      # shared edge y = 0
+                 ("ut", "lb"),      # top of strip to its bottom
+                 ("ul", "ll"),      # left fold: a point reflection
+                 ("ur", "lr")):     # right fold: a point reflection
         glu[x], glu[y] = y, x
-        signs[x] = signs[y] = sign
-    return FlatSurface("half-translation", tris, vectors, glu, signs)
+    return FlatSurface("half-translation", tris, vectors, glu)

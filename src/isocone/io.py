@@ -75,10 +75,10 @@ def _put(table, key, value, lineno, what):
 
 
 def parse_tree(text):
-    vertices, edges, head, notes = [], {}, {}, []
+    vertices, edges, head, notes = {}, {}, {}, []
     for lineno, toks in _lines(text):
         if toks[0] == "vertex" and len(toks) == 2:
-            vertices.append(toks[1])
+            _put(vertices, toks[1], None, lineno, "vertex")
         elif toks[0] == "edge" and len(toks) == 5:
             eid, u, v, vec = toks[1], toks[2], toks[3], toks[4]
             if not (vec.startswith("(") and vec.endswith(")")):
@@ -113,7 +113,7 @@ def serialize_track(track):
 
 def parse_flatsurface(text):
     head, triangles, vectors, gluings, signs, tangents = {}, {}, {}, {}, {}, {}
-    notes = []
+    notes = []      # signs: the sign token and line number of each glue line
 
     def qc(re, im):     # a value pair of the current line
         return QC(_rat(re, lineno, notes), _rat(im, lineno, notes))
@@ -125,12 +125,9 @@ def parse_flatsurface(text):
         elif toks[0] == "vector" and len(toks) == 4:
             _put(vectors, toks[1], qc(*toks[2:]), lineno, "vector")
         elif toks[0] == "glue" and len(toks) in (3, 4):
-            sign = toks[3] if len(toks) == 4 else "neg"
-            if sign not in ("neg", "pos"):
-                raise ParseError(lineno, f"bad gluing sign {sign!r}")
             _put(gluings, toks[1], toks[2], lineno, "gluing of edge")
             _put(gluings, toks[2], toks[1], lineno, "gluing of edge")
-            signs[toks[1]] = signs[toks[2]] = sign
+            signs[toks[1]] = (toks[3] if len(toks) == 4 else "neg", lineno)
         elif toks[0] == "tangent" and len(toks) == 5:
             _put(tangents.setdefault(toks[1], {}), toks[2], qc(*toks[3:]),
                  lineno, f"tangent {toks[1]} value on edge")
@@ -139,9 +136,12 @@ def parse_flatsurface(text):
     if "kind" not in head:
         raise ParseError(0, "missing kind directive")
     try:
-        surf = FlatSurface(head["kind"], triangles, vectors, gluings, signs)
+        surf = FlatSurface(head["kind"], triangles, vectors, gluings)
     except ValueError as e:
         raise ParseError(0, f"invalid flat surface: {e}")
+    for d, (s, n) in signs.items():
+        if s != surf.signs[d]:
+            raise ParseError(n, f"sign {s!r} contradicts the vectors at {d!r}")
     tlist = []
     for idx in sorted(tangents, key=str):
         try:

@@ -404,6 +404,32 @@ class TestMalformedInput:
         assert f"line {lineno}: {message}" in captured.err
         assert not captured.out
 
+    @pytest.mark.parametrize("fixture, line, changed, lineno, message", [
+        # the first three used to be refused as line 0, "not
+        # vector-compatible"; the last as "bad gluing sign 'foo'"
+        ("pillowcase", "glue ll ul pos", "glue ll ul neg", 20,
+         "sign 'neg' contradicts the vectors at 'll'"),
+        ("pillowcase", "glue ll ul pos", "glue ll ul", 20,
+         "sign 'neg' contradicts the vectors at 'll'"),
+        ("square_torus", "glue A a neg", "glue A a pos", 10,
+         "sign 'pos' contradicts the vectors at 'A'"),
+        ("square_torus", "glue A a neg", "glue A a foo", 10,
+         "sign 'foo' contradicts the vectors at 'A'"),
+    ])
+    def test_flat_surface_wrong_sign_names_its_line(
+            self, tmp_path, capsys, fixture, line, changed, lineno, message):
+        # the gluing signs are read off the vectors; a glue line's sign
+        # token (neg when left out) must say the same
+        text = open(fixture_file(tmp_path, fixture)).read()
+        assert text.splitlines()[lineno - 1] == line
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text.replace(line + "\n", changed + "\n"))
+        capsys.readouterr()
+        assert run(["surface", "validate", "--input", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert f"line {lineno}: {message}" in captured.err
+        assert not captured.out
+
     def test_tree_zero_denominator_exit_2(self, tmp_path, capsys):
         path = tmp_path / "tree.txt"
         path.write_text("vertex a\nvertex b\nedge e1 a b (0,1/0)\n")
@@ -419,7 +445,7 @@ class TestMalformedInput:
         capsys.readouterr()
         assert run(["tree", "fourpoint", "--input", str(path)]) == 2
         captured = capsys.readouterr()
-        assert "invalid tree: vertex 'a' listed twice" in captured.err
+        assert "line 3: vertex 'a' given twice" in captured.err
         assert not captured.out
 
     def test_tree_unnormalized_tuple_noted(self, tmp_path, capsys):

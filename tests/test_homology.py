@@ -378,7 +378,7 @@ class TestDisconnected:
             omega_thurston, omega_hessian, omega_homological)
         s0 = square_torus()
         s = FlatSurface("half-translation", s0.triangles, s0.vectors,
-                        s0.glue, s0.signs)
+                        s0.glue)
         s, _ = delaunay(s).adapted()
         rng = random.Random(9)
         for _ in range(8):
