@@ -65,27 +65,26 @@ def _parse_rotate(text):
 
 
 def _choice_iter(manifold, args):
-    """The choice vectors ``--choices`` asks for (None for all), with the
-    ``choices:``, ``coverage:`` and ``certified:`` lines that report them."""
+    """The choice vectors ``--choices`` asks for, a sample drawn in full
+    before the run (None for all), with the ``choices:``, ``coverage:``
+    and ``certified:`` lines that report them: a sample covers its
+    distinct vectors and is certified when they are all of them."""
     mode = args.choices or "all"
-    total = 3 ** len(manifold.tets)
-    if mode == "all":
-        return None, ["choices: all", f"coverage: {total}/{total}",
-                      "certified: true"]
-    size = mode[len("sample:"):]
-    if mode.startswith("sample:") and size.isascii() and size.isdigit() \
-            and size[0] != "0":
-        n = int(size)
+    total = covered = 3 ** len(manifold.tets)
+    combos = None
+    if mode != "all":
+        size = mode[len("sample:"):]
+        if not (mode.startswith("sample:") and size.isascii()
+                and size.isdigit() and size[0] != "0"):
+            raise DomainError(f"bad --choices value {mode!r}")
         if args.seed is None:
             raise DomainError("sampling requires --seed")
         rng = random.Random(args.seed)
-
-        def it():
-            for _ in range(n):
-                yield tuple(rng.randrange(3) for _ in manifold.tets)
-        return it(), [f"choices: sample:{n}",
-                      f"coverage: {min(n, total)}/{total}", "certified: false"]
-    raise DomainError(f"bad --choices value {mode!r}")
+        combos = [tuple(rng.randrange(3) for _ in manifold.tets)
+                  for _ in range(int(size))]
+        covered = len(set(combos))
+    return combos, [f"choices: {mode}", f"coverage: {covered}/{total}",
+                    f"certified: {'true' if covered == total else 'false'}"]
 
 
 # -- cone subcommands ---------------------------------------------------------
@@ -219,12 +218,11 @@ def cmd_surface_track(args):
 
 
 def cmd_surface_symplectic_check(args):
-    depth = args.depth if args.depth is not None else 4
-    if depth < 0:
-        raise DomainError(f"--depth must be at least 0, not {depth}")
-    if depth > MAX_QUADRATURE_DEPTH:
+    if args.depth < 0:
+        raise DomainError(f"--depth must be at least 0, not {args.depth}")
+    if args.depth > MAX_QUADRATURE_DEPTH:
         raise DomainError(f"--depth must be at most {MAX_QUADRATURE_DEPTH}, "
-                          f"not {depth}")
+                          f"not {args.depth}")
     surf, tangents, notes = _load_surface(args)
     if not args.rotate:
         try:
@@ -249,9 +247,9 @@ def cmd_surface_symplectic_check(args):
     lines.append(f"omega_homological: {format_rat(c3)}")
     lines.append(f"omega_hessian: {format_rat(b)}")
     lines.append(f"agree: {'true' if a == b == c3 else 'false'}")
-    num = kahler_pairing_numeric(surf, t1, t2, depth=depth)
+    num = kahler_pairing_numeric(surf, t1, t2, depth=args.depth)
     lines.append("quadrature (floating point):")
-    lines.append(f"  depth: {depth}")
+    lines.append(f"  depth: {args.depth}")
     lines.append(f"  pairing: {num.real:.12g}{num.imag:+.12g}i")
     if a != b or a != c3:
         raise DomainError("the three exact pairings disagree")
@@ -318,7 +316,7 @@ def cmd_fixtures(args):
 
 # the flags beyond --input and --output, each on the commands that read it
 _FLAGS = {"--choices": {"default": "all"}, "--seed": {"type": int},
-          "--depth": {"type": int}, "--rotate": {}}
+          "--depth": {"type": int, "default": 4}, "--rotate": {}}
 
 
 def _add_command(sub, name, fn, *flags, need_input=True):

@@ -108,8 +108,7 @@ class Triangulation3:
         self.gluings = {tf: (t2, f2, dict(perm))
                         for tf, (t2, f2, perm) in gluings.items()}
         merges, glued = self._validate_gluings()
-        self._build_classes(merges)
-        self._build_boundary(glued)
+        self._build_boundary(glued, self._build_classes(merges))
 
     # -- validation ------------------------------------------------------------
 
@@ -151,17 +150,13 @@ class Triangulation3:
         """Edge classes: edge ``EDGE_PAIRS[k]`` of tet ``i`` is slot ``6i +
         k`` of one integer ``union_find`` over the ``merges`` of the face
         pairs' entries, and a class id is the ``(tet, edge)`` of its root
-        slot.  ``_tet_columns[i]`` holds the columns (positions in
-        ``edge_classes``) of tet ``i``'s six edges."""
+        slot.  Returns the root slots in ``edge_classes`` order."""
         slots = [(t, e) for t in self.tets for e in EDGE_PAIRS]
         roots = self._edge_roots = union_find(len(slots), merges)
         self.edge_class = dict(zip(slots, [slots[r] for r in roots]))
         classes = sorted(set(roots), key=lambda r: repr(slots[r]))
         self.edge_classes = [slots[r] for r in classes]
-        column = {r: c for c, r in enumerate(classes)}
-        self._column = {slots[r]: c for r, c in column.items()}
-        # six consecutive slots per tet
-        self._tet_columns = list(zip(*[iter([column[r] for r in roots])] * 6))
+        return classes
 
     @functools.cached_property
     def vertex_class(self):
@@ -176,8 +171,11 @@ class Triangulation3:
 
     # -- boundary ---------------------------------------------------------------
 
-    def _build_boundary(self, glued):
-        """The boundary surface: one oriented triangle per unglued face.
+    def _build_boundary(self, glued, classes):
+        """The boundary surface, one oriented triangle per unglued face, and
+        ``columns``, the one column order of every cached row: the interior
+        ``classes`` (root slots), then the boundary classes in
+        ``boundary.edge_classes`` order.
 
         An edge class is one link arc or one link circle, so a class that
         reaches the boundary has exactly two free face sides, and those two
@@ -204,10 +202,16 @@ class Triangulation3:
                      for t, f in self.boundary_faces}
         self.boundary = SurfaceTriangulation(triangles, glu) if triangles \
             else None
-        self.boundary_edge_to_class = {
-            self.boundary.edge_class[pair[0]]: slots[r]
-            for r, pair in sides.items()}
+        root_of = {self.boundary.edge_class[pair[0]]: r
+                   for r, pair in sides.items()}
+        self.boundary_edge_to_class = {E: slots[r] for E, r in root_of.items()}
         self._classify_boundary_components()
+        order = [r for r in classes if r not in sides] + [
+            root_of[E] for E in (self.boundary.edge_classes if sides else ())]
+        self.columns = [slots[r] for r in order]
+        column = dict(zip(order, range(len(order))))
+        # the columns of each tet's six edges, six consecutive slots
+        self._tet_columns = list(zip(*[iter([column[r] for r in roots])] * 6))
 
     def _classify_boundary_components(self):
         """Split the boundary surface into components; flag tori."""
@@ -236,9 +240,9 @@ class Triangulation3:
 
     @functools.cached_property
     def torus_rows(self):
-        """Unit rows pinning every torus class, in ``repr`` order."""
-        return [linalg.row([(self._column[E], 1)])
-                for E in sorted(self.torus_classes, key=repr)]
+        """Unit rows pinning every torus class, in column order."""
+        return [linalg.row([(c, 1)]) for c, E in enumerate(self.columns)
+                if E in self.torus_classes]
 
     @functools.cached_property
     def choice_rows(self):
@@ -254,24 +258,24 @@ class Triangulation3:
     def form_rows(self):
         """Integer coefficients of twice the total form, per edge class.
 
-        ``2 * omega(u, v)`` is the sum of ``u[c] * x * v[edge_classes[col]]``
+        ``2 * omega(u, v)`` is the sum of ``u[c] * x * v[columns[col]]``
         over the classes ``c`` and the ``(col, x)`` of ``form_rows[c]``;
         the coefficients are antisymmetric.  A tetrahedron's form is -1/2 of
         the cyclic sum of wedges of its three opposite-pair sums, in
         ``OPPOSITE_PAIRS`` order.
         """
-        terms = [[] for _ in self.edge_classes]
+        terms = [[] for _ in self.columns]
         for c in self._tet_columns:
             for a, b in _FORM_WEDGES:
                 terms[c[a]].append((c[b], -1))
                 terms[c[b]].append((c[a], 1))
-        return {E: linalg.row(ts) for E, ts in zip(self.edge_classes, terms)}
+        return {E: linalg.row(ts) for E, ts in zip(self.columns, terms)}
 
     def _form_image(self, v):
         """``form_rows`` applied to a weight, over the classes it may not
         vanish on.  The coefficients are antisymmetric, so this is minus
         the sum of the rows of the nonzero entries of ``v``."""
-        cls = self.edge_classes
+        cls = self.columns
         image = {}
         for d, y in v.items():
             if y:
@@ -301,7 +305,7 @@ class Triangulation3:
     # -- choice subspaces ---------------------------------------------------------
 
     def w4_subspace(self, choices):
-        """Reduced-echelon basis of one choice subspace.
+        """Reduced-echelon basis, in column order, of one choice subspace.
 
         ``choices`` maps every tetrahedron to 0, 1, or 2.  The subspace is
         cut out by one pair-sum equality per tetrahedron plus zero weight
@@ -309,7 +313,7 @@ class Triangulation3:
         ``(L, {class: n})``, the weight ``n / L`` on the classes it does not
         vanish on, as ``linalg.reduced_kernel`` gives it.
         """
-        cls = self.edge_classes
+        cls = self.columns
         sysm = linalg.IncrementalSystem(len(cls))
         for row in self.torus_rows + [self.choice_rows[t][choices[t]]
                                       for t in self.tets]:
@@ -322,7 +326,7 @@ class Triangulation3:
         containing the tree (four-point) locus, with the satisfied
         equalities of each tet as evidence.  Works for rational or
         tuple-valued weights (only addition and comparison are used)."""
-        per_tet, x = {}, [w[E] for E in self.edge_classes]
+        per_tet, x = {}, [w[E] for E in self.columns]
         for t, c in zip(self.tets, self._tet_columns):
             sums = [x[c[a]] + x[c[b]] for a, b in _OPPOSITE_EDGES]
             per_tet[t] = [k for k, (i, j) in enumerate(CHOICE_PAIRS)
@@ -443,27 +447,21 @@ def compute_cone(manifold, btrack, choice_iter=None):
     boundary track; identical spans are merged.  ``choice_iter=None``
     walks the full product over tetrahedra (exact cone); a sampled
     iterator gives a partial union, one single-option walk per vector.
-    The walk's system holds a vector's rows; those pivoting on boundary
-    columns (after the interior ones) cut out its component.
+    The walk's system holds a vector's rows; those pivoting on the
+    boundary columns (the suffix from ``first``) cut out its component.
     """
     tets = manifold.tets
     edge_order = manifold.boundary.edge_classes
-    # one edge per boundary class (checked when the manifold is built)
-    edge_of = {manifold.boundary_edge_to_class[E]: E for E in edge_order}
-    # columns: the interior classes, then the boundary classes in edge order
-    order = [c for c in manifold.edge_classes if c not in edge_of]
-    first = len(order)
-    index = {c: i for i, c in enumerate(order + list(edge_of))}
-    column = [index[c] for c in manifold.edge_classes]
-    sysm = linalg.IncrementalSystem(len(index))
+    sysm = linalg.IncrementalSystem(len(manifold.columns))
+    first = sysm.ncols - len(edge_order)
     # the torus pins also zero the torus edges of every component span
     for row in manifold.torus_rows:
-        sysm.push([(column[c], x) for c, x in row], 0)
+        sysm.push(row, 0)
     for row in btrack.track.switch_rows(
             {E: first + i for i, E in enumerate(edge_order)}):
         sysm.push(row, 0)
-    options = [[(k, [(column[c], x) for c, x in row], 0) for k, row in
-                enumerate(manifold.choice_rows[t])] for t in tets]
+    options = [[(k, row, 0) for k, row in enumerate(manifold.choice_rows[t])]
+               for t in tets]
     seen = {}
 
     def record(combo):
@@ -473,7 +471,7 @@ def compute_cone(manifold, btrack, choice_iter=None):
         if key not in seen:
             span, _ = linalg.rref([
                 [vec.get(k, 0) for k in range(len(edge_order))]
-                for _, vec in linalg.reduced_kernel(red, len(index), first)])
+                for _, vec in linalg.reduced_kernel(red, sysm.ncols, first)])
             seen[key] = {"span": span, "dimension": len(span),
                          "choice": dict(zip(tets, combo))}
         return False
@@ -514,39 +512,37 @@ def member(manifold, btrack, w_boundary):
     if not track.check_weight({e: w_boundary[e] for e in track.branches}):
         return MemberResult(False, reason="switch")
 
-    # the boundary values are constants, one class per edge, all scaled by
-    # the common denominator D so that every row is integral; each witness
-    # value is one Fraction over D times its row's d
+    # the boundary values are constants on the boundary columns, the suffix
+    # from first, all scaled by the common denominator D so that every row
+    # is integral; each witness value is one Fraction over D times its d
     pins = manifold.boundary.edge_classes
     values = [rat(w_boundary.get(E, 0)) for E in pins]
     D = math.lcm(*[val.denominator for val in values])
-    pinned = {      # column of each boundary class -> D times its value
-        manifold._column[manifold.boundary_edge_to_class[E]]: int(val * D)
-        for E, val in zip(pins, values)}
+    pinned = [int(val * D) for val in values]
+    first = len(manifold.columns) - len(pins)
     # every torus class is a boundary class, so it is pinned
-    if any(pinned[manifold._column[c]] for c in manifold.torus_classes):
+    if any(pinned[c - first] for row in manifold.torus_rows for c, _ in row):
         return MemberResult(False, reason="torus-nonzero")
 
     # fold the pins into the choice rows once: a row keeps its interior
     # columns and moves minus its pinned part to the right-hand side, so
-    # the system holds no pinned column
-    classes = manifold.edge_classes
-    sysm = linalg.IncrementalSystem(len(classes))
-    options = [[(k, [(c, x) for c, x in row if c not in pinned],
-                 -sum(x * pinned[c] for c, x in row if c in pinned))
+    # the system spans the interior columns only
+    sysm = linalg.IncrementalSystem(first)
+    options = [[(k, [(c, x) for c, x in row if c < first],
+                 -sum(x * pinned[c - first] for c, x in row if c >= first))
                 for k, row in enumerate(manifold.choice_rows[t])]
                for t in manifold.tets]
     combo = walk(sysm, options, lambda combo: True)
     if combo is None:
         return MemberResult(False, reason="no-choice-vector")
-    # no stored row reads a pinned column, so the interior solution is that
-    # of the system with the pins in it.  With the free classes at 0, a
-    # pivot's affine reduced row d x + n[rhs] = 0 gives D times its value as
-    # x = -n[rhs] / d; a pinned class reads as the row x - pinned = 0
-    red, rhs = sysm.reduced(), len(classes)
-    witness = {cls: Fraction(-n.get(rhs, 0), d * D)
-               for c, cls in enumerate(classes)
-               for d, n in [red.get(c, (1, {rhs: -pinned.get(c, 0)}))]}
+    # with the free classes at 0, a pivot's affine reduced row d x +
+    # n[first] = 0 gives D times its value as x = -n[first] / d; a pinned
+    # class reads as the row x - pinned = 0
+    red = sysm.reduced()
+    witness = dict(zip(manifold.columns, [
+        Fraction(-n.get(first, 0), d * D)
+        for c in range(first) for d, n in [red.get(c, (1, {}))]]
+        + [Fraction(b, D) for b in pinned]))
     return MemberResult(True, witness=witness,
                         choices=dict(zip(manifold.tets, combo)))
 

@@ -666,7 +666,7 @@ def omega_homological(surface, t1, t2):
 # -- quadrature oracle (floating point, clearly inexact) ------------------------------
 
 
-def kahler_pairing_numeric(surface, t1, t2, depth=4):
+def kahler_pairing_numeric(surface, t1, t2, depth):
     """Numerical pairing integral with piecewise-affine representatives.
 
     Each tangent is realized on every triangle as the affine interpolant

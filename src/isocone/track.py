@@ -305,31 +305,27 @@ class TrainTrack:
                 rot[s].append((e, end))
         return RibbonGraph(edges, rot)
 
-    def region_cusp_counts(self):
-        """Cusps per complementary region (ribbon face) of the track.
+    def _dual_surface(self):
+        """The surface of ``dual_triangulation``, with the cusps of each of
+        its vertex classes, the complementary regions of the track.
 
-        A cusp of a region is a passage between the two incoming slots of a
-        switch (positions 0 and 1 consecutively in the ccw rotation).
+        Switch ``s`` is the triangle with directed edges ``(s, 0)``, ``(s,
+        1)``, ``(s, 2)``, glued across each branch; a region's cusp, the
+        passage between the incoming slots 0 and 1, is corner 1.
         """
-        rg = self.ribbon()
-        pos_of_dart = {}
-        for s, ds in rg.rot.items():
-            for i, d in enumerate(ds):
-                pos_of_dart[d] = i
-        counts = []
-        for face in rg.faces():
-            cusps = 0
-            n = len(face)
-            for k in range(n):
-                d = face[k]
-                e, i = d
-                opp = (e, 1 - i)
-                # the face turns at the vertex of opp, from slot(opp) to the
-                # next ccw slot; a 0 -> 1 passage is a cusp
-                if pos_of_dart[opp] == 0:
-                    cusps += 1
-            counts.append(cusps)
-        return counts
+        triangles = {s: ((s, 0), (s, 1), (s, 2)) for s in self.switches}
+        glu = {}
+        for s1, s2 in self.branch_ends.values():
+            glu[s1], glu[s2] = s2, s1
+        surf = SurfaceTriangulation(triangles, glu)
+        cusps = dict.fromkeys(surf.vertex_classes, 0)
+        for s in self.switches:
+            cusps[surf.corner_class[(s, 1)]] += 1
+        return surf, cusps
+
+    def region_cusp_counts(self):
+        """Cusps per complementary region of the track."""
+        return list(self._dual_surface()[1].values())
 
     def dual_triangulation(self):
         """Triangulation dual to a maximal track, plus the correspondence.
@@ -339,16 +335,10 @@ class TrainTrack:
         complementary region.  Raises unless every region is a trigon.
         Returns ``(surface, branch_to_edge)``.
         """
-        for cusps in self.region_cusp_counts():
-            if cusps != 3:
-                raise NotMaximalError(
-                    f"complementary region with {cusps} cusps")
-        triangles = {s: ((s, 0), (s, 1), (s, 2)) for s in self.switches}
-        glu = {}
-        for e, (s1, s2) in self.branch_ends.items():
-            glu[s1] = s2
-            glu[s2] = s1
-        surf = SurfaceTriangulation(triangles, glu)
+        surf, cusps = self._dual_surface()
+        for n in cusps.values():
+            if n != 3:
+                raise NotMaximalError(f"complementary region with {n} cusps")
         branch_to_edge = {e: surf.edge_class[self.branch_ends[e][0]]
                           for e in self.branches}
         return surf, branch_to_edge

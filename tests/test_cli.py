@@ -188,6 +188,17 @@ class TestQuadratureBytes:
                     "--output", str(out)]) == 0
         assert self._pairing(capsys, str(out), depth, seed=2) == [line]
 
+    def test_depth_defaults_to_4(self, tmp_path, capsys):
+        # --depth is declared with its default, and nothing else sets one
+        argv = ["surface", "symplectic-check", "--input",
+                fixture_file(tmp_path, "pillowcase")]
+        capsys.readouterr()
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert "  depth: 4" in out.splitlines()
+        assert run(argv + ["--depth", "4"]) == 0
+        assert capsys.readouterr().out == out
+
 
 class TestConeCommands:
     def test_member_diagonal(self, tmp_path, capsys):
@@ -221,6 +232,27 @@ class TestConeCommands:
         assert run(["cone", "compute", "--input", path]) == 0
         out = capsys.readouterr().out
         assert "components:" in out and "span:" in out
+
+    @pytest.mark.parametrize("cmd", ["isotropy", "compute"])
+    @pytest.mark.parametrize("n, coverage, certified", [
+        (9, "7/9", "false"), (27, "9/9", "true")])
+    def test_sample_coverage_counts_distinct_vectors(
+            self, tmp_path, capsys, cmd, n, coverage, certified):
+        # seed 1 draws 7 distinct vectors of chain_tets(2)'s 9 in its
+        # first 9 draws and all 9 by the 27th; a sample covers the
+        # distinct vectors it draws and is certified when they are all
+        m = chain_tets(2)
+        path = tmp_path / "chain2.txt"
+        path.write_text(io.serialize_manifold(
+            m, outgoing={tf: 0 for tf in m.boundary_faces}))
+        capsys.readouterr()
+        assert run(["cone", cmd, "--input", str(path), "--choices",
+                    f"sample:{n}", "--seed", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:4] == [f"choices: sample:{n}", f"coverage: {coverage}",
+                              f"certified: {certified}"]
+        if cmd == "isotropy":
+            assert lines[4] == f"checked: {n}"
 
     def test_repeated_tet_id_exit_2(self, tmp_path, capsys):
         m = chain_tets(2)
@@ -520,4 +552,4 @@ class TestMalformedInput:
 def test_code_line_count():
     # commands parse, call the library and print; the computations live in
     # the library
-    assert code_lines("cli") <= 314
+    assert code_lines("cli") <= 313

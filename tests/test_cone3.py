@@ -142,6 +142,14 @@ def assert_boundary_matches_fan_walk(m):
     assert len(set(classes)) == len(classes)
 
 
+def _closed_two_tets():
+    """Two tetrahedra glued along all four faces: no boundary remains."""
+    glu = {}
+    for f in range(4):
+        glue_tets(glu, "T0", f, "T1", f)
+    return Triangulation3(["T0", "T1"], glu)
+
+
 def random_class_weight(m, rng, lo=-6, hi=6):
     return {c: Fraction(rng.randint(lo, hi)) for c in m.edge_classes}
 
@@ -171,10 +179,10 @@ def _assert_integer_basis(basis):
 def _reference_w4_subspace(m, choices):
     """Kernel of the dense torus and choice rows, by the dense reference
     elimination of ``test_linalg`` rather than the sparse core."""
-    n = len(m.edge_classes)
+    n = len(m.columns)
     rows = m.torus_rows + [m.choice_rows[t][choices[t]] for t in m.tets]
     basis = reference_kernel([_dense(r, n) for r in rows], n)
-    return [dict(zip(m.edge_classes, vec)) for vec in basis]
+    return [dict(zip(m.columns, vec)) for vec in basis]
 
 
 def _reference_cone(manifold, btrack, choice_iter):
@@ -256,14 +264,15 @@ def _reference_member(manifold, btrack, w_boundary):
             return MemberResult(False, reason="negative")
     if not track.check_weight({e: w_boundary[e] for e in track.branches}):
         return MemberResult(False, reason="switch")
-    classes = manifold.edge_classes
+    classes = manifold.columns
+    column = {cls: c for c, cls in enumerate(classes)}
     sysm = linalg.IncrementalSystem(len(classes))
     pins = sorted(manifold.boundary_edge_to_class, key=repr)
     values = [rat(w_boundary.get(E, 0)) for E in pins]
     D = math.lcm(*[val.denominator for val in values])
     for E, val in zip(pins, values):
         cls = manifold.boundary_edge_to_class[E]
-        sysm.push([(manifold._column[cls], 1)], int(val * D))
+        sysm.push([(column[cls], 1)], int(val * D))
     for row in manifold.torus_rows:
         if not sysm.push(row, 0):
             return MemberResult(False, reason="torus-nonzero")
@@ -619,11 +628,7 @@ class TestCancellation:
                                                     m.restrict(v))
 
     def test_closed_complex_omega_zero(self):
-        # glue two tetrahedra along all four faces: no boundary remains
-        glu = {}
-        for f in range(4):
-            glue_tets(glu, "T0", f, "T1", f)
-        m = Triangulation3(["T0", "T1"], glu)
+        m = _closed_two_tets()
         assert m.boundary is None
         rng = random.Random(55)
         for _ in range(40):
@@ -734,8 +739,8 @@ class TestIsotropy:
         # of ``w4_subspace``
         m = two_tets()
         basis = linalg.kernel_basis([m.choice_rows[m.tets[0]][0]],
-                                    len(m.edge_classes))
-        return m, [(L, {m.edge_classes[c]: x for c, x in vec.items()})
+                                    len(m.columns))
+        return m, [(L, {m.columns[c]: x for c, x in vec.items()})
                    for L, vec in basis]
 
     def test_corrupted_subspace_not_isotropic(self):
@@ -970,7 +975,8 @@ class TestMembership:
         # its integer right-hand side, so no boundary column
         del pushes[:]
         member(m, btr, wb)
-        boundary = {m._column[c] for c in m.boundary_edge_to_class.values()}
+        boundary = {m.columns.index(c)
+                    for c in m.boundary_edge_to_class.values()}
         _assert_integral(pushes)
         assert not [row for row, _ in pushes
                     if any(c in boundary for c, _ in row)]
@@ -1145,6 +1151,76 @@ class TestIntegerSampler:
         assert track.weight_space_basis() == second
 
 
+def _assert_column_order(m):
+    boundary = [m.boundary_edge_to_class[E] for E in m.boundary.edge_classes] \
+        if m.boundary else []
+    first = len(m.columns) - len(boundary)
+    assert m.columns[first:] == boundary
+    assert m.columns[:first] == [c for c in m.edge_classes
+                                 if c not in boundary]
+
+
+class TestColumnOrder:
+    """``Triangulation3.columns``, the one column order of every cached
+    row: the interior classes in ``edge_classes`` order, then the boundary
+    classes in ``boundary.edge_classes`` order, which ``compute_cone`` and
+    ``member`` take as they are."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_random_complexes(self, seed):
+        _assert_column_order(_random_complex(random.Random(seed)))
+
+    @pytest.mark.parametrize("make", [
+        single_tet, two_tets, lambda: chain_tets(4),
+        lambda: g2_product_bundle()["manifold"],
+        lambda: TestMixedBoundary()._mixed_product()[2]["manifold"],
+        _closed_two_tets])
+    def test_fixtures(self, make):
+        _assert_column_order(make())
+
+    @pytest.mark.parametrize("query, sampled", [
+        (lambda: _chain_track(4), False),
+        (lambda: TestMixedBoundary()._mixed_query()[:2], True)])
+    def test_compute_cone_pushes_the_cached_rows(self, monkeypatch, query,
+                                                 sampled):
+        # the torus rows, then the switch rows, then choice rows: every
+        # torus and choice row pushed is the cached tuple itself
+        pushes = _count_pushes(monkeypatch)
+        m, btr = query()
+        combos = [tuple(i % 3 for i in range(j, j + len(m.tets)))
+                  for j in range(3)]
+        compute_cone(m, btr, iter(combos) if sampled else None)
+        torus, switches = len(m.torus_rows), len(btr.track.switches)
+        assert all(row is cached for (row, _), cached
+                   in zip(pushes[:torus], m.torus_rows, strict=True))
+        cached = {id(row) for rows in m.choice_rows.values() for row in rows}
+        assert len(pushes) > torus + switches
+        assert all(id(row) in cached for row, _ in pushes[torus + switches:])
+
+    def test_member_system_spans_the_interior_columns(self, monkeypatch):
+        made = []
+        init = linalg.IncrementalSystem.__init__
+
+        def tracked(self, ncols):
+            made.append(ncols)
+            init(self, ncols)
+
+        monkeypatch.setattr(linalg.IncrementalSystem, "__init__", tracked)
+        pushes = _count_pushes(monkeypatch)
+        bundle = g2_product_bundle()
+        diagonal = diagonal_boundary_weight(
+            bundle, mf_weight(bundle["track"], random.Random(65)))
+        for m, btr, wb in [
+                (bundle["manifold"], bundle["boundary_track"], diagonal),
+                TestMixedBoundary()._mixed_query()]:
+            del made[:], pushes[:]
+            assert member(m, btr, wb).member
+            first = len(m.columns) - len(m.boundary.edge_classes)
+            assert made == [first]
+            assert all(c < first for row, _ in pushes for c, _ in row)
+
+
 class TestBackjumping:
     """``member`` against the chronological search of ``_reference_member``:
     backjumping skips only subtrees without a solution, so the verdict,
@@ -1239,7 +1315,7 @@ def test_walk_visits_the_consistent_vectors_in_order(seed):
     rng = random.Random(seed)
     m = _random_complex(rng)
     values = rng.choice([[1, 1, 1, 2], [1, 1, 2], [1, 2]])
-    pins = [([(m._column[c], 1)], rng.choice(values))
+    pins = [([(m.columns.index(c), 1)], rng.choice(values))
             for c in m.boundary_edge_to_class.values()]
     subsets = [sorted(rng.sample(range(3), rng.randint(1, 3)))
                for _ in m.tets]
@@ -1247,7 +1323,7 @@ def test_walk_visits_the_consistent_vectors_in_order(seed):
                for t, ks in zip(m.tets, subsets)]
 
     def system():
-        sysm = linalg.IncrementalSystem(len(m.edge_classes))
+        sysm = linalg.IncrementalSystem(len(m.columns))
         for row, b in pins:
             assert sysm.push(row, b)
         return sysm
@@ -1632,7 +1708,10 @@ def _reference_build(m):
                       "genus": (2 - chi) // 2, "torus": chi == 0})
         if chi == 0:
             torus |= {to_class[E] for E in edges}
-    column = {E: i for i, E in enumerate(edge_classes)}
+    # the interior classes, then the boundary classes in boundary edge order
+    boundary = [to_class[E] for E in surf[1]] if surf else []
+    columns = [E for E in edge_classes if E not in boundary] + boundary
+    column = {E: i for i, E in enumerate(columns)}
 
     def row(terms):
         out = {}
@@ -1642,7 +1721,7 @@ def _reference_build(m):
 
     pairs = {t: [(edge_class[(t, e)], edge_class[(t, e2)])
                  for e, e2 in OPPOSITE_PAIRS] for t in tets}
-    form = {c: [] for c in edge_classes}
+    form = {c: [] for c in columns}
     for sums in pairs.values():
         for i in range(3):
             for a in sums[i]:
@@ -1652,6 +1731,7 @@ def _reference_build(m):
     return {
         "edge_class": list(edge_class.items()),
         "edge_classes": edge_classes,
+        "columns": columns,
         "vertex_class": list(vertex_class.items()),
         "boundary_faces": faces,
         "boundary": surf and (list(triangles.items()), list(glue.items()),
@@ -1660,7 +1740,7 @@ def _reference_build(m):
         "boundary_edge_to_class": list(to_class.items()),
         "boundary_components": comps,
         "torus_classes": torus,
-        "torus_rows": [row([(E, 1)]) for E in sorted(torus, key=repr)],
+        "torus_rows": [row([(E, 1)]) for E in columns if E in torus],
         "choice_rows": [(t, [row([(a, 1) for a in sums[i]]
                                  + [(b, -1) for b in sums[j]])
                              for i, j in CHOICE_PAIRS])
@@ -1675,6 +1755,7 @@ def _built(m):
     return {
         "edge_class": list(m.edge_class.items()),
         "edge_classes": m.edge_classes,
+        "columns": m.columns,
         "vertex_class": list(m.vertex_class.items()),
         "boundary_faces": m.boundary_faces,
         "boundary": b and (list(b.triangles.items()), list(b.glue.items()),
@@ -1756,7 +1837,7 @@ def test_code_line_count():
     # surface, a search for the piece that holds a wall triangle, a second
     # scan of the boundary faces or a second search over choices would not
     # fit
-    assert code_lines("cone3") <= 563
+    assert code_lines("cone3") <= 562
 
 
 def test_fixtures_code_line_count():

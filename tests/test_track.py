@@ -400,6 +400,52 @@ def test_euler_characteristic_even(seed, n, shear):
         assert s.euler_characteristic() % 2 == 0
 
 
+def _reference_region_cusp_counts(track):
+    """Cusps per ribbon face of ``track.ribbon()``, by the face walk that
+    ``region_cusp_counts`` replaced: the face turns at the vertex of each
+    dart's other end, from that end's slot to the next ccw slot, and a
+    turn from slot 0 to slot 1 is a cusp."""
+    rg = track.ribbon()
+    pos_of_dart = {d: i for ds in rg.rot.values() for i, d in enumerate(ds)}
+    return [sum(pos_of_dart[(e, 1 - i)] == 0 for e, i in face)
+            for face in rg.faces()]
+
+
+def _random_trivalent_track(rng):
+    """``2k`` switches whose ``6k`` slots are paired into branches at
+    random, so a branch may join two slots of one switch."""
+    k = rng.randint(1, 6)
+    slots = list(range(6 * k))
+    rng.shuffle(slots)
+    branch = {}
+    for j in range(0, 6 * k, 2):
+        branch[slots[j]] = branch[slots[j + 1]] = f"b{j // 2}"
+    return TrainTrack({f"s{i}": tuple(branch[3 * i + p] for p in range(3))
+                       for i in range(2 * k)})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_region_cusp_counts_match_face_walk(seed):
+    # a region is a vertex class of the dual surface, and its cusps are
+    # the corners 1 of the switch triangles in it
+    track = _random_trivalent_track(random.Random(seed))
+    assert sorted(track.region_cusp_counts()) == \
+        sorted(_reference_region_cusp_counts(track))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: genus2_maximal_track()[0], torus_track,
+    *[lambda f=f: f().adapted()[0].dual_track()[0]
+      for f in (square_torus, hex_torus, lshape_h2, pillowcase)],
+    *[lambda n=n: _grid_tori()[n].adapted()[0].dual_track()[0]
+      for n in range(4)]])
+def test_fixture_region_cusp_counts_match_face_walk(make):
+    track = make()
+    assert sorted(track.region_cusp_counts()) == \
+        sorted(_reference_region_cusp_counts(track))
+
+
 def test_code_line_count():
     # methods that only tests call do not belong in the library
-    assert code_lines("track") <= 366
+    assert code_lines("track") <= 357
