@@ -656,8 +656,7 @@ def omega_homological(surface, t1, t2):
     """
     if surface.kind != "translation":
         return omega_homological(*_lifted(surface, t1, t2)) / 2
-    ribbon = surface.comb.skeleton_ribbon()
-    hom = SurfaceHomology(ribbon)
+    hom = SurfaceHomology(*surface.comb.skeleton_ribbon())
     alpha = {E: t1._vec[E][1] for E in surface.comb.edge_classes}
     beta = {E: t2._vec[E][1] for E in surface.comb.edge_classes}
     return hom.pair_cocycles(alpha, beta) / (t1._den * t2._den)

@@ -12,8 +12,10 @@ does not matter: moving the first position to the end changes the sum by
 ``y_p * sum(x) - x_p * sum(y)``, which is 0 as both systems balance.
 
 The basis of ``SurfaceHomology`` (spanning-tree fundamental cycles reduced
-modulo face boundaries) and its intersection matrix serve only the induced
-pairing of edge-period 1-cohomology classes, one linear solve in that matrix.
+modulo the boundaries of the faces it is given, on a triangulated surface
+its triangles) and its intersection matrix serve only the induced pairing
+of edge-period 1-cohomology classes: one ``linalg.rref`` of that matrix
+augmented by the periods of one class.
 """
 
 import itertools
@@ -47,32 +49,6 @@ class RibbonGraph:
     @property
     def vertices(self):
         return sorted(self.rot, key=repr)
-
-    def faces(self):
-        """Orbits of darts under the face-tracing permutation."""
-        nxt = {}
-        pos = {}
-        for v, ds in self.rot.items():
-            for i, d in enumerate(ds):
-                pos[d] = (v, i)
-        for d in pos:
-            e, i = d
-            opp = (e, 1 - i)
-            v, j = pos[opp]
-            ds = self.rot[v]
-            nxt[d] = ds[(j + 1) % len(ds)]
-        # each orbit starts at its first dart in repr order
-        faces = []
-        todo = set(nxt)
-        for d in sorted(nxt, key=repr):
-            orbit = []
-            while d in todo:
-                todo.remove(d)
-                orbit.append(d)
-                d = nxt[d]
-            if orbit:
-                faces.append(orbit)
-        return faces
 
     # -- flows ----------------------------------------------------------------
 
@@ -109,17 +85,14 @@ class SurfaceHomology:
     """Deterministic homology basis and cocycle pairing of a ribbon surface.
 
     The basis consists of fundamental cycles of edges outside a BFS spanning
-    forest, reduced modulo face boundaries; its intersection matrix is
-    computed with ``RibbonGraph.intersection``.  Disconnected surfaces are
-    handled componentwise (the matrix is block diagonal).
+    forest, reduced modulo the boundaries of ``faces``, each a list of
+    darts in face order; its intersection matrix is computed with
+    ``RibbonGraph.intersection``.  Disconnected surfaces are handled
+    componentwise (the matrix is block diagonal).
     """
 
-    def __init__(self, ribbon):
-        self.ribbon = ribbon
-        self._build()
-
-    def _build(self):
-        rg = self.ribbon
+    def __init__(self, ribbon, faces):
+        rg = self.ribbon = ribbon
         verts = rg.vertices
         adj = {v: [] for v in verts}
         for e, (u, v) in sorted(rg.edges.items(), key=lambda kv: repr(kv[0])):
@@ -151,7 +124,7 @@ class SurfaceHomology:
         # integer rows; their pivots are the leading columns of the span
         col = {e: j for j, e in enumerate(self.nontree)}
         face_rows = linalg.IncrementalSystem(len(col))
-        for face in rg.faces():
+        for face in faces:
             face_rows.push(linalg.row((col[e], 1 if i == 0 else -1)
                                       for e, i in face if e in col), 0)
         pivots = face_rows.pivots
@@ -195,11 +168,13 @@ class SurfaceHomology:
         """
         pa = [self._period(alpha, f) for f in self.basis_flows]
         pb = [self._period(beta, f) for f in self.basis_flows]
-        # solve J z = pb, answer is -pa . z
-        sol = linalg.solve([list(r) for r in self.pairing_matrix], pb)
-        if sol is None:
+        # J z = pb has one solution iff the pivots of (J | pb) are those of
+        # the identity, and z is then the last column; the answer is -pa . z
+        red, pivots = linalg.rref([r + [b] for r, b in
+                                   zip(self.pairing_matrix, pb)])
+        if pivots != list(range(len(pa))):
             raise ValueError("degenerate intersection matrix")
-        return -sum((a * z for a, z in zip(pa, sol)), Fraction(0))
+        return -sum((a * r[-1] for a, r in zip(pa, red)), Fraction(0))
 
     @staticmethod
     def _period(alpha, flow):

@@ -4,8 +4,8 @@
 coefficient)`` pairs without zeros.  ``IncrementalSystem`` eliminates them
 fraction-free (after Bareiss 1968); its one read-out, ``reduced()``, is the
 canonical affine reduced echelon form (leftmost pivots), in integers over
-one denominator per row like the kernels.  ``rref``, ``rank`` and
-``solve`` take dense rational rows; ``Fraction``s are made only there."""
+one denominator per row like the kernels.  ``rref`` and ``rank`` take
+dense rational rows; ``Fraction``s are made only there."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -20,22 +20,19 @@ def row(terms):
     return tuple((col, x) for col, x in sorted(acc.items()) if x)
 
 
-def _integer(dense, b=0):
-    """Dense rational ``dense . x = b`` scaled by the lcm of its
-    denominators, as ``({column: int}, int)`` without the zero entries."""
-    den = lcm(b.denominator, *[x.denominator for x in dense])
-    return ({c: x.numerator * (den // x.denominator)
-             for c, x in enumerate(dense) if x},
-            b.numerator * (den // b.denominator))
+def _integer(dense):
+    """A dense rational row scaled by the lcm of its denominators, as
+    ``{column: int}`` without the zero entries."""
+    den = lcm(*[x.denominator for x in dense])
+    return {c: x.numerator * (den // x.denominator)
+            for c, x in enumerate(dense) if x}
 
 
 def _system(rows, ncols):
-    """An ``IncrementalSystem`` holding integer rows ``({column: n}, b)``,
-    or None if they contradict."""
+    """An ``IncrementalSystem`` holding integer rows ``{column: n}``."""
     sysm = IncrementalSystem(ncols)
-    for v, b in rows:
-        if not sysm._push(v, b):
-            return None
+    for v in rows:
+        sysm._push(v, 0)
     return sysm
 
 
@@ -57,13 +54,7 @@ def rank(rows):
 def kernel_basis(rows, ncols):
     """``reduced_kernel`` of sparse integer rows as ``push`` takes them."""
     return reduced_kernel(
-        _system(((dict(r), 0) for r in rows), ncols).reduced(), ncols)
-
-
-def solve(rows, rhs):
-    """One exact solution of ``rows * x = rhs``, or None if inconsistent."""
-    sysm = _system(map(_integer, rows, rhs), len(rows[0]) if rows else 0)
-    return None if sysm is None else sysm.solution()
+        _system(map(dict, rows), ncols).reduced(), ncols)
 
 
 def reduced_kernel(reduced, ncols, first=0):
@@ -151,13 +142,6 @@ class IncrementalSystem:
         pivot_rows[c] = (p, tuple(v.items()), b, tag)
         self.pivots.append(c)
         return True
-
-    def solution(self):
-        """The solution with every free variable 0, read off ``reduced()``."""
-        sol = [Fraction(0)] * self.ncols
-        for piv, (d, n) in self.reduced().items():
-            sol[piv] = Fraction(-n.get(self.ncols, 0), d)
-        return sol
 
     def reduced(self, first=0):
         """The stored rows with pivot >= ``first``, fully reduced among

@@ -124,13 +124,6 @@ class SurfaceTriangulation:
         """(triangle, slot) of a directed edge."""
         return self._corners[self._slot[d]]
 
-    def corner_at_tail(self, d):
-        return self.corner_class[self.locate(d)]
-
-    def corner_at_head(self, d):
-        t, i = self.locate(d)
-        return self.corner_class[(t, (i + 1) % 3)]
-
     def euler_characteristic(self):
         return (len(self.vertex_classes) - len(self.edge_classes)
                 + len(self.triangles))
@@ -180,23 +173,21 @@ class SurfaceTriangulation:
         return cycles
 
     def skeleton_ribbon(self):
-        """Ribbon graph of the 1-skeleton.
+        """Ribbon graph of the 1-skeleton, and its faces: the triangles.
 
-        Graph edges are the undirected edge classes; the reference direction
-        of class ``E`` is the direction of its canonical directed edge.  The
-        rotation at a vertex lists, in ccw order, the outgoing directions of
-        its ``corner_cycles``.
+        Graph edges are the undirected edge classes, directed as their
+        canonical directed edges, and ``d`` leaves by the dart ``(E, 0 if d
+        == E else 1)`` of its class.  Rotations (around ``corner_cycles``)
+        and faces (each triangle's sides) list darts in ccw order.
         """
-        edges = {E: (self.corner_at_tail(E), self.corner_at_head(E))
-                 for E in self.edge_classes}
-        rot = {}
-        for v, cycle in self.corner_cycles.items():
-            darts = rot[v] = []
-            for t, i in cycle:
-                d = self.triangles[t][i]
-                E = self.edge_class[d]
-                darts.append((E, 0 if d == E else 1))
-        return RibbonGraph(edges, rot)
+        cc = self.corner_class
+        edges = {E: (cc[(t, i)], cc[(t, (i + 1) % 3)])
+                 for E in self.edge_classes for t, i in [self.locate(E)]}
+        dart = {d: (E, 0 if d == E else 1) for d, E in self.edge_class.items()}
+        rot = {v: [dart[self.triangles[t][i]] for t, i in cycle]
+               for v, cycle in self.corner_cycles.items()}
+        faces = [[dart[d] for d in ds] for ds in self.triangles.values()]
+        return RibbonGraph(edges, rot), faces
 
 
 def triangle_form(surface, t, u, v):

@@ -35,6 +35,7 @@ from test_acceptance import _random_complex
 from test_linalg import reference_kernel, reference_rref
 from util import (
     code_lines, fraction_constructions, random_tree, reference_union_find,
+    solution,
 )
 
 
@@ -292,7 +293,7 @@ def _reference_member(manifold, btrack, w_boundary):
 
     if not dfs(0):
         return MemberResult(False, reason="no-choice-vector")
-    witness = {cls: x / D for cls, x in zip(classes, sysm.solution())}
+    witness = {cls: x / D for cls, x in zip(classes, solution(sysm))}
     return MemberResult(True, witness=witness, choices=dict(chosen))
 
 
@@ -1021,7 +1022,7 @@ class TestIntegerPushes:
                                       pillowcase])
     def test_surface_homology(self, make, monkeypatch):
         pushes = _count_pushes(monkeypatch)
-        SurfaceHomology(make().comb.skeleton_ribbon())
+        SurfaceHomology(*make().comb.skeleton_ribbon())
         _assert_integral(pushes)
 
 
@@ -1345,7 +1346,7 @@ def test_walk_visits_the_consistent_vectors_in_order(seed):
     assert first == (expected[0] if expected else None)
     if first is not None:
         # the stopped walk keeps the pins and the rows of its vector
-        sol = sysm.solution()
+        sol = solution(sysm)
         for row, b in pins + [(m.choice_rows[t][k], 0)
                               for t, k in zip(m.tets, first)]:
             assert sum(x * sol[c] for c, x in row) == b

@@ -493,7 +493,7 @@ def _fraction_omega_homological(surface, t1, t2):
         cover = _fraction_double_cover(surface)
         return _fraction_omega_homological(
             cover, _fraction_lift(cover, t1), _fraction_lift(cover, t2)) / 2
-    hom = SurfaceHomology(surface.comb.skeleton_ribbon())
+    hom = SurfaceHomology(*surface.comb.skeleton_ribbon())
     alpha = {E: t1.delta[E].im for E in surface.comb.edge_classes}
     beta = {E: t2.delta[E].im for E in surface.comb.edge_classes}
     return hom.pair_cocycles(alpha, beta)
@@ -1286,4 +1286,4 @@ def test_code_line_count():
     # Delaunay quad is read off three edge vectors: a surface built per
     # rotation candidate, a quad developed through chart maps or re-checks
     # of the triangles and gluings after every flip would not fit
-    assert code_lines("flatsurf") <= 659
+    assert code_lines("flatsurf") <= 658

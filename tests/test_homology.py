@@ -14,7 +14,7 @@ from isocone.flatsurf import (
     orientation_double_cover,
 )
 from isocone.homology import RibbonGraph, SurfaceHomology
-from util import code_lines
+from util import code_lines, reference_faces
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -43,22 +43,53 @@ def two_tori():
     return RibbonGraph(edges, rot)
 
 
+def traced(rg):
+    """``SurfaceHomology`` of a ribbon graph on its traced faces."""
+    return SurfaceHomology(rg, reference_faces(rg))
+
+
 @functools.cache
-def _surface_ribbons():
-    """Skeleton ribbons of the bundled surfaces, of the benchmark's sheared
-    grid tori n = 2..6 before and after Delaunay, and of the pillowcase
-    double cover."""
+def _grid_module():
     spec = importlib.util.spec_from_file_location(
         "surfaces", PERFBENCH / "surfaces.py")
     grid = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(grid)
+    return grid
+
+
+def _sheared_grid(n, shear, retriangulate):
+    """The benchmark's n x n grid torus sheared by ``shear``, after
+    Delaunay if ``retriangulate``."""
+    s = _grid_module().grid_torus(n).shear(shear)
+    return delaunay(s) if retriangulate else s
+
+
+@functools.cache
+def _bundled_surfaces():
+    """The bundled surfaces and their orientation double covers."""
     surfaces = [make() for make in
                 (square_torus, hex_torus, lshape_h2, pillowcase)]
+    return surfaces + [orientation_double_cover(s) for s in surfaces]
+
+
+@functools.cache
+def _surface_ribbons():
+    """Skeleton ribbons and triangle faces of the bundled surfaces, of the
+    benchmark's sheared grid tori n = 2..6 before and after Delaunay, and
+    of the pillowcase double cover."""
+    surfaces = _bundled_surfaces()[:4]
     for n in range(2, 7):
-        s = grid.grid_torus(n).shear(Fraction(3, 2))
-        surfaces += [s, delaunay(s)]
-    surfaces.append(orientation_double_cover(pillowcase()))
+        surfaces += [_sheared_grid(n, Fraction(3, 2), d) for d in (0, 1)]
+    surfaces.append(_bundled_surfaces()[-1])
     return [s.comb.skeleton_ribbon() for s in surfaces]
+
+
+@functools.cache
+def _ribbons():
+    """The roses on their traced faces, then the surface ribbons on their
+    triangle faces, as ``(ribbon, faces)``."""
+    roses = [torus_rose(), genus2_rose(), two_tori()]
+    return [(rg, reference_faces(rg)) for rg in roses] + _surface_ribbons()
 
 
 def _chords(points):
@@ -139,32 +170,12 @@ def _reference_intersection(rg, x, y):
     return total
 
 
-def _reference_faces(rg):
-    """Face orbits, each started at the least remaining dart by repr."""
-    nxt = {}
-    for ds in rg.rot.values():
-        for j, d in enumerate(ds):
-            nxt[d] = ds[(j + 1) % len(ds)]
-    nxt = {(e, i): nxt[(e, 1 - i)] for (e, i) in nxt}
-    faces = []
-    todo = set(nxt)
-    while todo:
-        d = min(todo, key=repr)
-        orbit = []
-        while d in todo:
-            todo.remove(d)
-            orbit.append(d)
-            d = nxt[d]
-        faces.append(orbit)
-    return faces
-
-
 def _reference_basis(hom):
-    """The basis and intersection matrix from dense ``Fraction`` face rows
-    over the non-tree edges, ``linalg.rref`` for their pivots, and the
-    intersection of every ordered pair of basis cycles."""
+    """The basis and intersection matrix from dense ``Fraction`` rows of
+    the traced faces over the non-tree edges, ``linalg.rref`` for their
+    pivots, and the intersection of every ordered pair of basis cycles."""
     rows = []
-    for face in hom.ribbon.faces():
+    for face in reference_faces(hom.ribbon):
         flow = {}
         for e, i in face:
             flow[e] = flow.get(e, Fraction(0)) + (1 if i == 0 else -1)
@@ -177,18 +188,18 @@ def _reference_basis(hom):
 
 
 def _euler_characteristic(rg):
-    return len(rg.rot) - len(rg.edges) + len(rg.faces())
+    return len(rg.rot) - len(rg.edges) + len(reference_faces(rg))
 
 
 class TestRibbon:
     def test_torus_counts(self):
         rg = torus_rose()
-        assert len(rg.faces()) == 1
+        assert len(reference_faces(rg)) == 1
         assert _euler_characteristic(rg) == 0
 
     def test_genus2_counts(self):
         rg = genus2_rose()
-        assert len(rg.faces()) == 1
+        assert len(reference_faces(rg)) == 1
         assert _euler_characteristic(rg) == -2
 
     def test_sphere_theta(self):
@@ -197,7 +208,7 @@ class TestRibbon:
         rot = {"u": [(0, 0), (1, 0), (2, 0)],
                "v": [(2, 1), (1, 1), (0, 1)]}
         rg = RibbonGraph(edges, rot)
-        assert len(rg.faces()) == 3
+        assert len(reference_faces(rg)) == 3
         assert _euler_characteristic(rg) == 2
 
 
@@ -233,13 +244,13 @@ class TestIntersection:
 
 class TestHomologyBasis:
     def test_torus(self):
-        hom = SurfaceHomology(torus_rose())
+        hom = traced(torus_rose())
         assert len(hom.basis_flows) == 2
         J = hom.pairing_matrix
         assert J[0][1] == -J[1][0] != 0
 
     def test_genus2_rank_and_nondegeneracy(self):
-        hom = SurfaceHomology(genus2_rose())
+        hom = traced(genus2_rose())
         assert len(hom.basis_flows) == 4
         from isocone import linalg
         assert linalg.rank([list(r) for r in hom.pairing_matrix]) == 4
@@ -248,7 +259,7 @@ class TestHomologyBasis:
         edges = {i: ("u", "v") for i in range(3)}
         rot = {"u": [(0, 0), (1, 0), (2, 0)],
                "v": [(2, 1), (1, 1), (0, 1)]}
-        hom = SurfaceHomology(RibbonGraph(edges, rot))
+        hom = traced(RibbonGraph(edges, rot))
         assert len(hom.basis_flows) == 0 and hom.pairing_matrix == []
         val = hom.pair_cocycles({0: Fraction(1)}, {1: Fraction(2)})
         assert val == 0 and type(val) is Fraction
@@ -256,7 +267,7 @@ class TestHomologyBasis:
     def test_cocycle_pairing_torus(self):
         # periods of dy on (a, b) = (0, 1); of dx = (1, 0); integral of
         # dy wedge dx over the square torus is -1
-        hom = SurfaceHomology(torus_rose())
+        hom = traced(torus_rose())
         alpha = {"a": Fraction(0), "b": Fraction(1)}
         beta = {"a": Fraction(1), "b": Fraction(0)}
         val = hom.pair_cocycles(alpha, beta)
@@ -267,12 +278,10 @@ class TestHomologyBasis:
 
 class TestReference:
     def test_basis_and_matrix_match_dense_reference(self):
-        ribbons = [torus_rose(), genus2_rose(), two_tori()]
-        ribbons += _surface_ribbons()
+        # the surfaces' triangle faces give the basis of the traced ones
         ranks = []
-        for rg in ribbons:
-            assert rg.faces() == _reference_faces(rg)
-            hom = SurfaceHomology(rg)
+        for rg, faces in _ribbons():
+            hom = SurfaceHomology(rg, faces)
             basis, matrix = _reference_basis(hom)
             assert hom.basis_flows == basis
             assert hom.pairing_matrix == matrix
@@ -287,7 +296,7 @@ class TestReference:
     def test_intersection_matches_reference(self):
         rng = random.Random(5)
         for rg in (genus2_rose(), two_tori()):
-            basis = SurfaceHomology(rg).basis_flows
+            basis = traced(rg).basis_flows
             for _ in range(20):
                 x, y = ({e: sum(Fraction(rng.randint(-3, 3)) * f.get(e, 0)
                                 for f in basis) for e in rg.edges}
@@ -301,14 +310,14 @@ def _spanning_flows():
     """The roses and the surface ribbons, each with flows that span its
     conservative flows: its homology basis and its face boundaries."""
     out = []
-    for rg in [torus_rose(), genus2_rose(), two_tori(), *_surface_ribbons()]:
-        faces = []
-        for face in rg.faces():
+    for rg, faces in _ribbons():
+        flows = []
+        for face in faces:
             flow = {}
             for e, i in face:
                 flow[e] = flow.get(e, 0) + (1 if i == 0 else -1)
-            faces.append(flow)
-        out.append((rg, SurfaceHomology(rg).basis_flows + faces))
+            flows.append(flow)
+        out.append((rg, SurfaceHomology(rg, faces).basis_flows + flows))
     return out
 
 
@@ -356,7 +365,7 @@ def test_running_sum_matches_chord_oracle(data, ints):
 class TestDisconnected:
     def test_two_tori_block_pairing(self):
         rg = two_tori()
-        hom = SurfaceHomology(rg)
+        hom = traced(rg)
         assert len(hom.basis_flows) == 4
         # two basis cycles lie on each torus, and the matrix is block
         # diagonal
@@ -389,7 +398,37 @@ class TestDisconnected:
             assert a == omega_homological(s, t1, t2)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.builds(_sheared_grid, st.integers(2, 6),
+              st.fractions(-3, 3, max_denominator=4), st.booleans()),
+    st.integers(0, 7).map(lambda k: _bundled_surfaces()[k])))
+def test_triangle_faces_match_traced_faces(surface):
+    # the traced faces are the triangles, run the other way round: their
+    # rows span the same space, so the pivots, the basis and the matrix
+    # are those of the traced faces
+    rg, faces = surface.comb.skeleton_ribbon()
+    assert {frozenset(f) for f in faces} == {
+        frozenset((e, 1 - i) for e, i in f) for f in reference_faces(rg)}
+    hom, want = SurfaceHomology(rg, faces), traced(rg)
+    assert hom.basis_flows == want.basis_flows
+    assert hom.pairing_matrix == want.pairing_matrix
+
+
+def test_singular_matrix_refused():
+    # with no faces, the three loops of the square torus are all basis
+    # cycles and pair by a singular matrix; zero periods solve J z = pb,
+    # and the pairing still refuses it
+    rg, _ = square_torus().comb.skeleton_ribbon()
+    hom = SurfaceHomology(rg, [])
+    assert len(hom.basis_flows) == 3
+    assert linalg.rank(hom.pairing_matrix) == 2
+    with pytest.raises(ValueError, match="^degenerate intersection matrix$"):
+        hom.pair_cocycles({}, {})
+
+
 def test_code_line_count():
-    # cycles pair by direct ribbon intersection: basis coordinates of a
-    # cycle and a stored face reduction would not fit
-    assert code_lines("homology") <= 170
+    # cycles pair by direct ribbon intersection, on faces the caller
+    # gives: basis coordinates of a cycle, a stored face reduction or a
+    # face tracer would not fit
+    assert code_lines("homology") <= 147

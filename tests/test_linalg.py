@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from isocone import linalg
-from util import code_lines
+from util import code_lines, solution
 
 # small entries with many zeros, so that dependent, redundant and
 # contradicting rows are all common; some are not integers
@@ -102,8 +102,7 @@ def matrices(draw):
     ncols = draw(st.integers(1, 6))
     rows = draw(st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols),
                          min_size=1, max_size=7))
-    rhs = draw(st.lists(RHS, min_size=len(rows), max_size=len(rows)))
-    return ncols, rows, rhs
+    return ncols, rows
 
 
 def scaled(row, b):
@@ -170,7 +169,7 @@ def assert_stored_rows_primitive(sysm):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(matrices())
 def test_dense_wrappers_match_reference(matrix):
-    ncols, rows, rhs = matrix
+    ncols, rows = matrix
     assert exact(linalg.rref(rows)) == exact(reference_rref(rows))
     assert linalg.rank(rows) == len(reference_rref(rows)[0])
     basis = linalg.kernel_basis(sparse(rows), ncols)
@@ -178,8 +177,6 @@ def test_dense_wrappers_match_reference(matrix):
         exact(reference_kernel(rows, ncols))
     assert_integer_kernel(basis, sparse(rows), reference_rref(rows)[1],
                           ncols)
-    assert exact(linalg.solve(rows, rhs)) == \
-        exact(reference_solve(rows, rhs, ncols))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -199,14 +196,14 @@ def test_incremental_system_matches_solve(program):
                 rows.append(row)
                 rhs.append(b)
         elif op[0] == "checkpoint":
-            marks.append((len(sysm.pivots), len(rows), sysm.solution()))
+            marks.append((len(sysm.pivots), len(rows), solution(sysm)))
         elif marks:
             mark, held, before = marks.pop()
             sysm.rollback(mark)
             del rows[held:], rhs[held:]
-            assert exact(sysm.solution()) == exact(before)
+            assert exact(solution(sysm)) == exact(before)
         # the same pivots as the reduced echelon form, free columns at 0
-        assert exact(sysm.solution()) == \
+        assert exact(solution(sysm)) == \
             exact(reference_solve(rows, rhs, ncols))
         assert_stored_rows_primitive(sysm)
 
@@ -226,7 +223,7 @@ def test_solution_matches_back_substitution(program):
             marks.append(len(sysm.pivots))
         elif marks:
             sysm.rollback(marks.pop())
-        assert exact(sysm.solution()) == exact(back_substitution(sysm))
+        assert exact(solution(sysm)) == exact(back_substitution(sysm))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -280,7 +277,6 @@ def test_wrappers_do_not_count_as_pushes(monkeypatch):
     rows = [[1, 2, 0], [0, 1, 1], [1, 3, 1]]
     linalg.rref(rows)
     linalg.kernel_basis(sparse(rows), 3)
-    linalg.solve(rows, [1, 2, 3])
     assert calls == []
 
 
@@ -304,4 +300,4 @@ def test_code_line_count():
     # one elimination core: a second, dense one would not fit; the row
     # builder moved here from cone3, a mark is ``len(pivots)``, and
     # ``reduced()`` is the one read-out, with no back-substitution
-    assert code_lines("linalg") <= 154
+    assert code_lines("linalg") <= 141

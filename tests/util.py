@@ -68,6 +68,39 @@ def code_lines(name):
     return len([line for line in lines if line and not line.startswith("#")])
 
 
+def reference_faces(rg):
+    """Face orbits of a ``RibbonGraph``, each started at the least remaining
+    dart by repr: a face leaves by dart ``(e, i)``, reaches the other end
+    ``(e, 1 - i)`` and leaves by the next dart ccw there.  The oracle of
+    the triangle faces of ``SurfaceTriangulation.skeleton_ribbon``."""
+    nxt = {}
+    for ds in rg.rot.values():
+        for j, d in enumerate(ds):
+            nxt[d] = ds[(j + 1) % len(ds)]
+    nxt = {(e, i): nxt[(e, 1 - i)] for (e, i) in nxt}
+    faces = []
+    todo = set(nxt)
+    while todo:
+        d = min(todo, key=repr)
+        orbit = []
+        while d in todo:
+            todo.remove(d)
+            orbit.append(d)
+            d = nxt[d]
+        faces.append(orbit)
+    return faces
+
+
+def solution(sysm):
+    """The solution of an ``IncrementalSystem`` with every free column 0,
+    read off its affine ``reduced()`` form: each pivot takes ``-n[ncols] /
+    d``."""
+    sol = [Fraction(0)] * sysm.ncols
+    for piv, (d, n) in sysm.reduced().items():
+        sol[piv] = Fraction(-n.get(sysm.ncols, 0), d)
+    return sol
+
+
 def reference_union_find(items, pairs):
     """Class representative of every item once the given pairs are merged,
     over hashable items: pairs are merged in order and a merge points the
