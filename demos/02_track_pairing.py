@@ -21,7 +21,7 @@ from isocone.track import TrainTrack, triangle_form_sum, embed_weights
 
 
 def main():
-    track, surface, e2b, outgoing = genus2_maximal_track()
+    track = genus2_maximal_track()[0]
     print("switches:", len(track.switches), " branches:", len(track.branches))
     print("region cusp counts:", sorted(track.region_cusp_counts()))
 

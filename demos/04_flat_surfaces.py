@@ -34,7 +34,7 @@ def main():
 
     adapted, c = delaunay(s).adapted()
     print("rotated by", c, "so no edge is horizontal")
-    track, _ = adapted.dual_track()
+    track = adapted.dual_track()
     heights = adapted.heights()
     print("dual track: %d switches, %d branches; heights satisfy switches: %s"
           % (len(track.switches), len(track.branches),

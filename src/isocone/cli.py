@@ -209,7 +209,7 @@ def cmd_surface_heights(args):
 
 def cmd_surface_track(args):
     surf, _, notes = _load_surface(args)
-    track, e2b = surf.dual_track()
+    track = surf.dual_track()
     lines = io.serialize_track(track).splitlines()
     hs = surf.heights()
     for e in sorted(track.branches, key=str):

@@ -378,7 +378,7 @@ class BoundaryTrack:
         # the non-torus triangles are whole components of the boundary,
         # so the track on them alone has the same switches and branch ids
         # as on a surface of their own
-        self.track, _ = track_dual_to_triangulation(surf, outgoing)
+        self.track = track_dual_to_triangulation(surf, outgoing)
 
     def weight_space_dim(self):
         return len(self.track.integer_basis)
@@ -555,39 +555,37 @@ def _acyclic_edge_senses(surface):
 
     Returns a dict mapping each undirected edge class to True when its
     canonical directed edge points from the lower to the higher corner.
-    Found by deterministic backtracking over edges in id order, trying
-    True before False and undoing a value as soon as some triangle with
-    all three edges assigned is cyclic; there is no propagation.  A
-    solution always exists at the sizes used here.
+    Found by deterministic backtracking in one loop over the edges in id
+    order, trying True before False and undoing a value as soon as one of
+    the two triangles of the edge just set has all three edges assigned
+    and is cyclic; there is no propagation.  A solution always exists at
+    the sizes used here.
     """
-    # triangle -> [(edge, flag)]: sense_i = x_edge == flag
-    edge_lits = {t: [(surface.edge_class[d], d == surface.edge_class[d])
-                     for d in ds]
-                 for t, ds in sorted(surface.triangles.items(),
-                                     key=lambda kv: repr(kv[0]))}
-
-    edges = sorted(surface.edge_classes, key=repr)
+    edges = surface.edge_classes
     assign = {}
 
     def triangle_ok(t):
-        senses = []
-        for E, flag in edge_lits[t]:
+        # a side rises iff its class rises and it is canonical, or neither
+        senses = set()
+        for d in surface.triangles[t]:
+            E = surface.edge_class[d]
             if E not in assign:
                 return True
-            senses.append(assign[E] == flag)
-        return not (all(senses) or not any(senses))
+            senses.add(assign[E] == (d == E))
+        return len(senses) == 2
 
-    def bt(i):
-        if i == len(edges):
-            return True
-        for val in (True, False):
-            assign[edges[i]] = val
-            if all(triangle_ok(t) for t in edge_lits) and bt(i + 1):
-                return True
-        del assign[edges[i]]
-        return False
-
-    if not bt(0):
+    i = 0
+    while 0 <= i < len(edges):
+        E = edges[i]
+        if assign.get(E) is False:     # both values failed: back up
+            del assign[E]
+            i -= 1
+            continue
+        assign[E] = E not in assign
+        if all(triangle_ok(surface.locate(d)[0])
+               for d in (E, surface.glue[E])):
+            i += 1
+    if i < 0:
         raise ValueError("no acyclic edge orientation found")
     return assign
 

@@ -73,18 +73,18 @@ def genus2_four_vertex_surface():
 def genus2_maximal_track():
     """Maximal generic track on the genus-2 surface, with its dual data.
 
-    Returns ``(track, surface, edge_to_branch, outgoing)`` where the dual
-    triangulation of the track is ``surface`` (branch ids are its edge
-    classes).  All four complementary regions are trigons and the admissible
-    weight space has dimension 6.
+    Returns ``(track, surface, outgoing)`` where the dual triangulation of
+    the track is ``surface`` (branch ids are its edge classes) and
+    ``outgoing`` is the slot of each triangle's outgoing edge.  All four
+    complementary regions are trigons and the admissible weight space has
+    dimension 6.
     """
     surf = genus2_four_vertex_surface()
     # every triangle sends its slot-0 edge out; in a sub-triangle of a
     # split that is the original (outer) edge, with both spokes incoming
     # and the cusp at the new vertex
     outgoing = {t: 0 for t in surf.triangles}
-    track, edge_to_branch = track_dual_to_triangulation(surf, outgoing)
-    return track, surf, edge_to_branch, outgoing
+    return track_dual_to_triangulation(surf, outgoing), surf, outgoing
 
 
 # -- 3-manifold fixtures -------------------------------------------------------
@@ -153,7 +153,7 @@ def product_bundle(surface, outgoing):
 def g2_product_bundle():
     """``product_bundle`` of the genus-2 fixture surface and its maximal
     track, with the ``surface`` and ``track`` added."""
-    track, g2, _, outgoing = genus2_maximal_track()
+    track, g2, outgoing = genus2_maximal_track()
     return {"surface": g2, "track": track, **product_bundle(g2, outgoing)}
 
 

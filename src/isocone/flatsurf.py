@@ -314,9 +314,9 @@ class FlatSurface:
     def dual_track(self):
         """Dual train track: tallest edge outgoing in every triangle.
 
-        Returns ``(track, edge_to_branch)``, built once per surface, with
-        the undirected edge classes as branch ids; the heights satisfy
-        every switch relation.  Raises NeedsRotationError on horizontal edges.
+        Built once per surface, with the undirected edge classes as branch
+        ids; the heights satisfy every switch relation.  Raises
+        NeedsRotationError on horizontal edges.
         """
         return self._dual
 
@@ -579,7 +579,7 @@ def _height_numerators(surface, tangent):
 
 def omega_thurston(surface, t1, t2):
     """Pairing via the dual track: Thurston form of the height derivatives."""
-    track, _ = surface.dual_track()
+    track = surface.dual_track()
     w1, w2 = _height_numerators(surface, t1), _height_numerators(surface, t2)
     return track.thurston_form(w1, w2) / (t1._den * t2._den)
 

@@ -11,11 +11,12 @@ disk with a running sum of the x masses finds it.  Where the walk starts
 does not matter: moving the first position to the end changes the sum by
 ``y_p * sum(x) - x_p * sum(y)``, which is 0 as both systems balance.
 
-The basis of ``SurfaceHomology`` (spanning-tree fundamental cycles reduced
-modulo the boundaries of the faces it is given, on a triangulated surface
-its triangles) and its intersection matrix serve only the induced pairing
-of edge-period 1-cohomology classes: one ``linalg.rref`` of that matrix
-augmented by the periods of one class.
+The basis of ``SurfaceHomology`` (the fundamental cycles that the kernel
+of the vertex rows gives, reduced modulo the boundaries of the faces it is
+given, on a triangulated surface its triangles) and its intersection
+matrix serve only the induced pairing of edge-period 1-cohomology classes:
+one ``linalg.rref`` of that matrix augmented by the periods of one class.
+The pairing does not depend on the basis.
 """
 
 import itertools
@@ -45,10 +46,6 @@ class RibbonGraph:
                 e, i = d
                 if self.edges[e][i] != v:
                     raise ValueError(f"dart {d} listed at wrong vertex")
-
-    @property
-    def vertices(self):
-        return sorted(self.rot, key=repr)
 
     # -- flows ----------------------------------------------------------------
 
@@ -84,80 +81,46 @@ class RibbonGraph:
 class SurfaceHomology:
     """Deterministic homology basis and cocycle pairing of a ribbon surface.
 
-    The basis consists of fundamental cycles of edges outside a BFS spanning
-    forest, reduced modulo the boundaries of ``faces``, each a list of
-    darts in face order; its intersection matrix is computed with
-    ``RibbonGraph.intersection``.  Disconnected surfaces are handled
-    componentwise (the matrix is block diagonal).
+    One integer row per vertex, its net inflow over the edges in ``repr``
+    order, makes the conservative flows the kernel of a
+    ``linalg.IncrementalSystem``: the pivot columns are a spanning forest
+    and the kernel vector of each free column is that edge's fundamental
+    cycle, an integer flow.  The basis is the cycles of the free columns
+    that are not pivots of the boundaries of ``faces``, each a list of
+    darts in face order, restricted to the free columns; its intersection
+    matrix is computed with ``RibbonGraph.intersection``.  A cycle lies in
+    one component, so cycles of different components pair to 0.
     """
 
     def __init__(self, ribbon, faces):
-        rg = self.ribbon = ribbon
-        verts = rg.vertices
-        adj = {v: [] for v in verts}
-        for e, (u, v) in sorted(rg.edges.items(), key=lambda kv: repr(kv[0])):
-            adj[u].append((e, v))
-            adj[v].append((e, u))
-        # BFS spanning forest, one tree per connected component
-        parent = {}
-        order = []
-        for root in verts:
-            if root in parent:
-                continue
-            parent[root] = (None, None)
-            order.append(root)
-            qi = len(order) - 1
-            while qi < len(order):
-                w = order[qi]
-                qi += 1
-                for e, nb in adj[w]:
-                    if nb not in parent:
-                        parent[nb] = (w, e)
-                        order.append(nb)
-        tree_edges = {e for (_, e) in parent.values() if e is not None}
-        self.nontree = sorted((e for e in rg.edges if e not in tree_edges),
-                              key=repr)
-        self._parent = parent
-        self._order = order
-
-        # face boundary flows, restricted to non-tree coordinates, as sparse
-        # integer rows; their pivots are the leading columns of the span
-        col = {e: j for j, e in enumerate(self.nontree)}
-        face_rows = linalg.IncrementalSystem(len(col))
+        edges = sorted(ribbon.edges, key=repr)
+        col = {e: j for j, e in enumerate(edges)}
+        inflow = {v: [] for v in ribbon.rot}
+        for e, (u, v) in ribbon.edges.items():
+            inflow[u].append((col[e], -1))
+            inflow[v].append((col[e], 1))
+        verts = linalg.IncrementalSystem(len(edges))
+        for terms in inflow.values():
+            verts.push(linalg.row(terms), 0)
+        tree = verts.reduced()
+        free = [j for j in range(len(edges)) if j not in tree]
+        # the incidence matrix is totally unimodular, so every kernel
+        # vector has L = 1 and integer entries
+        cycles = linalg.reduced_kernel(tree, len(edges))
+        face_rows = linalg.IncrementalSystem(len(edges))
         for face in faces:
             face_rows.push(linalg.row((col[e], 1 if i == 0 else -1)
-                                      for e, i in face if e in col), 0)
-        pivots = face_rows.pivots
+                                      for e, i in face if col[e] not in tree),
+                           0)
         flows = self.basis_flows = [
-            self.flow_from_nontree({e: Fraction(1)})
-            for j, e in enumerate(self.nontree) if j not in pivots]
+            {edges[c]: n for c, n in vec.items()}
+            for j, (_, vec) in zip(free, cycles)
+            if j not in face_rows.pivots]
         # the form is antisymmetric: pair each i < j once
         J = self.pairing_matrix = [[Fraction(0)] * len(flows) for _ in flows]
         for i, j in itertools.combinations(range(len(flows)), 2):
-            J[i][j] = rg.intersection(flows[i], flows[j])
+            J[i][j] = ribbon.intersection(flows[i], flows[j])
             J[j][i] = -J[i][j]
-
-    def flow_from_nontree(self, nontree_values):
-        """The unique conservative flow with the given non-tree values."""
-        rg = self.ribbon
-        flow = {e: Fraction(v) for e, v in nontree_values.items()}
-        # net inflow at each vertex from the edges fixed so far
-        net = {v: Fraction(0) for v in rg.rot}
-        for e, val in flow.items():
-            u, v = rg.edges[e]
-            net[v] += val
-            net[u] -= val
-        # children-first: conservation at v pins the flow on its tree edge,
-        # and pushes the surplus net[v] up to the parent either way
-        for v in reversed(self._order):
-            p, e = self._parent[v]
-            if p is None:
-                continue
-            u, w = rg.edges[e]
-            flow[e] = -net[v] if w == v else net[v]
-            net[p] += net[v]
-            net[v] = Fraction(0)
-        return {e: val for e, val in flow.items() if val != 0}
 
     def pair_cocycles(self, alpha, beta):
         """Cup-product pairing of edge-period classes.
@@ -166,8 +129,8 @@ class SurfaceHomology:
         (measured along the reference direction).  For classes represented
         by closed forms, the pairing equals the integral of their wedge.
         """
-        pa = [self._period(alpha, f) for f in self.basis_flows]
-        pb = [self._period(beta, f) for f in self.basis_flows]
+        pa, pb = ([sum(c.get(e, 0) * n for e, n in f.items())
+                   for f in self.basis_flows] for c in (alpha, beta))
         # J z = pb has one solution iff the pivots of (J | pb) are those of
         # the identity, and z is then the last column; the answer is -pa . z
         red, pivots = linalg.rref([r + [b] for r, b in
@@ -175,8 +138,3 @@ class SurfaceHomology:
         if pivots != list(range(len(pa))):
             raise ValueError("degenerate intersection matrix")
         return -sum((a * r[-1] for a, r in zip(pa, red)), Fraction(0))
-
-    @staticmethod
-    def _period(alpha, flow):
-        return sum((Fraction(alpha.get(e, 0)) * val for e, val in flow.items()),
-                   Fraction(0))

@@ -61,13 +61,15 @@ def reduced_kernel(reduced, ncols, first=0):
     """Kernel of a ``reduced()`` form on columns ``first..ncols-1``: per
     free column, ``(L, {column: n})`` indexed from ``first``; ``n / L`` is 1
     there and minus each row's entry there at that row's pivot."""
+    hits = {}    # column -> the (pivot, d, entry) of the rows it is in
+    for piv, (d, n) in reduced.items():
+        for c, x in n.items():
+            hits.setdefault(c, []).append((piv - first, d, x))
     basis = []
     for free in range(first, ncols):
         if free not in reduced:
-            hits = [(piv - first, d, n[free])
-                    for piv, (d, n) in reduced.items() if free in n]
-            L = lcm(*[d for _, d, _ in hits])
-            vec = {c: -x * (L // d) for c, d, x in hits}
+            L = lcm(*[d for _, d, _ in hits.get(free, ())])
+            vec = {c: -x * (L // d) for c, d, x in hits.get(free, ())}
             vec[free - first] = L
             basis.append((L, vec))
     return basis

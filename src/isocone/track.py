@@ -411,9 +411,8 @@ def track_dual_to_triangulation(surface, outgoing):
     surface to the slot (0, 1, or 2) whose edge is dual to the outgoing
     branch; the two other edges are dual to the incoming branches.  The
     switches follow the order of ``outgoing``.  Branch ids are the
-    undirected edge classes of the surface.  Returns ``(track,
-    edge_to_branch)`` where the correspondence is the identity on the
-    branches' edge classes.
+    undirected edge classes of the surface, so the edge dual to a branch
+    is the branch id itself.
     """
     switches = {}
     for t, p in outgoing.items():
@@ -422,6 +421,4 @@ def track_dual_to_triangulation(surface, outgoing):
                 surface.edge_class[ds[(p + 2) % 3]],
                 surface.edge_class[ds[p]])
         switches[t] = trip
-    track = TrainTrack(switches)
-    edge_to_branch = {E: E for E in track.branches}
-    return track, edge_to_branch
+    return TrainTrack(switches)

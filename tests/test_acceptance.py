@@ -38,7 +38,7 @@ def report(num, label, t0, budget):
 
 def test_criterion_1_pullback_identity():
     t0 = time.time()
-    track, _, _, _ = genus2_maximal_track()
+    track, _, _ = genus2_maximal_track()
     dual, b2e = track.dual_triangulation()
     basis = track.weight_space_basis()
     assert len(basis) == 6

@@ -139,7 +139,7 @@ class TestSurfaceCommands:
                     "--rotate", "2+1i"]) == 0
         lines = [l for l in capsys.readouterr().out.splitlines()
                  if not l.startswith("weight")]
-        track, _ = lshape_h2().rotate(QC(2, 1)).dual_track()
+        track = lshape_h2().rotate(QC(2, 1)).dual_track()
         assert lines == io.serialize_track(track).splitlines()
         assert len(track.switches) == 6
 

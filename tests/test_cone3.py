@@ -23,8 +23,10 @@ from isocone.fixtures import (
     genus2_one_vertex_surface, genus2_four_vertex_surface,
     genus2_maximal_track, g2_product_bundle,
     product_bundle, mf_weight, diagonal_boundary_weight, MF_WEIGHT_TRIES,
+    split_triangle,
 )
-from isocone.flatsurf import hex_torus, lshape_h2, pillowcase, square_torus
+from isocone.flatsurf import (
+    delaunay, hex_torus, lshape_h2, pillowcase, square_torus)
 from isocone.homology import SurfaceHomology
 from isocone.ordgroup import rat
 from isocone.track import (
@@ -32,6 +34,7 @@ from isocone.track import (
     triangle_form_sum,
 )
 from test_acceptance import _random_complex
+from test_homology import _grid_module
 from test_linalg import reference_kernel, reference_rref
 from util import (
     code_lines, fraction_constructions, random_tree, reference_union_find,
@@ -350,9 +353,8 @@ def _reference_track(m, outgoing):
     surf = m.boundary
     tris = {t: surf.triangles[t] for t in outgoing}
     glue = {d: surf.glue[d] for ds in tris.values() for d in ds}
-    track, _ = track_dual_to_triangulation(
+    return track_dual_to_triangulation(
         SurfaceTriangulation(tris, glue), outgoing)
-    return track
 
 
 def _assert_track_matches_reference(m, outgoing, btr):
@@ -891,6 +893,97 @@ class TestProduct:
             ProductTriangulation(torus)
 
 
+def _reference_acyclic_edge_senses(surface):
+    """The retired search of ``_acyclic_edge_senses``: one recursion level
+    per edge in id order, True before False, and every triangle rechecked
+    after each assignment."""
+    # triangle -> [(edge, flag)]: sense_i = x_edge == flag
+    edge_lits = {t: [(surface.edge_class[d], d == surface.edge_class[d])
+                     for d in ds]
+                 for t, ds in sorted(surface.triangles.items(),
+                                     key=lambda kv: repr(kv[0]))}
+    edges = sorted(surface.edge_classes, key=repr)
+    assign = {}
+
+    def triangle_ok(t):
+        senses = []
+        for E, flag in edge_lits[t]:
+            if E not in assign:
+                return True
+            senses.append(assign[E] == flag)
+        return not (all(senses) or not any(senses))
+
+    def bt(i):
+        if i == len(edges):
+            return True
+        for val in (True, False):
+            assign[edges[i]] = val
+            if all(triangle_ok(t) for t in edge_lits) and bt(i + 1):
+                return True
+        del assign[edges[i]]
+        return False
+
+    if not bt(0):
+        raise ValueError("no acyclic edge orientation found")
+    return assign
+
+
+@functools.cache
+def _split_surfaces(count):
+    """The genus-2 one-vertex surface with up to 5 random triangles split,
+    ``count`` of them, seeded."""
+    out = []
+    rng = random.Random(17)
+    for k in range(count):
+        surf = genus2_one_vertex_surface()
+        for j in range(rng.randint(1, 5)):
+            t = rng.choice(sorted(surf.triangles, key=repr))
+            surf = split_triangle(surf, t, f"s{k}.{j}")
+        out.append(surf)
+    return out
+
+
+def _assert_acyclic(surface, senses):
+    assert list(senses) == surface.edge_classes
+    for ds in surface.triangles.values():
+        rises = {senses[surface.edge_class[d]] == (d == surface.edge_class[d])
+                 for d in ds}
+        assert rises == {True, False}
+
+
+class TestAcyclicEdgeSenses:
+    @pytest.mark.parametrize("make", [
+        genus2_one_vertex_surface, genus2_four_vertex_surface,
+        *[lambda f=f: delaunay(f()).adapted()[0].comb
+          for f in (square_torus, hex_torus, lshape_h2, pillowcase)],
+        *[lambda n=n: _grid_module().grid_torus(n).comb
+          for n in range(1, 15)],
+        *[lambda k=k: _split_surfaces(20)[k] for k in range(20)]])
+    def test_matches_recursive_search(self, make):
+        surface = make()
+        senses = cone3._acyclic_edge_senses(surface)
+        assert senses == _reference_acyclic_edge_senses(surface)
+        _assert_acyclic(surface, senses)
+
+    def test_more_than_a_thousand_edges(self):
+        # one recursion level per edge overflowed the stack here
+        surface = _grid_module().grid_torus(19).comb
+        assert len(surface.edge_classes) == 1083
+        _assert_acyclic(surface, cone3._acyclic_edge_senses(surface))
+
+    def test_no_orientation_refused(self, monkeypatch):
+        # with every triangle cyclic the search backs up past the first
+        # edge
+        surface = genus2_one_vertex_surface()
+        monkeypatch.setattr(surface, "triangles", {
+            t: (ds[0], ds[0], ds[0]) for t, ds in surface.triangles.items()})
+        for search in (cone3._acyclic_edge_senses,
+                       _reference_acyclic_edge_senses):
+            with pytest.raises(ValueError,
+                               match="^no acyclic edge orientation found$"):
+                search(surface)
+
+
 class TestMembership:
     def test_zero_weight(self):
         bundle = g2_product_bundle()
@@ -1071,8 +1164,8 @@ def _sampler_track(name):
     return {
         "g2": lambda: genus2_maximal_track()[0],
         "g2_track": _g2_track_read_back,
-        "hex_torus": lambda: hex_torus().adapted()[0].dual_track()[0],
-        "lshape_h2": lambda: lshape_h2().adapted()[0].dual_track()[0],
+        "hex_torus": lambda: hex_torus().adapted()[0].dual_track(),
+        "lshape_h2": lambda: lshape_h2().adapted()[0].dual_track(),
         "empty": lambda: TrainTrack({}),
         # every track above has L = 1 on every basis vector; here two
         # switches take one branch in both incoming slots, and L is 1 and 2
@@ -1920,7 +2013,7 @@ class TestMixedBoundary:
             glu[("t", x)] = ("t", y)
             glu[("t", y)] = ("t", x)
         mixed = SurfaceTriangulation(tris, glu)
-        track, _, _, outgoing = genus2_maximal_track()
+        track, _, outgoing = genus2_maximal_track()
         bundle = product_bundle(
             mixed, {f"g2_{t}": slot for t, slot in outgoing.items()})
         return g2, mixed, bundle, track

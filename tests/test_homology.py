@@ -11,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 from isocone import linalg
 from isocone.flatsurf import (
     square_torus, hex_torus, lshape_h2, pillowcase, delaunay,
-    orientation_double_cover,
+    orientation_double_cover, random_tangent, lift_tangent,
 )
 from isocone.homology import RibbonGraph, SurfaceHomology
-from util import code_lines, reference_faces
+from util import (code_lines, reference_faces, reference_forest_basis,
+                  reference_union_find)
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -170,21 +171,28 @@ def _reference_intersection(rg, x, y):
     return total
 
 
-def _reference_basis(hom):
-    """The basis and intersection matrix from dense ``Fraction`` rows of
-    the traced faces over the non-tree edges, ``linalg.rref`` for their
-    pivots, and the intersection of every ordered pair of basis cycles."""
-    rows = []
-    for face in reference_faces(hom.ribbon):
-        flow = {}
-        for e, i in face:
-            flow[e] = flow.get(e, Fraction(0)) + (1 if i == 0 else -1)
-        rows.append([Fraction(flow.get(e, 0)) for e in hom.nontree])
-    pivots = set(linalg.rref(rows)[1])
-    basis = [hom.flow_from_nontree({e: Fraction(1)})
-             for j, e in enumerate(hom.nontree) if j not in pivots]
-    return basis, [[_reference_intersection(hom.ribbon, x, y) for y in basis]
-                   for x in basis]
+def _dense(flow, edges):
+    return [Fraction(flow.get(e, 0)) for e in edges]
+
+
+def _boundary(face):
+    """The flow around a face, a list of darts in face order."""
+    flow = {}
+    for e, i in face:
+        flow[e] = flow.get(e, 0) + (1 if i == 0 else -1)
+    return flow
+
+
+def _reference_pairing(rg, faces, alpha, beta):
+    """``pair_cocycles`` through the retired BFS forest basis: the periods
+    of the basis cycles and ``-pa . z`` with ``J z = pb`` for the chord
+    intersection matrix ``J``, solved by dense ``linalg.rref``."""
+    basis = reference_forest_basis(rg, faces)
+    pa, pb = ([sum(Fraction(c.get(e, 0)) * x for e, x in f.items())
+               for f in basis] for c in (alpha, beta))
+    J = [[_reference_intersection(rg, x, y) for y in basis] for x in basis]
+    red, _ = linalg.rref([r + [b] for r, b in zip(J, pb)])
+    return -sum((a * r[-1] for a, r in zip(pa, red)), Fraction(0))
 
 
 def _euler_characteristic(rg):
@@ -278,16 +286,35 @@ class TestHomologyBasis:
 
 class TestReference:
     def test_basis_and_matrix_match_dense_reference(self):
-        # the surfaces' triangle faces give the basis of the traced ones
+        # the basis cycles are integer flows that balance at every vertex,
+        # independent modulo the faces and with them spanning the cycle
+        # space, of dimension E - V + components; the matrix is the chord
+        # count of every ordered pair
         ranks = []
         for rg, faces in _ribbons():
             hom = SurfaceHomology(rg, faces)
-            basis, matrix = _reference_basis(hom)
-            assert hom.basis_flows == basis
-            assert hom.pairing_matrix == matrix
+            flows = hom.basis_flows
+            for flow in flows:
+                assert {type(x) for x in flow.values()} == {int}
+                net = dict.fromkeys(rg.rot, 0)
+                for e, x in flow.items():
+                    u, v = rg.edges[e]
+                    net[u] -= x
+                    net[v] += x
+                assert not any(net.values())
+            edges = sorted(rg.edges, key=repr)
+            face_rows = [_dense(_boundary(f), edges) for f in faces]
+            comps = set(reference_union_find(rg.rot, rg.edges.values())
+                        .values())
+            assert linalg.rank(face_rows + [_dense(f, edges) for f in flows]) \
+                == linalg.rank(face_rows) + len(flows) \
+                == len(edges) - len(rg.rot) + len(comps)
+            assert hom.pairing_matrix == [
+                [_reference_intersection(rg, x, y) for y in flows]
+                for x in flows]
             assert {type(x) for row in hom.pairing_matrix for x in row} \
                 <= {Fraction}
-            ranks.append(len(hom.basis_flows))
+            ranks.append(len(flows))
         # genus 1, 2, two tori, then the surfaces: square, hex and grid
         # tori of genus 1, the L of genus 2, the pillowcase sphere and its
         # cover of genus 1
@@ -309,16 +336,8 @@ class TestReference:
 def _spanning_flows():
     """The roses and the surface ribbons, each with flows that span its
     conservative flows: its homology basis and its face boundaries."""
-    out = []
-    for rg, faces in _ribbons():
-        flows = []
-        for face in faces:
-            flow = {}
-            for e, i in face:
-                flow[e] = flow.get(e, 0) + (1 if i == 0 else -1)
-            flows.append(flow)
-        out.append((rg, SurfaceHomology(rg, faces).basis_flows + flows))
-    return out
+    return [(rg, SurfaceHomology(rg, faces).basis_flows
+             + [_boundary(f) for f in faces]) for rg, faces in _ribbons()]
 
 
 def _draw_flow(data, gens, ints):
@@ -398,11 +417,16 @@ class TestDisconnected:
             assert a == omega_homological(s, t1, t2)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(st.one_of(
+# sheared grid tori, before and after Delaunay, and the bundled surfaces
+# with their double covers
+_surfaces = st.one_of(
     st.builds(_sheared_grid, st.integers(2, 6),
               st.fractions(-3, 3, max_denominator=4), st.booleans()),
-    st.integers(0, 7).map(lambda k: _bundled_surfaces()[k])))
+    st.integers(0, 7).map(lambda k: _bundled_surfaces()[k]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_surfaces)
 def test_triangle_faces_match_traced_faces(surface):
     # the traced faces are the triangles, run the other way round: their
     # rows span the same space, so the pivots, the basis and the matrix
@@ -413,6 +437,23 @@ def test_triangle_faces_match_traced_faces(surface):
     hom, want = SurfaceHomology(rg, faces), traced(rg)
     assert hom.basis_flows == want.basis_flows
     assert hom.pairing_matrix == want.pairing_matrix
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_surfaces, st.randoms(use_true_random=False))
+def test_pairing_matches_forest_basis(surface, rng):
+    # the pairing does not depend on the basis: the kernel basis gives the
+    # value of the retired BFS forest basis on the Im parts of two
+    # tangents, lifted to the double cover of a half-translation surface
+    t1, t2 = random_tangent(surface, rng), random_tangent(surface, rng)
+    if surface.kind != "translation":
+        surface = orientation_double_cover(surface)
+        t1, t2 = (lift_tangent(surface, t) for t in (t1, t2))
+    rg, faces = surface.comb.skeleton_ribbon()
+    alpha, beta = ({E: t.delta[E].im for E in surface.comb.edge_classes}
+                   for t in (t1, t2))
+    assert SurfaceHomology(rg, faces).pair_cocycles(alpha, beta) == \
+        _reference_pairing(rg, faces, alpha, beta)
 
 
 def test_singular_matrix_refused():
@@ -429,6 +470,7 @@ def test_singular_matrix_refused():
 
 def test_code_line_count():
     # cycles pair by direct ribbon intersection, on faces the caller
-    # gives: basis coordinates of a cycle, a stored face reduction or a
-    # face tracer would not fit
-    assert code_lines("homology") <= 147
+    # gives, and come from the kernel of the vertex rows: a spanning
+    # forest of its own, basis coordinates of a cycle, a stored face
+    # reduction or a face tracer would not fit
+    assert code_lines("homology") <= 113

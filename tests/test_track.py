@@ -258,7 +258,7 @@ class TestDualTriangulation:
         track, *_ = genus2_maximal_track()
         dual, b2e = track.dual_triangulation()
         outgoing = {s: 2 for s in track.switches}   # slot of c in each triple
-        back, e2b = track_dual_to_triangulation(dual, outgoing)
+        back = track_dual_to_triangulation(dual, outgoing)
         e2orig = {v: k for k, v in b2e.items()}
         for s, (a, b, c) in track.switches.items():
             a2, b2, c2 = back.switches[s]
@@ -314,7 +314,7 @@ class TestTriangleForms:
 
 class TestEmbedWeights:
     def test_zero_maps_to_zero(self):
-        track, _, _, _ = genus2_maximal_track()
+        track, _, _ = genus2_maximal_track()
         dual, b2e = track.dual_triangulation()
         z = {e: Fraction(0) for e in track.branches}
         assert all(v == 0 for v in embed_weights(track, b2e, z).values())
@@ -438,9 +438,9 @@ def test_region_cusp_counts_match_face_walk(seed):
 
 @pytest.mark.parametrize("make", [
     lambda: genus2_maximal_track()[0], torus_track,
-    *[lambda f=f: f().adapted()[0].dual_track()[0]
+    *[lambda f=f: f().adapted()[0].dual_track()
       for f in (square_torus, hex_torus, lshape_h2, pillowcase)],
-    *[lambda n=n: _grid_tori()[n].adapted()[0].dual_track()[0]
+    *[lambda n=n: _grid_tori()[n].adapted()[0].dual_track()
       for n in range(4)]])
 def test_fixture_region_cusp_counts_match_face_walk(make):
     track = make()
@@ -450,4 +450,4 @@ def test_fixture_region_cusp_counts_match_face_walk(make):
 
 def test_code_line_count():
     # methods that only tests call do not belong in the library
-    assert code_lines("track") <= 350
+    assert code_lines("track") <= 347

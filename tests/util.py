@@ -7,7 +7,7 @@ import pathlib
 import pstats
 from fractions import Fraction
 
-from isocone import flatsurf
+from isocone import flatsurf, linalg
 from isocone.ordgroup import LexVec
 from isocone.lamtree import MetricTree
 
@@ -89,6 +89,59 @@ def reference_faces(rg):
             d = nxt[d]
         faces.append(orbit)
     return faces
+
+
+def reference_forest_basis(rg, faces):
+    """The retired basis of ``SurfaceHomology``: a BFS spanning forest of a
+    ``RibbonGraph`` over vertices and edges in ``repr`` order, and the
+    fundamental cycles of the non-tree edges that are not pivots of the
+    boundaries of ``faces`` restricted to the non-tree edges, as
+    ``Fraction`` flows.  The oracle of the kernel basis."""
+    verts = sorted(rg.rot, key=repr)
+    adj = {v: [] for v in verts}
+    for e, (u, v) in sorted(rg.edges.items(), key=lambda kv: repr(kv[0])):
+        adj[u].append((e, v))
+        adj[v].append((e, u))
+    # one BFS tree per connected component
+    parent, order = {}, []
+    for root in verts:
+        if root in parent:
+            continue
+        parent[root] = (None, None)
+        order.append(root)
+        qi = len(order) - 1
+        while qi < len(order):
+            w = order[qi]
+            qi += 1
+            for e, nb in adj[w]:
+                if nb not in parent:
+                    parent[nb] = (w, e)
+                    order.append(nb)
+    tree = {e for _, e in parent.values() if e is not None}
+    nontree = sorted((e for e in rg.edges if e not in tree), key=repr)
+
+    def flow_from_nontree(e0):
+        # children-first: conservation at v pins the flow on its tree edge,
+        # and pushes the surplus net[v] up to the parent either way
+        flow = {e0: Fraction(1)}
+        net = {v: Fraction(0) for v in rg.rot}
+        u, v = rg.edges[e0]
+        net[v] += 1
+        net[u] -= 1
+        for v in reversed(order):
+            p, e = parent[v]
+            if p is None:
+                continue
+            flow[e] = -net[v] if rg.edges[e][1] == v else net[v]
+            net[p] += net[v]
+            net[v] = Fraction(0)
+        return {e: val for e, val in flow.items() if val != 0}
+
+    rows = [[Fraction(sum(1 if i == 0 else -1 for e, i in face if e == x))
+             for x in nontree] for face in faces]
+    pivots = set(linalg.rref(rows)[1])
+    return [flow_from_nontree(e) for j, e in enumerate(nontree)
+            if j not in pivots]
 
 
 def solution(sysm):
