@@ -403,40 +403,48 @@ class PLCone:
 
 def walk(sysm, options, leaf):
     """Depth-first walk over choice vectors, with conflict-directed
-    backjumping (Prosser 1993): ``options[i]`` lists tet ``i``'s ``(k, row,
-    b)`` in the order tried, and the row is pushed under the tag ``1 <<
-    i``, so a contradiction names the tets it depends on and a subtree
-    refuted without tet ``i`` is not retried under its other options.  At
-    each consistent vector ``combo``, the ``k`` per tet, ``leaf(combo)``
-    returns True to stop there: ``walk`` returns ``combo`` and ``sysm``
-    keeps its rows.  Otherwise the walk goes on, and returns None with
-    ``sysm`` back at its start."""
+    backjumping (Prosser 1993), in one loop: ``options[i]`` lists tet
+    ``i``'s ``(k, row, b)`` in the order tried, and the row is pushed under
+    the tag ``1 << i``, so a contradiction names the tets it depends on and
+    the walk jumps straight back to the deepest of them.  At a consistent
+    vector ``combo``, the ``k`` per tet, ``leaf(combo)`` returns True to
+    stop there: ``walk`` returns ``combo`` and ``sysm`` keeps its rows.
+    Else the walk goes on, and returns None with ``sysm`` at its start."""
     push, pivots, rollback = sysm.push, sysm.pivots, sysm.rollback
-    combo = [None] * len(options)
-
-    def dfs(i):
-        # None once a leaf stopped the walk, else the conflict set: a mask
-        # of tets before i whose current choices leave tets i.. no leaf; a
-        # continuing leaf names every tet (-1), so that no subtree holding
-        # another leaf is skipped
-        if i == len(options):
-            return None if leaf(tuple(combo)) else -1
-        bit, conflict = 1 << i, 0
-        for k, row, b in options[i]:
-            mark = len(pivots)
-            combo[i] = k
-            sub = dfs(i + 1) if push(row, b, bit) else sysm.conflict
-            if sub is None:
-                return None
-            rollback(mark)
-            if not sub & bit:
-                return sub      # tet i played no part: jump back past it
-            conflict |= sub
-        return conflict & ~bit
-
-    stopped = dfs(0) is None
-    del dfs     # its closure refers to it: leave no cycle holding sysm
-    return tuple(combo) if stopped else None
+    n = len(options)
+    combo = [None] * n
+    # per depth: the next option, the conflict so far and the mark its
+    # pushes roll back to; depth n is the leaf, and marks[-1] the start
+    nxt, conflicts = [0] * (n + 1), [0] * (n + 1)
+    marks = [len(pivots)] * (n + 2)
+    i = 0
+    while True:
+        if i == n:
+            if leaf(tuple(combo)):
+                return tuple(combo)
+            sub = -1    # a continuing leaf names every tet: none is skipped
+        elif nxt[i] == len(options[i]):
+            sub = conflicts[i]      # tet i has no option left
+        else:
+            combo[i], row, b = options[i][nxt[i]]
+            nxt[i] += 1
+            if push(row, b, 1 << i):
+                i += 1
+                nxt[i], conflicts[i], marks[i] = 0, 0, len(pivots)
+            else:
+                # a failed push stored nothing, and its conflict names tet
+                # i, whose tag it carries: tet i tries its next option
+                conflicts[i] |= sysm.conflict
+            continue
+        # land at j, the deepest tet before i that sub names: each tet in
+        # between played no part, so its other options fail the same way
+        j = (sub & ((1 << i) - 1)).bit_length() - 1
+        if len(pivots) > marks[j]:
+            rollback(marks[j])
+        if j < 0:
+            return None
+        conflicts[j] |= sub
+        i = j
 
 
 def compute_cone(manifold, btrack, choice_iter=None):
@@ -446,7 +454,8 @@ def compute_cone(manifold, btrack, choice_iter=None):
     coordinates and intersected with the switch-relation space of the
     boundary track; identical spans are merged.  ``choice_iter=None``
     walks the full product over tetrahedra (exact cone); a sampled
-    iterator gives a partial union, one single-option walk per vector.
+    iterator gives a partial union, one single-option walk per vector; a
+    vector whose length is not the number of tets raises ``ValueError``.
     The walk's system holds a vector's rows; those pivoting on the
     boundary columns (the suffix from ``first``) cut out its component.
     """
@@ -480,7 +489,8 @@ def compute_cone(manifold, btrack, choice_iter=None):
         walk(sysm, options, record)
     else:
         for combo in choice_iter:
-            walk(sysm, [[opts[k]] for opts, k in zip(options, combo)], record)
+            walk(sysm, [[opts[k]] for opts, k in
+                        zip(options, combo, strict=True)], record)
     return PLCone(edge_order, sorted(
         seen.values(), key=lambda c: (c["dimension"], repr(c["span"]))))
 

@@ -12,6 +12,8 @@ Points of the tree (``TreePoint``) are vertices, interior points of edges
 exact LexVec values.
 """
 
+import dataclasses
+
 from isocone.ordgroup import LexVec, rat, DimensionError
 
 
@@ -19,26 +21,15 @@ class NotAMetricError(ValueError):
     pass
 
 
+@dataclasses.dataclass(frozen=True, slots=True)
 class TreePoint:
     """A point of a MetricTree: vertex, edge-interior point, or ray point."""
 
-    __slots__ = ("kind", "vertex", "edge", "offset", "excess")
-
-    def __init__(self, kind, vertex=None, edge=None, offset=None, excess=None):
-        self.kind = kind
-        self.vertex = vertex
-        self.edge = edge
-        self.offset = offset
-        self.excess = excess
-
-    def __eq__(self, other):
-        if not isinstance(other, TreePoint):
-            return NotImplemented
-        return (self.kind, self.vertex, self.edge, self.offset, self.excess) == \
-               (other.kind, other.vertex, other.edge, other.offset, other.excess)
-
-    def __hash__(self):
-        return hash((self.kind, self.vertex, self.edge, self.offset, self.excess))
+    kind: str
+    vertex: object = None
+    edge: object = None
+    offset: object = None
+    excess: object = None
 
     def __repr__(self):
         if self.kind == "vertex":

@@ -209,6 +209,19 @@ class TestConeCommands:
         assert out.startswith("member: true")
         assert "witness-verified: true" in out
 
+    def test_member_deep_chain(self, tmp_path, capsys):
+        # 2,000 tets: a walk deeper than the interpreter's default
+        # recursion limit of 1,000 frames
+        m = chain_tets(2000)
+        path = tmp_path / "chain2000.txt"
+        path.write_text(io.serialize_manifold(
+            m, outgoing={tf: 0 for tf in m.boundary_faces}))
+        capsys.readouterr()
+        assert run(["cone", "member", "--input", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("member: true")
+        assert "witness-verified: true" in out.splitlines() and err == ""
+
     def test_member_deterministic(self, tmp_path, capsys):
         path = fixture_file(tmp_path, "g2xI")
         capsys.readouterr()

@@ -38,7 +38,7 @@ from test_homology import _grid_module
 from test_linalg import reference_kernel, reference_rref
 from util import (
     code_lines, fraction_constructions, random_tree, reference_union_find,
-    solution,
+    reference_walk, solution,
 )
 
 
@@ -240,6 +240,13 @@ def _assert_cone_matches_reference(m, btr, combos):
 def _chain_track(n):
     m = chain_tets(n)
     return m, BoundaryTrack(m, {t: 0 for t in m.boundary.triangles})
+
+
+@functools.cache
+def _deep_chain():
+    """``_chain_track(2000)``: a walk 2,000 tets deep, past the
+    interpreter's default recursion limit of 1,000 frames."""
+    return _chain_track(2000)
 
 
 def _g2_samples(m, rng):
@@ -994,6 +1001,12 @@ class TestMembership:
         assert all(v == 0 for v in res.witness.values())
         assert verify_witness(m, btr, wb, res)
 
+    def test_deep_chain(self):
+        m, btr = _deep_chain()
+        wb = {E: 0 for E in m.boundary.edge_classes}
+        res = member(m, btr, wb)
+        assert res.member and verify_witness(m, btr, wb, res)
+
     def test_diagonal_weights(self):
         bundle = g2_product_bundle()
         m, btr = bundle["manifold"], bundle["boundary_track"]
@@ -1445,9 +1458,57 @@ def test_walk_visits_the_consistent_vectors_in_order(seed):
             assert sum(x * sol[c] for c, x in row) == b
 
 
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
+def test_walk_matches_the_recursion(seed, j):
+    # the draws of the test above, walked by the loop and by the retired
+    # recursion under a continuing leaf, a leaf that stops at the first
+    # vector and one that stops at the j-th: the same pushes, leaf calls,
+    # result and final system, and no more rollback calls
+    rng = random.Random(seed)
+    m = _random_complex(rng)
+    values = rng.choice([[1, 1, 1, 2], [1, 1, 2], [1, 2]])
+    pins = [([(m.columns.index(c), 1)], rng.choice(values))
+            for c in m.boundary_edge_to_class.values()]
+    subsets = [sorted(rng.sample(range(3), rng.randint(1, 3)))
+               for _ in m.tets]
+    options = [[(k, m.choice_rows[t][k], 0) for k in ks]
+               for t, ks in zip(m.tets, subsets)]
+
+    def run(search, stop):
+        sysm = linalg.IncrementalSystem(len(m.columns))
+        for row, b in pins:
+            assert sysm.push(row, b)
+        push, rollback = sysm.push, sysm.rollback
+        pushes, leaves, rollbacks = [], [], []
+
+        def logged_push(row, b, tag=0):
+            pushes.append((row, b, tag))
+            return push(row, b, tag)
+
+        def logged_rollback(mark):
+            rollbacks.append(mark)
+            rollback(mark)
+
+        def leaf(combo):
+            leaves.append(combo)
+            return stop(len(leaves))
+
+        sysm.push, sysm.rollback = logged_push, logged_rollback
+        result = search(sysm, options, leaf)
+        return (pushes, leaves, result, sysm.pivot_rows), len(rollbacks)
+
+    for stop in [lambda n: False, lambda n: True, lambda n: n == j]:
+        ours, rollbacks = run(walk, stop)
+        expected, reference_rollbacks = run(reference_walk, stop)
+        assert ours == expected
+        assert rollbacks <= reference_rollbacks
+
+
 def test_no_system_outlives_a_query(monkeypatch):
     # with the cyclic collector off, every system a query made is freed
-    # when it returns: no closure that refers to itself keeps one alive
+    # when it returns: no reference cycle through a query's leaf, walk or
+    # system keeps one alive
     made = []
     init = linalg.IncrementalSystem.__init__
 
@@ -1568,6 +1629,21 @@ class TestCone:
             for i in range(len(ws)):
                 for j in range(i + 1, len(ws)):
                     assert triangle_form_sum(m.boundary, ws[i], ws[j]) == 0
+
+    def test_deep_chain_sampled_vector(self):
+        m, btr = _deep_chain()
+        rng = random.Random(1)
+        combo = tuple(rng.randrange(3) for _ in m.tets)
+        assert len(compute_cone(m, btr, iter([combo]))) == 1
+
+    @pytest.mark.parametrize("combo", [(0,), (0,) * 37])
+    def test_sampled_vector_of_the_wrong_length_refused(self, combo):
+        # g2xI has 36 tets: a vector cut short would walk its first tets
+        # alone and record their subspace as a component
+        bundle = g2_product_bundle()
+        with pytest.raises(ValueError):
+            compute_cone(bundle["manifold"], bundle["boundary_track"],
+                         iter([combo]))
 
     def test_full_cone_small_fixture_dedups(self):
         m = chain_tets(2)
@@ -1927,11 +2003,11 @@ def test_code_line_count():
     # the boundary is paired by edge class, the form has one table of
     # coefficients, the boundary track is read off the one boundary surface,
     # a product's pieces, walls and copies follow from corner ranks and one
-    # walk searches the choice vectors: a fan walk, a second table, a second
-    # surface, a search for the piece that holds a wall triangle, a second
-    # scan of the boundary faces or a second search over choices would not
-    # fit
-    assert code_lines("cone3") <= 562
+    # walk, one loop, searches the choice vectors: a fan walk, a second
+    # table, a second surface, a search for the piece that holds a wall
+    # triangle, a second scan of the boundary faces or a second search over
+    # choices would not fit
+    assert code_lines("cone3") <= 572
 
 
 def test_fixtures_code_line_count():

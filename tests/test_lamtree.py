@@ -280,4 +280,4 @@ class TestEndAndPushing:
 def test_code_line_count():
     # one walk per source gives the parent pointers, the distances and the
     # connectivity check: a second walk or a pair-keyed cache would not fit
-    assert code_lines("lamtree") <= 299
+    assert code_lines("lamtree") <= 292

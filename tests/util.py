@@ -154,6 +154,45 @@ def solution(sysm):
     return sol
 
 
+def reference_walk(sysm, options, leaf):
+    """Depth-first walk over choice vectors, with conflict-directed
+    backjumping (Prosser 1993): ``options[i]`` lists tet ``i``'s ``(k, row,
+    b)`` in the order tried, and the row is pushed under the tag ``1 <<
+    i``, so a contradiction names the tets it depends on and a subtree
+    refuted without tet ``i`` is not retried under its other options.  At
+    each consistent vector ``combo``, the ``k`` per tet, ``leaf(combo)``
+    returns True to stop there: ``walk`` returns ``combo`` and ``sysm``
+    keeps its rows.  Otherwise the walk goes on, and returns None with
+    ``sysm`` back at its start.  The retired recursion of ``cone3.walk``,
+    one frame per tet: the oracle of its loop."""
+    push, pivots, rollback = sysm.push, sysm.pivots, sysm.rollback
+    combo = [None] * len(options)
+
+    def dfs(i):
+        # None once a leaf stopped the walk, else the conflict set: a mask
+        # of tets before i whose current choices leave tets i.. no leaf; a
+        # continuing leaf names every tet (-1), so that no subtree holding
+        # another leaf is skipped
+        if i == len(options):
+            return None if leaf(tuple(combo)) else -1
+        bit, conflict = 1 << i, 0
+        for k, row, b in options[i]:
+            mark = len(pivots)
+            combo[i] = k
+            sub = dfs(i + 1) if push(row, b, bit) else sysm.conflict
+            if sub is None:
+                return None
+            rollback(mark)
+            if not sub & bit:
+                return sub      # tet i played no part: jump back past it
+            conflict |= sub
+        return conflict & ~bit
+
+    stopped = dfs(0) is None
+    del dfs     # its closure refers to it: leave no cycle holding sysm
+    return tuple(combo) if stopped else None
+
+
 def reference_union_find(items, pairs):
     """Class representative of every item once the given pairs are merged,
     over hashable items: pairs are merged in order and a merge points the
