@@ -24,6 +24,7 @@ import functools
 import heapq
 import math
 import types
+from array import array
 from fractions import Fraction
 
 from isocone.ordgroup import rat
@@ -666,82 +667,81 @@ def omega_homological(surface, t1, t2):
 
 
 def kahler_pairing_numeric(surface, t1, t2, depth):
-    """Numerical pairing integral with piecewise-affine representatives.
-
-    Each tangent is realized on every triangle as the affine interpolant
-    of its three edge periods; the hermitian pairing integrand
-    (i/2) theta_1 wedge conj(theta_2) is integrated by the centroid rule
-    over ``depth`` barycentric subdivisions.  Returns a complex number; on
-    pairs ``(psi, i psi)`` alone its imaginary part approximates the exact
-    pairings, and the real part is the metric pairing.  Half-translation
-    surfaces integrate on the orientation double cover with the factor 1/2.
-    """
+    """The integral of (i/2) theta_1 wedge conj(theta_2), theta_j the affine
+    interpolant of tangent j's edge periods on each triangle, by the
+    centroid rule over ``depth`` barycentric subdivisions: sampled once per
+    shape (pair of integer corner vectors), summed per triangle in ``repr``
+    order.  A complex number: on pairs ``(psi, i psi)`` alone its imaginary
+    part approximates the exact pairings; the real part is the metric
+    pairing.  Half-translation surfaces integrate on the orientation double
+    cover with the factor 1/2."""
+    if depth < 0:
+        raise ValueError(f"quadrature depth must be at least 0, not {depth}")
     if surface.kind != "translation":
         return kahler_pairing_numeric(*_lifted(surface, t1, t2), depth) / 2.0
 
-    total = complex(0)
-    for t in sorted(surface.triangles, key=repr):
-        ds = surface.triangles[t]
+    shapes, sums, vec = {}, {}, surface._vec
+    for t, ds in surface.triangles.items():
+        shapes.setdefault((vec[ds[0]], vec[ds[1]]), []).append((t, ds))
+    for ((x0, y0), (x1, y1)), members in shapes.items():
         # the corners of the triangle in its own chart
-        (x0, y0), (x1, y1) = surface._vec[ds[0]], surface._vec[ds[1]]
         P = _floats([_ORIGIN, (x0, y0), (x0 + x1, y0 + y1)], surface._den)
-        per1 = _floats([t1._vec[d] for d in ds], t1._den)
-        per2 = _floats([t2._vec[d] for d in ds], t2._den)
-        total += _triangle_pairing_quadrature(P, per1, per2, depth)
+        shape = _shape_samples(P, depth)
+        for t, ds in members:
+            per1 = _floats([t1._vec[d] for d in ds], t1._den)
+            per2 = _floats([t2._vec[d] for d in ds], t2._den)
+            sums[t] = _tangent_sum(shape, per1, per2)
+        del shape       # one shape's samples at a time
+    total = complex(0)
+    for t in sorted(sums, key=repr):
+        total += sums[t]
     return total
 
 
 def _floats(points, D):
-    """Integer pairs over D as complex numbers: ``x / D`` is the correctly
-    rounded double, as ``float(Fraction(x, D))`` is."""
+    """Integer pairs over D as complex numbers, ``x / D`` correctly rounded."""
     return [complex(x / D, y / D) for x, y in points]
 
 
-def _triangle_pairing_quadrature(P, per1, per2, depth):
-    """Centroid rule for (i/2) theta_1 wedge conj(theta_2) on one triangle.
-
-    theta_j is the Whitney interpolant of the edge periods ``per_j``: edge
-    k runs from corner k to corner k+1 and carries the form
-    W_k = lam_k d(lam_{k+1}) - lam_{k+1} d(lam_k).  Each sample point
-    takes its barycentric values and Whitney weights once and uses them
-    for both tangents.  The float operations, their operands and their
-    order are fixed (``docs/conventions.md``), so the printed result is
-    the same bit for bit on every run.
-    """
+def _shape_samples(P, depth):
+    """The area per sample, and at each sample of the centroid rule on the
+    triangle ``P`` the x and y parts of the Whitney forms W_k = lam_k
+    d(lam_{k+1}) - lam_{k+1} d(lam_k) of its edges k = 0, 1, 2, six doubles
+    per sample in one array; leaves depth first (``docs/conventions.md``)."""
     # barycentric gradients: lambda_k is affine with gradient g_k
     (x0, y0), (x1, y1), (x2, y2) = ((p.real, p.imag) for p in P)
     twoA = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
     g0x, g0y = (y1 - y2) / twoA, (x2 - x1) / twoA
     g1x, g1y = (y2 - y0) / twoA, (x0 - x2) / twoA
     g2x, g2y = (y0 - y1) / twoA, (x1 - x0) / twoA
-    a0, a1, a2 = per1
-    b0, b1, b2 = per2
-
-    pieces = [P]
-    for _ in range(depth):
-        nxt = []
-        for (a, b, c) in pieces:
-            ab = (a + b) / 2
-            bc = (b + c) / 2
-            ca = (c + a) / 2
-            nxt.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
-        pieces = nxt
-    area_factor = abs(twoA) / 2 / len(pieces)
-    total = complex(0)
-    for (a, b, c) in pieces:
+    weights = array("d")
+    stack = [(depth, *P)]
+    while stack:
+        d, a, b, c = stack.pop()
+        if d:
+            ab, bc, ca, d = (a + b) / 2, (b + c) / 2, (c + a) / 2, d - 1
+            # the last child goes first, so that the first is popped first
+            stack += [(d, ab, bc, ca), (d, ca, bc, c), (d, ab, b, bc),
+                      (d, a, ab, ca)]
+            continue
         z = (a + b + c) / 3
-        x = z.real
-        y = z.imag
+        x, y = z.real, z.imag
         # lambda_k vanishes on the opposite edge, through corner k+1
         l0 = g0x * (x - x1) + g0y * (y - y1)
         l1 = g1x * (x - x2) + g1y * (y - y2)
         l2 = g2x * (x - x0) + g2y * (y - y0)
-        w0x = l0 * g1x - l1 * g0x
-        w0y = l0 * g1y - l1 * g0y
-        w1x = l1 * g2x - l2 * g1x
-        w1y = l1 * g2y - l2 * g1y
-        w2x = l2 * g0x - l0 * g2x
-        w2y = l2 * g0y - l0 * g2y
+        weights.extend((l0 * g1x - l1 * g0x, l0 * g1y - l1 * g0y,
+                        l1 * g2x - l2 * g1x, l1 * g2y - l2 * g1y,
+                        l2 * g0x - l0 * g2x, l2 * g0y - l0 * g2y))
+    return abs(twoA) / 2 / 4 ** depth, weights
+
+
+def _tangent_sum(shape, per1, per2):
+    """The centroid rule on a triangle of ``shape`` for two tangents' periods."""
+    (a0, a1, a2), (b0, b1, b2) = per1, per2
+    area_factor, w = shape[0], iter(shape[1])
+    total = complex(0)
+    for w0x, w0y, w1x, w1y, w2x, w2y in zip(w, w, w, w, w, w):
         # each component starts from 0j, as a running sum from zero would
         ax = 0j + a0 * w0x + a1 * w1x + a2 * w2x
         ay = 0j + a0 * w0y + a1 * w1y + a2 * w2y

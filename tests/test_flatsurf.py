@@ -21,7 +21,8 @@ from isocone.flatsurf import (
     kahler_pairing_numeric, orientation_double_cover, lift_tangent,
 )
 from test_linalg import reference_kernel
-from util import code_lines, fraction_constructions, height_derivative
+from util import (code_lines, fraction_constructions, height_derivative,
+                  traced_peak)
 
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -513,7 +514,8 @@ def _fraction_kahler(surface, t1, t2, depth):
              for p in (QC(0), p1, p1 + surface.vectors[ds[1]])]
         per1 = [complex(t1.delta[d].re, t1.delta[d].im) for d in ds]
         per2 = [complex(t2.delta[d].re, t2.delta[d].im) for d in ds]
-        total += flatsurf._triangle_pairing_quadrature(P, per1, per2, depth)
+        total += flatsurf._tangent_sum(flatsurf._shape_samples(P, depth),
+                                       per1, per2)
     return total
 
 
@@ -1002,6 +1004,16 @@ class TestQuadratureOracle:
         assert errs[0] >= errs[1] >= errs[2]
 
 
+def _triangle_floats(s, ds, t1, t2):
+    """The corners of triangle ``ds`` of ``s`` in its own chart and the
+    periods of two tangents on its edges, as ``kahler_pairing_numeric``
+    builds them, read from the public QC values."""
+    p1 = s.vectors[ds[0]]
+    P = [complex(p.re, p.im) for p in (QC(0), p1, p1 + s.vectors[ds[1]])]
+    return P, *([complex(t.delta[d].re, t.delta[d].im) for d in ds]
+                 for t in (t1, t2))
+
+
 class TestQuadratureReference:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(corners=st.lists(_period, min_size=3, max_size=3),
@@ -1011,8 +1023,8 @@ class TestQuadratureReference:
     def test_bit_identical_to_closures(self, corners, per1, per2, depth):
         (x0, y0), (x1, y1), (x2, y2) = ((p.real, p.imag) for p in corners)
         assume((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0) != 0)
-        got = flatsurf._triangle_pairing_quadrature(corners, per1, per2,
-                                                    depth)
+        got = flatsurf._tangent_sum(flatsurf._shape_samples(corners, depth),
+                                    per1, per2)
         want = _reference_quadrature(corners, per1, per2, depth)
         assert repr(got) == repr(want)
 
@@ -1025,16 +1037,74 @@ class TestQuadratureReference:
         rng = random.Random(78)
         t1, t2 = random_tangent(s, rng), random_tangent(s, rng)
         for t in sorted(s.triangles, key=repr):
-            ds = s.triangles[t]
-            p1 = s.vectors[ds[0]]
-            P = [complex(p.re, p.im)
-                 for p in (QC(0), p1, p1 + s.vectors[ds[1]])]
-            per1 = [complex(t1.delta[d].re, t1.delta[d].im) for d in ds]
-            per2 = [complex(t2.delta[d].re, t2.delta[d].im) for d in ds]
+            P, per1, per2 = _triangle_floats(s, s.triangles[t], t1, t2)
             for depth in (0, 3):
-                assert repr(flatsurf._triangle_pairing_quadrature(
-                    P, per1, per2, depth)) == repr(
+                assert repr(flatsurf._tangent_sum(flatsurf._shape_samples(
+                    P, depth), per1, per2)) == repr(
                     _reference_quadrature(P, per1, per2, depth))
+
+
+def _reference_pairing(s, t1, t2, depth):
+    """``_reference_quadrature`` summed over the triangles of a translation
+    surface in ``repr`` order, each triangle sampled on its own."""
+    total = complex(0)
+    for t in sorted(s.triangles, key=repr):
+        total += _reference_quadrature(
+            *_triangle_floats(s, s.triangles[t], t1, t2), depth)
+    return total
+
+
+class TestSharedShapes:
+    """Triangles of one shape share their samples, with every bit kept."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_sheared_grid_matches_per_triangle_reference(self, monkeypatch,
+                                                         n):
+        s, _ = delaunay(_grid_torus(monkeypatch, n).shear(
+            Fraction(3, 2))).adapted()
+        shapes = {(s._vec[ds[0]], s._vec[ds[1]])
+                  for ds in s.triangles.values()}
+        assert len(shapes) < len(s.triangles)
+        rng = random.Random(n)
+        t1, t2 = random_tangent(s, rng), random_tangent(s, rng)
+        for depth in (0, 1, 3):
+            assert repr(kahler_pairing_numeric(s, t1, t2, depth)) == \
+                repr(_reference_pairing(s, t1, t2, depth))
+
+    def test_pillowcase_matches_reference_on_the_cover(self):
+        s = pillowcase()
+        rng = random.Random(79)
+        t1, t2 = random_tangent(s, rng), random_tangent(s, rng)
+        cover = orientation_double_cover(s)
+        l1, l2 = lift_tangent(cover, t1), lift_tangent(cover, t2)
+        for depth in (0, 1, 3):
+            assert repr(kahler_pairing_numeric(s, t1, t2, depth)) == \
+                repr(_reference_pairing(cover, l1, l2, depth) / 2.0)
+
+    @pytest.mark.parametrize("maker, depth", [(lshape_h2, 7),
+                                              (hex_torus, 6)])
+    def test_memory_stays_below_one_subdivision_list(self, maker, depth):
+        # the samples of one shape at a time, as 48-byte array entries,
+        # take less than one triangle's list of subdivision pieces; a cache
+        # of every shape's samples would pass on lshape_h2, which has two
+        # shapes, but not on hex_torus, which has four (depth 6 there
+        # keeps the traced run short)
+        s = maker()
+        rng = random.Random(80)
+        t1, t2 = random_tangent(s, rng), random_tangent(s, rng)
+        P, per1, per2 = _triangle_floats(
+            s, s.triangles[min(s.triangles, key=repr)], t1, t2)
+        assert traced_peak(lambda: kahler_pairing_numeric(s, t1, t2, depth)) \
+            < traced_peak(lambda: _reference_quadrature(P, per1, per2, depth))
+
+    @pytest.mark.parametrize("maker", [square_torus, pillowcase])
+    @pytest.mark.parametrize("depth", [-1, -5])
+    def test_negative_depth_refused(self, maker, depth):
+        # no subdivision has a negative depth; it must not read as depth 0
+        s = maker()
+        t = PeriodTangent.scaling(s)
+        with pytest.raises(ValueError, match=f"at least 0, not {depth}$"):
+            kahler_pairing_numeric(s, t, t, depth)
 
 
 def _sheet_swap(surface):
@@ -1169,8 +1239,9 @@ class TestAgainstFractionOracles:
                 value = fn(a, t1, t2)
                 assert type(value) is Fraction
                 assert value == oracle(a, t1, t2)
-            assert repr(kahler_pairing_numeric(a, t1, t2, depth=1)) == \
-                repr(_fraction_kahler(a, t1, t2, 1))
+            for depth in (0, 1, 3):
+                assert repr(kahler_pairing_numeric(a, t1, t2, depth)) == \
+                    repr(_fraction_kahler(a, t1, t2, depth))
             cover = orientation_double_cover(a)
             _assert_public(cover)
             for t in (t1, t2):

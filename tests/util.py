@@ -5,6 +5,7 @@ import fractions
 import importlib
 import pathlib
 import pstats
+import tracemalloc
 from fractions import Fraction
 
 from isocone import flatsurf, linalg
@@ -57,6 +58,18 @@ def fraction_constructions(fn):
     return sum(calls for (path, _, name), (_, calls, *_)
                in pstats.Stats(prof).stats.items()
                if path == fractions.__file__ and name == "__new__")
+
+
+def traced_peak(fn):
+    """The peak of the memory that ``tracemalloc`` traces while ``fn()``
+    runs, in bytes: what ``fn`` holds at once, beyond what was held before
+    the call."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def code_lines(name):
