@@ -43,14 +43,22 @@ FACE_CYCLES = {
     2: (0, 1, 3),
     3: (0, 2, 1),
 }
+# the corners of face f in sorted order, the order in which a glue line
+# lists their images
+FACE_CORNERS = {f: tuple(sorted(c)) for f, c in FACE_CYCLES.items()}
 
 
 class GluingError(ValueError):
-    pass
+    """A refused gluing table.  ``entry`` is the key of the gluing entry
+    the refusal was found at, or None when it names no entry."""
+
+    def __init__(self, message, entry=None):
+        super().__init__(message)
+        self.entry = entry
 
 
-class OrientationError(ValueError):
-    pass
+class OrientationError(GluingError):
+    """A gluing entry that does not reverse orientation."""
 
 
 # the six corner pairs (edges) of a tetrahedron, in combination order
@@ -71,11 +79,16 @@ CHOICE_PAIRS = ((0, 1), (0, 2), (1, 2))
 # to k
 _EDGE_INDEX = {p: k for k, e in enumerate(EDGE_PAIRS)
                for p in itertools.permutations(e)}
-_FACE_CORNERS = {f: frozenset(c) for f, c in FACE_CYCLES.items()}
-# a gluing onto face f reverses orientation iff it maps the cycle of its
-# own face to a rotation of f's reversed cycle
-_REVERSED_CYCLES = {f: {c[::-1][k:] + c[::-1][:k] for k in range(3)}
-                    for f, c in FACE_CYCLES.items()}
+# the 48 orientation-reversing maps of a face f onto a face f2, each taking
+# f's cycle to a rotation k of f2's reversed cycle, keyed by f, f2 and the
+# images of f's corners in sorted order; each gives the pair's three edge
+# merges (k, k2) in combination order
+_FACE_MAPS = {
+    (f, f2, *map(p.get, FACE_CORNERS[f])): tuple(
+        (_EDGE_INDEX[a, b], _EDGE_INDEX[p[a], p[b]])
+        for a, b in itertools.combinations(FACE_CORNERS[f], 2))
+    for f, f2, k in itertools.product(range(4), range(4), range(3))
+    for p in [dict(zip(FACE_CYCLES[f], (FACE_CYCLES[f2][::-1] * 2)[k:k + 3]))]}
 # OPPOSITE_PAIRS as edge indices; choice k sets the sum of edges a and b
 # equal to that of x and y in _CHOICE_EDGES[k] = (a, b, x, y); the wedges
 # (a, b) of consecutive pair sums in the tetrahedron form
@@ -86,14 +99,40 @@ _FORM_WEDGES = [(a, b) for i in range(3) for a in _OPPOSITE_EDGES[i]
                 for b in _OPPOSITE_EDGES[(i + 1) % 3]]
 
 
+def _gluing_refusal(index, glued, entry, t2, f2, perm):
+    """The refusal of a gluing entry ``entry -> (t2, f2, perm)`` that
+    ``_validate_gluings`` did not take, from the first check it fails,
+    naming ``entry``."""
+    t, f = entry
+    for x in (t, t2):
+        if x not in index:
+            return GluingError(f"gluing touches unknown tetrahedron {x!r}",
+                               entry)
+    if not 0 <= f <= 3 or not 0 <= f2 <= 3:
+        return GluingError(f"face index out of range at {(t, f)}", entry)
+    # a face index in range that is not an int has no corners
+    if f not in FACE_CORNERS or perm.keys() != set(FACE_CORNERS[f]):
+        return GluingError(f"bad permutation domain at {(t, f)}", entry)
+    if f2 not in FACE_CORNERS or set(perm.values()) != set(FACE_CORNERS[f2]):
+        return GluingError(f"bad permutation range at {(t, f)}", entry)
+    if (t2, f2) == (t, f):
+        return GluingError("face glued to itself", entry)
+    for tf in ((t, f), (t2, f2)):
+        if tf in glued:
+            return GluingError(f"face {tf} glued twice", entry)
+    # every other bijection of a face's corners is in _FACE_MAPS
+    return OrientationError(
+        f"gluing at {(t, f)} is not orientation-reversing", entry)
+
+
 class Triangulation3:
     """Oriented tetrahedra glued in pairs of faces, orientation-reversing.
 
     ``tets`` is an iterable of tetrahedron ids.  ``gluings`` maps
     ``(tet, face)`` to ``(tet2, face2, perm)``, one entry per glued face
-    pair, where ``perm`` maps the three corner slots of the face to corner
-    slots of the other; a face is in at most one entry, as key or target.
-    ``self.gluings`` holds exactly these entries.
+    pair, where ``perm`` is a dict from the three corner slots of the face
+    to corner slots of the other; a face is in at most one entry, as key or
+    target.  ``self.gluings`` holds exactly these entries, uncopied.
     """
 
     def __init__(self, tets, gluings):
@@ -105,45 +144,30 @@ class Triangulation3:
             dup = next(t for i, t in enumerate(self.tets)
                        if t in self.tets[:i])
             raise GluingError(f"tetrahedron {dup!r} listed twice")
-        self.gluings = {tf: (t2, f2, dict(perm))
-                        for tf, (t2, f2, perm) in gluings.items()}
+        self.gluings = dict(gluings)
         merges, glued = self._validate_gluings()
         self._build_boundary(glued, self._build_classes(merges))
 
     # -- validation ------------------------------------------------------------
 
     def _validate_gluings(self):
-        """Check each entry of ``gluings``, one glued face pair; return the
-        pairs' edge merges as slot pairs, three per entry in combination
-        order, and the set of glued faces."""
-        index = self._index
-        merges, glued = [], set()
+        """Check each entry of ``gluings``, one glued face pair, by one
+        lookup in ``_FACE_MAPS``; return the pairs' edge merges as slot
+        pairs, three per entry in combination order, and the set of glued
+        faces.  A refusal names the entry it was found at as ``entry``."""
+        index, merges, glued = self._index, [], set()
         for (t, f), (t2, f2, perm) in self.gluings.items():
-            for x in (t, t2):
-                if x not in index:
-                    raise GluingError(
-                        f"gluing touches unknown tetrahedron {x!r}")
-            if not 0 <= f <= 3 or not 0 <= f2 <= 3:
-                raise GluingError(f"face index out of range at {(t, f)}")
-            # a face index in range that is not an int has no corners
-            if perm.keys() != _FACE_CORNERS.get(f):
-                raise GluingError(f"bad permutation domain at {(t, f)}")
-            if set(perm.values()) != _FACE_CORNERS.get(f2):
-                raise GluingError(f"bad permutation range at {(t, f)}")
-            if (t2, f2) == (t, f):
-                raise GluingError("face glued to itself")
-            for tf in ((t, f), (t2, f2)):
-                if tf in glued:
-                    raise GluingError(f"face {tf} glued twice")
-                glued.add(tf)
-            a, b, c = FACE_CYCLES[f]
-            if (perm[a], perm[b], perm[c]) not in _REVERSED_CYCLES[f2]:
-                raise OrientationError(
-                    f"gluing at {(t, f)} is not orientation-reversing")
+            # the lookup sees f, f2 and the images of f's corners; not the
+            # tets, other keys of perm, or the faces glued before
+            key = (f, f2, *map(perm.get, FACE_CORNERS.get(f, ())))
+            maps = t in index and t2 in index and len(perm) == 3 and \
+                _FACE_MAPS.get(key)
+            if not maps or (t2, f2) == (t, f) or (t, f) in glued or \
+                    (t2, f2) in glued:
+                raise _gluing_refusal(index, glued, (t, f), t2, f2, perm)
+            glued |= {(t, f), (t2, f2)}
             i, i2 = 6 * index[t], 6 * index[t2]
-            merges += [(i + _EDGE_INDEX[a, b],
-                        i2 + _EDGE_INDEX[perm[a], perm[b]])
-                       for a, b in itertools.combinations(sorted(perm), 2)]
+            merges += [(i + k, i2 + k2) for k, k2 in maps]
         return merges, glued
 
     def _build_classes(self, merges):
@@ -491,8 +515,10 @@ def compute_cone(manifold, btrack, choice_iter=None):
         for combo in choice_iter:
             walk(sysm, [[opts[k]] for opts, k in
                         zip(options, combo, strict=True)], record)
-    return PLCone(edge_order, sorted(
-        seen.values(), key=lambda c: (c["dimension"], repr(c["span"]))))
+    components = list(seen.values())
+    if len(components) > 1:
+        components.sort(key=lambda c: (c["dimension"], repr(c["span"])))
+    return PLCone(edge_order, components)
 
 
 class MemberResult:
@@ -513,22 +539,22 @@ def member(manifold, btrack, w_boundary):
     classes satisfying one pair-sum equality in every tetrahedron and zero
     on torus classes: the first consistent choice vector of ``walk`` over
     the choice rows, with the boundary values folded in as constants."""
-    track = btrack.track
+    # the boundary values are constants on the boundary columns, the suffix
+    # from first, all scaled by the common denominator D so that every row
+    # is integral; each witness value is one Fraction over D times its d.
+    # Signs and switch relations are checked on these integer pins
+    track, pins = btrack.track, manifold.boundary.edge_classes
+    values = [rat(w_boundary.get(E, 0)) for E in pins]
+    D = math.lcm(*[val.denominator for val in values])
+    pinned = [val.numerator * (D // val.denominator) for val in values]
+    at = dict(zip(pins, pinned))
     for e in track.branches:
         if e not in w_boundary:
             return MemberResult(False, reason=f"missing weight for {e!r}")
-        if rat(w_boundary[e]) < 0:
+        if at[e] < 0:
             return MemberResult(False, reason="negative")
-    if not track.check_weight({e: w_boundary[e] for e in track.branches}):
+    if any(at[a] + at[b] != at[c] for a, b, c in track.switches.values()):
         return MemberResult(False, reason="switch")
-
-    # the boundary values are constants on the boundary columns, the suffix
-    # from first, all scaled by the common denominator D so that every row
-    # is integral; each witness value is one Fraction over D times its d
-    pins = manifold.boundary.edge_classes
-    values = [rat(w_boundary.get(E, 0)) for E in pins]
-    D = math.lcm(*[val.denominator for val in values])
-    pinned = [int(val * D) for val in values]
     first = len(manifold.columns) - len(pins)
     # every torus class is a boundary class, so it is pinned
     if any(pinned[c - first] for row in manifold.torus_rows for c, _ in row):

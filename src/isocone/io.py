@@ -14,7 +14,7 @@ from fractions import Fraction
 from isocone.ordgroup import LexVec, format_rat
 from isocone.lamtree import MetricTree
 from isocone.track import TrainTrack
-from isocone.cone3 import Triangulation3
+from isocone.cone3 import Triangulation3, FACE_CORNERS, GluingError
 from isocone.flatsurf import FlatSurface, QC, PeriodTangent
 
 
@@ -179,7 +179,7 @@ def parse_manifold(text):
     rationals.
     """
     tets = {}                      # tet id -> None, in line order
-    gluings, glued = {}, set()     # glued: every face of an earlier line
+    gluings, glued = {}, {}        # glued: the line of every glued face
     switch_lines = []
     weight_lines = []
     notes = []
@@ -191,17 +191,18 @@ def parse_manifold(text):
                 t1, f1 = toks[1].rsplit(".", 1)
                 t2, f2 = toks[2].rsplit(".", 1)
                 f1, f2 = int(f1), int(f2)
-                images = [int(x) for x in toks[3].split(",")]
+                images = list(map(int, toks[3].split(",")))
             except ValueError:
                 raise ParseError(lineno, f"bad gluing {' '.join(toks)!r}")
             if len(images) != 3:
                 raise ParseError(lineno, "permutation wants 3 images")
+            # a new face takes this line; one an earlier line took is refused
             for face, name in (((t1, f1), toks[1]), ((t2, f2), toks[2])):
-                if face in glued:
+                if glued.setdefault(face, lineno) != lineno:
                     raise ParseError(lineno, f"face {name!r} glued twice")
-            glued |= {(t1, f1), (t2, f2)}
-            gluings[(t1, f1)] = (t2, f2, dict(zip(
-                [v for v in range(4) if v != f1], images)))
+            # a face index out of 0..3 is refused before its corners are read
+            gluings[t1, f1] = (t2, f2, dict(zip(FACE_CORNERS.get(f1, ()),
+                                                images)))
         elif toks[0] == "switch" and len(toks) == 4 and toks[2] == "out":
             switch_lines.append((lineno, toks[1], toks[3]))
         elif toks[0] == "weight" and len(toks) == 3:
@@ -211,7 +212,9 @@ def parse_manifold(text):
     try:
         manifold = Triangulation3(tets, gluings)
     except ValueError as e:
-        raise ParseError(0, f"invalid triangulation: {e}")
+        # a refusal found at one gluing entry names the line it came from
+        line = glued.get(e.entry, 0) if isinstance(e, GluingError) else 0
+        raise ParseError(line, f"invalid triangulation: {e}")
 
     tri_by_name = {boundary_triangle_name(tf): tf
                    for tf in manifold.boundary_faces}

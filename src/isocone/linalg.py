@@ -9,15 +9,21 @@ dense rational rows; ``Fraction``s are made only there."""
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 
 
 def row(terms):
     """Sparse integer row summing ``(column, coefficient)`` terms: sorted
     pairs with the zero sums left out; a tuple, since rows are shared."""
-    acc = {}
-    for col, coef in terms:
-        acc[col] = acc.get(col, 0) + coef
-    return tuple((col, x) for col, x in sorted(acc.items()) if x)
+    # sorted, the terms of one column are neighbours, summed in one pass
+    out, last = [], None
+    for col, coef in sorted(terms):
+        if col == last:
+            out[-1] = (col, out[-1][1] + coef)
+        else:
+            out.append((col, coef))
+            last = col
+    return tuple(filter(itemgetter(1), out))
 
 
 def _integer(dense):

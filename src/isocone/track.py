@@ -51,18 +51,21 @@ def union_find(n, pairs):
     ``pairs``.  Returns a list: ``roots[i]`` is the root of item ``i``.
     Callers number their items once and map the roots back.
     """
+    # one loop over the pairs, each root found inline by path halving,
+    # which moves no root; then every item is pointed at its root
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
     for a, b in pairs:
-        a, b = find(a), find(b)
-        if a != b:
-            parent[a] = b
-    return [find(x) for x in range(n)]
+        while a != parent[a]:
+            parent[a] = a = parent[parent[a]]
+        while b != parent[b]:
+            parent[b] = b = parent[parent[b]]
+        parent[a] = b
+    for x in range(n):
+        r = parent[x]
+        while r != parent[r]:
+            r = parent[r]
+        parent[x] = r
+    return parent
 
 
 class SurfaceTriangulation:

@@ -9,6 +9,7 @@ from isocone.cli import _parse_rotate, build_parser, run
 from isocone.cone3 import BoundaryTrack
 from isocone.fixtures import chain_tets
 from isocone.flatsurf import QC, lshape_h2
+from test_cone3 import _merge_boundary_classes
 from util import code_lines
 
 
@@ -278,12 +279,53 @@ class TestConeCommands:
             capsys.readouterr().err
 
     def test_unknown_tet_named_exit_2(self, tmp_path, capsys):
-        # the error names the undeclared tet, not the declared one
+        # the error names the undeclared tet, not the declared one, and the
+        # glue line that names it
         path = tmp_path / "unknown.txt"
         path.write_text("tet T0\nglue T0.0 T9.1 1,2,3\n")
         assert run(["cone", "member", "--input", str(path)]) == 2
         err = capsys.readouterr().err
         assert "unknown tetrahedron 'T9'" in err and "'T0'" not in err
+        assert err.startswith("parse error: line 2: ")
+
+    # a refusal found at one glue line names that line
+    @pytest.mark.parametrize("glue, message", [
+        ("glue A.0 B.0 1,2,3", "gluing at ('A', 0) is not "
+                               "orientation-reversing"),
+        ("glue A.7 B.0 1,2,3", "face index out of range at ('A', 7)"),
+        ("glue A.0 B.5 1,2,3", "face index out of range at ('A', 0)"),
+        ("glue A.0 B.0 0,1,2", "bad permutation range at ('A', 0)"),
+        ("glue A.0 A.0 1,3,2", "face glued to itself"),
+        ("glue A.0 C.0 1,3,2", "gluing touches unknown tetrahedron 'C'"),
+    ])
+    @pytest.mark.parametrize("command", ["member", "compute", "isotropy"])
+    def test_gluing_refusal_names_its_line(self, tmp_path, capsys, command,
+                                           glue, message):
+        path = tmp_path / "bad.txt"
+        path.write_text("tet A\ntet B\n# a valid pair first\n"
+                        f"glue A.1 B.1 0,3,2\n\n{glue}\nswitch A.2 out 0\n")
+        assert run(["cone", command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == \
+            f"parse error: line 6: invalid triangulation: {message}\n"
+        assert not captured.out
+
+    def test_refusal_of_the_whole_table_is_line_0(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # a refusal that names no glue line, of no tets or of a class
+        # with four free face sides, stays at line 0
+        empty = tmp_path / "empty.txt"
+        empty.write_text("# no tets\n")
+        assert run(["cone", "compute", "--input", str(empty)]) == 2
+        assert capsys.readouterr().err == "parse error: line 0: invalid " \
+            "triangulation: need at least one tetrahedron\n"
+        path = fixture_file(tmp_path, "two_tets")
+        kept = _merge_boundary_classes(monkeypatch,
+                                       io.parse_manifold(open(path).read())[0])
+        assert run(["cone", "compute", "--input", path]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"parse error: line 0: invalid triangulation: edge class "
+            f"{kept!r} has 4 free face sides")
 
     def test_member_switch_violation(self, tmp_path, capsys):
         path = fixture_file(tmp_path, "g2xI")

@@ -38,7 +38,7 @@ from test_homology import _grid_module
 from test_linalg import reference_kernel, reference_rref
 from util import (
     code_lines, fraction_constructions, random_tree, reference_union_find,
-    reference_walk, solution,
+    reference_validate_gluings, reference_walk, solution,
 )
 
 
@@ -490,14 +490,16 @@ class TestValidation:
 
     def test_bad_gluing_rejected(self):
         # corner 3 of face (T0, 0) goes nowhere on face (T1, 0)
-        with pytest.raises(GluingError):
+        with pytest.raises(GluingError, match="bad permutation range"):
             Triangulation3(["T0", "T1"], {
                 ("T0", 0): ("T1", 0, {1: 1, 2: 2, 3: 0}),
             })
 
     def test_repeated_tet_id_rejected(self):
-        with pytest.raises(GluingError, match="'T0' listed twice"):
+        with pytest.raises(GluingError, match="'T0' listed twice") as err:
             Triangulation3(["T0", "T1", "T0"], {})
+        # a refusal of the tet list names no gluing entry
+        assert err.value.entry is None
 
     def test_two_pairs_accepted(self):
         m = Triangulation3(["T0", "T1", "T2", "T3"], _TWO_PAIRS)
@@ -1019,7 +1021,10 @@ class TestMembership:
 
     def test_witness_is_one_fraction_per_class(self):
         # read off the affine reduced rows, each witness value is a single
-        # Fraction; the back-substituted solution divided by D made 1,767
+        # Fraction, and the signs and switch relations are checked on the
+        # integer pins: 58 per query, one per edge class.  The
+        # back-substituted solution divided by D made 1,767; the Fraction
+        # sums of check_weight and the Fraction-scaled pins made 1,180
         bundle = g2_product_bundle()
         m, btr = bundle["manifold"], bundle["boundary_track"]
         rng = random.Random(1)
@@ -1027,8 +1032,9 @@ class TestMembership:
                                             mf_weight(bundle["track"], rng))
                    for _ in range(10)]
         results = []
+        assert len(m.edge_classes) == 58
         assert fraction_constructions(lambda: results.extend(
-            member(m, btr, wb) for wb in weights)) == 1180
+            member(m, btr, wb) for wb in weights)) == 58 * 10
         assert all(res.member and verify_witness(m, btr, wb, res)
                    for res, wb in zip(results, weights))
 
@@ -1818,6 +1824,119 @@ def test_entry_direction_changes_representatives_only(seed, data):
     assert io.serialize_manifold(io.parse_manifold(text)[0]) == text
 
 
+class _OracleTriangulation3(Triangulation3):
+    """``Triangulation3`` with its gluing table checked by the retired
+    entry-by-entry oracle instead of the table of face maps."""
+
+    def _validate_gluings(self):
+        return reference_validate_gluings(self._index, self.gluings)
+
+
+@functools.cache
+def _g2xI():
+    return g2_product_bundle()["manifold"]
+
+
+# the manifolds whose gluing tables are renamed, reordered and corrupted,
+# drawn with a seeded rng; in a random complex two edges of one face may
+# share a class, where the order of the face's three merges shows
+_TABLE_MANIFOLDS = {
+    "two_tets": lambda rng: two_tets(),
+    "chain_tets(n)": lambda rng: chain_tets(rng.randint(2, 6)),
+    "g2xI": lambda rng: _g2xI(),
+    "random complex": _random_complex,
+}
+
+
+def _shuffled_table(m, rng):
+    """``m``'s tets under a random renaming, and its gluing table with the
+    entries in random order, each written from a random face of its pair
+    and with its ``perm`` dict built in a random key order."""
+    numbers = rng.sample(range(10 * len(m.tets)), len(m.tets))
+    name = {t: f"X{n}" for t, n in zip(m.tets, numbers)}
+    entries = []
+    for (t, f), (t2, f2, perm) in m.gluings.items():
+        if rng.random() < 0.5:
+            t, f, t2, f2 = t2, f2, t, f
+            perm = {v2: v for v, v2 in perm.items()}
+        items = list(perm.items())
+        rng.shuffle(items)
+        entries.append(((name[t], f), (name[t2], f2, dict(items))))
+    rng.shuffle(entries)
+    return list(name.values()), dict(entries)
+
+
+def _corrupted(table, rng, fault):
+    """``table`` with one random entry ``(t, f) -> (t2, f2, perm)`` made
+    faulty, in its place, or, for a face glued twice, one entry added that
+    glues the target face of a random entry again."""
+    (t, f), (t2, f2, perm) = rng.choice(list(table.items()))
+    side = rng.random() < 0.5       # fault the key side or the target side
+    key, value = (t, f), (t2, f2, perm)
+    if fault == "unknown tet":
+        key, value = ((("nowhere", f), value) if side
+                      else (key, ("nowhere", f2, perm)))
+    elif fault in ("face out of range", "face not an int"):
+        bad = rng.choice([4, -1, 7] if fault == "face out of range"
+                         else [0.5, 1.5, 2.5])
+        key, value = ((t, bad), value) if side else (key, (t2, bad, perm))
+    elif fault == "domain":     # a fourth key, or one key moved to f
+        v = rng.choice(list(perm))
+        moved = {u: x for u, x in perm.items() if u != v}
+        value = (t2, f2, {**perm, f: f2} if side else {**moved, f: perm[v]})
+    elif fault == "range":
+        value = (t2, f2, {**perm, rng.choice(list(perm)): f2})
+    elif fault == "glued to itself":
+        value = (t, f, _reversal(f))
+    elif fault == "orientation-preserving":
+        value = (t2, f2, _mirrored(f, perm))
+    else:   # glued twice: a new entry onto an already glued face
+        tets = sorted({tf[0] for tf in table})
+        face = rng.choice([(x, k) for x in tets for k in range(4)
+                           if (x, k) not in table])
+        return {**table, face: (t2, f2, reversing_gluing(face[1], f2))}
+    return {(key if k == (t, f) else k): (value if k == (t, f) else v)
+            for k, v in table.items()}
+
+
+_TABLE_FAULTS = ["unknown tet", "face out of range", "face not an int",
+                 "domain", "range", "glued to itself", "glued twice",
+                 "orientation-preserving"]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from(list(_TABLE_MANIFOLDS)), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.sampled_from(_TABLE_FAULTS), max_size=2))
+def test_face_map_table_matches_the_entry_checks(name, seed, faults):
+    # under any tet names, entry order, entry direction and key order of
+    # perm, a table gives the classes, columns and boundary of the retired
+    # entry-by-entry check, or is refused with its exception and message,
+    # naming an entry; tables with no fault, one, or two, which may meet in
+    # one entry (and may undo each other), all come out the same
+    rng = random.Random(seed)
+    tets, table = _shuffled_table(_TABLE_MANIFOLDS[name](rng), rng)
+    for fault in faults:
+        try:
+            table = _corrupted(table, rng, fault)
+        except (IndexError, KeyError, TypeError):
+            # no entry to fault, or one that an earlier fault broke
+            assume(False)
+    try:
+        ref = _OracleTriangulation3(tets, table)
+    except ValueError as expected:
+        with pytest.raises(ValueError) as got:
+            Triangulation3(tets, table)
+        assert type(got.value) is type(expected)
+        assert str(got.value) == str(expected)
+        assert got.value.entry in table
+        return
+    assert len(faults) != 1
+    m = Triangulation3(tets, table)
+    for attr in ("edge_classes", "columns", "_tet_columns",
+                 "boundary_faces", "torus_classes"):
+        assert getattr(m, attr) == getattr(ref, attr)
+
+
 def _reference_surface(triangles, glue):
     """The classes of a ``SurfaceTriangulation`` as the tuple-keyed build
     made them: the ``repr``-least directed edge of each pair, and corner
@@ -2006,8 +2125,9 @@ def test_code_line_count():
     # walk, one loop, searches the choice vectors: a fan walk, a second
     # table, a second surface, a search for the piece that holds a wall
     # triangle, a second scan of the boundary faces or a second search over
-    # choices would not fit
-    assert code_lines("cone3") <= 572
+    # choices would not fit; 16 more lines hold the table of face maps, its
+    # refusal diagnosis and the entry a refusal names
+    assert code_lines("cone3") <= 588
 
 
 def test_fixtures_code_line_count():

@@ -300,5 +300,6 @@ def test_code_line_count():
     # one elimination core: a second, dense one would not fit; the row
     # builder moved here from cone3, a mark is ``len(pivots)``, and
     # ``reduced()`` is the one read-out, with no back-substitution;
-    # ``reduced_kernel`` indexes the rows by column in one pass
-    assert code_lines("linalg") <= 143
+    # ``reduced_kernel`` indexes the rows by column in one pass; 5 more
+    # lines sum a row's terms as sorted neighbours, with no dict
+    assert code_lines("linalg") <= 148

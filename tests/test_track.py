@@ -449,5 +449,6 @@ def test_fixture_region_cusp_counts_match_face_walk(make):
 
 
 def test_code_line_count():
-    # methods that only tests call do not belong in the library
-    assert code_lines("track") <= 347
+    # methods that only tests call do not belong in the library; 3 more
+    # lines find the union-find roots inline, with no nested find
+    assert code_lines("track") <= 350

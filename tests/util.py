@@ -3,12 +3,15 @@
 import cProfile
 import fractions
 import importlib
+import itertools
 import pathlib
 import pstats
 import tracemalloc
 from fractions import Fraction
 
 from isocone import flatsurf, linalg
+from isocone.cone3 import (
+    EDGE_PAIRS, FACE_CYCLES, GluingError, OrientationError)
 from isocone.ordgroup import LexVec
 from isocone.lamtree import MetricTree
 
@@ -224,3 +227,49 @@ def reference_union_find(items, pairs):
         if a != b:
             parent[a] = b
     return {x: find(x) for x in parent}
+
+
+def reference_validate_gluings(index, gluings):
+    """Check each entry of a ``Triangulation3`` gluing table, one glued face
+    pair, against the faces and corners it names; return the pairs' edge
+    merges as slot pairs (edge ``EDGE_PAIRS[k]`` of the tet at ``index[t]``
+    is slot ``6 * index[t] + k``), three per entry in combination order,
+    and the set of glued faces.  The retired check of
+    ``Triangulation3._validate_gluings``, entry by entry in this order:
+    both tets declared, face indices in 0..3, the domain and range of
+    ``perm``, no self-gluing, no face glued twice, orientation reversed.
+    The oracle of its table of face maps."""
+    corners = {f: frozenset(c) for f, c in FACE_CYCLES.items()}
+    # a gluing onto face f reverses orientation iff it maps the cycle of its
+    # own face to a rotation of f's reversed cycle
+    reversed_cycles = {f: {c[::-1][k:] + c[::-1][:k] for k in range(3)}
+                       for f, c in FACE_CYCLES.items()}
+    edge_index = {p: k for k, e in enumerate(EDGE_PAIRS)
+                  for p in itertools.permutations(e)}
+    merges, glued = [], set()
+    for (t, f), (t2, f2, perm) in gluings.items():
+        for x in (t, t2):
+            if x not in index:
+                raise GluingError(
+                    f"gluing touches unknown tetrahedron {x!r}")
+        if not 0 <= f <= 3 or not 0 <= f2 <= 3:
+            raise GluingError(f"face index out of range at {(t, f)}")
+        # a face index in range that is not an int has no corners
+        if perm.keys() != corners.get(f):
+            raise GluingError(f"bad permutation domain at {(t, f)}")
+        if set(perm.values()) != corners.get(f2):
+            raise GluingError(f"bad permutation range at {(t, f)}")
+        if (t2, f2) == (t, f):
+            raise GluingError("face glued to itself")
+        for tf in ((t, f), (t2, f2)):
+            if tf in glued:
+                raise GluingError(f"face {tf} glued twice")
+            glued.add(tf)
+        a, b, c = FACE_CYCLES[f]
+        if (perm[a], perm[b], perm[c]) not in reversed_cycles[f2]:
+            raise OrientationError(
+                f"gluing at {(t, f)} is not orientation-reversing")
+        i, i2 = 6 * index[t], 6 * index[t2]
+        merges += [(i + edge_index[a, b], i2 + edge_index[perm[a], perm[b]])
+                   for a, b in itertools.combinations(sorted(perm), 2)]
+    return merges, glued
