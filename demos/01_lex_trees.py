@@ -10,7 +10,7 @@ distance settle at the horofunction gap.
 
 from fractions import Fraction
 
-from isocone.ordgroup import LexVec, left_inverse, embed_last
+from isocone.ordgroup import LexVec, LeftInverse, embed_last
 from isocone.lamtree import (
     MetricTree, four_point_check, vertex_distance_matrix,
     is_zero_hyperbolic, subtree_at,
@@ -44,7 +44,7 @@ def main():
     print()
     print("== splitting an order embedding ==")
     a = LexVec((0, 2, 7))
-    phi = left_inverse(a)
+    phi = LeftInverse(a)
     print(f"phi for a = {a}: reads slot {phi.index + 1}, scale {phi.scale}")
     print("phi(a) =", phi(a))
     print("phi(embed_last(5, 3)) =", phi(embed_last(5, 3)))

@@ -15,7 +15,7 @@ import re
 import sys
 from fractions import Fraction
 
-from isocone import io, fixtures
+from isocone import io, fixtures, flatsurf
 from isocone.ordgroup import format_rat
 from isocone.lamtree import vertex_distance_matrix, is_zero_hyperbolic
 from isocone.cone3 import BoundaryTrack, compute_cone, member, verify_witness
@@ -99,13 +99,14 @@ def cmd_cone_compute(args):
     lines += [f"note: {n}" for n in notes]
     names = [io.boundary_edge_name(E) for E in cone.edge_order]
     lines.append("edges: " + " ".join(names))
-    branches = sorted(btrack.track.branches, key=repr)
+    # the same line for every component: all branches, held sorted by repr
+    active = "active: " + " ".join(
+        io.boundary_edge_name(e) for e in btrack.track.branches)
     for i, comp in enumerate(cone.components):
         lines.append(f"component {i} dimension {comp['dimension']}")
         for row in comp["span"]:
             lines.append("span: " + " ".join(format_rat(x) for x in row))
-        lines.append("active: " +
-                     " ".join(io.boundary_edge_name(e) for e in branches))
+        lines.append(active)
     return lines
 
 
@@ -277,8 +278,6 @@ def cmd_tree_fourpoint(args):
 
 
 def _fixture_text(name):
-    from isocone import flatsurf
-
     if name in ("square_torus", "hex_torus", "lshape_h2", "pillowcase"):
         surf = getattr(flatsurf, name)()
         t1 = PeriodTangent.scaling(surf)

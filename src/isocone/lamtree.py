@@ -13,6 +13,7 @@ exact LexVec values.
 """
 
 import dataclasses
+import itertools
 
 from isocone.ordgroup import LexVec, rat, DimensionError
 
@@ -141,11 +142,16 @@ class MetricTree:
     def vertex_distance(self, a, b):
         if a == b:
             return LexVec.zero(self.rank)
-        if b in self._dist:
-            return self._dist[b][a]
-        if a not in self._dist:
-            self._dist[a] = self._walk(a)[1]
-        return self._dist[a][b]
+        # an unknown vertex shows as a missed lookup, so the cached path
+        # pays nothing for the check
+        try:
+            if b in self._dist:
+                return self._dist[b][a]
+            if a not in self._dist:
+                self._dist[a] = self._walk(a)[1]
+            return self._dist[a][b]
+        except KeyError as e:
+            raise ValueError(f"unknown vertex {e.args[0]!r}") from None
 
     def _point_anchors(self, p):
         """(vertex, cost) pairs through which paths from p leave its cell."""
@@ -212,40 +218,29 @@ class MetricTree:
             raise ValueError("push distance must be nonnegative")
         if s == 0:
             return p
-        sv = LexVec([s])
+        # p lies `left` below w, the end-side vertex of its cell, on edge
+        # eid (None at a vertex); a ray point lies -excess below the
+        # anchor.  The tree has rank 1, so lengths are read as Fractions
+        w, eid, left = p.vertex, None, 0
         if p.kind == "ray":
-            return self.point_on_ray(p.excess + sv)
-        # from an edge point, first move to the endpoint on the end side:
-        # v is that endpoint when the edge is u's pointer toward the end
-        if p.kind == "edge":
+            w, left = self.end, -p.excess.coords[0]
+        elif p.kind == "edge":
             u, v, length = self.edges[p.edge]
-            if self._parent[u] == (v, p.edge):
-                first_vertex, first_cost = v, length - p.offset
-            else:
-                first_vertex, first_cost = u, p.offset
-            if sv <= first_cost:
-                # stay on the same edge, moving toward first_vertex
-                if first_vertex == u:
-                    return self.point_on_edge(p.edge, p.offset - sv)
-                return self.point_on_edge(p.edge, p.offset + sv)
-            remaining = sv - first_cost
-            w = first_vertex
-        else:
-            remaining = sv
-            w = p.vertex
-        zero = LexVec.zero(1)
-        while w != self.end:
-            pw, eid = self._parent[w]
-            u, v, length = self.edges[eid]
-            if remaining <= length:
-                if remaining == zero:
-                    return self.point(w)
-                if w == u:
-                    return self.point_on_edge(eid, remaining)
-                return self.point_on_edge(eid, length - remaining)
-            remaining = remaining - length
-            w = pw
-        return self.point_on_ray(remaining)
+            eid, left = p.edge, p.offset.coords[0]
+            # v is the end-side vertex when the edge is u's pointer
+            w, left = ((v, length.coords[0] - left)
+                       if self._parent[u] == (v, eid) else (u, left))
+        while s > left:
+            if w == self.end:
+                return self.point_on_ray(LexVec([s - left]))
+            s -= left
+            w, eid = self._parent[w]
+            left = self.edges[eid][2].coords[0]
+        # short of w by left - s on eid, as an offset from its first end
+        # u; point_on_edge makes the vertex w of an offset that reaches it
+        u, _, length = self.edges[eid]
+        x = left - s if w == u else length.coords[0] - left + s
+        return self.point_on_edge(eid, LexVec([x]))
 
 
 # -- four-point machinery ----------------------------------------------------
@@ -268,42 +263,30 @@ def _check_metric(dmat):
     n = len(dmat)
     if n <= 1:
         return
-    rank = dmat[0][1].rank
-    zero = LexVec.zero(rank)
-    for i in range(n):
-        if len(dmat[i]) != n:
-            raise NotAMetricError("matrix not square")
-        if dmat[i][i] != zero:
+    # every row length before any entry is read
+    if any(len(row) != n for row in dmat):
+        raise NotAMetricError("matrix not square")
+    zero = LexVec.zero(dmat[0][1].rank)
+    # row by row; in row i the entries before the diagonal were checked
+    # as their mirror images, so the diagonal is the first that can fail
+    for i, j in itertools.product(range(n), repeat=2):
+        if i == j and dmat[i][i] != zero:
             raise NotAMetricError("nonzero diagonal")
-        for j in range(n):
-            if dmat[i][j] != dmat[j][i]:
-                raise NotAMetricError("matrix not symmetric")
-            if dmat[i][j] < zero:
-                raise NotAMetricError("negative distance")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if dmat[i][j] > dmat[i][k] + dmat[k][j]:
-                    raise NotAMetricError(
-                        f"triangle inequality fails on ({i},{j},{k})")
+        if dmat[i][j] != dmat[j][i]:
+            raise NotAMetricError("matrix not symmetric")
+        if dmat[i][j] < zero:
+            raise NotAMetricError("negative distance")
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if dmat[i][j] > dmat[i][k] + dmat[k][j]:
+            raise NotAMetricError(
+                f"triangle inequality fails on ({i},{j},{k})")
 
 
 def is_zero_hyperbolic(dmat):
-    """Brute-force four-point check over every 4-tuple of a finite metric."""
+    """The four-point check on every 4-tuple of a finite metric."""
     _check_metric(dmat)
-    n = len(dmat)
-    if n <= 3:
-        return True
-    idx = range(n)
-    for a in idx:
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                for d in range(c + 1, n):
-                    sub = [[dmat[p][q] for q in (a, b, c, d)]
-                           for p in (a, b, c, d)]
-                    if not four_point_check(sub):
-                        return False
-    return True
+    return all(four_point_check([[dmat[i][j] for j in q] for i in q])
+               for q in itertools.combinations(range(len(dmat)), 4))
 
 
 def vertex_distance_matrix(tree):

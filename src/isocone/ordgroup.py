@@ -140,13 +140,9 @@ class LeftInverse:
             raise TypeError("expected LexVec")
         if not a > LexVec.zero(a.rank):
             raise NotPositiveError(f"not lexicographically positive: {a}")
-        k = None
-        for i, c in enumerate(a.coords):
-            if c > 0:
-                k = i
-                break
-        self.index = k                      # 0-based coordinate index
-        self.scale = Fraction(1) / a.coords[k]
+        # 0-based index of the first positive coordinate
+        self.index = next(i for i, c in enumerate(a.coords) if c > 0)
+        self.scale = Fraction(1) / a.coords[self.index]
 
     def __call__(self, x):
         if not isinstance(x, LexVec):
@@ -157,9 +153,3 @@ class LeftInverse:
 
     def __repr__(self):
         return f"LeftInverse(index={self.index + 1}, scale={format_rat(self.scale)})"
-
-
-def left_inverse(a):
-    """Functional phi with phi(a) = 1; requires a > 0 lexicographically."""
-    return LeftInverse(a)
-

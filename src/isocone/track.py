@@ -345,6 +345,9 @@ class TrainTrack:
         consistent assignment exists.  The orientation of each branch runs
         from its flow-out end to its flow-in end.
         """
+        # a branch carries flow out of one end and into the other, so its
+        # far switch takes the opposite state when both its ends are
+        # incoming or both outgoing, and the same state otherwise
         state = {}
         for s0 in sorted(self.switches, key=repr):
             if s0 in state:
@@ -353,51 +356,38 @@ class TrainTrack:
             stack = [s0]
             while stack:
                 s = stack.pop()
-                for pos in range(3):
-                    e = self.switches[s][pos]
+                for pos, e in enumerate(self.switches[s]):
                     first, second = self.branch_ends[e]
-                    other = second if (s, pos) == first else first
-                    s2, pos2 = other
-                    here_in = (pos <= 1) == (state[s] == 1)
-                    # the other end must be flow-in iff this end is flow-out
-                    need = 1 if ((pos2 <= 1) == (not here_in)) else -1
-                    if s2 in state:
-                        if state[s2] != need:
-                            raise NotOrientableError(
-                                f"branch {e!r} cannot be oriented")
-                    else:
+                    s2, pos2 = second if first == (s, pos) else first
+                    need = -state[s] if (pos == 2) == (pos2 == 2) else state[s]
+                    if s2 not in state:
                         state[s2] = need
                         stack.append(s2)
+                    elif state[s2] != need:
+                        raise NotOrientableError(
+                            f"branch {e!r} cannot be oriented")
         return state
-
-    def oriented_flow(self, w):
-        """The weighted cycle of an admissible weight, as a ribbon flow.
-
-        Flows are measured along each branch's reference direction in
-        ``ribbon()`` (end 0 to end 1); the sign is fixed by the consistent
-        orientation.
-        """
-        state = self.orientation()
-        flow = {}
-        for e in self.branches:
-            (s1, p1), (s2, p2) = self.branch_ends[e]
-            in_at_first = (p1 <= 1) == (state[s1] == 1)
-            # reference direction is end 0 -> end 1; flow runs out -> in
-            flow[e] = -rat(w[e]) if in_at_first else rat(w[e])
-        return flow
 
     def cycle_pairing(self, w1, w2):
         """Intersection number of the weighted cycles of two weights.
 
         Requires a consistently orientable track; computed directly as
         ``RibbonGraph.intersection`` of the two oriented flows on the
-        track's ribbon graph, independently of the switch formula.
+        track's ribbon graph, independently of the switch formula.  A flow
+        is measured along each branch's reference direction in ``ribbon()``
+        (end 0 to end 1), and runs from the flow-out end to the flow-in end
+        of the one orientation.
         """
         for w in (w1, w2):
             if not self.check_weight(w):
                 raise InvalidWeightError("weight violates a switch relation")
-        return self.ribbon().intersection(self.oriented_flow(w1),
-                                          self.oriented_flow(w2))
+        state = self.orientation()
+        # the branches whose end 0 is their flow-in end
+        back = {e for e, ((s1, p1), _) in self.branch_ends.items()
+                if (p1 <= 1) == (state[s1] == 1)}
+        return self.ribbon().intersection(
+            *({e: -rat(w[e]) if e in back else rat(w[e])
+               for e in self.branches} for w in (w1, w2)))
 
 
 def embed_weights(track, branch_to_edge, w):

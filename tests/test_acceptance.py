@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 from isocone import linalg
-from isocone.ordgroup import LexVec, left_inverse
+from isocone.ordgroup import LexVec, LeftInverse
 from isocone.lamtree import TreeMap, four_point_check, vertex_distance_matrix
 from isocone.track import triangle_form_sum, embed_weights
 from isocone.cone3 import (
@@ -168,7 +168,7 @@ def test_criterion_6_left_inverse():
     for _ in range(100):
         rank = rng.randint(1, 4)
         a = random_positive_lexvec(rng, rank)
-        phi = left_inverse(a)
+        phi = LeftInverse(a)
         assert phi(a) == 1
         for _ in range(10):
             s = Fraction(rng.randint(-60, 60), rng.randint(1, 9))

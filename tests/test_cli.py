@@ -607,4 +607,4 @@ class TestMalformedInput:
 def test_code_line_count():
     # commands parse, call the library and print; the computations live in
     # the library
-    assert code_lines("cli") <= 313
+    assert code_lines("cli") <= 312

@@ -708,7 +708,7 @@ class TestW4:
 
     def test_left_inverse_pushforward_stays_member(self):
         # tuple-valued member weights push forward to rational members
-        from isocone.ordgroup import left_inverse
+        from isocone.ordgroup import LeftInverse
         from util import random_positive_lexvec
         rng = random.Random(57)
         for _ in range(30):
@@ -727,7 +727,7 @@ class TestW4:
                                      f(m.vertex_class[(t, j)]))
             ok, _ = m.w4_member(w)
             assert ok
-            phi = left_inverse(random_positive_lexvec(rng, rank))
+            phi = LeftInverse(random_positive_lexvec(rng, rank))
             w_r = {c: phi(val) for c, val in w.items()}
             ok2, _ = m.w4_member(w_r)
             assert ok2

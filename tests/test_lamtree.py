@@ -10,7 +10,10 @@ from isocone.lamtree import (
     MetricTree, four_point_check, is_zero_hyperbolic, vertex_distance_matrix,
     subtree_at, NotAMetricError,
 )
-from util import code_lines, random_tree, random_positive_lexvec
+from util import (
+    code_lines, outcome, random_lexvec, random_positive_lexvec, random_tree,
+    reference_is_zero_hyperbolic, reference_push,
+)
 
 
 def V(*coords):
@@ -172,6 +175,52 @@ class TestFourPoint:
         with pytest.raises(NotAMetricError):
             is_zero_hyperbolic(dm)
 
+    @pytest.mark.parametrize("dm", [[[V(0), V(1)], []],
+                                    [[V(0)], [V(1), V(0)]]])
+    def test_ragged_rows_refused(self, dm):
+        # every row's length is checked before any entry is read
+        with pytest.raises(NotAMetricError, match="^matrix not square$"):
+            is_zero_hyperbolic(dm)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 2), st.booleans(),
+       st.integers(0, 2))
+def test_is_zero_hyperbolic_matches_reference(seed, rank, summed, changes):
+    # tree metrics of rank 1 and 2, or sums of two (metrics, mostly not
+    # tree ones), and copies with a few entries moved, mostly in mirror
+    # pairs: the same verdict or the same refusal
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    trees = [random_tree(rng, n, rank) for _ in range(1 + summed)]
+    dm = [[sum(ds[1:], ds[0]) for ds in zip(*rows)]
+          for rows in zip(*map(vertex_distance_matrix, trees))]
+    for _ in range(changes):
+        i, j = rng.randrange(n), rng.randrange(n)
+        step = random_lexvec(rng, trees[0].rank).scale(Fraction(1, 8))
+        dm[i][j] = dm[i][j] + step
+        if rng.random() < 0.8:
+            dm[j][i] = dm[i][j]
+    assert outcome(is_zero_hyperbolic, dm) == \
+        outcome(reference_is_zero_hyperbolic, dm)
+
+
+class TestUnknownVertex:
+    # refused as ``point`` refuses it, whether the lookup misses a cached
+    # source's distances (a, the root, and b) or the walk from it (c)
+    @pytest.mark.parametrize("query", [
+        lambda t: t.point("zz"),
+        lambda t: t.vertex_distance("zz", "a"),
+        lambda t: t.vertex_distance("a", "zz"),
+        lambda t: t.vertex_distance("b", "zz"),
+        lambda t: t.vertex_distance("zz", "c"),
+        lambda t: subtree_at(t, "zz", 1)])
+    def test_refused_by_name(self, query):
+        t = MetricTree("abc", {"e": ("a", "b", V(1)), "f": ("b", "c", V(2))})
+        t.vertex_distance("b", "c")     # walks from b
+        with pytest.raises(ValueError, match="^unknown vertex 'zz'$"):
+            query(t)
+
 
 class TestSubtree:
     def test_membership(self):
@@ -277,7 +326,32 @@ class TestEndAndPushing:
                     assert d == V(gap)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_push_matches_reference(seed):
+    # vertex, edge and ray points, pushed by 0, by edge lengths, by sums
+    # of lengths (the distances to the end among them, which land on
+    # vertices) and by random amounts
+    rng = random.Random(seed)
+    t = random_tree(rng, rng.randint(1, 8), 1, with_end=True)
+    lengths = [length.coords[0] for _, _, length in t.edges.values()]
+    points = [t.point(v) for v in t.vertices]
+    points += [t.point_on_edge(eid, length.scale(Fraction(k, 5)))
+               for eid, (_, _, length) in t.edges.items()
+               for k in (rng.randint(1, 4),)]
+    points.append(t.point_on_ray(V(Fraction(rng.randint(1, 9), 2))))
+    amounts = [0, *lengths,
+               *(t.vertex_distance(v, t.end).coords[0] for v in t.vertices),
+               sum(rng.sample(lengths, rng.randint(0, len(lengths)))),
+               *(Fraction(rng.randint(1, 40), rng.randint(1, 6))
+                 for _ in range(4))]
+    for p in points:
+        for s in amounts:
+            assert t.push(p, s) == reference_push(t, p, s)
+
+
 def test_code_line_count():
     # one walk per source gives the parent pointers, the distances and the
-    # connectivity check: a second walk or a pair-keyed cache would not fit
-    assert code_lines("lamtree") <= 292
+    # connectivity check: a second walk or a pair-keyed cache would not
+    # fit; push climbs in one loop and the four-point check is one all()
+    assert code_lines("lamtree") <= 267

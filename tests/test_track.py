@@ -25,7 +25,8 @@ from isocone.flatsurf import (
 from test_acceptance import _random_complex
 from test_linalg import reference_kernel
 from util import (
-    code_lines, fraction_constructions, reference_faces, reference_union_find,
+    code_lines, fraction_constructions, outcome, reference_faces,
+    reference_orientation, reference_union_find,
 )
 
 
@@ -366,6 +367,16 @@ class TestCyclePairing:
             w2 = random_weight(tt, rng)
             assert tt.cycle_pairing(w1, w2) == tt.thurston_form(w1, w2)
 
+    def test_orientation_found_once(self, monkeypatch):
+        tt = torus_track()
+        calls = []
+        found = TrainTrack.orientation
+        monkeypatch.setattr(TrainTrack, "orientation",
+                            lambda self: calls.append(1) or found(self))
+        w = {"A": Fraction(2), "B": Fraction(3), "C": Fraction(5)}
+        assert tt.cycle_pairing(w, w) == 0
+        assert len(calls) == 1
+
     def test_unorientable_rejected(self):
         track, *_ = genus2_maximal_track()
         with pytest.raises(NotOrientableError):
@@ -426,6 +437,35 @@ def _random_trivalent_track(rng):
                        for i in range(2 * k)})
 
 
+def _random_oriented_track(rng):
+    """``2k`` switches, half with flow into their incoming slots and half
+    out of them, whose flow-in slots are paired with their flow-out slots
+    at random: a consistently orientable track."""
+    k = rng.randint(1, 6)
+    states = [1] * k + [-1] * k
+    rng.shuffle(states)
+    slots = {True: [], False: []}
+    for i, state in enumerate(states):
+        for p in range(3):
+            slots[(p <= 1) == (state == 1)].append(3 * i + p)
+    rng.shuffle(slots[True])
+    branch = {}
+    for j, ends in enumerate(zip(slots[True], slots[False])):
+        for slot in ends:
+            branch[slot] = f"b{j}"
+    return TrainTrack({f"s{i}": tuple(branch[3 * i + p] for p in range(3))
+                       for i in range(2 * k)})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_orientation_matches_reference(seed, orientable):
+    # the same states, or the same refusal naming the same branch
+    make = _random_oriented_track if orientable else _random_trivalent_track
+    track = make(random.Random(seed))
+    assert outcome(track.orientation) == outcome(reference_orientation, track)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_region_cusp_counts_match_face_walk(seed):
@@ -449,6 +489,7 @@ def test_fixture_region_cusp_counts_match_face_walk(make):
 
 
 def test_code_line_count():
-    # methods that only tests call do not belong in the library; 3 more
-    # lines find the union-find roots inline, with no nested find
-    assert code_lines("track") <= 350
+    # methods that only tests call do not belong in the library; the
+    # union-find roots are found inline, with no nested find, and the
+    # orientation is one walk, found once per cycle pairing
+    assert code_lines("track") <= 340

@@ -12,8 +12,9 @@ from fractions import Fraction
 from isocone import flatsurf, linalg
 from isocone.cone3 import (
     EDGE_PAIRS, FACE_CYCLES, GluingError, OrientationError)
-from isocone.ordgroup import LexVec
-from isocone.lamtree import MetricTree
+from isocone.ordgroup import DimensionError, LexVec, rat
+from isocone.lamtree import MetricTree, NotAMetricError
+from isocone.track import NotOrientableError
 
 
 def random_fraction(rng, lo=-3, hi=3, maxden=3):
@@ -273,3 +274,130 @@ def reference_validate_gluings(index, gluings):
         merges += [(i + edge_index[a, b], i2 + edge_index[perm[a], perm[b]])
                    for a, b in itertools.combinations(sorted(perm), 2)]
     return merges, glued
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` does: ``("ok", value)``, or the type and message
+    of the ``ValueError`` it raises, so that refusals compare as equal."""
+    try:
+        return "ok", fn(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def reference_push(tree, p, s):
+    """``tree.push(p, s)`` by the retired walk: an edge point first moves
+    along its own edge (and stays there when s does not reach the end-side
+    vertex), then the walk climbs with the LexVec still to go.  The oracle
+    of ``MetricTree.push``."""
+    if tree.rank != 1:
+        raise DimensionError("pushing requires rank 1")
+    if tree.end is None:
+        raise ValueError("tree has no end")
+    s = rat(s)
+    if s < 0:
+        raise ValueError("push distance must be nonnegative")
+    if s == 0:
+        return p
+    sv = LexVec([s])
+    if p.kind == "ray":
+        return tree.point_on_ray(p.excess + sv)
+    if p.kind == "edge":
+        u, v, length = tree.edges[p.edge]
+        if tree._parent[u] == (v, p.edge):
+            first_vertex, first_cost = v, length - p.offset
+        else:
+            first_vertex, first_cost = u, p.offset
+        if sv <= first_cost:
+            if first_vertex == u:
+                return tree.point_on_edge(p.edge, p.offset - sv)
+            return tree.point_on_edge(p.edge, p.offset + sv)
+        remaining = sv - first_cost
+        w = first_vertex
+    else:
+        remaining = sv
+        w = p.vertex
+    zero = LexVec.zero(1)
+    while w != tree.end:
+        pw, eid = tree._parent[w]
+        u, v, length = tree.edges[eid]
+        if remaining <= length:
+            if remaining == zero:
+                return tree.point(w)
+            if w == u:
+                return tree.point_on_edge(eid, remaining)
+            return tree.point_on_edge(eid, length - remaining)
+        remaining = remaining - length
+        w = pw
+    return tree.point_on_ray(remaining)
+
+
+def reference_is_zero_hyperbolic(dmat):
+    """``is_zero_hyperbolic`` by the retired checks: the metric axioms
+    entry by entry, then four nested index loops, each building the 4x4
+    submatrix of its quadruple for the retired ``four_point_check``: of
+    its three pairings, the two largest must be equal.  The oracle on
+    square matrices: it reads entries before it has checked every row's
+    length."""
+    n = len(dmat)
+    if n > 1:
+        zero = LexVec.zero(dmat[0][1].rank)
+        for i in range(n):
+            if len(dmat[i]) != n:
+                raise NotAMetricError("matrix not square")
+            if dmat[i][i] != zero:
+                raise NotAMetricError("nonzero diagonal")
+            for j in range(n):
+                if dmat[i][j] != dmat[j][i]:
+                    raise NotAMetricError("matrix not symmetric")
+                if dmat[i][j] < zero:
+                    raise NotAMetricError("negative distance")
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    if dmat[i][j] > dmat[i][k] + dmat[k][j]:
+                        raise NotAMetricError(
+                            f"triangle inequality fails on ({i},{j},{k})")
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                for d in range(c + 1, n):
+                    sub = [[dmat[p][q] for q in (a, b, c, d)]
+                           for p in (a, b, c, d)]
+                    s = sorted([sub[0][1] + sub[2][3], sub[0][2] + sub[1][3],
+                                sub[0][3] + sub[1][2]])
+                    if s[1] != s[2]:
+                        return False
+    return True
+
+
+def reference_orientation(track):
+    """``track.orientation()`` by the retired search: a depth-first walk
+    from each unvisited switch in ``repr`` order, which finds each
+    branch's other end by comparing slots and derives the state it needs
+    there from whether each end carries flow in.  The oracle of
+    ``TrainTrack.orientation``."""
+    state = {}
+    for s0 in sorted(track.switches, key=repr):
+        if s0 in state:
+            continue
+        state[s0] = 1
+        stack = [s0]
+        while stack:
+            s = stack.pop()
+            for pos in range(3):
+                e = track.switches[s][pos]
+                first, second = track.branch_ends[e]
+                other = second if (s, pos) == first else first
+                s2, pos2 = other
+                here_in = (pos <= 1) == (state[s] == 1)
+                # the other end must be flow-in iff this end is flow-out
+                need = 1 if ((pos2 <= 1) == (not here_in)) else -1
+                if s2 in state:
+                    if state[s2] != need:
+                        raise NotOrientableError(
+                            f"branch {e!r} cannot be oriented")
+                else:
+                    state[s2] = need
+                    stack.append(s2)
+    return state
