@@ -23,6 +23,7 @@ yields a finite union of polyhedral cones; membership of a boundary weight
 is an exact rational feasibility question over the choices.
 """
 
+import bisect
 import functools
 import itertools
 import math
@@ -79,6 +80,11 @@ CHOICE_PAIRS = ((0, 1), (0, 2), (1, 2))
 # to k
 _EDGE_INDEX = {p: k for k, e in enumerate(EDGE_PAIRS)
                for p in itertools.permutations(e)}
+_EDGE_REPRS = list(map(repr, EDGE_PAIRS))
+# side k of face f runs from corner FACE_CYCLES[f][k] to the next one: the
+# (k, edge) of its three sides
+_FACE_SIDES = {f: [(k, _EDGE_INDEX[c[k], c[(k + 1) % 3]]) for k in range(3)]
+               for f, c in FACE_CYCLES.items()}
 # the 48 orientation-reversing maps of a face f onto a face f2, each taking
 # f's cycle to a rotation k of f2's reversed cycle, keyed by f, f2 and the
 # images of f's corners in sorted order; each gives the pair's three edge
@@ -167,7 +173,8 @@ class Triangulation3:
                 raise _gluing_refusal(index, glued, (t, f), t2, f2, perm)
             glued |= {(t, f), (t2, f2)}
             i, i2 = 6 * index[t], 6 * index[t2]
-            merges += [(i + k, i2 + k2) for k, k2 in maps]
+            (a, a2), (b, b2), (c, c2) = maps
+            merges += ((i + a, i2 + a2), (i + b, i2 + b2), (i + c, i2 + c2))
         return merges, glued
 
     def _build_classes(self, merges):
@@ -178,7 +185,10 @@ class Triangulation3:
         slots = [(t, e) for t in self.tets for e in EDGE_PAIRS]
         roots = self._edge_roots = union_find(len(slots), merges)
         self.edge_class = dict(zip(slots, [slots[r] for r in roots]))
-        classes = sorted(set(roots), key=lambda r: repr(slots[r]))
+        # repr((t, e)) spelled out from one repr per tet
+        rt = list(map(repr, self.tets))
+        classes = sorted(set(roots),
+                         key=lambda r: f"({rt[r // 6]}, {_EDGE_REPRS[r % 6]})")
         self.edge_classes = [slots[r] for r in classes]
         return classes
 
@@ -206,16 +216,17 @@ class Triangulation3:
         are glued in the boundary surface; ``boundary_edge_to_class`` is
         then injective.  Side ``k`` of face ``(t, f)`` is the edge from
         corner ``FACE_CYCLES[f][k]`` to the next corner of the cycle.
+        ``boundary_components`` flags the tori, whose classes form
+        ``torus_classes``.
         """
         slots, roots = list(self.edge_class), self._edge_roots
         self.boundary_faces, sides = [], {}
         for i, t in enumerate(self.tets):
-            for f, c in FACE_CYCLES.items():
+            for f, ks in _FACE_SIDES.items():
                 if (t, f) not in glued:
                     self.boundary_faces.append((t, f))
-                    for k in range(3):
-                        e = 6 * i + _EDGE_INDEX[c[k], c[(k + 1) % 3]]
-                        sides.setdefault(roots[e], []).append((t, f, k))
+                    for k, e in ks:
+                        sides.setdefault(roots[6 * i + e], []).append((t, f, k))
         glu = {}
         for r, pair in sides.items():
             if len(pair) != 2:
@@ -224,41 +235,37 @@ class Triangulation3:
             glu[pair[0]], glu[pair[1]] = pair[1], pair[0]
         triangles = {(t, f): ((t, f, 0), (t, f, 1), (t, f, 2))
                      for t, f in self.boundary_faces}
-        self.boundary = SurfaceTriangulation(triangles, glu) if triangles \
-            else None
-        root_of = {self.boundary.edge_class[pair[0]]: r
-                   for r, pair in sides.items()}
+        # a closed manifold has no boundary, and its empty surface no parts
+        surf = SurfaceTriangulation(triangles, glu)
+        self.boundary = surf if triangles else None
+        root_of = {surf.edge_class[pair[0]]: r for r, pair in sides.items()}
         self.boundary_edge_to_class = {E: slots[r] for E, r in root_of.items()}
-        self._classify_boundary_components()
+        # a vertex class ((t, f), i) and an edge class (t, f, k) lie on the
+        # triangle (t, f); each component's part of surf.edge_classes keeps
+        # its repr order.  On a closed surface E = 3T/2, so the Euler
+        # characteristic V - E + T of a component is V - T/2: it needs the
+        # count of its vertex classes and no set of its edges
+        comps = surf.components()
+        comp_of = {t: i for i, comp in enumerate(comps) for t in comp}
+        verts, edges = [0] * len(comps), [[] for _ in comps]
+        for t, _ in surf.vertex_classes:
+            verts[comp_of[t]] += 1
+        for E in surf.edge_classes:
+            edges[comp_of[E[:2]]].append(E)
+        self.boundary_components = [
+            {"triangles": comp, "edge_classes": es, "genus": (2 - chi) // 2,
+             "torus": chi == 0}
+            for comp, es, v in zip(comps, edges, verts)
+            for chi in [v - len(comp) // 2]]
+        self.torus_classes = {self.boundary_edge_to_class[E]
+                              for c in self.boundary_components if c["torus"]
+                              for E in c["edge_classes"]}
         order = [r for r in classes if r not in sides] + [
-            root_of[E] for E in (self.boundary.edge_classes if sides else ())]
+            root_of[E] for E in surf.edge_classes]
         self.columns = [slots[r] for r in order]
         column = dict(zip(order, range(len(order))))
         # the columns of each tet's six edges, six consecutive slots
         self._tet_columns = list(zip(*[iter([column[r] for r in roots])] * 6))
-
-    def _classify_boundary_components(self):
-        """Split the boundary surface into components; flag tori."""
-        self.boundary_components = []
-        self.torus_classes = set()
-        surf = self.boundary
-        if surf is None:
-            return
-        for comp in surf.components():
-            edges = {surf.edge_class[d] for t in comp
-                     for d in surf.triangles[t]}
-            corners = {surf.corner_class[(t, i)] for t in comp
-                       for i in range(3)}
-            chi = len(corners) - len(edges) + len(comp)
-            self.boundary_components.append({
-                "triangles": comp,
-                "edge_classes": sorted(edges, key=repr),
-                "genus": (2 - chi) // 2,
-                "torus": chi == 0,
-            })
-            if chi == 0:
-                for E in edges:
-                    self.torus_classes.add(self.boundary_edge_to_class[E])
 
     # -- constraint rows: built on first use, shared by every caller ------------
 
@@ -488,9 +495,7 @@ def compute_cone(manifold, btrack, choice_iter=None):
     sysm = linalg.IncrementalSystem(len(manifold.columns))
     first = sysm.ncols - len(edge_order)
     # the torus pins also zero the torus edges of every component span
-    for row in manifold.torus_rows:
-        sysm.push(row, 0)
-    for row in btrack.track.switch_rows(
+    for row in manifold.torus_rows + btrack.track.switch_rows(
             {E: first + i for i, E in enumerate(edge_order)}):
         sysm.push(row, 0)
     options = [[(k, row, 0) for k, row in enumerate(manifold.choice_rows[t])]
@@ -560,14 +565,17 @@ def member(manifold, btrack, w_boundary):
     if any(pinned[c - first] for row in manifold.torus_rows for c, _ in row):
         return MemberResult(False, reason="torus-nonzero")
 
-    # fold the pins into the choice rows once: a row keeps its interior
-    # columns and moves minus its pinned part to the right-hand side, so
-    # the system spans the interior columns only
-    sysm = linalg.IncrementalSystem(first)
-    options = [[(k, [(c, x) for c, x in row if c < first],
-                 -sum(x * pinned[c - first] for c, x in row if c >= first))
-                for k, row in enumerate(manifold.choice_rows[t])]
-               for t in manifold.tets]
+    # fold the pins into the choice rows once: a row, sorted by column, is
+    # split at first into its interior prefix and its pinned suffix, which
+    # moves to the right-hand side, so the system spans the interior only
+    sysm, options = linalg.IncrementalSystem(first), []
+    for t in manifold.tets:
+        options.append(opts := [])
+        for k, row in enumerate(manifold.choice_rows[t]):
+            j, b = bisect.bisect_left(row, (first,)), 0
+            for c, x in row[j:]:
+                b -= x * pinned[c - first]
+            opts.append((k, row[:j], b))
     combo = walk(sysm, options, lambda combo: True)
     if combo is None:
         return MemberResult(False, reason="no-choice-vector")

@@ -140,10 +140,11 @@ class MetricTree:
     # -- distances ---------------------------------------------------------
 
     def vertex_distance(self, a, b):
-        if a == b:
+        if a == b and a in self.adj:
             return LexVec.zero(self.rank)
         # an unknown vertex shows as a missed lookup, so the cached path
-        # pays nothing for the check
+        # pays nothing for the check; one asked for its distance to itself
+        # is missed by the walk from it
         try:
             if b in self._dist:
                 return self._dist[b][a]
@@ -261,12 +262,14 @@ def four_point_check(dmat):
 
 def _check_metric(dmat):
     n = len(dmat)
-    if n <= 1:
-        return
-    # every row length before any entry is read
+    # every row length before any entry is read, so that a single row is
+    # checked too
     if any(len(row) != n for row in dmat):
         raise NotAMetricError("matrix not square")
-    zero = LexVec.zero(dmat[0][1].rank)
+    if not n:
+        return
+    # the rank of entry (0, 1), or of the one entry of a 1x1 matrix
+    zero = LexVec.zero(dmat[0][min(n - 1, 1)].rank)
     # row by row; in row i the entries before the diagonal were checked
     # as their mirror images, so the diagonal is the first that can fail
     for i, j in itertools.product(range(n), repeat=2):

@@ -18,6 +18,8 @@ basis.
 """
 
 import functools
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 from isocone.ordgroup import rat
@@ -107,19 +109,18 @@ class SurfaceTriangulation:
         # undirected edge classes: the repr-least of each glued pair, with
         # one repr per directed edge
         glue, rep = self.glue, {d: repr(d) for d in self._slot}
-        canon = self.edge_class = {}
-        for d, r in rep.items():
-            d2 = glue[d]
-            canon[d] = d if r <= rep[d2] else d2
+        canon = self.edge_class = {
+            d: d if r <= rep[glue[d]] else glue[d] for d, r in rep.items()}
         self.edge_classes = sorted(set(canon.values()), key=rep.__getitem__)
 
         # vertex classes over corners; the corner at the tail of a side is
         # merged with the corner at the tail of the partner of the side
-        # before it (whose head it is)
+        # before it (whose head it is): corner 3p + i with the partner of
+        # side i - 1, so sides 2, 0, 1 of each triangle in turn
         slot, corners = self._slot, self._corners
-        roots = union_find(len(corners), (
-            (3 * p + i, slot[glue[ds[i - 1]]])
-            for p, ds in enumerate(self.triangles.values()) for i in range(3)))
+        roots = union_find(len(corners), enumerate([
+            slot[glue[d]] for ds in self.triangles.values()
+            for d in (ds[2], ds[0], ds[1])]))
         self.corner_class = dict(zip(corners, [corners[r] for r in roots]))
         self.vertex_classes = sorted({corners[r] for r in roots}, key=repr)
 
@@ -142,10 +143,10 @@ class SurfaceTriangulation:
         Components are listed in the order their first triangle appears in
         ``triangles``.
         """
+        # the two triangles of each undirected edge are merged, once
         tris, glue, slot = list(self.triangles), self.glue, self._slot
         roots = union_find(len(tris), (
-            (p, slot[glue[d]] // 3)
-            for p, ds in enumerate(self.triangles.values()) for d in ds))
+            (slot[E] // 3, slot[glue[E]] // 3) for E in self.edge_classes))
         comps = {}
         for t, r in zip(tris, roots):
             comps.setdefault(r, []).append(t)
@@ -226,19 +227,26 @@ class TrainTrack:
 
     def __init__(self, switches):
         self.switches = {s: tuple(abc) for s, abc in switches.items()}
-        ends = {}
         for s, abc in self.switches.items():
             if len(abc) != 3:
                 raise ValueError(f"switch {s!r} is not trivalent")
+        # the number of ends of each branch, in first-seen order
+        ends = Counter(itertools.chain.from_iterable(self.switches.values()))
+        for e, n in ends.items():
+            if n != 2:
+                raise ValueError(f"branch {e!r} has {n} ends, expected 2")
+        self.branches = sorted(ends, key=repr)
+
+    @functools.cached_property
+    def branch_ends(self):
+        """The two ``(switch, slot)`` ends of each branch, sorted by
+        ``repr``; built on first read, since the cone layer reads only the
+        switches and ``branches``."""
+        ends = {}
+        for s, abc in self.switches.items():
             for pos, e in enumerate(abc):
                 ends.setdefault(e, []).append((s, pos))
-        for e, slots in ends.items():
-            if len(slots) != 2:
-                raise ValueError(
-                    f"branch {e!r} has {len(slots)} ends, expected 2")
-        self.branch_ends = {e: tuple(sorted(slots, key=repr))
-                            for e, slots in ends.items()}
-        self.branches = sorted(self.branch_ends, key=repr)
+        return {e: tuple(sorted(slots, key=repr)) for e, slots in ends.items()}
 
     def check_weight(self, w):
         """Whether the switch relation holds exactly at every switch."""
@@ -286,17 +294,12 @@ class TrainTrack:
 
     def ribbon(self):
         """Underlying embedded graph: switches with ccw dart order (a, b, c)."""
-        edges = {}
-        rot = {s: [] for s in self.switches}
-        for e, (s1, s2) in self.branch_ends.items():
-            edges[e] = (s1[0], s2[0])
-        # build rotations slot by slot; dart end 0 belongs to the first slot
-        for s in self.switches:
-            for pos in range(3):
-                e = self.switches[s][pos]
-                first, second = self.branch_ends[e]
-                end = 0 if (s, pos) == first else 1
-                rot[s].append((e, end))
+        ends = self.branch_ends
+        edges = {e: (s1[0], s2[0]) for e, (s1, s2) in ends.items()}
+        # rotations slot by slot; dart end 0 belongs to the first slot
+        rot = {s: [(e, 0 if (s, pos) == ends[e][0] else 1)
+                   for pos, e in enumerate(abc)]
+               for s, abc in self.switches.items()}
         return RibbonGraph(edges, rot)
 
     def _dual_surface(self):
@@ -407,11 +410,7 @@ def track_dual_to_triangulation(surface, outgoing):
     undirected edge classes of the surface, so the edge dual to a branch
     is the branch id itself.
     """
-    switches = {}
-    for t, p in outgoing.items():
-        ds = surface.triangles[t]
-        trip = (surface.edge_class[ds[(p + 1) % 3]],
-                surface.edge_class[ds[(p + 2) % 3]],
-                surface.edge_class[ds[p]])
-        switches[t] = trip
-    return TrainTrack(switches)
+    cls, tris = surface.edge_class, surface.triangles
+    return TrainTrack({
+        t: (cls[ds[(p + 1) % 3]], cls[ds[(p + 2) % 3]], cls[ds[p]])
+        for t, p in outgoing.items() for ds in [tris[t]]})

@@ -22,7 +22,7 @@ from isocone.fixtures import (
     single_tet, two_tets, chain_tets, glue_tets, reversing_gluing,
     genus2_one_vertex_surface, genus2_four_vertex_surface,
     genus2_maximal_track, g2_product_bundle,
-    product_bundle, mf_weight, diagonal_boundary_weight, MF_WEIGHT_TRIES,
+    mf_weight, diagonal_boundary_weight, MF_WEIGHT_TRIES,
     split_triangle,
 )
 from isocone.flatsurf import (
@@ -30,15 +30,18 @@ from isocone.flatsurf import (
 from isocone.homology import SurfaceHomology
 from isocone.ordgroup import rat
 from isocone.track import (
-    SurfaceTriangulation, TrainTrack, track_dual_to_triangulation,
-    triangle_form_sum,
+    NotOrientableError, SurfaceTriangulation, TrainTrack,
+    track_dual_to_triangulation, triangle_form_sum,
 )
 from test_acceptance import _random_complex
 from test_homology import _grid_module
 from test_linalg import reference_kernel, reference_rref
 from util import (
-    code_lines, fraction_constructions, random_tree, reference_union_find,
-    reference_validate_gluings, reference_walk, solution,
+    code_lines, fraction_constructions, mixed_product, mixed_query,
+    off_diagonal_weight, outcome, random_tree, reference_boundary_components,
+    reference_branch_ends, reference_fold, reference_orientation,
+    reference_union_find, reference_validate_gluings, reference_walk,
+    solution,
 )
 
 
@@ -305,21 +308,6 @@ def _reference_member(manifold, btrack, w_boundary):
         return MemberResult(False, reason="no-choice-vector")
     witness = {cls: x / D for cls, x in zip(classes, solution(sysm))}
     return MemberResult(True, witness=witness, choices=dict(chosen))
-
-
-def _off_diagonal_weight(bundle, q):
-    """Off-diagonal pair ``q`` of the ``random.Random(1)`` stream of the
-    cone-member benchmark: the bottom and top draws of pair ``q`` on the
-    two boundary copies of g2xI, a non-member."""
-    stream = random.Random(1)
-    for _ in range(q + 1):
-        bottom = mf_weight(bundle["track"], stream)
-        top = mf_weight(bundle["track"], stream)
-    wb = {E: Fraction(0) for E in bundle["manifold"].boundary.edge_classes}
-    for E in bottom:
-        wb[bundle["bottom_edge_of"][E]] = bottom[E]
-        wb[bundle["top_edge_of"][E]] = top[E]
-    return wb
 
 
 def _random_outgoing(m, rng):
@@ -1055,7 +1043,7 @@ class TestMembership:
     def assert_push_count(self, q, count, monkeypatch):
         # the push count of an off-diagonal pair pins the search
         bundle = g2_product_bundle()
-        wb = _off_diagonal_weight(bundle, q)
+        wb = off_diagonal_weight(bundle, q)
         pushes = _count_pushes(monkeypatch)
         res = member(bundle["manifold"], bundle["boundary_track"], wb)
         assert not res.member and res.reason == "no-choice-vector"
@@ -1102,8 +1090,8 @@ class TestMembership:
             bundle, mf_weight(bundle["track"], random.Random(63)))
         self.assert_choice_rows_folded(m, btr, wb, pushes)
         self.assert_choice_rows_folded(
-            m, btr, _off_diagonal_weight(bundle, 21), pushes)
-        m, btr, wb = TestMixedBoundary()._mixed_query()
+            m, btr, off_diagonal_weight(bundle, 21), pushes)
+        m, btr, wb = mixed_query()[:3]
         self.assert_choice_rows_folded(m, btr, wb, pushes)
 
 
@@ -1287,14 +1275,14 @@ class TestColumnOrder:
     @pytest.mark.parametrize("make", [
         single_tet, two_tets, lambda: chain_tets(4),
         lambda: g2_product_bundle()["manifold"],
-        lambda: TestMixedBoundary()._mixed_product()[2]["manifold"],
+        lambda: mixed_product()[2]["manifold"],
         _closed_two_tets])
     def test_fixtures(self, make):
         _assert_column_order(make())
 
     @pytest.mark.parametrize("query, sampled", [
         (lambda: _chain_track(4), False),
-        (lambda: TestMixedBoundary()._mixed_query()[:2], True)])
+        (lambda: mixed_query()[:2], True)])
     def test_compute_cone_pushes_the_cached_rows(self, monkeypatch, query,
                                                  sampled):
         # the torus rows, then the switch rows, then choice rows: every
@@ -1326,7 +1314,7 @@ class TestColumnOrder:
             bundle, mf_weight(bundle["track"], random.Random(65)))
         for m, btr, wb in [
                 (bundle["manifold"], bundle["boundary_track"], diagonal),
-                TestMixedBoundary()._mixed_query()]:
+                mixed_query()[:3]]:
             del made[:], pushes[:]
             assert member(m, btr, wb).member
             first = len(m.columns) - len(m.boundary.edge_classes)
@@ -1396,7 +1384,7 @@ class TestBackjumping:
     def test_g2_off_diagonal_pairs(self, q, monkeypatch):
         pushes = _count_pushes(monkeypatch)
         bundle = g2_product_bundle()
-        wb = _off_diagonal_weight(bundle, q)
+        wb = off_diagonal_weight(bundle, q)
         res, _ = self.assert_matches_reference(
             bundle["manifold"], bundle["boundary_track"], wb, pushes)
         assert res.reason == "no-choice-vector"
@@ -1527,7 +1515,7 @@ def test_no_system_outlives_a_query(monkeypatch):
     m, btr = bundle["manifold"], bundle["boundary_track"]
     diagonal = diagonal_boundary_weight(
         bundle, mf_weight(bundle["track"], random.Random(64)))
-    off_diagonal = _off_diagonal_weight(bundle, 8)
+    off_diagonal = off_diagonal_weight(bundle, 8)
     rng = random.Random(67)
     samples = [tuple(rng.randrange(3) for _ in m.tets) for _ in range(3)]
     queries = [lambda: member(m, btr, diagonal),
@@ -2081,10 +2069,91 @@ def test_build_matches_tuple_keyed_reference(seed, data):
 
 @pytest.mark.parametrize("make", [
     lambda: g2_product_bundle()["manifold"], lambda: chain_tets(5),
-    lambda: TestMixedBoundary()._mixed_product()[2]["manifold"]])
+    lambda: mixed_product()[2]["manifold"]])
 def test_fixture_build_matches_tuple_keyed_reference(make):
     m = make()
     assert _built(m) == _reference_build(m)
+
+
+def _oracle_family(family, rng):
+    """``(manifold, outgoing, boundary weight)`` of one family: a
+    ``_random_complex`` draw or ``chain_tets`` with random outgoing slots,
+    the product with torus boundary components, or g2xI; the weight is
+    admissible, so that ``member`` reaches its fold, or zero when no draw
+    on the track's basis is nonnegative."""
+    if family == "mixed":
+        m, _, wb, outgoing = mixed_query()
+        return m, outgoing, wb
+    if family == "g2xI":
+        bundle = g2_product_bundle()
+        return bundle["manifold"], bundle["outgoing"], diagonal_boundary_weight(
+            bundle, mf_weight(bundle["track"], rng))
+    m = _random_complex(rng) if family == "random" else chain_tets(
+        rng.randint(1, 6))
+    outgoing = _random_outgoing(m, rng) if m.boundary else {}
+    wb = {}
+    if outgoing:
+        track = BoundaryTrack(m, outgoing).track
+        try:
+            wb = mf_weight(track, rng)
+        except ValueError:
+            wb = dict.fromkeys(track.branches, 0)
+    return m, outgoing, wb
+
+
+# tet names whose reprs share prefixes: ints, strings, strings whose repr
+# takes double quotes, and tuples
+_NAME_STYLES = (lambda i: i, lambda i: f"T{i}", lambda i: f"t'{i}",
+                lambda i: ("T", i))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["random", "chain", "mixed", "g2xI"]),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from(_NAME_STYLES), st.data())
+def test_boundary_and_fold_match_oracle(family, seed, style, data):
+    # the boundary classification, the column order, the track and the
+    # options member folds, under random renamings of the tets, against
+    # the retired eager builds of tests/util.py
+    rng = random.Random(seed)
+    m, outgoing, wb = _oracle_family(family, rng)
+    ids = data.draw(st.lists(st.integers(0, 120), min_size=len(m.tets),
+                             max_size=len(m.tets), unique=True))
+    new = dict(zip(m.tets, map(style, ids)))
+    m2 = Triangulation3(new.values(), {
+        (new[t], f): (new[t2], f2, perm)
+        for (t, f), (t2, f2, perm) in m.gluings.items()})
+    assert (m2.boundary_components, m2.torus_classes) == \
+        reference_boundary_components(m2)
+    edge_classes = sorted(set(m2.edge_class.values()), key=repr)
+    boundary = [m2.boundary_edge_to_class[E]
+                for E in (m2.boundary.edge_classes if m2.boundary else ())]
+    assert m2.edge_classes == edge_classes
+    assert m2.columns == [E for E in edge_classes
+                          if E not in boundary] + boundary
+    if not outgoing:
+        return
+    track = BoundaryTrack(
+        m2, {(new[t], f): k for (t, f), k in outgoing.items()}).track
+    assert track.branches == sorted(
+        {e for abc in track.switches.values() for e in abc}, key=repr)
+    assert "branch_ends" not in track.__dict__
+    assert track.branch_ends == reference_branch_ends(track)
+    column = {E: i for i, E in enumerate(track.branches)}
+    assert track.switch_rows(column) == [
+        linalg.row(((column[a], 1), (column[b], 1), (column[c], -1)))
+        for s in sorted(track.switches, key=repr)
+        for a, b, c in [track.switches[s]]]
+    # the renamed weight; the repr-least side of a boundary edge may change
+    edge = m2.boundary.edge_class
+    wb2 = {edge[(new[E[0]], *E[1:])]: x for E, x in wb.items()}
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cone3, "walk", lambda sysm, options, leaf: seen.append(
+            [[(k, list(row), b) for k, row, b in opts] for opts in options]))
+        res = member(m2, BoundaryTrack(
+            m2, {(new[t], f): k for (t, f), k in outgoing.items()}), wb2)
+    assert seen == [reference_fold(m2, wb2)]
+    assert res.reason == "no-choice-vector"
 
 
 _fractions = st.fractions(-9, 9, max_denominator=6)
@@ -2178,8 +2247,32 @@ class TestBoundaryTrack:
                                         bundle["outgoing"],
                                         bundle["boundary_track"])
 
+    def test_branch_ends_built_on_first_read(self):
+        # member and compute_cone read the switches and branches only; the
+        # readers of branch_ends then see what the eager build gave: the
+        # parent's values, pinned here, and the retired constructions
+        bundle = g2_product_bundle()
+        m, btr = bundle["manifold"], bundle["boundary_track"]
+        track = btr.track
+        wb = diagonal_boundary_weight(
+            bundle, mf_weight(bundle["track"], random.Random(3)))
+        assert member(m, btr, wb).member
+        assert len(compute_cone(m, btr, [(0,) * len(m.tets)])) == 1
+        assert "branch_ends" not in track.__dict__
+        assert outcome(track.orientation) == outcome(
+            reference_orientation, track) == (
+            NotOrientableError, "branch ('T1.0.0', 3, 0) cannot be oriented")
+        ends = reference_branch_ends(track)
+        rg = track.ribbon()
+        assert rg.edges == {e: (s1[0], s2[0]) for e, (s1, s2) in ends.items()}
+        assert rg.rot == {s: [(e, 0 if (s, pos) == ends[e][0] else 1)
+                              for pos, e in enumerate(abc)]
+                          for s, abc in track.switches.items()}
+        assert track.region_cusp_counts() == [3] * 8
+        assert track.branch_ends == ends
+
     def test_torus_product(self):
-        bundle = TestMixedBoundary()._mixed_product()[2]
+        bundle = mixed_product()[2]
         _assert_track_matches_reference(bundle["manifold"],
                                         bundle["outgoing"],
                                         bundle["boundary_track"])
@@ -2198,55 +2291,26 @@ class TestBoundaryTrack:
 class TestMixedBoundary:
     """Torus components carry no track and are pinned to zero."""
 
-    def _mixed_product(self):
-        g2 = genus2_four_vertex_surface()
-        tris = {f"g2_{t}": tuple(("g2", d) for d in ds)
-                for t, ds in g2.triangles.items()}
-        glu = {("g2", d): ("g2", d2) for d, d2 in g2.glue.items()}
-        tris["tor0"] = (("t", "a"), ("t", "b"), ("t", "c"))
-        tris["tor1"] = (("t", "A"), ("t", "B"), ("t", "C"))
-        for x, y in [("a", "A"), ("b", "B"), ("c", "C")]:
-            glu[("t", x)] = ("t", y)
-            glu[("t", y)] = ("t", x)
-        mixed = SurfaceTriangulation(tris, glu)
-        track, _, outgoing = genus2_maximal_track()
-        bundle = product_bundle(
-            mixed, {f"g2_{t}": slot for t, slot in outgoing.items()})
-        return g2, mixed, bundle, track
-
     def test_components_and_torus_classes(self):
-        g2, mixed, bundle, track = self._mixed_product()
+        g2, mixed, bundle, track = mixed_product()
         m = bundle["manifold"]
         comps = sorted((c["genus"], c["torus"]) for c in m.boundary_components)
         assert comps == [(1, True), (1, True), (2, False), (2, False)]
         assert len(m.torus_classes) == 6
 
-    def _mixed_query(self):
-        """A diagonal weight on the genus-2 copies, zero on the tori."""
-        g2, mixed, bundle, track = self._mixed_product()
-        m, btr = bundle["manifold"], bundle["boundary_track"]
-        w = mf_weight(track, random.Random(11))
-        wb = {E: Fraction(0) for E in m.boundary.edge_classes}
-        for E in mixed.edge_classes:
-            if E[0] == "g2":
-                orig = g2.edge_class[E[1]]
-                wb[bundle["bottom_edge_of"][E]] = w[orig]
-                wb[bundle["top_edge_of"][E]] = w[orig]
-        return m, btr, wb
-
     def test_diagonal_member_with_torus_zeros(self):
-        m, btr, wb = self._mixed_query()
+        m, btr, wb = mixed_query()[:3]
         res = member(m, btr, wb)
         assert res.member and verify_witness(m, btr, wb, res)
         assert all(res.witness[c] == 0 for c in m.torus_classes)
 
     def test_cone_matches_reference(self):
-        g2, mixed, bundle, track = self._mixed_product()
+        g2, mixed, bundle, track = mixed_product()
         m, btr = bundle["manifold"], bundle["boundary_track"]
         _assert_cone_matches_reference(m, btr, _g2_samples(m, random.Random(5)))
 
     def test_nonzero_torus_weight_refused(self):
-        g2, mixed, bundle, track = self._mixed_product()
+        g2, mixed, bundle, track = mixed_product()
         m, btr = bundle["manifold"], bundle["boundary_track"]
         wb = {E: Fraction(0) for E in m.boundary.edge_classes}
         tor_edge = next(E for E in m.boundary.edge_classes
@@ -2291,7 +2355,7 @@ def _witnessed_queries():
         wb = diagonal_boundary_weight(
             bundle, mf_weight(bundle["track"], random.Random(seed)))
         out.append((m, wb, member(m, btr, wb)))
-    m, btr, wb = TestMixedBoundary()._mixed_query()
+    m, btr, wb = mixed_query()[:3]
     out.append((m, wb, member(m, btr, wb)))
     return out
 

@@ -22,6 +22,7 @@ import pytest
 
 from isocone import fixtures, flatsurf, io
 from isocone.cli import run
+from util import mixed_query, off_diagonal_weight
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -60,6 +61,24 @@ def _chain(tmp, n):
     path = tmp / f"chain{n}.txt"
     path.write_text(io.serialize_manifold(
         m, outgoing={tf: 0 for tf in m.boundary_faces}))
+    return str(path)
+
+
+def _g2xI_weight(tmp, name, wb):
+    # the g2xI fixture with its track and the boundary weight wb
+    bundle = fixtures.g2_product_bundle()
+    path = tmp / f"g2xI-{name}.txt"
+    path.write_text(io.serialize_manifold(
+        bundle["manifold"], outgoing=bundle["outgoing"], weights=wb(bundle)))
+    return str(path)
+
+
+def _mixed(tmp):
+    # the product with two torus and two genus-2 boundary components, its
+    # track on the genus-2 copies and a diagonal weight, zero on the tori
+    m, _, wb, outgoing = mixed_query()
+    path = tmp / "mixed.txt"
+    path.write_text(io.serialize_manifold(m, outgoing=outgoing, weights=wb))
     return str(path)
 
 
@@ -124,6 +143,20 @@ for _name in ("lshape_h2", "pillowcase"):
              _basis_tangents(tmp, n), "--rotate", "2+1i", "--depth", "2"]))
 CASES["cone-member-g2xI"] = (
     lambda tmp: _run(["cone", "member", "--input", _fixture(tmp, "g2xI")]))
+# a non-member whose search finds no choice vector (11,687 pushes)
+CASES["cone-member-g2xI-offdiag21"] = (
+    lambda tmp: _run(["cone", "member", "--input", _g2xI_weight(
+        tmp, "offdiag21", lambda b: off_diagonal_weight(b, 21))]))
+# weight 1 on every boundary edge breaks the switch relations
+CASES["cone-member-g2xI-switch"] = (
+    lambda tmp: _run(["cone", "member", "--input", _g2xI_weight(
+        tmp, "ones", lambda b: dict.fromkeys(
+            b["manifold"].boundary.edge_classes, 1))]))
+CASES["cone-member-mixed"] = (
+    lambda tmp: _run(["cone", "member", "--input", _mixed(tmp)]))
+CASES["cone-compute-mixed-sample2-seed5"] = (
+    lambda tmp: _run(["cone", "compute", "--input", _mixed(tmp),
+                      "--choices", "sample:2", "--seed", "5"]))
 CASES["cone-compute-chain4"] = (
     lambda tmp: _run(["cone", "compute", "--input", _fixture(tmp, "chain4")]))
 CASES["cone-compute-chain5"] = (

@@ -176,11 +176,19 @@ class TestFourPoint:
             is_zero_hyperbolic(dm)
 
     @pytest.mark.parametrize("dm", [[[V(0), V(1)], []],
-                                    [[V(0)], [V(1), V(0)]]])
+                                    [[V(0)], [V(1), V(0)]],
+                                    [[]], [[V(1), V(0)]]])
     def test_ragged_rows_refused(self, dm):
-        # every row's length is checked before any entry is read
+        # every row's length is checked before any entry is read, a single
+        # row's too
         with pytest.raises(NotAMetricError, match="^matrix not square$"):
             is_zero_hyperbolic(dm)
+
+    def test_one_point(self):
+        # a 1x1 matrix is a metric iff its entry is zero
+        assert is_zero_hyperbolic([[V(0)]]) and is_zero_hyperbolic([])
+        with pytest.raises(NotAMetricError, match="^nonzero diagonal$"):
+            is_zero_hyperbolic([[V(1)]])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -214,6 +222,7 @@ class TestUnknownVertex:
         lambda t: t.vertex_distance("a", "zz"),
         lambda t: t.vertex_distance("b", "zz"),
         lambda t: t.vertex_distance("zz", "c"),
+        lambda t: t.vertex_distance("zz", "zz"),
         lambda t: subtree_at(t, "zz", 1)])
     def test_refused_by_name(self, query):
         t = MetricTree("abc", {"e": ("a", "b", V(1)), "f": ("b", "c", V(2))})

@@ -4,17 +4,22 @@ import cProfile
 import fractions
 import importlib
 import itertools
+import math
 import pathlib
 import pstats
+import random
 import tracemalloc
 from fractions import Fraction
 
 from isocone import flatsurf, linalg
 from isocone.cone3 import (
     EDGE_PAIRS, FACE_CYCLES, GluingError, OrientationError)
+from isocone.fixtures import (
+    genus2_four_vertex_surface, genus2_maximal_track, mf_weight,
+    product_bundle)
 from isocone.ordgroup import DimensionError, LexVec, rat
 from isocone.lamtree import MetricTree, NotAMetricError
-from isocone.track import NotOrientableError
+from isocone.track import NotOrientableError, SurfaceTriangulation
 
 
 def random_fraction(rng, lo=-3, hi=3, maxden=3):
@@ -338,10 +343,10 @@ def reference_is_zero_hyperbolic(dmat):
     submatrix of its quadruple for the retired ``four_point_check``: of
     its three pairings, the two largest must be equal.  The oracle on
     square matrices: it reads entries before it has checked every row's
-    length."""
+    length.  A 1x1 matrix is checked too: its entry must be zero."""
     n = len(dmat)
-    if n > 1:
-        zero = LexVec.zero(dmat[0][1].rank)
+    if n:
+        zero = LexVec.zero(dmat[0][min(n - 1, 1)].rank)
         for i in range(n):
             if len(dmat[i]) != n:
                 raise NotAMetricError("matrix not square")
@@ -401,3 +406,110 @@ def reference_orientation(track):
                     state[s2] = need
                     stack.append(s2)
     return state
+
+
+def off_diagonal_weight(bundle, q):
+    """Off-diagonal pair ``q`` of the ``random.Random(1)`` stream of the
+    cone-member benchmark: the bottom and top draws of pair ``q`` on the
+    two boundary copies of g2xI, a non-member."""
+    stream = random.Random(1)
+    for _ in range(q + 1):
+        bottom = mf_weight(bundle["track"], stream)
+        top = mf_weight(bundle["track"], stream)
+    wb = {E: Fraction(0) for E in bundle["manifold"].boundary.edge_classes}
+    for E in bottom:
+        wb[bundle["bottom_edge_of"][E]] = bottom[E]
+        wb[bundle["top_edge_of"][E]] = top[E]
+    return wb
+
+
+def mixed_product():
+    """The product over the genus-2 four-vertex surface plus a two-triangle
+    torus, with the maximal track on the genus-2 part: its boundary has two
+    torus and two genus-2 components.  Returns ``(g2, mixed, bundle,
+    track)``."""
+    g2 = genus2_four_vertex_surface()
+    tris = {f"g2_{t}": tuple(("g2", d) for d in ds)
+            for t, ds in g2.triangles.items()}
+    glu = {("g2", d): ("g2", d2) for d, d2 in g2.glue.items()}
+    tris["tor0"] = (("t", "a"), ("t", "b"), ("t", "c"))
+    tris["tor1"] = (("t", "A"), ("t", "B"), ("t", "C"))
+    for x, y in [("a", "A"), ("b", "B"), ("c", "C")]:
+        glu[("t", x)] = ("t", y)
+        glu[("t", y)] = ("t", x)
+    mixed = SurfaceTriangulation(tris, glu)
+    track, _, outgoing = genus2_maximal_track()
+    bundle = product_bundle(
+        mixed, {f"g2_{t}": slot for t, slot in outgoing.items()})
+    return g2, mixed, bundle, track
+
+
+def mixed_query():
+    """``mixed_product`` with a diagonal weight on the genus-2 copies, zero
+    on the tori: ``(manifold, boundary track, weight, outgoing)``."""
+    g2, mixed, bundle, track = mixed_product()
+    w = mf_weight(track, random.Random(11))
+    wb = {E: Fraction(0) for E in bundle["manifold"].boundary.edge_classes}
+    for E in mixed.edge_classes:
+        if E[0] == "g2":
+            orig = g2.edge_class[E[1]]
+            wb[bundle["bottom_edge_of"][E]] = w[orig]
+            wb[bundle["top_edge_of"][E]] = w[orig]
+    return (bundle["manifold"], bundle["boundary_track"], wb,
+            bundle["outgoing"])
+
+
+def reference_boundary_components(m):
+    """``(boundary_components, torus_classes)`` of a ``Triangulation3`` by
+    the retired classification: the components of the boundary surface by
+    a union-find over hashable triangle ids across every directed edge,
+    then per component the sets of its edge and corner classes and ``chi =
+    V - E + T``, its edge classes sorted by ``repr``.  The oracle of the
+    count by vertex classes."""
+    comps, torus, surf = [], set(), m.boundary
+    if surf is None:
+        return comps, torus
+    owner = {d: t for t, ds in surf.triangles.items() for d in ds}
+    root = reference_union_find(surf.triangles, (
+        (t, owner[surf.glue[d]]) for t, ds in surf.triangles.items()
+        for d in ds))
+    groups = {}
+    for t, r in root.items():
+        groups.setdefault(r, []).append(t)
+    for comp in (sorted(c, key=repr) for c in groups.values()):
+        edges = {surf.edge_class[d] for t in comp for d in surf.triangles[t]}
+        corners = {surf.corner_class[(t, i)] for t in comp for i in range(3)}
+        chi = len(corners) - len(edges) + len(comp)
+        comps.append({"triangles": comp,
+                      "edge_classes": sorted(edges, key=repr),
+                      "genus": (2 - chi) // 2, "torus": chi == 0})
+        if chi == 0:
+            torus |= {m.boundary_edge_to_class[E] for E in edges}
+    return comps, torus
+
+
+def reference_branch_ends(track):
+    """The ``branch_ends`` of a ``TrainTrack`` as its constructor built
+    them before they were built on first read: the two ``(switch, slot)``
+    ends of each branch, sorted by ``repr``."""
+    ends = {}
+    for s, abc in track.switches.items():
+        for pos, e in enumerate(abc):
+            ends.setdefault(e, []).append((s, pos))
+    return {e: tuple(sorted(slots, key=repr)) for e, slots in ends.items()}
+
+
+def reference_fold(manifold, w_boundary):
+    """The ``options`` that ``cone3.member`` hands to ``walk``, by the
+    retired fold: per choice row a filtered list of its interior terms and
+    a sum over its pinned ones, the pins scaled to integers over the lcm of
+    their denominators."""
+    pins = manifold.boundary.edge_classes
+    values = [rat(w_boundary.get(E, 0)) for E in pins]
+    D = math.lcm(*[val.denominator for val in values])
+    pinned = [val.numerator * (D // val.denominator) for val in values]
+    first = len(manifold.columns) - len(pins)
+    return [[(k, [(c, x) for c, x in row if c < first],
+              -sum(x * pinned[c - first] for c, x in row if c >= first))
+             for k, row in enumerate(manifold.choice_rows[t])]
+            for t in manifold.tets]
