@@ -34,7 +34,12 @@ from isocone import linalg
 
 
 class FlatSurfaceError(ValueError):
-    pass
+    """A refused surface or tangent; ``entry``, when the refusal names one,
+    is ``("triangle", t)`` or ``("vector", d)`` for a directed edge d."""
+
+    def __init__(self, message, entry=None):
+        super().__init__(message)
+        self.entry = entry
 
 
 class NeedsRotationError(FlatSurfaceError):
@@ -84,18 +89,18 @@ def cross(u, v):
     return u[0] * v[1] - u[1] * v[0]
 
 
-def dot(u, v):
-    return u[0] * v[0] + u[1] * v[1]
-
-
 def _to_ints(values):
-    """QC values as ``({key: (x, y)}, D)``: integer pairs over the lcm D of
-    their denominators."""
-    D = math.lcm(*[q.denominator for v in values.values()
-                   for q in (v.re, v.im)])
-    return {k: (v.re.numerator * (D // v.re.denominator),
-                v.im.numerator * (D // v.im.denominator))
-            for k, v in values.items()}, D
+    """Pairs of integer ratios ``{key: ((a, b), (c, d))}``, b and d positive,
+    as ``({key: (x, y)}, D)``: integer pairs over the lcm D of b and d."""
+    D = math.lcm(*[n for (_, b), (_, d) in values.values() for n in (b, d)])
+    return {k: (a * (D // b), c * (D // d))
+            for k, ((a, b), (c, d)) in values.items()}, D
+
+
+def _ratios(values):
+    """QC values as pairs of integer ratios, for ``_to_ints``."""
+    return {k: (v.re.as_integer_ratio(), v.im.as_integer_ratio())
+            for k, v in values.items()}
 
 
 def _view(vec, D):
@@ -118,25 +123,26 @@ def _check_values(surface, vec, no_value, unclosed, broken, area=False):
     gluing carries them as ``surface.signs`` says, ``neg`` only on a
     translation surface; the three messages name a failure of each kind."""
     for t, ds in surface.triangles.items():
+        at = ("triangle", t)
         for d in ds:
             if d not in vec:
-                raise FlatSurfaceError(no_value.format(t=t, d=d))
+                raise FlatSurfaceError(no_value.format(t=t, d=d), at)
         (ax, ay), (bx, by), (cx, cy) = [vec[d] for d in ds]
         if ax + bx + cx != 0 or ay + by + cy != 0:
-            raise FlatSurfaceError(unclosed.format(t=t))
+            raise FlatSurfaceError(unclosed.format(t=t), at)
         if area and ax * by - ay * bx <= 0:
-            raise FlatSurfaceError(f"triangle {t!r} has nonpositive area")
+            raise FlatSurfaceError(f"triangle {t!r} has nonpositive area", at)
     if len(vec) != len(surface.glue):   # every triangle's edges are in vec
         d = next(d for d in vec if d not in surface.glue)
-        raise FlatSurfaceError(f"no triangle uses edge {d!r}")
+        raise FlatSurfaceError(f"no triangle uses edge {d!r}", ("vector", d))
     for d, d2 in surface.glue.items():
         s = surface.signs[d]
         (x, y), w = vec[d], vec[d2]
         if w != ((-x, -y) if s == "neg" else (x, y)):
-            raise FlatSurfaceError(broken.format(d=d))
+            raise FlatSurfaceError(broken.format(d=d), ("vector", d))
         if surface.kind == "translation" and s == "pos":
             raise FlatSurfaceError(
-                "translation surfaces allow only neg gluings")
+                "translation surfaces allow only neg gluings", ("vector", d))
 
 
 # The rotations ``FlatSurface.adapted`` tries, in order: 1, i, then p+qi
@@ -156,12 +162,12 @@ class FlatSurface:
     """
 
     def __init__(self, kind, triangles, vectors, gluings):
-        if kind not in ("translation", "half-translation"):
-            raise FlatSurfaceError(f"unknown kind {kind!r}")
         self._setup(kind, SurfaceTriangulation(triangles, gluings),
-                    *_to_ints(vectors))
+                    *_to_ints(_ratios(vectors)))
 
     def _setup(self, kind, comb, vec, den):
+        if kind not in ("translation", "half-translation"):
+            raise FlatSurfaceError(f"unknown kind {kind!r}")
         self.kind, self.comb, self._vec, self._den = kind, comb, vec, den
         self.triangles, self.glue = comb.triangles, comb.glue
         self.signs = {d: "pos" if vec.get(d) == vec.get(d2) else "neg"
@@ -187,10 +193,9 @@ class FlatSurface:
     # -- basic quantities -----------------------------------------------------
 
     def total_area(self):
-        area = 0
-        for d0, d1, _ in self.triangles.values():
-            area += cross(self._vec[d0], self._vec[d1])
-        return Fraction(area, 2 * self._den ** 2)
+        return Fraction(sum(cross(self._vec[d0], self._vec[d1])
+                            for d0, d1, _ in self.triangles.values()),
+                        2 * self._den ** 2)
 
     def cone_angles(self):
         """Exact cone angle at each vertex class, as a multiple of pi.
@@ -202,8 +207,7 @@ class FlatSurface:
         angles = {}
         for v, cycle in self.comb.corner_cycles.items():
             # sweep in the chart of the first corner
-            k, sigma = 0, 1
-            t, i = cycle[0]
+            (t, i), k, sigma = cycle[0], 0, 1
             x, y = self._vec[self.triangles[t][i]]
             for (ct, ci) in cycle:
                 ds = self.triangles[ct]
@@ -213,9 +217,10 @@ class FlatSurface:
                 if cross(P, Q) <= 0:
                     raise FlatSurfaceError("degenerate corner wedge")
                 for L in ((x, y), (-x, -y)):
-                    if cross(Q, L) == 0 and dot(Q, L) > 0:
-                        k += 1          # arrival exactly on the line
-                    elif cross(P, L) > 0 and cross(L, Q) > 0:
+                    # L strictly inside the wedge, or an arrival exactly on
+                    # the line: L along Q
+                    if (cross(P, L) > 0 and cross(L, Q) > 0 or cross(Q, L) == 0
+                            and Q[0] * L[0] + Q[1] * L[1] > 0):
                         k += 1
                 # the chart changes sign across a pos gluing
                 sigma *= 1 if self.signs[ds[(ci + 2) % 3]] == "neg" else -1
@@ -386,12 +391,10 @@ def _edge_quad(triangles, vec, glue, locate, d):
 
 def is_delaunay(surface):
     """Non-strict global Delaunay check over all undirected edges."""
-    for E in surface.comb.edge_classes:
-        A, B, C, D, _ = _edge_quad(surface.triangles, surface._vec,
-                                   surface.glue, surface.comb.locate, E)
-        if _incircle_strict(A, B, C, D):
-            return False
-    return True
+    quads = (_edge_quad(surface.triangles, surface._vec, surface.glue,
+                        surface.comb.locate, E)
+             for E in surface.comb.edge_classes)
+    return not any(_incircle_strict(A, B, C, D) for A, B, C, D, _ in quads)
 
 
 def delaunay(surface):
@@ -476,7 +479,7 @@ class PeriodTangent:
     """
 
     def __init__(self, surface, delta):
-        self._setup(surface, *_to_ints(delta))
+        self._setup(surface, *_to_ints(_ratios(delta)))
 
     def _setup(self, surface, vec, den):
         self.surface, self._vec, self._den = surface, vec, den
@@ -602,11 +605,10 @@ def omega_hessian(surface, t1, t2):
     result is independent of which two consecutive edges are used, by the
     per-triangle closure of tangents.
     """
-    total = 0
     a, b = t1._vec, t2._vec
-    for d0, d1, _ in surface.triangles.values():
-        total += a[d0][1] * b[d1][1] - a[d1][1] * b[d0][1]
-    return Fraction(total, 2 * t1._den * t2._den)
+    return Fraction(sum(a[d0][1] * b[d1][1] - a[d1][1] * b[d0][1]
+                        for d0, d1, _ in surface.triangles.values()),
+                    2 * t1._den * t2._den)
 
 
 def orientation_double_cover(surface):
@@ -619,12 +621,9 @@ def orientation_double_cover(surface):
         for sheet in (0, 1):
             triangles[(t, sheet)] = tuple((d, sheet) for d in ds)
     for d, d2 in surface.glue.items():
-        if surface.signs[d] == "neg":
-            pairs = [((d, 0), (d2, 0)), ((d, 1), (d2, 1))]
-        else:
-            pairs = [((d, 0), (d2, 1)), ((d, 1), (d2, 0))]
-        for a, b in pairs:
-            glu[a], glu[b] = b, a
+        flip = surface.signs[d] == "pos"    # a pos gluing changes the sheet
+        for s in (0, 1):
+            glu[d, s], glu[d2, s ^ flip] = (d2, s ^ flip), (d, s)
     return _new(FlatSurface, "translation",
                 SurfaceTriangulation(triangles, glu), _lift(surface._vec),
                 surface._den)
@@ -680,27 +679,23 @@ def kahler_pairing_numeric(surface, t1, t2, depth):
     if surface.kind != "translation":
         return kahler_pairing_numeric(*_lifted(surface, t1, t2), depth) / 2.0
 
-    shapes, sums, vec = {}, {}, surface._vec
+    shapes, sums, vec, D = {}, {}, surface._vec, surface._den
     for t, ds in surface.triangles.items():
         shapes.setdefault((vec[ds[0]], vec[ds[1]]), []).append((t, ds))
     for ((x0, y0), (x1, y1)), members in shapes.items():
-        # the corners of the triangle in its own chart
-        P = _floats([_ORIGIN, (x0, y0), (x0 + x1, y0 + y1)], surface._den)
-        shape = _shape_samples(P, depth)
+        # the corners of the triangle in its own chart, ``x / D`` correctly
+        # rounded, as are the periods
+        shape = _shape_samples([0j, complex(x0 / D, y0 / D),
+                                complex((x0 + x1) / D, (y0 + y1) / D)], depth)
         for t, ds in members:
-            per1 = _floats([t1._vec[d] for d in ds], t1._den)
-            per2 = _floats([t2._vec[d] for d in ds], t2._den)
+            per1, per2 = ([complex(x / tan._den, y / tan._den) for x, y in
+                           (tan._vec[d] for d in ds)] for tan in (t1, t2))
             sums[t] = _tangent_sum(shape, per1, per2)
         del shape       # one shape's samples at a time
     total = complex(0)
     for t in sorted(sums, key=repr):
         total += sums[t]
     return total
-
-
-def _floats(points, D):
-    """Integer pairs over D as complex numbers, ``x / D`` correctly rounded."""
-    return [complex(x / D, y / D) for x, y in points]
 
 
 def _shape_samples(P, depth):
@@ -737,19 +732,27 @@ def _shape_samples(P, depth):
 
 
 def _tangent_sum(shape, per1, per2):
-    """The centroid rule on a triangle of ``shape`` for two tangents' periods."""
-    (a0, a1, a2), (b0, b1, b2) = per1, per2
-    area_factor, w = shape[0], iter(shape[1])
-    total = complex(0)
+    """The centroid rule on a triangle of ``shape`` for two tangents' complex
+    periods, summed on float parts to the same bits as complex arithmetic
+    (``docs/conventions.md``)."""
+    (p0, q0), (p1, q1), (p2, q2), (r0, s0), (r1, s1), (r2, s2) = [
+        (z.real, z.imag) for z in (*per1, *per2)]
+    area_factor, w, re, im = shape[0], iter(shape[1]), 0.0, 0.0
     for w0x, w0y, w1x, w1y, w2x, w2y in zip(w, w, w, w, w, w):
-        # each component starts from 0j, as a running sum from zero would
-        ax = 0j + a0 * w0x + a1 * w1x + a2 * w2x
-        ay = 0j + a0 * w0y + a1 * w1y + a2 * w2y
-        bx = 0j + b0 * w0x + b1 * w1x + b2 * w2x
-        by = 0j + b0 * w0y + b1 * w1y + b2 * w2y
+        # theta_1 = ax dx + ay dy and theta_2 = bx dx + by dy, with
+        # ax = per1[0] * w0x + per1[1] * w1x + per1[2] * w2x, in parts
+        axr = p0 * w0x + p1 * w1x + p2 * w2x
+        axi = q0 * w0x + q1 * w1x + q2 * w2x
+        ayr = p0 * w0y + p1 * w1y + p2 * w2y
+        ayi = q0 * w0y + q1 * w1y + q2 * w2y
+        bxr = r0 * w0x + r1 * w1x + r2 * w2x
+        bxi = s0 * w0x + s1 * w1x + s2 * w2x
+        byr = r0 * w0y + r1 * w1y + r2 * w2y
+        byi = s0 * w0y + s1 * w1y + s2 * w2y
         # (i/2) theta1 ^ conj(theta2) = (i/2)(ax*conj(by) - ay*conj(bx)) dx^dy
-        total += 0.5j * (ax * by.conjugate() - ay * bx.conjugate())
-    return total * area_factor
+        re -= 0.5 * ((axi * byr - axr * byi) - (ayi * bxr - ayr * bxi))
+        im += 0.5 * ((axr * byr + axi * byi) - (ayr * bxr + ayi * bxi))
+    return complex(re, im) * area_factor
 
 
 # -- fixture surfaces -------------------------------------------------------------

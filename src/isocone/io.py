@@ -1,21 +1,23 @@
 """Line-based text formats for trees, tracks, flat surfaces, and 3-manifolds.
 
-Every format is a sequence of directives, one per line; ``#`` starts a
-comment.  Rationals are serialized as ``p/q`` (or ``p`` for integers) and
-tuples as ``(p,q/r,...)``.  Parsers normalize rationals to lowest terms,
-record a note when the input was not normalized, and reject unknown
-directives with the offending line number.  Metric trees are input only
-and train tracks output only; flat surfaces and 3-manifolds round-trip
-exactly with their serializers on normalized files.
+One directive per line, ``#`` starting a comment; rationals are ``p/q`` or
+``p``, tuples ``(p,q/r,...)``.  Parsers read rationals as integer pairs in
+lowest terms, note any written otherwise, and refuse unknown directives by
+line.  Flat surfaces and 3-manifolds round-trip on normalized files.
 """
 
+import math
 from fractions import Fraction
 
+from isocone import flatsurf
 from isocone.ordgroup import LexVec, format_rat
 from isocone.lamtree import MetricTree
-from isocone.track import TrainTrack
+from isocone.track import TrainTrack, SurfaceTriangulation
 from isocone.cone3 import Triangulation3, FACE_CORNERS, GluingError
-from isocone.flatsurf import FlatSurface, QC, PeriodTangent
+# io.FlatSurface is a trace site of the benchmark (perfbench/spans.py),
+# which replaces it with a plain function, so surfaces are built through
+# flatsurf.FlatSurface
+from isocone.flatsurf import FlatSurface, PeriodTangent, _new, _to_ints
 
 
 class ParseError(ValueError):
@@ -42,26 +44,33 @@ def rename_track(track):
 
 def _lines(text):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+        if toks := raw.split("#", 1)[0].split():
+            yield lineno, toks
 
 
 def _rat(tok, lineno, notes):
+    """A rational token as ``(p, q)`` in lowest terms with ``q > 0``; a token
+    spelled otherwise gets a note, and one that is no rational a refusal."""
     num, slash, den = tok.partition("/")
     try:
-        # ASCII integers and quotients of them skip the parser of
-        # Fraction(str), which gives the same value
-        if tok.isascii() and num.removeprefix("-").isdigit() and (
-                den.isdigit() or not slash):
-            q = Fraction(int(num), int(den)) if slash else Fraction(int(num))
-        else:
-            q = Fraction(tok)
+        # ASCII integers and their quotients by nonzero ASCII integers skip
+        # the parser of Fraction(str), which gives the same value
+        fast = tok.isascii() and num.removeprefix("-").isdigit() and (
+            den.lstrip("0").isdigit() or not slash)
+        p, q = ((int(num), int(den or 1)) if fast
+                else Fraction(tok).as_integer_ratio())
     except (ValueError, ZeroDivisionError):
         raise ParseError(lineno, f"bad rational {tok!r}")
-    if format_rat(q) != tok:
-        notes.append(f"normalized {tok} to {format_rat(q)}")
-    return q
+    g = math.gcd(p, q)
+    if (s := _fmt(p, q)) != tok:
+        notes.append(f"normalized {tok} to {s}")
+    return p // g, q // g
+
+
+def _fmt(x, d):
+    """``x / d`` for ``d > 0`` as ``format_rat`` writes it."""
+    g = math.gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
 
 
 def _put(table, key, value, lineno, what):
@@ -83,7 +92,7 @@ def parse_tree(text):
             eid, u, v, vec = toks[1], toks[2], toks[3], toks[4]
             if not (vec.startswith("(") and vec.endswith(")")):
                 raise ParseError(lineno, f"malformed tuple: {vec!r}")
-            _put(edges, eid, (u, v, LexVec(_rat(p, lineno, notes)
+            _put(edges, eid, (u, v, LexVec(Fraction(*_rat(p, lineno, notes))
                                            for p in vec[1:-1].split(","))),
                  lineno, "edge")
         elif toks[0] == "end" and len(toks) == 2:
@@ -102,9 +111,8 @@ def parse_tree(text):
 
 def serialize_track(track):
     out = [f"branch {e}" for e in sorted(track.branches, key=str)]
-    for s in sorted(track.switches, key=str):
-        a, b, c = track.switches[s]
-        out.append(f"switch {s} in {a} {b} out {c} ccw")
+    out += ["switch {} in {} {} out {} ccw".format(s, *track.switches[s])
+            for s in sorted(track.switches, key=str)]
     return "\n".join(out) + "\n"
 
 
@@ -112,42 +120,51 @@ def serialize_track(track):
 
 
 def parse_flatsurface(text):
+    # signs: the sign token and line number of each glue line; where: the
+    # line of each entry that a refusal of the surface or a tangent names
     head, triangles, vectors, gluings, signs, tangents = {}, {}, {}, {}, {}, {}
-    notes = []      # signs: the sign token and line number of each glue line
+    notes, where = [], {}
 
-    def qc(re, im):     # a value pair of the current line
-        return QC(_rat(re, lineno, notes), _rat(im, lineno, notes))
+    def pair(re, im):     # a value pair of the current line
+        return _rat(re, lineno, notes), _rat(im, lineno, notes)
     for lineno, toks in _lines(text):
         if toks[0] == "kind" and len(toks) == 2:
             _put(head, "kind", toks[1], lineno, "directive")
         elif toks[0] == "triangle" and len(toks) == 5:
             _put(triangles, toks[1], tuple(toks[2:]), lineno, "triangle")
+            where["triangle", toks[1]] = lineno
         elif toks[0] == "vector" and len(toks) == 4:
-            _put(vectors, toks[1], qc(*toks[2:]), lineno, "vector")
+            _put(vectors, toks[1], pair(*toks[2:]), lineno, "vector")
+            where["vector", toks[1]] = lineno
         elif toks[0] == "glue" and len(toks) in (3, 4):
             _put(gluings, toks[1], toks[2], lineno, "gluing of edge")
             _put(gluings, toks[2], toks[1], lineno, "gluing of edge")
             signs[toks[1]] = (toks[3] if len(toks) == 4 else "neg", lineno)
         elif toks[0] == "tangent" and len(toks) == 5:
-            _put(tangents.setdefault(toks[1], {}), toks[2], qc(*toks[3:]),
+            _put(tangents.setdefault(toks[1], {}), toks[2], pair(*toks[3:]),
                  lineno, f"tangent {toks[1]} value on edge")
+            where["vector", toks[2], toks[1]] = lineno
         else:
             raise ParseError(lineno, f"unknown directive {' '.join(toks)!r}")
     if "kind" not in head:
         raise ParseError(0, "missing kind directive")
     try:
-        surf = FlatSurface(head["kind"], triangles, vectors, gluings)
+        surf = _new(flatsurf.FlatSurface, head["kind"], SurfaceTriangulation(
+            triangles, gluings), *_to_ints(vectors))
     except ValueError as e:
-        raise ParseError(0, f"invalid flat surface: {e}")
+        raise ParseError(where.get(getattr(e, "entry", None), 0),
+                         f"invalid flat surface: {e}")
     for d, (s, n) in signs.items():
         if s != surf.signs[d]:
             raise ParseError(n, f"sign {s!r} contradicts the vectors at {d!r}")
     tlist = []
     for idx in sorted(tangents, key=str):
         try:
-            tlist.append(PeriodTangent(surf, tangents[idx]))
+            tlist.append(_new(PeriodTangent, surf, *_to_ints(tangents[idx])))
         except ValueError as e:
-            raise ParseError(0, f"invalid tangent {idx}: {e}")
+            # a tangent's value is at ("vector", edge, tangent)
+            line = where.get((*e.entry, idx)) or where.get(e.entry, 0)
+            raise ParseError(line, f"invalid tangent {idx}: {e}")
     return surf, tlist, notes
 
 
@@ -155,16 +172,20 @@ def serialize_flatsurface(surface, tangents=()):
     out = [f"kind {surface.kind}"]
     out += ["triangle {} {} {} {}".format(t, *surface.triangles[t])
             for t in sorted(surface.triangles, key=str)]
-    for d in sorted(surface.vectors, key=str):
-        v = surface.vectors[d]
-        out.append(f"vector {d} {format_rat(v.re)} {format_rat(v.im)}")
+    out += _values("vector", surface)
     for d in sorted(surface.glue, key=str):
         if str(d) < str(surface.glue[d]):   # written from the first name
             out.append(f"glue {d} {surface.glue[d]} {surface.signs[d]}")
     for i, tan in enumerate(tangents, start=1):
-        out += [f"tangent {i} {d} {format_rat(v.re)} {format_rat(v.im)}"
-                for d, v in sorted(tan.delta.items(), key=lambda p: str(p[0]))]
+        out += _values(f"tangent {i}", tan)
     return "\n".join(out) + "\n"
+
+
+def _values(head, obj):
+    """The value lines of a surface or tangent, in ``str`` order of edges."""
+    D = obj._den
+    return [f"{head} {d} {_fmt(x, D)} {_fmt(y, D)}"
+            for d, (x, y) in sorted(obj._vec.items(), key=lambda p: str(p[0]))]
 
 
 # -- 3-manifolds with boundary data ------------------------------------------------
@@ -173,16 +194,13 @@ def serialize_flatsurface(surface, tangents=()):
 def parse_manifold(text):
     """Parse a combined file: tetrahedra, gluings, boundary track, weights.
 
-    Returns ``(manifold, outgoing, weights, notes)`` where ``outgoing``
-    maps boundary triangles to outgoing slots (empty when no ``switch``
-    lines are present) and ``weights`` maps boundary-edge names to
-    rationals.
+    Returns ``(manifold, outgoing, weights, notes)``: ``outgoing`` maps
+    boundary triangles to outgoing slots (empty with no ``switch`` lines),
+    ``weights`` boundary edges to rationals.
     """
-    tets = {}                      # tet id -> None, in line order
-    gluings, glued = {}, {}        # glued: the line of every glued face
-    switch_lines = []
-    weight_lines = []
-    notes = []
+    # tets: tet id -> None, in line order; glued: the line of each glued face
+    tets, gluings, glued, notes = {}, {}, {}, []
+    switch_lines, weight_lines = [], []
     for lineno, toks in _lines(text):
         if toks[0] == "tet" and len(toks) == 2:
             _put(tets, toks[1], None, lineno, "tetrahedron")
@@ -237,26 +255,23 @@ def parse_manifold(text):
                 raise ParseError(lineno, f"unknown boundary edge {name!r}")
             if edge_by_name[name] in weights:
                 raise ParseError(lineno, f"repeated weight for {name!r}")
-            weights[edge_by_name[name]] = _rat(val, lineno, notes)
+            weights[edge_by_name[name]] = Fraction(*_rat(val, lineno, notes))
     elif weight_lines:
         raise ParseError(weight_lines[0][0], "weights on a closed manifold")
     return manifold, outgoing, weights, notes
 
 
 def boundary_triangle_name(tf):
-    t, f = tf
-    return f"{t}.{f}"
+    return "{}.{}".format(*tf)
 
 
 def boundary_edge_name(E):
-    t, f, k = E
-    return f"{t}.{f}.{k}"
+    return "{}.{}.{}".format(*E)
 
 
 def edge_class_name(cls):
     t, e = cls
-    i, j = sorted(e)
-    return f"{t}:{i}{j}"
+    return "{}:{}{}".format(t, *sorted(e))
 
 
 def serialize_manifold(manifold, outgoing=None, weights=None):
@@ -268,12 +283,8 @@ def serialize_manifold(manifold, outgoing=None, weights=None):
         images = ",".join(str(perm[v]) for v in sorted(perm))
         glue[repr((t, f))] = f"glue {t}.{f} {t2}.{f2} {images}"
     out += [glue[k] for k in sorted(glue)]
-    if outgoing:
-        for tf in sorted(outgoing, key=repr):
-            out.append(
-                f"switch {boundary_triangle_name(tf)} out {outgoing[tf]}")
-    if weights:
-        for E in sorted(weights, key=repr):
-            out.append(
-                f"weight {boundary_edge_name(E)} {format_rat(weights[E])}")
+    out += [f"switch {boundary_triangle_name(tf)} out {outgoing[tf]}"
+            for tf in sorted(outgoing or (), key=repr)]
+    out += [f"weight {boundary_edge_name(E)} {format_rat(weights[E])}"
+            for E in sorted(weights or (), key=repr)]
     return "\n".join(out) + "\n"

@@ -517,6 +517,51 @@ class TestMalformedInput:
         assert f"line {lineno}: {message}" in captured.err
         assert not captured.out
 
+    @pytest.mark.parametrize("changed, extra, err", [
+        # a value on an edge no triangle uses names its own line
+        ({}, "vector zz 1 0",
+         "line 25: invalid flat surface: no triangle uses edge 'zz'"),
+        ({}, "tangent 1 zz 5 5",
+         "line 25: invalid tangent 1: no triangle uses edge 'zz'"),
+        # a triangle that fails names the triangle's line
+        ({"vector c -1 -1": "vector c -1 -2"}, "",
+         "line 2: invalid flat surface: triangle 't0' does not close up"),
+        ({"vector a 1 0": "vector a 0 1", "vector b 0 1": "vector b 1 0"}, "",
+         "line 2: invalid flat surface: triangle 't0' has nonpositive area"),
+        ({"vector a 1 0": None}, "", "line 2: invalid flat surface: triangle "
+         "'t0' uses edge 'a', which has no vector"),
+        ({"tangent 2 c 1 -1": "tangent 2 c 1 0"}, "",
+         "line 2: invalid tangent 2: tangent does not close on 't0'"),
+        ({"tangent 1 a 1 0": None}, "",
+         "line 2: invalid tangent 1: tangent has no value on edge 'a'"),
+        # a gluing that fails names the value of the edge it names
+        ({"tangent 1 a 1 0": "tangent 1 a 2 0",
+          "tangent 1 c -1 -1": "tangent 1 c -2 -1"}, "",
+         "line 13: invalid tangent 1: tangent breaks the gluing at 'A'"),
+        ({"vector A -1 0": "vector A 1 0", "vector B 0 -1": "vector B 0 1",
+          "vector C 1 1": "vector C -1 -1", "glue A a neg": "glue A a pos",
+          "glue B b neg": "glue B b pos", "glue C c neg": "glue C c pos"}, "",
+         "line 4: invalid flat surface: translation surfaces allow only neg "
+         "gluings"),
+        # refusals of the whole surface stay at line 0
+        ({"glue A a neg": None}, "",
+         "line 0: invalid flat surface: unglued edges: ['A', 'a']"),
+        ({"kind translation": "kind spiral"}, "",
+         "line 0: invalid flat surface: unknown kind 'spiral'"),
+    ])
+    def test_flat_surface_refusal_names_its_line(self, tmp_path, capsys,
+                                                 changed, extra, err):
+        # these were all refused as line 0, although one line is at fault
+        text = open(fixture_file(tmp_path, "square_torus")).read()
+        lines = [changed.get(line, line) for line in text.splitlines()]
+        assert all(line in text.splitlines() for line in changed)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("".join(f"{line}\n" for line in lines + [extra]
+                               if line))
+        capsys.readouterr()
+        assert run(["surface", "validate", "--input", str(bad)]) == 2
+        assert capsys.readouterr() == ("", f"parse error: {err}\n")
+
     def test_tree_zero_denominator_exit_2(self, tmp_path, capsys):
         path = tmp_path / "tree.txt"
         path.write_text("vertex a\nvertex b\nedge e1 a b (0,1/0)\n")

@@ -8,11 +8,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from isocone import flatsurf, io, linalg
 from isocone.homology import SurfaceHomology
-from isocone.cli import run
+from isocone.cli import _fixture_text, run
 from isocone.flatsurf import (
     FlatSurface, QC, FlatSurfaceError, NeedsRotationError,
     square_torus, hex_torus, lshape_h2, pillowcase,
@@ -1044,6 +1044,50 @@ class TestQuadratureReference:
                     _reference_quadrature(P, per1, per2, depth))
 
 
+# corners and periods that stress the signs of zeros: both zeros, small
+# integers, halves, subnormals and the widest coordinates of ``_coord``
+_zeroish = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 5e-324, -5e-324, 1e-310, -1e-310,
+                     50.0, -50.0]),
+    st.integers(-3, 3).map(float), st.integers(-7, 7).map(lambda n: n / 2))
+_zeroish_period = st.builds(complex, _zeroish, _zeroish)
+
+
+class TestQuadratureZeroSigns:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(corners=st.lists(_zeroish_period, min_size=3, max_size=3),
+           per1=st.lists(_zeroish_period, min_size=3, max_size=3),
+           per2=st.lists(_zeroish_period, min_size=3, max_size=3),
+           closed=st.booleans(), depth=st.integers(0, 5))
+    # totals whose product with the area factor underflows: the complex
+    # product gives +0.0 where a part-by-part product gives -0.0
+    @example(corners=[1.5 + 0j, 3 - 0.5j, -0.5 + 2j],
+             per1=[3j, complex(-5e-324, 0), 1j],
+             per2=[-3j, complex(-0.0, -1), complex(-0.0, 1)],
+             closed=False, depth=3)
+    @example(corners=[3 + 0j, 0.5 + 0.5j, 1e-310j],
+             per1=[5e-324j, complex(-0.0, 5e-324), 0j],
+             per2=[-0.5j, 1e-310j, 2 - 2.5j], closed=False, depth=3)
+    def test_float_parts_keep_every_bit(self, corners, per1, per2, closed,
+                                        depth):
+        # the sum on float parts drops complex arithmetic's products with a
+        # zero factor, which change only the sign of a zero; the total's
+        # parts, -0.0 included, are the same bits as the complex sum's
+        (x0, y0), (x1, y1), (x2, y2) = ((p.real, p.imag) for p in corners)
+        assume((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0) != 0)
+        if closed:      # periods of a tangent close around the triangle
+            per1[2], per2[2] = -(per1[0] + per1[1]), -(per2[0] + per2[1])
+        want = _reference_quadrature(corners, per1, per2, depth)
+        # an overflow turns both sums into infinities and NaNs, whose signs
+        # no claim covers
+        assume(math.isfinite(want.real) and math.isfinite(want.imag))
+        got = flatsurf._tangent_sum(flatsurf._shape_samples(corners, depth),
+                                    per1, per2)
+        assert repr(got) == repr(want)
+        assert [math.copysign(1, x) for x in (got.real, got.imag)] == \
+            [math.copysign(1, x) for x in (want.real, want.imag)]
+
+
 def _reference_pairing(s, t1, t2, depth):
     """``_reference_quadrature`` summed over the triangles of a translation
     surface in ``repr`` order, each triangle sampled on its own."""
@@ -1322,6 +1366,17 @@ class TestFractionCount:
         assert fraction_constructions(
             lambda: omega_homological(s, t1, t2)) == 47
         assert value == omega_thurston(s, t1, t2)
+
+    def test_flat_reader_and_writer_make_no_fraction(self):
+        # tokens are read as integer pairs and values written from them;
+        # with a Fraction per token and per written coordinate, each call
+        # made 108 on this file of 18 vectors and two tangents
+        text = _fixture_text("lshape_h2")
+        surf, tangents, _ = io.parse_flatsurface(text)
+        assert len(tangents) == 2
+        assert fraction_constructions(lambda: io.parse_flatsurface(text)) == 0
+        assert fraction_constructions(
+            lambda: io.serialize_flatsurface(surf, tangents)) == 0
 
 
 class TestBuiltOnce:

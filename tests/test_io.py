@@ -8,9 +8,11 @@ from isocone import io
 from isocone.fixtures import (genus2_maximal_track, two_tets, chain_tets,
                               g2_product_bundle, mf_weight,
                               diagonal_boundary_weight)
-from isocone.flatsurf import lshape_h2, pillowcase, PeriodTangent
+from isocone.flatsurf import (QC, lshape_h2, pillowcase, square_torus,
+                               PeriodTangent)
 from isocone.ordgroup import LexVec, format_rat
-from util import code_lines
+from util import (code_lines, reference_parse_flatsurface,
+                  reference_rat)
 
 
 class TestTreeFormat:
@@ -108,18 +110,6 @@ class TestManifoldFormat:
             io.parse_manifold(text)
 
 
-def _reference_rat(tok, lineno, notes):
-    """``io._rat`` reading every token with ``Fraction(str)``: the
-    oracle of its integer fast path."""
-    try:
-        q = Fraction(tok)
-    except (ValueError, ZeroDivisionError):
-        raise io.ParseError(lineno, f"bad rational {tok!r}")
-    if format_rat(q) != tok:
-        notes.append(f"normalized {tok} to {format_rat(q)}")
-    return q
-
-
 def _rat_outcome(rat, tok):
     notes = []
     try:
@@ -142,10 +132,93 @@ _noncanonical = st.one_of(
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.one_of(_canonical, _noncanonical))
 def test_rat_matches_fraction_parser(tok):
-    # same value, same notes and same error as reading every token with
-    # Fraction(str), canonical or not
-    out, ref = _rat_outcome(io._rat, tok), _rat_outcome(_reference_rat, tok)
-    assert out == ref and type(out[0]) is type(ref[0])
+    # same value, as an integer pair in lowest terms, same notes and same
+    # error as reading every token with Fraction(str), canonical or not
+    out = _rat_outcome(io._rat, tok)
+    ref = _rat_outcome(lambda *a: reference_rat(*a).as_integer_ratio(), tok)
+    assert out == ref
+    if isinstance(out[0], tuple):
+        assert [type(n) for n in out[0]] == [int, int]
+
+
+def _flat_texts():
+    """Normalized flat-surface files with two tangents each, whose values
+    include negative, fractional and zero coordinates."""
+    surfaces = [square_torus().rotate(QC(Fraction(-3, 4), Fraction(1, 2))),
+                lshape_h2().shear(Fraction(2, 3)),
+                pillowcase().apply_matrix(Fraction(3, 2), 0, 0,
+                                          Fraction(1, 7))]
+    texts = []
+    for s in surfaces:
+        t = PeriodTangent.scaling(s)
+        texts.append(io.serialize_flatsurface(s, [t, t.times_i()]))
+    return texts
+
+
+_FLAT_TEXTS = _flat_texts()
+_ARABIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                        "\u0665\u0666\u0667\u0668\u0669")
+
+
+def _spellings(tok):
+    """Tokens for the value of canonical ``tok``: the same value spelled
+    otherwise (unreduced, ``-0``, ``3/1``, ``007``, ``1.5``, ``1e2``,
+    ``+3``, non-ASCII digits), other values, and tokens that are no
+    rational."""
+    q = Fraction(tok)
+    p, d = q.numerator, q.denominator
+    return [tok, f"{2 * p}/{2 * d}", f"{p}/{d}", tok.translate(_ARABIC),
+            "+" + tok, f"{tok}e0" if d == 1 else f"{p}e1/{10 * d}",
+            f"-00{-p}" if p < 0 else f"00{p}", "-0" if p == 0 else "-" + tok,
+            repr(float(q)) if 10 ** 6 % d == 0 else f"{p}/{d}0",
+            "3", "-3/4", "2/4", "1/0", "x", "1/-2", "1e2"]
+
+
+def _outcome(parse, text):
+    """The surface and tangents a reader builds, compared through their
+    integer pairs and their text, and its notes; or its refusal."""
+    try:
+        surf, tangents, notes = parse(text)
+    except io.ParseError as e:
+        return "refused", str(e)
+    return ((surf.kind, surf.triangles, surf.glue, surf.signs, surf._vec,
+             surf._den, [(t._vec, t._den) for t in tangents],
+             io.serialize_flatsurface(surf, tangents)), notes)
+
+
+class TestFlatReaderOracle:
+    @pytest.mark.parametrize("text", _FLAT_TEXTS)
+    def test_roundtrip_normalized_with_tangents(self, text):
+        surf, tangents, notes = io.parse_flatsurface(text)
+        assert len(tangents) == 2 and not notes
+        assert io.serialize_flatsurface(surf, tangents) == text
+        assert _outcome(io.parse_flatsurface, text) == \
+            _outcome(reference_parse_flatsurface, text)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_fraction_reader(self, data):
+        # the same surface, tangents, notes and refusals as the reader that
+        # made one Fraction per token; a refusal that reader reported as
+        # line 0 may now name the line of the entry it names
+        lines = data.draw(st.sampled_from(_FLAT_TEXTS)).splitlines()
+        values = [(i, k) for i, line in enumerate(lines)
+                  for k in range(len(line.split()))
+                  if (line.startswith("vector ") and k >= 2)
+                  or (line.startswith("tangent ") and k >= 3)]
+        for i, k in data.draw(st.lists(st.sampled_from(values), max_size=4,
+                                       unique=True)):
+            toks = lines[i].split()
+            toks[k] = data.draw(st.sampled_from(_spellings(toks[k])))
+            lines[i] = " ".join(toks)
+        text = "\n".join(lines) + "\n"
+        got = _outcome(io.parse_flatsurface, text)
+        want = _outcome(reference_parse_flatsurface, text)
+        if want[0] == "refused" and want[1].startswith("line 0: "):
+            assert got[0] == "refused"
+            assert got[1].split(": ", 1)[1] == want[1].split(": ", 1)[1]
+        else:
+            assert got == want
 
 
 def test_code_line_count():

@@ -11,13 +11,14 @@ import random
 import tracemalloc
 from fractions import Fraction
 
-from isocone import flatsurf, linalg
+from isocone import flatsurf, io, linalg
 from isocone.cone3 import (
     EDGE_PAIRS, FACE_CYCLES, GluingError, OrientationError)
 from isocone.fixtures import (
     genus2_four_vertex_surface, genus2_maximal_track, mf_weight,
     product_bundle)
-from isocone.ordgroup import DimensionError, LexVec, rat
+from isocone.flatsurf import QC, FlatSurface, PeriodTangent
+from isocone.ordgroup import DimensionError, LexVec, format_rat, rat
 from isocone.lamtree import MetricTree, NotAMetricError
 from isocone.track import NotOrientableError, SurfaceTriangulation
 
@@ -513,3 +514,63 @@ def reference_fold(manifold, w_boundary):
               -sum(x * pinned[c - first] for c, x in row if c >= first))
              for k, row in enumerate(manifold.choice_rows[t])]
             for t in manifold.tets]
+
+
+def reference_rat(tok, lineno, notes):
+    """The retired ``io._rat``: every token read with ``Fraction(str)``,
+    which its integer fast path matched, as a ``Fraction``.  The oracle of
+    the integer-pair token reader."""
+    try:
+        q = Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        raise io.ParseError(lineno, f"bad rational {tok!r}")
+    if format_rat(q) != tok:
+        notes.append(f"normalized {tok} to {format_rat(q)}")
+    return q
+
+
+def reference_parse_flatsurface(text):
+    """The retired ``io.parse_flatsurface``: one ``Fraction`` per token and
+    one ``QC`` per value, handed to the public ``FlatSurface`` and
+    ``PeriodTangent`` constructors, and every refusal of those
+    constructors reported as line 0.  The oracle of the integer reader."""
+    head, triangles, vectors, gluings, signs, tangents = {}, {}, {}, {}, {}, {}
+    notes = []      # signs: the sign token and line number of each glue line
+
+    def qc(re, im):     # a value pair of the current line
+        return QC(reference_rat(re, lineno, notes),
+                  reference_rat(im, lineno, notes))
+    for lineno, toks in io._lines(text):
+        if toks[0] == "kind" and len(toks) == 2:
+            io._put(head, "kind", toks[1], lineno, "directive")
+        elif toks[0] == "triangle" and len(toks) == 5:
+            io._put(triangles, toks[1], tuple(toks[2:]), lineno, "triangle")
+        elif toks[0] == "vector" and len(toks) == 4:
+            io._put(vectors, toks[1], qc(*toks[2:]), lineno, "vector")
+        elif toks[0] == "glue" and len(toks) in (3, 4):
+            io._put(gluings, toks[1], toks[2], lineno, "gluing of edge")
+            io._put(gluings, toks[2], toks[1], lineno, "gluing of edge")
+            signs[toks[1]] = (toks[3] if len(toks) == 4 else "neg", lineno)
+        elif toks[0] == "tangent" and len(toks) == 5:
+            io._put(tangents.setdefault(toks[1], {}), toks[2], qc(*toks[3:]),
+                    lineno, f"tangent {toks[1]} value on edge")
+        else:
+            raise io.ParseError(
+                lineno, f"unknown directive {' '.join(toks)!r}")
+    if "kind" not in head:
+        raise io.ParseError(0, "missing kind directive")
+    try:
+        surf = FlatSurface(head["kind"], triangles, vectors, gluings)
+    except ValueError as e:
+        raise io.ParseError(0, f"invalid flat surface: {e}")
+    for d, (s, n) in signs.items():
+        if s != surf.signs[d]:
+            raise io.ParseError(
+                n, f"sign {s!r} contradicts the vectors at {d!r}")
+    tlist = []
+    for idx in sorted(tangents, key=str):
+        try:
+            tlist.append(PeriodTangent(surf, tangents[idx]))
+        except ValueError as e:
+            raise io.ParseError(0, f"invalid tangent {idx}: {e}")
+    return surf, tlist, notes
