@@ -6,7 +6,8 @@ shears it, restores the Delaunay property by exact edge flips, rotates
 away horizontal edges, reads off the dual train track weighted by edge
 heights, and cross-validates the symplectic pairing of two period
 deformations through three independent exact computations plus the
-floating-point quadrature of the defining integral.
+defining hermitian integral, summed exactly per triangle and rounded once
+to floating point.
 """
 
 import random

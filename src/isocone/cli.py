@@ -22,10 +22,11 @@ from isocone.cone3 import BoundaryTrack, compute_cone, member, verify_witness
 from isocone.flatsurf import (
     QC, delaunay, is_delaunay, PeriodTangent, random_tangent,
     omega_thurston, omega_hessian, omega_homological,
-    kahler_pairing_numeric, NeedsRotationError,
+    kahler_pairing_numeric, NeedsRotationError, _mapped, _new,
 )
 
-# the quadrature samples 4**depth sub-triangles of every triangle
+# --depth does not change the pairing, an exact sum rounded once; its range
+# and the ``depth:`` line stay for the scripts that pass it
 MAX_QUADRATURE_DEPTH = 10
 
 
@@ -156,8 +157,8 @@ def cmd_cone_isotropy(args):
 
 def _rotate_tangents(rotated, tangents, c):
     """The tangents multiplied by c, on the surface already rotated by c."""
-    return [PeriodTangent(rotated, {d: c * v for d, v in t.delta.items()})
-            for t in tangents]
+    return [_new(PeriodTangent, rotated, *_mapped(
+        (c.re, -c.im, c.im, c.re), t._vec, t._den)) for t in tangents]
 
 
 def _load_surface(args):

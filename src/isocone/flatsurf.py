@@ -12,8 +12,9 @@ The module provides exact Delaunay retriangulation by edge flips, edge
 heights and the dual train track of a triangulation with no horizontal
 edges, first-order deformations of the edge vectors (period tangents), and
 three independent exact evaluations of the symplectic pairing of two
-tangents, cross-checked by a floating-point quadrature of the defining
-integral (the only inexact computation in the package).
+tangents, cross-checked by the defining hermitian integral, summed exactly
+per triangle and rounded once to floating point (the only floating-point
+result in the package).
 
 Inside the module a surface's edge vectors, and a tangent's values, are
 integer pairs over one positive denominator per object
@@ -24,7 +25,6 @@ import functools
 import heapq
 import math
 import types
-from array import array
 from fractions import Fraction
 
 from isocone.ordgroup import rat
@@ -107,6 +107,15 @@ def _view(vec, D):
     """Read-only QC values of integer pairs over D."""
     return types.MappingProxyType(
         {k: QC(Fraction(x, D), Fraction(y, D)) for k, (x, y) in vec.items()})
+
+
+def _mapped(m, vec, den):
+    """Integer pairs over ``den`` under the rational matrix ``m = (a, b, c,
+    d)``, as integer pairs over a new denominator and that denominator."""
+    M = math.lcm(*[q.denominator for q in m])
+    a, b, c, d = [q.numerator * (M // q.denominator) for q in m]
+    return {k: (a * x + b * y, c * x + d * y)
+            for k, (x, y) in vec.items()}, den * M
 
 
 def _new(cls, *args):
@@ -270,11 +279,8 @@ class FlatSurface:
         m = tuple(map(rat, (a, b, c, d)))
         if m[0] * m[3] - m[1] * m[2] <= 0:
             raise FlatSurfaceError("matrix must preserve orientation")
-        M = math.lcm(*[q.denominator for q in m])
-        a, b, c, d = [q.numerator * (M // q.denominator) for q in m]
-        vec = {k: (a * x + b * y, c * x + d * y)
-               for k, (x, y) in self._vec.items()}
-        return _new(FlatSurface, self.kind, self.comb, vec, self._den * M)
+        return _new(FlatSurface, self.kind, self.comb,
+                    *_mapped(m, self._vec, self._den))
 
     def shear(self, s):
         return self.apply_matrix(1, rat(s), 0, 1)
@@ -639,13 +645,6 @@ def lift_tangent(cover, tangent):
     return _new(PeriodTangent, cover, _lift(tangent._vec), tangent._den)
 
 
-def _lifted(surface, t1, t2):
-    """The orientation double cover of ``surface``, built once per
-    surface, and the lifts of two tangents to it."""
-    cover = surface._cover
-    return cover, lift_tangent(cover, t1), lift_tangent(cover, t2)
-
-
 def omega_homological(surface, t1, t2):
     """Pairing via cup products of the vertical-part cohomology classes.
 
@@ -655,104 +654,39 @@ def omega_homological(surface, t1, t2):
     the pinned factor 1/2.
     """
     if surface.kind != "translation":
-        return omega_homological(*_lifted(surface, t1, t2)) / 2
+        cover = surface._cover      # built once per surface
+        return omega_homological(cover, lift_tangent(cover, t1),
+                                 lift_tangent(cover, t2)) / 2
     hom = SurfaceHomology(*surface.comb.skeleton_ribbon())
     alpha = {E: t1._vec[E][1] for E in surface.comb.edge_classes}
     beta = {E: t2._vec[E][1] for E in surface.comb.edge_classes}
     return hom.pair_cocycles(alpha, beta) / (t1._den * t2._den)
 
 
-# -- quadrature oracle (floating point, clearly inexact) ------------------------------
+# -- the hermitian pairing (floating point, rounded once) ----------------------------
 
 
 def kahler_pairing_numeric(surface, t1, t2, depth):
     """The integral of (i/2) theta_1 wedge conj(theta_2), theta_j the affine
-    interpolant of tangent j's edge periods on each triangle, by the
-    centroid rule over ``depth`` barycentric subdivisions: sampled once per
-    shape (pair of integer corner vectors), summed per triangle in ``repr``
-    order.  A complex number: on pairs ``(psi, i psi)`` alone its imaginary
-    part approximates the exact pairings; the real part is the metric
-    pairing.  Half-translation surfaces integrate on the orientation double
-    cover with the factor 1/2."""
+    interpolant of tangent j's edge periods on each triangle.  It is constant
+    on a triangle, whose ccw edges d0, d1 then add
+    (i/4)(p0 conj(q1) - p1 conj(q0)) for the periods p and q of the two
+    tangents, whatever its shape; the sum runs in integers and each part is
+    rounded once.  On pairs ``(psi, i psi)`` alone the imaginary part equals
+    the exact pairings; the real part is the metric pairing.  Both sheets of
+    a half-translation surface's double cover add the same term, so the
+    cover's integral with the factor 1/2 is the base's sum.  ``depth``, at
+    least 0, does not change the value (``docs/conventions.md``)."""
     if depth < 0:
         raise ValueError(f"quadrature depth must be at least 0, not {depth}")
-    if surface.kind != "translation":
-        return kahler_pairing_numeric(*_lifted(surface, t1, t2), depth) / 2.0
-
-    shapes, sums, vec, D = {}, {}, surface._vec, surface._den
-    for t, ds in surface.triangles.items():
-        shapes.setdefault((vec[ds[0]], vec[ds[1]]), []).append((t, ds))
-    for ((x0, y0), (x1, y1)), members in shapes.items():
-        # the corners of the triangle in its own chart, ``x / D`` correctly
-        # rounded, as are the periods
-        shape = _shape_samples([0j, complex(x0 / D, y0 / D),
-                                complex((x0 + x1) / D, (y0 + y1) / D)], depth)
-        for t, ds in members:
-            per1, per2 = ([complex(x / tan._den, y / tan._den) for x, y in
-                           (tan._vec[d] for d in ds)] for tan in (t1, t2))
-            sums[t] = _tangent_sum(shape, per1, per2)
-        del shape       # one shape's samples at a time
-    total = complex(0)
-    for t in sorted(sums, key=repr):
-        total += sums[t]
-    return total
-
-
-def _shape_samples(P, depth):
-    """The area per sample, and at each sample of the centroid rule on the
-    triangle ``P`` the x and y parts of the Whitney forms W_k = lam_k
-    d(lam_{k+1}) - lam_{k+1} d(lam_k) of its edges k = 0, 1, 2, six doubles
-    per sample in one array; leaves depth first (``docs/conventions.md``)."""
-    # barycentric gradients: lambda_k is affine with gradient g_k
-    (x0, y0), (x1, y1), (x2, y2) = ((p.real, p.imag) for p in P)
-    twoA = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
-    g0x, g0y = (y1 - y2) / twoA, (x2 - x1) / twoA
-    g1x, g1y = (y2 - y0) / twoA, (x0 - x2) / twoA
-    g2x, g2y = (y0 - y1) / twoA, (x1 - x0) / twoA
-    weights = array("d")
-    stack = [(depth, *P)]
-    while stack:
-        d, a, b, c = stack.pop()
-        if d:
-            ab, bc, ca, d = (a + b) / 2, (b + c) / 2, (c + a) / 2, d - 1
-            # the last child goes first, so that the first is popped first
-            stack += [(d, ab, bc, ca), (d, ca, bc, c), (d, ab, b, bc),
-                      (d, a, ab, ca)]
-            continue
-        z = (a + b + c) / 3
-        x, y = z.real, z.imag
-        # lambda_k vanishes on the opposite edge, through corner k+1
-        l0 = g0x * (x - x1) + g0y * (y - y1)
-        l1 = g1x * (x - x2) + g1y * (y - y2)
-        l2 = g2x * (x - x0) + g2y * (y - y0)
-        weights.extend((l0 * g1x - l1 * g0x, l0 * g1y - l1 * g0y,
-                        l1 * g2x - l2 * g1x, l1 * g2y - l2 * g1y,
-                        l2 * g0x - l0 * g2x, l2 * g0y - l0 * g2y))
-    return abs(twoA) / 2 / 4 ** depth, weights
-
-
-def _tangent_sum(shape, per1, per2):
-    """The centroid rule on a triangle of ``shape`` for two tangents' complex
-    periods, summed on float parts to the same bits as complex arithmetic
-    (``docs/conventions.md``)."""
-    (p0, q0), (p1, q1), (p2, q2), (r0, s0), (r1, s1), (r2, s2) = [
-        (z.real, z.imag) for z in (*per1, *per2)]
-    area_factor, w, re, im = shape[0], iter(shape[1]), 0.0, 0.0
-    for w0x, w0y, w1x, w1y, w2x, w2y in zip(w, w, w, w, w, w):
-        # theta_1 = ax dx + ay dy and theta_2 = bx dx + by dy, with
-        # ax = per1[0] * w0x + per1[1] * w1x + per1[2] * w2x, in parts
-        axr = p0 * w0x + p1 * w1x + p2 * w2x
-        axi = q0 * w0x + q1 * w1x + q2 * w2x
-        ayr = p0 * w0y + p1 * w1y + p2 * w2y
-        ayi = q0 * w0y + q1 * w1y + q2 * w2y
-        bxr = r0 * w0x + r1 * w1x + r2 * w2x
-        bxi = s0 * w0x + s1 * w1x + s2 * w2x
-        byr = r0 * w0y + r1 * w1y + r2 * w2y
-        byi = s0 * w0y + s1 * w1y + s2 * w2y
-        # (i/2) theta1 ^ conj(theta2) = (i/2)(ax*conj(by) - ay*conj(bx)) dx^dy
-        re -= 0.5 * ((axi * byr - axr * byi) - (ayi * bxr - ayr * bxi))
-        im += 0.5 * ((axr * byr + axi * byi) - (ayr * bxr + ayi * bxi))
-    return complex(re, im) * area_factor
+    a, b, re, im = t1._vec, t2._vec, 0, 0
+    for d0, d1, _ in surface.triangles.values():
+        (x0, y0), (x1, y1), (u0, v0), (u1, v1) = a[d0], a[d1], b[d0], b[d1]
+        # p0 conj(q1) - p1 conj(q0), with p = x + iy and q = u + iv
+        re += x0 * u1 + y0 * v1 - x1 * u0 - y1 * v0
+        im += y0 * u1 - x0 * v1 - y1 * u0 + x1 * v0
+    D = 4 * t1._den * t2._den
+    return complex(-im / D, re / D)
 
 
 # -- fixture surfaces -------------------------------------------------------------

@@ -61,10 +61,10 @@ def _rat(tok, lineno, notes):
                 else Fraction(tok).as_integer_ratio())
     except (ValueError, ZeroDivisionError):
         raise ParseError(lineno, f"bad rational {tok!r}")
-    g = math.gcd(p, q)
-    if (s := _fmt(p, q)) != tok:
+    p, q = p // (g := math.gcd(p, q)), q // g
+    if (s := f"{p}/{q}" if q > 1 else str(p)) != tok:
         notes.append(f"normalized {tok} to {s}")
-    return p // g, q // g
+    return p, q
 
 
 def _fmt(x, d):

@@ -148,9 +148,8 @@ class TestSurfaceCommands:
 class TestQuadratureBytes:
     """The printed quadrature line, byte for byte.
 
-    The pairing is a float, so its digits depend on the order of every
-    float operation in the quadrature; these lines were recorded from the
-    closure-based quadrature that the inlined one replaced.
+    The pairing is an exact value rounded once per part, so a part whose
+    exact value is 0 prints as 0 at every depth.
     """
 
     def _pairing(self, capsys, path, depth, seed=None):
@@ -172,13 +171,7 @@ class TestQuadratureBytes:
         path = fixture_file(tmp_path, name)
         assert self._pairing(capsys, path, 3) == [line]
 
-    @pytest.mark.parametrize("depth, line", [
-        (0, "  pairing: -3.33066907388e-16-1i"),
-        (3, "  pairing: 0-1i"),
-        (5, "  pairing: 0-1i"),
-    ])
-    def test_sheared_grid3_seeded(self, tmp_path, capsys, monkeypatch,
-                                  depth, line):
+    def _grid3(self, tmp_path, monkeypatch):
         # the benchmark's grid torus, sheared by 7/4 and made Delaunay
         monkeypatch.syspath_prepend(str(PERFBENCH))
         grid = importlib.import_module("surfaces").grid_torus(3)
@@ -187,7 +180,24 @@ class TestQuadratureBytes:
         out = tmp_path / "grid3_delaunay.txt"
         assert run(["surface", "delaunay", "--input", str(src),
                     "--output", str(out)]) == 0
-        assert self._pairing(capsys, str(out), depth, seed=2) == [line]
+        return str(out)
+
+    @pytest.mark.parametrize("depth, line", [
+        (0, "  pairing: 0-1i"),
+        (3, "  pairing: 0-1i"),
+        (5, "  pairing: 0-1i"),
+    ])
+    def test_sheared_grid3_seeded(self, tmp_path, capsys, monkeypatch,
+                                  depth, line):
+        path = self._grid3(tmp_path, monkeypatch)
+        assert self._pairing(capsys, path, depth, seed=2) == [line]
+
+    def test_depth_does_not_change_the_line(self, tmp_path, capsys,
+                                            monkeypatch):
+        path = self._grid3(tmp_path, monkeypatch)
+        line = self._pairing(capsys, path, 0, seed=2)
+        for depth in (3, 10):
+            assert self._pairing(capsys, path, depth, seed=2) == line
 
     def test_depth_defaults_to_4(self, tmp_path, capsys):
         # --depth is declared with its default, and nothing else sets one
@@ -639,7 +649,7 @@ class TestMalformedInput:
         assert not captured.out
 
     def test_depth_above_bound_exit_1(self, tmp_path, capsys):
-        # 4**depth sub-triangles per triangle: refused before any work
+        # --depth keeps its range 0..10: refused before any work
         path = fixture_file(tmp_path, "lshape_h2")
         capsys.readouterr()
         assert run(["surface", "symplectic-check", "--input", path,

@@ -8,7 +8,6 @@ import math
 import pathlib
 import pstats
 import random
-import tracemalloc
 from fractions import Fraction
 
 from isocone import flatsurf, io, linalg
@@ -68,18 +67,6 @@ def fraction_constructions(fn):
     return sum(calls for (path, _, name), (_, calls, *_)
                in pstats.Stats(prof).stats.items()
                if path == fractions.__file__ and name == "__new__")
-
-
-def traced_peak(fn):
-    """The peak of the memory that ``tracemalloc`` traces while ``fn()``
-    runs, in bytes: what ``fn`` holds at once, beyond what was held before
-    the call."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def code_lines(name):
@@ -574,3 +561,81 @@ def reference_parse_flatsurface(text):
         except ValueError as e:
             raise io.ParseError(0, f"invalid tangent {idx}: {e}")
     return surf, tlist, notes
+
+
+def reference_quadrature(P, per1, per2, depth):
+    """The retired centroid rule on one triangle with float corners ``P``:
+    the integrand (i/2) theta_1 wedge conj(theta_2), theta_j the Whitney
+    interpolant of the complex periods ``per_j`` on its edges, sampled at
+    the centroids of ``4**depth`` sub-triangles, each evaluated through
+    per-point closures."""
+    (x0, y0), (x1, y1), (x2, y2) = ((p.real, p.imag) for p in P)
+    twoA = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+    grads = [
+        ((y1 - y2) / twoA, (x2 - x1) / twoA),
+        ((y2 - y0) / twoA, (x0 - x2) / twoA),
+        ((y0 - y1) / twoA, (x1 - x0) / twoA),
+    ]
+
+    def lam(k, x, y):
+        refs = [(x1, y1), (x2, y2), (x0, y0)]
+        gx, gy = grads[k]
+        rx, ry = refs[k]
+        return gx * (x - rx) + gy * (y - ry)
+
+    def theta(per, x, y):
+        cx = complex(0)
+        cy = complex(0)
+        for k in range(3):
+            a, b = k, (k + 1) % 3
+            la = lam(a, x, y)
+            lb = lam(b, x, y)
+            ga, gb = grads[a], grads[b]
+            wx = la * gb[0] - lb * ga[0]
+            wy = la * gb[1] - lb * ga[1]
+            cx += per[k] * wx
+            cy += per[k] * wy
+        return cx, cy
+
+    def integrand(x, y):
+        ax, ay = theta(per1, x, y)
+        bx, by = theta(per2, x, y)
+        return 0.5j * (ax * by.conjugate() - ay * bx.conjugate())
+
+    pieces = [P]
+    for _ in range(depth):
+        nxt = []
+        for (a, b, c) in pieces:
+            ab = (a + b) / 2
+            bc = (b + c) / 2
+            ca = (c + a) / 2
+            nxt.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
+        pieces = nxt
+    area_factor = abs(twoA) / 2 / len(pieces)
+    total = complex(0)
+    for (a, b, c) in pieces:
+        z = (a + b + c) / 3
+        total += integrand(z.real, z.imag)
+    return total * area_factor
+
+
+def reference_kahler(surface, t1, t2, depth):
+    """The retired ``flatsurf.kahler_pairing_numeric``: the centroid rule at
+    ``depth`` on every triangle, from its corners in its own chart and the
+    tangents' periods as floats, summed in ``repr`` order of the triangles;
+    a half-translation surface integrated on its orientation double cover
+    with the factor 1/2.  The oracle of the closed form."""
+    if surface.kind != "translation":
+        cover = flatsurf.orientation_double_cover(surface)
+        return reference_kahler(cover, flatsurf.lift_tangent(cover, t1),
+                                flatsurf.lift_tangent(cover, t2), depth) / 2.0
+    total = complex(0)
+    for t in sorted(surface.triangles, key=repr):
+        ds = surface.triangles[t]
+        p1 = surface.vectors[ds[0]]
+        P = [complex(p.re, p.im)
+             for p in (QC(0), p1, p1 + surface.vectors[ds[1]])]
+        per1, per2 = ([complex(tan.delta[d].re, tan.delta[d].im)
+                       for d in ds] for tan in (t1, t2))
+        total += reference_quadrature(P, per1, per2, depth)
+    return total
