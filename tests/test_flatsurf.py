@@ -1012,6 +1012,44 @@ class TestQuadratureOracle:
             kahler_pairing_numeric(s, t, t, depth)
 
 
+class TestSharedShapes:
+    """Surfaces whose triangles repeat a shape, and the pillowcase read on
+    its double cover: the exact value rounded once, within the bound of
+    ``test_close_to_the_centroid_rule`` of the retired centroid rule."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_sheared_grid_matches_per_triangle_reference(self, monkeypatch,
+                                                         n):
+        s, _ = delaunay(_grid_torus(monkeypatch, n).shear(
+            Fraction(3, 2))).adapted()
+        shapes = {(s._vec[ds[0]], s._vec[ds[1]])
+                  for ds in s.triangles.values()}
+        assert len(shapes) < len(s.triangles)
+        rng = random.Random(n)
+        t1, t2 = random_tangent(s, rng), random_tangent(s, rng)
+        want = _rounded(_fraction_kahler(s, t1, t2))
+        scale = _term_scale(s, t1, t2)
+        for depth in (0, 1, 3):
+            got = kahler_pairing_numeric(s, t1, t2, depth)
+            assert repr(got) == repr(want)
+            assert abs(got - reference_kahler(s, t1, t2, depth)) \
+                <= 1e-14 * scale
+
+    def test_pillowcase_matches_reference_on_the_cover(self):
+        s = pillowcase()
+        rng = random.Random(79)
+        t1, t2 = random_tangent(s, rng), random_tangent(s, rng)
+        cover = orientation_double_cover(s)
+        l1, l2 = lift_tangent(cover, t1), lift_tangent(cover, t2)
+        want = _rounded(_fraction_kahler(s, t1, t2))
+        scale = _term_scale(cover, l1, l2) / 2
+        for depth in (0, 1, 3):
+            got = kahler_pairing_numeric(s, t1, t2, depth)
+            assert repr(got) == repr(want)
+            assert abs(got - reference_kahler(cover, l1, l2, depth) / 2.0) \
+                <= 1e-14 * scale
+
+
 def _sheet_swap(surface):
     """The sheet-swapping involution of the orientation double cover of
     ``surface``, on the directed edges ``(d, sheet)`` of the cover."""
