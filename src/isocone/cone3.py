@@ -32,8 +32,8 @@ from fractions import Fraction
 from isocone import linalg
 from isocone.ordgroup import rat
 from isocone.track import (
-    SurfaceTriangulation, track_dual_to_triangulation, triangle_form_sum,
-    union_find,
+    EntryError, SurfaceTriangulation, track_dual_to_triangulation,
+    triangle_form_sum, union_find,
 )
 
 # induced oriented corner triples of the four faces of a positively
@@ -49,13 +49,9 @@ FACE_CYCLES = {
 FACE_CORNERS = {f: tuple(sorted(c)) for f, c in FACE_CYCLES.items()}
 
 
-class GluingError(ValueError):
+class GluingError(EntryError):
     """A refused gluing table.  ``entry`` is the key of the gluing entry
     the refusal was found at, or None when it names no entry."""
-
-    def __init__(self, message, entry=None):
-        super().__init__(message)
-        self.entry = entry
 
 
 class OrientationError(GluingError):
@@ -208,8 +204,8 @@ class Triangulation3:
     def _build_boundary(self, glued, classes):
         """The boundary surface, one oriented triangle per unglued face, and
         ``columns``, the one column order of every cached row: the interior
-        ``classes`` (root slots), then the boundary classes in
-        ``boundary.edge_classes`` order.
+        ``classes`` (root slots), then the boundary classes in reverse
+        ``boundary.edge_classes`` order (see ``compute_cone``).
 
         An edge class is one link arc or one link circle, so a class that
         reaches the boundary has exactly two free face sides, and those two
@@ -261,7 +257,7 @@ class Triangulation3:
                               for c in self.boundary_components if c["torus"]
                               for E in c["edge_classes"]}
         order = [r for r in classes if r not in sides] + [
-            root_of[E] for E in surf.edge_classes]
+            root_of[E] for E in reversed(surf.edge_classes)]
         self.columns = [slots[r] for r in order]
         column = dict(zip(order, range(len(order))))
         # the columns of each tet's six edges, six consecutive slots
@@ -484,11 +480,11 @@ def compute_cone(manifold, btrack, choice_iter=None):
     For each choice vector the subspace is restricted to boundary-edge
     coordinates and intersected with the switch-relation space of the
     boundary track; identical spans are merged.  ``choice_iter=None``
-    walks the full product over tetrahedra (exact cone); a sampled
-    iterator gives a partial union, one single-option walk per vector; a
-    vector whose length is not the number of tets raises ``ValueError``.
-    The walk's system holds a vector's rows; those pivoting on the
-    boundary columns (the suffix from ``first``) cut out its component.
+    walks the full product over tetrahedra (exact cone) and folds each
+    stored row into its parent's form; a sampled iterator gives a partial
+    union, one walk and one reduction per vector, and refuses a vector of
+    the wrong length (``ValueError``).  The rows that pivot on the boundary
+    columns, from ``first`` in reverse edge order, cut out a component.
     """
     tets = manifold.tets
     edge_order = manifold.boundary.edge_classes
@@ -496,20 +492,23 @@ def compute_cone(manifold, btrack, choice_iter=None):
     first = sysm.ncols - len(edge_order)
     # the torus pins also zero the torus edges of every component span
     for row in manifold.torus_rows + btrack.track.switch_rows(
-            {E: first + i for i, E in enumerate(edge_order)}):
+            {E: first + i for i, E in enumerate(reversed(edge_order))}):
         sysm.push(row, 0)
     options = [[(k, row, 0) for k, row in enumerate(manifold.choice_rows[t])]
                for t in tets]
-    seen = {}
+    seen, trail = {}, [] if choice_iter is None else None
 
     def record(combo):
-        red = sysm.reduced(first)
+        red = sysm.reduced(first, trail)
         key = frozenset((p, d, frozenset(n.items()))
                         for p, (d, n) in red.items())
         if key not in seen:
-            span, _ = linalg.rref([
-                [vec.get(k, 0) for k in range(len(edge_order))]
-                for _, vec in linalg.reduced_kernel(red, sysm.ncols, first)])
+            # a kernel vector's last column is its free one, so the kernel
+            # read backwards is the span's reduced echelon form
+            span = [[Fraction(vec.get(k, 0), L)
+                     for k in reversed(range(len(edge_order)))]
+                    for L, vec in reversed(linalg.reduced_kernel(
+                        red, sysm.ncols, first))]
             seen[key] = {"span": span, "dimension": len(span),
                          "choice": dict(zip(tets, combo))}
         return False
@@ -545,10 +544,11 @@ def member(manifold, btrack, w_boundary):
     on torus classes: the first consistent choice vector of ``walk`` over
     the choice rows, with the boundary values folded in as constants."""
     # the boundary values are constants on the boundary columns, the suffix
-    # from first, all scaled by the common denominator D so that every row
-    # is integral; each witness value is one Fraction over D times its d.
-    # Signs and switch relations are checked on these integer pins
-    track, pins = btrack.track, manifold.boundary.edge_classes
+    # from first in reverse edge order, all scaled by the common denominator
+    # D so that every row is integral; each witness value is one Fraction
+    # over D times its d.  Signs and switch relations are checked on these
+    # integer pins
+    track, pins = btrack.track, manifold.boundary.edge_classes[::-1]
     values = [rat(w_boundary.get(E, 0)) for E in pins]
     D = math.lcm(*[val.denominator for val in values])
     pinned = [val.numerator * (D // val.denominator) for val in values]

@@ -28,18 +28,15 @@ import types
 from fractions import Fraction
 
 from isocone.ordgroup import rat
-from isocone.track import SurfaceTriangulation, track_dual_to_triangulation
+from isocone.track import (
+    EntryError, SurfaceTriangulation, track_dual_to_triangulation)
 from isocone.homology import SurfaceHomology
 from isocone import linalg
 
 
-class FlatSurfaceError(ValueError):
+class FlatSurfaceError(EntryError):
     """A refused surface or tangent; ``entry``, when the refusal names one,
     is ``("triangle", t)`` or ``("vector", d)`` for a directed edge d."""
-
-    def __init__(self, message, entry=None):
-        super().__init__(message)
-        self.entry = entry
 
 
 class NeedsRotationError(FlatSurfaceError):

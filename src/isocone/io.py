@@ -140,6 +140,7 @@ def parse_flatsurface(text):
             _put(gluings, toks[1], toks[2], lineno, "gluing of edge")
             _put(gluings, toks[2], toks[1], lineno, "gluing of edge")
             signs[toks[1]] = (toks[3] if len(toks) == 4 else "neg", lineno)
+            where["glue", toks[1]] = where["glue", toks[2]] = lineno
         elif toks[0] == "tangent" and len(toks) == 5:
             _put(tangents.setdefault(toks[1], {}), toks[2], pair(*toks[3:]),
                  lineno, f"tangent {toks[1]} value on edge")
@@ -270,8 +271,7 @@ def boundary_edge_name(E):
 
 
 def edge_class_name(cls):
-    t, e = cls
-    return "{}:{}{}".format(t, *sorted(e))
+    return "{}:{}{}".format(cls[0], *sorted(cls[1]))
 
 
 def serialize_manifold(manifold, outgoing=None, weights=None):

@@ -1,11 +1,8 @@
 """Exact linear algebra over the rationals, on one sparse integer core.
 
-``row`` builds every constraint row: sorted integer ``(column,
-coefficient)`` pairs without zeros.  ``IncrementalSystem`` eliminates them
-fraction-free (after Bareiss 1968); its one read-out, ``reduced()``, is the
-canonical affine reduced echelon form (leftmost pivots), in integers over
-one denominator per row like the kernels.  ``rref`` and ``rank`` take
-dense rational rows; ``Fraction``s are made only there."""
+``row`` builds every constraint row; ``IncrementalSystem`` eliminates them
+fraction-free (after Bareiss 1968) and reads out their canonical reduced
+echelon form in integers.  Only ``rref`` and ``rank`` make Fractions."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -26,31 +23,18 @@ def row(terms):
     return tuple(filter(itemgetter(1), out))
 
 
-def _integer(dense):
-    """A dense rational row scaled by the lcm of its denominators, as
-    ``{column: int}`` without the zero entries."""
-    den = lcm(*[x.denominator for x in dense])
-    return {c: x.numerator * (den // x.denominator)
-            for c, x in enumerate(dense) if x}
-
-
-def _system(rows, ncols):
-    """An ``IncrementalSystem`` holding integer rows ``{column: n}``."""
-    sysm = IncrementalSystem(ncols)
-    for v in rows:
-        sysm._push(v, 0)
-    return sysm
-
-
 def rref(rows):
-    """Reduced row echelon form ``(reduced, pivots)`` of dense rational
-    rows: the nonzero rows, dense and each scaled to a leading 1, and
-    their pivot columns."""
+    """``(reduced, pivots)`` of dense rational rows: the nonzero rows of
+    their reduced echelon form, dense with leading 1s, and the pivots."""
     ncols = len(rows[0]) if rows else 0
-    red = _system(map(_integer, rows), ncols).reduced()
-    pivots = sorted(red)
+    sysm = IncrementalSystem(ncols)
+    for dense in rows:      # scaled by the lcm of its denominators
+        den = lcm(*[x.denominator for x in dense])
+        sysm._push({c: x.numerator * (den // x.denominator)
+                    for c, x in enumerate(dense) if x}, 0)
+    red = sysm.reduced()
     return [[Fraction(d if c == piv else n.get(c, 0), d) for c in range(ncols)]
-            for piv in pivots for d, n in [red[piv]]], pivots
+            for piv in sorted(red) for d, n in [red[piv]]], sorted(red)
 
 
 def rank(rows):
@@ -59,8 +43,10 @@ def rank(rows):
 
 def kernel_basis(rows, ncols):
     """``reduced_kernel`` of sparse integer rows as ``push`` takes them."""
-    return reduced_kernel(
-        _system(map(dict, rows), ncols).reduced(), ncols)
+    sysm = IncrementalSystem(ncols)
+    for v in rows:
+        sysm._push(dict(v), 0)
+    return reduced_kernel(sysm.reduced(), ncols)
 
 
 def reduced_kernel(reduced, ncols, first=0):
@@ -83,15 +69,11 @@ def reduced_kernel(reduced, ncols, first=0):
 
 class IncrementalSystem:
     """Row-reduced linear system over columns 0..ncols-1 with push and
-    rollback to a mark ``len(pivots)``, for depth-first searches that
-    prune on ``0 = c``.
-
-    A stored row is reduced against the pivots present when it was pushed,
-    and kept as integers with no common factor: a positive pivot
-    coefficient, the nonzero ``(column, coefficient)`` pairs right of the
-    pivot, and the right-hand side, and with a provenance mask: its push
-    ``tag`` OR-ed with the masks of the rows it was eliminated against, so
-    that it names the tags of the pushed rows it is a combination of."""
+    rollback to a mark ``len(pivots)``, for depth-first searches that prune
+    on ``0 = c``.  A stored row is reduced against the pivots present at its
+    push, kept in integers with no common factor (pivot coefficient > 0,
+    the nonzero pairs right of the pivot, the right-hand side) and a mask:
+    its ``tag`` OR-ed with those of the rows it was eliminated against."""
 
     def __init__(self, ncols):
         self.ncols = ncols
@@ -104,16 +86,14 @@ class IncrementalSystem:
             del self.pivot_rows[self.pivots.pop()]
 
     def push(self, row, b, tag=0):
-        """Add ``row . x = b``: integer ``(column, coefficient)`` pairs, no
-        zero coefficients, and an integer ``b``; False iff it contradicts
-        the system.  Neither a redundant nor a contradicting row is stored;
-        after a False, ``conflict`` is the mask of the contradiction."""
+        """Add ``row . x = b`` (integer pairs without zeros, an integer
+        ``b``); False iff it contradicts the system.  Only a new row is
+        stored; after a False, ``conflict`` is the contradiction's mask."""
         return self._push(dict(row), b, tag)
 
     def _push(self, v, b, tag=0):
-        """``push`` of an integer row ``{column: coefficient}``, which it
-        consumes.  The wrappers call it directly, so that wrapping
-        ``push`` counts only the rows callers push."""
+        """``push`` of a row ``{column: coefficient}``, which it consumes;
+        called directly inside, so that ``push`` counts callers' rows."""
         pivot_rows = self.pivot_rows
         # eliminate the lowest column of v while it is a pivot; a stored row
         # only has entries right of its pivot, so fill-in lands to the right
@@ -151,19 +131,37 @@ class IncrementalSystem:
         self.pivots.append(c)
         return True
 
-    def reduced(self, first=0):
+    def reduced(self, first=0, trail=None):
         """The stored rows with pivot >= ``first``, fully reduced among
         themselves, as ``{pivot: (d, {column: n})}``: ``d x_pivot + sum n
-        x_column = 0`` with ``d > 0``, no common factor, and minus the
-        right-hand side at column ``ncols`` unless it is 0.  They span the
-        row combinations that vanish before ``first``, as the reduced
-        echelon form of that span, a canonical object."""
-        out = {}
-        # decreasing pivots: every pivot in a row's tail is reduced already;
-        # scaling by the lcm m of their d keeps the substitution integral
-        for piv in sorted((p for p in self.pivot_rows if p >= first),
-                          reverse=True):
-            p, tail, rb, _ = self.pivot_rows[piv]
+        x_column = 0``, ``d > 0``, no common factor, minus the right-hand
+        side at column ``ncols`` unless 0: the canonical reduced echelon
+        form of the combinations vanishing before ``first``.  A ``trail``
+        (one per system and ``first``) keeps it per stored row, valid while
+        the row stays stored as the same object; later rows fold into it."""
+        rows = self.pivot_rows
+        if trail is None:
+            # decreasing pivots: every pivot in a row's tail is reduced
+            return self._reduced_rows({}, {p: rows[p] for p in sorted(
+                (p for p in rows if p >= first), reverse=True)})
+        while trail and rows.get(trail[-1][0]) is not trail[-1][1]:
+            trail.pop()
+        out = trail[-1][2] if trail else {}
+        for piv in self.pivots[len(trail):]:
+            if piv >= first:
+                # the new row reduced against its parent's form, then its
+                # pivot eliminated from the rows that hold it
+                out = self._reduced_rows(dict(out), {piv: rows[piv], **{
+                    r: (d, n.items(), 0, 0)
+                    for r, (d, n) in out.items() if piv in n}})
+            trail.append((piv, rows[piv], out))
+        return out
+
+    def _reduced_rows(self, out, rows):
+        """``out`` with each row ``piv: (p, tail, rb, _)`` of ``rows``, ``p
+        x_piv + tail = rb``, put in turn, ``out``'s pivots substituted."""
+        for piv, (p, tail, rb, _) in rows.items():
+            # scaling by the lcm m of their d keeps the substitution integral
             m = lcm(*[out[j][0] for j, _ in tail if j in out])
             acc = {self.ncols: -rb * m} if rb else {}
             for j, x in tail:

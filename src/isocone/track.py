@@ -27,6 +27,14 @@ from isocone.homology import RibbonGraph
 from isocone import linalg
 
 
+class EntryError(ValueError):
+    """A refused input; ``entry`` keys the entry at fault, if it names one."""
+
+    def __init__(self, message, entry=None):
+        super().__init__(message)
+        self.entry = entry
+
+
 class NotMaximalError(ValueError):
     """Some complementary region of the track is not a trigon."""
 
@@ -76,7 +84,8 @@ class SurfaceTriangulation:
     ``triangles`` maps a triangle id to a ccw triple of directed edge ids;
     ``gluings`` is an involution pairing each directed edge with the
     oppositely traversed copy in the neighboring triangle.  Every directed
-    edge must be paired; an unglued edge is refused.
+    edge must be paired; a refusal names ``("triangle", t)`` or ``("glue",
+    d)`` as its entry, and none when it lists the unglued edges.
     """
 
     def __init__(self, triangles, gluings):
@@ -86,20 +95,22 @@ class SurfaceTriangulation:
         # corner i, is slot 3p + i, and _corners[3p + i] is that corner
         slot = self._slot = {}
         for p, (t, ds) in enumerate(self.triangles.items()):
+            at = ("triangle", t)
             if len(ds) != 3 or len(set(ds)) != 3:
-                raise ValueError(f"triangle {t!r} needs 3 distinct edges")
+                raise EntryError(f"triangle {t!r} needs 3 distinct edges", at)
             for i, d in enumerate(ds):
                 if d in slot:
-                    raise ValueError(f"directed edge {d!r} used twice")
+                    raise EntryError(f"directed edge {d!r} used twice", at)
                 slot[d] = 3 * p + i
         self._corners = [(t, i) for t in self.triangles for i in range(3)]
         for d, d2 in self.glue.items():
+            at = ("glue", d)
             if d2 == d:
-                raise ValueError(f"directed edge {d!r} glued to itself")
+                raise EntryError(f"directed edge {d!r} glued to itself", at)
             if self.glue.get(d2) != d:
-                raise ValueError(f"gluing not involutive at {d!r}")
+                raise EntryError(f"gluing not involutive at {d!r}", at)
             if d not in slot or d2 not in slot:
-                raise ValueError(f"gluing touches unknown edge {d!r}")
+                raise EntryError(f"gluing touches unknown edge {d!r}", at)
         unglued = sorted((d for d in slot if d not in self.glue), key=repr)
         if unglued:
             raise ValueError(f"unglued edges: {unglued!r}")
@@ -200,8 +211,7 @@ def triangle_form(surface, t, u, v):
     With the triangle's undirected edges E, F, G in ccw order the value is
     -1/2 (dE^dF + dF^dG + dG^dE) applied to (u, v).
     """
-    ds = surface.triangles[t]
-    E = [surface.edge_class[d] for d in ds]
+    E = [surface.edge_class[d] for d in surface.triangles[t]]
     total = 0
     for i in range(3):
         a, b = E[i], E[(i + 1) % 3]
@@ -283,9 +293,8 @@ class TrainTrack:
 
     def thurston_form(self, w1, w2):
         """Half the sum over switches of det of the incoming weight pairs."""
-        for w in (w1, w2):
-            if not self.check_weight(w):
-                raise InvalidWeightError("weight violates a switch relation")
+        if not (self.check_weight(w1) and self.check_weight(w2)):
+            raise InvalidWeightError("weight violates a switch relation")
         return Fraction(sum(_exact(w1[a]) * _exact(w2[b])
                             - _exact(w1[b]) * _exact(w2[a])
                             for a, b, _ in self.switches.values()), 2)
@@ -381,9 +390,8 @@ class TrainTrack:
         (end 0 to end 1), and runs from the flow-out end to the flow-in end
         of the one orientation.
         """
-        for w in (w1, w2):
-            if not self.check_weight(w):
-                raise InvalidWeightError("weight violates a switch relation")
+        if not (self.check_weight(w1) and self.check_weight(w2)):
+            raise InvalidWeightError("weight violates a switch relation")
         state = self.orientation()
         # the branches whose end 0 is their flow-in end
         back = {e for e, ((s1, p1), _) in self.branch_ends.items()

@@ -232,25 +232,25 @@ def test_criterion_9_symplectomorphism():
             assert a == omega_homological(s, t1, t2)
             assert a == omega_hessian(s, t1, t2)
 
-        # quadrature oracle at depth 5 against the exact values, on the
-        # convention-pinning pairs (see docs/conventions.md), including the
-        # closed forms <phi,phi> = area/4 and the metric positivity
-        # g(psi,psi) > 0 on the base-period tangents
+        # the hermitian pairing, the exact value rounded once, on the
+        # convention-pinning pairs (see docs/conventions.md): the closed
+        # forms <phi,phi> = area/4 and the metric positivity g(psi,psi) > 0
+        # on the base-period tangents
         sc = PeriodTangent.scaling(s)
         isc = sc.times_i()
         exact = omega_thurston(s, sc, isc)
         assert exact == -s.total_area()
         assert abs(omega_hessian(s, sc, isc)) == s.total_area() > 0
         num = kahler_pairing_numeric(s, sc, isc, depth=5)
-        assert abs(num.imag - float(exact)) < 1e-4
+        assert num == complex(0, float(exact))
         half = PeriodTangent(s, {d: v * Fraction(1, 2)
                                  for d, v in s.vectors.items()})
         assert abs(omega_hessian(s, half, half.times_i())) > 0
         norm = kahler_pairing_numeric(s, half, half, depth=5)
-        assert abs(norm.real - float(s.total_area()) / 4) < 1e-4
-        assert abs(norm.imag) < 1e-4
+        assert norm == complex(float(s.total_area() / 4))
     report(9, "three exact pairings agree on 2x50 random pairs; "
-              "quadrature within 1e-4 at depth 5", t0, 30.0)
+              "hermitian pairing equals the exact values rounded once",
+           t0, 30.0)
 
 
 def test_criterion_10_diagonal_membership():

@@ -558,6 +558,13 @@ class TestMalformedInput:
          "line 0: invalid flat surface: unglued edges: ['A', 'a']"),
         ({"kind translation": "kind spiral"}, "",
          "line 0: invalid flat surface: unknown kind 'spiral'"),
+        # a triangle or gluing the combinatorial surface refuses names its
+        # line: a directed edge used twice, by the second triangle to use
+        # it, and a gluing of an edge no triangle uses
+        ({"triangle t1 A B C": "triangle t1 A B a"}, "",
+         "line 3: invalid flat surface: directed edge 'a' used twice"),
+        ({"glue C c neg": "glue C zz neg"}, "",
+         "line 12: invalid flat surface: gluing touches unknown edge 'C'"),
     ])
     def test_flat_surface_refusal_names_its_line(self, tmp_path, capsys,
                                                  changed, extra, err):

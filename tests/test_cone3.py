@@ -39,7 +39,8 @@ from test_linalg import reference_kernel, reference_rref
 from util import (
     code_lines, fraction_constructions, mixed_product, mixed_query,
     off_diagonal_weight, outcome, random_tree, reference_boundary_components,
-    reference_branch_ends, reference_fold, reference_orientation,
+    reference_branch_ends, reference_compute_cone, reference_fold,
+    reference_orientation,
     reference_union_find, reference_validate_gluings, reference_walk,
     solution,
 )
@@ -1256,7 +1257,7 @@ def _assert_column_order(m):
     boundary = [m.boundary_edge_to_class[E] for E in m.boundary.edge_classes] \
         if m.boundary else []
     first = len(m.columns) - len(boundary)
-    assert m.columns[first:] == boundary
+    assert m.columns[first:] == boundary[::-1]
     assert m.columns[:first] == [c for c in m.edge_classes
                                  if c not in boundary]
 
@@ -1264,8 +1265,8 @@ def _assert_column_order(m):
 class TestColumnOrder:
     """``Triangulation3.columns``, the one column order of every cached
     row: the interior classes in ``edge_classes`` order, then the boundary
-    classes in ``boundary.edge_classes`` order, which ``compute_cone`` and
-    ``member`` take as they are."""
+    classes in reverse ``boundary.edge_classes`` order, which
+    ``compute_cone`` and ``member`` take as they are."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.integers(0, 2 ** 32 - 1))
@@ -1593,10 +1594,56 @@ def test_cone_independent_of_tet_names(n, seed, data):
         (old[E[0]], *E[1:])]) == _canonical_components(cone, lambda E: E)
 
 
+def _oracle_cone_query(family, rng):
+    """A ``_random_complex`` draw with a boundary, or ``chain_tets(2..6)``,
+    with random outgoing slots."""
+    m = _random_complex(rng) if family == "random" else chain_tets(
+        rng.randint(2, 6))
+    assume(m.boundary is not None)
+    return m, BoundaryTrack(m, _random_outgoing(m, rng))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["random", "chain"]), st.integers(0, 2 ** 32 - 1),
+       st.integers(0, 6))
+def test_compute_cone_matches_per_leaf_oracle(family, seed, samples):
+    # the form folded along the walk and the kernel read backwards give the
+    # components, their order and their spans of the retired leaf, which
+    # reduced every vector afresh and took each span's rref; samples == 0
+    # walks every vector, else as many sampled ones, repeats and all
+    rng = random.Random(seed)
+    m, btr = _oracle_cone_query(family, rng)
+    combos = [tuple(rng.randrange(3) for _ in m.tets)
+              for _ in range(samples)] if samples else None
+    cone = compute_cone(m, btr, None if combos is None else iter(combos))
+    assert cone.edge_order == m.boundary.edge_classes
+    assert cone.components == reference_compute_cone(m, btr, combos)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(["random", "chain"]), st.integers(0, 2 ** 32 - 1))
+def test_folded_form_is_reduced_at_every_leaf(family, seed):
+    # at each leaf of an exhaustive walk, the form folded from the trail is
+    # the system's reduced form computed afresh
+    m, btr = _oracle_cone_query(family, random.Random(seed))
+    reduced, leaves = linalg.IncrementalSystem.reduced, []
+
+    def checked(self, first=0, trail=None):
+        out = reduced(self, first, trail)
+        leaves.append(trail is not None and out == reduced(self, first))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg.IncrementalSystem, "reduced", checked)
+        compute_cone(m, btr)
+    assert leaves == [True] * 3 ** len(m.tets)
+
+
 class TestCone:
     def test_chain4_makes_fractions_only_for_the_spans(self):
-        # one Fraction per entry of a printed span, made by ``rref``; with
-        # the Fraction reduced forms and kernels the same call made 1,252
+        # one Fraction per entry of a printed span, read off the kernel;
+        # with the Fraction reduced forms and kernels the same call made
+        # 1,252
         m, btr = _chain_track(4)
         cones = []
         made = fraction_constructions(
@@ -1680,8 +1727,8 @@ class TestCone:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_chain_work_counts(self, n, monkeypatch):
         # consecutive choice vectors share the rows of their common prefix:
-        # one push per node of the choice tree below the fixed rows, and
-        # the dense elimination only for each new component
+        # one push per node of the choice tree below the fixed rows, and no
+        # dense elimination: the spans are read off the kernels
         m, btr = _chain_track(n)
         pushes, rrefs = _count_pushes(monkeypatch), []
         rref = linalg.rref
@@ -1694,7 +1741,51 @@ class TestCone:
         cone = compute_cone(m, btr)
         fixed = len(m.torus_rows) + len(btr.track.switches)
         assert len(pushes) == fixed + (3 ** (n + 1) - 3) // 2
-        assert len(rrefs) <= 2 * len(cone)
+        assert cone.components and rrefs == []
+
+    def test_chain5_reduces_each_stored_row_once(self, monkeypatch):
+        # the exhaustive walk folds each row it stores on the boundary
+        # columns into its parent's form once, the rows above the walk at
+        # the first leaf: 247 row steps, and 1,345 more that eliminate
+        # their pivots from the rows holding them; the retired leaf reduced
+        # every boundary row again at each of the 243 leaves, 3,949 steps
+        m, btr = _chain_track(5)
+        first = len(m.columns) - len(m.boundary.edge_classes)
+        calls, stored, steps = [], [], []
+        system = linalg.IncrementalSystem
+        reduced, push = system.reduced, system._push
+        step = system._reduced_rows
+
+        def counted_reduced(self, first=0, trail=None):
+            out = reduced(self, first, trail)
+            calls.append((self, trail is not None, len(out)))
+            return out
+
+        def counted_push(self, v, b, tag=0):
+            mark = len(self.pivots)
+            ok = push(self, v, b, tag)
+            stored.append(len(self.pivots) > mark and self.pivots[-1] >= first)
+            return ok
+
+        def counted_step(self, out, rows):
+            # a stored row's tail is a tuple
+            steps.extend(type(row[1]) is tuple for row in rows.values())
+            return step(self, out, rows)
+
+        monkeypatch.setattr(system, "reduced", counted_reduced)
+        monkeypatch.setattr(system, "_push", counted_push)
+        monkeypatch.setattr(system, "_reduced_rows", counted_step)
+        compute_cone(m, btr)
+        assert [c[1] for c in calls] == [True] * 243
+        assert sum(steps) == sum(stored) == 247
+        assert len(steps) == 1592
+        # the retired leaf: one row step per row of each leaf's form, and
+        # no trail; the other calls are the rref of each new component
+        del calls[:]
+        reference_compute_cone(m, btr)
+        leaves = [c for c in calls if c[0] is calls[0][0]]
+        assert [c[1] for c in leaves] == [False] * 243
+        assert sum(c[2] for c in leaves) == 3949
 
     def test_shared_boundary_class_rejected(self, monkeypatch):
         # the same hand merge inside a fixture: construction refuses it
@@ -1985,9 +2076,10 @@ def _reference_build(m):
                       "genus": (2 - chi) // 2, "torus": chi == 0})
         if chi == 0:
             torus |= {to_class[E] for E in edges}
-    # the interior classes, then the boundary classes in boundary edge order
+    # the interior classes, then the boundary classes in reverse boundary
+    # edge order
     boundary = [to_class[E] for E in surf[1]] if surf else []
-    columns = [E for E in edge_classes if E not in boundary] + boundary
+    columns = [E for E in edge_classes if E not in boundary] + boundary[::-1]
     column = {E: i for i, E in enumerate(columns)}
 
     def row(terms):
@@ -2129,7 +2221,7 @@ def test_boundary_and_fold_match_oracle(family, seed, style, data):
                 for E in (m2.boundary.edge_classes if m2.boundary else ())]
     assert m2.edge_classes == edge_classes
     assert m2.columns == [E for E in edge_classes
-                          if E not in boundary] + boundary
+                          if E not in boundary] + boundary[::-1]
     if not outgoing:
         return
     track = BoundaryTrack(
@@ -2196,7 +2288,7 @@ def test_code_line_count():
     # triangle, a second scan of the boundary faces or a second search over
     # choices would not fit; 16 more lines hold the table of face maps, its
     # refusal diagnosis and the entry a refusal names
-    assert code_lines("cone3") <= 588
+    assert code_lines("cone3") <= 586
 
 
 def test_fixtures_code_line_count():

@@ -263,6 +263,28 @@ def test_reduced_matches_rref(program, first):
             for p, (d, n) in reduced.items()], reduced, ncols, first)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(programs(), st.integers(0, 5), st.integers(0, 25), st.booleans())
+def test_trail_folds_to_reduced(program, first, start, every):
+    # a trail kept from step ``start`` on, read after every step or only
+    # now and then, folds to the reduced form computed afresh: rows stored
+    # before it, rows rolled back below its snapshots and rows pushed
+    # again in their place
+    ncols, ops = program
+    sysm = linalg.IncrementalSystem(ncols)
+    trail, marks = [], []
+    for i, op in enumerate(ops):
+        if op[0] == "push":
+            sysm.push(*scaled(op[1], op[2]))
+        elif op[0] == "checkpoint":
+            marks.append(len(sysm.pivots))
+        elif marks:
+            sysm.rollback(marks.pop())
+        if i >= start and (every or i % 3 == 0):
+            assert sysm.reduced(first, trail) == sysm.reduced(first)
+            assert len(trail) == len(sysm.pivots)
+
+
 def test_wrappers_do_not_count_as_pushes(monkeypatch):
     # the dense wrappers share the core below ``push``, so that a wrapped
     # ``push`` counts only the rows the searches push

@@ -491,16 +491,59 @@ def reference_fold(manifold, w_boundary):
     """The ``options`` that ``cone3.member`` hands to ``walk``, by the
     retired fold: per choice row a filtered list of its interior terms and
     a sum over its pinned ones, the pins scaled to integers over the lcm of
-    their denominators."""
-    pins = manifold.boundary.edge_classes
-    values = [rat(w_boundary.get(E, 0)) for E in pins]
+    their denominators; the pinned columns are those of the boundary
+    classes, each the pin of its boundary edge."""
+    edge_of = {cls: E for E, cls in manifold.boundary_edge_to_class.items()}
+    first = len(manifold.columns) - len(edge_of)
+    values = [rat(w_boundary.get(edge_of[cls], 0))
+              for cls in manifold.columns[first:]]
     D = math.lcm(*[val.denominator for val in values])
     pinned = [val.numerator * (D // val.denominator) for val in values]
-    first = len(manifold.columns) - len(pins)
     return [[(k, [(c, x) for c, x in row if c < first],
               -sum(x * pinned[c - first] for c, x in row if c >= first))
              for k, row in enumerate(manifold.choice_rows[t])]
             for t in manifold.tets]
+
+
+def reference_compute_cone(manifold, btrack, choice_iter=None):
+    """The components of ``cone3.compute_cone`` by the retired leaf: every
+    choice vector on ``reference_walk`` (all of them in product order, or
+    one single-option walk per sampled vector) reduces its boundary rows
+    afresh with ``reduced(first)``, and each new component's span is the
+    ``rref`` of its kernel, read in boundary edge order through
+    ``boundary_edge_to_class``, whatever the column order."""
+    edge_order = manifold.boundary.edge_classes
+    column = {cls: c for c, cls in enumerate(manifold.columns)}
+    at = [column[manifold.boundary_edge_to_class[E]] for E in edge_order]
+    sysm = linalg.IncrementalSystem(len(manifold.columns))
+    first = sysm.ncols - len(edge_order)
+    for row in manifold.torus_rows + btrack.track.switch_rows(
+            dict(zip(edge_order, at))):
+        sysm.push(row, 0)
+    options = [[(k, row, 0) for k, row in enumerate(manifold.choice_rows[t])]
+               for t in manifold.tets]
+    seen = {}
+
+    def record(combo):
+        red = sysm.reduced(first)
+        key = frozenset((p, d, frozenset(n.items()))
+                        for p, (d, n) in red.items())
+        if key not in seen:
+            span, _ = linalg.rref([
+                [vec.get(c - first, 0) for c in at]
+                for _, vec in linalg.reduced_kernel(red, sysm.ncols, first)])
+            seen[key] = {"span": span, "dimension": len(span),
+                         "choice": dict(zip(manifold.tets, combo))}
+        return False
+
+    if choice_iter is None:
+        reference_walk(sysm, options, record)
+    else:
+        for combo in choice_iter:
+            reference_walk(sysm, [[opts[k]] for opts, k in
+                                  zip(options, combo, strict=True)], record)
+    return sorted(seen.values(),
+                  key=lambda c: (c["dimension"], repr(c["span"])))
 
 
 def reference_rat(tok, lineno, notes):
