@@ -291,28 +291,22 @@ class Triangulation3:
         the cyclic sum of wedges of its three opposite-pair sums, in
         ``OPPOSITE_PAIRS`` order.
         """
-        terms = [[] for _ in self.columns]
+        acc = [{} for _ in self.columns]
         for c in self._tet_columns:
             for a, b in _FORM_WEDGES:
-                terms[c[a]].append((c[b], -1))
-                terms[c[b]].append((c[a], 1))
-        return {E: linalg.row(ts) for E, ts in zip(self.columns, terms)}
-
-    def _form_image(self, v):
-        """``form_rows`` applied to a weight, over the classes it may not
-        vanish on.  The coefficients are antisymmetric, so this is minus
-        the sum of the rows of the nonzero entries of ``v``."""
-        cls = self.columns
-        image = {}
-        for d, y in v.items():
-            if y:
-                for col, x in self.form_rows[d]:
-                    image[cls[col]] = image.get(cls[col], 0) - x * y
-        return image
+                acc[c[a]][c[b]] = acc[c[a]].get(c[b], 0) - 1
+                acc[c[b]][c[a]] = acc[c[b]].get(c[a], 0) + 1
+        # the sorted nonzero pairs of each class, as linalg.row gives them
+        return {E: tuple(sorted([p for p in r.items() if p[1]]))
+                for E, r in zip(self.columns, acc)}
 
     def omega(self, u, v):
         """Sum of the tetrahedron forms over all tetrahedra."""
-        return Fraction(_pair(u, self._form_image(v)), 2)
+        # u dotted with form_rows applied to v: the coefficients are
+        # antisymmetric, so that image is minus the sum of the rows of v
+        cls = self.columns
+        return Fraction(-sum(u.get(cls[col], 0) * x * y for d, y in v.items()
+                             for col, x in self.form_rows[d]), 2)
 
     # read by name: perfbench/spans.py traces it, and acceptance criterion 2
     # calls it
@@ -367,17 +361,27 @@ class Triangulation3:
         basis vectors, and a positive multiple of a vector keeps each value
         zero or nonzero; so the pairs are taken on the integer numerators
         ``n`` of the basis vectors ``(L, {class: n})``."""
-        basis = [v for _, v in self.w4_subspace(choices)]
-        for j, v in enumerate(basis):
-            image = self._form_image(v)
-            if any(_pair(u, image) for u in basis[:j]):
+        # one pass per vector reads it into its image under form_rows, keyed
+        # by column, and into held, the (i, n) per class of the vectors read
+        # before it; sums[i] then collects twice the form on vector i and
+        # this one, with no lookup in either vector
+        cls, rows = self.columns, self.form_rows
+        held = {E: [] for E in cls}
+        for j, (_, v) in enumerate(self.w4_subspace(choices)):
+            image, mine = {}, []
+            for d, y in v.items():
+                mine.append((d, (j, y)))
+                for col, x in rows[d]:
+                    image[col] = image.get(col, 0) - x * y
+            sums = [0] * j
+            for col, y in image.items():
+                for i, x in held[cls[col]]:
+                    sums[i] += x * y
+            if any(sums):
                 return False
+            for d, e in mine:
+                held[d].append(e)
         return True
-
-
-def _pair(u, image):
-    """``u`` dotted with a ``_form_image``."""
-    return sum(x * y for c, y in image.items() if (x := u.get(c)))
 
 
 # -- boundary train tracks and the cone -----------------------------------------

@@ -248,7 +248,7 @@ def parse_manifold(text):
         outgoing[tri_by_name[name]] = int(slot)
 
     weights = {}
-    if manifold.boundary is not None:
+    if manifold.boundary is not None and weight_lines:
         edge_by_name = {boundary_edge_name(E): E
                         for E in manifold.boundary.edge_classes}
         for lineno, name, val in weight_lines:

@@ -38,9 +38,9 @@ from test_homology import _grid_module
 from test_linalg import reference_kernel, reference_rref
 from util import (
     code_lines, fraction_constructions, mixed_product, mixed_query,
-    off_diagonal_weight, outcome, random_tree, reference_boundary_components,
-    reference_branch_ends, reference_compute_cone, reference_fold,
-    reference_orientation,
+    off_diagonal_weight, outcome, pairwise_isotropy, random_tree,
+    reference_boundary_components, reference_branch_ends,
+    reference_compute_cone, reference_fold, reference_orientation,
     reference_union_find, reference_validate_gluings, reference_walk,
     solution,
 )
@@ -807,6 +807,38 @@ class TestIsotropy:
         assert m.isotropy_check(choices) is \
             _fraction_isotropy(m, _fraction_basis(m, m.w4_subspace(choices)))
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32 - 1), st.data())
+    def test_random_corrupted_subspaces_match_fraction_gram(self, seed, data):
+        # a choice subspace of a _random_complex draw with one tet's
+        # equality dropped, as _corrupted_basis does on two_tets, in the
+        # format of w4_subspace: the form need not vanish on it
+        rng = random.Random(seed)
+        m = _random_complex(rng)
+        choices = {t: rng.randrange(3) for t in m.tets}
+        drop = data.draw(st.sampled_from(m.tets))
+        rows = m.torus_rows + [m.choice_rows[t][choices[t]]
+                               for t in m.tets if t != drop]
+        basis = [(L, {m.columns[c]: x for c, x in vec.items()})
+                 for L, vec in linalg.kernel_basis(rows, len(m.columns))]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(m, "w4_subspace", lambda choices: basis)
+            assert m.isotropy_check(choices) is \
+                _fraction_isotropy(m, _fraction_basis(m, basis))
+
+    def test_each_vector_read_once(self, monkeypatch):
+        # one pass per basis vector: its entries are iterated once, and no
+        # pair of vectors looks an entry up; the pairwise Gram looked up
+        # every earlier vector at every class of each image
+        m = g2_product_bundle()["manifold"]
+        rng = random.Random(84)
+        choices = {t: rng.randrange(3) for t in m.tets}
+        basis = [(L, _CountedVector(v)) for L, v in m.w4_subspace(choices)]
+        monkeypatch.setattr(m, "w4_subspace", lambda choices: basis)
+        assert m.isotropy_check(choices)
+        assert [(v.passes, v.lookups) for _, v in basis] == \
+            [(1, 0)] * len(basis)
+
     def test_g2_samples_make_no_fraction(self):
         # the subspace, its basis and the Gram stay integers; with the
         # Fraction basis the same 24 checks made 24,963 Fractions
@@ -819,15 +851,48 @@ class TestIsotropy:
             lambda: [m.isotropy_check(c) for c in samples]) == 0
 
 
+class _CountedVector(dict):
+    """A basis vector that counts its reads: ``passes`` over its entries
+    (``items``, ``keys``, ``values``, iteration) and ``lookups`` of single
+    entries (``get``, ``[]``, ``in``)."""
+
+    passes = lookups = 0
+
+    def _pass(self, read):
+        self.passes += 1
+        return read()
+
+    def _lookup(self, read, *args):
+        self.lookups += 1
+        return read(*args)
+
+    def items(self):
+        return self._pass(super().items)
+
+    def keys(self):
+        return self._pass(super().keys)
+
+    def values(self):
+        return self._pass(super().values)
+
+    def __iter__(self):
+        return self._pass(super().__iter__)
+
+    def get(self, *args):
+        return self._lookup(super().get, *args)
+
+    def __getitem__(self, key):
+        return self._lookup(super().__getitem__, key)
+
+    def __contains__(self, key):
+        return self._lookup(super().__contains__, key)
+
+
 def _fraction_isotropy(m, basis):
     """The ``Fraction`` Gram that ``isotropy_check`` ran before its basis
     came as integers: the form on every pair of basis vectors, taken on
-    the rational vectors as given."""
-    for j, v in enumerate(basis):
-        image = m._form_image(v)
-        if any(cone3._pair(u, image) for u in basis[:j]):
-            return False
-    return True
+    the rational vectors as given, by the pairwise oracle."""
+    return pairwise_isotropy(m, basis)
 
 
 class TestRestriction:

@@ -5,8 +5,9 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from isocone import io
+from isocone.cone3 import Triangulation3
 from isocone.fixtures import (genus2_maximal_track, two_tets, chain_tets,
-                              g2_product_bundle, mf_weight,
+                              g2_product_bundle, glue_tets, mf_weight,
                               diagonal_boundary_weight)
 from isocone.flatsurf import (QC, lshape_h2, pillowcase, square_torus,
                                PeriodTangent)
@@ -90,6 +91,25 @@ class TestManifoldFormat:
                                      weights=wb)
         m2, out2, w2, _ = io.parse_manifold(text)
         assert io.serialize_manifold(m2, outgoing=out2, weights=w2) == text
+
+    def test_no_weight_lines_name_no_edge(self, monkeypatch):
+        # the boundary edges are named only to look weight lines up
+        names = []
+        monkeypatch.setattr(io, "boundary_edge_name",
+                            lambda E: names.append(E) or repr(E))
+        b = g2_product_bundle()
+        text = io.serialize_manifold(b["manifold"], outgoing=b["outgoing"])
+        assert io.parse_manifold(text)[2] == {} and names == []
+
+    def test_weight_on_closed_manifold_names_its_line(self):
+        glu = {}
+        for f in range(4):
+            glue_tets(glu, "T0", f, "T1", f)
+        text = io.serialize_manifold(Triangulation3(["T0", "T1"], glu))
+        line = text.count("\n") + 1
+        with pytest.raises(io.ParseError, match=f"^line {line}: weights on "
+                                                f"a closed manifold$"):
+            io.parse_manifold(text + "weight T0.0.0 1\n")
 
     def test_bad_permutation(self):
         with pytest.raises(io.ParseError):

@@ -546,6 +546,23 @@ def reference_compute_cone(manifold, btrack, choice_iter=None):
                   key=lambda c: (c["dimension"], repr(c["span"])))
 
 
+def pairwise_isotropy(manifold, basis):
+    """Whether the total form vanishes on every pair of ``basis`` vectors,
+    weights keyed by edge class, pair by pair: the ``form_rows`` image of
+    each vector, keyed by class, dotted with every earlier vector, the
+    Gram ``isotropy_check`` ran before it read each vector once."""
+    cls = manifold.columns
+    for j, v in enumerate(basis):
+        image = {}
+        for d, y in v.items():
+            for col, x in manifold.form_rows[d]:
+                image[cls[col]] = image.get(cls[col], 0) - x * y
+        for u in basis[:j]:
+            if sum(x * y for c, y in image.items() if (x := u.get(c))):
+                return False
+    return True
+
+
 def reference_rat(tok, lineno, notes):
     """The retired ``io._rat``: every token read with ``Fraction(str)``,
     which its integer fast path matched, as a ``Fraction``.  The oracle of
