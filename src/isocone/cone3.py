@@ -3,9 +3,9 @@
 A ``Triangulation3`` is a set of abstract tetrahedra with corner slots
 0..3, oriented by the slot order, glued in pairs of faces by corner
 bijections (face ``f`` is opposite corner ``f``).  Each gluing must be
-orientation-reversing, which makes the complex an oriented 3-manifold
-with boundary; the unglued faces assemble into a closed oriented
-``SurfaceTriangulation``.
+orientation-reversing, which makes the complex an oriented
+pseudo-manifold with boundary (vertex links are not checked); the unglued
+faces assemble into a closed oriented ``SurfaceTriangulation``.
 
 Weights live on the edge classes (tetrahedron edges identified by the
 gluings).  Each oriented tetrahedron carries an alternating 2-form in the
@@ -16,11 +16,13 @@ orientations and cancel.
 
 For every choice of one pair-sum equality per tetrahedron there is a
 linear subspace of weights (with torus boundary components pinned to
-zero); each such subspace is isotropic for the total form.  Restricting
-the union of these subspaces to the boundary and intersecting with the
-switch relations and nonnegativity of a dual train track on the boundary
-yields a finite union of polyhedral cones; membership of a boundary weight
-is an exact rational feasibility question over the choices.
+zero); each such subspace is isotropic for the total form, by a proof
+that needs only the face pairing (``Triangulation3.isotropy_certificate``
+checks it).  Restricting the union of these subspaces to the boundary and
+intersecting with the switch relations and nonnegativity of a dual train
+track on the boundary yields a finite union of polyhedral cones;
+membership of a boundary weight is an exact rational feasibility question
+over the choices.
 """
 
 import bisect
@@ -101,6 +103,36 @@ _FORM_WEDGES = [(a, b) for i in range(3) for a in _OPPOSITE_EDGES[i]
                 for b in _OPPOSITE_EDGES[(i + 1) % 3]]
 
 
+class IsotropyError(ValueError):
+    """A check of ``Triangulation3.isotropy_certificate`` that failed."""
+
+
+@functools.cache
+def _tet_lemma():
+    """Check, once per process, that the tetrahedron form ``w`` vanishes on
+    each choice hyperplane, the kernel of a choice's linear form ``p``: it
+    does iff the 3-form ``w ∧ p`` is 0, at each ``i < j < l``."""
+    w = [[dict(r).get(j, 0) for j in range(6)]
+         for r in _wedge_rows(range(6), _FORM_WEDGES).values()]
+    for k, (a, b, x, y) in enumerate(_CHOICE_EDGES):
+        p = [(e in (a, b)) - (e in (x, y)) for e in range(6)]
+        if any(w[i][j] * p[l] - w[i][l] * p[j] + w[j][l] * p[i]
+               for i, j, l in itertools.combinations(range(6), 3)):
+            raise IsotropyError(
+                f"the tetrahedron form does not vanish on choice {k}")
+
+
+def _wedge_rows(columns, wedges):
+    """Minus the sum of the wedges ``(a, b)`` of column indices, as the
+    sorted nonzero ``(col, x)`` of each class of ``columns``."""
+    acc = [{} for _ in columns]
+    for a, b in wedges:
+        acc[a][b] = acc[a].get(b, 0) - 1
+        acc[b][a] = acc[b].get(a, 0) + 1
+    return {E: tuple(sorted([p for p in r.items() if p[1]]))
+            for E, r in zip(columns, acc)}
+
+
 def _gluing_refusal(index, glued, entry, t2, f2, perm):
     """The refusal of a gluing entry ``entry -> (t2, f2, perm)`` that
     ``_validate_gluings`` did not take, from the first check it fails,
@@ -128,7 +160,8 @@ def _gluing_refusal(index, glued, entry, t2, f2, perm):
 
 
 class Triangulation3:
-    """Oriented tetrahedra glued in pairs of faces, orientation-reversing.
+    """Oriented tetrahedra glued in pairs of faces, orientation-reversing:
+    an oriented pseudo-manifold, whose vertex links are not checked.
 
     ``tets`` is an iterable of tetrahedron ids.  ``gluings`` maps
     ``(tet, face)`` to ``(tet2, face2, perm)``, one entry per glued face
@@ -291,14 +324,9 @@ class Triangulation3:
         the cyclic sum of wedges of its three opposite-pair sums, in
         ``OPPOSITE_PAIRS`` order.
         """
-        acc = [{} for _ in self.columns]
-        for c in self._tet_columns:
-            for a, b in _FORM_WEDGES:
-                acc[c[a]][c[b]] = acc[c[a]].get(c[b], 0) - 1
-                acc[c[b]][c[a]] = acc[c[b]].get(c[a], 0) + 1
-        # the sorted nonzero pairs of each class, as linalg.row gives them
-        return {E: tuple(sorted([p for p in r.items() if p[1]]))
-                for E, r in zip(self.columns, acc)}
+        return _wedge_rows(self.columns, [(c[a], c[b]) for c in
+                                          self._tet_columns
+                                          for a, b in _FORM_WEDGES])
 
     def omega(self, u, v):
         """Sum of the tetrahedron forms over all tetrahedra."""
@@ -382,6 +410,32 @@ class Triangulation3:
             for d, e in mine:
                 held[d].append(e)
         return True
+
+    def isotropy_certificate(self):
+        """Check the proof that every choice subspace is isotropic, and
+        return the sizes it covers: the tet lemma (``_tet_lemma``), and
+        Stokes, which needs only the face pairing: ``form_rows`` has no
+        entry in an interior class, and its boundary block is the sum of
+        the ``triangle_form`` wedges of ``boundary``.  A failed check raises
+        ``IsotropyError`` naming its choice, class or triangle."""
+        _tet_lemma()
+        surf, cls = self.boundary, self.columns
+        tris, edges = (surf.triangles, surf.edge_classes) if surf else ({}, [])
+        # the boundary columns hold the boundary classes in reverse order
+        col = {E: len(cls) - 1 - i for i, E in enumerate(edges)}
+        block = _wedge_rows(cls, [
+            (col[surf.edge_class[d]], col[surf.edge_class[ds[(i + 1) % 3]]])
+            for ds in tris.values() for i, d in enumerate(ds)])
+        for c, E in enumerate(cls):
+            if self.form_rows[E] != block[E]:
+                at = next((f"class {E!r} of triangle {t!r}" for t, ds in
+                           tris.items() if c in [col[surf.edge_class[d]]
+                                                 for d in ds]),
+                          f"interior class {E!r}")
+                raise IsotropyError(
+                    f"the total form differs from the boundary form at {at}")
+        return {"choices": len(_CHOICE_EDGES), "boundary_triangles": len(tris),
+                "interior_classes": len(cls) - len(edges)}
 
 
 # -- boundary train tracks and the cone -----------------------------------------

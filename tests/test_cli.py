@@ -1,10 +1,11 @@
 import importlib
 import pathlib
+import time
 from fractions import Fraction
 
 import pytest
 
-from isocone import io, linalg
+from isocone import cone3, io, linalg
 from isocone.cli import _parse_rotate, build_parser, run
 from isocone.cone3 import BoundaryTrack
 from isocone.fixtures import chain_tets
@@ -355,6 +356,100 @@ class TestConeCommands:
         assert "member: false" in out and "reason: switch" in out
 
 
+class TestIsotropyByCertificate:
+    """``cone isotropy`` answers every choice subspace from
+    ``Triangulation3.isotropy_certificate``; a failed check is a domain
+    error that names its choice, class or triangle."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_lemma(self):
+        # the tet lemma is checked once per process: each case starts and
+        # ends with it unchecked
+        cone3._tet_lemma.cache_clear()
+        yield
+        cone3._tet_lemma.cache_clear()
+
+    @pytest.mark.parametrize("name, tets, total", [
+        ("g2xI", 36, "150094635296999121"), ("chain4", 4, "81")])
+    def test_all_choices(self, tmp_path, capsys, monkeypatch, name, tets,
+                         total):
+        assert 3 ** tets == int(total)
+        path = fixture_file(tmp_path, name)
+        capsys.readouterr()
+
+        def refuse(*args):
+            raise AssertionError("no per-vector check")
+        for attr in ("isotropy_check", "w4_subspace"):
+            monkeypatch.setattr(cone3.Triangulation3, attr, refuse)
+        t0 = time.perf_counter()
+        assert run(["cone", "isotropy", "--input", path,
+                    "--choices", "all"]) == 0
+        assert time.perf_counter() - t0 < 2.0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[:6] == [
+            "status: ok", "choices: all", f"coverage: {total}/{total}",
+            "certified: true", f"checked: {total}", "isotropic: true"]
+        assert captured.err == ""
+
+    @staticmethod
+    def _refused(tmp_path, capsys):
+        path = fixture_file(tmp_path, "g2xI")
+        capsys.readouterr()
+        assert run(["cone", "isotropy", "--input", path, "--choices",
+                    "sample:2", "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prefix = "error: isotropy certificate failed: "
+        assert captured.err.startswith(prefix)
+        assert captured.err.count("\n") == 1
+        return captured.err[len(prefix):-1]
+
+    @staticmethod
+    def _corrupt_form_rows(monkeypatch, corrupt):
+        # every manifold the command builds gets corrupted rows
+        rows = cone3.Triangulation3.form_rows.func
+        monkeypatch.setattr(cone3.Triangulation3, "form_rows", property(
+            lambda m: corrupt(m, dict(rows(m)))))
+
+    def test_flipped_wedge(self, tmp_path, capsys, monkeypatch):
+        a, b = cone3._FORM_WEDGES[3]
+        monkeypatch.setattr(cone3, "_FORM_WEDGES", [
+            *cone3._FORM_WEDGES[:3], (b, a), *cone3._FORM_WEDGES[4:]])
+        assert self._refused(tmp_path, capsys) == \
+            "the tetrahedron form does not vanish on choice 0"
+
+    def test_interior_entry(self, tmp_path, capsys, monkeypatch):
+        seen = []
+
+        def corrupt(m, rows):
+            seen.append(E := m.columns[0])
+            rows[E] += ((len(m.columns) - 1, 1),)
+            return rows
+        self._corrupt_form_rows(monkeypatch, corrupt)
+        assert self._refused(tmp_path, capsys) == \
+            "the total form differs from the boundary form at interior " \
+            f"class {seen[0]!r}"
+
+    def test_wrong_boundary_coefficient(self, tmp_path, capsys, monkeypatch):
+        seen = []
+
+        def corrupt(m, rows):
+            E = m.columns[-1]
+            (col, x), *rest = rows[E]
+            rows[E] = ((col, 2 * x), *rest)
+            surf = m.boundary
+            seen.append((E, next(
+                t for t, ds in surf.triangles.items()
+                if E in [m.boundary_edge_to_class[surf.edge_class[d]]
+                         for d in ds])))
+            return rows
+        self._corrupt_form_rows(monkeypatch, corrupt)
+        message = self._refused(tmp_path, capsys)
+        E, t = seen[0]
+        assert message == "the total form differs from the boundary form " \
+            f"at class {E!r} of triangle {t!r}"
+
+
 class TestTreeCommand:
 
     def test_fourpoint(self, tmp_path, capsys):
@@ -669,4 +764,4 @@ class TestMalformedInput:
 def test_code_line_count():
     # commands parse, call the library and print; the computations live in
     # the library
-    assert code_lines("cli") <= 312
+    assert code_lines("cli") <= 306

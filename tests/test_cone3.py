@@ -2,8 +2,12 @@ import functools
 import gc
 import itertools
 import math
+import os
+import pathlib
 import random
 import re
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
 
@@ -37,8 +41,9 @@ from test_acceptance import _random_complex
 from test_homology import _grid_module
 from test_linalg import reference_kernel, reference_rref
 from util import (
-    code_lines, fraction_constructions, mixed_product, mixed_query,
-    off_diagonal_weight, outcome, pairwise_isotropy, random_tree,
+    code_lines, fraction_constructions, links_are_disks_or_spheres,
+    mixed_product, mixed_query, off_diagonal_weight, outcome,
+    pairwise_isotropy, random_tree,
     reference_boundary_components, reference_branch_ends,
     reference_compute_cone, reference_fold, reference_orientation,
     reference_union_find, reference_validate_gluings, reference_walk,
@@ -893,6 +898,95 @@ def _fraction_isotropy(m, basis):
     came as integers: the form on every pair of basis vectors, taken on
     the rational vectors as given, by the pairwise oracle."""
     return pairwise_isotropy(m, basis)
+
+
+class TestIsotropyCertificate:
+    """``isotropy_certificate`` checks the proof that every choice subspace
+    is isotropic: the tet lemma on the constant tables, and Stokes on
+    ``form_rows`` and the boundary triangles."""
+
+    @pytest.mark.parametrize("build, interior, triangles", [
+        (lambda: g2_product_bundle()["manifold"], 22, 24),
+        (lambda: chain_tets(4), 0, 10), (two_tets, 0, 6), (single_tet, 0, 4)])
+    def test_sizes(self, build, interior, triangles):
+        assert build().isotropy_certificate() == {
+            "choices": 3, "interior_classes": interior,
+            "boundary_triangles": triangles}
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_random_complexes_verify_and_pass_the_gram(self, seed):
+        # the certificate verifies, and sampled choice subspaces pass the
+        # pairwise Gram, the per-vector check the command ran before
+        rng = random.Random(seed)
+        m = _random_complex(rng)
+        cert = m.isotropy_certificate()
+        assert cert["boundary_triangles"] == len(m.boundary_faces)
+        for _ in range(3):
+            choices = {t: rng.randrange(3) for t in m.tets}
+            assert pairwise_isotropy(
+                m, _fraction_basis(m, m.w4_subspace(choices))) is True
+
+    def test_pseudo_manifolds_verify(self):
+        # 131 of these 500 draws have a vertex link that is neither a disk
+        # nor a sphere; the proof needs only the face pairing
+        rng = random.Random(5)
+        pseudo = 0
+        for _ in range(500):
+            m = _random_complex(rng)
+            pseudo += not links_are_disks_or_spheres(m)
+            m.isotropy_certificate()
+        assert pseudo == 131
+
+    def test_lemma_once_per_process_and_not_at_import(self):
+        code = ("import isocone.cli, isocone.cone3 as c; "
+                "print(c._tet_lemma.cache_info().misses)")
+        env = dict(os.environ, PYTHONPATH=str(
+            pathlib.Path(cone3.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             env=env, capture_output=True, text=True).stdout
+        assert out == "0\n"
+        cone3._tet_lemma.cache_clear()
+        for m in (chain_tets(3), two_tets(), chain_tets(3)):
+            m.isotropy_certificate()
+        assert cone3._tet_lemma.cache_info().misses == 1
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_flipped_wedge_names_choice_0(self, monkeypatch, k):
+        # a flipped wedge adds a multiple of one edge wedge, which vanishes
+        # on no choice hyperplane
+        monkeypatch.setattr(cone3, "_FORM_WEDGES", [
+            w[::-1] if i == k else w
+            for i, w in enumerate(cone3._FORM_WEDGES)])
+        cone3._tet_lemma.cache_clear()
+        try:
+            with pytest.raises(cone3.IsotropyError, match=re.escape(
+                    "the tetrahedron form does not vanish on choice 0")):
+                chain_tets(2).isotropy_certificate()
+        finally:
+            cone3._tet_lemma.cache_clear()
+
+    def test_wrong_boundary_coefficient_names_class_and_triangle(self):
+        m = chain_tets(2)
+        E = m.columns[-1]
+        (col, x), *rest = m.form_rows[E]
+        m.form_rows[E] = ((col, x + 1), *rest)
+        # the first triangle with a side in class E
+        t = next(t for t, ds in m.boundary.triangles.items()
+                 if E in [m.boundary_edge_to_class[m.boundary.edge_class[d]]
+                          for d in ds])
+        with pytest.raises(cone3.IsotropyError, match=re.escape(
+                f"at class {E!r} of triangle {t!r}")):
+            m.isotropy_certificate()
+
+    def test_interior_entry_names_class(self):
+        m = g2_product_bundle()["manifold"]
+        E = m.columns[0]
+        assert m.form_rows[E] == ()
+        m.form_rows[E] = ((len(m.columns) - 1, 1),)
+        with pytest.raises(cone3.IsotropyError, match=re.escape(
+                f"at interior class {E!r}")):
+            m.isotropy_certificate()
 
 
 class TestRestriction:
@@ -2352,8 +2446,10 @@ def test_code_line_count():
     # table, a second surface, a search for the piece that holds a wall
     # triangle, a second scan of the boundary faces or a second search over
     # choices would not fit; 16 more lines hold the table of face maps, its
-    # refusal diagnosis and the entry a refusal names
-    assert code_lines("cone3") <= 586
+    # refusal diagnosis and the entry a refusal names; 47 more hold the
+    # isotropy certificate: the tet lemma, the shared wedge rows and the
+    # Stokes check with the class or triangle a failure names
+    assert code_lines("cone3") <= 633
 
 
 def test_fixtures_code_line_count():

@@ -19,7 +19,8 @@ from isocone.fixtures import (
 from isocone.flatsurf import QC, FlatSurface, PeriodTangent
 from isocone.ordgroup import DimensionError, LexVec, format_rat, rat
 from isocone.lamtree import MetricTree, NotAMetricError
-from isocone.track import NotOrientableError, SurfaceTriangulation
+from isocone.track import (
+    NotOrientableError, SurfaceTriangulation, union_find)
 
 
 def random_fraction(rng, lo=-3, hi=3, maxden=3):
@@ -561,6 +562,37 @@ def pairwise_isotropy(manifold, basis):
             if sum(x * y for c, y in image.items() if (x := u.get(c))):
                 return False
     return True
+
+
+def links_are_disks_or_spheres(manifold):
+    """Whether every vertex link of ``manifold`` is a disk or a sphere,
+    from each link's Euler characteristic ``V - (3T + B)/2 + T``: ``T``
+    corners in the vertex class, ``B`` corner sides on free faces and ``V``
+    classes of edge ends.  The gluings make each link a connected oriented
+    surface, so it is a disk at 1 with ``B > 0`` and a sphere at 2 with
+    ``B == 0``; a pseudo-manifold has some other link."""
+    m, vc = manifold, manifold.vertex_class
+    glued = set(m.gluings) | {(t2, f2) for t2, f2, _ in m.gluings.values()}
+    corners, free = {}, {}
+    for t in m.tets:
+        for v in range(4):
+            corners[vc[t, v]] = corners.get(vc[t, v], 0) + 1
+            free[vc[t, v]] = free.get(vc[t, v], 0) + sum(
+                (t, f) not in glued for f in range(4) if f != v)
+    # the end at corner v of the edge from v to u of tet t
+    ends = [(t, v, u) for t in m.tets for v in range(4) for u in range(4)
+            if u != v]
+    at = {e: i for i, e in enumerate(ends)}
+    roots = union_find(len(ends), [
+        (at[t, v, u], at[t2, perm[v], perm[u]])
+        for (t, _), (t2, _, perm) in m.gluings.items()
+        for v, u in itertools.permutations(perm, 2)])
+    verts = {}
+    for r in set(roots):
+        c = vc[ends[r][:2]]
+        verts[c] = verts.get(c, 0) + 1
+    return all(verts[c] - (3 * T + free[c]) // 2 + T == (1 if free[c] else 2)
+               for c, T in corners.items())
 
 
 def reference_rat(tok, lineno, notes):
