@@ -51,11 +51,12 @@ def main():
     print("via the area Hessian:    ", omega_hessian(adapted, t1, t2))
 
     print()
-    print("== the quadrature oracle on the base-period pair ==")
+    print("== the hermitian pairing on the base-period pair: the exact value "
+          "rounded once ==")
     sc = PeriodTangent.scaling(adapted)
-    num = kahler_pairing_numeric(adapted, sc, sc.times_i(), depth=5)
-    print("exact:", omega_thurston(adapted, sc, sc.times_i()),
-          "  numeric imaginary part:", round(num.imag, 9))
+    num = kahler_pairing_numeric(adapted, sc, sc.times_i())
+    exact = omega_thurston(adapted, sc, sc.times_i())
+    print("exact:", exact, "  rounded once:", num == complex(0, float(exact)))
 
     print()
     print("== a half-translation surface and its double cover ==")

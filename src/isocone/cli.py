@@ -245,7 +245,7 @@ def cmd_surface_symplectic_check(args):
     lines.append(f"omega_homological: {format_rat(c3)}")
     lines.append(f"omega_hessian: {format_rat(b)}")
     lines.append(f"agree: {'true' if a == b == c3 else 'false'}")
-    num = kahler_pairing_numeric(surf, t1, t2, depth=args.depth)
+    num = kahler_pairing_numeric(surf, t1, t2)
     lines.append("quadrature (floating point):")
     lines.append(f"  depth: {args.depth}")
     lines.append(f"  pairing: {num.real:.12g}{num.imag:+.12g}i")

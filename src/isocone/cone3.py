@@ -34,8 +34,8 @@ from fractions import Fraction
 from isocone import linalg
 from isocone.ordgroup import rat
 from isocone.track import (
-    EntryError, SurfaceTriangulation, track_dual_to_triangulation,
-    triangle_form_sum, union_find,
+    EntryError, SurfaceTriangulation, form_value, track_dual_to_triangulation,
+    triangle_form_sum, union_find, wedge_rows,
 )
 
 # induced oriented corner triples of the four faces of a positively
@@ -113,24 +113,13 @@ def _tet_lemma():
     each choice hyperplane, the kernel of a choice's linear form ``p``: it
     does iff the 3-form ``w ∧ p`` is 0, at each ``i < j < l``."""
     w = [[dict(r).get(j, 0) for j in range(6)]
-         for r in _wedge_rows(range(6), _FORM_WEDGES).values()]
+         for r in wedge_rows(range(6), _FORM_WEDGES).values()]
     for k, (a, b, x, y) in enumerate(_CHOICE_EDGES):
         p = [(e in (a, b)) - (e in (x, y)) for e in range(6)]
         if any(w[i][j] * p[l] - w[i][l] * p[j] + w[j][l] * p[i]
                for i, j, l in itertools.combinations(range(6), 3)):
             raise IsotropyError(
                 f"the tetrahedron form does not vanish on choice {k}")
-
-
-def _wedge_rows(columns, wedges):
-    """Minus the sum of the wedges ``(a, b)`` of column indices, as the
-    sorted nonzero ``(col, x)`` of each class of ``columns``."""
-    acc = [{} for _ in columns]
-    for a, b in wedges:
-        acc[a][b] = acc[a].get(b, 0) - 1
-        acc[b][a] = acc[b].get(a, 0) + 1
-    return {E: tuple(sorted([p for p in r.items() if p[1]]))
-            for E, r in zip(columns, acc)}
 
 
 def _gluing_refusal(index, glued, entry, t2, f2, perm):
@@ -211,15 +200,20 @@ class Triangulation3:
         k`` of one integer ``union_find`` over the ``merges`` of the face
         pairs' entries, and a class id is the ``(tet, edge)`` of its root
         slot.  Returns the root slots in ``edge_classes`` order."""
-        slots = [(t, e) for t in self.tets for e in EDGE_PAIRS]
+        slots = self._slots = [(t, e) for t in self.tets for e in EDGE_PAIRS]
         roots = self._edge_roots = union_find(len(slots), merges)
-        self.edge_class = dict(zip(slots, [slots[r] for r in roots]))
         # repr((t, e)) spelled out from one repr per tet
         rt = list(map(repr, self.tets))
         classes = sorted(set(roots),
                          key=lambda r: f"({rt[r // 6]}, {_EDGE_REPRS[r % 6]})")
         self.edge_classes = [slots[r] for r in classes]
         return classes
+
+    @functools.cached_property
+    def edge_class(self):
+        """The class of each ``(tet, edge)`` slot, built on first read."""
+        return dict(zip(self._slots, [self._slots[r]
+                                      for r in self._edge_roots]))
 
     @functools.cached_property
     def vertex_class(self):
@@ -248,7 +242,7 @@ class Triangulation3:
         ``boundary_components`` flags the tori, whose classes form
         ``torus_classes``.
         """
-        slots, roots = list(self.edge_class), self._edge_roots
+        slots, roots = self._slots, self._edge_roots
         self.boundary_faces, sides = [], {}
         for i, t in enumerate(self.tets):
             for f, ks in _FACE_SIDES.items():
@@ -316,25 +310,16 @@ class Triangulation3:
 
     @functools.cached_property
     def form_rows(self):
-        """Integer coefficients of twice the total form, per edge class.
-
-        ``2 * omega(u, v)`` is the sum of ``u[c] * x * v[columns[col]]``
-        over the classes ``c`` and the ``(col, x)`` of ``form_rows[c]``;
-        the coefficients are antisymmetric.  A tetrahedron's form is -1/2 of
-        the cyclic sum of wedges of its three opposite-pair sums, in
-        ``OPPOSITE_PAIRS`` order.
-        """
-        return _wedge_rows(self.columns, [(c[a], c[b]) for c in
-                                          self._tet_columns
-                                          for a, b in _FORM_WEDGES])
+        """``wedge_rows`` over ``columns`` of twice the total form: a
+        tetrahedron's form is -1/2 of the cyclic sum of wedges of its three
+        opposite-pair sums, in ``OPPOSITE_PAIRS`` order."""
+        return wedge_rows(self.columns, [(c[a], c[b]) for c in
+                                         self._tet_columns
+                                         for a, b in _FORM_WEDGES])
 
     def omega(self, u, v):
         """Sum of the tetrahedron forms over all tetrahedra."""
-        # u dotted with form_rows applied to v: the coefficients are
-        # antisymmetric, so that image is minus the sum of the rows of v
-        cls = self.columns
-        return Fraction(-sum(u.get(cls[col], 0) * x * y for d, y in v.items()
-                             for col, x in self.form_rows[d]), 2)
+        return form_value(self.form_rows, self.columns, u, v)
 
     # read by name: perfbench/spans.py traces it, and acceptance criterion 2
     # calls it
@@ -383,47 +368,28 @@ class Triangulation3:
         return all(per_tet.values()), per_tet
 
     def isotropy_check(self, choices):
-        """Whether the total form vanishes on one choice subspace.
-
-        The form vanishes on the subspace iff it vanishes on every pair of
-        basis vectors, and a positive multiple of a vector keeps each value
-        zero or nonzero; so the pairs are taken on the integer numerators
-        ``n`` of the basis vectors ``(L, {class: n})``."""
-        # one pass per vector reads it into its image under form_rows, keyed
-        # by column, and into held, the (i, n) per class of the vectors read
-        # before it; sums[i] then collects twice the form on vector i and
-        # this one, with no lookup in either vector
-        cls, rows = self.columns, self.form_rows
-        held = {E: [] for E in cls}
-        for j, (_, v) in enumerate(self.w4_subspace(choices)):
-            image, mine = {}, []
-            for d, y in v.items():
-                mine.append((d, (j, y)))
-                for col, x in rows[d]:
-                    image[col] = image.get(col, 0) - x * y
-            sums = [0] * j
-            for col, y in image.items():
-                for i, x in held[cls[col]]:
-                    sums[i] += x * y
-            if any(sums):
-                return False
-            for d, e in mine:
-                held[d].append(e)
-        return True
+        """Whether the total form vanishes on one choice subspace: ``omega``
+        on every pair of its basis vectors ``(L, {class: n})``, taken on the
+        numerators ``n``, positive multiples that keep each value zero or
+        nonzero."""
+        basis = [v for _, v in self.w4_subspace(choices)]
+        return not any(self.omega(u, v) for j, v in enumerate(basis)
+                       for u in basis[:j])
 
     def isotropy_certificate(self):
         """Check the proof that every choice subspace is isotropic, and
         return the sizes it covers: the tet lemma (``_tet_lemma``), and
         Stokes, which needs only the face pairing: ``form_rows`` has no
-        entry in an interior class, and its boundary block is the sum of
-        the ``triangle_form`` wedges of ``boundary``.  A failed check raises
-        ``IsotropyError`` naming its choice, class or triangle."""
+        entry in an interior class, and its boundary block is the
+        ``wedge_rows`` of the sides of each triangle of ``boundary``.  A
+        failed check raises ``IsotropyError`` naming its choice, class or
+        triangle."""
         _tet_lemma()
         surf, cls = self.boundary, self.columns
         tris, edges = (surf.triangles, surf.edge_classes) if surf else ({}, [])
         # the boundary columns hold the boundary classes in reverse order
         col = {E: len(cls) - 1 - i for i, E in enumerate(edges)}
-        block = _wedge_rows(cls, [
+        block = wedge_rows(cls, [
             (col[surf.edge_class[d]], col[surf.edge_class[ds[(i + 1) % 3]]])
             for ds in tris.values() for i, d in enumerate(ds)])
         for c, E in enumerate(cls):

@@ -36,7 +36,8 @@ from isocone import linalg
 
 class FlatSurfaceError(EntryError):
     """A refused surface or tangent; ``entry``, when the refusal names one,
-    is ``("triangle", t)`` or ``("vector", d)`` for a directed edge d."""
+    is ``("triangle", t)``, ``("vector", d)`` for a directed edge d, or
+    ``"kind"``."""
 
 
 class NeedsRotationError(FlatSurfaceError):
@@ -173,7 +174,7 @@ class FlatSurface:
 
     def _setup(self, kind, comb, vec, den):
         if kind not in ("translation", "half-translation"):
-            raise FlatSurfaceError(f"unknown kind {kind!r}")
+            raise FlatSurfaceError(f"unknown kind {kind!r}", "kind")
         self.kind, self.comb, self._vec, self._den = kind, comb, vec, den
         self.triangles, self.glue = comb.triangles, comb.glue
         self.signs = {d: "pos" if vec.get(d) == vec.get(d2) else "neg"
@@ -663,7 +664,7 @@ def omega_homological(surface, t1, t2):
 # -- the hermitian pairing (floating point, rounded once) ----------------------------
 
 
-def kahler_pairing_numeric(surface, t1, t2, depth):
+def kahler_pairing_numeric(surface, t1, t2):
     """The integral of (i/2) theta_1 wedge conj(theta_2), theta_j the affine
     interpolant of tangent j's edge periods on each triangle.  It is constant
     on a triangle, whose ccw edges d0, d1 then add
@@ -672,10 +673,7 @@ def kahler_pairing_numeric(surface, t1, t2, depth):
     rounded once.  On pairs ``(psi, i psi)`` alone the imaginary part equals
     the exact pairings; the real part is the metric pairing.  Both sheets of
     a half-translation surface's double cover add the same term, so the
-    cover's integral with the factor 1/2 is the base's sum.  ``depth``, at
-    least 0, does not change the value (``docs/conventions.md``)."""
-    if depth < 0:
-        raise ValueError(f"quadrature depth must be at least 0, not {depth}")
+    cover's integral with the factor 1/2 is the base's sum."""
     a, b, re, im = t1._vec, t2._vec, 0, 0
     for d0, d1, _ in surface.triangles.values():
         (x0, y0), (x1, y1), (u0, v0), (u1, v1) = a[d0], a[d1], b[d0], b[d1]

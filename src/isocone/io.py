@@ -130,6 +130,7 @@ def parse_flatsurface(text):
     for lineno, toks in _lines(text):
         if toks[0] == "kind" and len(toks) == 2:
             _put(head, "kind", toks[1], lineno, "directive")
+            where["kind"] = lineno
         elif toks[0] == "triangle" and len(toks) == 5:
             _put(triangles, toks[1], tuple(toks[2:]), lineno, "triangle")
             where["triangle", toks[1]] = lineno

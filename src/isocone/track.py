@@ -10,11 +10,11 @@ oriented (counterclockwise) triple ``(a, b, c)``.
 Weights live on branches; the admissible ones satisfy the switch relation
 ``w(a) + w(b) = w(c)`` at every switch.  The skew pairing of two admissible
 weights is half the sum over switches of the 2x2 determinant of incoming
-values.  The same pairing is computed independently as a sum of per-triangle
-alternating forms on the dual triangulation, and, for consistently
-orientable tracks, as the ribbon intersection number of the weighted cycles
-of the two weights, which reads neither the switch formula nor a homology
-basis.
+values.  The same pairing is computed independently as the form of the dual
+triangulation, the sum of the wedges of its triangles' sides (``form_value``),
+and, for consistently orientable tracks, as the ribbon intersection number
+of the weighted cycles of the two weights, which reads neither the switch
+formula nor a homology basis.
 """
 
 import functools
@@ -85,7 +85,7 @@ class SurfaceTriangulation:
     ``gluings`` is an involution pairing each directed edge with the
     oppositely traversed copy in the neighboring triangle.  Every directed
     edge must be paired; a refusal names ``("triangle", t)`` or ``("glue",
-    d)`` as its entry, and none when it lists the unglued edges.
+    d)`` as its entry, or the triangle of the first edge it lists unglued.
     """
 
     def __init__(self, triangles, gluings):
@@ -111,9 +111,9 @@ class SurfaceTriangulation:
                 raise EntryError(f"gluing not involutive at {d!r}", at)
             if d not in slot or d2 not in slot:
                 raise EntryError(f"gluing touches unknown edge {d!r}", at)
-        unglued = sorted((d for d in slot if d not in self.glue), key=repr)
-        if unglued:
-            raise ValueError(f"unglued edges: {unglued!r}")
+        if unglued := sorted(slot.keys() - self.glue.keys(), key=repr):
+            raise EntryError(f"unglued edges: {unglued!r}",
+                             ("triangle", self._corners[slot[unglued[0]]][0]))
         self._build_classes()
 
     def _build_classes(self):
@@ -187,6 +187,15 @@ class SurfaceTriangulation:
                 cycles[v] = cycle
         return cycles
 
+    @functools.cached_property
+    def form_rows(self):
+        """``wedge_rows`` over ``edge_classes`` of twice the surface's form:
+        -1/2 (dE^dF + dF^dG + dG^dE) per triangle of ccw edges E, F, G."""
+        col = {E: i for i, E in enumerate(self.edge_classes)}
+        return wedge_rows(self.edge_classes, [
+            (col[self.edge_class[ds[i - 1]]], col[self.edge_class[d]])
+            for ds in self.triangles.values() for i, d in enumerate(ds)])
+
     def skeleton_ribbon(self):
         """Ribbon graph of the 1-skeleton, and its faces: the triangles.
 
@@ -205,25 +214,29 @@ class SurfaceTriangulation:
         return RibbonGraph(edges, rot), faces
 
 
-def triangle_form(surface, t, u, v):
-    """Alternating form of one oriented triangle on two edge weights.
+def wedge_rows(keys, wedges):
+    """Twice a form, minus the sum of the wedges ``(a, b)`` of indices into
+    ``keys``: the sorted nonzero ``(col, x)`` of each key's row."""
+    acc = [{} for _ in keys]
+    for a, b in wedges:
+        acc[a][b] = acc[a].get(b, 0) - 1
+        acc[b][a] = acc[b].get(a, 0) + 1
+    return {E: tuple(sorted([p for p in r.items() if p[1]]))
+            for E, r in zip(keys, acc)}
 
-    With the triangle's undirected edges E, F, G in ccw order the value is
-    -1/2 (dE^dF + dF^dG + dG^dE) applied to (u, v).
-    """
-    E = [surface.edge_class[d] for d in surface.triangles[t]]
-    total = 0
-    for i in range(3):
-        a, b = E[i], E[(i + 1) % 3]
-        total += _exact(u.get(a, 0)) * _exact(v.get(b, 0)) \
-            - _exact(u.get(b, 0)) * _exact(v.get(a, 0))
-    return Fraction(-total, 2)
+
+def form_value(rows, keys, u, v):
+    """Half of ``u`` dotted with the ``wedge_rows`` ``rows`` over ``keys``
+    applied to ``v``, a missing key 0 and each weight read by ``_exact``."""
+    # the rows are antisymmetric: the image of v is minus the sum of its rows
+    return Fraction(-sum(_exact(u.get(keys[col], 0)) * x * y
+                         for d, y in zip(v, map(_exact, v.values()))
+                         for col, x in rows[d]), 2)
 
 
 def triangle_form_sum(surface, u, v):
     """Sum of the triangle forms over all triangles of the surface."""
-    return sum((triangle_form(surface, t, u, v) for t in surface.triangles),
-               Fraction(0))
+    return form_value(surface.form_rows, surface.edge_classes, u, v)
 
 
 class TrainTrack:

@@ -241,12 +241,12 @@ def test_criterion_9_symplectomorphism():
         exact = omega_thurston(s, sc, isc)
         assert exact == -s.total_area()
         assert abs(omega_hessian(s, sc, isc)) == s.total_area() > 0
-        num = kahler_pairing_numeric(s, sc, isc, depth=5)
+        num = kahler_pairing_numeric(s, sc, isc)
         assert num == complex(0, float(exact))
         half = PeriodTangent(s, {d: v * Fraction(1, 2)
                                  for d, v in s.vectors.items()})
         assert abs(omega_hessian(s, half, half.times_i())) > 0
-        norm = kahler_pairing_numeric(s, half, half, depth=5)
+        norm = kahler_pairing_numeric(s, half, half)
         assert norm == complex(float(s.total_area() / 4))
     report(9, "three exact pairings agree on 2x50 random pairs; "
               "hermitian pairing equals the exact values rounded once",

@@ -648,11 +648,12 @@ class TestMalformedInput:
           "glue B b neg": "glue B b pos", "glue C c neg": "glue C c pos"}, "",
          "line 4: invalid flat surface: translation surfaces allow only neg "
          "gluings"),
-        # refusals of the whole surface stay at line 0
+        # unglued edges name the triangle line of the first edge listed,
+        # an unknown kind the kind line
         ({"glue A a neg": None}, "",
-         "line 0: invalid flat surface: unglued edges: ['A', 'a']"),
+         "line 3: invalid flat surface: unglued edges: ['A', 'a']"),
         ({"kind translation": "kind spiral"}, "",
-         "line 0: invalid flat surface: unknown kind 'spiral'"),
+         "line 1: invalid flat surface: unknown kind 'spiral'"),
         # a triangle or gluing the combinatorial surface refuses names its
         # line: a directed edge used twice, by the second triangle to use
         # it, and a gluing of an edge no triangle uses

@@ -831,67 +831,6 @@ class TestIsotropy:
             assert m.isotropy_check(choices) is \
                 _fraction_isotropy(m, _fraction_basis(m, basis))
 
-    def test_each_vector_read_once(self, monkeypatch):
-        # one pass per basis vector: its entries are iterated once, and no
-        # pair of vectors looks an entry up; the pairwise Gram looked up
-        # every earlier vector at every class of each image
-        m = g2_product_bundle()["manifold"]
-        rng = random.Random(84)
-        choices = {t: rng.randrange(3) for t in m.tets}
-        basis = [(L, _CountedVector(v)) for L, v in m.w4_subspace(choices)]
-        monkeypatch.setattr(m, "w4_subspace", lambda choices: basis)
-        assert m.isotropy_check(choices)
-        assert [(v.passes, v.lookups) for _, v in basis] == \
-            [(1, 0)] * len(basis)
-
-    def test_g2_samples_make_no_fraction(self):
-        # the subspace, its basis and the Gram stay integers; with the
-        # Fraction basis the same 24 checks made 24,963 Fractions
-        m = g2_product_bundle()["manifold"]
-        rng = random.Random(83)
-        samples = [{t: rng.randrange(3) for t in m.tets} for _ in range(24)]
-        for choices in samples[:2]:
-            _assert_integer_basis(m.w4_subspace(choices))
-        assert fraction_constructions(
-            lambda: [m.isotropy_check(c) for c in samples]) == 0
-
-
-class _CountedVector(dict):
-    """A basis vector that counts its reads: ``passes`` over its entries
-    (``items``, ``keys``, ``values``, iteration) and ``lookups`` of single
-    entries (``get``, ``[]``, ``in``)."""
-
-    passes = lookups = 0
-
-    def _pass(self, read):
-        self.passes += 1
-        return read()
-
-    def _lookup(self, read, *args):
-        self.lookups += 1
-        return read(*args)
-
-    def items(self):
-        return self._pass(super().items)
-
-    def keys(self):
-        return self._pass(super().keys)
-
-    def values(self):
-        return self._pass(super().values)
-
-    def __iter__(self):
-        return self._pass(super().__iter__)
-
-    def get(self, *args):
-        return self._lookup(super().get, *args)
-
-    def __getitem__(self, key):
-        return self._lookup(super().__getitem__, key)
-
-    def __contains__(self, key):
-        return self._lookup(super().__contains__, key)
-
 
 def _fraction_isotropy(m, basis):
     """The ``Fraction`` Gram that ``isotropy_check`` ran before its basis
@@ -2446,10 +2385,11 @@ def test_code_line_count():
     # table, a second surface, a search for the piece that holds a wall
     # triangle, a second scan of the boundary faces or a second search over
     # choices would not fit; 16 more lines hold the table of face maps, its
-    # refusal diagnosis and the entry a refusal names; 47 more hold the
-    # isotropy certificate: the tet lemma, the shared wedge rows and the
-    # Stokes check with the class or triangle a failure names
-    assert code_lines("cone3") <= 633
+    # refusal diagnosis and the entry a refusal names; 39 more hold the
+    # isotropy certificate: the tet lemma and the Stokes check with the
+    # class or triangle a failure names.  The wedge rows and their one
+    # evaluator live in track, and the isotropy Gram is pairwise on omega
+    assert code_lines("cone3") <= 608
 
 
 def test_fixtures_code_line_count():

@@ -931,7 +931,7 @@ class TestQuadratureOracle:
             half = PeriodTangent(
                 s, {d: v * Fraction(1, 2) for d, v in s.vectors.items()})
             assert _fraction_kahler(s, half, half) == QC(s.total_area() / 4)
-            num = kahler_pairing_numeric(s, half, half, depth=5)
+            num = kahler_pairing_numeric(s, half, half)
             assert repr(num) == repr(complex(float(s.total_area() / 4)))
 
     def test_hermitian_diagonal_real(self):
@@ -939,14 +939,14 @@ class TestQuadratureOracle:
         rng = random.Random(76)
         t = random_tangent(s, rng)
         assert _fraction_kahler(s, t, t).im == 0
-        assert kahler_pairing_numeric(s, t, t, depth=3).imag == 0
+        assert kahler_pairing_numeric(s, t, t).imag == 0
 
     def test_matches_exact_on_period_multiples(self):
         s, _ = delaunay(hex_torus()).adapted()
         t1 = PeriodTangent.scaling(s)
         t2 = t1.times_i()
         exact = omega_thurston(s, t1, t2)
-        num = kahler_pairing_numeric(s, t1, t2, depth=5)
+        num = kahler_pairing_numeric(s, t1, t2)
         assert repr(num) == repr(complex(0, float(exact)))
 
     def test_exact_parts_are_the_three_pairings(self, monkeypatch):
@@ -965,19 +965,8 @@ class TestQuadratureOracle:
                 assert exact.im == omega_thurston(s, psi, ipsi) == \
                     omega_hessian(s, psi, ipsi) == \
                     omega_homological(s, psi, ipsi)
-                assert repr(kahler_pairing_numeric(s, psi, ipsi, 0)) == \
+                assert repr(kahler_pairing_numeric(s, psi, ipsi)) == \
                     repr(_rounded(exact))
-
-    def test_same_value_at_every_depth(self):
-        # no subdivision: every depth up to the command line's bound gives
-        # the exact value rounded once, with no rounding noise
-        s, _ = delaunay(lshape_h2()).adapted()
-        rng = random.Random(77)
-        t1 = random_tangent(s, rng)
-        t2 = random_tangent(s, rng)
-        want = repr(_rounded(_fraction_kahler(s, t1, t2)))
-        for depth in range(11):
-            assert repr(kahler_pairing_numeric(s, t1, t2, depth)) == want
 
     def test_close_to_the_centroid_rule(self, monkeypatch):
         # the retired rule sums 4**depth samples of each triangle's constant
@@ -996,20 +985,11 @@ class TestQuadratureOracle:
             rng = random.Random(seed)
             t1, t2 = random_tangent(s, rng), random_tangent(s, rng)
             scale = _term_scale(s, t1, t2)
-            error = abs(kahler_pairing_numeric(s, t1, t2, depth)
+            error = abs(kahler_pairing_numeric(s, t1, t2)
                         - reference_kahler(s, t1, t2, depth))
             assert error <= 1e-14 * scale
 
         check()
-
-    @pytest.mark.parametrize("maker", [square_torus, pillowcase])
-    @pytest.mark.parametrize("depth", [-1, -5])
-    def test_negative_depth_refused(self, maker, depth):
-        # no subdivision has a negative depth; it must not read as depth 0
-        s = maker()
-        t = PeriodTangent.scaling(s)
-        with pytest.raises(ValueError, match=f"at least 0, not {depth}$"):
-            kahler_pairing_numeric(s, t, t, depth)
 
 
 class TestSharedShapes:
@@ -1029,9 +1009,9 @@ class TestSharedShapes:
         t1, t2 = random_tangent(s, rng), random_tangent(s, rng)
         want = _rounded(_fraction_kahler(s, t1, t2))
         scale = _term_scale(s, t1, t2)
+        got = kahler_pairing_numeric(s, t1, t2)
+        assert repr(got) == repr(want)
         for depth in (0, 1, 3):
-            got = kahler_pairing_numeric(s, t1, t2, depth)
-            assert repr(got) == repr(want)
             assert abs(got - reference_kahler(s, t1, t2, depth)) \
                 <= 1e-14 * scale
 
@@ -1043,9 +1023,9 @@ class TestSharedShapes:
         l1, l2 = lift_tangent(cover, t1), lift_tangent(cover, t2)
         want = _rounded(_fraction_kahler(s, t1, t2))
         scale = _term_scale(cover, l1, l2) / 2
+        got = kahler_pairing_numeric(s, t1, t2)
+        assert repr(got) == repr(want)
         for depth in (0, 1, 3):
-            got = kahler_pairing_numeric(s, t1, t2, depth)
-            assert repr(got) == repr(want)
             assert abs(got - reference_kahler(cover, l1, l2, depth) / 2.0) \
                 <= 1e-14 * scale
 
@@ -1182,9 +1162,8 @@ class TestAgainstFractionOracles:
                 value = fn(a, t1, t2)
                 assert type(value) is Fraction
                 assert value == oracle(a, t1, t2)
-            want = repr(_rounded(_fraction_kahler(a, t1, t2)))
-            for depth in (0, 1, 3):
-                assert repr(kahler_pairing_numeric(a, t1, t2, depth)) == want
+            assert repr(kahler_pairing_numeric(a, t1, t2)) == \
+                repr(_rounded(_fraction_kahler(a, t1, t2)))
             cover = orientation_double_cover(a)
             _assert_public(cover)
             for t in (t1, t2):
@@ -1323,4 +1302,4 @@ def test_code_line_count():
     # rotation candidate, a quad developed through chart maps, re-checks
     # of the triangles and gluings after every flip, or a hermitian pairing
     # that subdivides triangles in place of one integer sum would not fit
-    assert code_lines("flatsurf") <= 602
+    assert code_lines("flatsurf") <= 600

@@ -6,12 +6,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from isocone import linalg
 from isocone.track import (
     SurfaceTriangulation, TrainTrack,
-    triangle_form, triangle_form_sum, embed_weights,
+    triangle_form_sum, embed_weights,
     track_dual_to_triangulation, union_find,
     NotMaximalError, NotOrientableError, InvalidWeightError,
 )
@@ -26,7 +26,7 @@ from test_acceptance import _random_complex
 from test_linalg import reference_kernel
 from util import (
     code_lines, fraction_constructions, outcome, reference_faces,
-    reference_orientation, reference_union_find,
+    reference_orientation, reference_triangle_form, reference_union_find,
 )
 
 
@@ -277,7 +277,8 @@ class TestTriangleForms:
             {"e": "E", "E": "e", "f": "F", "F": "f", "g": "G", "G": "g"})
         u = {s.edge_class["e"]: Fraction(1)}
         v = {s.edge_class["f"]: Fraction(1)}
-        assert triangle_form(s, "t0", u, v) == Fraction(-1, 2)
+        assert reference_triangle_form(s, "t0", u, v) == Fraction(-1, 2)
+        assert triangle_form_sum(s, u, v) == Fraction(-1)
 
     def test_antisymmetry(self):
         track, *_ = genus2_maximal_track()
@@ -307,10 +308,65 @@ class TestTriangleForms:
         uf, vf = ({E: Fraction(x) for E, x in w.items()} for w in (u, v))
         for t in dual.triangles:
             assert fraction_constructions(
-                lambda: triangle_form(dual, t, u, v)) == 1
-            value = triangle_form(dual, t, u, v)
+                lambda: reference_triangle_form(dual, t, u, v)) == 1
+            value = reference_triangle_form(dual, t, u, v)
             assert type(value) is Fraction
-            assert value == triangle_form(dual, t, uf, vf)
+            assert value == reference_triangle_form(dual, t, uf, vf)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_sum_is_the_per_triangle_oracle(self, data):
+        # the one evaluator on a surface's cached form_rows equals the
+        # per-triangle form summed over the triangles, on int, Fraction and
+        # partial weights
+        surface = data.draw(st.sampled_from(_FORM_SURFACES), label="surface")
+        if surface is None:
+            seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+            surface = _random_complex(random.Random(seed)).boundary
+            assume(surface is not None)
+        values = data.draw(st.sampled_from([
+            st.integers(-9, 9), st.fractions(-5, 5, max_denominator=6)]))
+        u, v = ({E: data.draw(values) for E in surface.edge_classes
+                 if data.draw(st.booleans())} for _ in range(2))
+        assert triangle_form_sum(surface, u, v) == sum(
+            reference_triangle_form(surface, t, u, v)
+            for t in surface.triangles)
+
+    @pytest.mark.parametrize("make", [
+        lambda: genus2_maximal_track()[0].dual_triangulation()[0],
+        lambda: delaunay(lshape_h2().shear(Fraction(7, 3))).comb],
+        ids=["genus2_dual", "lshape_h2_delaunay"])
+    def test_weight_contract(self, make):
+        # the weights are read as _exact reads them: int weights stay ints,
+        # so the halving makes the only Fraction; a string goes through
+        # rat; a float is no exact rational
+        surface = make()
+        rng = random.Random(43)
+        u, v = ({E: rng.randint(-4, 4) for E in surface.edge_classes}
+                for _ in range(2))
+        uf, vf = ({E: Fraction(x, 3) for E, x in w.items()} for w in (u, v))
+        assert fraction_constructions(
+            lambda: triangle_form_sum(surface, u, v)) == 1
+        value = triangle_form_sum(surface, u, v)
+        assert type(value) is Fraction
+        assert value == triangle_form_sum(
+            surface, *({E: Fraction(x) for E, x in w.items()}
+                       for w in (u, v)))
+        assert triangle_form_sum(surface, {E: str(x) for E, x in uf.items()},
+                                 {E: str(x) for E, x in vf.items()}) == \
+            triangle_form_sum(surface, uf, vf) == value / 9
+        for uw, vw in ((u, {E: float(x) for E, x in v.items()}),
+                       ({E: float(x) for E, x in u.items()}, v)):
+            with pytest.raises(TypeError, match="not an exact rational"):
+                triangle_form_sum(surface, uw, vw)
+
+
+# the surfaces of test_sum_is_the_per_triangle_oracle; None stands for the
+# boundary of a random complex
+_FORM_SURFACES = [
+    None, genus2_maximal_track()[0].dual_triangulation()[0],
+    *(delaunay(make().shear(Fraction(3, 2))).comb for make in
+      (square_torus, hex_torus, lshape_h2, pillowcase))]
 
 
 class TestEmbedWeights:
@@ -491,5 +547,7 @@ def test_fixture_region_cusp_counts_match_face_walk(make):
 def test_code_line_count():
     # methods that only tests call do not belong in the library; the
     # union-find roots are found inline, with no nested find, and the
-    # orientation is one walk, found once per cycle pairing
-    assert code_lines("track") <= 340
+    # orientation is one walk, found once per cycle pairing; the wedge rows
+    # of every form, the surface's cached rows and their one evaluator are
+    # here, for the cone layer too
+    assert code_lines("track") <= 350

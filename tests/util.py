@@ -20,7 +20,7 @@ from isocone.flatsurf import QC, FlatSurface, PeriodTangent
 from isocone.ordgroup import DimensionError, LexVec, format_rat, rat
 from isocone.lamtree import MetricTree, NotAMetricError
 from isocone.track import (
-    NotOrientableError, SurfaceTriangulation, union_find)
+    NotOrientableError, SurfaceTriangulation, _exact, union_find)
 
 
 def random_fraction(rng, lo=-3, hi=3, maxden=3):
@@ -550,8 +550,8 @@ def reference_compute_cone(manifold, btrack, choice_iter=None):
 def pairwise_isotropy(manifold, basis):
     """Whether the total form vanishes on every pair of ``basis`` vectors,
     weights keyed by edge class, pair by pair: the ``form_rows`` image of
-    each vector, keyed by class, dotted with every earlier vector, the
-    Gram ``isotropy_check`` ran before it read each vector once."""
+    each vector, keyed by class, dotted with every earlier vector, with no
+    call of ``omega``.  The oracle of ``isotropy_check``."""
     cls = manifold.columns
     for j, v in enumerate(basis):
         image = {}
@@ -562,6 +562,20 @@ def pairwise_isotropy(manifold, basis):
             if sum(x * y for c, y in image.items() if (x := u.get(c))):
                 return False
     return True
+
+
+def reference_triangle_form(surface, t, u, v):
+    """Alternating form of one oriented triangle on two edge weights, the
+    per-triangle oracle of ``track.triangle_form_sum``: with the
+    triangle's undirected edges E, F, G in ccw order, -1/2 (dE^dF + dF^dG +
+    dG^dE) applied to ``(u, v)``, a missing edge weighing 0."""
+    E = [surface.edge_class[d] for d in surface.triangles[t]]
+    total = 0
+    for i in range(3):
+        a, b = E[i], E[(i + 1) % 3]
+        total += _exact(u.get(a, 0)) * _exact(v.get(b, 0)) \
+            - _exact(u.get(b, 0)) * _exact(v.get(a, 0))
+    return Fraction(-total, 2)
 
 
 def links_are_disks_or_spheres(manifold):
