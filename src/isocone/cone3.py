@@ -32,11 +32,11 @@ import math
 from fractions import Fraction
 
 from isocone import linalg
+from isocone.homology import union_find
 from isocone.ordgroup import rat
 from isocone.track import (
     EntryError, SurfaceTriangulation, form_value, track_dual_to_triangulation,
-    triangle_form_sum, union_find, wedge_rows,
-)
+    triangle_form_sum, wedge_rows)
 
 # induced oriented corner triples of the four faces of a positively
 # oriented tetrahedron (face f is opposite corner f)
@@ -201,7 +201,7 @@ class Triangulation3:
         pairs' entries, and a class id is the ``(tet, edge)`` of its root
         slot.  Returns the root slots in ``edge_classes`` order."""
         slots = self._slots = [(t, e) for t in self.tets for e in EDGE_PAIRS]
-        roots = self._edge_roots = union_find(len(slots), merges)
+        roots = self._edge_roots = union_find(len(slots), merges)[0]
         # repr((t, e)) spelled out from one repr per tet
         rt = list(map(repr, self.tets))
         classes = sorted(set(roots),
@@ -220,7 +220,7 @@ class Triangulation3:
         """Corner classes, merged across each entry of ``gluings`` with
         corner ``v`` of tet ``i`` as slot ``4i + v``."""
         slots = [(t, v) for t in self.tets for v in range(4)]
-        roots = union_find(len(slots), (
+        roots, _ = union_find(len(slots), (
             (4 * self._index[t] + v, 4 * self._index[t2] + v2)
             for (t, _), (t2, _, perm) in self.gluings.items()
             for v, v2 in perm.items()))

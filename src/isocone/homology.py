@@ -11,18 +11,42 @@ disk with a running sum of the x masses finds it.  Where the walk starts
 does not matter: moving the first position to the end changes the sum by
 ``y_p * sum(x) - x_p * sum(y)``, which is 0 as both systems balance.
 
-The basis of ``SurfaceHomology`` (the fundamental cycles that the kernel
-of the vertex rows gives, reduced modulo the boundaries of the faces it is
-given, on a triangulated surface its triangles) and its intersection
-matrix serve only the induced pairing of edge-period 1-cohomology classes:
-one ``linalg.rref`` of that matrix augmented by the periods of one class.
-The pairing does not depend on the basis.
+``SurfaceHomology`` takes a basis from two greedy spanning forests of
+``union_find``, the package's one union-find, for one use: the induced
+pairing of edge-period 1-cohomology classes, which does not depend on it.
 """
 
 import itertools
 from fractions import Fraction
 
 from isocone import linalg
+
+
+def union_find(n, pairs):
+    """Roots of the items ``0 .. n-1`` once the given pairs are merged.
+
+    Pairs are merged in order and a merge points the first item's root at
+    the second's, so the roots depend only on ``n`` and the order of
+    ``pairs``.  Returns ``(roots, joins)``: ``roots[i]`` is the root of item
+    ``i``, and ``joins`` the indices of the pairs that joined two classes.
+    """
+    # one loop over the pairs, each root found inline by path halving,
+    # which moves no root; then every item is pointed at its root
+    parent, joins = list(range(n)), []
+    for k, (a, b) in enumerate(pairs):
+        while a != parent[a]:
+            parent[a] = a = parent[parent[a]]
+        while b != parent[b]:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            joins.append(k)
+    for x in range(n):
+        r = parent[x]
+        while r != parent[r]:
+            r = parent[r]
+        parent[x] = r
+    return parent, joins
 
 
 class RibbonGraph:
@@ -42,10 +66,9 @@ class RibbonGraph:
         if len(seen) != len(expected) or set(seen) != expected:
             raise ValueError("rotation system does not list each dart once")
         for v, ds in self.rot.items():
-            for d in ds:
-                e, i = d
+            for e, i in ds:
                 if self.edges[e][i] != v:
-                    raise ValueError(f"dart {d} listed at wrong vertex")
+                    raise ValueError(f"dart {(e, i)} listed at wrong vertex")
 
     # -- flows ----------------------------------------------------------------
 
@@ -81,41 +104,45 @@ class RibbonGraph:
 class SurfaceHomology:
     """Deterministic homology basis and cocycle pairing of a ribbon surface.
 
-    One integer row per vertex, its net inflow over the edges in ``repr``
-    order, makes the conservative flows the kernel of a
-    ``linalg.IncrementalSystem``: the pivot columns are a spanning forest
-    and the kernel vector of each free column is that edge's fundamental
-    cycle, an integer flow.  The basis is the cycles of the free columns
-    that are not pivots of the boundaries of ``faces``, each a list of
-    darts in face order, restricted to the free columns; its intersection
-    matrix is computed with ``RibbonGraph.intersection``.  A cycle lies in
-    one component, so cycles of different components pair to 0.
+    The edges (in ``repr`` order) that join two trees make the vertex
+    forest; each other edge closes a fundamental cycle, the integer flow 1
+    on it and +-1 on the forest path back.  Of those, the edges that join
+    two ``faces`` (dart lists, each dart in at most one), or one and the
+    outside that holds every other dart, make the face forest.  The basis
+    is the cycles of the rest; cycles of two components pair to 0.
     """
 
     def __init__(self, ribbon, faces):
         edges = sorted(ribbon.edges, key=repr)
-        col = {e: j for j, e in enumerate(edges)}
-        inflow = {v: [] for v in ribbon.rot}
-        for e, (u, v) in ribbon.edges.items():
-            inflow[u].append((col[e], -1))
-            inflow[v].append((col[e], 1))
-        verts = linalg.IncrementalSystem(len(edges))
-        for terms in inflow.values():
-            verts.push(linalg.row(terms), 0)
-        tree = verts.reduced()
-        free = [j for j in range(len(edges)) if j not in tree]
-        # the incidence matrix is totally unimodular, so every kernel
-        # vector has L = 1 and integer entries
-        cycles = linalg.reduced_kernel(tree, len(edges))
-        face_rows = linalg.IncrementalSystem(len(edges))
-        for face in faces:
-            face_rows.push(linalg.row((col[e], 1 if i == 0 else -1)
-                                      for e, i in face if col[e] not in tree),
-                           0)
-        flows = self.basis_flows = [
-            {edges[c]: n for c, n in vec.items()}
-            for j, (_, vec) in zip(free, cycles)
-            if j not in face_rows.pivots]
+        node = {v: k for k, v in enumerate(ribbon.rot)}
+        tree = {edges[j] for j in union_find(len(node), [
+            [node[v] for v in ribbon.edges[e]] for e in edges])[1]}
+        free = [e for e in edges if e not in tree]
+        face, out = {d: k for k, f in enumerate(faces) for d in f}, len(faces)
+        cotree = {free[j] for j in union_find(out + 1, [
+            [face.get((e, i), out) for i in (0, 1)] for e in free])[1]}
+        # root each tree: up[x] is the edge from x to its parent, the sign
+        # of that step along it, and the parent; the stack starts with
+        # every vertex, and one not reached before it is popped is a root
+        up, todo = {}, list(ribbon.rot)[::-1]
+        while todo:
+            x = todo.pop()
+            up.setdefault(x, None)
+            for e, i in ribbon.rot[x]:
+                if e in tree and (y := ribbon.edges[e][1 - i]) not in up:
+                    up[y] = (e, 2 * i - 1, x)
+                    todo.append(y)
+        # the cycle of edge u -> v: the path from v up to its root, then
+        # the one from u negated; the part they share cancels
+        flows = self.basis_flows = []
+        for e in free:
+            if e not in cotree:
+                flow = {e: 1}
+                for x, s in zip(ribbon.edges[e], (-1, 1)):
+                    while up[x]:
+                        d, t, x = up[x]
+                        flow[d] = flow.get(d, 0) + s * t
+                flows.append({d: n for d, n in flow.items() if n})
         # the form is antisymmetric: pair each i < j once
         J = self.pairing_matrix = [[Fraction(0)] * len(flows) for _ in flows]
         for i, j in itertools.combinations(range(len(flows)), 2):

@@ -23,7 +23,7 @@ from collections import Counter
 from fractions import Fraction
 
 from isocone.ordgroup import rat
-from isocone.homology import RibbonGraph
+from isocone.homology import RibbonGraph, union_find
 from isocone import linalg
 
 
@@ -51,31 +51,6 @@ def _exact(x):
     """A weight as an exact number: an int or ``Fraction`` as it is,
     anything else through ``rat``, so integer weights sum as integers."""
     return x if isinstance(x, (int, Fraction)) else rat(x)
-
-
-def union_find(n, pairs):
-    """Root of each of the items ``0 .. n-1`` once the given pairs are merged.
-
-    Pairs are merged in order and a merge points the first item's root at
-    the second's, so the roots depend only on ``n`` and the order of
-    ``pairs``.  Returns a list: ``roots[i]`` is the root of item ``i``.
-    Callers number their items once and map the roots back.
-    """
-    # one loop over the pairs, each root found inline by path halving,
-    # which moves no root; then every item is pointed at its root
-    parent = list(range(n))
-    for a, b in pairs:
-        while a != parent[a]:
-            parent[a] = a = parent[parent[a]]
-        while b != parent[b]:
-            parent[b] = b = parent[parent[b]]
-        parent[a] = b
-    for x in range(n):
-        r = parent[x]
-        while r != parent[r]:
-            r = parent[r]
-        parent[x] = r
-    return parent
 
 
 class SurfaceTriangulation:
@@ -129,7 +104,7 @@ class SurfaceTriangulation:
         # before it (whose head it is): corner 3p + i with the partner of
         # side i - 1, so sides 2, 0, 1 of each triangle in turn
         slot, corners = self._slot, self._corners
-        roots = union_find(len(corners), enumerate([
+        roots, _ = union_find(len(corners), enumerate([
             slot[glue[d]] for ds in self.triangles.values()
             for d in (ds[2], ds[0], ds[1])]))
         self.corner_class = dict(zip(corners, [corners[r] for r in roots]))
@@ -156,7 +131,7 @@ class SurfaceTriangulation:
         """
         # the two triangles of each undirected edge are merged, once
         tris, glue, slot = list(self.triangles), self.glue, self._slot
-        roots = union_find(len(tris), (
+        roots, _ = union_find(len(tris), (
             (slot[E] // 3, slot[glue[E]] // 3) for E in self.edge_classes))
         comps = {}
         for t, r in zip(tris, roots):
@@ -228,10 +203,13 @@ def wedge_rows(keys, wedges):
 def form_value(rows, keys, u, v):
     """Half of ``u`` dotted with the ``wedge_rows`` ``rows`` over ``keys``
     applied to ``v``, a missing key 0 and each weight read by ``_exact``."""
-    # the rows are antisymmetric: the image of v is minus the sum of its rows
-    return Fraction(-sum(_exact(u.get(keys[col], 0)) * x * y
-                         for d, y in zip(v, map(_exact, v.values()))
-                         for col, x in rows[d]), 2)
+    # each weight is read once: int and Fraction weights as they are, or
+    # else every weight through _exact.  The rows are antisymmetric: the
+    # image of v is minus the sum of its rows
+    if not {*map(type, u.values()), *map(type, v.values())} <= {int, Fraction}:
+        u, v = ({k: _exact(x) for k, x in w.items()} for w in (u, v))
+    return Fraction(-sum(u.get(keys[col], 0) * x * y
+                         for d, y in v.items() for col, x in rows[d]), 2)
 
 
 def triangle_form_sum(surface, u, v):

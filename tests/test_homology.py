@@ -15,7 +15,7 @@ from isocone.flatsurf import (
 )
 from isocone.homology import RibbonGraph, SurfaceHomology
 from util import (code_lines, reference_faces, reference_forest_basis,
-                  reference_union_find)
+                  reference_kernel_basis, reference_union_find)
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -456,6 +456,54 @@ def test_pairing_matches_forest_basis(surface, rng):
         _reference_pairing(rg, faces, alpha, beta)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_forests_give_the_kernel_basis(data):
+    # the two greedy forests give the basis of the eliminating oracle, and
+    # so its matrix, on the bundled ribbons (with the L, the hexagonal
+    # torus, the pillowcase cover and the two tori), on sheared grid tori
+    # n = 2..8, and with their faces given, traced, none or some dropped,
+    # so that some edges have one side in no face
+    grids = st.builds(_sheared_grid, st.integers(2, 8),
+                      st.fractions(-3, 3, max_denominator=4), st.booleans())
+    rg, faces = data.draw(st.one_of(
+        st.sampled_from(_ribbons()),
+        grids.map(lambda s: s.comb.skeleton_ribbon())))
+    mode = data.draw(st.sampled_from(["given", "traced", "none", "dropped"]))
+    if mode == "traced":
+        faces = reference_faces(rg)
+    elif mode == "none":
+        faces = []
+    elif mode == "dropped":
+        keep = data.draw(st.lists(st.booleans(), min_size=len(faces),
+                                  max_size=len(faces)))
+        faces = [f for f, k in zip(faces, keep) if k]
+    hom, want = SurfaceHomology(rg, faces), reference_kernel_basis(rg, faces)
+    assert hom.basis_flows == want
+    assert hom.pairing_matrix == [[rg.intersection(x, y) for y in want]
+                                  for x in want]
+
+
+def test_no_elimination(monkeypatch):
+    # the basis comes from union_find alone: no IncrementalSystem is built
+    # or pushed, and each cycle is an edge and a forest path, at most V + 1
+    # entries; with no faces every non-tree edge gives one, 2n^2 + 1 on
+    # the n x n grid torus, and with its triangles 2
+    ribbons = [(n, _grid_module().grid_torus(n).comb.skeleton_ribbon())
+               for n in range(1, 13)]
+
+    def refuse(*args):
+        raise AssertionError("SurfaceHomology eliminated")
+
+    monkeypatch.setattr(linalg.IncrementalSystem, "__init__", refuse)
+    monkeypatch.setattr(linalg.IncrementalSystem, "push", refuse)
+    for n, (rg, faces) in ribbons:
+        for fs, rank in [(faces, 2)] + [([], 2 * n * n + 1)] * (n <= 6):
+            flows = SurfaceHomology(rg, fs).basis_flows
+            assert len(flows) == rank
+            assert max(map(len, flows)) <= len(rg.rot) + 1
+
+
 def test_singular_matrix_refused():
     # with no faces, the three loops of the square torus are all basis
     # cycles and pair by a singular matrix; zero periods solve J z = pb,
@@ -470,7 +518,7 @@ def test_singular_matrix_refused():
 
 def test_code_line_count():
     # cycles pair by direct ribbon intersection, on faces the caller
-    # gives, and come from the kernel of the vertex rows: a spanning
-    # forest of its own, basis coordinates of a cycle, a stored face
+    # gives, and come from two forests of the package's one union-find,
+    # which lives here: basis coordinates of a cycle, a stored face
     # reduction or a face tracer would not fit
-    assert code_lines("homology") <= 113
+    assert code_lines("homology") <= 132

@@ -12,9 +12,10 @@ from isocone import linalg
 from isocone.track import (
     SurfaceTriangulation, TrainTrack,
     triangle_form_sum, embed_weights,
-    track_dual_to_triangulation, union_find,
+    track_dual_to_triangulation,
     NotMaximalError, NotOrientableError, InvalidWeightError,
 )
+from isocone.homology import union_find
 from isocone.fixtures import (
     genus2_one_vertex_surface, genus2_four_vertex_surface,
     genus2_maximal_track,
@@ -104,20 +105,28 @@ def test_corner_cycles(make):
 
 class TestUnionFind:
     def test_first_root_points_at_second(self):
-        assert union_find(4, [(0, 1), (2, 3), (1, 2)]) == [3, 3, 3, 3]
-        assert union_find(4, [(1, 0), (3, 2), (2, 1)]) == [0, 0, 0, 0]
+        assert union_find(4, [(0, 1), (2, 3), (1, 2)]) == ([3, 3, 3, 3],
+                                                           [0, 1, 2])
+        assert union_find(4, [(1, 0), (3, 2), (2, 1)]) == ([0, 0, 0, 0],
+                                                           [0, 1, 2])
 
     def test_singletons_and_repeats(self):
-        assert union_find(3, [(0, 1), (1, 0), (0, 0)]) == [1, 1, 2]
+        assert union_find(3, [(0, 1), (1, 0), (0, 0)]) == ([1, 1, 2], [0])
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
         st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
                                        st.integers(0, n - 1))))))
     def test_matches_reference(self, case):
+        # the roots are the oracle's, and a pair joins iff its items have
+        # different roots once the pairs before it are merged
         n, pairs = case
-        assert union_find(n, pairs) == \
-            list(reference_union_find(range(n), pairs).values())
+        roots, joins = union_find(n, pairs)
+        assert roots == list(reference_union_find(range(n), pairs).values())
+        assert joins == [
+            k for k, (a, b) in enumerate(pairs)
+            for before in [reference_union_find(range(n), pairs[:k])]
+            if before[a] != before[b]]
 
 
 class TestSwitchRelations:
@@ -546,8 +555,7 @@ def test_fixture_region_cusp_counts_match_face_walk(make):
 
 def test_code_line_count():
     # methods that only tests call do not belong in the library; the
-    # union-find roots are found inline, with no nested find, and the
     # orientation is one walk, found once per cycle pairing; the wedge rows
     # of every form, the surface's cached rows and their one evaluator are
     # here, for the cone layer too
-    assert code_lines("track") <= 350
+    assert code_lines("track") <= 331

@@ -18,9 +18,9 @@ from isocone.fixtures import (
     product_bundle)
 from isocone.flatsurf import QC, FlatSurface, PeriodTangent
 from isocone.ordgroup import DimensionError, LexVec, format_rat, rat
+from isocone.homology import union_find
 from isocone.lamtree import MetricTree, NotAMetricError
-from isocone.track import (
-    NotOrientableError, SurfaceTriangulation, _exact, union_find)
+from isocone.track import NotOrientableError, SurfaceTriangulation, _exact
 
 
 def random_fraction(rng, lo=-3, hi=3, maxden=3):
@@ -100,6 +100,34 @@ def reference_faces(rg):
             d = nxt[d]
         faces.append(orbit)
     return faces
+
+
+def reference_kernel_basis(rg, faces):
+    """Homology basis flows of a ribbon graph by elimination: one integer
+    net-inflow row per vertex over the edges in ``repr`` order, whose
+    ``reduced_kernel`` vector of each free column is that edge's
+    fundamental cycle, and the face boundaries restricted to the free
+    columns in a second system; the cycles of the free columns that are
+    not its pivots.  The oracle of ``SurfaceHomology.basis_flows``."""
+    edges = sorted(rg.edges, key=repr)
+    col = {e: j for j, e in enumerate(edges)}
+    inflow = {v: [] for v in rg.rot}
+    for e, (u, v) in rg.edges.items():
+        inflow[u].append((col[e], -1))
+        inflow[v].append((col[e], 1))
+    verts = linalg.IncrementalSystem(len(edges))
+    for terms in inflow.values():
+        verts.push(linalg.row(terms), 0)
+    tree = verts.reduced()
+    free = [j for j in range(len(edges)) if j not in tree]
+    cycles = linalg.reduced_kernel(tree, len(edges))
+    face_rows = linalg.IncrementalSystem(len(edges))
+    for face in faces:
+        face_rows.push(linalg.row((col[e], 1 if i == 0 else -1)
+                                  for e, i in face if col[e] not in tree), 0)
+    return [{edges[c]: n for c, n in vec.items()}
+            for j, (_, vec) in zip(free, cycles)
+            if j not in face_rows.pivots]
 
 
 def reference_forest_basis(rg, faces):
@@ -208,7 +236,7 @@ def reference_union_find(items, pairs):
     """Class representative of every item once the given pairs are merged,
     over hashable items: pairs are merged in order and a merge points the
     first item's root at the second's.  Returns a dict in the order of
-    ``items``.  The oracle of the integer ``isocone.track.union_find``."""
+    ``items``.  The oracle of the integer ``isocone.homology.union_find``."""
     parent = {x: x for x in items}
 
     def find(x):
@@ -597,7 +625,7 @@ def links_are_disks_or_spheres(manifold):
     ends = [(t, v, u) for t in m.tets for v in range(4) for u in range(4)
             if u != v]
     at = {e: i for i, e in enumerate(ends)}
-    roots = union_find(len(ends), [
+    roots, _ = union_find(len(ends), [
         (at[t, v, u], at[t2, perm[v], perm[u]])
         for (t, _), (t2, _, perm) in m.gluings.items()
         for v, u in itertools.permutations(perm, 2)])
