@@ -283,12 +283,9 @@ def _fixture_text(name):
     if name == "g2_track":
         track, *_ = fixtures.genus2_maximal_track()
         return io.serialize_track(io.rename_track(track))
-    if name == "two_tets":
-        m = fixtures.two_tets()
-        out = {tf: 0 for tf in m.boundary_faces}
-        return io.serialize_manifold(m, outgoing=out)
-    if name == "chain4":
-        m = fixtures.chain_tets(4)
+    if name in ("two_tets", "chain4"):
+        m = (fixtures.two_tets() if name == "two_tets"
+             else fixtures.chain_tets(4))
         out = {tf: 0 for tf in m.boundary_faces}
         return io.serialize_manifold(m, outgoing=out)
     if name == "g2xI":

@@ -250,16 +250,14 @@ class Triangulation3:
                     self.boundary_faces.append((t, f))
                     for k, e in ks:
                         sides.setdefault(roots[6 * i + e], []).append((t, f, k))
-        glu = {}
         for r, pair in sides.items():
             if len(pair) != 2:
                 raise ValueError(f"edge class {slots[r]!r} has {len(pair)} "
                                  f"free face sides, not 2")
-            glu[pair[0]], glu[pair[1]] = pair[1], pair[0]
         triangles = {(t, f): ((t, f, 0), (t, f, 1), (t, f, 2))
                      for t, f in self.boundary_faces}
         # a closed manifold has no boundary, and its empty surface no parts
-        surf = SurfaceTriangulation(triangles, glu)
+        surf = SurfaceTriangulation(triangles, dict(sides.values()))
         self.boundary = surf if triangles else None
         root_of = {surf.edge_class[pair[0]]: r for r, pair in sides.items()}
         self.boundary_edge_to_class = {E: slots[r] for E, r in root_of.items()}

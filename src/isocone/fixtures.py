@@ -33,13 +33,9 @@ def genus2_one_vertex_surface():
         "T4": ("g4", "s5", "G5"),
         "T5": ("g5", "s6", "s7"),
     }
-    glu = {}
-    for x, y in [("s0", "s2"), ("s1", "s3"), ("s4", "s6"), ("s5", "s7"),
-                 ("g1", "G1"), ("g2", "G2"), ("g3", "G3"), ("g4", "G4"),
-                 ("g5", "G5")]:
-        glu[x] = y
-        glu[y] = x
-    return SurfaceTriangulation(triangles, glu)
+    return SurfaceTriangulation(triangles, {
+        "s0": "s2", "s1": "s3", "s4": "s6", "s5": "s7", "g1": "G1",
+        "g2": "G2", "g3": "G3", "g4": "G4", "g5": "G5"})
 
 
 def split_triangle(surface, t, tag):
@@ -51,14 +47,12 @@ def split_triangle(surface, t, tag):
     """
     ds = surface.triangles[t]
     triangles = {k: v for k, v in surface.triangles.items() if k != t}
-    glu = dict(surface.glue)
+    glu = dict(list(surface.glue.items())[::2])     # one entry per pair
     for i in range(3):
         d = ds[i]
         tri = (d, (tag, "in", (i + 1) % 3), (tag, "out", i))
         triangles[f"{t}.{i}"] = tri
-    for i in range(3):
         glu[(tag, "in", i)] = (tag, "out", i)
-        glu[(tag, "out", i)] = (tag, "in", i)
     return SurfaceTriangulation(triangles, glu)
 
 

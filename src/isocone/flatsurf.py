@@ -162,9 +162,9 @@ class FlatSurface:
     """Glued rational triangles; see the module docstring.
 
     ``triangles`` maps triangle ids to ccw triples of directed edge ids;
-    ``vectors`` maps each directed edge to a QC; ``gluings`` maps each
-    directed edge to its partner, which carries the same vector ('pos' in
-    ``signs``, read off the vectors) or the opposite one ('neg').  The
+    ``vectors`` maps each directed edge to a QC; ``gluings`` pairs edges as
+    ``SurfaceTriangulation`` reads it; partners carry equal vectors ('pos'
+    in ``signs``, read off the vectors) or opposite ones ('neg').  The
     vectors are held as integer pairs ``_vec`` over the denominator ``_den``.
     """
 
@@ -624,10 +624,10 @@ def orientation_double_cover(surface):
     for t, ds in surface.triangles.items():
         for sheet in (0, 1):
             triangles[(t, sheet)] = tuple((d, sheet) for d in ds)
-    for d, d2 in surface.glue.items():
+    for d, d2 in list(surface.glue.items())[::2]:   # one entry per pair
         flip = surface.signs[d] == "pos"    # a pos gluing changes the sheet
         for s in (0, 1):
-            glu[d, s], glu[d2, s ^ flip] = (d2, s ^ flip), (d, s)
+            glu[d, s] = d2, s ^ flip
     return _new(FlatSurface, "translation",
                 SurfaceTriangulation(triangles, glu), _lift(surface._vec),
                 surface._den)
@@ -692,7 +692,7 @@ def square_torus():
     tris = {"t0": ("a", "b", "c"), "t1": ("A", "B", "C")}
     vectors = {"a": QC(1, 0), "b": QC(0, 1), "c": QC(-1, -1),
                "A": QC(-1, 0), "B": QC(0, -1), "C": QC(1, 1)}
-    glu = {"a": "A", "A": "a", "b": "B", "B": "b", "c": "C", "C": "c"}
+    glu = {"a": "A", "b": "B", "c": "C"}
     return FlatSurface("translation", tris, vectors, glu)
 
 
@@ -710,9 +710,7 @@ def hex_torus():
         "d2": p[3] - p[0], "d2r": p[0] - p[3],
         "d3": p[4] - p[0], "d3r": p[0] - p[4],
     }
-    glu = {}
-    for x in ("sa", "sb", "sc", "d1", "d2", "d3"):
-        glu[x], glu[x + "r"] = x + "r", x
+    glu = {x: x + "r" for x in ("sa", "sb", "sc", "d1", "d2", "d3")}
     return FlatSurface("translation", tris, vectors, glu)
 
 
@@ -725,7 +723,7 @@ def _add_unit_square(name, tris, vectors, glu):
     for e, x, y in (("b", 1, 0), ("r", 0, 1), ("dr", -1, -1), ("d", 1, 1),
                     ("t", -1, 0), ("l", 0, -1)):
         vectors[name + e] = QC(x, y)
-    glu[f"{name}d"], glu[f"{name}dr"] = f"{name}dr", f"{name}d"
+    glu[f"{name}d"] = f"{name}dr"
 
 
 def lshape_h2():
@@ -738,14 +736,13 @@ def lshape_h2():
     for name in ("P", "Q", "R"):
         _add_unit_square(name, tris, vectors, glu)
     # L shape: P = [0,1]^2, Q = [1,2]x[0,1], R = [0,1]x[1,2]
-    for x, y in (("Pr", "Ql"),      # interior: x = 1, 0 <= y <= 1
-                 ("Pt", "Rb"),      # interior: y = 1, 0 <= x <= 1
-                 # identifications of the outer boundary by translations
-                 ("Pb", "Rt"),      # (x,0) ~ (x,2)
-                 ("Qb", "Qt"),      # (x,0) ~ (x,1) on 1 <= x <= 2
-                 ("Pl", "Qr"),      # (0,y) ~ (2,y)
-                 ("Rl", "Rr")):     # (0,y) ~ (1,y) on 1 <= y <= 2
-        glu[x], glu[y] = y, x
+    glu.update(Pr="Ql",             # interior: x = 1, 0 <= y <= 1
+               Pt="Rb",             # interior: y = 1, 0 <= x <= 1
+               # identifications of the outer boundary by translations
+               Pb="Rt",             # (x,0) ~ (x,2)
+               Qb="Qt",             # (x,0) ~ (x,1) on 1 <= x <= 2
+               Pl="Qr",             # (0,y) ~ (2,y)
+               Rl="Rr")             # (0,y) ~ (1,y) on 1 <= y <= 2
     return FlatSurface("translation", tris, vectors, glu)
 
 
@@ -755,9 +752,8 @@ def pillowcase():
     # upper copy [0,1]x[0,1] and lower copy [0,1]x[-1,0]
     for name in ("u", "l"):
         _add_unit_square(name, tris, vectors, glu)
-    for x, y in (("ub", "lt"),      # shared edge y = 0
-                 ("ut", "lb"),      # top of strip to its bottom
-                 ("ul", "ll"),      # left fold: a point reflection
-                 ("ur", "lr")):     # right fold: a point reflection
-        glu[x], glu[y] = y, x
+    glu.update(ub="lt",             # shared edge y = 0
+               ut="lb",             # top of strip to its bottom
+               ul="ll",             # left fold: a point reflection
+               ur="lr")             # right fold: a point reflection
     return FlatSurface("half-translation", tris, vectors, glu)

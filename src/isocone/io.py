@@ -210,8 +210,11 @@ def parse_manifold(text):
             try:
                 t1, f1 = toks[1].rsplit(".", 1)
                 t2, f2 = toks[2].rsplit(".", 1)
-                f1, f2 = int(f1), int(f2)
-                images = list(map(int, toks[3].split(",")))
+                nums = [f1, f2, *toks[3].split(",")]
+                f1, f2, *images = map(int, nums)
+                # an integer is written as str writes it: no 03, +0 or 0_0
+                if [str(f1), str(f2), *map(str, images)] != nums:
+                    raise ValueError(nums)
             except ValueError:
                 raise ParseError(lineno, f"bad gluing {' '.join(toks)!r}")
             if len(images) != 3:

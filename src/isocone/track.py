@@ -57,15 +57,14 @@ class SurfaceTriangulation:
     """Closed oriented surface built from oriented triangles.
 
     ``triangles`` maps a triangle id to a ccw triple of directed edge ids;
-    ``gluings`` is an involution pairing each directed edge with the
-    oppositely traversed copy in the neighboring triangle.  Every directed
-    edge must be paired; a refusal names ``("triangle", t)`` or ``("glue",
-    d)`` as its entry, or the triangle of the first edge it lists unglued.
+    an entry ``d: d2`` of ``gluings`` pairs two oppositely traversed edges,
+    named from either end or both; ``glue`` lists both ends of each pair in
+    turn, pairs in the order first named.  A refusal names ``("triangle",
+    t)`` or ``("glue", d)``, or the triangle of the first edge listed unglued.
     """
 
     def __init__(self, triangles, gluings):
         self.triangles = {t: tuple(ds) for t, ds in triangles.items()}
-        self.glue = dict(gluings)
         # side i of the p-th triangle, the directed edge starting at its
         # corner i, is slot 3p + i, and _corners[3p + i] is that corner
         slot = self._slot = {}
@@ -78,15 +77,19 @@ class SurfaceTriangulation:
                     raise EntryError(f"directed edge {d!r} used twice", at)
                 slot[d] = 3 * p + i
         self._corners = [(t, i) for t in self.triangles for i in range(3)]
-        for d, d2 in self.glue.items():
+        glue = self.glue = {}
+        for d, d2 in gluings.items():
             at = ("glue", d)
             if d2 == d:
                 raise EntryError(f"directed edge {d!r} glued to itself", at)
-            if self.glue.get(d2) != d:
-                raise EntryError(f"gluing not involutive at {d!r}", at)
             if d not in slot or d2 not in slot:
                 raise EntryError(f"gluing touches unknown edge {d!r}", at)
-        if unglued := sorted(slot.keys() - self.glue.keys(), key=repr):
+            # a pair named again changes nothing; an end glued to another
+            # edge before is the one the refusal names
+            if glue.setdefault(d, d2) != d2 or glue.setdefault(d2, d) != d:
+                x = d if glue[d] != d2 else d2
+                raise EntryError(f"directed edge {x!r} glued twice", at)
+        if unglued := sorted(slot.keys() - glue.keys(), key=repr):
             raise EntryError(f"unglued edges: {unglued!r}",
                              ("triangle", self._corners[slot[unglued[0]]][0]))
         self._build_classes()
@@ -311,10 +314,7 @@ class TrainTrack:
         passage between the incoming slots 0 and 1, is corner 1.
         """
         triangles = {s: ((s, 0), (s, 1), (s, 2)) for s in self.switches}
-        glu = {}
-        for s1, s2 in self.branch_ends.values():
-            glu[s1], glu[s2] = s2, s1
-        surf = SurfaceTriangulation(triangles, glu)
+        surf = SurfaceTriangulation(triangles, dict(self.branch_ends.values()))
         cusps = dict.fromkeys(surf.vertex_classes, 0)
         for s in self.switches:
             cusps[surf.corner_class[(s, 1)]] += 1

@@ -486,6 +486,32 @@ class TestMalformedInput:
         assert run(["cone", "compute", "--input", str(bad)]) == 2
         assert f"line {lineno}: bad slot '{slot}'" in capsys.readouterr().err
 
+    # a face index or corner image is an integer written as str writes it,
+    # not any spelling int() reads, which would glue a face silently;
+    # written so, one out of range is refused by the triangulation
+    @pytest.mark.parametrize("glue, message", [
+        ("glue T0.0_0 T1.+0 3,2,1", None),
+        ("glue T0.03 T1.0 3,2,1", None),
+        ("glue T0.0 T1.-0 3,2,1", None),
+        ("glue T0.０ T1.0 3,2,1", None),
+        ("glue T0.0 T1.0 3,+2,1", None),
+        ("glue T0.0 T1.0 3,2,01", None),
+        ("glue T0.0 T1.0 3,2,１", None),
+        ("glue T0.4 T1.0 3,2,1", "invalid triangulation: "
+                                 "face index out of range at ('T0', 4)"),
+        ("glue T0.-1 T1.0 3,2,1", "invalid triangulation: "
+                                  "face index out of range at ('T0', -1)"),
+    ])
+    def test_gluing_integer_spelling_exit_2(self, tmp_path, capsys, glue,
+                                            message):
+        text = open(fixture_file(tmp_path, "two_tets")).read()
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text.replace("glue T0.0 T1.0 3,2,1", glue))
+        capsys.readouterr()
+        assert run(["cone", "compute", "--input", str(bad)]) == 2
+        assert capsys.readouterr().err == "parse error: line 3: {}\n".format(
+            message or f"bad gluing {glue!r}")
+
     @pytest.mark.parametrize("fixture, extra, message", [
         ("g2xI", "weight T0.0.3.0 12345", "repeated weight for 'T0.0.3.0'"),
         ("g2xI", "weight T0.0.3.0 7/6", "repeated weight for 'T0.0.3.0'"),
@@ -765,4 +791,4 @@ class TestMalformedInput:
 def test_code_line_count():
     # commands parse, call the library and print; the computations live in
     # the library
-    assert code_lines("cli") <= 306
+    assert code_lines("cli") <= 303

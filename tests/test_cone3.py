@@ -2390,12 +2390,12 @@ def test_code_line_count():
     # isotropy certificate: the tet lemma and the Stokes check with the
     # class or triangle a failure names.  The wedge rows and their one
     # evaluator live in track, and the isotropy Gram is pairwise on omega
-    assert code_lines("cone3") <= 608
+    assert code_lines("cone3") <= 606
 
 
 def test_fixtures_code_line_count():
     # fixtures are built with the library's own constructors
-    assert code_lines("fixtures") <= 144
+    assert code_lines("fixtures") <= 138
 
 
 @pytest.mark.parametrize("make_surface", [

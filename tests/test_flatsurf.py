@@ -1302,4 +1302,4 @@ def test_code_line_count():
     # rotation candidate, a quad developed through chart maps, re-checks
     # of the triangles and gluings after every flip, or a hermitian pairing
     # that subdivides triangles in place of one integer sum would not fit
-    assert code_lines("flatsurf") <= 600
+    assert code_lines("flatsurf") <= 596

@@ -10,18 +10,19 @@ from hypothesis import assume, given, settings, strategies as st
 
 from isocone import linalg
 from isocone.track import (
-    SurfaceTriangulation, TrainTrack,
+    EntryError, SurfaceTriangulation, TrainTrack,
     triangle_form_sum, embed_weights,
     track_dual_to_triangulation,
     NotMaximalError, NotOrientableError, InvalidWeightError,
 )
 from isocone.homology import union_find
 from isocone.fixtures import (
-    genus2_one_vertex_surface, genus2_four_vertex_surface,
-    genus2_maximal_track,
+    chain_tets, g2_product_bundle, genus2_one_vertex_surface,
+    genus2_four_vertex_surface, genus2_maximal_track,
 )
 from isocone.flatsurf import (
     square_torus, hex_torus, lshape_h2, pillowcase, delaunay,
+    orientation_double_cover,
 )
 from test_acceptance import _random_complex
 from test_linalg import reference_kernel
@@ -62,6 +63,30 @@ class TestSurface:
     def test_gluing_validation(self):
         with pytest.raises(ValueError):
             SurfaceTriangulation({"t": ("a", "b", "c")}, {"a": "b"})
+
+    # an entry names one pair from either end; a refusal names its entry:
+    # an edge paired twice, whichever end of the entry it is, a self-gluing
+    # and an unknown edge the glue entry, unglued edges the triangle of the
+    # first listed
+    @pytest.mark.parametrize("gluings, message, entry", [
+        ({"a": "A", "c": "A"}, "directed edge 'A' glued twice", ("glue", "c")),
+        ({"a": "A", "A": "b"}, "directed edge 'A' glued twice", ("glue", "A")),
+        ({"a": "A", "b": "a"}, "directed edge 'a' glued twice", ("glue", "b")),
+        ({"b": "B", "a": "a"}, "directed edge 'a' glued to itself",
+         ("glue", "a")),
+        ({"a": "A", "zz": "b"}, "gluing touches unknown edge 'zz'",
+         ("glue", "zz")),
+        ({"a": "A", "b": "zz"}, "gluing touches unknown edge 'b'",
+         ("glue", "b")),
+        ({"a": "A", "b": "B"}, "unglued edges: ['C', 'c']", ("triangle", "t1")),
+        ({"A": "a", "a": "A", "b": "B"}, "unglued edges: ['C', 'c']",
+         ("triangle", "t1")),
+    ])
+    def test_gluing_refusal_names_its_entry(self, gluings, message, entry):
+        tris = {"t0": ("a", "b", "c"), "t1": ("A", "B", "C")}
+        with pytest.raises(EntryError) as got:
+            SurfaceTriangulation(tris, gluings)
+        assert (str(got.value), got.value.entry) == (message, entry)
 
     def test_unglued_edge_refused(self):
         tris = {"t0": ("a", "b", "c"), "t1": ("A", "B", "C")}
@@ -478,6 +503,54 @@ def test_euler_characteristic_even(seed, n, shear):
         assert s.euler_characteristic() % 2 == 0
 
 
+@functools.cache
+def _builder_surfaces():
+    """The surfaces the library's builders make of the fixtures: manifold
+    boundaries, the genus-2 surfaces and their track's dual, and the flat
+    surfaces, their Delaunay forms and their double covers."""
+    flats = [make() for make in (square_torus, hex_torus, lshape_h2,
+                                 pillowcase)]
+    flats += [delaunay(f) for f in flats]
+    return [g2_product_bundle()["manifold"].boundary,
+            *[chain_tets(n).boundary for n in range(1, 6)],
+            genus2_one_vertex_surface(), genus2_four_vertex_surface(),
+            genus2_maximal_track()[0]._dual_surface()[0],
+            *[f.comb for f in flats],
+            *[orientation_double_cover(f).comb for f in flats]]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 3),
+       st.fractions(-3, 3, max_denominator=4))
+def test_pairs_named_once_or_twice_build_one_surface(seed, n, shear):
+    # a table naming each glued pair once, from a random end, and one
+    # naming it from both ends, each in a random order, build the surface
+    # its builder built: the builders' surfaces, the boundary of a random
+    # complex, and a sheared grid torus before and after Delaunay; glue
+    # lists the two ends of each pair in turn, in the order first named
+    rng = random.Random(seed)
+    grid = _grid_tori()[n].shear(shear)
+    surfaces = [*_builder_surfaces(), grid.comb, delaunay(grid).comb]
+    boundary = _random_complex(rng).boundary
+    if boundary is not None:
+        surfaces.append(boundary)
+    for s in surfaces:
+        once = [(d, s.glue[d])[::rng.choice((1, -1))] for d in s.edge_classes]
+        rng.shuffle(once)
+        both = once + [(d2, d) for d, d2 in once]
+        rng.shuffle(both)
+        for table in (dict(once), dict(both)):
+            got = SurfaceTriangulation(s.triangles, table)
+            assert got.glue == s.glue
+            assert got.edge_class == s.edge_class
+            assert got.edge_classes == s.edge_classes
+            assert got.corner_class == s.corner_class
+            assert got.vertex_classes == s.vertex_classes
+        in_turn = [p for d, d2 in once for p in [(d, d2), (d2, d)]]
+        assert list(SurfaceTriangulation(s.triangles, dict(once)).glue
+                    .items()) == in_turn
+
+
 def _reference_region_cusp_counts(track):
     """Cusps per ribbon face of ``track.ribbon()``, by the face walk that
     ``region_cusp_counts`` replaced: the face turns at the vertex of each
@@ -558,4 +631,4 @@ def test_code_line_count():
     # orientation is one walk, found once per cycle pairing; the wedge rows
     # of every form, the surface's cached rows and their one evaluator are
     # here, for the cone layer too
-    assert code_lines("track") <= 331
+    assert code_lines("track") <= 329
