@@ -30,8 +30,7 @@ from fractions import Fraction
 from isocone.ordgroup import rat
 from isocone.track import (
     EntryError, SurfaceTriangulation, track_dual_to_triangulation)
-from isocone.homology import SurfaceHomology
-from isocone import linalg
+from isocone.homology import SurfaceHomology, pivot_forest
 
 
 class FlatSurfaceError(EntryError):
@@ -190,12 +189,18 @@ class FlatSurface:
 
     @functools.cached_property
     def tangent_kernel(self):
-        """Kernel of ``tangent_coefficient_rows``: one class-value vector
-        ``(L, {class column: n})`` per free column, in free-column order
-        (see ``linalg.reduced_kernel``).
-        """
-        rows, classes = tangent_coefficient_rows(self)
-        return linalg.kernel_basis(rows, len(classes))
+        """The closure kernel of the class values: ``(L, {class column:
+        n})`` per free column in order, ``L`` 1 or 2.  A ``pivot_forest``
+        with the triangles as nodes and ``edge_classes`` as columns, +1 at
+        the class edge and a ``pos`` partner and -1 at a ``neg`` one."""
+        # the triangles in any order: the pivots are those of any echelon
+        # form, whatever its row order, and so are the kernel vectors; a
+        # slot 3p + i is in the triangle p
+        slot, glue, sign = self.comb._slot, self.glue, self.signs
+        free, circuit = pivot_forest(len(self.triangles), [
+            (slot[E] // 3, 1, slot[glue[E]] // 3,
+             -1 if sign[E] == "neg" else 1) for E in self.comb.edge_classes])
+        return [circuit(j) for j in free]
 
     # -- basic quantities -----------------------------------------------------
 
@@ -516,18 +521,6 @@ class PeriodTangent:
             flip = d != E and surface.signs[d] == "neg"
             vec[d] = (-x, -y) if flip else (x, y)
         return _new(cls, surface, vec, den)
-
-
-def tangent_coefficient_rows(surface):
-    """Closure constraints on class values, one sparse integer row
-    (``linalg.row``) per triangle."""
-    classes, cls = surface.comb.edge_classes, surface.comb.edge_class
-    idx = {E: k for k, E in enumerate(classes)}
-    # a neg partner of a class carries minus the class value
-    neg = {d for d, s in surface.signs.items() if d != cls[d] and s == "neg"}
-    return [linalg.row((idx[cls[d]], -1 if d in neg else 1)
-                       for d in surface.triangles[t])
-            for t in sorted(surface.triangles, key=repr)], classes
 
 
 def tangent_basis(surface):

@@ -11,9 +11,10 @@ disk with a running sum of the x masses finds it.  Where the walk starts
 does not matter: moving the first position to the end changes the sum by
 ``y_p * sum(x) - x_p * sum(y)``, which is 0 as both systems balance.
 
-``SurfaceHomology`` takes a basis from two greedy spanning forests of
-``union_find``, the package's one union-find, for one use: the induced
-pairing of edge-period 1-cohomology classes, which does not depend on it.
+``union_find``, the package's one union-find, grows the kernel forests of
+``pivot_forest`` (for ``SurfaceHomology`` and ``FlatSurface.tangent_kernel``)
+and the face forest of ``SurfaceHomology``, whose one use is the pairing
+of edge-period 1-cohomology classes, which does not depend on its basis.
 """
 
 import itertools
@@ -101,48 +102,105 @@ class RibbonGraph:
         return total
 
 
+def pivot_forest(n, ends):
+    """``(free, circuit)`` of signed incidence columns on the nodes ``0 ..
+    n-1``: the non-pivots in order, and the kernel vector ``(L, {column:
+    m})`` of one, ``L`` its least denominator, 1 or 2."""
+    # column (a, s, b, t) is s at a plus t at b, each +-1; on the double
+    # cover, node x as sheets x and x + n, it joins them straight if s ==
+    # -t and crosswise if s == t (docs/conventions.md, "Tangent kernel")
+    adj, up, depth = [[] for _ in range(n)], [None] * n, [0] * n + [-1]
+    joins = [0] * len(ends)
+    for k in union_find(2 * n, [p for a, s, b, t in ends for p in (
+            (a, b + n * (s == t)), (a + n, b + n * (s != t)))])[1]:
+        joins[k // 2] += 1
+    # the columns that join two classes there make a forest, rooted
+    # breadth first at each tree's least node: up[x] is the column to x's
+    # parent p, its value and p's share per unit left at x, and p, or ()
+    # at a root; depth[-1] is the depth of no node
+    for j, (a, s, b, t) in enumerate(ends):
+        if joins[j] == 2:
+            adj[a].append((b, (j, -t, -s * t, a)))
+            adj[b].append((a, (j, -s, -s * t, b)))
+    for root in range(n):
+        todo = [root] * (up[root] is None)
+        for x in todo:
+            up[x] = up[x] or ()
+            for y, step in adj[x]:
+                if up[y] is None:
+                    up[y], depth[y] = step, depth[x] + 1
+                    todo.append(y)
+
+    def walk(j):
+        # column j at 1 and the forest values that carry its two entries
+        # up, the deeper end first; where the ends meet, their shares add
+        # (y turns to -1) and go on up while not 0.  Returns the vector and
+        # each end's share with the node it stopped at: a root, or a share 0
+        (x, r, y, q), vec = ends[j], {j: 1}
+        while True:
+            if x == y:
+                r, q, y = r + q, 0, -1
+            if depth[x] < depth[y]:
+                x, r, y, q = y, q, x, r
+            if not (r and up[x]):
+                return vec, ((x, r), (y, q))
+            d, c, f, x = up[x]
+            vec[d], r = c * r, f * r
+
+    # a column that joins one class of the cover joins two unbalanced
+    # trees, and is free, unless its ends are in one tree: then it closes
+    # that tree's unbalanced cycle, and its walk leaves +-2 at the root
+    walks, loops = {}, {}
+    for j in range(len(ends)):
+        if joins[j] == 1:
+            vec, ((z, w), (_, q)) = walks[j] = walk(j)
+            if not q:
+                loops[z], joins[j] = (vec, w), 2
+    free = [j for j in range(len(ends)) if joins[j] < 2]
+
+    def circuit(j):
+        # a share v left at a root takes that tree's cycle times -v/w, w
+        # the cycle's own share there; ends in two trees leave +-1 at
+        # each root, and the vector has halves
+        vec, shares = walks.pop(j, None) or walk(j)
+        if not shares[0][1]:
+            return 1, vec
+        L = 1 + abs(shares[1][1])
+        vec = {d: L * m for d, m in vec.items()}
+        for z, v in shares:
+            if v:
+                loop, w = loops[z]
+                for d, m in loop.items():
+                    vec[d] = vec.get(d, 0) - L * v // w * m
+        return L, {d: m for d, m in vec.items() if m}
+
+    return free, circuit
+
+
 class SurfaceHomology:
     """Deterministic homology basis and cocycle pairing of a ribbon surface.
 
-    The edges (in ``repr`` order) that join two trees make the vertex
-    forest; each other edge closes a fundamental cycle, the integer flow 1
-    on it and +-1 on the forest path back.  Of those, the edges that join
-    two ``faces`` (dart lists, each dart in at most one), or one and the
-    outside that holds every other dart, make the face forest.  The basis
-    is the cycles of the rest; cycles of two components pair to 0.
+    The edges (in ``repr`` order), -1 at the tail and +1 at the head, are
+    the columns of a ``pivot_forest`` on the vertices; each free edge
+    closes a fundamental cycle, the integer flow 1 on it and +-1 on the
+    forest path back.  Of those, the edges that join two ``faces`` (dart
+    lists, each dart in at most one), or one and the outside that holds
+    every other dart, make the face forest.  The basis is the cycles of the
+    rest; cycles of two components pair to 0.
     """
 
     def __init__(self, ribbon, faces):
         edges = sorted(ribbon.edges, key=repr)
         node = {v: k for k, v in enumerate(ribbon.rot)}
-        tree = {edges[j] for j in union_find(len(node), [
-            [node[v] for v in ribbon.edges[e]] for e in edges])[1]}
-        free = [e for e in edges if e not in tree]
+        free, circuit = pivot_forest(len(node), [
+            (node[u], -1, node[v], 1) for u, v in map(ribbon.edges.get, edges)])
         face, out = {d: k for k, f in enumerate(faces) for d in f}, len(faces)
         cotree = {free[j] for j in union_find(out + 1, [
-            [face.get((e, i), out) for i in (0, 1)] for e in free])[1]}
-        # root each tree: up[x] is the edge from x to its parent, the sign
-        # of that step along it, and the parent; the stack starts with
-        # every vertex, and one not reached before it is popped is a root
-        up, todo = {}, list(ribbon.rot)[::-1]
-        while todo:
-            x = todo.pop()
-            up.setdefault(x, None)
-            for e, i in ribbon.rot[x]:
-                if e in tree and (y := ribbon.edges[e][1 - i]) not in up:
-                    up[y] = (e, 2 * i - 1, x)
-                    todo.append(y)
-        # the cycle of edge u -> v: the path from v up to its root, then
-        # the one from u negated; the part they share cancels
-        flows = self.basis_flows = []
-        for e in free:
-            if e not in cotree:
-                flow = {e: 1}
-                for x, s in zip(ribbon.edges[e], (-1, 1)):
-                    while up[x]:
-                        d, t, x = up[x]
-                        flow[d] = flow.get(d, 0) + s * t
-                flows.append({d: n for d, n in flow.items() if n})
+            (face.get((e, 0), out), face.get((e, 1), out))
+            for e in map(edges.__getitem__, free)])[1]}
+        flows = self.basis_flows = [
+            {edges[c]: m for c, m in circuit(j)[1].items()}
+            for j in free if j not in cotree]
         # the form is antisymmetric: pair each i < j once
         J = self.pairing_matrix = [[Fraction(0)] * len(flows) for _ in flows]
         for i, j in itertools.combinations(range(len(flows)), 2):

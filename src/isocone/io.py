@@ -55,15 +55,18 @@ def _rat(tok, lineno, notes):
     try:
         # ASCII integers and their quotients by nonzero ASCII integers skip
         # the parser of Fraction(str), which gives the same value
-        fast = tok.isascii() and num.removeprefix("-").isdigit() and (
-            den.lstrip("0").isdigit() or not slash)
+        fast = tok.isascii() and (digits := num.removeprefix("-")).isdigit() \
+            and (den.lstrip("0").isdigit() or not slash)
         p, q = ((int(num), int(den or 1)) if fast
                 else Fraction(tok).as_integer_ratio())
     except (ValueError, ZeroDivisionError):
         raise ParseError(lineno, f"bad rational {tok!r}")
     p, q = p // (g := math.gcd(p, q)), q // g
-    if (s := f"{p}/{q}" if q > 1 else str(p)) != tok:
-        notes.append(f"normalized {tok} to {s}")
+    # a fast token in lowest terms with no leading zero, no -0 and no
+    # denominator 1 is spelled as format_rat writes it; any other is not
+    if not fast or g > 1 or digits[0] == "0" != num or slash and (
+            q == 1 or den[0] == "0"):
+        notes.append(f"normalized {tok} to {_fmt(p, q)}")
     return p, q
 
 

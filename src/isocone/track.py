@@ -82,8 +82,9 @@ class SurfaceTriangulation:
             at = ("glue", d)
             if d2 == d:
                 raise EntryError(f"directed edge {d!r} glued to itself", at)
-            if d not in slot or d2 not in slot:
-                raise EntryError(f"gluing touches unknown edge {d!r}", at)
+            # the refusal names the end that no triangle uses
+            if (x := d if d not in slot else d2) not in slot:
+                raise EntryError(f"gluing touches unknown edge {x!r}", at)
             # a pair named again changes nothing; an end glued to another
             # edge before is the one the refusal names
             if glue.setdefault(d, d2) != d2 or glue.setdefault(d2, d) != d:

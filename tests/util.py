@@ -183,6 +183,27 @@ def reference_forest_basis(rg, faces):
             if j not in pivots]
 
 
+def tangent_coefficient_rows(surface):
+    """Closure constraints on a flat surface's class values, one sparse
+    integer row (``linalg.row``) per triangle in ``repr`` order: +1 for the
+    class edge and a ``pos`` partner, -1 for a ``neg`` partner.  The
+    retired rows of ``FlatSurface.tangent_kernel``."""
+    classes, cls = surface.comb.edge_classes, surface.comb.edge_class
+    idx = {E: k for k, E in enumerate(classes)}
+    # a neg partner of a class carries minus the class value
+    neg = {d for d, s in surface.signs.items() if d != cls[d] and s == "neg"}
+    return [linalg.row((idx[cls[d]], -1 if d in neg else 1)
+                       for d in surface.triangles[t])
+            for t in sorted(surface.triangles, key=repr)], classes
+
+
+def reference_tangent_kernel(surface):
+    """``linalg.kernel_basis`` of ``tangent_coefficient_rows``: the kernel
+    by elimination, the oracle of ``FlatSurface.tangent_kernel``."""
+    rows, classes = tangent_coefficient_rows(surface)
+    return linalg.kernel_basis(rows, len(classes))
+
+
 def solution(sysm):
     """The solution of an ``IncrementalSystem`` with every free column 0,
     read off its affine ``reduced()`` form: each pivot takes ``-n[ncols] /
@@ -648,6 +669,24 @@ def reference_rat(tok, lineno, notes):
     if format_rat(q) != tok:
         notes.append(f"normalized {tok} to {format_rat(q)}")
     return q
+
+
+def reference_string_rat(tok, lineno, notes):
+    """The retired ``io._rat`` that rebuilt each token's canonical spelling
+    as a string to decide on its note: the oracle of the one that decides
+    from the token's own characters."""
+    num, slash, den = tok.partition("/")
+    try:
+        fast = tok.isascii() and num.removeprefix("-").isdigit() and (
+            den.lstrip("0").isdigit() or not slash)
+        p, q = ((int(num), int(den or 1)) if fast
+                else Fraction(tok).as_integer_ratio())
+    except (ValueError, ZeroDivisionError):
+        raise io.ParseError(lineno, f"bad rational {tok!r}")
+    p, q = p // (g := math.gcd(p, q)), q // g
+    if (s := f"{p}/{q}" if q > 1 else str(p)) != tok:
+        notes.append(f"normalized {tok} to {s}")
+    return p, q
 
 
 def reference_parse_flatsurface(text):
