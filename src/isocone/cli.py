@@ -114,8 +114,7 @@ def cmd_cone_compute(args):
 def cmd_cone_member(args):
     manifold, outgoing, weights, notes = io.parse_manifold(_read(args.input))
     btrack = BoundaryTrack(manifold, outgoing)
-    full = {E: weights.get(E, Fraction(0))
-            for E in manifold.boundary.edge_classes}
+    full = dict.fromkeys(manifold.boundary.edge_classes, Fraction(0)) | weights
     res = member(manifold, btrack, full)
     lines = [f"member: {'true' if res.member else 'false'}"]
     lines += [f"note: {n}" for n in notes]
@@ -125,12 +124,10 @@ def cmd_cone_member(args):
         if not verify_witness(manifold, btrack, full, res):
             raise DomainError("witness failed substitution check")
         lines.append("witness-verified: true")
-        for t in manifold.tets:
-            lines.append(f"choice {t} {res.choices[t]}")
-        for cls in manifold.edge_classes:
-            lines.append(
-                f"witness {io.edge_class_name(cls)} "
-                f"{format_rat(res.witness[cls])}")
+        lines += [f"choice {t} {res.choices[t]}" for t in manifold.tets]
+        lines += [f"witness {io.edge_class_name(cls)} "
+                  f"{format_rat(res.witness[cls])}"
+                  for cls in manifold.edge_classes]
     return lines
 
 

@@ -80,8 +80,8 @@ _EDGE_INDEX = {p: k for k, e in enumerate(EDGE_PAIRS)
                for p in itertools.permutations(e)}
 _EDGE_REPRS = list(map(repr, EDGE_PAIRS))
 # side k of face f runs from corner FACE_CYCLES[f][k] to the next one: the
-# (k, edge) of its three sides
-_FACE_SIDES = {f: [(k, _EDGE_INDEX[c[k], c[(k + 1) % 3]]) for k in range(3)]
+# edge of each of its three sides, in side order
+_FACE_SIDES = {f: [_EDGE_INDEX[c[k], c[(k + 1) % 3]] for k in range(3)]
                for f, c in FACE_CYCLES.items()}
 # the 48 orientation-reversing maps of a face f onto a face f2, each taking
 # f's cycle to a rotation k of f2's reversed cycle, keyed by f, f2 and the
@@ -163,7 +163,7 @@ class Triangulation3:
         self.tets = sorted(tets, key=repr)
         if not self.tets:
             raise ValueError("need at least one tetrahedron")
-        self._index = {t: i for i, t in enumerate(self.tets)}
+        self._index = dict(zip(self.tets, range(len(self.tets))))
         if len(self._index) < len(self.tets):
             dup = next(t for i, t in enumerate(self.tets)
                        if t in self.tets[:i])
@@ -177,9 +177,10 @@ class Triangulation3:
     def _validate_gluings(self):
         """Check each entry of ``gluings``, one glued face pair, by one
         lookup in ``_FACE_MAPS``; return the pairs' edge merges as slot
-        pairs, three per entry in combination order, and the set of glued
-        faces.  A refusal names the entry it was found at as ``entry``."""
-        index, merges, glued = self._index, [], set()
+        pairs, three per entry in combination order, and the glued faces,
+        as the keys of a dict.  A refusal names the entry it was found at
+        as ``entry``."""
+        index, merges, glued = self._index, [], {}
         for (t, f), (t2, f2, perm) in self.gluings.items():
             # the lookup sees f, f2 and the images of f's corners; not the
             # tets, other keys of perm, or the faces glued before
@@ -189,7 +190,7 @@ class Triangulation3:
             if not maps or (t2, f2) == (t, f) or (t, f) in glued or \
                     (t2, f2) in glued:
                 raise _gluing_refusal(index, glued, (t, f), t2, f2, perm)
-            glued |= {(t, f), (t2, f2)}
+            glued[t, f] = glued[t2, f2] = None
             i, i2 = 6 * index[t], 6 * index[t2]
             (a, a2), (b, b2), (c, c2) = maps
             merges += ((i + a, i2 + a2), (i + b, i2 + b2), (i + c, i2 + c2))
@@ -199,21 +200,21 @@ class Triangulation3:
         """Edge classes: edge ``EDGE_PAIRS[k]`` of tet ``i`` is slot ``6i +
         k`` of one integer ``union_find`` over the ``merges`` of the face
         pairs' entries, and a class id is the ``(tet, edge)`` of its root
-        slot.  Returns the root slots in ``edge_classes`` order."""
-        slots = self._slots = [(t, e) for t in self.tets for e in EDGE_PAIRS]
-        roots = self._edge_roots = union_find(len(slots), merges)[0]
+        slot.  Returns root slot -> id, in ``edge_classes`` order."""
+        tets = self.tets
+        roots = self._edge_roots = union_find(6 * len(tets), merges)[0]
         # repr((t, e)) spelled out from one repr per tet
-        rt = list(map(repr, self.tets))
-        classes = sorted(set(roots),
-                         key=lambda r: f"({rt[r // 6]}, {_EDGE_REPRS[r % 6]})")
-        self.edge_classes = [slots[r] for r in classes]
-        return classes
+        rt = list(map(repr, tets))
+        named = {r: (tets[r // 6], EDGE_PAIRS[r % 6]) for r in sorted(
+            set(roots), key=lambda r: f"({rt[r // 6]}, {_EDGE_REPRS[r % 6]})")}
+        self.edge_classes = list(named.values())
+        return named
 
     @functools.cached_property
     def edge_class(self):
         """The class of each ``(tet, edge)`` slot, built on first read."""
-        return dict(zip(self._slots, [self._slots[r]
-                                      for r in self._edge_roots]))
+        slots = [(t, e) for t in self.tets for e in EDGE_PAIRS]
+        return dict(zip(slots, [slots[r] for r in self._edge_roots]))
 
     @functools.cached_property
     def vertex_class(self):
@@ -228,11 +229,12 @@ class Triangulation3:
 
     # -- boundary ---------------------------------------------------------------
 
-    def _build_boundary(self, glued, classes):
+    def _build_boundary(self, glued, named):
         """The boundary surface, one oriented triangle per unglued face, and
         ``columns``, the one column order of every cached row: the interior
-        ``classes`` (root slots), then the boundary classes in reverse
-        ``boundary.edge_classes`` order (see ``compute_cone``).
+        classes of ``named`` (root slot -> id, in class order), then the
+        boundary classes in reverse ``boundary.edge_classes`` order (see
+        ``compute_cone``).
 
         An edge class is one link arc or one link circle, so a class that
         reaches the boundary has exactly two free face sides, and those two
@@ -242,25 +244,24 @@ class Triangulation3:
         ``boundary_components`` flags the tori, whose classes form
         ``torus_classes``.
         """
-        slots, roots = self._slots, self._edge_roots
-        self.boundary_faces, sides = [], {}
-        for i, t in enumerate(self.tets):
-            for f, ks in _FACE_SIDES.items():
-                if (t, f) not in glued:
-                    self.boundary_faces.append((t, f))
-                    for k, e in ks:
-                        sides.setdefault(roots[6 * i + e], []).append((t, f, k))
+        index, roots, sides = self._index, self._edge_roots, {}
+        self.boundary_faces = [(t, f) for t in self.tets for f in range(4)
+                               if (t, f) not in glued]
+        # one tuple per face and per side, shared by every table built here
+        triangles = {tf: ((*tf, 0), (*tf, 1), (*tf, 2))
+                     for tf in self.boundary_faces}
+        for (t, f), ds in triangles.items():
+            for d, e in zip(ds, _FACE_SIDES[f]):
+                sides.setdefault(roots[6 * index[t] + e], []).append(d)
         for r, pair in sides.items():
             if len(pair) != 2:
-                raise ValueError(f"edge class {slots[r]!r} has {len(pair)} "
+                raise ValueError(f"edge class {named[r]!r} has {len(pair)} "
                                  f"free face sides, not 2")
-        triangles = {(t, f): ((t, f, 0), (t, f, 1), (t, f, 2))
-                     for t, f in self.boundary_faces}
         # a closed manifold has no boundary, and its empty surface no parts
         surf = SurfaceTriangulation(triangles, dict(sides.values()))
         self.boundary = surf if triangles else None
         root_of = {surf.edge_class[pair[0]]: r for r, pair in sides.items()}
-        self.boundary_edge_to_class = {E: slots[r] for E, r in root_of.items()}
+        self.boundary_edge_to_class = {E: named[r] for E, r in root_of.items()}
         # a vertex class ((t, f), i) and an edge class (t, f, k) lie on the
         # triangle (t, f); each component's part of surf.edge_classes keeps
         # its repr order.  On a closed surface E = 3T/2, so the Euler
@@ -281,12 +282,12 @@ class Triangulation3:
         self.torus_classes = {self.boundary_edge_to_class[E]
                               for c in self.boundary_components if c["torus"]
                               for E in c["edge_classes"]}
-        order = [r for r in classes if r not in sides] + [
+        order = [r for r in named if r not in sides] + [
             root_of[E] for E in reversed(surf.edge_classes)]
-        self.columns = [slots[r] for r in order]
+        self.columns = [named[r] for r in order]
         column = dict(zip(order, range(len(order))))
         # the columns of each tet's six edges, six consecutive slots
-        self._tet_columns = list(zip(*[iter([column[r] for r in roots])] * 6))
+        self._tet_columns = list(zip(*[map(column.__getitem__, roots)] * 6))
 
     # -- constraint rows: built on first use, shared by every caller ------------
 

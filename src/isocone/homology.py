@@ -76,7 +76,7 @@ class RibbonGraph:
     def intersection(self, x, y):
         """Exact homological intersection number of two conservative flows;
         raises ``ValueError`` on the unbalanced masses of any other."""
-        total = Fraction(0)
+        total = 0
         for ds in self.rot.values():
             # signed masses, + flowing in, at ccw positions around the disk:
             # along each edge the x strand rides on the left of the reference
@@ -99,7 +99,7 @@ class RibbonGraph:
                         run -= m
             if run or net:
                 raise ValueError("unbalanced masses at a vertex")
-        return total
+        return Fraction(total)
 
 
 def pivot_forest(n, ends):

@@ -1,10 +1,10 @@
 """Line-based text formats for trees, tracks, flat surfaces, and 3-manifolds.
 
 One directive per line, ``#`` starting a comment; rationals are ``p/q`` or
-``p``, tuples ``(p,q/r,...)``.  Parsers read rationals as integer pairs in
-lowest terms, note any written otherwise, and refuse unknown directives by
-line.  Flat surfaces and 3-manifolds round-trip on normalized files.
-"""
+``p``, tuples ``(p,q/r,...)``, faces and corners ints as ``str`` writes
+them.  Parsers read rationals as integer pairs in lowest terms, note any
+written otherwise, and refuse unknown directives by line.  Flat surfaces
+and 3-manifolds round-trip on normalized files."""
 
 import math
 from fractions import Fraction
@@ -13,11 +13,17 @@ from isocone import flatsurf
 from isocone.ordgroup import LexVec, format_rat
 from isocone.lamtree import MetricTree
 from isocone.track import TrainTrack, SurfaceTriangulation
-from isocone.cone3 import Triangulation3, FACE_CORNERS, GluingError
+from isocone.cone3 import Triangulation3, EDGE_PAIRS, FACE_CORNERS, GluingError
 # io.FlatSurface is a trace site of the benchmark (perfbench/spans.py),
 # which replaces it with a plain function, so surfaces are built through
 # flatsurf.FlatSurface
 from isocone.flatsurf import FlatSurface, PeriodTangent, _new, _to_ints
+
+
+# the canonical spellings of the faces, corners and slots 0..3
+_INTS = {str(i): i for i in range(4)}
+# an edge class (tet, edge) is named by the tet and the edge's two corners
+_EDGE_NAMES = {e: "{}{}".format(*sorted(e)) for e in EDGE_PAIRS}
 
 
 class ParseError(ValueError):
@@ -44,7 +50,7 @@ def rename_track(track):
 
 def _lines(text):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        if toks := raw.split("#", 1)[0].split():
+        if toks := (raw.split("#", 1)[0] if "#" in raw else raw).split():
             yield lineno, toks
 
 
@@ -214,18 +220,23 @@ def parse_manifold(text):
                 t1, f1 = toks[1].rsplit(".", 1)
                 t2, f2 = toks[2].rsplit(".", 1)
                 nums = [f1, f2, *toks[3].split(",")]
-                f1, f2, *images = map(int, nums)
-                # an integer is written as str writes it: no 03, +0 or 0_0
-                if [str(f1), str(f2), *map(str, images)] != nums:
-                    raise ValueError(nums)
+                # 0..3 from a table; any other integer is written as str
+                # writes it: no 03, +0 or 0_0
+                f1, f2, *images = map(_INTS.get, nums)
+                if None in images or None in (f1, f2):
+                    f1, f2, *images = map(int, nums)
+                    if [str(f1), str(f2), *map(str, images)] != nums:
+                        raise ValueError(nums)
             except ValueError:
                 raise ParseError(lineno, f"bad gluing {' '.join(toks)!r}")
             if len(images) != 3:
                 raise ParseError(lineno, "permutation wants 3 images")
-            # a new face takes this line; one an earlier line took is refused
-            for face, name in (((t1, f1), toks[1]), ((t2, f2), toks[2])):
-                if glued.setdefault(face, lineno) != lineno:
-                    raise ParseError(lineno, f"face {name!r} glued twice")
+            # a new face takes this line; one an earlier line took is
+            # refused, the first if both were
+            if glued.setdefault((t1, f1), lineno) != lineno or \
+                    glued.setdefault((t2, f2), lineno) != lineno:
+                name = toks[1 + (glued[t1, f1] == lineno)]
+                raise ParseError(lineno, f"face {name!r} glued twice")
             # a face index out of 0..3 is refused before its corners are read
             gluings[t1, f1] = (t2, f2, dict(zip(FACE_CORNERS.get(f1, ()),
                                                 images)))
@@ -252,7 +263,7 @@ def parse_manifold(text):
             raise ParseError(lineno, f"repeated switch for {name!r}")
         if slot not in ("0", "1", "2"):
             raise ParseError(lineno, f"bad slot {slot!r}")
-        outgoing[tri_by_name[name]] = int(slot)
+        outgoing[tri_by_name[name]] = _INTS[slot]
 
     weights = {}
     if manifold.boundary is not None and weight_lines:
@@ -270,15 +281,15 @@ def parse_manifold(text):
 
 
 def boundary_triangle_name(tf):
-    return "{}.{}".format(*tf)
+    return f"{tf[0]}.{tf[1]}"
 
 
 def boundary_edge_name(E):
-    return "{}.{}.{}".format(*E)
+    return f"{E[0]}.{E[1]}.{E[2]}"
 
 
 def edge_class_name(cls):
-    return "{}:{}{}".format(cls[0], *sorted(cls[1]))
+    return f"{cls[0]}:{_EDGE_NAMES[cls[1]]}"
 
 
 def serialize_manifold(manifold, outgoing=None, weights=None):

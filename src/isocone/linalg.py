@@ -10,17 +10,17 @@ from operator import itemgetter
 
 
 def row(terms):
-    """Sparse integer row summing ``(column, coefficient)`` terms: sorted
-    pairs with the zero sums left out; a tuple, since rows are shared."""
-    # sorted, the terms of one column are neighbours, summed in one pass
-    out, last = [], None
-    for col, coef in sorted(terms):
-        if col == last:
-            out[-1] = (col, out[-1][1] + coef)
-        else:
-            out.append((col, coef))
-            last = col
-    return tuple(filter(itemgetter(1), out))
+    """Sparse integer row of ``(column, coefficient)`` terms, a column's
+    summed where it repeats: the sorted nonzero pairs, a shared tuple."""
+    # a dict of the sorted terms is the row when no column repeats, as in
+    # every choice row of g2xI, and holds the sums when one does
+    terms = sorted(terms)
+    if len(merged := dict(terms)) < len(terms):
+        merged = {}
+        for col, coef in terms:
+            merged[col] = merged.get(col, 0) + coef
+    return (tuple(merged.items()) if all(merged.values())
+            else tuple(filter(itemgetter(1), merged.items())))
 
 
 def rref(rows):

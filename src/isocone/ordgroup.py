@@ -22,9 +22,7 @@ def rat(x):
     """Coerce ints, strings like '3/2', and Fractions to an exact Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 

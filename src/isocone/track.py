@@ -90,7 +90,9 @@ class SurfaceTriangulation:
             if glue.setdefault(d, d2) != d2 or glue.setdefault(d2, d) != d:
                 x = d if glue[d] != d2 else d2
                 raise EntryError(f"directed edge {x!r} glued twice", at)
-        if unglued := sorted(slot.keys() - glue.keys(), key=repr):
+        # every end in glue is a known edge, so a count finds one unglued
+        if len(glue) < len(slot):
+            unglued = sorted(slot.keys() - glue.keys(), key=repr)
             raise EntryError(f"unglued edges: {unglued!r}",
                              ("triangle", self._corners[slot[unglued[0]]][0]))
         self._build_classes()
@@ -111,8 +113,8 @@ class SurfaceTriangulation:
         roots, _ = union_find(len(corners), enumerate([
             slot[glue[d]] for ds in self.triangles.values()
             for d in (ds[2], ds[0], ds[1])]))
-        self.corner_class = dict(zip(corners, [corners[r] for r in roots]))
-        self.vertex_classes = sorted({corners[r] for r in roots}, key=repr)
+        self.corner_class = dict(zip(corners, map(corners.__getitem__, roots)))
+        self.vertex_classes = sorted({corners[r] for r in {*roots}}, key=repr)
 
     def locate(self, d):
         """(triangle, slot) of a directed edge."""

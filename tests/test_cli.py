@@ -11,7 +11,7 @@ from isocone.cone3 import BoundaryTrack
 from isocone.fixtures import chain_tets
 from isocone.flatsurf import QC, lshape_h2
 from test_cone3 import _merge_boundary_classes
-from util import code_lines
+from util import code_lines, fraction_constructions
 
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -220,6 +220,16 @@ class TestConeCommands:
         out = capsys.readouterr().out
         assert out.startswith("member: true")
         assert "witness-verified: true" in out
+
+    def test_member_diagonal_fraction_count(self, tmp_path, capsys):
+        # 36 weights read, one zero for the edges with no weight line and
+        # 58 witness values; with a zero made per boundary edge the same
+        # command made 130
+        path = fixture_file(tmp_path, "g2xI")
+        capsys.readouterr()
+        assert fraction_constructions(
+            lambda: run(["cone", "member", "--input", path])) == 95
+        assert capsys.readouterr().out.startswith("member: true")
 
     def test_member_deep_chain(self, tmp_path, capsys):
         # 2,000 tets: a walk deeper than the interpreter's default
@@ -791,4 +801,4 @@ class TestMalformedInput:
 def test_code_line_count():
     # commands parse, call the library and print; the computations live in
     # the library
-    assert code_lines("cli") <= 303
+    assert code_lines("cli") <= 300

@@ -2378,6 +2378,25 @@ def test_tet_form_vanishes_on_a_choice(us, vs, k):
     assert tet_omega(*weights) == 0
 
 
+class TestBuildWork:
+    def test_g2xI_build_makes_three_unions_and_no_fraction(self,
+                                                           monkeypatch):
+        # one union-find each for the edge classes of the 216 tet edges,
+        # the corner classes of the 72 boundary corners and the components
+        # of the 24 boundary triangles; no Fraction is made
+        m, sizes = _g2xI(), []
+        union_find = cone3.union_find
+
+        def counted(n, pairs):
+            sizes.append(n)
+            return union_find(n, pairs)
+        monkeypatch.setattr(cone3, "union_find", counted)
+        monkeypatch.setattr("isocone.track.union_find", counted)
+        assert fraction_constructions(
+            lambda: Triangulation3(m.tets, m.gluings)) == 0
+        assert sizes == [216, 72, 24]
+
+
 def test_code_line_count():
     # the boundary is paired by edge class, the form has one table of
     # coefficients, the boundary track is read off the one boundary surface,

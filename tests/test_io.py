@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from isocone import io
+from isocone.cli import _fixture_text
 from isocone.cone3 import Triangulation3
 from isocone.fixtures import (genus2_maximal_track, two_tets, chain_tets,
                               g2_product_bundle, glue_tets, mf_weight,
@@ -12,7 +13,8 @@ from isocone.fixtures import (genus2_maximal_track, two_tets, chain_tets,
 from isocone.flatsurf import (QC, lshape_h2, pillowcase, square_torus,
                                PeriodTangent)
 from isocone.ordgroup import LexVec, format_rat
-from util import (code_lines, reference_parse_flatsurface,
+from util import (code_lines, fraction_constructions,
+                  reference_parse_flatsurface, reference_parse_manifold,
                   reference_rat, reference_string_rat)
 
 
@@ -129,6 +131,16 @@ class TestManifoldFormat:
         with pytest.raises(io.ParseError, match=f"^{re.escape(message)}$"):
             io.parse_manifold(text)
 
+    @pytest.mark.parametrize("name, weights", [
+        ("g2xI", 36), ("chain4", 0), ("two_tets", 0)])
+    def test_one_fraction_per_weight_line(self, name, weights):
+        # faces, corners and slots are read as ints: the only Fractions
+        # are the weights, one per weight line
+        text = _fixture_text(name)
+        assert text.count("\nweight ") == weights
+        assert fraction_constructions(
+            lambda: io.parse_manifold(text)) == weights
+
 
 def _rat_outcome(rat, tok):
     notes = []
@@ -185,6 +197,86 @@ def test_rat_decides_its_note_from_its_characters(tok):
     # token's canonical spelling as a string and compared it
     assert _rat_outcome(io._rat, tok) == _rat_outcome(reference_string_rat,
                                                       tok)
+
+
+_WEIGHT_TOKENS = st.one_of(
+    _canonical, _noncanonical,
+    st.builds(_spelled, st.integers(-40, 40), st.integers(1, 12),
+              st.sampled_from(["", "+", "-"]), st.integers(0, 2),
+              st.integers(0, 2), st.booleans()))
+# faces and corners of a glue line: the canonical 0..3, other spellings of
+# them, integers out of range, and tokens that are no integer
+_GLUE_TOKENS = ["0", "1", "2", "3", "03", "+0", "-0", "-1", "4", "10", "00",
+                "0_0", "\u0661", "\uff10", "\uff13", "1.0", ""]
+_MANIFOLD_TEXTS = {name: _fixture_text(name)
+                   for name in ("two_tets", "chain4", "g2xI")}
+
+
+def _manifold_outcome(parse, text):
+    """The tables, outgoing slots, weights and notes a manifold reader
+    gives, with the types of the weights; or its refusal."""
+    try:
+        m, outgoing, weights, notes = parse(text)
+    except io.ParseError as e:
+        return "refused", str(e)
+    return (m.tets, list(m.gluings.items()), list(outgoing.items()),
+            list(weights.items()), [type(w) for w in weights.values()], notes)
+
+
+def _spliced(lines, data):
+    """``lines`` with a few random edits of glue and weight lines: a face
+    or corner respelled, a dot dropped, two or four images, a weight
+    respelled, a face glued again, or a comment added."""
+    glue = [i for i, line in enumerate(lines) if line.startswith("glue ")]
+    weight = [i for i, line in enumerate(lines) if line.startswith("weight ")]
+    free = [line.split()[1] for line in lines if line.startswith("switch ")]
+    draw = data.draw
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["face", "corner", "dot", "images",
+                                   "weight", "again", "comment"]))
+        i = draw(st.sampled_from(weight if op == "weight" and weight
+                                 else glue))
+        toks, side = lines[i].split(), draw(st.sampled_from([1, 2]))
+        images = toks[3].split(",") if toks[0] == "glue" else []
+        if op == "face":
+            toks[side] = (toks[side].rsplit(".", 1)[0] + "."
+                          + draw(st.sampled_from(_GLUE_TOKENS)))
+        elif op == "corner":
+            images[draw(st.integers(0, len(images) - 1))] = draw(
+                st.sampled_from(_GLUE_TOKENS))
+        elif op == "dot":
+            toks[side] = draw(st.sampled_from([
+                "".join(toks[side].rsplit(".", 1)),
+                toks[side].replace(".", "")]))
+        elif op == "images":
+            images = draw(st.sampled_from([
+                images[:2], images + [draw(st.sampled_from(_GLUE_TOKENS))]]))
+        elif op == "weight" and weight:
+            toks[2] = draw(_WEIGHT_TOKENS)
+        elif op == "again":
+            # the line verbatim or reversed, or a free face glued to one
+            # of its faces: the first or the second face glued twice
+            lines.append(draw(st.sampled_from([
+                lines[i], f"glue {toks[2]} {toks[1]} {toks[3]}",
+                f"glue {draw(st.sampled_from(free))} {toks[side]} 0,1,2"])))
+        elif op == "comment":
+            toks.append(draw(st.sampled_from(["# note", "#", "#glue 1"])))
+        if images:
+            toks[3] = ",".join(images)
+        lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_MANIFOLD_TEXTS)), st.data())
+def test_manifold_reader_matches_reference(name, data):
+    # under respelled faces, corners and weights, malformed glue lines,
+    # faces glued twice and comments, the reader that reads 0..3 from a
+    # table gives the tables, slots, weights and notes, or the refusal,
+    # of the reader that round-tripped every integer through str
+    text = _spliced(_MANIFOLD_TEXTS[name].splitlines(), data)
+    assert _manifold_outcome(io.parse_manifold, text) == \
+        _manifold_outcome(reference_parse_manifold, text)
 
 
 def _flat_texts():
@@ -268,5 +360,7 @@ class TestFlatReaderOracle:
 
 
 def test_code_line_count():
-    # the formats are read and written here only
-    assert code_lines("io") <= 229
+    # the formats are read and written here only; 5 more lines read a glue
+    # line's 0..3 from a table, name its face glued twice with no loop and
+    # name edge classes from a table of the six edges
+    assert code_lines("io") <= 234

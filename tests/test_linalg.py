@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from isocone import linalg
-from util import code_lines, solution
+from util import code_lines, reference_row, solution
 
 # small entries with many zeros, so that dependent, redundant and
 # contradicting rows are all common; some are not integers
@@ -318,10 +318,32 @@ def test_row_matches_dense_sum(terms, rng):
     assert linalg.row(reversed(terms)) == row
 
 
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.lists(st.tuples(st.integers(0, 6), st.integers(-3, 3)), max_size=10),
+    st.lists(st.tuples(st.integers(-50, 50), st.integers(-3, 3)),
+             max_size=8, unique_by=lambda t: t[0])),
+    st.randoms(use_true_random=False))
+def test_row_matches_merge_always(terms, rng):
+    # rows with repeated columns, with sums that cancel to 0, with no
+    # column repeated (with or without a 0 term) and empty: the same
+    # tuple as the builder that merged neighbours on every row
+    terms = terms + [(c, -x) for c, x in terms if rng.random() < 0.2]
+    rng.shuffle(terms)
+    row = linalg.row(terms)
+    assert type(row) is tuple and row == reference_row(terms)
+    assert linalg.row(iter(terms)) == row
+    assert all(type(x) is int for _, x in row)
+
+
+def test_row_of_no_terms():
+    assert linalg.row([]) == linalg.row(iter(())) == reference_row([]) == ()
+
+
 def test_code_line_count():
     # one elimination core: a second, dense one would not fit; the row
     # builder moved here from cone3, a mark is ``len(pivots)``, and
     # ``reduced()`` is the one read-out, with no back-substitution;
-    # ``reduced_kernel`` indexes the rows by column in one pass; 5 more
-    # lines sum a row's terms as sorted neighbours, with no dict
-    assert code_lines("linalg") <= 148
+    # ``reduced_kernel`` indexes the rows by column in one pass; 4 more
+    # lines sum a row's terms in a dict, only where a column repeats
+    assert code_lines("linalg") <= 147

@@ -119,4 +119,4 @@ class TestSerialization:
 
 
 def test_code_line_count():
-    assert code_lines("ordgroup") <= 114
+    assert code_lines("ordgroup") <= 112

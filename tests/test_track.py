@@ -630,5 +630,6 @@ def test_code_line_count():
     # methods that only tests call do not belong in the library; the
     # orientation is one walk, found once per cycle pairing; the wedge rows
     # of every form, the surface's cached rows and their one evaluator are
-    # here, for the cone layer too
-    assert code_lines("track") <= 329
+    # here, for the cone layer too; one more line counts the glued ends
+    # before it looks for an unglued one
+    assert code_lines("track") <= 330

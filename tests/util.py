@@ -9,10 +9,12 @@ import pathlib
 import pstats
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 from isocone import flatsurf, io, linalg
 from isocone.cone3 import (
-    EDGE_PAIRS, FACE_CYCLES, GluingError, OrientationError)
+    EDGE_PAIRS, FACE_CORNERS, FACE_CYCLES, GluingError, OrientationError,
+    Triangulation3)
 from isocone.fixtures import (
     genus2_four_vertex_surface, genus2_maximal_track, mf_weight,
     product_bundle)
@@ -202,6 +204,20 @@ def reference_tangent_kernel(surface):
     by elimination, the oracle of ``FlatSurface.tangent_kernel``."""
     rows, classes = tangent_coefficient_rows(surface)
     return linalg.kernel_basis(rows, len(classes))
+
+
+def reference_row(terms):
+    """The retired ``linalg.row``: the sorted terms with each column's
+    coefficients merged in one pass, whether or not a column repeats, and
+    the zero sums left out.  The oracle of ``linalg.row``."""
+    out, last = [], None
+    for col, coef in sorted(terms):
+        if col == last:
+            out[-1] = (col, out[-1][1] + coef)
+        else:
+            out.append((col, coef))
+            last = col
+    return tuple(filter(itemgetter(1), out))
 
 
 def solution(sysm):
@@ -734,6 +750,86 @@ def reference_parse_flatsurface(text):
         except ValueError as e:
             raise io.ParseError(0, f"invalid tangent {idx}: {e}")
     return surf, tlist, notes
+
+
+def reference_lines(text):
+    """The retired ``io._lines``: every line split at its first ``#``."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if toks := raw.split("#", 1)[0].split():
+            yield lineno, toks
+
+
+def reference_parse_manifold(text):
+    """The retired ``io.parse_manifold``: every integer of a glue line read
+    with ``int`` and turned back into a ``str`` to refuse other spellings,
+    and every line split at ``#``.  The oracle of the manifold reader."""
+    # tets: tet id -> None, in line order; glued: the line of each glued face
+    tets, gluings, glued, notes = {}, {}, {}, []
+    switch_lines, weight_lines = [], []
+    for lineno, toks in reference_lines(text):
+        if toks[0] == "tet" and len(toks) == 2:
+            io._put(tets, toks[1], None, lineno, "tetrahedron")
+        elif toks[0] == "glue" and len(toks) == 4:
+            try:
+                t1, f1 = toks[1].rsplit(".", 1)
+                t2, f2 = toks[2].rsplit(".", 1)
+                nums = [f1, f2, *toks[3].split(",")]
+                f1, f2, *images = map(int, nums)
+                # an integer is written as str writes it: no 03, +0 or 0_0
+                if [str(f1), str(f2), *map(str, images)] != nums:
+                    raise ValueError(nums)
+            except ValueError:
+                raise io.ParseError(lineno, f"bad gluing {' '.join(toks)!r}")
+            if len(images) != 3:
+                raise io.ParseError(lineno, "permutation wants 3 images")
+            # a new face takes this line; one an earlier line took is refused
+            for face, name in (((t1, f1), toks[1]), ((t2, f2), toks[2])):
+                if glued.setdefault(face, lineno) != lineno:
+                    raise io.ParseError(lineno, f"face {name!r} glued twice")
+            # a face index out of 0..3 is refused before its corners are read
+            gluings[t1, f1] = (t2, f2, dict(zip(FACE_CORNERS.get(f1, ()),
+                                                images)))
+        elif toks[0] == "switch" and len(toks) == 4 and toks[2] == "out":
+            switch_lines.append((lineno, toks[1], toks[3]))
+        elif toks[0] == "weight" and len(toks) == 3:
+            weight_lines.append((lineno, toks[1], toks[2]))
+        else:
+            raise io.ParseError(lineno,
+                                f"unknown directive {' '.join(toks)!r}")
+    try:
+        manifold = Triangulation3(tets, gluings)
+    except ValueError as e:
+        # a refusal found at one gluing entry names the line it came from
+        line = glued.get(e.entry, 0) if isinstance(e, GluingError) else 0
+        raise io.ParseError(line, f"invalid triangulation: {e}")
+
+    tri_by_name = {io.boundary_triangle_name(tf): tf
+                   for tf in manifold.boundary_faces}
+    outgoing = {}
+    for lineno, name, slot in switch_lines:
+        if name not in tri_by_name:
+            raise io.ParseError(lineno, f"unknown boundary triangle {name!r}")
+        if tri_by_name[name] in outgoing:
+            raise io.ParseError(lineno, f"repeated switch for {name!r}")
+        if slot not in ("0", "1", "2"):
+            raise io.ParseError(lineno, f"bad slot {slot!r}")
+        outgoing[tri_by_name[name]] = int(slot)
+
+    weights = {}
+    if manifold.boundary is not None and weight_lines:
+        edge_by_name = {io.boundary_edge_name(E): E
+                        for E in manifold.boundary.edge_classes}
+        for lineno, name, val in weight_lines:
+            if name not in edge_by_name:
+                raise io.ParseError(lineno, f"unknown boundary edge {name!r}")
+            if edge_by_name[name] in weights:
+                raise io.ParseError(lineno, f"repeated weight for {name!r}")
+            weights[edge_by_name[name]] = Fraction(
+                *io._rat(val, lineno, notes))
+    elif weight_lines:
+        raise io.ParseError(weight_lines[0][0],
+                            "weights on a closed manifold")
+    return manifold, outgoing, weights, notes
 
 
 def reference_quadrature(P, per1, per2, depth):
