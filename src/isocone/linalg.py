@@ -1,12 +1,15 @@
 """Exact linear algebra over the rationals, on one sparse integer core.
 
 ``row`` builds every constraint row; ``IncrementalSystem`` eliminates them
-fraction-free (after Bareiss 1968) and reads out their canonical reduced
-echelon form in integers.  Only ``rref`` and ``rank`` make Fractions."""
+fraction-free (after Bareiss 1968), a row of two terms in locals while it
+stays that short, and reads out their canonical reduced echelon form in
+integers.  Only ``rref`` and ``rank`` make Fractions."""
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import itemgetter
+
+_PAD = (inf, 0)     # a zero term right of every column
 
 
 def row(terms):
@@ -86,10 +89,43 @@ class IncrementalSystem:
             del self.pivot_rows[self.pivots.pop()]
 
     def push(self, row, b, tag=0):
-        """Add ``row . x = b`` (integer pairs without zeros, an integer
-        ``b``); False iff it contradicts the system.  Only a new row is
-        stored; after a False, ``conflict`` is the contradiction's mask."""
-        return self._push(dict(row), b, tag)
+        """Add ``row . x = b`` (integer pairs without zeros, one per column,
+        any order; an integer ``b``); False iff it contradicts the system.
+        Only a new row is stored; after a False, ``conflict`` is its mask."""
+        if len(row) > 2:
+            return self._push(dict(row), b, tag)
+        # the core's steps on a row of at most two terms, in locals: live
+        # columns c < d with coefficients x, y; a zero term at column inf
+        # pads the row (y = 0: one term, x = 0: none) and an empty tail
+        (c, x), (d, y) = row if len(row) == 2 else (*row, _PAD, _PAD)[:2]
+        if c > d:
+            c, x, d, y = d, y, c, x
+        pivot_rows = self.pivot_rows
+        while x:
+            if (entry := pivot_rows.get(c)) is None:
+                if x != 1:
+                    g = gcd(x, b, y) * (1 if x > 0 else -1)
+                    x, y, b = x // g, y // g, b // g
+                pivot_rows[c] = (x, ((d, y),) if y else (), b, tag)
+                self.pivots.append(c)
+                return True
+            p, tail, rb, mask = entry
+            if len(tail) > 1:   # its fill-in could pass two terms
+                return self._push({c: x, d: y} if y else {c: x}, b, tag)
+            tag |= mask
+            if p != 1:
+                g = gcd(x, p)
+                x, y, b = x // g, y * (p // g), b * (p // g)
+            b -= x * rb
+            (j, z), = tail or (_PAD,)
+            if j < d:
+                c, x = j, -x * z
+            elif j > d:
+                c, x, d, y = d, y, j, -x * z
+            else:       # j is d, and may cancel it; or both are padding
+                c, x, d, y = d, y - x * z, inf, 0
+        self.conflict = tag
+        return b == 0
 
     def _push(self, v, b, tag=0):
         """``push`` of a row ``{column: coefficient}``, which it consumes;

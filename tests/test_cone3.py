@@ -1153,6 +1153,24 @@ class TestMembership:
         # chronological search pushes 18,144 rows
         self.assert_push_count(21, 11687, monkeypatch)
 
+    def test_core_push_count(self, monkeypatch):
+        # of pair 21's 11,687 pushes, only the rows of three or more terms,
+        # and the shorter ones that meet a pivot row with a longer tail,
+        # reach the dict core; the rest are reduced in locals
+        bundle = g2_product_bundle()
+        wb = off_diagonal_weight(bundle, 21)
+        calls = []
+        core = linalg.IncrementalSystem._push
+
+        def counted_core(self, v, b, tag=0):
+            calls.append(v)
+            return core(self, v, b, tag)
+
+        monkeypatch.setattr(linalg.IncrementalSystem, "_push", counted_core)
+        res = member(bundle["manifold"], bundle["boundary_track"], wb)
+        assert not res.member and res.reason == "no-choice-vector"
+        assert len(calls) == 2953
+
     def test_long_pair_push_count(self, monkeypatch):
         # pair 12, one of the two pairs the benchmark leaves out for their
         # length; the chronological search pushes 183,777 rows

@@ -220,6 +220,49 @@ def reference_row(terms):
     return tuple(filter(itemgetter(1), out))
 
 
+def reference_eliminate(sysm, row, b, tag=0):
+    """``sysm.push(row, b, tag)`` through the retired push, which put every
+    row through the dict core: the core's loop, copied verbatim onto
+    ``sysm``.  The oracle of ``IncrementalSystem.push``."""
+    v = dict(row)
+    pivot_rows = sysm.pivot_rows
+    # eliminate the lowest column of v while it is a pivot; a stored row
+    # only has entries right of its pivot, so fill-in lands to the right
+    # and every column is visited at most once, lowest first
+    while v:
+        c = min(v)
+        if (entry := pivot_rows.get(c)) is None:
+            break
+        f = v.pop(c)
+        p, tail, rb, mask = entry
+        tag |= mask
+        if p != 1:      # v := (p v - f row) / gcd(f, p), still integral
+            g = math.gcd(f, p)
+            f, s = f // g, p // g
+            for j in v:
+                v[j] *= s
+            b *= s
+        for j, x in tail:
+            y = v.get(j, 0) - f * x
+            if y:
+                v[j] = y
+            else:
+                del v[j]
+        b -= f * rb
+    else:
+        sysm.conflict = tag
+        return b == 0
+    p = v.pop(c)
+    if p != 1:
+        g = math.gcd(p, b, *v.values()) * (1 if p > 0 else -1)
+        p, b = p // g, b // g
+        for j in v:
+            v[j] //= g
+    pivot_rows[c] = (p, tuple(v.items()), b, tag)
+    sysm.pivots.append(c)
+    return True
+
+
 def solution(sysm):
     """The solution of an ``IncrementalSystem`` with every free column 0,
     read off its affine ``reduced()`` form: each pivot takes ``-n[ncols] /
